@@ -35,9 +35,11 @@ from .dynamics import (condition_flags, invertibility_report,
                        load_map_trajectory, read_map_file)
 from .phase_covariant import PCRates, pc_trajectory
 from .observables import ThermoPipeline
+# fluctuation_report is unused here but stays a module attribute: the traced
+# benchmark run (perfbench/child.py) wraps it by name.
 from .fluctuations import (CLUSTER_TOL, NEGATIVE_PROB_TOL, PROB_SUM_TOL,
-                           FluctuationReport, fluctuation_report,
-                           tpms_distribution)
+                           FluctuationReport, fluctuation_report,  # noqa: F401
+                           fluctuation_table, tpms_distribution)
 from .observables import (HERMITIZE_TOL, coherent_initial_construction,
                           coherent_work_fluctuation)
 from .models import (ClosedCoherentParams, JCParams, WeakCouplingParams,
@@ -418,10 +420,9 @@ def _run_map_model(cfg: ScenarioConfig, written: list[str]) -> None:
     if "lambda" in cfg.series:
         lines = [FluctuationReport.CSV_HEADER]
         for beta in cfg.beta_list:
-            for i in range(traj.times.size):
-                rep = fluctuation_report(pipe, i, beta)
-                rep.check_invariants(cfg.tolerances.invariant_tol)
-                lines.append(rep.csv_row())
+            table = fluctuation_table(pipe, beta)
+            table.check_invariants(cfg.tolerances.invariant_tol)
+            lines.extend(table.csv_rows())
         _write(cfg.out_dir, "lambda_series.csv", lines, written)
 
     if "invertibility" in cfg.series:

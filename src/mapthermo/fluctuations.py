@@ -23,6 +23,14 @@ holds for any initial state diagonal in the first measurement basis). Both
 Lambda factors deviate from one only through the non-unitality of the map;
 their bounds and the induced bound on the mean dissipated work are computed
 alongside.
+
+`fluctuation_table(pipeline, beta)` evaluates all of this for every grid row
+at once: each map is applied to a handful of vectors, and K(t), P(t) and
+O_w(t) are diagonalized as stacks, so a whole window costs one batched pass
+per beta. Its columns are those of `lambda_series.csv`, plus the Lambda_u
+cross-check residual per row. `fluctuation_report` is one row of it; the
+scalar `lambda_u`, `lambda_w`, `heat_fluctuation`, `free_energies` and
+`dissipated_work_bound` are the per-operator reference implementations.
 """
 
 from __future__ import annotations
@@ -33,6 +41,9 @@ import numpy as np
 
 from .errors import ConstructionError
 from .operators import (
+    HERMITICITY_TOL,
+    POSITIVITY_TOL,
+    TRACE_TOL,
     DensityMatrix,
     HermitianOperator,
     Superoperator,
@@ -268,6 +279,40 @@ def dissipated_work_bound(map_t: Superoperator, P_t: HermitianOperator,
     return float(-p_max - np.log(phi_max) / beta)
 
 
+_COLUMNS = ("lambda_u", "lambda_w", "lambda_w_bound", "exp_avg_w",
+            "exp_avg_q", "delta_F_bar", "mean_w", "dissipated_bound")
+"""The per-row report columns after t and beta, in CSV order."""
+
+
+def _csv_row(cells) -> str:
+    return ",".join(f"{v:.17g}" for v in cells)
+
+
+def _check_invariants(r, tol: float) -> None:
+    """Raise ConstructionError at the first row where the two evaluation
+    routes of <e^{-beta w}> disagree or lambda_w exceeds its bound.
+
+    `r` is a FluctuationReport (scalar fields) or a FluctuationTable (one
+    array per field); the message names the row by its time.
+    """
+    t, lw, bound, avg, dfb = (np.atleast_1d(getattr(r, name)) for name in (
+        "time", "lambda_w", "lambda_w_bound", "exp_avg_w", "delta_F_bar"))
+    expect = lw * np.exp(-r.beta * dfb)
+    routes = np.abs(avg - expect) > tol * np.maximum(1.0, np.abs(expect))
+    over = lw > bound + tol
+    bad = np.flatnonzero(routes | over)
+    if bad.size == 0:
+        return
+    k = bad[0]
+    where = f"at t = {t[k]:.17g}, beta = {r.beta:.17g}"
+    if routes[k]:
+        raise ConstructionError(
+            f"{where}: exp average {avg[k]} != lambda * e^(-beta deltaF) "
+            f"{expect[k]}")
+    raise ConstructionError(
+        f"{where}: lambda_w {lw[k]} exceeds its bound {bound[k]}")
+
+
 @dataclass(frozen=True)
 class FluctuationReport:
     """Everything the fluctuation relations say at one (t, beta) cell."""
@@ -284,48 +329,173 @@ class FluctuationReport:
     dissipated_bound: float
 
     def check_invariants(self, tol: float = 1e-9) -> None:
-        expect = self.lambda_w * np.exp(-self.beta * self.delta_F_bar)
-        if abs(self.exp_avg_w - expect) > tol * max(1.0, abs(expect)):
-            raise ConstructionError(
-                f"exp average {self.exp_avg_w} != lambda * e^(-beta deltaF) {expect}")
-        if self.lambda_w > self.lambda_w_bound + tol:
-            raise ConstructionError("lambda_w exceeds its bound")
+        _check_invariants(self, tol)
 
     CSV_HEADER = ("t,beta,lambda_u,lambda_w,lambda_w_bound,exp_avg_w,"
                   "exp_avg_q,delta_F_bar,mean_w,dissipated_bound")
 
     def csv_row(self) -> str:
-        cells = (self.time, self.beta, self.lambda_u, self.lambda_w,
-                 self.lambda_w_bound, self.exp_avg_w, self.exp_avg_q,
-                 self.delta_F_bar, self.mean_w, self.dissipated_bound)
-        return ",".join(f"{v:.17g}" for v in cells)
+        return _csv_row((self.time, self.beta,
+                         *(getattr(self, name) for name in _COLUMNS)))
+
+
+@dataclass(frozen=True, eq=False)
+class FluctuationTable:
+    """The report columns of many grid rows at one beta, one array per
+    column, plus the per-row Lambda_u cross-check residual."""
+
+    time: np.ndarray
+    beta: float
+    lambda_u: np.ndarray
+    lambda_w: np.ndarray
+    lambda_w_bound: np.ndarray
+    exp_avg_w: np.ndarray
+    exp_avg_q: np.ndarray
+    delta_F_bar: np.ndarray
+    mean_w: np.ndarray
+    dissipated_bound: np.ndarray
+    lambda_u_residual: np.ndarray
+    """Largest disagreement among the three Lambda_u evaluation routes."""
+
+    def row(self, k: int) -> FluctuationReport:
+        return FluctuationReport(
+            time=float(self.time[k]), beta=self.beta,
+            **{name: float(getattr(self, name)[k]) for name in _COLUMNS})
+
+    def check_invariants(self, tol: float = 1e-9) -> None:
+        _check_invariants(self, tol)
+
+    def csv_rows(self) -> list[str]:
+        columns = (getattr(self, name).tolist() for name in _COLUMNS)
+        return [_csv_row((t, self.beta, *cells))
+                for t, *cells in zip(self.time.tolist(), *columns)]
+
+
+def _dag(a: np.ndarray) -> np.ndarray:
+    return a.conj().swapaxes(-1, -2)
+
+
+def _unvec_rows(v: np.ndarray, dim: int) -> np.ndarray:
+    """`unvec` of every row of an (n, d^2) array: an (n, d, d) stack."""
+    return v.reshape(-1, dim, dim).swapaxes(-1, -2)
+
+
+def _trace_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    return np.trace(a @ b, axis1=-2, axis2=-1)
+
+
+def _exp_stack(vals: np.ndarray, vecs: np.ndarray, scale: float) -> np.ndarray:
+    """`exp_hermitian` of a stack of spectral decompositions."""
+    f = np.exp(scale * vals)
+    if not np.all(np.isfinite(f)):
+        raise ValueError(f"function undefined on eigenvalues "
+                         f"{vals[~np.isfinite(f)]}")
+    m = (vecs * f[:, None, :]) @ _dag(vecs)
+    return 0.5 * (m + _dag(m))
+
+
+def _hermitian_stack(a: np.ndarray, times: np.ndarray, what: str,
+                     ) -> np.ndarray:
+    """Symmetrize a stack the way `HermitianOperator` does, rejecting any
+    matrix further than HERMITICITY_TOL (relative) from Hermitian."""
+    scale = np.maximum(1.0, np.abs(a).max(axis=(-2, -1)))
+    dev = np.abs(a - _dag(a)).max(axis=(-2, -1))
+    bad = np.flatnonzero(dev > HERMITICITY_TOL * scale)
+    if bad.size:
+        k = bad[0]
+        raise ConstructionError(
+            f"{what} at t = {times[k]:.6g} is not Hermitian: max |A - A^dagger| "
+            f"= {dev[k]:.3e} (allowed {HERMITICITY_TOL * scale[k]:.3e})")
+    return 0.5 * (a + _dag(a))
+
+
+def _gibbs_stack(vals: np.ndarray, vecs: np.ndarray, beta: float,
+                 times: np.ndarray) -> np.ndarray:
+    """`gibbs_state` of a stack of spectral decompositions, with the trace
+    and positivity checks of `DensityMatrix`."""
+    w = np.exp(-beta * (vals - vals.min(axis=-1, keepdims=True)))
+    w /= w.sum(axis=-1, keepdims=True)
+    rho = (vecs * w[:, None, :]) @ _dag(vecs)
+    rho = 0.5 * (rho + _dag(rho))
+    trace_dev = np.abs(np.trace(rho, axis1=-2, axis2=-1) - 1.0)
+    low = np.linalg.eigvalsh(rho)[:, 0]
+    bad = np.flatnonzero((trace_dev > TRACE_TOL) | (low < -POSITIVITY_TOL))
+    if bad.size:
+        k = bad[0]
+        raise ConstructionError(
+            f"Gibbs state at t = {times[k]:.6g}, beta = {beta:.6g} is not a "
+            f"state: trace deviation {trace_dev[k]:.3e}, lowest eigenvalue "
+            f"{low[k]:.3e}")
+    return rho
+
+
+def fluctuation_table(pipeline, beta: float, indices=None) -> FluctuationTable:
+    """The report at every requested grid row of a ThermoPipeline (all rows
+    when `indices` is None), computed as one batched pass.
+
+    The initial state is the Gibbs state of K(0) at this beta. Each map is
+    applied once, to [1, 1/d, rho(0)], and once adjointly, to the Gibbs
+    state of K(t); K(t), P(t) and O_w(t) = K(t) - P(t) are diagonalized once
+    per row as stacks, and the exponential averages follow from the trace
+    formulas. <e^{-beta w}> = Tr{e^{-beta O_w(t)} Phi_t[1]} / Z(0) is
+    evaluated on its own rather than as Lambda_w e^{-beta deltaF}, so
+    `check_invariants` compares two routes. The scalar functions above
+    (`lambda_u`, `lambda_w`, ...) are the per-operator references.
+    """
+    if beta <= 0:
+        raise ValueError("beta must be positive")
+    traj = pipeline.traj
+    d = traj.dim
+    idx = np.arange(traj.times.size)
+    if indices is not None:
+        idx = idx[np.asarray(indices, dtype=int)]
+    times = traj.times[idx]
+    K_series = pipeline.effective_hamiltonian_series()
+    K_0 = K_series[0]
+    K = np.stack([K_series[i].matrix for i in idx])
+    P = np.stack([pipeline.path_operator(i).matrix for i in idx])
+    Ow = _hermitian_stack(K - P, times, "work observable O_w")
+
+    rho0 = gibbs_state(K_0, beta)
+    z0 = partition_function(K_0, beta)
+    k_vals, k_vecs = np.linalg.eigh(K)
+    zt = np.sum(np.exp(-beta * k_vals), axis=-1)
+    rho_g = _gibbs_stack(k_vals, k_vecs, beta, times)
+
+    ident = np.eye(d, dtype=complex)
+    inputs = (vec(ident), vec(ident / d), vec(rho0.matrix))
+    images = np.empty((3, idx.size, d * d), dtype=complex)
+    adjoint_images = np.empty((idx.size, d * d), dtype=complex)
+    for k, i in enumerate(idx):
+        m = traj.maps[i].matrix
+        # one matrix-vector product per input, as `apply` does: a single
+        # product with the stacked inputs sums in another order
+        for c, v in enumerate(inputs):
+            images[c, k] = m @ v
+        adjoint_images[k] = m.conj().T @ vec(rho_g[k])
+    phi_id, phi_mixed, rho_t = (_unvec_rows(image, d) for image in images)
+
+    direct = _trace_product(rho_g, phi_id).real
+    adj = np.trace(_unvec_rows(adjoint_images, d), axis1=-2, axis2=-1).real
+    mixed = d * _trace_product(rho_g, phi_mixed).real
+    residual = np.maximum.reduce([np.abs(direct - adj), np.abs(direct - mixed),
+                                  np.abs(adj - mixed)])
+    phi_max = np.linalg.eigvalsh(0.5 * (phi_id + _dag(phi_id)))[:, -1]
+
+    p_vals, p_vecs = np.linalg.eigh(P)
+    p_max = p_vals[:, -1]
+    exp_w = _trace_product(_exp_stack(*np.linalg.eigh(Ow), -beta), phi_id).real
+    exp_q = _trace_product(_exp_stack(p_vals, p_vecs, -beta), rho_t).real
+    mean_w = (_trace_product(Ow, rho_t)
+              - np.trace(K_0.matrix @ rho0.matrix)).real
+    return FluctuationTable(
+        time=times, beta=beta, lambda_u=direct, lambda_w=exp_w / zt,
+        lambda_w_bound=np.exp(beta * p_max) * phi_max, exp_avg_w=exp_w / z0,
+        exp_avg_q=exp_q, delta_F_bar=-np.log(zt / z0) / beta, mean_w=mean_w,
+        dissipated_bound=-p_max - np.log(phi_max) / beta,
+        lambda_u_residual=residual)
 
 
 def fluctuation_report(pipeline, i_t: int, beta: float) -> FluctuationReport:
-    """Assemble the full report row at grid index i_t from a ThermoPipeline.
-
-    The initial state is the Gibbs state of the initial effective
-    Hamiltonian at this beta; exponential averages use the trace formulas
-    (the distribution route agrees with them to rounding, which the
-    validation suite checks directly).
-    """
-    traj = pipeline.traj
-    K_series = pipeline.effective_hamiltonian_series()
-    K_0, K_t = K_series[0], K_series[i_t]
-    P_t = pipeline.path_operator(i_t)
-    Ow_t = HermitianOperator(K_t.matrix - P_t.matrix)
-    map_t = traj.maps[i_t]
-    lu = lambda_u(map_t, K_t, beta)
-    lw, lw_bound = lambda_w(map_t, Ow_t, K_t, P_t, beta)
-    _, _, dfb = free_energies(K_t, K_0, beta)
-    rho0 = gibbs_state(K_0, beta)
-    q_val, _ = heat_fluctuation(rho0, map_t, P_t, beta)
-    rho_t = apply(map_t, rho0.matrix)
-    mean_w = float((np.trace(Ow_t.matrix @ rho_t)
-                    - np.trace(K_0.matrix @ rho0.matrix)).real)
-    return FluctuationReport(
-        time=float(traj.times[i_t]), beta=beta,
-        lambda_u=lu.value, lambda_w=lw, lambda_w_bound=lw_bound,
-        exp_avg_w=float(lw * np.exp(-beta * dfb)), exp_avg_q=q_val,
-        delta_F_bar=dfb, mean_w=mean_w,
-        dissipated_bound=dissipated_work_bound(map_t, P_t, beta))
+    """The report row at grid index i_t: a one-row `fluctuation_table`."""
+    return fluctuation_table(pipeline, beta, [i_t]).row(0)

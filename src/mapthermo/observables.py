@@ -125,15 +125,16 @@ class ThermoPipeline:
             g.append(unvec(self.traj.maps[i].matrix.conj().T @ dk, traj.dim))
         self._running = cumulative_simpson(np.array(g), h)
         self._path_cache: dict[int, HermitianOperator] = {}
+        self._K_series = ObservableSeries(times=traj.times,
+                                          ops=tuple(s.K for s in self.splits),
+                                          label="effective_hamiltonian")
 
     @property
     def times(self) -> np.ndarray:
         return self.traj.times
 
     def effective_hamiltonian_series(self) -> ObservableSeries:
-        return ObservableSeries(times=self.traj.times,
-                                ops=tuple(s.K for s in self.splits),
-                                label="effective_hamiltonian")
+        return self._K_series
 
     def path_operator(self, i_t: int) -> HermitianOperator:
         """P(t_i): back-propagated integrated dissipative energy flow."""

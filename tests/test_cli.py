@@ -9,6 +9,7 @@ from mapthermo.errors import ConfigError
 from mapthermo.dynamics import save_map_trajectory
 from mapthermo.models import WeakCouplingParams, weak_coupling_rates
 from mapthermo.phase_covariant import pc_trajectory
+from mapthermo.validation import random_gksl_trajectory
 
 
 def write_config(tmp_path, body, name="scenario.ini"):
@@ -131,12 +132,36 @@ def test_run_weak_coupling_end_to_end(tmp_path):
     assert (out / "run_manifest.ini").exists()
 
 
-def test_rerun_is_byte_identical(tmp_path):
+QUTRIT_MAP_FILE_BODY = """\
+    [scenario]
+    model = custom_map_file
+    beta_list = 0.8, 2.0
+    out_dir = {out}
+    distribution_times = 0.75
+
+    [custom_map_file]
+    path = qutrit.maps
+"""
+
+
+@pytest.mark.parametrize("body,names", [
+    pytest.param(WEAK_BODY,
+                 ["lambda_series.csv", "invertibility.csv",
+                  "pc_coefficients.csv", "distribution_t5.csv",
+                  "run_manifest.ini"], id="weak_coupling"),
+    pytest.param(QUTRIT_MAP_FILE_BODY,
+                 ["lambda_series.csv", "invertibility.csv",
+                  "distribution_t0.75.csv", "run_manifest.ini"],
+                 id="qutrit_map_file"),
+])
+def test_rerun_is_byte_identical(tmp_path, body, names):
+    if "custom_map_file" in body:
+        traj = random_gksl_trajectory(3, np.random.default_rng(21),
+                                      np.linspace(0.0, 1.5, 49))
+        save_map_trajectory(traj, str(tmp_path / "qutrit.maps"))
     out = tmp_path / "out"
-    cfg_path = write_config(tmp_path, WEAK_BODY.format(out=out))
+    cfg_path = write_config(tmp_path, body.format(out=out))
     assert main(["run", cfg_path]) == 0
-    names = ["lambda_series.csv", "invertibility.csv", "pc_coefficients.csv",
-             "distribution_t5.csv", "run_manifest.ini"]
     before = {n: (out / n).read_bytes() for n in names}
     assert main(["run", cfg_path]) == 0
     for n in names:

@@ -1,4 +1,5 @@
 import dataclasses
+import re
 
 import numpy as np
 import numpy.testing as npt
@@ -18,6 +19,7 @@ from mapthermo.fluctuations import (
     dissipated_work_bound,
     exp_average,
     fluctuation_report,
+    fluctuation_table,
     free_energies,
     heat_fluctuation,
     lambda_u,
@@ -27,7 +29,7 @@ from mapthermo.fluctuations import (
     tpms_distribution,
 )
 from mapthermo.models import WeakCouplingParams, weak_coupling_rates
-from mapthermo.observables import ThermoPipeline
+from mapthermo.observables import ThermoPipeline, mean_change
 from mapthermo.operators import (
     PAULI,
     DensityMatrix,
@@ -48,6 +50,7 @@ from mapthermo.phase_covariant import (
     pc_thermo,
     pc_trajectory,
 )
+from mapthermo.validation import random_gksl_trajectory
 
 SZ = PAULI[3]
 IDENTITY_MAP = Superoperator(np.eye(4))
@@ -386,6 +389,77 @@ def test_report_csv_row_round_trips():
     for name, cell in zip(names, cells):
         attr = {"t": "time"}.get(name, name)
         assert cell == getattr(rep, attr)
+
+
+def weak_coupling_pipeline(n=120):
+    p = WeakCouplingParams(gamma=0.2)
+    traj, _ = pc_trajectory(weak_coupling_rates(p), p.grid(n))
+    return ThermoPipeline(traj)
+
+
+def qutrit_pipeline():
+    times = np.linspace(0.0, 1.5, 65)
+    return ThermoPipeline(
+        random_gksl_trajectory(3, np.random.default_rng(4), times))
+
+
+def reference_row(pipe, work, i, beta):
+    """The report columns at one row from the per-operator functions."""
+    traj = pipe.traj
+    K0, K_t = pipe.splits[0].K, pipe.splits[i].K
+    P = pipe.path_operator(i)
+    Ow = HermitianOperator(K_t.matrix - P.matrix)
+    map_t = traj.maps[i]
+    rho0 = gibbs_state(K0, beta)
+    lw, bound = lambda_w(map_t, Ow, K_t, P, beta)
+    _, _, dfb = free_energies(K_t, K0, beta)
+    lu = lambda_u(map_t, K_t, beta)
+    return lu.cross_check_residual, {
+        "time": traj.times[i], "lambda_u": lu.value, "lambda_w": lw,
+        "lambda_w_bound": bound, "exp_avg_w": lw * np.exp(-beta * dfb),
+        "exp_avg_q": heat_fluctuation(rho0, map_t, P, beta)[0],
+        "delta_F_bar": dfb, "mean_w": mean_change(work, traj, i, rho0),
+        "dissipated_bound": dissipated_work_bound(map_t, P, beta)}
+
+
+@pytest.mark.parametrize("make_pipe,beta", [
+    (weak_coupling_pipeline, 0.4), (weak_coupling_pipeline, 3.0),
+    (qutrit_pipeline, 0.8)])
+def test_table_matches_reference_functions_on_every_row(make_pipe, beta):
+    pipe = make_pipe()
+    table = fluctuation_table(pipe, beta)
+    npt.assert_array_equal(table.time, pipe.times)
+    table.check_invariants()
+    work, _ = pipe.work_heat_observables()
+    for i in range(table.time.size):
+        ref_residual, ref = reference_row(pipe, work, i, beta)
+        for name, expect in ref.items():
+            got = getattr(table, name)[i]
+            assert abs(got - expect) <= 1e-12 * max(abs(got), abs(expect)), (
+                i, name, got, expect)
+        assert table.lambda_u_residual[i] <= 1e-12
+        assert ref_residual <= 1e-12
+    # a report is one row of the same computation
+    for i in (0, table.time.size // 2, table.time.size - 1):
+        assert fluctuation_report(pipe, i, beta) == table.row(i)
+
+
+def test_table_invariant_check_names_the_failing_row_time():
+    pipe = weak_coupling_pipeline(50)
+    table = fluctuation_table(pipe, 1.3, indices=range(10, 40))
+    table.check_invariants()
+    k = 17
+    where = re.escape(f"at t = {table.time[k]:.17g},")
+    avg = table.exp_avg_w.copy()
+    avg[k] += 1e-3
+    with pytest.raises(ConstructionError, match=where):
+        dataclasses.replace(table, exp_avg_w=avg).check_invariants()
+    lw = table.lambda_w.copy()
+    lw[k] = table.lambda_w_bound[k] + 1.0
+    avg = table.exp_avg_w.copy()
+    avg[k] = lw[k] * np.exp(-table.beta * table.delta_F_bar[k])
+    with pytest.raises(ConstructionError, match=where + ".*exceeds its bound"):
+        dataclasses.replace(table, lambda_w=lw, exp_avg_w=avg).check_invariants()
 
 
 @settings(max_examples=30, deadline=None)
