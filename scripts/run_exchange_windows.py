@@ -19,9 +19,7 @@ import os
 
 import numpy as np
 
-from mapthermo.models import JCParams, extract_pc_rates, jc_reduced_map
-from mapthermo.phase_covariant import (pc_integrals, pc_lambda_u, pc_lambda_w,
-                                       pc_thermo)
+from mapthermo.models import JCParams, exchange_factor_series
 
 # name -> (omega_m, g, beta_mode, beta_ref, t_f, n_steps)
 WINDOWS = {
@@ -34,13 +32,8 @@ WINDOWS = {
 
 def factor_series(omega_m, g, beta_mode, beta_ref, t_f, n_steps):
     params = JCParams(omega_m=omega_m, g=g, beta=beta_mode)
-    traj, _ = jc_reduced_map(params, np.linspace(0.0, t_f, n_steps + 1))
-    ex = extract_pc_rates(traj)
-    coeffs = pc_integrals(ex.as_rates(), traj.times)
-    th = pc_thermo(coeffs)
-    lam, bound = pc_lambda_w(th, coeffs, beta_ref)
-    lu = pc_lambda_u(coeffs, beta_ref)
-    return traj.times, lam, bound, lu
+    return exchange_factor_series(params, np.linspace(0.0, t_f, n_steps + 1),
+                                  beta_ref)
 
 
 def main() -> None:

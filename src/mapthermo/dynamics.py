@@ -23,6 +23,7 @@ fails first in strongly dissipative or resonant regimes.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -100,7 +101,7 @@ class MapTrajectory:
     def n_steps(self) -> int:
         return self.times.size - 1
 
-    @property
+    @cached_property
     def spacing(self) -> float:
         return grid_spacing(self.times)
 
@@ -119,12 +120,15 @@ def map_derivative(traj: MapTrajectory, i: int) -> np.ndarray:
         raise BoundaryStencil(
             "second-order stencils need at least three grid points")
     h = traj.spacing
-    m = [s.matrix for s in traj.maps]
+
+    def m(j):
+        return traj.maps[j].matrix
+
     if i == 0:
-        return (-3.0 * m[0] + 4.0 * m[1] - m[2]) / (2.0 * h)
+        return (-3.0 * m(0) + 4.0 * m(1) - m(2)) / (2.0 * h)
     if i == n:
-        return (3.0 * m[n] - 4.0 * m[n - 1] + m[n - 2]) / (2.0 * h)
-    return (m[i + 1] - m[i - 1]) / (2.0 * h)
+        return (3.0 * m(n) - 4.0 * m(n - 1) + m(n - 2)) / (2.0 * h)
+    return (m(i + 1) - m(i - 1)) / (2.0 * h)
 
 
 def generator_at(traj: MapTrajectory, i: int,

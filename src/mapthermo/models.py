@@ -31,16 +31,25 @@ from .operators import (
     HermitianOperator,
     DensityMatrix,
     PAULI,
-    condition_number,
     gibbs_state,
-    pauli_transfer_matrix,
-    superop_from_pauli_transfer,
+    superop_to_pauli_transfer,
 )
-from .phase_covariant import PCRates, pc_generator_transfer_matrix
+from .phase_covariant import (
+    PCRates,
+    pc_generator_transfer_matrix,
+    pc_integrals,
+    pc_lambda_u,
+    pc_lambda_w,
+    pc_thermo,
+    pc_transfer_matrices,
+    transfer_trajectory,
+)
 from .quadrature import cumulative_simpson
 
 TAIL_WEIGHT_MAX = 1e-10
 PC_PATTERN_TOL = 1e-7
+# transfer-matrix entries a phase-covariant map may populate
+_PC_PATTERN = pc_transfer_matrices(1.0, 1.0, 1.0, 1.0) != 0.0
 
 
 @dataclass(frozen=True)
@@ -199,95 +208,90 @@ def jc_reduced_map(params: JCParams, times: np.ndarray,
     """Exact reduced qubit trajectory with analytic derivatives.
 
     Excitation number is conserved, so the joint unitary is block diagonal
-    on {|e,n>, |g,n+1>} and every block integrates in closed form. The
-    reduced map is phase covariant; its transfer matrix is assembled from
-    the block amplitudes averaged over the thermal mode occupation.
+    on {|e,k>, |g,k+1>} and every block integrates in closed form. Block k
+    has coupling g sqrt(k+1), Rabi frequency r_k = sqrt(delta^2 + 4 g^2
+    (k+1)) and mean energy c_k = (2k+1) omega_m / 2; its upper and lower
+    survival amplitudes are e^{-i c_k t} u_k and e^{-i c_k t} conj(u_k) with
+
+        u_k = cos(r_k t/2) - i delta sin(r_k t/2) / r_k.
+
+    The reduced map is phase covariant; its transfer matrix is assembled
+    from the amplitudes averaged over the thermal mode occupation p_n.
+    Level n pairs the upper amplitude of block n with the lower amplitude
+    of block n-1, so each block is evaluated once and shared by two
+    neighbouring levels. The edge level n_max (whose outward coupling is
+    dropped) and the uncoupled ground level |g,0> are blocks n_max and -1
+    with zero coupling. Since c_n - c_{n-1} = omega_m, the block phases
+    reduce to one common factor,
+
+        f = e^{-i omega_m t} S,   S = sum_n p_n u_n u_{n-1},
+
+    and cancel in T_ee = sum_n p_n |u_n|^2 and T_gg = sum_n p_n |u_{n-1}|^2.
+    The level sum therefore runs in real arithmetic on one cosine and one
+    sine per block and time.
     """
     times = np.asarray(times, dtype=float)
     n_max = jc_mode_count(params)
     p = _thermal_weights(params, n_max)
     delta = params.omega - params.omega_m
     g = params.g
-    t = times[None, :]
 
-    def block_survival(n):
-        """Survival amplitudes and derivatives inside blocks n, coupling
-        g sqrt(n+1): (upper |e,n>, lower |g,n+1>) components."""
-        c_n = (2 * n + 1) * params.omega_m / 2.0
-        rabi = np.sqrt(delta ** 2 + 4.0 * g ** 2 * (n + 1.0))
-        cos = np.cos(rabi * t / 2.0)
-        sin = np.sin(rabi * t / 2.0)
-        # sin(x t / 2) / x, finite as x -> 0
-        snc = 0.5 * t * np.sinc(rabi * t / (2.0 * math.pi))
-        phase = np.exp(-1j * c_n * t)
-        u = cos - 1j * delta * snc
-        du = -(rabi / 2.0) * sin - 1j * (delta / 2.0) * cos
-        v = cos + 1j * delta * snc
-        dv = -(rabi / 2.0) * sin + 1j * (delta / 2.0) * cos
-        return (phase * u, phase * (du - 1j * c_n * u),
-                phase * v, phase * (dv - 1j * c_n * v))
-
-    def level_amplitudes(levels):
-        """Per-level survival amplitudes A_n (excited, block n) and C_n
-        (ground, block n-1), with the truncation edge and the uncoupled
-        ground level handled in place."""
-        nf = levels.astype(float)[:, None]
-        A, dA, _, _ = block_survival(nf)
-        _, _, C, dC = block_survival(nf - 1.0)
-        if levels[-1] == n_max:
-            # coupling out of the edge level is dropped, bare phase remains
-            e_edge = params.omega / 2.0 + n_max * params.omega_m
-            A[-1] = np.exp(-1j * e_edge * times)
-            dA[-1] = -1j * e_edge * A[-1]
-        if levels[0] == 0:
-            C[0] = np.exp(0.5j * params.omega * times)
-            dC[0] = 0.5j * params.omega * C[0]
-        return A, dA, C, dC
-
-    f = np.zeros(times.size, dtype=complex)
-    df = np.zeros(times.size, dtype=complex)
-    T_ee = np.zeros(times.size)
-    dT_ee = np.zeros(times.size)
-    T_gg = np.zeros(times.size)
-    dT_gg = np.zeros(times.size)
+    # With x_k = cos(r_k t/2), s_k = sin(r_k t/2), alpha_k = delta/r_k:
+    #   u_k = x_k - i alpha_k s_k,  du_k/dt = -(r_k/2) s_k - i (delta/2) x_k,
+    #   |u_k|^2 = 1 - eps_k s_k^2,  eps_k = 4 g^2 (k+1) / r_k^2,
+    # so S, dS/dt, T_ee, T_gg and their derivatives are weighted sums of six
+    # products of x and s; the per-block factors go into the weights.
+    xx = np.zeros(times.size)
+    ss = np.zeros((2, times.size))
+    sx = np.zeros((2, times.size))
+    xs = np.zeros((2, times.size))
+    pops = np.zeros((2, times.size))  # T_ee, T_gg
+    dpops = np.zeros((2, times.size))
     # chunk the level sum so very hot modes stay within memory
     chunk = max(1, 1_000_000 // max(times.size, 1))
     for lo in range(0, n_max + 1, chunk):
-        levels = np.arange(lo, min(lo + chunk, n_max + 1))
-        A, dA, C, dC = level_amplitudes(levels)
-        pw = p[levels][:, None]
-        f += (pw * A * C.conj()).sum(axis=0)
-        df += (pw * (dA * C.conj() + A * dC.conj())).sum(axis=0)
-        T_ee += (pw * (A.real ** 2 + A.imag ** 2)).sum(axis=0)
-        dT_ee += (pw * 2.0 * (A.conj() * dA).real).sum(axis=0)
-        T_gg += (pw * (C.real ** 2 + C.imag ** 2)).sum(axis=0)
-        dT_gg += (pw * 2.0 * (C.conj() * dC).real).sum(axis=0)
+        hi = min(lo + chunk, n_max + 1)
+        w = p[lo:hi]
+        # blocks lo-1 .. hi-1; level n pairs block n (upper) with n-1 (lower)
+        blocks = np.arange(lo - 1, hi)
+        couple = 4.0 * g ** 2 * (blocks + 1.0)
+        couple[blocks == n_max] = 0.0
+        rabi = np.sqrt(delta ** 2 + couple)
+        half = rabi / 2.0
+        coupled = rabi > 0.0  # a zero Rabi frequency forces delta = 0
+        alpha = np.divide(delta, rabi, out=np.zeros_like(rabi), where=coupled)
+        eps = np.divide(couple, rabi ** 2, out=np.zeros_like(rabi),
+                        where=coupled)
+        arg = half[:, None] * times
+        x = np.cos(arg)
+        s = np.sin(arg, out=arg)
+        xn, xm, sn, sm = x[1:], x[:-1], s[1:], s[:-1]
+        an, am, hn, hm = alpha[1:], alpha[:-1], half[1:], half[:-1]
+        xx += w @ (xn * xm)
+        ss += np.stack([w * an * am, w * (hn * am + an * hm)]) @ (sn * sm)
+        sx += np.stack([w * an, w * (hn + 0.5 * delta * an)]) @ (sn * xm)
+        xs += np.stack([w * am, w * (hm + 0.5 * delta * am)]) @ (xn * sm)
+        upper_lower = np.zeros((2, w.size + 1))
+        upper_lower[0, 1:] = w
+        upper_lower[1, :-1] = w
+        pops += w.sum() - (upper_lower * eps) @ (s * s)
+        dpops -= (upper_lower * (eps * rabi)) @ (s * x)
+
+    s_sum = (xx - ss[0]) - 1j * (sx[0] + xs[0])
+    ds_sum = -(sx[1] + xs[1]) + 1j * (ss[1] - delta * xx)
+    phase = np.exp(-1j * params.omega_m * times)
+    f = phase * s_sum
+    df = phase * (ds_sum - 1j * params.omega_m * s_sum)
+    (T_ee, T_gg), (dT_ee, dT_gg) = pops, dpops
 
     coeffs = JCCoefficients(
         times=times, weights=p, f=f, T_ee=T_ee, T_gg=T_gg,
         a=f.real, b=-f.imag, c=T_ee - T_gg, d_par=T_ee + T_gg - 1.0,
         da=df.real, db=-df.imag, dc=dT_ee - dT_gg, dd_par=dT_ee + dT_gg)
-
-    maps = []
-    derivs = []
-    for i in range(times.size):
-        m = np.array([
-            [1.0, 0.0, 0.0, 0.0],
-            [0.0, coeffs.a[i], -coeffs.b[i], 0.0],
-            [0.0, coeffs.b[i], coeffs.a[i], 0.0],
-            [coeffs.c[i], 0.0, 0.0, coeffs.d_par[i]],
-        ])
-        dm = np.array([
-            [0.0, 0.0, 0.0, 0.0],
-            [0.0, coeffs.da[i], -coeffs.db[i], 0.0],
-            [0.0, coeffs.db[i], coeffs.da[i], 0.0],
-            [coeffs.dc[i], 0.0, 0.0, coeffs.dd_par[i]],
-        ])
-        maps.append(superop_from_pauli_transfer(m, trace_preserving=True))
-        derivs.append(superop_from_pauli_transfer(dm).matrix)
-    traj = MapTrajectory(times=times, maps=tuple(maps),
-                         derivatives=tuple(derivs))
-    return traj, coeffs
+    r = pc_transfer_matrices(coeffs.a, coeffs.b, coeffs.c, coeffs.d_par)
+    dr = pc_transfer_matrices(coeffs.da, coeffs.db, coeffs.dc, coeffs.dd_par,
+                              r00=0.0)
+    return transfer_trajectory(times, r, dr), coeffs
 
 
 def vacuum_excited_population(traj: MapTrajectory) -> np.ndarray:
@@ -355,55 +359,37 @@ def extract_pc_rates(traj: MapTrajectory,
     """
     if traj.dim != 2:
         raise ConfigError("rate extraction requires a qubit trajectory")
-    nt = traj.times.size
-    a = np.empty(nt)
-    b = np.empty(nt)
-    c = np.empty(nt)
-    d_par = np.empty(nt)
-    map_residual = 0.0
-    pattern = np.array([
-        [1, 0, 0, 0],
-        [0, 1, 1, 0],
-        [0, 1, 1, 0],
-        [1, 0, 0, 1],
-    ], dtype=bool)
-    for i, m in enumerate(traj.maps):
-        r = pauli_transfer_matrix(m)
-        off = float(np.max(np.abs(np.where(pattern, 0.0, r))))
-        sym = max(abs(r[1, 1] - r[2, 2]), abs(r[1, 2] + r[2, 1]),
-                  abs(r[0, 0] - 1.0))
-        map_residual = max(map_residual, off, sym)
-        a[i] = 0.5 * (r[1, 1] + r[2, 2])
-        b[i] = 0.5 * (r[2, 1] - r[1, 2])
-        c[i] = r[3, 0]
-        d_par[i] = r[3, 3]
+    maps = np.stack([s.matrix for s in traj.maps])
+    r = superop_to_pauli_transfer(maps)
+    off = np.abs(np.where(_PC_PATTERN, 0.0, r)).max(axis=(1, 2))
+    sym = np.stack([np.abs(r[:, 1, 1] - r[:, 2, 2]),
+                    np.abs(r[:, 1, 2] + r[:, 2, 1]),
+                    np.abs(r[:, 0, 0] - 1.0)])
+    map_residual = float(max(off.max(), sym.max()))
     if map_residual > pattern_tol:
         raise ConfigError(
             f"trajectory is not phase covariant: pattern residual "
             f"{map_residual:.3e} exceeds {pattern_tol:.0e}")
-    for i in range(nt):
-        cond = condition_number(traj.maps[i])
-        if not np.isfinite(cond) or cond > cond_threshold:
-            raise SingularMap(
-                f"map at t = {traj.times[i]:.6g} is numerically singular "
-                f"(cond = {cond:.3e}): the extracted rates diverge there",
-                time=float(traj.times[i]), condition_number=cond)
+    conds = np.linalg.cond(maps)
+    bad = np.flatnonzero(~np.isfinite(conds) | (conds > cond_threshold))
+    if bad.size:
+        i = int(bad[0])
+        cond = float(conds[i])
+        raise SingularMap(
+            f"map at t = {traj.times[i]:.6g} is numerically singular "
+            f"(cond = {cond:.3e}): the extracted rates diverge there",
+            time=float(traj.times[i]), condition_number=cond)
 
-    da = np.empty(nt)
-    db = np.empty(nt)
-    dc = np.empty(nt)
-    dd = np.empty(nt)
-
-    def entry(dm, j, k):
-        image = (dm @ PAULI[k].reshape(-1, order="F")).reshape(2, 2, order="F")
-        return 0.5 * float(np.trace(PAULI[j] @ image).real)
-
-    for i in range(nt):
-        dm = map_derivative(traj, i)
-        da[i] = entry(dm, 1, 1)
-        db[i] = entry(dm, 2, 1)
-        dc[i] = entry(dm, 3, 0)
-        dd[i] = entry(dm, 3, 3)
+    a = 0.5 * (r[:, 1, 1] + r[:, 2, 2])
+    b = 0.5 * (r[:, 2, 1] - r[:, 1, 2])
+    c = r[:, 3, 0]
+    d_par = r[:, 3, 3]
+    dr = superop_to_pauli_transfer(
+        np.stack([map_derivative(traj, i) for i in range(traj.times.size)]))
+    da = dr[:, 1, 1]
+    db = dr[:, 2, 1]
+    dc = dr[:, 3, 0]
+    dd = dr[:, 3, 3]
 
     sq = a ** 2 + b ** 2
     omega = (db * a - da * b) / sq
@@ -412,29 +398,35 @@ def extract_pc_rates(traj: MapTrajectory,
     xi = dc - (dd / d_par) * c
     gamma_z = 0.5 * (damp - 0.5 * kappa)
 
-    gen_residual = 0.0
-    for i in range(nt):
-        m_ptm = np.array([
-            [1.0, 0.0, 0.0, 0.0],
-            [0.0, a[i], -b[i], 0.0],
-            [0.0, b[i], a[i], 0.0],
-            [c[i], 0.0, 0.0, d_par[i]],
-        ])
-        dm_ptm = np.array([
-            [0.0, 0.0, 0.0, 0.0],
-            [0.0, da[i], -db[i], 0.0],
-            [0.0, db[i], da[i], 0.0],
-            [dc[i], 0.0, 0.0, dd[i]],
-        ])
-        l_ptm = dm_ptm @ np.linalg.inv(m_ptm)
-        l_pc = pc_generator_transfer_matrix(omega[i], kappa[i], xi[i],
-                                            gamma_z[i])
-        gen_residual = max(gen_residual, float(np.max(np.abs(l_ptm - l_pc))))
+    l_ptm = (pc_transfer_matrices(da, db, dc, dd, r00=0.0)
+             @ np.linalg.inv(pc_transfer_matrices(a, b, c, d_par)))
+    l_pc = pc_generator_transfer_matrix(omega, kappa, xi, gamma_z)
+    gen_residual = float(np.max(np.abs(l_ptm - l_pc)))
 
     return ExtractedPCRates(
         times=traj.times, omega=omega, kappa=kappa, xi=xi, gamma_z=gamma_z,
         gamma_plus=0.5 * (kappa + xi), gamma_minus=0.5 * (kappa - xi),
         map_residual=map_residual, generator_residual=gen_residual)
+
+
+def exchange_factor_series(params: JCParams, times: np.ndarray,
+                           beta_ref: float,
+                           ) -> tuple[np.ndarray, np.ndarray, np.ndarray,
+                                      np.ndarray]:
+    """Work and internal-energy correction factors of the exchange model
+    against a reference inverse temperature beta_ref, which may differ from
+    the mode's.
+
+    Route: exact reduced map -> rate extraction -> closed forms from the
+    re-integrated coefficients. The closed forms run in log space, which
+    keeps long windows finite where a direct operator exponential
+    overflows. Returns (times, lambda_w, lambda_w bound, lambda_u).
+    """
+    traj, _ = jc_reduced_map(params, times)
+    ex = extract_pc_rates(traj)
+    coeffs = pc_integrals(ex.as_rates(), traj.times)
+    lam, bound = pc_lambda_w(pc_thermo(coeffs), coeffs, beta_ref)
+    return traj.times, lam, bound, pc_lambda_u(coeffs, beta_ref)
 
 
 # ---------------------------------------------------------------------------

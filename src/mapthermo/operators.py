@@ -384,17 +384,27 @@ PAULI = (
 )
 
 
+# Columns are vec(P_i), so S = (1/2) B R B^dagger and R = (1/2) B^dagger S B.
+_PAULI_VEC = np.stack([vec(p) for p in PAULI], axis=1)
+
+
+def superop_to_pauli_transfer(m: np.ndarray) -> np.ndarray:
+    """Real transfer matrices of a stack (..., 4, 4) of qubit superoperator
+    matrices."""
+    return 0.5 * (_PAULI_VEC.conj().T @ m @ _PAULI_VEC).real
+
+
+def pauli_transfer_to_superop(r: np.ndarray) -> np.ndarray:
+    """Superoperator matrices of a stack (..., 4, 4) of real transfer
+    matrices; the inverse of `superop_to_pauli_transfer`."""
+    return 0.5 * (_PAULI_VEC @ np.asarray(r, dtype=float) @ _PAULI_VEC.conj().T)
+
+
 def pauli_transfer_matrix(s: Superoperator) -> np.ndarray:
     """4x4 real transfer matrix of a qubit superoperator in the PAULI basis."""
     if s.dim != 2:
         raise ValueError("Pauli transfer matrix requires dim 2")
-    r = np.empty((4, 4), dtype=float)
-    for j, pj in enumerate(PAULI):
-        image = apply(s, pj)
-        for i, pi in enumerate(PAULI):
-            val = 0.5 * np.trace(pi @ image)
-            r[i, j] = val.real
-    return r
+    return superop_to_pauli_transfer(s.matrix)
 
 
 def superop_from_pauli_transfer(r: np.ndarray,
@@ -403,13 +413,8 @@ def superop_from_pauli_transfer(r: np.ndarray,
     r = np.asarray(r, dtype=float)
     if r.shape != (4, 4):
         raise ValueError("transfer matrix must be 4x4")
-    m = np.zeros((4, 4), dtype=complex)
-    for i, pi in enumerate(PAULI):
-        vi = vec(pi)
-        for j, pj in enumerate(PAULI):
-            if r[i, j] != 0.0:
-                m += 0.5 * r[i, j] * np.outer(vi, vec(pj).conj())
-    return Superoperator(m, trace_preserving=trace_preserving)
+    return Superoperator(pauli_transfer_to_superop(r),
+                         trace_preserving=trace_preserving)
 
 
 def random_hermitian(dim: int, rng: np.random.Generator,

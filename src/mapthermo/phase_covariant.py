@@ -44,8 +44,10 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from .dynamics import MapTrajectory
 from .errors import ConstructionError, SingularMap
-from .operators import Superoperator, superop_from_pauli_transfer
+from .operators import (Superoperator, pauli_transfer_to_superop,
+                        superop_from_pauli_transfer)
 from .quadrature import cumulative_exp_weighted, cumulative_simpson, grid_spacing
 
 
@@ -166,14 +168,35 @@ def pc_thermo(coeffs: PCMapCoefficients) -> PCThermo:
                     P0=P0, P3=P3, W0=-P0, W3=coeffs.omega / 2.0 - P3)
 
 
+def pc_transfer_matrices(a, b, c, d_par, r00: float = 1.0) -> np.ndarray:
+    """Pauli transfer matrices with the phase-covariant pattern
+
+        [ r00  0   0    0    ]
+        [ 0    a  -b    0    ]
+        [ 0    b   a    0    ]
+        [ c    0   0  d_par  ]
+
+    stacked over the broadcast shape of the entries: (N+1, 4, 4) for grid
+    arrays, (4, 4) for scalars. r00 is 1 for maps and 0 for their time
+    derivatives and for generators.
+    """
+    a, b, c, d_par = np.broadcast_arrays(
+        *(np.asarray(v, dtype=float) for v in (a, b, c, d_par)))
+    r = np.zeros(a.shape + (4, 4))
+    r[..., 0, 0] = r00
+    r[..., 1, 1] = a
+    r[..., 1, 2] = -b
+    r[..., 2, 1] = b
+    r[..., 2, 2] = a
+    r[..., 3, 0] = c
+    r[..., 3, 3] = d_par
+    return r
+
+
 def pc_transfer_matrix(coeffs: PCMapCoefficients, i: int) -> np.ndarray:
     """4x4 Pauli transfer matrix of the map at grid index i."""
-    return np.array([
-        [1.0, 0.0, 0.0, 0.0],
-        [0.0, coeffs.a[i], -coeffs.b[i], 0.0],
-        [0.0, coeffs.b[i], coeffs.a[i], 0.0],
-        [coeffs.c[i], 0.0, 0.0, coeffs.d_par[i]],
-    ])
+    return pc_transfer_matrices(coeffs.a[i], coeffs.b[i], coeffs.c[i],
+                                coeffs.d_par[i])
 
 
 def pc_map(coeffs: PCMapCoefficients, i: int) -> Superoperator:
@@ -182,22 +205,34 @@ def pc_map(coeffs: PCMapCoefficients, i: int) -> Superoperator:
                                        trace_preserving=True)
 
 
-def pc_generator_transfer_matrix(omega: float, kappa: float, xi: float,
-                                 gamma_z: float) -> np.ndarray:
-    """Pauli transfer matrix of the phase-covariant GKSL generator."""
-    damp = kappa / 2.0 + 2.0 * gamma_z
-    return np.array([
-        [0.0, 0.0, 0.0, 0.0],
-        [0.0, -damp, -omega, 0.0],
-        [0.0, omega, -damp, 0.0],
-        [xi, 0.0, 0.0, -kappa],
-    ])
+def pc_generator_transfer_matrix(omega, kappa, xi, gamma_z) -> np.ndarray:
+    """Pauli transfer matrix of the phase-covariant GKSL generator; a stack
+    when the rates are grid arrays."""
+    damp = np.asarray(kappa) / 2.0 + 2.0 * np.asarray(gamma_z)
+    return pc_transfer_matrices(-damp, omega, xi, -np.asarray(kappa), r00=0.0)
 
 
 def pc_generator(omega: float, kappa: float, xi: float,
                  gamma_z: float) -> Superoperator:
     return superop_from_pauli_transfer(
         pc_generator_transfer_matrix(omega, kappa, xi, gamma_z))
+
+
+def transfer_trajectory(times: np.ndarray, r: np.ndarray,
+                        dr: np.ndarray | None = None) -> MapTrajectory:
+    """MapTrajectory from a (N+1, 4, 4) stack of map transfer matrices and,
+    optionally, the stack of their time derivatives.
+
+    Every map is a trace-preserving Superoperator and every derivative
+    passes the Superoperator Hermiticity-preservation check.
+    """
+    maps = tuple(Superoperator(m, trace_preserving=True)
+                 for m in pauli_transfer_to_superop(r))
+    derivatives = None
+    if dr is not None:
+        derivatives = tuple(Superoperator(m).matrix
+                            for m in pauli_transfer_to_superop(dr))
+    return MapTrajectory(times=times, maps=maps, derivatives=derivatives)
 
 
 def pc_trajectory(rates: PCRates, times: np.ndarray,
@@ -209,23 +244,15 @@ def pc_trajectory(rates: PCRates, times: np.ndarray,
     stencil error from the downstream generator extraction. Returns
     (trajectory, coefficients).
     """
-    from .dynamics import MapTrajectory
-
     coeffs = pc_integrals(rates, times)
-    maps = tuple(pc_map(coeffs, i) for i in range(coeffs.times.size))
-    derivatives = None
+    r = pc_transfer_matrices(coeffs.a, coeffs.b, coeffs.c, coeffs.d_par)
+    dr = None
     if derivative_source == "analytic":
-        derivatives = []
-        for i in range(coeffs.times.size):
-            gen = pc_generator_transfer_matrix(coeffs.omega[i], coeffs.kappa[i],
-                                               coeffs.xi[i], coeffs.gamma_z[i])
-            dm = gen @ pc_transfer_matrix(coeffs, i)
-            derivatives.append(superop_from_pauli_transfer(dm).matrix)
-        derivatives = tuple(derivatives)
+        dr = pc_generator_transfer_matrix(coeffs.omega, coeffs.kappa,
+                                          coeffs.xi, coeffs.gamma_z) @ r
     elif derivative_source != "finite_difference":
         raise ValueError(f"unknown derivative_source {derivative_source!r}")
-    traj = MapTrajectory(times=coeffs.times, maps=maps, derivatives=derivatives)
-    return traj, coeffs
+    return transfer_trajectory(coeffs.times, r, dr), coeffs
 
 
 def _log_cosh(x: np.ndarray) -> np.ndarray:

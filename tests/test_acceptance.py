@@ -17,7 +17,8 @@ from scipy.linalg import expm
 
 from mapthermo.fluctuations import (exp_average, fluctuation_report,
                                     heat_fluctuation, tpms_distribution)
-from mapthermo.models import (JCParams, WeakCouplingParams, extract_pc_rates,
+from mapthermo.models import (JCParams, WeakCouplingParams,
+                              exchange_factor_series, extract_pc_rates,
                               jc_reduced_map, vacuum_excited_population,
                               weak_coupling_rates)
 from mapthermo.observables import (ThermoPipeline, coherent_initial_construction,
@@ -28,9 +29,9 @@ from mapthermo.operators import (DensityMatrix, HermitianOperator,
                                  eig_hermitian, gibbs_state,
                                  random_density_matrix, random_hermitian,
                                  random_unitary)
-from mapthermo.phase_covariant import (PCRates, pc_integrals, pc_lambda_u,
-                                       pc_lambda_w, pc_mean_work_and_deltaF,
-                                       pc_thermo, pc_trajectory)
+from mapthermo.phase_covariant import (PCRates, pc_integrals, pc_lambda_w,
+                                       pc_mean_work_and_deltaF, pc_thermo,
+                                       pc_trajectory)
 from mapthermo.validation import random_gksl_trajectory
 
 
@@ -257,21 +258,10 @@ def test_criterion_07_exchange_model_extraction():
 
 def _jc_lambdas(omega_m, g, beta_mode, beta_ref, t_f, n, n_max=None):
     """Work/energy correction factors of the exchange model, evaluated
-    against a reference temperature that may differ from the mode's.
-
-    Route: exact reduced map -> rate extraction -> closed-form factors from
-    the re-integrated coefficients. The closed forms run in log space, which
-    keeps the long-time windows finite where a direct operator exponential
-    overflows.
-    """
+    against a reference temperature that may differ from the mode's."""
     params = JCParams(omega_m=omega_m, g=g, beta=beta_mode, n_max=n_max)
-    traj, _ = jc_reduced_map(params, np.linspace(0.0, t_f, n + 1))
-    ex = extract_pc_rates(traj)
-    coeffs = pc_integrals(ex.as_rates(), traj.times)
-    th = pc_thermo(coeffs)
-    lam, bound = pc_lambda_w(th, coeffs, beta_ref)
-    lu = pc_lambda_u(coeffs, beta_ref)
-    return traj.times, lam, bound, lu
+    return exchange_factor_series(params, np.linspace(0.0, t_f, n + 1),
+                                  beta_ref)
 
 
 def test_criterion_08_exchange_model_regimes():

@@ -144,6 +144,25 @@ QUTRIT_MAP_FILE_BODY = """\
 """
 
 
+# 2764 mode levels against chunks of 2493 at 401 grid points: the level
+# sum spans two chunks
+JC_HOT_BODY = """\
+    [scenario]
+    model = jaynes_cummings
+    beta_list = 1.0
+    t_max = 40.0
+    n_steps = 400
+    out_dir = {out}
+    distribution_times = 20
+
+    [jaynes_cummings]
+    omega = 1.0
+    omega_m = 2.0
+    g = 0.01
+    beta = 0.005
+"""
+
+
 @pytest.mark.parametrize("body,names", [
     pytest.param(WEAK_BODY,
                  ["lambda_series.csv", "invertibility.csv",
@@ -153,6 +172,10 @@ QUTRIT_MAP_FILE_BODY = """\
                  ["lambda_series.csv", "invertibility.csv",
                   "distribution_t0.75.csv", "run_manifest.ini"],
                  id="qutrit_map_file"),
+    pytest.param(JC_HOT_BODY,
+                 ["lambda_series.csv", "invertibility.csv",
+                  "distribution_t20.csv", "run_manifest.ini"],
+                 id="jaynes_cummings"),
 ])
 def test_rerun_is_byte_identical(tmp_path, body, names):
     if "custom_map_file" in body:

@@ -163,6 +163,75 @@ def test_reduced_map_stable_under_deeper_truncation():
         assert dev < 1e-8, name
 
 
+def _joint_unitary_oracle(params, times):
+    """Reduced maps and their derivatives from the truncated qubit (x) Fock
+    Hamiltonian: Phi_t[rho] = Tr_B[U (rho (x) gamma_th) U^dagger] and
+    dPhi_t/dt[rho] = Tr_B[-i [H, U (rho (x) gamma_th) U^dagger]]."""
+    dim = jc_mode_count(params) + 1
+    a = np.diag(np.sqrt(np.arange(1.0, dim)), 1)
+    sigma_plus = np.array([[0.0, 1.0], [0.0, 0.0]])  # |e><g|, e first
+    H = (0.5 * params.omega * np.kron(PAULI[3], np.eye(dim))
+         + params.omega_m * np.kron(np.eye(2), a.T @ a)
+         + params.g * (np.kron(sigma_plus, a) + np.kron(sigma_plus.T, a.T)))
+    if math.isinf(params.beta):
+        weights = np.eye(dim)[0]
+    else:
+        weights = np.exp(-params.beta * params.omega_m * np.arange(dim))
+        weights /= weights.sum()
+    gamma = np.diag(weights)
+
+    def trace_mode(x):
+        return np.trace(x.reshape(2, dim, 2, dim), axis1=1, axis2=3)
+
+    maps = np.zeros((times.size, 4, 4), dtype=complex)
+    derivs = np.zeros_like(maps)
+    for k, t in enumerate(times):
+        u = expm(-1j * t * H)
+        for j in range(2):
+            for i in range(2):
+                unit = np.zeros((2, 2))
+                unit[i, j] = 1.0
+                rho = u @ np.kron(unit, gamma) @ u.conj().T
+                maps[k, :, i + 2 * j] = trace_mode(rho).reshape(-1, order="F")
+                derivs[k, :, i + 2 * j] = trace_mode(
+                    -1j * (H @ rho - rho @ H)).reshape(-1, order="F")
+    return maps, derivs
+
+
+@pytest.mark.parametrize("params", [
+    pytest.param(JCParams(omega=1.3, omega_m=1.0, g=0.2, beta=0.7),
+                 id="detuned_thermal"),
+    pytest.param(JCParams(omega=1.0, omega_m=1.0, g=0.15, beta=1.5),
+                 id="resonant_thermal"),
+    pytest.param(JCParams(omega=1.0, omega_m=2.0, g=0.3), id="vacuum"),
+    # n_max = 1 leaves a 6e-6 weight on the edge level |e,1>, |g,1>
+    pytest.param(JCParams(omega=0.8, omega_m=1.0, g=0.5, beta=12.0, n_max=1),
+                 id="n_max_1"),
+])
+def test_reduced_map_matches_joint_unitary_evolution(params):
+    times = np.linspace(0.0, 9.0, 13)
+    traj, _ = jc_reduced_map(params, times)
+    maps, derivs = _joint_unitary_oracle(params, times)
+    npt.assert_allclose(np.stack([s.matrix for s in traj.maps]), maps,
+                        rtol=0.0, atol=1e-12)
+    npt.assert_allclose(np.stack(traj.derivatives), derivs,
+                        rtol=0.0, atol=1e-12)
+
+
+def test_reduced_map_level_sum_is_chunk_independent():
+    # 1201 grid points give chunks of 832 levels: the 1382-level sum spans
+    # two chunks, and must agree with a grid short enough for one chunk
+    params = JCParams(omega=1.0, omega_m=2.0, g=0.01, beta=0.01)
+    assert jc_mode_count(params) + 1 == 1382
+    long_grid = np.linspace(0.0, 60.0, 1201)
+    _, two_chunks = jc_reduced_map(params, long_grid)
+    _, one_chunk = jc_reduced_map(params, long_grid[:601])
+    for name in ("f", "T_ee", "T_gg", "da", "db", "dc", "dd_par"):
+        npt.assert_allclose(getattr(two_chunks, name)[:601],
+                            getattr(one_chunk, name), rtol=0.0, atol=1e-13,
+                            err_msg=name)
+
+
 def test_extraction_recovers_weak_coupling_rates():
     p = WeakCouplingParams(gamma=0.05, beta=2.0)
     times = p.grid(200)
@@ -220,6 +289,19 @@ def test_extraction_raises_at_singular_exchange_node():
     with pytest.raises(SingularMap) as exc:
         extract_pc_rates(traj)
     assert abs(exc.value.time - t_node) < 1e-9
+
+
+def test_extraction_singular_map_names_the_first_failing_point():
+    # two exchange nodes on the grid: the error carries the earlier one
+    p = JCParams(omega=1.0, omega_m=1.0, g=0.1, beta=math.inf)
+    t_node = np.pi / 0.2
+    times = np.linspace(0.0, 4.0 * t_node, 401)
+    traj, _ = jc_reduced_map(p, times)
+    with pytest.raises(SingularMap) as exc:
+        extract_pc_rates(traj)
+    assert abs(exc.value.time - t_node) < 1e-9
+    assert exc.value.condition_number == np.linalg.cond(traj.maps[100].matrix)
+    assert f"t = {t_node:.6g}" in str(exc.value)
 
 
 def test_extraction_succeeds_off_resonance():

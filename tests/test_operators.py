@@ -28,10 +28,12 @@ from mapthermo.operators import (
     log_hermitian_zero_convention,
     partition_function,
     pauli_transfer_matrix,
+    pauli_transfer_to_superop,
     random_density_matrix,
     random_hermitian,
     random_unitary,
     superop_from_pauli_transfer,
+    superop_to_pauli_transfer,
     unvec,
     vec,
 )
@@ -261,6 +263,20 @@ def test_pauli_transfer_round_trip():
     assert np.max(np.abs(back.matrix - s.matrix)) < 1e-12
     # TP maps have first transfer row (1, 0, 0, 0)
     npt.assert_allclose(r[0], [1.0, 0.0, 0.0, 0.0], atol=1e-12)
+
+
+def test_stacked_pauli_transfer_conversions_match_the_trace_formula():
+    rng = np.random.default_rng(16)
+    r = rng.normal(size=(5, 4, 4))
+    m = pauli_transfer_to_superop(r)
+    assert m.shape == (5, 4, 4)
+    for k in range(5):
+        # S[P_j] = sum_i R_ij P_i, read off column by column
+        for j, pj in enumerate(PAULI):
+            image = unvec(m[k] @ vec(pj))
+            npt.assert_allclose(image, sum(r[k, i, j] * PAULI[i]
+                                           for i in range(4)), atol=1e-14)
+    npt.assert_allclose(superop_to_pauli_transfer(m), r, atol=1e-14)
 
 
 def test_vec_unvec_round_trip():

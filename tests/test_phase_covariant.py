@@ -14,6 +14,7 @@ from mapthermo.phase_covariant import (
     constant_rates,
     pc_general_d,
     pc_generator,
+    pc_generator_transfer_matrix,
     pc_integrals,
     pc_lambda_u,
     pc_lambda_w,
@@ -22,6 +23,7 @@ from mapthermo.phase_covariant import (
     pc_dissipated_bound,
     pc_thermo,
     pc_trajectory,
+    pc_transfer_matrices,
 )
 
 
@@ -140,6 +142,28 @@ def test_trajectory_structure_and_positivity():
         rep = cptp_diagnostics(traj.maps[i])
         assert rep.choi_min_eigenvalue > -1e-12
         assert rep.trace_preserving_residual < 1e-12
+
+
+def test_transfer_matrix_stacks_match_scalar_entries():
+    a, b, c, d = (np.array([0.5, -0.2]), np.array([0.1, 0.3]),
+                  np.array([-0.4, 0.0]), np.array([0.9, 0.7]))
+    stack = pc_transfer_matrices(a, b, c, d)
+    assert stack.shape == (2, 4, 4)
+    npt.assert_array_equal(stack[1], [[1.0, 0.0, 0.0, 0.0],
+                                      [0.0, -0.2, -0.3, 0.0],
+                                      [0.0, 0.3, -0.2, 0.0],
+                                      [0.0, 0.0, 0.0, 0.7]])
+    npt.assert_array_equal(pc_transfer_matrices(a, b, c, d, r00=0.0)[:, 0, 0],
+                           0.0)
+    gens = pc_generator_transfer_matrix(a, b, c, d)
+    for k in range(2):
+        npt.assert_array_equal(gens[k], pc_generator_transfer_matrix(
+            a[k], b[k], c[k], d[k]))
+    # omega 0.5, kappa 0.1, xi -0.4, gamma_z 0.9: damping 0.05 + 1.8
+    npt.assert_allclose(gens[0], [[0.0, 0.0, 0.0, 0.0],
+                                  [0.0, -1.85, -0.5, 0.0],
+                                  [0.0, 0.5, -1.85, 0.0],
+                                  [-0.4, 0.0, 0.0, -0.1]], rtol=0.0, atol=1e-15)
 
 
 def test_lambda_w_starts_at_one():
