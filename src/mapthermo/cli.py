@@ -33,7 +33,7 @@ from .operators import (COND_THRESHOLD_DEFAULT, Superoperator,
                         cptp_diagnostics, condition_number, gibbs_state)
 from .dynamics import (condition_flags, invertibility_report,
                        load_map_trajectory, read_map_file)
-from .phase_covariant import PCRates, pc_trajectory
+from .phase_covariant import PCRates, constant_rate, pc_trajectory
 from .observables import ThermoPipeline
 # fluctuation_report is unused here but stays a module attribute: the traced
 # benchmark run (perfbench/child.py) wraps it by name.
@@ -42,9 +42,9 @@ from .fluctuations import (CLUSTER_TOL, NEGATIVE_PROB_TOL, PROB_SUM_TOL,
                            fluctuation_table, tpms_distribution)
 from .observables import (HERMITIZE_TOL, coherent_initial_construction,
                           coherent_work_fluctuation)
-from .models import (ClosedCoherentParams, JCParams, WeakCouplingParams,
-                     closed_coherent_protocol, jc_reduced_map,
-                     weak_coupling_rates)
+from .models import (DRIVE_MODES, ClosedCoherentParams, JCParams,
+                     WeakCouplingParams, closed_coherent_protocol,
+                     drive_frequency, jc_reduced_map, weak_coupling_rates)
 from .validation import format_report, run_checks
 
 MODELS = ("weak_coupling", "jaynes_cummings", "custom_pc", "custom_map_file",
@@ -293,7 +293,7 @@ def _parse_model_params(cp, model, entries, path):
             gamma=reader.get_float("gamma", default=0.01),
             beta=reader.get_float("beta", default=1.0),
             drive_mode=reader.get_str("drive_mode", default="monotonic",
-                                      choices=("monotonic", "periodic")),
+                                      choices=DRIVE_MODES),
             gamma_z=reader.get_float("gamma_z", default=0.0))
         reader.finish()
         return params, None, params.default_t_f
@@ -351,7 +351,7 @@ def _parse_model_params(cp, model, entries, path):
         beta0=reader.get_float("beta0", default=1.0),
         rotation_angle=reader.get_float("rotation_angle", default=0.5),
         drive_mode=reader.get_str("drive_mode", default="monotonic",
-                                  choices=("monotonic", "periodic")))
+                                  choices=DRIVE_MODES))
     reader.finish()
     return params, None, params.default_t_f
 
@@ -369,17 +369,10 @@ def _build_trajectory(cfg: ScenarioConfig):
         return pc_trajectory(weak_coupling_rates(cfg.params), _grid(cfg))
     if cfg.model == "custom_pc":
         v = cfg.params
-        omega0, delta, big_omega = v["omega0"], v["delta"], v["Omega"]
-
-        def omega(t):
-            return omega0 + delta * np.sin(big_omega * np.asarray(t)) ** 2
-
-        def const(value):
-            return lambda t: np.full_like(np.asarray(t, dtype=float), value)
-
-        rates = PCRates(omega=omega, gamma_plus=const(v["gamma_plus"]),
-                        gamma_minus=const(v["gamma_minus"]),
-                        gamma_z=const(v["gamma_z"]))
+        rates = PCRates(
+            omega=drive_frequency(v["omega0"], v["delta"], v["Omega"]),
+            **{k: constant_rate(v[k])
+               for k in ("gamma_plus", "gamma_minus", "gamma_z")})
         return pc_trajectory(rates, _grid(cfg))
     if cfg.model == "jaynes_cummings":
         traj, _ = jc_reduced_map(cfg.params, _grid(cfg))
@@ -396,10 +389,6 @@ def _write(out_dir: str, name: str, lines: list[str],
     with open(path, "w", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
     written.append(path)
-
-
-def _distribution_label(t: float) -> str:
-    return format(t, ".6g")
 
 
 def run_scenario(cfg: ScenarioConfig) -> list[str]:
@@ -434,10 +423,8 @@ def _run_map_model(cfg: ScenarioConfig, written: list[str]) -> None:
 
     if "pc_coefficients" in cfg.series and coeffs is not None:
         lines = ["t,a,b,c,d_par,d_perp,I,J"]
-        for i in range(coeffs.times.size):
-            cells = (coeffs.times[i], coeffs.a[i], coeffs.b[i], coeffs.c[i],
-                     coeffs.d_par[i], coeffs.d_perp[i], coeffs.I[i],
-                     coeffs.J[i])
+        for cells in zip(coeffs.times, coeffs.a, coeffs.b, coeffs.c,
+                         coeffs.d_par, coeffs.d_perp, coeffs.I, coeffs.J):
             lines.append(",".join(_fmt(v) for v in cells))
         _write(cfg.out_dir, "pc_coefficients.csv", lines, written)
 
@@ -449,10 +436,11 @@ def _run_map_model(cfg: ScenarioConfig, written: list[str]) -> None:
             lines = ["beta,outcome,probability"]
             for beta in cfg.beta_list:
                 rho_g = gibbs_state(K0, beta)
-                dist = tpms_distribution(rho_g, traj.maps[i], work[0], work[i])
+                dist = tpms_distribution(rho_g, Superoperator(traj.maps[i]),
+                                         work[0], work[i])
                 for outcome, prob in zip(dist.outcomes, dist.probs):
                     lines.append(f"{_fmt(beta)},{_fmt(outcome)},{_fmt(prob)}")
-            label = _distribution_label(float(traj.times[i]))
+            label = format(float(traj.times[i]), ".6g")
             _write(cfg.out_dir, f"distribution_t{label}.csv", lines, written)
 
 
@@ -511,18 +499,17 @@ def _cmd_map_info(path: str) -> int:
     print(f"dim={dim} grid_points={times.size} "
           f"t_range=[{times[0]:.6g}, {times[-1]:.6g}] "
           f"derivatives={'yes' if derivs is not None else 'no'}")
-    conds = []
+    conds = np.full(times.size, math.inf)
     reports = []
-    for m in mats:
+    for i, m in enumerate(mats):
         try:
             s = Superoperator(m)
         except ConstructionError as exc:
             reports.append(exc)
-            conds.append(math.inf)
             continue
         reports.append(cptp_diagnostics(s))
-        conds.append(condition_number(s))
-    flags = condition_flags(np.array(conds))
+        conds[i] = condition_number(s)
+    flags = condition_flags(conds)
     print("t,condition_number,flag,choi_min,tp_residual,unital_residual,"
           "hermiticity_residual")
     worst_choi, worst_tp = 0.0, 0.0

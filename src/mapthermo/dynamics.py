@@ -1,11 +1,12 @@
 """Dynamical maps on a time grid and their time-local generators.
 
 A `MapTrajectory` is the single source of dynamical truth: a uniform time
-grid starting at 0, the dynamical map at every grid point (the map at t = 0
-is the identity, since system and environment start uncorrelated), and
-optionally the map's time derivative at every grid point. When derivatives
-are not supplied they are formed by second-order finite differences: central
-stencils in the interior, one-sided three-point stencils at the endpoints.
+grid starting at 0, the dynamical maps at every grid point as one
+time-batched stack (the map at t = 0 is the identity, since system and
+environment start uncorrelated), and optionally the stack of the maps' time
+derivatives. When derivatives are not supplied they are formed by
+second-order finite differences: central stencils in the interior, one-sided
+three-point stencils at the endpoints.
 
 From the trajectory this module extracts the time-local generator
 L_t = dPhi_t/dt o Phi_t^{-1} and splits it into a commutator part with an
@@ -15,87 +16,107 @@ whose Lindblad operators are traceless:
     K = (1/2id) sum_{j,k} [ |j><k| , L[|k><j|] ]
 
 computed in the computational basis (the formula is basis independent, which
-the tests exercise). Inverse propagators Phi_{tau,t} = Phi_tau o Phi_t^{-1}
-come with condition-number monitoring, since invertibility is exactly what
-fails first in strongly dissipative or resonant regimes.
+the tests exercise). `generator_splits` evaluates it for the whole grid as
+two partial traces of the stacked generators; `generator_at` and
+`minimal_dissipation_split` are the per-point references. Every inversion
+is gated on the condition number, computed once per grid point, since
+invertibility is exactly what fails first in strongly dissipative or
+resonant regimes.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Sequence
 
 import numpy as np
 
-from .errors import BoundaryStencil, ConstructionError, SingularMap
+from .errors import ConstructionError
 from .operators import (
     COND_THRESHOLD_DEFAULT,
+    HERMITICITY_TOL,
     HermitianOperator,
     Superoperator,
     commutator_superop,
-    condition_number,
+    hermitian_stack,
     invert,
+    project_hermiticity_preserving,
+    require_invertible,
+    stack_blocks,
     unvec,
     vec,
 )
-from .quadrature import grid_spacing
+from .quadrature import grid_spacing, stencil_derivative
 
 IDENTITY_TOL = 1e-12
 TP_TOL = 1e-10
+
+
+def _as_stack(items) -> np.ndarray:
+    """A complex stack from a stack or a sequence of maps."""
+    if not isinstance(items, np.ndarray):
+        items = [m.matrix if isinstance(m, Superoperator) else m for m in items]
+    return np.asarray(items, dtype=complex)
 
 
 @dataclass(frozen=True, eq=False)
 class MapTrajectory:
     """Dynamical maps sampled on a uniform grid t_0 = 0 < t_1 < ... < t_N.
 
-    derivatives, when present, holds the analytic dPhi/dt matrix at each grid
-    point (raw complex arrays in the same vectorized convention).
+    `maps` is one read-only complex (N+1, d^2, d^2) stack in the vectorized
+    convention, `derivatives` the optional stack of analytic dPhi/dt; either
+    may be given as a stack or a sequence of Superoperators or matrices.
+    Construction is the only validation (grid, shapes, identity at t = 0,
+    Hermiticity preservation with the Superoperator Choi projection, trace
+    preservation) and names the first failing time. cond(Phi_t) and
+    Phi_t^{-1} are computed once for the whole grid, on first use.
     """
 
     times: np.ndarray
-    maps: tuple[Superoperator, ...]
-    derivatives: tuple[np.ndarray, ...] | None = None
+    maps: np.ndarray
+    derivatives: np.ndarray | None = None
 
     def __post_init__(self):
-        t = np.asarray(self.times, dtype=float)
+        t = np.array(self.times, dtype=float)
         t.setflags(write=False)
         object.__setattr__(self, "times", t)
-        object.__setattr__(self, "maps", tuple(self.maps))
-        if len(self.maps) != t.size:
-            raise ConstructionError(
-                f"{len(self.maps)} maps for {t.size} grid points")
+        maps = _as_stack(self.maps)
+        if (maps.ndim != 3 or maps.shape[1] != maps.shape[2]
+                or maps.shape[0] != t.size):
+            raise ConstructionError(f"map stack of shape {maps.shape} for "
+                                    f"{t.size} grid points")
         if t[0] != 0.0:
             raise ConstructionError(f"grid must start at 0, got {t[0]}")
         grid_spacing(t)
-        d = self.maps[0].dim
-        ident = np.eye(d * d)
-        dev0 = float(np.max(np.abs(self.maps[0].matrix - ident)))
+        maps = project_hermiticity_preserving(maps, t, what="map")
+        d = int(round(np.sqrt(maps.shape[1])))
+        dev0 = float(np.max(np.abs(maps[0] - np.eye(d * d))))
         if dev0 > IDENTITY_TOL:
             raise ConstructionError(
                 f"map at t = 0 deviates from the identity by {dev0:.3e}")
+        # Tr{S[A]} = Tr{A} for all A  <=>  S^dagger[1] = 1
         idvec = vec(np.eye(d))
-        for i, s in enumerate(self.maps):
-            if s.dim != d:
-                raise ConstructionError("maps have inconsistent dimensions")
-            tp = float(np.max(np.abs(s.matrix.conj().T @ idvec - idvec)))
-            if tp > TP_TOL:
-                raise ConstructionError(
-                    f"map at t = {t[i]:.6g} is not trace-preserving "
-                    f"(residual {tp:.3e})")
+        tp = np.abs(idvec @ maps - idvec).max(axis=1)
+        bad = np.flatnonzero(tp > TP_TOL)
+        if bad.size:
+            i = bad[0]
+            raise ConstructionError(
+                f"map at t = {t[i]:.6g} is not trace-preserving "
+                f"(residual {tp[i]:.3e})")
+        maps.setflags(write=False)
+        object.__setattr__(self, "maps", maps)
         if self.derivatives is not None:
-            derivs = tuple(np.asarray(m, dtype=complex) for m in self.derivatives)
-            if len(derivs) != t.size:
-                raise ConstructionError("derivative count does not match grid")
-            for m in derivs:
-                if m.shape != (d * d, d * d):
-                    raise ConstructionError("derivative matrix has wrong shape")
-                m.setflags(write=False)
+            derivs = _as_stack(self.derivatives).view()
+            if derivs.shape != maps.shape:
+                raise ConstructionError(
+                    f"derivative stack has shape {derivs.shape}, "
+                    f"expected {maps.shape}")
+            derivs.setflags(write=False)
             object.__setattr__(self, "derivatives", derivs)
 
     @property
     def dim(self) -> int:
-        return self.maps[0].dim
+        return int(round(np.sqrt(self.maps.shape[1])))
 
     @property
     def n_steps(self) -> int:
@@ -109,32 +130,52 @@ class MapTrajectory:
     def derivative_source(self) -> str:
         return "analytic" if self.derivatives is not None else "finite_difference"
 
+    @cached_property
+    def condition_numbers(self) -> np.ndarray:
+        """2-norm condition number of every map, one batched call."""
+        return np.linalg.cond(self.maps)
+
+    @cached_property
+    def _inverse_stack(self) -> np.ndarray:
+        inv = np.linalg.inv(self.maps)
+        inv.setflags(write=False)
+        return inv
+
+    def inverses(self, cond_threshold: float = COND_THRESHOLD_DEFAULT,
+                 ) -> np.ndarray:
+        """Phi_t^{-1} at every grid point (one batched inverse); SingularMap
+        at the first time whose condition number exceeds cond_threshold."""
+        require_invertible(self.condition_numbers, cond_threshold, self.times)
+        return self._inverse_stack
+
+
+def map_derivatives(traj: MapTrajectory, lo: int = 0,
+                    hi: int | None = None) -> np.ndarray:
+    """dPhi/dt at grid rows lo .. hi-1 (all rows by default): the supplied
+    analytic derivatives when the trajectory carries them, otherwise
+    second-order finite differences (`stencil_derivative`) on the window of
+    maps that the stencils of those rows read."""
+    if traj.derivatives is not None:
+        return traj.derivatives[lo:hi]
+    n1 = traj.times.size
+    hi = n1 if hi is None else hi
+    # one neighbour on each side, and the grid ends where the rows reach them
+    a, b = max(0, min(lo - 1, n1 - 3)), min(n1, max(hi + 1, 3))
+    return stencil_derivative(traj.maps[a:b], traj.spacing)[lo - a:hi - a]
+
 
 def map_derivative(traj: MapTrajectory, i: int) -> np.ndarray:
-    """dPhi/dt at grid index i: the supplied analytic derivative when the
-    trajectory carries one, otherwise a second-order finite difference."""
-    if traj.derivatives is not None:
-        return traj.derivatives[i]
-    n = traj.n_steps
-    if n < 2:
-        raise BoundaryStencil(
-            "second-order stencils need at least three grid points")
-    h = traj.spacing
-
-    def m(j):
-        return traj.maps[j].matrix
-
-    if i == 0:
-        return (-3.0 * m(0) + 4.0 * m(1) - m(2)) / (2.0 * h)
-    if i == n:
-        return (3.0 * m(n) - 4.0 * m(n - 1) + m(n - 2)) / (2.0 * h)
-    return (m(i + 1) - m(i - 1)) / (2.0 * h)
+    """dPhi/dt at grid index i (see `map_derivatives`)."""
+    return map_derivatives(traj, i, i + 1)[0]
 
 
 def generator_at(traj: MapTrajectory, i: int,
                  cond_threshold: float = COND_THRESHOLD_DEFAULT) -> Superoperator:
-    """Time-local generator L_{t_i} = dPhi/dt * Phi^{-1} at grid index i."""
-    inv, _ = invert(traj.maps[i], cond_threshold, time=float(traj.times[i]))
+    """Time-local generator L_{t_i} = dPhi/dt * Phi^{-1} at grid index i.
+
+    The per-point reference for `generator_splits`."""
+    inv, _ = invert(Superoperator(traj.maps[i]), cond_threshold,
+                    time=float(traj.times[i]))
     return Superoperator(map_derivative(traj, i) @ inv.matrix)
 
 
@@ -178,13 +219,26 @@ def reassemble_generator(split: GeneratorSplit) -> Superoperator:
 
 def generator_splits(traj: MapTrajectory,
                      cond_threshold: float = COND_THRESHOLD_DEFAULT,
-                     ) -> list[GeneratorSplit]:
-    """Generator extraction and minimal-dissipation split at every grid point."""
-    return [
-        minimal_dissipation_split(generator_at(traj, i, cond_threshold),
-                                  time=float(traj.times[i]))
-        for i in range(traj.times.size)
-    ]
+                     ) -> np.ndarray:
+    """Effective Hamiltonians of the minimal-dissipation split at every grid
+    point, as one Hermitian (N+1, d, d) stack.
+
+    With L = dPhi/dt Phi^{-1} reshaped as L4[t, j, i, l, k] = <i|L[|k><l|]|j>,
+    the double-commutator formula is two partial traces,
+        K[a, b] = ( sum_k L4[b, k, a, k] - sum_j L4[j, a, j, b] ) / 2id.
+    L exists only in `stack_blocks`; the dissipator is never formed. The
+    per-point reference is `minimal_dissipation_split(generator_at(...))`.
+    """
+    inv = traj.inverses(cond_threshold)
+    d = traj.dim
+    K = np.empty((traj.times.size, d, d), dtype=complex)
+    for blk in stack_blocks(traj.times.size, d * d):
+        L4 = (map_derivatives(traj, blk.start, blk.stop) @ inv[blk]).reshape(
+            -1, d, d, d, d)
+        K[blk] = (np.einsum("tbkak->tab", L4)
+                  - np.einsum("tjajb->tab", L4)) / (2j * d)
+    return hermitian_stack(K, HERMITICITY_TOL, traj.times,
+                           "effective Hamiltonian")
 
 
 def inverse_propagator(traj: MapTrajectory, i_tau: int, i_t: int,
@@ -194,8 +248,9 @@ def inverse_propagator(traj: MapTrajectory, i_tau: int, i_t: int,
     to t_tau."""
     if i_tau > i_t:
         raise ValueError("i_tau must not exceed i_t")
-    inv, _ = invert(traj.maps[i_t], cond_threshold, time=float(traj.times[i_t]))
-    return Superoperator(traj.maps[i_tau].matrix @ inv.matrix)
+    inv, _ = invert(Superoperator(traj.maps[i_t]), cond_threshold,
+                    time=float(traj.times[i_t]))
+    return Superoperator(traj.maps[i_tau] @ inv.matrix)
 
 
 @dataclass(frozen=True)
@@ -219,17 +274,13 @@ def condition_flags(conds: np.ndarray,
     not physics.
     """
     conds = np.asarray(conds, dtype=float)
-    flags = []
-    for i, c in enumerate(conds):
-        flag = "ok"
-        if not np.isfinite(c) or c > cond_threshold:
-            flag = "singular"
-        elif 0 < i < conds.size - 1:
-            if (c > spike_floor and c > spike_factor * conds[i - 1]
-                    and c > spike_factor * conds[i + 1]):
-                flag = "spike"
-        flags.append(flag)
-    return flags
+    spike = np.zeros(conds.shape, dtype=bool)
+    c = conds[1:-1]
+    spike[1:-1] = ((c > spike_floor) & (c > spike_factor * conds[:-2])
+                   & (c > spike_factor * conds[2:]))
+    singular = ~np.isfinite(conds) | (conds > cond_threshold)
+    return np.where(singular, "singular",
+                    np.where(spike, "spike", "ok")).tolist()
 
 
 def invertibility_report(traj: MapTrajectory,
@@ -238,7 +289,7 @@ def invertibility_report(traj: MapTrajectory,
                          spike_floor: float = 100.0,
                          ) -> list[InvertibilityRow]:
     """Condition number of every grid map, with condition_flags flags."""
-    conds = np.array([condition_number(s) for s in traj.maps])
+    conds = traj.condition_numbers
     flags = condition_flags(conds, cond_threshold, spike_factor, spike_floor)
     return [InvertibilityRow(float(t), float(c), flag)
             for t, c, flag in zip(traj.times, conds, flags)]
@@ -268,72 +319,68 @@ def save_map_trajectory(traj: MapTrajectory, path: str) -> None:
         fh.write("# row: t, re/im pairs of the map matrix (row-major)"
                  + (", re/im pairs of dmap/dt" if has_d else "") + "\n")
         for i, t in enumerate(traj.times):
-            cells = [f"{t:.16e}"]
-            blocks = [traj.maps[i].matrix]
-            if has_d:
-                blocks.append(traj.derivatives[i])
-            for block in blocks:
-                for z in block.reshape(-1):
-                    cells.append(f"{z.real:.16e}")
-                    cells.append(f"{z.imag:.16e}")
-            fh.write(",".join(cells) + "\n")
+            blocks = [traj.maps[i]] + ([traj.derivatives[i]] if has_d else [])
+            # a complex array viewed as floats interleaves re and im
+            flat = np.concatenate([b.reshape(-1) for b in blocks]).view(float)
+            fh.write(",".join([f"{t:.16e}"] + [f"{x:.16e}" for x in flat])
+                     + "\n")
 
 
-def read_map_file(path: str) -> tuple[np.ndarray, list[np.ndarray],
-                                      list[np.ndarray] | None]:
-    """Parse the text format without constructing (or validating) a
-    trajectory; used by diagnostics that must work on imperfect files."""
-    times: list[float] = []
-    mats: list[np.ndarray] = []
-    derivs: list[np.ndarray] = []
-    dim = None
-    has_d = False
+def read_map_file(path: str) -> tuple[np.ndarray, np.ndarray,
+                                      np.ndarray | None]:
+    """Parse the text format into the times and (n, d^2, d^2) stacks of maps
+    and (when present) derivatives, without validating a trajectory, for
+    diagnostics on imperfect files. A first pass reads the header and counts
+    the rows; the second parses each row into preallocated stacks."""
+    dim, has_d, rows = None, False, []
     with open(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
-            if not line:
-                continue
-            if line.startswith("#"):
-                body = line.lstrip("#").strip()
-                if body.startswith(_FORMAT_TAG):
-                    continue
-                if body.startswith("dim="):
-                    fields = dict(part.split("=", 1) for part in body.split())
-                    dim = int(fields["dim"])
-                    if fields.get("vectorization") != "column-stacking":
-                        raise ConstructionError(
-                            f"{path}:{lineno}: unsupported vectorization "
-                            f"{fields.get('vectorization')!r}")
-                    has_d = fields.get("derivatives", "0") == "1"
-                continue
-            if dim is None:
-                raise ConstructionError(f"{path}: missing dim header line")
+            body = line.lstrip("#").strip()
+            if line.startswith("#") and body.startswith("dim="):
+                if rows:
+                    raise ConstructionError(
+                        f"{path}:{lineno}: header line after data rows")
+                fields = dict(part.split("=", 1) for part in body.split())
+                dim = int(fields["dim"])
+                if fields.get("vectorization") != "column-stacking":
+                    raise ConstructionError(
+                        f"{path}:{lineno}: unsupported vectorization "
+                        f"{fields.get('vectorization')!r}")
+                has_d = fields.get("derivatives", "0") == "1"
+            elif line and not line.startswith("#"):
+                if dim is None:
+                    raise ConstructionError(f"{path}: missing dim header line")
+                rows.append(lineno)
+    if not rows:
+        raise ConstructionError(f"{path}: no data rows")
+    d2 = dim * dim
+    per_block = 2 * d2 * d2
+    expect = 1 + per_block * (2 if has_d else 1)
+    times = np.empty(len(rows))
+    maps = np.empty((len(rows), d2, d2), dtype=complex)
+    derivs = np.empty_like(maps) if has_d else None
+    with open(path) as fh:
+        data = (line for line in fh
+                if line.strip() and not line.lstrip().startswith("#"))
+        for k, (lineno, line) in enumerate(zip(rows, data)):
             try:
                 vals = np.array([float(x) for x in line.split(",")])
             except ValueError:
                 raise ConstructionError(
                     f"{path}:{lineno}: row is not comma-separated numbers")
-            per_block = 2 * dim ** 4
-            expect = 1 + per_block * (2 if has_d else 1)
             if vals.size != expect:
                 raise ConstructionError(
                     f"{path}:{lineno}: expected {expect} columns, got {vals.size}")
-            times.append(vals[0])
-            flat = vals[1:1 + per_block]
-            mats.append((flat[0::2] + 1j * flat[1::2])
-                        .reshape(dim * dim, dim * dim))
-            if has_d:
-                flat = vals[1 + per_block:]
-                derivs.append((flat[0::2] + 1j * flat[1::2])
-                              .reshape(dim * dim, dim * dim))
-    if not times:
-        raise ConstructionError(f"{path}: no data rows")
-    return np.array(times), mats, (derivs if has_d else None)
+            times[k] = vals[0]
+            for stack, flat in ((maps, vals[1:1 + per_block]),
+                                (derivs, vals[1 + per_block:])):
+                if stack is not None:
+                    stack[k] = (flat[0::2] + 1j * flat[1::2]).reshape(d2, d2)
+    return times, maps, derivs
 
 
 def load_map_trajectory(path: str) -> MapTrajectory:
     """Read the text format and build a validated trajectory."""
-    times, mats, derivs = read_map_file(path)
-    maps = tuple(Superoperator(m) for m in mats)
-    return MapTrajectory(times=times, maps=maps,
-                         derivatives=None if derivs is None else tuple(derivs))
+    times, maps, derivs = read_map_file(path)
+    return MapTrajectory(times=times, maps=maps, derivatives=derivs)

@@ -47,10 +47,13 @@ from .operators import (
     DensityMatrix,
     HermitianOperator,
     Superoperator,
+    adjoint_apply_stack,
     apply,
+    dagger,
     eig_hermitian,
     exp_hermitian,
     gibbs_state,
+    hermitian_stack,
     hs_adjoint,
     partition_function,
     vec,
@@ -371,15 +374,6 @@ class FluctuationTable:
                 for t, *cells in zip(self.time.tolist(), *columns)]
 
 
-def _dag(a: np.ndarray) -> np.ndarray:
-    return a.conj().swapaxes(-1, -2)
-
-
-def _unvec_rows(v: np.ndarray, dim: int) -> np.ndarray:
-    """`unvec` of every row of an (n, d^2) array: an (n, d, d) stack."""
-    return v.reshape(-1, dim, dim).swapaxes(-1, -2)
-
-
 def _trace_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.trace(a @ b, axis1=-2, axis2=-1)
 
@@ -390,23 +384,8 @@ def _exp_stack(vals: np.ndarray, vecs: np.ndarray, scale: float) -> np.ndarray:
     if not np.all(np.isfinite(f)):
         raise ValueError(f"function undefined on eigenvalues "
                          f"{vals[~np.isfinite(f)]}")
-    m = (vecs * f[:, None, :]) @ _dag(vecs)
-    return 0.5 * (m + _dag(m))
-
-
-def _hermitian_stack(a: np.ndarray, times: np.ndarray, what: str,
-                     ) -> np.ndarray:
-    """Symmetrize a stack the way `HermitianOperator` does, rejecting any
-    matrix further than HERMITICITY_TOL (relative) from Hermitian."""
-    scale = np.maximum(1.0, np.abs(a).max(axis=(-2, -1)))
-    dev = np.abs(a - _dag(a)).max(axis=(-2, -1))
-    bad = np.flatnonzero(dev > HERMITICITY_TOL * scale)
-    if bad.size:
-        k = bad[0]
-        raise ConstructionError(
-            f"{what} at t = {times[k]:.6g} is not Hermitian: max |A - A^dagger| "
-            f"= {dev[k]:.3e} (allowed {HERMITICITY_TOL * scale[k]:.3e})")
-    return 0.5 * (a + _dag(a))
+    m = (vecs * f[:, None, :]) @ dagger(vecs)
+    return 0.5 * (m + dagger(m))
 
 
 def _gibbs_stack(vals: np.ndarray, vecs: np.ndarray, beta: float,
@@ -415,8 +394,8 @@ def _gibbs_stack(vals: np.ndarray, vecs: np.ndarray, beta: float,
     and positivity checks of `DensityMatrix`."""
     w = np.exp(-beta * (vals - vals.min(axis=-1, keepdims=True)))
     w /= w.sum(axis=-1, keepdims=True)
-    rho = (vecs * w[:, None, :]) @ _dag(vecs)
-    rho = 0.5 * (rho + _dag(rho))
+    rho = (vecs * w[:, None, :]) @ dagger(vecs)
+    rho = 0.5 * (rho + dagger(rho))
     trace_dev = np.abs(np.trace(rho, axis1=-2, axis2=-1) - 1.0)
     low = np.linalg.eigvalsh(rho)[:, 0]
     bad = np.flatnonzero((trace_dev > TRACE_TOL) | (low < -POSITIVITY_TOL))
@@ -446,15 +425,13 @@ def fluctuation_table(pipeline, beta: float, indices=None) -> FluctuationTable:
         raise ValueError("beta must be positive")
     traj = pipeline.traj
     d = traj.dim
-    idx = np.arange(traj.times.size)
-    if indices is not None:
-        idx = idx[np.asarray(indices, dtype=int)]
-    times = traj.times[idx]
-    K_series = pipeline.effective_hamiltonian_series()
-    K_0 = K_series[0]
-    K = np.stack([K_series[i].matrix for i in idx])
-    P = np.stack([pipeline.path_operator(i).matrix for i in idx])
-    Ow = _hermitian_stack(K - P, times, "work observable O_w")
+    # a slice keeps the whole-grid stacks as views, not copies
+    rows = slice(None) if indices is None else np.asarray(indices, dtype=int)
+    times = traj.times[rows]
+    K_0 = pipeline.effective_hamiltonian_series()[0]
+    K = pipeline.K[rows]
+    P = pipeline.P[rows]
+    Ow = hermitian_stack(K - P, HERMITICITY_TOL, times, "work observable O_w")
 
     rho0 = gibbs_state(K_0, beta)
     z0 = partition_function(K_0, beta)
@@ -462,25 +439,19 @@ def fluctuation_table(pipeline, beta: float, indices=None) -> FluctuationTable:
     zt = np.sum(np.exp(-beta * k_vals), axis=-1)
     rho_g = _gibbs_stack(k_vals, k_vecs, beta, times)
 
+    maps = traj.maps[rows]
     ident = np.eye(d, dtype=complex)
-    inputs = (vec(ident), vec(ident / d), vec(rho0.matrix))
-    images = np.empty((3, idx.size, d * d), dtype=complex)
-    adjoint_images = np.empty((idx.size, d * d), dtype=complex)
-    for k, i in enumerate(idx):
-        m = traj.maps[i].matrix
-        # one matrix-vector product per input, as `apply` does: a single
-        # product with the stacked inputs sums in another order
-        for c, v in enumerate(inputs):
-            images[c, k] = m @ v
-        adjoint_images[k] = m.conj().T @ vec(rho_g[k])
-    phi_id, phi_mixed, rho_t = (_unvec_rows(image, d) for image in images)
+    # one matrix-vector product per input and map, as `apply` does: a single
+    # product with the stacked inputs sums in another order
+    phi_id, phi_mixed, rho_t = ((maps @ vec(a)).reshape(-1, d, d).swapaxes(1, 2)
+                                for a in (ident, ident / d, rho0.matrix))
 
     direct = _trace_product(rho_g, phi_id).real
-    adj = np.trace(_unvec_rows(adjoint_images, d), axis1=-2, axis2=-1).real
+    adj = np.trace(adjoint_apply_stack(maps, rho_g), axis1=-2, axis2=-1).real
     mixed = d * _trace_product(rho_g, phi_mixed).real
     residual = np.maximum.reduce([np.abs(direct - adj), np.abs(direct - mixed),
                                   np.abs(adj - mixed)])
-    phi_max = np.linalg.eigvalsh(0.5 * (phi_id + _dag(phi_id)))[:, -1]
+    phi_max = np.linalg.eigvalsh(0.5 * (phi_id + dagger(phi_id)))[:, -1]
 
     p_vals, p_vecs = np.linalg.eigh(P)
     p_max = p_vals[:, -1]

@@ -21,21 +21,24 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
-from .dynamics import MapTrajectory, map_derivative
-from .errors import ConfigError, SingularMap, TruncationError
+from .dynamics import MapTrajectory, map_derivatives
+from .errors import ConfigError, TruncationError
 from .operators import (
     COND_THRESHOLD_DEFAULT,
     HermitianOperator,
     DensityMatrix,
     PAULI,
     gibbs_state,
+    require_invertible,
     superop_to_pauli_transfer,
 )
 from .phase_covariant import (
     PCRates,
+    constant_rate,
     pc_generator_transfer_matrix,
     pc_integrals,
     pc_lambda_u,
@@ -51,36 +54,24 @@ PC_PATTERN_TOL = 1e-7
 # transfer-matrix entries a phase-covariant map may populate
 _PC_PATTERN = pc_transfer_matrices(1.0, 1.0, 1.0, 1.0) != 0.0
 
+DRIVE_MODES = ("monotonic", "periodic")
 
-@dataclass(frozen=True)
-class WeakCouplingParams:
-    """Driven qubit with rates frozen at their initial-splitting values.
 
-    The splitting is omega(t) = omega0 + delta sin^2(Omega t). Decay and
-    excitation rates are gamma (n_th + 1) and gamma n_th with
-    n_th = 1/(e^{beta omega0} - 1), held constant over the drive.
-    drive_mode fixes the default duration: "monotonic" stops at the quarter
-    period pi/(2 Omega) where the splitting peaks, "periodic" runs one full
-    period 2 pi / Omega.
-    """
+def drive_frequency(omega0: float, delta: float, Omega: float) -> Callable:
+    """The sinusoidal drive omega(t) = omega0 + delta sin^2(Omega t)."""
+    def omega(t):
+        return omega0 + delta * np.sin(Omega * np.asarray(t, dtype=float)) ** 2
+    return omega
 
-    omega0: float = 1.0
-    delta: float = 1.0
-    Omega: float = math.pi / 20
-    gamma: float = 0.01
-    beta: float = 1.0
-    drive_mode: str = "monotonic"
-    gamma_z: float = 0.0
 
-    def __post_init__(self):
-        if self.drive_mode not in ("monotonic", "periodic"):
+class _SinSquaredDrive:
+    """Duration and grid of a drive family with fields omega0, delta, Omega
+    and drive_mode: "monotonic" stops at the quarter period pi/(2 Omega)
+    where the splitting peaks, "periodic" runs one full period 2 pi/Omega."""
+
+    def _check_drive_mode(self) -> None:
+        if self.drive_mode not in DRIVE_MODES:
             raise ConfigError(f"unknown drive_mode {self.drive_mode!r}")
-        if self.omega0 <= 0 or self.Omega <= 0:
-            raise ConfigError("omega0 and Omega must be positive")
-        if self.beta <= 0:
-            raise ConfigError("beta must be positive")
-        if self.gamma < 0 or self.gamma_z < 0:
-            raise ConfigError("rates must be nonnegative")
 
     @property
     def default_t_f(self) -> float:
@@ -92,22 +83,41 @@ class WeakCouplingParams:
         return np.linspace(0.0, self.default_t_f, n_steps + 1)
 
 
+@dataclass(frozen=True)
+class WeakCouplingParams(_SinSquaredDrive):
+    """Driven qubit with rates frozen at their initial-splitting values.
+
+    The splitting is omega(t) = omega0 + delta sin^2(Omega t). Decay and
+    excitation rates are gamma (n_th + 1) and gamma n_th with
+    n_th = 1/(e^{beta omega0} - 1), held constant over the drive.
+    drive_mode fixes the default duration (`_SinSquaredDrive`).
+    """
+
+    omega0: float = 1.0
+    delta: float = 1.0
+    Omega: float = math.pi / 20
+    gamma: float = 0.01
+    beta: float = 1.0
+    drive_mode: str = "monotonic"
+    gamma_z: float = 0.0
+
+    def __post_init__(self):
+        self._check_drive_mode()
+        if self.omega0 <= 0 or self.Omega <= 0:
+            raise ConfigError("omega0 and Omega must be positive")
+        if self.beta <= 0:
+            raise ConfigError("beta must be positive")
+        if self.gamma < 0 or self.gamma_z < 0:
+            raise ConfigError("rates must be nonnegative")
+
+
 def weak_coupling_rates(params: WeakCouplingParams) -> PCRates:
     n_th = 1.0 / math.expm1(params.beta * params.omega0)
-    gp = params.gamma * n_th
-    gm = params.gamma * (n_th + 1.0)
-    omega0, delta, big_omega = params.omega0, params.delta, params.Omega
-    gz = params.gamma_z
-
-    def omega(t):
-        t = np.asarray(t, dtype=float)
-        return omega0 + delta * np.sin(big_omega * t) ** 2
-
     return PCRates(
-        omega=omega,
-        gamma_plus=lambda t: np.full_like(np.asarray(t, dtype=float), gp),
-        gamma_minus=lambda t: np.full_like(np.asarray(t, dtype=float), gm),
-        gamma_z=lambda t: np.full_like(np.asarray(t, dtype=float), gz),
+        omega=drive_frequency(params.omega0, params.delta, params.Omega),
+        gamma_plus=constant_rate(params.gamma * n_th),
+        gamma_minus=constant_rate(params.gamma * (n_th + 1.0)),
+        gamma_z=constant_rate(params.gamma_z),
     )
 
 
@@ -296,12 +306,8 @@ def jc_reduced_map(params: JCParams, times: np.ndarray,
 
 def vacuum_excited_population(traj: MapTrajectory) -> np.ndarray:
     """Excited-state survival probability from the maps themselves."""
-    rho_e = np.array([[1.0, 0.0], [0.0, 0.0]], dtype=complex)
-    out = np.empty(traj.times.size)
-    for i, m in enumerate(traj.maps):
-        evolved = (m.matrix @ rho_e.reshape(-1, order="F")).reshape(2, 2, order="F")
-        out[i] = evolved[0, 0].real
-    return out
+    # <e|Phi[|e><e|]|e>: vec index 0 in and out
+    return traj.maps[:, 0, 0].real
 
 
 # ---------------------------------------------------------------------------
@@ -359,8 +365,7 @@ def extract_pc_rates(traj: MapTrajectory,
     """
     if traj.dim != 2:
         raise ConfigError("rate extraction requires a qubit trajectory")
-    maps = np.stack([s.matrix for s in traj.maps])
-    r = superop_to_pauli_transfer(maps)
+    r = superop_to_pauli_transfer(traj.maps)
     off = np.abs(np.where(_PC_PATTERN, 0.0, r)).max(axis=(1, 2))
     sym = np.stack([np.abs(r[:, 1, 1] - r[:, 2, 2]),
                     np.abs(r[:, 1, 2] + r[:, 2, 1]),
@@ -370,22 +375,13 @@ def extract_pc_rates(traj: MapTrajectory,
         raise ConfigError(
             f"trajectory is not phase covariant: pattern residual "
             f"{map_residual:.3e} exceeds {pattern_tol:.0e}")
-    conds = np.linalg.cond(maps)
-    bad = np.flatnonzero(~np.isfinite(conds) | (conds > cond_threshold))
-    if bad.size:
-        i = int(bad[0])
-        cond = float(conds[i])
-        raise SingularMap(
-            f"map at t = {traj.times[i]:.6g} is numerically singular "
-            f"(cond = {cond:.3e}): the extracted rates diverge there",
-            time=float(traj.times[i]), condition_number=cond)
+    require_invertible(traj.condition_numbers, cond_threshold, traj.times)
 
     a = 0.5 * (r[:, 1, 1] + r[:, 2, 2])
     b = 0.5 * (r[:, 2, 1] - r[:, 1, 2])
     c = r[:, 3, 0]
     d_par = r[:, 3, 3]
-    dr = superop_to_pauli_transfer(
-        np.stack([map_derivative(traj, i) for i in range(traj.times.size)]))
+    dr = superop_to_pauli_transfer(map_derivatives(traj))
     da = dr[:, 1, 1]
     db = dr[:, 2, 1]
     dc = dr[:, 3, 0]
@@ -434,7 +430,7 @@ def exchange_factor_series(params: JCParams, times: np.ndarray,
 
 
 @dataclass(frozen=True)
-class ClosedCoherentParams:
+class ClosedCoherentParams(_SinSquaredDrive):
     """Closed sinusoidal drive applied to a rotated thermal state.
 
     The drive Hamiltonian is H(t) = (omega(t)/2) sigma_z with the same
@@ -452,19 +448,9 @@ class ClosedCoherentParams:
     drive_mode: str = "monotonic"
 
     def __post_init__(self):
-        if self.drive_mode not in ("monotonic", "periodic"):
-            raise ConfigError(f"unknown drive_mode {self.drive_mode!r}")
+        self._check_drive_mode()
         if self.beta0 <= 0 or self.omega0 <= 0 or self.Omega <= 0:
             raise ConfigError("beta0, omega0 and Omega must be positive")
-
-    @property
-    def default_t_f(self) -> float:
-        if self.drive_mode == "monotonic":
-            return math.pi / (2.0 * self.Omega)
-        return 2.0 * math.pi / self.Omega
-
-    def grid(self, n_steps: int = 1000) -> np.ndarray:
-        return np.linspace(0.0, self.default_t_f, n_steps + 1)
 
 
 def closed_coherent_protocol(params: ClosedCoherentParams, times: np.ndarray,
@@ -475,7 +461,7 @@ def closed_coherent_protocol(params: ClosedCoherentParams, times: np.ndarray,
     H(t) commutes with itself at all times, so U(t) is a bare phase
     rotation by the accumulated angle int_0^t omega."""
     times = np.asarray(times, dtype=float)
-    omega = params.omega0 + params.delta * np.sin(params.Omega * times) ** 2
+    omega = drive_frequency(params.omega0, params.delta, params.Omega)(times)
     h = 0.0 if times.size < 2 else float(times[1] - times[0])
     theta = cumulative_simpson(omega, h)
     hams = [HermitianOperator(0.5 * w * PAULI[3]) for w in omega]

@@ -9,11 +9,18 @@ minimal-dissipation split of the time-local generator. P(t) is the heat
 observable and carries all path dependence of the work observable; for
 unitary evolutions and for pure decoherence it vanishes identically.
 
-Writing Phi_{tau,t} = Phi_tau o Phi_t^{-1} lets the integrand be cached:
-g(tau) = Phi_tau^dagger[D_tau^dagger[K(tau)]] is accumulated with the shared
-cumulative Simpson rule and the single factor (Phi_t^{-1})^dagger is applied
-once per target time, so a whole-grid evaluation needs O(N) inversions, not
-O(N^2).
+Writing Phi_{tau,t} = Phi_tau o Phi_t^{-1} lets the integrand be cached.
+It needs no dissipator: with L_tau = dPhi_tau/dtau o Phi_tau^{-1} and
+D_tau = L_tau + i[K(tau), .], the commutator part of D_tau^dagger
+annihilates K(tau), so
+
+    g(tau) = Phi_tau^dagger[ D_tau^dagger[ K(tau) ] ]
+           = Phi_tau^dagger[ L_tau^dagger[ K(tau) ] ]
+           = dPhi_tau/dtau^dagger[ K(tau) ].
+
+g is accumulated with the shared cumulative Simpson rule and the single
+factor (Phi_t^{-1})^dagger is applied once per target time, all as stacks
+over the grid, so a whole-grid evaluation needs one batched inversion.
 
 Work and heat observable series come in three interchangeable conventions
 related by the initial-condition freedom
@@ -39,21 +46,20 @@ from enum import Enum
 
 import numpy as np
 
-from .dynamics import GeneratorSplit, MapTrajectory, generator_splits
+from .dynamics import MapTrajectory, generator_splits, map_derivatives
 from .errors import ConstructionError, NoMatchingBeta
 from .operators import (
     COND_THRESHOLD_DEFAULT,
     DensityMatrix,
     HermitianOperator,
-    Superoperator,
-    apply,
+    adjoint_apply_stack,
     eig_hermitian,
     exp_hermitian,
     gibbs_state,
-    hs_adjoint,
-    invert,
+    hermitian_stack,
     log_hermitian_zero_convention,
     partition_function,
+    stack_blocks,
     unvec,
     vec,
 )
@@ -72,7 +78,10 @@ class Convention(Enum):
 
 @dataclass(frozen=True, eq=False)
 class ObservableSeries:
-    """One Hermitian operator per grid time.
+    """One Hermitian operator per grid time, stored as one read-only
+    (N+1, d, d) stack `ops`, given as such (taken as Hermitian, as the
+    pipeline produces it) or as a sequence of HermitianOperators;
+    `series[i]` is the HermitianOperator at times[i].
 
     Two encodings exist. "per_time" (the default): ops[i] is the operator
     measured at times[i] within a single protocol. "per_duration_initial"
@@ -83,127 +92,104 @@ class ObservableSeries:
     """
 
     times: np.ndarray
-    ops: tuple[HermitianOperator, ...]
+    ops: np.ndarray
     label: str = "custom"
     encoding: str = "per_time"
 
     def __post_init__(self):
-        object.__setattr__(self, "ops", tuple(self.ops))
-        if len(self.ops) != np.asarray(self.times).size:
+        ops = self.ops
+        if not isinstance(ops, np.ndarray):
+            ops = np.array([op.matrix for op in ops], dtype=complex)
+        ops = ops.view()
+        ops.setflags(write=False)
+        object.__setattr__(self, "ops", ops)
+        if ops.shape[0] != np.asarray(self.times).size:
             raise ConstructionError("series length does not match grid")
         if self.encoding not in ("per_time", "per_duration_initial"):
             raise ConstructionError(f"unknown encoding {self.encoding!r}")
 
     def __getitem__(self, i: int) -> HermitianOperator:
-        return self.ops[i]
-
-
-def _hermitize(m: np.ndarray, tol: float = HERMITIZE_TOL) -> HermitianOperator:
-    dev = float(np.max(np.abs(m - m.conj().T)))
-    scale = max(1.0, float(np.max(np.abs(m))))
-    if dev > tol * scale:
-        raise ConstructionError(
-            f"operator drifted off Hermitian by {dev:.3e} (allowed {tol * scale:.3e})")
-    return HermitianOperator(0.5 * (m + m.conj().T))
+        return HermitianOperator(self.ops[i])
 
 
 class ThermoPipeline:
-    """Generator splits, path operators and observable series for one
-    trajectory, with all per-grid-point work done once and cached."""
+    """Effective Hamiltonians K(t) and path operators P(t) of one
+    trajectory, each computed once for the whole grid and held as a
+    Hermitian (N+1, d, d) stack (`K`, `P`), plus the observable series
+    built from them."""
 
     def __init__(self, traj: MapTrajectory,
                  cond_threshold: float = COND_THRESHOLD_DEFAULT):
         self.traj = traj
         self.cond_threshold = cond_threshold
-        self.splits: list[GeneratorSplit] = generator_splits(traj, cond_threshold)
-        h = traj.spacing
-        # integrand g(tau) = Phi_tau^dagger[ D_tau^dagger[ K(tau) ] ]
-        g = []
-        for i, split in enumerate(self.splits):
-            kvec = vec(split.K.matrix)
-            dk = split.dissipator.matrix.conj().T @ kvec
-            g.append(unvec(self.traj.maps[i].matrix.conj().T @ dk, traj.dim))
-        self._running = cumulative_simpson(np.array(g), h)
-        self._path_cache: dict[int, HermitianOperator] = {}
-        self._K_series = ObservableSeries(times=traj.times,
-                                          ops=tuple(s.K for s in self.splits),
-                                          label="effective_hamiltonian")
+        self.K = generator_splits(traj, cond_threshold)
+        # integrand g(tau) = dPhi_tau/dtau^dagger[ K(tau) ] (module docstring)
+        g = np.empty_like(self.K)
+        for blk in stack_blocks(traj.times.size, traj.dim ** 2):
+            g[blk] = adjoint_apply_stack(
+                map_derivatives(traj, blk.start, blk.stop), self.K[blk])
+        running = cumulative_simpson(g, traj.spacing)
+        self.P = hermitian_stack(
+            adjoint_apply_stack(traj.inverses(cond_threshold), running),
+            HERMITIZE_TOL, traj.times, "path operator")
+        self.K.setflags(write=False)
+        self.P.setflags(write=False)
 
     @property
     def times(self) -> np.ndarray:
         return self.traj.times
 
+    def _series(self, ops: np.ndarray, label: str,
+                encoding: str = "per_time") -> ObservableSeries:
+        return ObservableSeries(self.times, ops, label=label,
+                                encoding=encoding)
+
     def effective_hamiltonian_series(self) -> ObservableSeries:
-        return self._K_series
+        return self._series(self.K, "effective_hamiltonian")
 
     def path_operator(self, i_t: int) -> HermitianOperator:
         """P(t_i): back-propagated integrated dissipative energy flow."""
-        if i_t not in self._path_cache:
-            inv, _ = invert(self.traj.maps[i_t], self.cond_threshold,
-                            time=float(self.traj.times[i_t]))
-            raw = unvec(inv.matrix.conj().T @ vec(self._running[i_t]),
-                        self.traj.dim)
-            self._path_cache[i_t] = _hermitize(raw)
-        return self._path_cache[i_t]
+        return HermitianOperator(self.P[i_t])
 
     def path_operator_series(self) -> ObservableSeries:
-        ops = tuple(self.path_operator(i) for i in range(self.times.size))
-        return ObservableSeries(times=self.times, ops=ops, label="path_operator")
+        return self._series(self.P, "path_operator")
 
     def work_heat_observables(self,
                               convention: Convention = Convention.TWO_POINT_ENERGY_FIRST,
                               ) -> tuple[ObservableSeries, ObservableSeries]:
         """Work and heat observable series in the requested convention."""
-        n = self.times.size
-        K = [s.K for s in self.splits]
-        P = [self.path_operator(i) for i in range(n)]
+        K, P = self.K, self.P
+        encoding = "per_time"
+
+        def checked(a, what):
+            return hermitian_stack(a, HERMITIZE_TOL, self.times, what)
+
         if convention is Convention.TWO_POINT_ENERGY_FIRST:
-            work = tuple(K[i] - P[i] for i in range(n))
-            heat = tuple(P[i] for i in range(n))
+            work, heat = K - P, P
         elif convention is Convention.SINGLE_MEASURE_FINAL:
             # shift the initial work operator to zero; heat already starts at 0
-            work = []
-            for i in range(n):
-                inv, _ = invert(self.traj.maps[i], self.cond_threshold,
-                                time=float(self.traj.times[i]))
-                back = unvec(inv.matrix.conj().T @ vec(K[0].matrix), self.traj.dim)
-                work.append(_hermitize((K[i] - P[i]).matrix - back))
-            work = tuple(work)
-            heat = tuple(P[i] for i in range(n))
+            back = adjoint_apply_stack(self.traj.inverses(self.cond_threshold),
+                                       np.broadcast_to(K[0], K.shape))
+            work, heat = checked(K - P - back, "work observable"), P
         elif convention is Convention.SINGLE_MEASURE_INITIAL:
             # final operators are zero; ops[i] holds the *initial* operator
             # of the duration-t_i protocol: O'_x(0) = O_x(0) - Phi_t^dagger[O_x(t)]
-            work = []
-            heat = []
-            for i in range(n):
-                adj = self.traj.maps[i].matrix.conj().T
-                fwd_w = unvec(adj @ vec((K[i] - P[i]).matrix), self.traj.dim)
-                fwd_q = unvec(adj @ vec(P[i].matrix), self.traj.dim)
-                work.append(_hermitize(K[0].matrix - fwd_w))
-                heat.append(_hermitize(-fwd_q))
-            work = tuple(work)
-            heat = tuple(heat)
+            maps = self.traj.maps
+            work = checked(K[0] - adjoint_apply_stack(maps, K - P),
+                           "work observable")
+            heat = checked(-adjoint_apply_stack(maps, P), "heat observable")
+            encoding = "per_duration_initial"
         else:
             raise ValueError(f"unknown convention {convention!r}")
-        encoding = ("per_duration_initial"
-                    if convention is Convention.SINGLE_MEASURE_INITIAL
-                    else "per_time")
-        return (ObservableSeries(self.times, work, label="work",
-                                 encoding=encoding),
-                ObservableSeries(self.times, heat, label="heat",
-                                 encoding=encoding))
+        return (self._series(work, "work", encoding),
+                self._series(heat, "heat", encoding))
 
     def balance_residual(self) -> float:
         """Max deviation of the operator first law for the default
         convention: O_w(t) + O_q(t) - O_w(0) - O_q(0) = K(t) - K(0)."""
         work, heat = self.work_heat_observables(Convention.TWO_POINT_ENERGY_FIRST)
-        K = [s.K for s in self.splits]
-        dev = 0.0
-        for i in range(self.times.size):
-            lhs = work[i].matrix + heat[i].matrix - work[0].matrix - heat[0].matrix
-            rhs = K[i].matrix - K[0].matrix
-            dev = max(dev, float(np.max(np.abs(lhs - rhs))))
-        return dev
+        lhs = work.ops + heat.ops - work.ops[0] - heat.ops[0]
+        return float(np.max(np.abs(lhs - (self.K - self.K[0]))))
 
 
 def shifted_observable(series: ObservableSeries, traj: MapTrajectory,
@@ -215,13 +201,13 @@ def shifted_observable(series: ObservableSeries, traj: MapTrajectory,
     if series.encoding != "per_time":
         raise ValueError("initial-condition shifts act on per_time series; "
                          "a per_duration_initial series mixes protocols")
-    delta = series[0].matrix - new_initial.matrix
-    ops = [new_initial]
-    for i in range(1, series.times.size):
-        inv, _ = invert(traj.maps[i], cond_threshold, time=float(traj.times[i]))
-        back = unvec(inv.matrix.conj().T @ vec(delta), traj.dim)
-        ops.append(_hermitize(series[i].matrix - back))
-    return ObservableSeries(series.times, tuple(ops), label=series.label)
+    delta = series.ops[0] - new_initial.matrix
+    back = adjoint_apply_stack(traj.inverses(cond_threshold),
+                               np.broadcast_to(delta, series.ops.shape))
+    ops = hermitian_stack(series.ops - back, HERMITIZE_TOL, series.times,
+                          "shifted observable")
+    ops[0] = new_initial.matrix
+    return ObservableSeries(series.times, ops, label=series.label)
 
 
 def mean_change(series: ObservableSeries, traj: MapTrajectory, i_t: int,
@@ -232,10 +218,10 @@ def mean_change(series: ObservableSeries, traj: MapTrajectory, i_t: int,
     of the duration-t protocol is zero, so the mean is -<ops[i_t]>_0.
     """
     if series.encoding == "per_duration_initial":
-        return float(-np.trace(series[i_t].matrix @ rho0.matrix).real)
-    rho_t = apply(traj.maps[i_t], rho0.matrix)
-    return float((np.trace(series[i_t].matrix @ rho_t)
-                  - np.trace(series[0].matrix @ rho0.matrix)).real)
+        return float(-np.trace(series.ops[i_t] @ rho0.matrix).real)
+    rho_t = unvec(traj.maps[i_t] @ vec(rho0.matrix), traj.dim)
+    return float((np.trace(series.ops[i_t] @ rho_t)
+                  - np.trace(series.ops[0] @ rho0.matrix)).real)
 
 
 @dataclass(frozen=True)

@@ -59,13 +59,7 @@ class HermitianOperator:
 
     def __post_init__(self):
         a = _as_square_complex(self.matrix)
-        scale = max(1.0, float(np.max(np.abs(a))))
-        dev = float(np.max(np.abs(a - a.conj().T)))
-        if dev > HERMITICITY_TOL * scale:
-            raise ConstructionError(
-                f"matrix is not Hermitian: max |A - A^dagger| = {dev:.3e} "
-                f"(allowed {HERMITICITY_TOL * scale:.3e})")
-        sym = 0.5 * (a + a.conj().T)
+        sym = hermitian_stack(a[None], HERMITICITY_TOL, what="matrix")[0]
         sym.setflags(write=False)
         object.__setattr__(self, "matrix", sym)
 
@@ -73,21 +67,8 @@ class HermitianOperator:
     def dim(self) -> int:
         return self.matrix.shape[0]
 
-    def __add__(self, other: "HermitianOperator") -> "HermitianOperator":
-        return HermitianOperator(self.matrix + other.matrix)
-
     def __sub__(self, other: "HermitianOperator") -> "HermitianOperator":
         return HermitianOperator(self.matrix - other.matrix)
-
-    def __rmul__(self, scalar: float) -> "HermitianOperator":
-        return HermitianOperator(float(scalar) * self.matrix)
-
-    def trace(self) -> float:
-        return float(np.trace(self.matrix).real)
-
-    def norm(self) -> float:
-        """Frobenius norm."""
-        return float(np.linalg.norm(self.matrix))
 
     def expectation(self, rho: "DensityMatrix") -> float:
         return float(np.trace(self.matrix @ rho.matrix).real)
@@ -101,11 +82,8 @@ class DensityMatrix:
     matrix: np.ndarray
 
     def __post_init__(self):
-        a = _as_square_complex(self.matrix)
-        dev = float(np.max(np.abs(a - a.conj().T)))
-        if dev > HERMITICITY_TOL * max(1.0, float(np.max(np.abs(a)))):
-            raise ConstructionError(f"state is not Hermitian (dev {dev:.3e})")
-        a = 0.5 * (a + a.conj().T)
+        a = hermitian_stack(_as_square_complex(self.matrix)[None],
+                            HERMITICITY_TOL, what="state")[0]
         tr = complex(np.trace(a))
         if abs(tr - 1.0) > TRACE_TOL:
             raise ConstructionError(f"state trace is {tr}, expected 1")
@@ -141,11 +119,11 @@ class Superoperator:
     """A linear map on operators, stored as its d^2 x d^2 matrix in the
     column-stacking convention.
 
-    Construction checks Hermiticity preservation (the reshuffled Choi matrix
-    must be Hermitian to 1e-10 relative); physical maps, generators,
-    dissipators, adjoints, inverses and their compositions all satisfy this.
-    The `trace_preserving` flag is advisory: when set, Tr{S[A]} = Tr{A} is
-    verified on construction to 1e-10.
+    Construction checks Hermiticity preservation and projects onto it
+    (`project_hermiticity_preserving`); physical maps, generators,
+    dissipators, adjoints, inverses and their compositions all satisfy
+    this. The `trace_preserving` flag is advisory: when set, Tr{S[A]} =
+    Tr{A} is verified on construction to 1e-10.
     """
 
     matrix: np.ndarray
@@ -153,27 +131,16 @@ class Superoperator:
 
     def __post_init__(self):
         m = _as_square_complex(self.matrix)
-        d2 = m.shape[0]
-        d = int(round(np.sqrt(d2)))
-        if d * d != d2:
-            raise ConstructionError(f"superoperator side {d2} is not a perfect square")
-        scale = max(1.0, float(np.max(np.abs(m))))
-        r = _reshuffle(m, d)
-        herm_dev = float(np.max(np.abs(r - r.conj().T)))
-        if herm_dev > HP_CHECK_TOL * scale:
-            raise ConstructionError(
-                f"superoperator is not Hermiticity-preserving: Choi deviation "
-                f"{herm_dev:.3e} (allowed {HP_CHECK_TOL * scale:.3e})")
+        projected = project_hermiticity_preserving(m[None])[0]
         if self.trace_preserving:
-            tp_dev = _tp_residual(m, d)
+            ident = vec(np.eye(int(round(np.sqrt(m.shape[0])))))
+            tp_dev = float(np.max(np.abs(m.conj().T @ ident - ident)))
+            scale = max(1.0, float(np.max(np.abs(m))))
             if tp_dev > HP_CHECK_TOL * scale:
                 raise ConstructionError(
                     f"flagged trace-preserving but residual is {tp_dev:.3e}")
-        # Project onto the Hermiticity-preserving subspace (symmetrize the
-        # Choi rearrangement), mirroring the Hermitian repair on operators.
-        m = _reshuffle(0.5 * (r + r.conj().T), d)
-        m.setflags(write=False)
-        object.__setattr__(self, "matrix", m)
+        projected.setflags(write=False)
+        object.__setattr__(self, "matrix", projected)
 
     @property
     def dim(self) -> int:
@@ -182,41 +149,112 @@ class Superoperator:
 
 
 def _reshuffle(m: np.ndarray, d: int) -> np.ndarray:
-    """Row-reshuffle of a d^2 x d^2 matrix (unnormalized Choi rearrangement
-    for the column-stacking convention)."""
-    return m.reshape(d, d, d, d).transpose(3, 1, 2, 0).reshape(d * d, d * d)
+    """Row-reshuffle of a stack of d^2 x d^2 matrices (unnormalized Choi
+    rearrangement for the column-stacking convention)."""
+    return m.reshape(-1, d, d, d, d).transpose(0, 4, 2, 3, 1).reshape(
+        -1, d * d, d * d)
 
 
-def _tp_residual(m: np.ndarray, d: int) -> float:
-    ident = vec(np.eye(d))
-    return float(np.max(np.abs(m.conj().T @ ident - ident)))
+def dagger(a: np.ndarray) -> np.ndarray:
+    """Conjugate transpose of every matrix of a stack."""
+    return a.conj().swapaxes(-1, -2)
+
+
+def _label(times, k: int) -> str:
+    return "" if times is None else f" at t = {times[k]:.6g}"
+
+
+_STACK_BLOCK_ELEMENTS = 1 << 16
+
+
+def stack_blocks(n: int, side: int) -> list[slice]:
+    """Slices covering n stacked side x side matrices in blocks of at most
+    _STACK_BLOCK_ELEMENTS elements (at least one matrix each), so temporaries
+    of whole-grid superoperator work stay about 1 MB each at any d."""
+    step = max(1, _STACK_BLOCK_ELEMENTS // (side * side))
+    return [slice(lo, min(lo + step, n)) for lo in range(0, n, step)]
+
+
+def project_hermiticity_preserving(m: np.ndarray, times=None,
+                                   what: str = "superoperator") -> np.ndarray:
+    """Check a (n, d^2, d^2) stack of superoperator matrices for
+    Hermiticity preservation (reshuffled Choi matrix Hermitian to
+    HP_CHECK_TOL relative to the largest entry) and return the projection
+    that symmetrizes the rearrangement, mirroring the Hermitian repair on
+    operators; a projected matrix comes back bit-identical. The error names
+    the first failing matrix, by its time when `times` is given."""
+    d = int(round(np.sqrt(m.shape[-1])))
+    if d * d != m.shape[-1]:
+        raise ConstructionError(
+            f"superoperator side {m.shape[-1]} is not a perfect square")
+    out = np.empty(m.shape, dtype=complex)
+    for blk in stack_blocks(m.shape[0], d * d):
+        r = _reshuffle(m[blk], d)
+        rh = dagger(r)
+        scale = np.maximum(1.0, np.abs(m[blk]).max(axis=(-2, -1)))
+        dev = np.abs(r - rh).max(axis=(-2, -1))
+        bad = np.flatnonzero(dev > HP_CHECK_TOL * scale)
+        if bad.size:
+            k = bad[0]
+            raise ConstructionError(
+                f"{what}{_label(times, blk.start + k)} is not "
+                f"Hermiticity-preserving: Choi deviation {dev[k]:.3e} "
+                f"(allowed {HP_CHECK_TOL * scale[k]:.3e})")
+        out[blk] = _reshuffle(0.5 * (r + rh), d)
+    return out
+
+
+def hermitian_stack(a: np.ndarray, tol: float, times=None,
+                    what: str = "operator") -> np.ndarray:
+    """Symmetrize a (n, d, d) stack, rejecting any matrix further than
+    `tol` (relative to its largest entry, floor 1) from Hermitian; the error
+    names the first failing matrix, by its time when `times` is given."""
+    scale = np.maximum(1.0, np.abs(a).max(axis=(-2, -1)))
+    dev = np.abs(a - dagger(a)).max(axis=(-2, -1))
+    bad = np.flatnonzero(dev > tol * scale)
+    if bad.size:
+        k = bad[0]
+        raise ConstructionError(
+            f"{what}{_label(times, k)} is not Hermitian: max |A - A^dagger| "
+            f"= {dev[k]:.3e} (allowed {tol * scale[k]:.3e})")
+    return 0.5 * (a + dagger(a))
+
+
+def require_invertible(conds: np.ndarray, cond_threshold: float, times=None,
+                       what: str = "map") -> None:
+    """Raise SingularMap at the first condition number that is not finite or
+    exceeds the threshold, carrying its time when `times` is given."""
+    conds = np.asarray(conds, dtype=float)
+    bad = np.flatnonzero(~np.isfinite(conds) | (conds > cond_threshold))
+    if bad.size == 0:
+        return
+    k = bad[0]
+    cond = float(conds[k])
+    raise SingularMap(
+        f"{what}{_label(times, k)} is numerically singular: cond = "
+        f"{cond:.3e} exceeds threshold {cond_threshold:.3e}",
+        time=None if times is None else float(times[k]),
+        condition_number=cond)
+
+
+def adjoint_apply_stack(maps: np.ndarray, ops: np.ndarray) -> np.ndarray:
+    """S_t^dagger[A_t] for a (n, d^2, d^2) stack of superoperator matrices
+    and a (n, d, d) stack of operators, without copying the maps."""
+    n, d = ops.shape[0], ops.shape[-1]
+    v = ops.swapaxes(-1, -2).reshape(n, 1, d * d)
+    # (v^dagger S)^dagger = S^dagger v, one row-vector product per map
+    return (v.conj() @ maps).conj().reshape(n, d, d).swapaxes(-1, -2)
 
 
 def identity_superop(dim: int) -> Superoperator:
     return Superoperator(np.eye(dim * dim, dtype=complex), trace_preserving=True)
 
 
-def superop_from_action(action: Callable[[np.ndarray], np.ndarray], dim: int,
-                        trace_preserving: bool = False) -> Superoperator:
-    """Build the matrix of a linear operator map column by column from its
-    action on the matrix units E_ij."""
-    m = np.zeros((dim * dim, dim * dim), dtype=complex)
-    for j in range(dim):
-        for i in range(dim):
-            unit = np.zeros((dim, dim), dtype=complex)
-            unit[i, j] = 1.0
-            m[:, i + dim * j] = vec(action(unit))
-    return Superoperator(m, trace_preserving=trace_preserving)
-
-
 def kraus_superop(kraus_ops: Iterable[np.ndarray],
                   trace_preserving: bool = True) -> Superoperator:
     """Superoperator of X -> sum_k M_k X M_k^dagger."""
     ops = [np.asarray(k, dtype=complex) for k in kraus_ops]
-    d = ops[0].shape[0]
-    m = np.zeros((d * d, d * d), dtype=complex)
-    for k in ops:
-        m += np.kron(k.conj(), k)
+    m = sum(np.kron(k.conj(), k) for k in ops)
     return Superoperator(m, trace_preserving=trace_preserving)
 
 
@@ -238,11 +276,6 @@ def apply(s: Superoperator, a: np.ndarray | HermitianOperator) -> np.ndarray:
     if mat.shape != (s.dim, s.dim):
         raise ValueError(f"operator shape {mat.shape} does not match dim {s.dim}")
     return unvec(s.matrix @ vec(mat), s.dim)
-
-
-def apply_hermitian(s: Superoperator, a: HermitianOperator) -> HermitianOperator:
-    """Apply and re-wrap; raises if the result drifted off Hermitian."""
-    return HermitianOperator(apply(s, a))
 
 
 def hs_adjoint(s: Superoperator) -> Superoperator:
@@ -275,14 +308,9 @@ def invert(s: Superoperator, cond_threshold: float = COND_THRESHOLD_DEFAULT,
     number the numerical residual can exceed the flag's guarantee.
     """
     cond = condition_number(s)
-    if not np.isfinite(cond) or cond > cond_threshold:
-        label = "" if time is None else f" at t = {time:.6g}"
-        raise SingularMap(
-            f"map{label} is numerically singular: cond = {cond:.3e} "
-            f"exceeds threshold {cond_threshold:.3e}",
-            time=time, condition_number=cond)
-    inv = np.linalg.inv(s.matrix)
-    return Superoperator(inv), cond
+    require_invertible(np.array([cond]), cond_threshold,
+                       None if time is None else [time])
+    return Superoperator(np.linalg.inv(s.matrix)), cond
 
 
 def eig_hermitian(h: HermitianOperator) -> tuple[np.ndarray, np.ndarray]:
@@ -345,7 +373,7 @@ def partition_function(h: HermitianOperator, beta: float) -> float:
 
 def choi_matrix(s: Superoperator) -> np.ndarray:
     """Choi matrix, normalized to unit trace for TP maps: C = reshuffle(S)/d."""
-    return _reshuffle(s.matrix, s.dim) / s.dim
+    return _reshuffle(s.matrix, s.dim)[0] / s.dim
 
 
 @dataclass(frozen=True)

@@ -40,15 +40,16 @@ All cumulative integrals use the shared composite-Simpson policy from
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
 from .dynamics import MapTrajectory
-from .errors import ConstructionError, SingularMap
+from .errors import ConstructionError
 from .operators import (Superoperator, pauli_transfer_to_superop,
-                        superop_from_pauli_transfer)
-from .quadrature import cumulative_exp_weighted, cumulative_simpson, grid_spacing
+                        require_invertible, superop_from_pauli_transfer)
+from .quadrature import (cumulative_exp_weighted, cumulative_simpson,
+                         grid_spacing, stencil_derivative)
 
 
 def _eval_on(f: Callable, times: np.ndarray) -> np.ndarray:
@@ -64,8 +65,9 @@ def _eval_on(f: Callable, times: np.ndarray) -> np.ndarray:
     return np.array([float(f(t)) for t in times])
 
 
-def _zero_rate(t):
-    return np.zeros_like(np.asarray(t, dtype=float))
+def constant_rate(value: float) -> Callable:
+    """The time function t -> value, evaluated on scalars or grids."""
+    return lambda t: np.full_like(np.asarray(t, dtype=float), value)
 
 
 @dataclass(frozen=True)
@@ -79,15 +81,15 @@ class PCRates:
     omega: Callable
     gamma_plus: Callable
     gamma_minus: Callable
-    gamma_z: Callable = _zero_rate
+    gamma_z: Callable = constant_rate(0.0)
 
 
 def constant_rates(omega: float, gamma_plus: float, gamma_minus: float,
                    gamma_z: float = 0.0) -> PCRates:
-    return PCRates(omega=lambda t: np.full_like(np.asarray(t, float), omega),
-                   gamma_plus=lambda t: np.full_like(np.asarray(t, float), gamma_plus),
-                   gamma_minus=lambda t: np.full_like(np.asarray(t, float), gamma_minus),
-                   gamma_z=lambda t: np.full_like(np.asarray(t, float), gamma_z))
+    return PCRates(omega=constant_rate(omega),
+                   gamma_plus=constant_rate(gamma_plus),
+                   gamma_minus=constant_rate(gamma_minus),
+                   gamma_z=constant_rate(gamma_z))
 
 
 @dataclass(frozen=True, eq=False)
@@ -193,16 +195,11 @@ def pc_transfer_matrices(a, b, c, d_par, r00: float = 1.0) -> np.ndarray:
     return r
 
 
-def pc_transfer_matrix(coeffs: PCMapCoefficients, i: int) -> np.ndarray:
-    """4x4 Pauli transfer matrix of the map at grid index i."""
-    return pc_transfer_matrices(coeffs.a[i], coeffs.b[i], coeffs.c[i],
-                                coeffs.d_par[i])
-
-
 def pc_map(coeffs: PCMapCoefficients, i: int) -> Superoperator:
     """The dynamical map at grid index i in the vectorized convention."""
-    return superop_from_pauli_transfer(pc_transfer_matrix(coeffs, i),
-                                       trace_preserving=True)
+    r = pc_transfer_matrices(coeffs.a[i], coeffs.b[i], coeffs.c[i],
+                             coeffs.d_par[i])
+    return superop_from_pauli_transfer(r, trace_preserving=True)
 
 
 def pc_generator_transfer_matrix(omega, kappa, xi, gamma_z) -> np.ndarray:
@@ -221,18 +218,10 @@ def pc_generator(omega: float, kappa: float, xi: float,
 def transfer_trajectory(times: np.ndarray, r: np.ndarray,
                         dr: np.ndarray | None = None) -> MapTrajectory:
     """MapTrajectory from a (N+1, 4, 4) stack of map transfer matrices and,
-    optionally, the stack of their time derivatives.
-
-    Every map is a trace-preserving Superoperator and every derivative
-    passes the Superoperator Hermiticity-preservation check.
-    """
-    maps = tuple(Superoperator(m, trace_preserving=True)
-                 for m in pauli_transfer_to_superop(r))
-    derivatives = None
-    if dr is not None:
-        derivatives = tuple(Superoperator(m).matrix
-                            for m in pauli_transfer_to_superop(dr))
-    return MapTrajectory(times=times, maps=maps, derivatives=derivatives)
+    optionally, the stack of their time derivatives, converted as stacks."""
+    return MapTrajectory(
+        times=times, maps=pauli_transfer_to_superop(r),
+        derivatives=None if dr is None else pauli_transfer_to_superop(dr))
 
 
 def pc_trajectory(rates: PCRates, times: np.ndarray,
@@ -323,17 +312,6 @@ class PCGeneralResult:
     w: np.ndarray  # work-observable eigenvalues, w = k - q
 
 
-def _stencil_derivative(samples: np.ndarray, h: float) -> np.ndarray:
-    """Second-order derivative of (N+1, ...) samples along axis 0."""
-    if samples.shape[0] < 3:
-        raise ConstructionError("need at least three grid points for stencils")
-    out = np.empty_like(samples)
-    out[0] = (-3.0 * samples[0] + 4.0 * samples[1] - samples[2]) / (2 * h)
-    out[-1] = (3.0 * samples[-1] - 4.0 * samples[-2] + samples[-3]) / (2 * h)
-    out[1:-1] = (samples[2:] - samples[:-2]) / (2 * h)
-    return out
-
-
 def pc_general_d(times: np.ndarray, F: np.ndarray, f: np.ndarray,
                  Fdot: np.ndarray | None = None,
                  fdot: np.ndarray | None = None,
@@ -354,7 +332,7 @@ def pc_general_d(times: np.ndarray, F: np.ndarray, f: np.ndarray,
     h = grid_spacing(t)
     F = np.asarray(F, dtype=float)
     f = np.asarray(f, dtype=complex)
-    n1, d, _ = F.shape
+    d = F.shape[1]
     colsum = F.sum(axis=1)
     if np.max(np.abs(colsum - 1.0)) > 1e-9:
         raise ConstructionError("population matrix columns must sum to one")
@@ -364,18 +342,13 @@ def pc_general_d(times: np.ndarray, F: np.ndarray, f: np.ndarray,
     idx = np.arange(d)
     f[:, idx, idx] = 1.0
     if fdot is None:
-        fdot = _stencil_derivative(f, h)
+        fdot = stencil_derivative(f, h)
     if Fdot is None:
-        Fdot = _stencil_derivative(F, h)
+        Fdot = stencil_derivative(F, h)
     k = -np.imag(fdot / f).sum(axis=2) / d
     integrand = np.einsum("tkj,tk->tj", Fdot, k)
     running = cumulative_simpson(integrand, h)
-    q = np.empty_like(k)
-    for i in range(n1):
-        cond = np.linalg.cond(F[i])
-        if not np.isfinite(cond) or cond > cond_threshold:
-            raise SingularMap(
-                f"population matrix at t = {t[i]:.6g} is singular "
-                f"(cond = {cond:.3e})", time=float(t[i]), condition_number=cond)
-        q[i] = np.linalg.solve(F[i].T, running[i])
+    require_invertible(np.linalg.cond(F), cond_threshold, t,
+                       what="population matrix")
+    q = np.linalg.solve(F.swapaxes(1, 2), running[..., None])[..., 0]
     return PCGeneralResult(times=t, k=k, q=q, w=k - q)

@@ -8,12 +8,16 @@ final interval. The same policy is used everywhere (path operators, the
 analytic qubit engine, mean-work cross checks) so that discretizations match
 between independent routes to the same quantity.
 
-Grids are required to be uniform; `grid_spacing` checks that.
+Derivatives of sampled data use second-order stencils on the same grids
+(`stencil_derivative`). Grids are required to be uniform; `grid_spacing`
+checks that.
 """
 
 from __future__ import annotations
 
 import numpy as np
+
+from .errors import BoundaryStencil
 
 
 def grid_spacing(times: np.ndarray, rtol: float = 1e-9) -> float:
@@ -41,17 +45,32 @@ def cumulative_simpson(samples: np.ndarray, h: float) -> np.ndarray:
     same shape, result[i] = integral of f from t_0 to t_i. Composite Simpson
     over interval pairs; a prefix with an odd interval count ends with one
     trapezoid on the last interval (attached to the Simpson value two points
-    back, so even prefixes never contain a trapezoid contribution).
+    back, so even prefixes never contain a trapezoid contribution). The even
+    prefixes are a cumsum of the pair terms, which adds in grid order.
     """
     f = np.asarray(samples)
     n = f.shape[0] - 1
     out = np.zeros_like(f, dtype=np.result_type(f.dtype, float))
     if n == 0:
         return out
-    for i in range(2, n + 1, 2):
-        out[i] = out[i - 2] + (h / 3.0) * (f[i - 2] + 4.0 * f[i - 1] + f[i])
-    for i in range(1, n + 1, 2):
-        out[i] = out[i - 1] + (h / 2.0) * (f[i - 1] + f[i])
+    pairs = (h / 3.0) * (f[0:n - 1:2] + 4.0 * f[1:n:2] + f[2:n + 1:2])
+    np.cumsum(pairs, axis=0, out=out[2::2])
+    out[1::2] = out[0:n:2] + (h / 2.0) * (f[0:n:2] + f[1:n + 1:2])
+    return out
+
+
+def stencil_derivative(samples: np.ndarray, h: float) -> np.ndarray:
+    """Second-order derivative of (N+1, ...) samples along axis 0: central
+    differences in the interior, one-sided three-point stencils at the two
+    ends. Raises BoundaryStencil for fewer than three grid points."""
+    f = np.asarray(samples)
+    if f.shape[0] < 3:
+        raise BoundaryStencil(
+            "second-order stencils need at least three grid points")
+    out = np.empty(f.shape, dtype=np.result_type(f.dtype, float))
+    out[0] = (-3.0 * f[0] + 4.0 * f[1] - f[2]) / (2.0 * h)
+    out[-1] = (3.0 * f[-1] - 4.0 * f[-2] + f[-3]) / (2.0 * h)
+    out[1:-1] = (f[2:] - f[:-2]) / (2.0 * h)
     return out
 
 

@@ -24,10 +24,11 @@ from scipy.linalg import expm
 
 from .errors import MapThermoError
 from .operators import (HermitianOperator, Superoperator, commutator_superop,
-                        gibbs_state, random_hermitian)
+                        gibbs_state, project_hermiticity_preserving,
+                        random_hermitian)
 from .dynamics import MapTrajectory, save_map_trajectory, load_map_trajectory
-from .phase_covariant import (PCRates, pc_trajectory, pc_thermo, pc_lambda_w,
-                              pc_mean_work_and_deltaF)
+from .phase_covariant import (PCRates, constant_rate, pc_trajectory,
+                              pc_thermo, pc_lambda_w, pc_mean_work_and_deltaF)
 from .observables import ThermoPipeline, shifted_observable, mean_change, \
     coherent_initial_construction, coherent_work_fluctuation
 from .fluctuations import (fluctuation_report, tpms_distribution, exp_average,
@@ -70,10 +71,10 @@ def random_gksl_trajectory(dim: int, rng: np.random.Generator,
         a = strength * (rng.standard_normal((dim, dim))
                         + 1j * rng.standard_normal((dim, dim))) / math.sqrt(2)
         gen = gen + _dissipator_matrix(a)
-    maps = tuple(Superoperator(expm(t * gen), trace_preserving=True)
-                 for t in times)
-    derivs = tuple(gen @ m.matrix for m in maps)
-    return MapTrajectory(times=times, maps=maps, derivatives=derivs)
+    # the derivatives are taken of the maps as MapTrajectory stores them
+    maps = project_hermiticity_preserving(
+        np.stack([expm(t * gen) for t in times]))
+    return MapTrajectory(times=times, maps=maps, derivatives=gen @ maps)
 
 
 # ---------------------------------------------------------------------------
@@ -89,7 +90,8 @@ def check_closed_system_jarzynski() -> str:
     dev = 0.0
     for i in (0, 50, 100, 150, 200):
         rep = fluctuation_report(pipe, i, beta)
-        dist = tpms_distribution(rho_g, traj.maps[i], work[0], work[i])
+        dist = tpms_distribution(rho_g, Superoperator(traj.maps[i]), work[0],
+                                 work[i])
         jarz = exp_average(dist, beta) * math.exp(beta * rep.delta_F_bar)
         dev = max(dev, abs(rep.lambda_w - 1.0), abs(rep.lambda_u - 1.0),
                   abs(jarz - 1.0))
@@ -100,20 +102,19 @@ def check_closed_system_jarzynski() -> str:
 def check_pure_decoherence_jarzynski() -> str:
     rates = PCRates(
         omega=lambda t: 1.0 + 0.4 * np.sin(0.7 * np.asarray(t)),
-        gamma_plus=lambda t: np.zeros_like(np.asarray(t, dtype=float)),
-        gamma_minus=lambda t: np.zeros_like(np.asarray(t, dtype=float)),
-        gamma_z=lambda t: 0.04 * np.ones_like(np.asarray(t, dtype=float)))
+        gamma_plus=constant_rate(0.0), gamma_minus=constant_rate(0.0),
+        gamma_z=constant_rate(0.04))
     traj, _ = pc_trajectory(rates, np.linspace(0.0, 6.0, 201))
     pipe = ThermoPipeline(traj)
     beta = 0.7
     _, heat = pipe.work_heat_observables()
-    max_oq = max(float(np.max(np.abs(op.matrix))) for op in heat.ops)
+    max_oq = float(np.max(np.abs(heat.ops)))
     assert max_oq == 0.0, f"heat observable not exactly zero: {max_oq:.3e}"
     rho_g = gibbs_state(pipe.effective_hamiltonian_series()[0], beta)
     dev_q = dev_w = 0.0
     for i in (60, 130, 200):
-        val, _ = heat_fluctuation(rho_g, traj.maps[i], pipe.path_operator(i),
-                                  beta)
+        val, _ = heat_fluctuation(rho_g, Superoperator(traj.maps[i]),
+                                  pipe.path_operator(i), beta)
         dev_q = max(dev_q, abs(val - 1.0))
         rep = fluctuation_report(pipe, i, beta)
         dev_w = max(dev_w, abs(rep.lambda_w - 1.0))
@@ -156,11 +157,11 @@ def _tpms_identity_deviation(dim: int, seed: int) -> float:
     for i in (20, 42, 64):
         rep = fluctuation_report(pipe, i, beta)
         fac = math.exp(-beta * rep.delta_F_bar)
-        dist_w = tpms_distribution(rho_g, traj.maps[i], work[0], work[i])
-        dist_u = tpms_distribution(rho_g, traj.maps[i], K[0], K[i])
-        dist_q = tpms_distribution(rho_g, traj.maps[i], zero, heat[i])
-        q_val, _ = heat_fluctuation(rho_g, traj.maps[i],
-                                    pipe.path_operator(i), beta)
+        map_t = Superoperator(traj.maps[i])
+        dist_w = tpms_distribution(rho_g, map_t, work[0], work[i])
+        dist_u = tpms_distribution(rho_g, map_t, K[0], K[i])
+        dist_q = tpms_distribution(rho_g, map_t, zero, heat[i])
+        q_val, _ = heat_fluctuation(rho_g, map_t, pipe.path_operator(i), beta)
         dev = max(dev,
                   abs(exp_average(dist_w, beta) - rep.lambda_w * fac),
                   abs(exp_average(dist_u, beta) - rep.lambda_u * fac),
@@ -201,10 +202,8 @@ def check_map_file_round_trip() -> str:
         path = os.path.join(tmp, "traj.csv")
         save_map_trajectory(traj, path)
         back = load_map_trajectory(path)
-    dev = max(float(np.max(np.abs(a.matrix - b.matrix)))
-              for a, b in zip(traj.maps, back.maps))
-    dev_d = max(float(np.max(np.abs(a - b)))
-                for a, b in zip(traj.derivatives, back.derivatives))
+    dev = float(np.max(np.abs(traj.maps - back.maps)))
+    dev_d = float(np.max(np.abs(traj.derivatives - back.derivatives)))
     dev_t = float(np.max(np.abs(traj.times - back.times)))
     dev = max(dev, dev_d, dev_t)
     assert dev == 0.0, f"round trip not exact: {dev:.3e}"
@@ -291,8 +290,7 @@ def check_jc_rate_round_trip() -> str:
     traj, _ = jc_reduced_map(params, times)
     extracted = extract_pc_rates(traj)
     rebuilt, _ = pc_trajectory(extracted.as_rates(), times)
-    dev = max(float(np.max(np.abs(a.matrix - b.matrix)))
-              for a, b in zip(traj.maps, rebuilt.maps))
+    dev = float(np.max(np.abs(traj.maps - rebuilt.maps)))
     assert dev <= 1e-6, f"reconstruction deviation {dev:.3e}"
     return f"rebuild deviation {dev:.3e} (tol 1e-6)"
 

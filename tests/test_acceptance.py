@@ -25,7 +25,8 @@ from mapthermo.observables import (ThermoPipeline, coherent_initial_construction
                                    coherent_work_fluctuation, mean_change,
                                    shifted_observable)
 from mapthermo.operators import (DensityMatrix, HermitianOperator,
-                                 conjugation_superop, cptp_diagnostics,
+                                 Superoperator, conjugation_superop,
+                                 cptp_diagnostics,
                                  eig_hermitian, gibbs_state,
                                  random_density_matrix, random_hermitian,
                                  random_unitary)
@@ -53,7 +54,7 @@ def test_criterion_01_closed_drive_identities():
     dev = 0.0
     for i in range(traj.times.size):
         rep = fluctuation_report(pipe, i, beta)
-        dist = tpms_distribution(rho_g, traj.maps[i], work[0], work[i])
+        dist = tpms_distribution(rho_g, Superoperator(traj.maps[i]), work[0], work[i])
         jarz = exp_average(dist, beta) * math.exp(beta * rep.delta_F_bar)
         dev = max(dev, abs(rep.lambda_w - 1.0), abs(rep.lambda_u - 1.0),
                   abs(jarz - 1.0))
@@ -71,12 +72,12 @@ def test_criterion_02_pure_decoherence_identities():
     traj, _ = pc_trajectory(weak_coupling_rates(p), p.grid(400))
     pipe = ThermoPipeline(traj)
     _, heat = pipe.work_heat_observables()
-    max_oq = max(float(np.max(np.abs(op.matrix))) for op in heat.ops)
+    max_oq = float(np.max(np.abs(heat.ops)))
     dev_q = dev_w = 0.0
     for beta in (0.5, 2.0, 7.0):
         rho_g = gibbs_state(pipe.effective_hamiltonian_series()[0], beta)
         for i in range(traj.times.size):
-            val, _ = heat_fluctuation(rho_g, traj.maps[i],
+            val, _ = heat_fluctuation(rho_g, Superoperator(traj.maps[i]),
                                       pipe.path_operator(i), beta)
             dev_q = max(dev_q, abs(val - 1.0))
             rep = fluctuation_report(pipe, i, beta)
@@ -112,10 +113,10 @@ def test_criterion_03_random_map_distribution_identities():
         for i in (20, 42, 64):
             rep = fluctuation_report(pipe, i, beta)
             fac = math.exp(-beta * rep.delta_F_bar)
-            dist_w = tpms_distribution(rho_g, traj.maps[i], work[0], work[i])
-            dist_u = tpms_distribution(rho_g, traj.maps[i], K[0], K[i])
-            dist_q = tpms_distribution(rho_g, traj.maps[i], zero, heat[i])
-            q_val, _ = heat_fluctuation(rho_g, traj.maps[i],
+            dist_w = tpms_distribution(rho_g, Superoperator(traj.maps[i]), work[0], work[i])
+            dist_u = tpms_distribution(rho_g, Superoperator(traj.maps[i]), K[0], K[i])
+            dist_q = tpms_distribution(rho_g, Superoperator(traj.maps[i]), zero, heat[i])
+            q_val, _ = heat_fluctuation(rho_g, Superoperator(traj.maps[i]),
                                         pipe.path_operator(i), beta)
             worst = max(worst,
                         abs(exp_average(dist_w, beta) - rep.lambda_w * fac),
@@ -238,7 +239,7 @@ def test_criterion_07_exchange_model_extraction():
     worst_tp = 0.0
     worst_choi = math.inf
     for m in traj2.maps:
-        diag = cptp_diagnostics(m)
+        diag = cptp_diagnostics(Superoperator(m))
         worst_tp = max(worst_tp, diag.trace_preserving_residual)
         worst_choi = min(worst_choi, diag.choi_min_eigenvalue)
     elapsed = time.perf_counter() - start

@@ -14,6 +14,7 @@ from mapthermo.dynamics import (
     invertibility_report,
     load_map_trajectory,
     map_derivative,
+    map_derivatives,
     minimal_dissipation_split,
     read_map_file,
     reassemble_generator,
@@ -34,6 +35,7 @@ from mapthermo.operators import (
     random_unitary,
 )
 from mapthermo.phase_covariant import constant_rates, pc_trajectory
+from mapthermo.quadrature import stencil_derivative
 from mapthermo.validation import random_gksl_trajectory
 
 SZ = PAULI[3]
@@ -77,7 +79,7 @@ def test_generator_of_unitary_trajectory():
     assert np.max(np.abs(L.matrix - expect)) < 1e-5  # finite-difference floor
     # derivative from central differences at interior points
     dm = map_derivative(traj, 500)
-    assert np.max(np.abs(dm - expect @ traj.maps[500].matrix)) < 1e-5
+    assert np.max(np.abs(dm - expect @ traj.maps[500])) < 1e-5
 
 
 def test_generator_of_identity_trajectory_is_zero():
@@ -130,7 +132,7 @@ def test_minimal_split_recovers_drive_frequency():
     splits = generator_splits(traj)
     for i in (0, 50, 100, 200):
         expect = 0.5 * coeffs.omega[i] * SZ
-        assert np.max(np.abs(splits[i].K.matrix - expect)) < 1e-9
+        assert np.max(np.abs(splits[i] - expect)) < 1e-9
 
 
 def test_split_reassembles_generator():
@@ -154,7 +156,7 @@ def test_split_basis_independence():
     vci = conjugation_superop(v.conj().T)
     rotated = MapTrajectory(
         times=times,
-        maps=tuple(Superoperator(vc.matrix @ m.matrix @ vci.matrix)
+        maps=tuple(Superoperator(vc.matrix @ m @ vci.matrix)
                    for m in traj.maps),
         derivatives=None if traj.derivatives is None else tuple(
             vc.matrix @ dm @ vci.matrix for dm in traj.derivatives))
@@ -186,8 +188,8 @@ def test_inverse_propagator_back_propagates_states():
     rng = np.random.default_rng(5)
     traj = random_gksl_trajectory(2, rng, np.linspace(0.0, 1.2, 13))
     rho0 = random_density_matrix(2, rng)
-    rho_t = apply(traj.maps[10], rho0.matrix)
-    rho_tau = apply(traj.maps[4], rho0.matrix)
+    rho_t = apply(Superoperator(traj.maps[10]), rho0.matrix)
+    rho_tau = apply(Superoperator(traj.maps[4]), rho0.matrix)
     back = apply(inverse_propagator(traj, 4, 10), rho_t)
     assert np.max(np.abs(back - rho_tau)) < 1e-8
 
@@ -195,8 +197,8 @@ def test_inverse_propagator_back_propagates_states():
 def test_inverse_propagator_composition():
     rng = np.random.default_rng(6)
     traj = random_gksl_trajectory(2, rng, np.linspace(0.0, 1.0, 9))
-    lhs = inverse_propagator(traj, 2, 7).matrix @ traj.maps[7].matrix
-    assert np.max(np.abs(lhs - traj.maps[2].matrix)) < 1e-10
+    lhs = inverse_propagator(traj, 2, 7).matrix @ traj.maps[7]
+    assert np.max(np.abs(lhs - traj.maps[2])) < 1e-10
     with pytest.raises(ValueError):
         inverse_propagator(traj, 7, 2)
 
@@ -214,7 +216,7 @@ def test_condition_numbers_grow_monotonically_for_damped_qubit():
     rates = constant_rates(omega=1.0, gamma_plus=0.05, gamma_minus=0.15)
     times = np.linspace(0.0, 8.0, 81)
     traj, _ = pc_trajectory(rates, times)
-    conds = np.array([condition_number(m) for m in traj.maps])
+    conds = np.array([condition_number(Superoperator(m)) for m in traj.maps])
     assert np.all(np.diff(conds) > -1e-9)
     assert conds[-1] > conds[0]
 
@@ -248,7 +250,7 @@ def test_save_load_round_trip(tmp_path):
     back = load_map_trajectory(path)
     npt.assert_array_equal(back.times, traj.times)
     for m1, m2 in zip(back.maps, traj.maps):
-        npt.assert_array_equal(m1.matrix, m2.matrix)
+        npt.assert_array_equal(m1, m2)
     assert back.derivatives is not None
     for d1, d2 in zip(back.derivatives, traj.derivatives):
         npt.assert_array_equal(d1, d2)
@@ -293,3 +295,39 @@ def test_load_rejects_non_tp_file(tmp_path):
     assert times.size == 3 and derivs is None
     with pytest.raises(ConstructionError):
         load_map_trajectory(path)
+
+
+@pytest.mark.parametrize("corrupt, needle", [
+    (lambda m: 0.9 * m, "not trace-preserving"),
+    (lambda m: m + np.diag(np.arange(m.shape[0])) * 1e-3j,
+     "not Hermiticity-preserving"),
+])
+def test_trajectory_names_the_first_failing_map(corrupt, needle):
+    times = np.linspace(0.0, 1.0, 9)
+    traj = random_gksl_trajectory(3, np.random.default_rng(8), times)
+    maps = traj.maps.copy()
+    for k in (3, 6):
+        maps[k] = corrupt(maps[k])
+    with pytest.raises(ConstructionError, match=needle) as exc:
+        MapTrajectory(times=times, maps=maps, derivatives=traj.derivatives)
+    assert f"t = {times[3]:.6g}" in str(exc.value)
+
+
+def test_windowed_finite_differences_match_the_whole_grid_stencil():
+    p = WeakCouplingParams(gamma=0.3)
+    traj, _ = pc_trajectory(weak_coupling_rates(p), p.grid(6),
+                            derivative_source="finite_difference")
+    full = stencil_derivative(traj.maps, traj.spacing)
+    for lo in range(7):
+        for hi in range(lo + 1, 8):
+            npt.assert_array_equal(map_derivatives(traj, lo, hi), full[lo:hi])
+
+
+def test_read_map_file_rejects_a_header_after_data(tmp_path):
+    path = os.path.join(tmp_path, "late.maps")
+    save_map_trajectory(random_gksl_trajectory(
+        2, np.random.default_rng(9), np.linspace(0.0, 1.0, 3)), path)
+    with open(path, "a") as fh:
+        fh.write("# dim=2 vectorization=column-stacking derivatives=1\n")
+    with pytest.raises(ConstructionError, match="header line after data"):
+        read_map_file(path)

@@ -218,7 +218,8 @@ def test_lambda_u_weak_coupling_exceeds_one_and_matches_closed_form():
     closed = pc_lambda_u(coeffs, p.beta)
     prev = 1.0
     for i in (50, 100, 150, 200):
-        lu = lambda_u(traj.maps[i], pipe.splits[i].K, p.beta)
+        lu = lambda_u(Superoperator(traj.maps[i]),
+                      pipe.effective_hamiltonian_series()[i], p.beta)
         assert abs(lu.value - closed[i]) < 1e-9
         assert lu.cross_check_residual < 1e-10
         assert lu.value > prev
@@ -232,9 +233,10 @@ def test_lambda_w_is_one_for_closed_and_pure_decoherence():
     for traj in (closed, dephasing):
         pipe = ThermoPipeline(traj)
         i = 100
-        Ow = HermitianOperator(pipe.splits[i].K.matrix
+        Ow = HermitianOperator(pipe.effective_hamiltonian_series()[i].matrix
                                - pipe.path_operator(i).matrix)
-        lam, bound = lambda_w(traj.maps[i], Ow, pipe.splits[i].K,
+        lam, bound = lambda_w(Superoperator(traj.maps[i]), Ow,
+                              pipe.effective_hamiltonian_series()[i],
                               pipe.path_operator(i), 2.0)
         assert abs(lam - 1.0) < 1e-9
         assert abs(bound - 1.0) < 1e-9
@@ -249,9 +251,10 @@ def test_lambda_w_weak_coupling_matches_closed_form():
     th = pc_thermo(coeffs)
     lam_c, bound_c = pc_lambda_w(th, coeffs, p.beta)
     for i in (60, 140, 200):
-        Ow = HermitianOperator(pipe.splits[i].K.matrix
+        Ow = HermitianOperator(pipe.effective_hamiltonian_series()[i].matrix
                                - pipe.path_operator(i).matrix)
-        lam, bound = lambda_w(traj.maps[i], Ow, pipe.splits[i].K,
+        lam, bound = lambda_w(Superoperator(traj.maps[i]), Ow,
+                              pipe.effective_hamiltonian_series()[i],
                               pipe.path_operator(i), p.beta)
         assert abs(lam - lam_c[i]) < 1e-9
         assert abs(bound - bound_c[i]) < 1e-9
@@ -266,7 +269,7 @@ def test_heat_factor_is_one_without_dissipative_flow():
         traj, _ = pc_trajectory(rates, ts)
         pipe = ThermoPipeline(traj)
         val, bound = heat_fluctuation(random_density_matrix(2, rng),
-                                      traj.maps[100], pipe.path_operator(100),
+                                      Superoperator(traj.maps[100]), pipe.path_operator(100),
                                       3.0)
         assert abs(val - 1.0) < 1e-12
         assert abs(bound - 1.0) < 1e-12
@@ -280,8 +283,8 @@ def test_heat_factor_matches_one_point_distribution():
     rho0 = random_density_matrix(2, np.random.default_rng(4))
     i = 100
     P = pipe.path_operator(i)
-    val, bound = heat_fluctuation(rho0, traj.maps[i], P, p.beta)
-    dist = tpms_distribution(rho0, traj.maps[i], zero_op(), P)
+    val, bound = heat_fluctuation(rho0, Superoperator(traj.maps[i]), P, p.beta)
+    dist = tpms_distribution(rho0, Superoperator(traj.maps[i]), zero_op(), P)
     assert abs(exp_average(dist, p.beta) - val) < 1e-10 * abs(val)
     assert val <= bound * (1.0 + 1e-12)
 
@@ -313,7 +316,7 @@ def test_dissipated_bound_vanishes_for_closed_dynamics():
     ts = np.linspace(0.0, 2.0, 101)
     traj, _ = pc_trajectory(constant_rates(1.0, 0.0, 0.0), ts)
     pipe = ThermoPipeline(traj)
-    b = dissipated_work_bound(traj.maps[100], pipe.path_operator(100), 1.7)
+    b = dissipated_work_bound(Superoperator(traj.maps[100]), pipe.path_operator(100), 1.7)
     assert abs(b) < 1e-12
 
 
@@ -324,12 +327,13 @@ def test_dissipated_bound_for_unital_dynamics_is_path_operator_top():
     P = pipe.path_operator(i)
     p_max = float(np.linalg.eigvalsh(P.matrix)[-1])
     assert p_max > 0.1
-    b = dissipated_work_bound(traj.maps[i], P, 1.3)
+    b = dissipated_work_bound(Superoperator(traj.maps[i]), P, 1.3)
     assert abs(b + p_max) < 1e-12
     # the map really is unital, and the internal-energy factor sees that
-    phi1 = apply(traj.maps[i], np.eye(2, dtype=complex))
+    phi1 = apply(Superoperator(traj.maps[i]), np.eye(2, dtype=complex))
     npt.assert_allclose(phi1, np.eye(2), atol=1e-12)
-    lu = lambda_u(traj.maps[i], pipe.splits[i].K, 1.3)
+    lu = lambda_u(Superoperator(traj.maps[i]),
+                  pipe.effective_hamiltonian_series()[i], 1.3)
     assert abs(lu.value - 1.0) < 1e-12
 
 
@@ -343,21 +347,21 @@ def test_report_matches_distribution_routes():
     rep = fluctuation_report(pipe, i, beta)
     rep.check_invariants()
 
-    K0 = pipe.splits[0].K
-    K_t = pipe.splits[i].K
+    K0 = pipe.effective_hamiltonian_series()[0]
+    K_t = pipe.effective_hamiltonian_series()[i]
     P = pipe.path_operator(i)
     Ow = HermitianOperator(K_t.matrix - P.matrix)
     rho0 = gibbs_state(K0, beta)
 
-    dist_w = tpms_distribution(rho0, traj.maps[i], K0, Ow)
+    dist_w = tpms_distribution(rho0, Superoperator(traj.maps[i]), K0, Ow)
     assert abs(exp_average(dist_w, beta) - rep.exp_avg_w) < 1e-9
     assert abs(moment(dist_w, 1) - rep.mean_w) < 1e-9
 
-    dist_u = tpms_distribution(rho0, traj.maps[i], K0, K_t)
+    dist_u = tpms_distribution(rho0, Superoperator(traj.maps[i]), K0, K_t)
     expect_u = rep.lambda_u * np.exp(-beta * rep.delta_F_bar)
     assert abs(exp_average(dist_u, beta) - expect_u) < 1e-9
 
-    dist_q = tpms_distribution(rho0, traj.maps[i], zero_op(), P)
+    dist_q = tpms_distribution(rho0, Superoperator(traj.maps[i]), zero_op(), P)
     assert abs(exp_average(dist_q, beta) - rep.exp_avg_q) < 1e-9
 
     # dissipated work sits above its bound
@@ -406,10 +410,11 @@ def qutrit_pipeline():
 def reference_row(pipe, work, i, beta):
     """The report columns at one row from the per-operator functions."""
     traj = pipe.traj
-    K0, K_t = pipe.splits[0].K, pipe.splits[i].K
+    K0, K_t = (pipe.effective_hamiltonian_series()[0],
+               pipe.effective_hamiltonian_series()[i])
     P = pipe.path_operator(i)
     Ow = HermitianOperator(K_t.matrix - P.matrix)
-    map_t = traj.maps[i]
+    map_t = Superoperator(traj.maps[i])
     rho0 = gibbs_state(K0, beta)
     lw, bound = lambda_w(map_t, Ow, K_t, P, beta)
     _, _, dfb = free_energies(K_t, K0, beta)

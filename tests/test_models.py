@@ -122,10 +122,10 @@ def test_reduced_map_is_cptp_and_phase_covariant():
     times = np.linspace(0.0, 8.0, 81)
     traj, _ = jc_reduced_map(p, times)
     for i in (20, 50, 80):
-        rep = cptp_diagnostics(traj.maps[i])
+        rep = cptp_diagnostics(Superoperator(traj.maps[i]))
         assert rep.choi_min_eigenvalue > -1e-9
         assert rep.trace_preserving_residual < 1e-12
-        r = pauli_transfer_matrix(traj.maps[i])
+        r = pauli_transfer_matrix(Superoperator(traj.maps[i]))
         pattern = np.array([[1, 0, 0, 0], [0, 1, 1, 0],
                             [0, 1, 1, 0], [1, 0, 0, 1]], dtype=bool)
         assert np.max(np.abs(np.where(pattern, 0.0, r))) < 1e-12
@@ -212,7 +212,7 @@ def test_reduced_map_matches_joint_unitary_evolution(params):
     times = np.linspace(0.0, 9.0, 13)
     traj, _ = jc_reduced_map(params, times)
     maps, derivs = _joint_unitary_oracle(params, times)
-    npt.assert_allclose(np.stack([s.matrix for s in traj.maps]), maps,
+    npt.assert_allclose(traj.maps, maps,
                         rtol=0.0, atol=1e-12)
     npt.assert_allclose(np.stack(traj.derivatives), derivs,
                         rtol=0.0, atol=1e-12)
@@ -300,7 +300,7 @@ def test_extraction_singular_map_names_the_first_failing_point():
     with pytest.raises(SingularMap) as exc:
         extract_pc_rates(traj)
     assert abs(exc.value.time - t_node) < 1e-9
-    assert exc.value.condition_number == np.linalg.cond(traj.maps[100].matrix)
+    assert exc.value.condition_number == np.linalg.cond(traj.maps[100])
     assert f"t = {t_node:.6g}" in str(exc.value)
 
 

@@ -6,8 +6,11 @@ from scipy.linalg import expm
 from hypothesis import given, settings
 from hypothesis.strategies import floats
 
-from mapthermo.dynamics import MapTrajectory
-from mapthermo.errors import ConstructionError, NoMatchingBeta
+from mapthermo.dynamics import (MapTrajectory, generator_at,
+                                invertibility_report,
+                                minimal_dissipation_split)
+from mapthermo.errors import ConstructionError, NoMatchingBeta, SingularMap
+from mapthermo.fluctuations import fluctuation_table
 from mapthermo.models import WeakCouplingParams, weak_coupling_rates
 from mapthermo.observables import (
     CoherentInitialData,
@@ -30,9 +33,12 @@ from mapthermo.operators import (
     partition_function,
     random_density_matrix,
     random_hermitian,
+    unvec,
+    vec,
 )
 from mapthermo.phase_covariant import constant_rates, pc_integrals, pc_thermo, pc_trajectory
 from mapthermo.quadrature import cumulative_simpson
+from mapthermo.validation import random_gksl_trajectory
 
 SZ = PAULI[3]
 
@@ -88,7 +94,7 @@ def test_path_operator_vanishes_for_pure_decoherence():
     pipe = ThermoPipeline(traj)
     series = pipe.path_operator_series()
     for op in series.ops:
-        npt.assert_allclose(op.matrix, 0.0, atol=1e-13)
+        npt.assert_allclose(op, 0.0, atol=1e-13)
 
 
 def test_path_operator_matches_closed_form_for_weak_coupling():
@@ -109,7 +115,9 @@ def test_closed_system_two_point_work_is_effective_hamiltonian():
     pipe = ThermoPipeline(traj)
     work, heat = pipe.work_heat_observables()
     for i in (0, 80, 200):
-        npt.assert_allclose(work[i].matrix, pipe.splits[i].K.matrix, atol=1e-13)
+        npt.assert_allclose(work[i].matrix,
+                            pipe.effective_hamiltonian_series()[i].matrix,
+                            atol=1e-13)
         npt.assert_allclose(heat[i].matrix, 0.0, atol=1e-13)
 
 
@@ -155,7 +163,7 @@ def test_mean_work_equals_power_integral():
     rho0 = random_density_matrix(2, np.random.default_rng(11))
     work, heat = pipe.work_heat_observables()
     mw = mean_change(work, traj, times.size - 1, rho0)
-    vz = np.array([float(np.trace(SZ @ apply(traj.maps[i], rho0.matrix)).real)
+    vz = np.array([float(np.trace(SZ @ apply(Superoperator(traj.maps[i]), rho0.matrix)).real)
                    for i in range(times.size)])
     wdot = p.delta * p.Omega * np.sin(2.0 * p.Omega * times)
     oracle = cumulative_simpson(0.5 * wdot * vz, traj.spacing)[-1]
@@ -336,3 +344,98 @@ def test_coherent_fluctuation_chain_and_quadratic_gap():
     # halving the coherence angle shrinks the first gap by about four
     assert 3.3 < gaps[0.04] / gaps[0.02] < 4.7
     assert 3.3 < gaps[0.08] / gaps[0.04] < 4.7
+
+
+def per_point_K_and_P(traj):
+    """K(t) and P(t) one grid point at a time: the generator, its split, and
+    the integrand Phi^dagger[D^dagger[K]] with the dissipator written out."""
+    d = traj.dim
+    K, g = [], []
+    for i in range(traj.times.size):
+        split = minimal_dissipation_split(generator_at(traj, i))
+        dk = split.dissipator.matrix.conj().T @ vec(split.K.matrix)
+        g.append(unvec(traj.maps[i].conj().T @ dk, d))
+        K.append(split.K.matrix)
+    running = cumulative_simpson(np.array(g), traj.spacing)
+    P = [unvec(np.linalg.inv(m).conj().T @ vec(r), d)
+         for m, r in zip(traj.maps, running)]
+    return np.array(K), np.array(P)
+
+
+@pytest.mark.parametrize("source", ["weak_coupling", "finite_difference",
+                                    "gksl_qutrit"])
+def test_stacked_K_and_P_match_the_per_point_references(source):
+    if source == "gksl_qutrit":
+        traj = random_gksl_trajectory(3, np.random.default_rng(17),
+                                      np.linspace(0.0, 1.5, 65))
+    else:
+        p = WeakCouplingParams(gamma=0.3)
+        traj, _ = pc_trajectory(weak_coupling_rates(p), p.grid(200),
+                                derivative_source=(
+                                    "analytic" if source == "weak_coupling"
+                                    else source))
+    pipe = ThermoPipeline(traj)
+    K, P = per_point_K_and_P(traj)
+    npt.assert_allclose(pipe.K, K, rtol=0, atol=1e-12)
+    npt.assert_allclose(pipe.P, P, rtol=0, atol=1e-12)
+    assert pipe.effective_hamiltonian_series().ops.shape == K.shape
+    assert isinstance(pipe.path_operator_series()[3], HermitianOperator)
+
+
+def test_pipeline_singular_map_names_the_first_singular_time():
+    # the damped qubit's condition number grows with t, so every later
+    # point is worse than the first one above the threshold
+    rates = constant_rates(omega=1.0, gamma_plus=0.05, gamma_minus=0.15)
+    times = np.linspace(0.0, 8.0, 81)
+    traj, _ = pc_trajectory(rates, times)
+    conds = traj.condition_numbers
+    assert conds[-1] > conds[40] > conds[39]
+    with pytest.raises(SingularMap) as exc:
+        ThermoPipeline(traj, cond_threshold=np.sqrt(conds[39] * conds[40]))
+    assert exc.value.time == times[40]
+    assert exc.value.condition_number == conds[40]
+    assert f"t = {times[40]:.6g}" in str(exc.value)
+
+
+def count_per_point_work(monkeypatch, n):
+    """Run the weak-coupling pipeline end to end on an n-step grid, counting
+    the matrices that cond and inv see and the wrapper constructions."""
+    counts = dict(cond=0, inv=0, superop=0, hermitian=0)
+
+    def per_matrix(name, fn):
+        def counted(a, *args, **kwargs):
+            counts[name] += int(np.prod(np.shape(a)[:-2]))
+            return fn(a, *args, **kwargs)
+        return counted
+
+    def per_call(name, fn):
+        def counted(self):
+            counts[name] += 1
+            fn(self)
+        return counted
+
+    with monkeypatch.context() as m:
+        m.setattr(np.linalg, "cond", per_matrix("cond", np.linalg.cond))
+        m.setattr(np.linalg, "inv", per_matrix("inv", np.linalg.inv))
+        m.setattr(Superoperator, "__post_init__",
+                  per_call("superop", Superoperator.__post_init__))
+        m.setattr(HermitianOperator, "__post_init__",
+                  per_call("hermitian", HermitianOperator.__post_init__))
+        p = WeakCouplingParams()
+        traj, _ = pc_trajectory(weak_coupling_rates(p), p.grid(n))
+        pipe = ThermoPipeline(traj)
+        pipe.path_operator_series()
+        pipe.work_heat_observables(Convention.SINGLE_MEASURE_FINAL)
+        fluctuation_table(pipe, p.beta)
+        invertibility_report(traj)
+    return counts
+
+
+def test_pipeline_does_its_per_point_work_once(monkeypatch):
+    small = count_per_point_work(monkeypatch, 64)
+    large = count_per_point_work(monkeypatch, 256)
+    for n, counts in ((64, small), (256, large)):
+        assert counts["cond"] == n + 1
+        assert counts["inv"] == n + 1
+        assert counts["superop"] == 0
+    assert small["hermitian"] == large["hermitian"]

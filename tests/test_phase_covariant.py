@@ -8,7 +8,8 @@ from hypothesis.strategies import floats
 
 from mapthermo.errors import ConstructionError, SingularMap
 from mapthermo.models import WeakCouplingParams, weak_coupling_rates
-from mapthermo.operators import PAULI, cptp_diagnostics, pauli_transfer_matrix
+from mapthermo.operators import (PAULI, Superoperator, cptp_diagnostics,
+                                 pauli_transfer_matrix)
 from mapthermo.phase_covariant import (
     PCRates,
     constant_rates,
@@ -137,9 +138,9 @@ def test_trajectory_structure_and_positivity():
         [1, 0, 0, 1],
     ], dtype=bool)
     for i in (0, 75, 150):
-        r = pauli_transfer_matrix(traj.maps[i])
+        r = pauli_transfer_matrix(Superoperator(traj.maps[i]))
         assert np.max(np.abs(np.where(pattern, 0.0, r))) < 1e-10
-        rep = cptp_diagnostics(traj.maps[i])
+        rep = cptp_diagnostics(Superoperator(traj.maps[i]))
         assert rep.choi_min_eigenvalue > -1e-12
         assert rep.trace_preserving_residual < 1e-12
 

@@ -111,3 +111,26 @@ def test_cumulative_simpson_exact_on_lines(a, b):
     t = np.linspace(0.0, 1.5, 13)
     out = cumulative_simpson(a * t + b, grid_spacing(t))
     npt.assert_allclose(out, a * t ** 2 / 2 + b * t, atol=1e-10)
+
+
+def simpson_loop(samples, h):
+    """The pair-by-pair accumulation that `cumulative_simpson` replaces."""
+    f = np.asarray(samples)
+    n = f.shape[0] - 1
+    out = np.zeros_like(f, dtype=np.result_type(f.dtype, float))
+    for i in range(2, n + 1, 2):
+        out[i] = out[i - 2] + (h / 3.0) * (f[i - 2] + 4.0 * f[i - 1] + f[i])
+    for i in range(1, n + 1, 2):
+        out[i] = out[i - 1] + (h / 2.0) * (f[i - 1] + f[i])
+    return out
+
+
+@pytest.mark.parametrize("shape", [(2,), (3,), (2000,), (2001,), (401, 6, 6)])
+def test_cumulative_simpson_is_bit_identical_to_the_loop(shape):
+    rng = np.random.default_rng(len(shape) * 10_000 + shape[0])
+    f = rng.standard_normal(shape)
+    if len(shape) > 1:
+        f = f + 1j * rng.standard_normal(shape)
+    fast, slow = cumulative_simpson(f, 0.37), simpson_loop(f, 0.37)
+    assert fast.dtype == slow.dtype
+    assert fast.tobytes() == slow.tobytes()

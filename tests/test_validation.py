@@ -1,7 +1,7 @@
 import numpy as np
 import numpy.testing as npt
 
-from mapthermo.operators import apply, cptp_diagnostics
+from mapthermo.operators import Superoperator, apply, cptp_diagnostics
 from mapthermo.validation import (
     CheckResult,
     FAST_CHECKS,
@@ -44,15 +44,15 @@ def test_random_gksl_trajectory_properties():
         traj = random_gksl_trajectory(dim, rng, times)
         assert traj.dim == dim
         assert traj.derivative_source == "analytic"
-        npt.assert_allclose(traj.maps[0].matrix, np.eye(dim * dim),
+        npt.assert_allclose(traj.maps[0], np.eye(dim * dim),
                             atol=1e-12)
         for i in (10, 30):
-            rep = cptp_diagnostics(traj.maps[i])
+            rep = cptp_diagnostics(Superoperator(traj.maps[i]))
             assert rep.choi_min_eigenvalue > -1e-10
             assert rep.trace_preserving_residual < 1e-10
         # semigroup property on the uniform grid
-        one = traj.maps[10].matrix
-        npt.assert_allclose(traj.maps[20].matrix, one @ one, atol=1e-10)
+        one = traj.maps[10]
+        npt.assert_allclose(traj.maps[20], one @ one, atol=1e-10)
 
 
 def test_random_gksl_trajectory_is_seed_deterministic():
@@ -60,4 +60,4 @@ def test_random_gksl_trajectory_is_seed_deterministic():
     a = random_gksl_trajectory(2, np.random.default_rng(7), times)
     b = random_gksl_trajectory(2, np.random.default_rng(7), times)
     for ma, mb in zip(a.maps, b.maps):
-        npt.assert_array_equal(ma.matrix, mb.matrix)
+        npt.assert_array_equal(ma, mb)
