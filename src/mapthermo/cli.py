@@ -30,7 +30,9 @@ from . import __version__
 from .errors import (ConfigError, ConstructionError, NoMatchingBeta,
                      SingularMap, TruncationError)
 from .operators import (COND_THRESHOLD_DEFAULT, Superoperator,
-                        cptp_diagnostics, condition_number, gibbs_state)
+                        cptp_diagnostics_stack, gibbs_state,
+                        hermiticity_preservation,
+                        project_hermiticity_preserving)
 from .dynamics import (condition_flags, invertibility_report,
                        load_map_trajectory, read_map_file)
 from .phase_covariant import PCRates, constant_rate, pc_trajectory
@@ -499,31 +501,29 @@ def _cmd_map_info(path: str) -> int:
     print(f"dim={dim} grid_points={times.size} "
           f"t_range=[{times[0]:.6g}, {times[-1]:.6g}] "
           f"derivatives={'yes' if derivs is not None else 'no'}")
-    conds = np.full(times.size, math.inf)
-    reports = []
-    for i, m in enumerate(mats):
-        try:
-            s = Superoperator(m)
-        except ConstructionError as exc:
-            reports.append(exc)
-            continue
-        reports.append(cptp_diagnostics(s))
-        conds[i] = condition_number(s)
+    dev, allowed, maps = hermiticity_preservation(mats)
+    invalid = dev > allowed
+    conds = np.linalg.cond(maps)
+    conds[invalid] = math.inf
     flags = condition_flags(conds)
+    rep = cptp_diagnostics_stack(maps)
     print("t,condition_number,flag,choi_min,tp_residual,unital_residual,"
           "hermiticity_residual")
-    worst_choi, worst_tp = 0.0, 0.0
-    n_bad = 0
-    for t, c, flag, rep in zip(times, conds, flags, reports):
-        if isinstance(rep, ConstructionError):
-            n_bad += 1
-            print(f"{t:.6g},{c:.6g},{flag},invalid: {rep}")
+    for k, (t, c, flag) in enumerate(zip(times, conds, flags)):
+        if invalid[k]:
+            try:  # the construction check's own message for this row
+                project_hermiticity_preserving(mats[k:k + 1])
+            except ConstructionError as exc:
+                print(f"{t:.6g},{c:.6g},{flag},invalid: {exc}")
             continue
-        worst_choi = min(worst_choi, rep.choi_min_eigenvalue)
-        worst_tp = max(worst_tp, rep.trace_preserving_residual)
-        print(f"{t:.6g},{c:.6g},{flag},{rep.choi_min_eigenvalue:.6g},"
-              f"{rep.trace_preserving_residual:.6g},"
-              f"{rep.unital_residual:.6g},{rep.hermiticity_residual:.6g}")
+        print(f"{t:.6g},{c:.6g},{flag},{rep.choi_min_eigenvalue[k]:.6g},"
+              f"{rep.trace_preserving_residual[k]:.6g},"
+              f"{rep.unital_residual[k]:.6g},"
+              f"{rep.hermiticity_residual[k]:.6g}")
+    valid = ~invalid
+    worst_choi = float(rep.choi_min_eigenvalue[valid].min(initial=0.0))
+    worst_tp = float(rep.trace_preserving_residual[valid].max(initial=0.0))
+    n_bad = int(invalid.sum())
     n_sing = sum(f == "singular" for f in flags)
     n_spike = sum(f == "spike" for f in flags)
     print(f"summary: {n_sing} singular, {n_spike} spike-flagged, "

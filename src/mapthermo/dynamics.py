@@ -17,11 +17,10 @@ whose Lindblad operators are traceless:
 
 computed in the computational basis (the formula is basis independent, which
 the tests exercise). `generator_splits` evaluates it for the whole grid as
-two partial traces of the stacked generators; `generator_at` and
-`minimal_dissipation_split` are the per-point references. Every inversion
-is gated on the condition number, computed once per grid point, since
-invertibility is exactly what fails first in strongly dissipative or
-resonant regimes.
+two partial traces of the stacked generators; the per-point references it
+is tested against live in `tests/reference.py`. Every inversion is gated on
+the condition number, computed once per grid point, since invertibility is
+exactly what fails first in strongly dissipative or resonant regimes.
 """
 
 from __future__ import annotations
@@ -35,21 +34,20 @@ from .errors import ConstructionError
 from .operators import (
     COND_THRESHOLD_DEFAULT,
     HERMITICITY_TOL,
-    HermitianOperator,
     Superoperator,
-    commutator_superop,
     hermitian_stack,
-    invert,
     project_hermiticity_preserving,
     require_invertible,
     stack_blocks,
-    unvec,
     vec,
 )
 from .quadrature import grid_spacing, stencil_derivative
 
 IDENTITY_TOL = 1e-12
 TP_TOL = 1e-10
+# `condition_flags` reporting heuristics, not physics
+SPIKE_FACTOR = 10.0
+SPIKE_FLOOR = 100.0
 
 
 def _as_stack(items) -> np.ndarray:
@@ -164,59 +162,6 @@ def map_derivatives(traj: MapTrajectory, lo: int = 0,
     return stencil_derivative(traj.maps[a:b], traj.spacing)[lo - a:hi - a]
 
 
-def map_derivative(traj: MapTrajectory, i: int) -> np.ndarray:
-    """dPhi/dt at grid index i (see `map_derivatives`)."""
-    return map_derivatives(traj, i, i + 1)[0]
-
-
-def generator_at(traj: MapTrajectory, i: int,
-                 cond_threshold: float = COND_THRESHOLD_DEFAULT) -> Superoperator:
-    """Time-local generator L_{t_i} = dPhi/dt * Phi^{-1} at grid index i.
-
-    The per-point reference for `generator_splits`."""
-    inv, _ = invert(Superoperator(traj.maps[i]), cond_threshold,
-                    time=float(traj.times[i]))
-    return Superoperator(map_derivative(traj, i) @ inv.matrix)
-
-
-@dataclass(frozen=True, eq=False)
-class GeneratorSplit:
-    """Minimal-dissipation decomposition of a time-local generator:
-    L[A] = -i[K, A] + D[A] with K traceless Hermitian."""
-
-    K: HermitianOperator
-    dissipator: Superoperator
-    time: float
-
-
-def minimal_dissipation_split(L: Superoperator,
-                              time: float = 0.0) -> GeneratorSplit:
-    """Split a generator into effective Hamiltonian and dissipator.
-
-    K comes out of the double-commutator formula above; it is traceless by
-    construction (commutators are traceless) and Hermitian whenever L
-    preserves Hermiticity, which Superoperator construction guarantees.
-    """
-    d = L.dim
-    k = np.zeros((d, d), dtype=complex)
-    for j in range(d):
-        for kk in range(d):
-            b = unvec(L.matrix[:, kk + d * j], d)
-            # [E_jk, B] accumulated row/column-wise
-            k[j, :] += b[kk, :]
-            k[:, kk] -= b[:, j]
-    k = k / (2j * d)
-    K = HermitianOperator(k)
-    diss = Superoperator(L.matrix + 1j * commutator_superop(K.matrix))
-    return GeneratorSplit(K=K, dissipator=diss, time=float(time))
-
-
-def reassemble_generator(split: GeneratorSplit) -> Superoperator:
-    """L = -i[K, .] + D, for round-trip checks."""
-    return Superoperator(-1j * commutator_superop(split.K.matrix)
-                         + split.dissipator.matrix)
-
-
 def generator_splits(traj: MapTrajectory,
                      cond_threshold: float = COND_THRESHOLD_DEFAULT,
                      ) -> np.ndarray:
@@ -227,7 +172,8 @@ def generator_splits(traj: MapTrajectory,
     the double-commutator formula is two partial traces,
         K[a, b] = ( sum_k L4[b, k, a, k] - sum_j L4[j, a, j, b] ) / 2id.
     L exists only in `stack_blocks`; the dissipator is never formed. The
-    per-point reference is `minimal_dissipation_split(generator_at(...))`.
+    per-point reference is `minimal_dissipation_split(generator_at(...))`
+    in `tests/reference.py`.
     """
     inv = traj.inverses(cond_threshold)
     d = traj.dim
@@ -241,18 +187,6 @@ def generator_splits(traj: MapTrajectory,
                            "effective Hamiltonian")
 
 
-def inverse_propagator(traj: MapTrajectory, i_tau: int, i_t: int,
-                       cond_threshold: float = COND_THRESHOLD_DEFAULT,
-                       ) -> Superoperator:
-    """Phi_{tau,t} = Phi_tau o Phi_t^{-1}, propagating the state at t_t back
-    to t_tau."""
-    if i_tau > i_t:
-        raise ValueError("i_tau must not exceed i_t")
-    inv, _ = invert(Superoperator(traj.maps[i_t]), cond_threshold,
-                    time=float(traj.times[i_t]))
-    return Superoperator(traj.maps[i_tau] @ inv.matrix)
-
-
 @dataclass(frozen=True)
 class InvertibilityRow:
     time: float
@@ -262,22 +196,20 @@ class InvertibilityRow:
 
 def condition_flags(conds: np.ndarray,
                     cond_threshold: float = COND_THRESHOLD_DEFAULT,
-                    spike_factor: float = 10.0,
-                    spike_floor: float = 100.0) -> list[str]:
+                    ) -> list[str]:
     """Classify a condition-number series: "ok", "spike" or "singular".
 
     "singular" marks maps above the inversion threshold. "spike" marks
     isolated near-singular times: an interior point whose condition number
-    exceeds both neighbors by `spike_factor` and sits above `spike_floor`
+    exceeds both neighbors by SPIKE_FACTOR and sits above SPIKE_FLOOR
     (resonant models lose invertibility at isolated instants, which shows up
-    as exactly this pattern). The factor and floor are reporting heuristics,
-    not physics.
+    as exactly this pattern).
     """
     conds = np.asarray(conds, dtype=float)
     spike = np.zeros(conds.shape, dtype=bool)
     c = conds[1:-1]
-    spike[1:-1] = ((c > spike_floor) & (c > spike_factor * conds[:-2])
-                   & (c > spike_factor * conds[2:]))
+    spike[1:-1] = ((c > SPIKE_FLOOR) & (c > SPIKE_FACTOR * conds[:-2])
+                   & (c > SPIKE_FACTOR * conds[2:]))
     singular = ~np.isfinite(conds) | (conds > cond_threshold)
     return np.where(singular, "singular",
                     np.where(spike, "spike", "ok")).tolist()
@@ -285,12 +217,10 @@ def condition_flags(conds: np.ndarray,
 
 def invertibility_report(traj: MapTrajectory,
                          cond_threshold: float = COND_THRESHOLD_DEFAULT,
-                         spike_factor: float = 10.0,
-                         spike_floor: float = 100.0,
                          ) -> list[InvertibilityRow]:
     """Condition number of every grid map, with condition_flags flags."""
     conds = traj.condition_numbers
-    flags = condition_flags(conds, cond_threshold, spike_factor, spike_floor)
+    flags = condition_flags(conds, cond_threshold)
     return [InvertibilityRow(float(t), float(c), flag)
             for t, c, flag in zip(traj.times, conds, flags)]
 
@@ -337,20 +267,35 @@ def read_map_file(path: str) -> tuple[np.ndarray, np.ndarray,
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             body = line.lstrip("#").strip()
-            if line.startswith("#") and body.startswith("dim="):
+            if lineno == 1:
+                if not (line.startswith("#") and body == _FORMAT_TAG):
+                    raise ConstructionError(
+                        f"{path}:1: expected the format tag line "
+                        f"'# {_FORMAT_TAG}', got {line!r}")
+            elif line.startswith("#") and body.startswith("dim="):
                 if rows:
                     raise ConstructionError(
                         f"{path}:{lineno}: header line after data rows")
-                fields = dict(part.split("=", 1) for part in body.split())
-                dim = int(fields["dim"])
+                parts = [part.split("=", 1) for part in body.split()]
+                fields = dict(part for part in parts if len(part) == 2)
+                if (len(fields) != len(parts) or not fields["dim"].isdigit()
+                        or int(fields["dim"]) < 1
+                        or fields.get("derivatives", "0") not in ("0", "1")):
+                    raise ConstructionError(
+                        f"{path}:{lineno}: malformed header line {line!r}, "
+                        "expected '# dim=<d> vectorization=column-stacking "
+                        "derivatives=<0|1>'")
                 if fields.get("vectorization") != "column-stacking":
                     raise ConstructionError(
                         f"{path}:{lineno}: unsupported vectorization "
                         f"{fields.get('vectorization')!r}")
+                dim = int(fields["dim"])
                 has_d = fields.get("derivatives", "0") == "1"
             elif line and not line.startswith("#"):
                 if dim is None:
-                    raise ConstructionError(f"{path}: missing dim header line")
+                    raise ConstructionError(
+                        f"{path}:{lineno}: data row before the dim header "
+                        f"line")
                 rows.append(lineno)
     if not rows:
         raise ConstructionError(f"{path}: no data rows")
@@ -372,6 +317,9 @@ def read_map_file(path: str) -> tuple[np.ndarray, np.ndarray,
             if vals.size != expect:
                 raise ConstructionError(
                     f"{path}:{lineno}: expected {expect} columns, got {vals.size}")
+            if not np.isfinite(vals).all():
+                raise ConstructionError(
+                    f"{path}:{lineno}: row holds a value that is not finite")
             times[k] = vals[0]
             for stack, flat in ((maps, vals[1:1 + per_block]),
                                 (derivs, vals[1 + per_block:])):

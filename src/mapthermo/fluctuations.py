@@ -28,9 +28,10 @@ alongside.
 at once: each map is applied to a handful of vectors, and K(t), P(t) and
 O_w(t) are diagonalized as stacks, so a whole window costs one batched pass
 per beta. Its columns are those of `lambda_series.csv`, plus the Lambda_u
-cross-check residual per row. `fluctuation_report` is one row of it; the
-scalar `lambda_u`, `lambda_w`, `heat_fluctuation`, `free_energies` and
-`dissipated_work_bound` are the per-operator reference implementations.
+cross-check residual per row. `fluctuation_report` is one row of it.
+`heat_fluctuation` evaluates the heat relation for one map; the
+per-operator references for the other columns (`lambda_u`, `lambda_w`,
+`free_energies`, `dissipated_work_bound`) live in `tests/reference.py`.
 """
 
 from __future__ import annotations
@@ -54,7 +55,6 @@ from .operators import (
     exp_hermitian,
     gibbs_state,
     hermitian_stack,
-    hs_adjoint,
     partition_function,
     vec,
 )
@@ -64,17 +64,14 @@ NEGATIVE_PROB_TOL = 1e-12
 PROB_SUM_TOL = 1e-9
 
 
-def cluster_eigenvalues(values: np.ndarray, tol_scale: float | None = None,
-                        ) -> list[np.ndarray]:
+def cluster_eigenvalues(values: np.ndarray) -> list[np.ndarray]:
     """Group ascending eigenvalues into clusters of numerically equal
     outcomes. The clustering tolerance is 1e-9 * max(1, spectral range).
 
     Returns a list of index arrays, one per cluster.
     """
     values = np.asarray(values, dtype=float)
-    if tol_scale is None:
-        tol_scale = max(1.0, float(np.ptp(values)) if values.size else 1.0)
-    tol = CLUSTER_TOL * tol_scale
+    tol = CLUSTER_TOL * max(1.0, float(np.ptp(values)) if values.size else 1.0)
     clusters: list[list[int]] = [[0]]
     for i in range(1, values.size):
         if values[i] - values[clusters[-1][0]] <= tol:
@@ -193,54 +190,6 @@ def exp_average(dist: OutcomeDistribution, beta: float) -> float:
     return float(np.dot(dist.probs, np.exp(-beta * dist.outcomes)))
 
 
-def moment(dist: OutcomeDistribution, k: int) -> float:
-    return float(np.dot(dist.probs, dist.outcomes ** k))
-
-
-@dataclass(frozen=True)
-class LambdaU:
-    value: float
-    bound: float
-    cross_check_residual: float
-    """Largest disagreement among the three equivalent evaluation routes."""
-
-
-def lambda_u(map_t: Superoperator, K_t: HermitianOperator, beta: float) -> LambdaU:
-    """Internal-energy correction factor Lambda_u = Tr{rho_G(t) Phi_t[1]}.
-
-    Evaluated three ways (direct, through the Hilbert-Schmidt adjoint, and
-    as d times the overlap with the evolved maximally mixed state) and
-    cross-checked; the bound is the largest eigenvalue of Phi_t[1].
-    """
-    d = map_t.dim
-    rho_g = gibbs_state(K_t, beta)
-    ident = np.eye(d, dtype=complex)
-    phi_id = apply(map_t, ident)
-    direct = float(np.trace(rho_g.matrix @ phi_id).real)
-    adj = float(np.trace(apply(hs_adjoint(map_t), rho_g.matrix)).real)
-    mixed = d * float(np.trace(rho_g.matrix @ apply(map_t, ident / d)).real)
-    bound = float(np.linalg.eigvalsh(0.5 * (phi_id + phi_id.conj().T))[-1])
-    residual = max(abs(direct - adj), abs(direct - mixed), abs(adj - mixed))
-    return LambdaU(value=direct, bound=bound, cross_check_residual=residual)
-
-
-def lambda_w(map_t: Superoperator, Ow_t: HermitianOperator,
-             K_t: HermitianOperator, P_t: HermitianOperator, beta: float,
-             ) -> tuple[float, float]:
-    """Work correction factor and its bound.
-
-    lambda = Tr{ e^{-beta O_w(t)} Phi_t[1] } / Z(t) with Z(t) = Tr{e^{-beta K(t)}};
-    bound = e^{beta lambda_max{P(t)}} * lambda_max{Phi_t[1]}.
-    """
-    d = map_t.dim
-    phi_id = apply(map_t, np.eye(d, dtype=complex))
-    zt = partition_function(K_t, beta)
-    lam = float(np.trace(exp_hermitian(Ow_t, -beta).matrix @ phi_id).real) / zt
-    p_max = float(eig_hermitian(P_t)[0][-1])
-    phi_max = float(np.linalg.eigvalsh(0.5 * (phi_id + phi_id.conj().T))[-1])
-    return lam, float(np.exp(beta * p_max) * phi_max)
-
-
 def heat_fluctuation(rho0: DensityMatrix, map_t: Superoperator,
                      P_t: HermitianOperator, beta: float) -> tuple[float, float]:
     """<e^{-beta q}> = Tr{ e^{-beta P(t)} Phi_t[rho0] } and its bound
@@ -251,16 +200,6 @@ def heat_fluctuation(rho0: DensityMatrix, map_t: Superoperator,
     return value, float(np.exp(-beta * p_min))
 
 
-def free_energies(K_t: HermitianOperator, K_0: HermitianOperator,
-                  beta: float) -> tuple[float, float, float]:
-    """(Z0, Zt, deltaF) for the instantaneous Gibbs references."""
-    if beta <= 0:
-        raise ValueError("beta must be positive")
-    z0 = partition_function(K_0, beta)
-    zt = partition_function(K_t, beta)
-    return z0, zt, float(-np.log(zt / z0) / beta)
-
-
 def noneq_free_energy(rho: DensityMatrix, K: HermitianOperator,
                       beta: float) -> float:
     """U - S/beta with the von Neumann entropy (0 ln 0 = 0)."""
@@ -269,17 +208,6 @@ def noneq_free_energy(rho: DensityMatrix, K: HermitianOperator,
     mask = vals > 0
     entropy = float(-np.sum(vals[mask] * np.log(vals[mask])))
     return K.expectation(rho) - entropy / beta
-
-
-def dissipated_work_bound(map_t: Superoperator, P_t: HermitianOperator,
-                          beta: float) -> float:
-    """Lower bound on <w> - deltaF:
-    -lambda_max{P(t)} - (1/beta) ln lambda_max{Phi_t[1]}."""
-    d = map_t.dim
-    phi_id = apply(map_t, np.eye(d, dtype=complex))
-    p_max = float(eig_hermitian(P_t)[0][-1])
-    phi_max = float(np.linalg.eigvalsh(0.5 * (phi_id + phi_id.conj().T))[-1])
-    return float(-p_max - np.log(phi_max) / beta)
 
 
 _COLUMNS = ("lambda_u", "lambda_w", "lambda_w_bound", "exp_avg_w",
@@ -418,8 +346,8 @@ def fluctuation_table(pipeline, beta: float, indices=None) -> FluctuationTable:
     per row as stacks, and the exponential averages follow from the trace
     formulas. <e^{-beta w}> = Tr{e^{-beta O_w(t)} Phi_t[1]} / Z(0) is
     evaluated on its own rather than as Lambda_w e^{-beta deltaF}, so
-    `check_invariants` compares two routes. The scalar functions above
-    (`lambda_u`, `lambda_w`, ...) are the per-operator references.
+    `check_invariants` compares two routes. The per-operator references
+    are in `tests/reference.py`.
     """
     if beta <= 0:
         raise ValueError("beta must be positive")

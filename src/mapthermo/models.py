@@ -350,7 +350,6 @@ class ExtractedPCRates:
 
 
 def extract_pc_rates(traj: MapTrajectory,
-                     pattern_tol: float = PC_PATTERN_TOL,
                      cond_threshold: float = COND_THRESHOLD_DEFAULT,
                      ) -> ExtractedPCRates:
     """Project a qubit trajectory onto phase-covariant rate functions.
@@ -359,7 +358,7 @@ def extract_pc_rates(traj: MapTrajectory,
     time-local generator in transfer form is L = Mdot M^{-1}, and for a
     phase-covariant family its nonzero entries are functions of
     (omega, kappa, xi, gamma_z) alone. Raises ConfigError when the
-    trajectory is not phase covariant to within pattern_tol, and
+    trajectory is not phase covariant to within PC_PATTERN_TOL, and
     SingularMap at grid times where the map cannot be inverted (the rates
     blow up at such isolated times; they are not interpolated over).
     """
@@ -371,10 +370,10 @@ def extract_pc_rates(traj: MapTrajectory,
                     np.abs(r[:, 1, 2] + r[:, 2, 1]),
                     np.abs(r[:, 0, 0] - 1.0)])
     map_residual = float(max(off.max(), sym.max()))
-    if map_residual > pattern_tol:
+    if map_residual > PC_PATTERN_TOL:
         raise ConfigError(
             f"trajectory is not phase covariant: pattern residual "
-            f"{map_residual:.3e} exceeds {pattern_tol:.0e}")
+            f"{map_residual:.3e} exceeds {PC_PATTERN_TOL:.0e}")
     require_invertible(traj.condition_numbers, cond_threshold, traj.times)
 
     a = 0.5 * (r[:, 1, 1] + r[:, 2, 2])

@@ -66,6 +66,7 @@ from .operators import (
 from .quadrature import cumulative_simpson
 
 HERMITIZE_TOL = 1e-9
+MATCH_BETA_RTOL = 1e-10
 
 
 class Convention(Enum):
@@ -241,9 +242,9 @@ class CoherentInitialData:
 
 
 def match_beta(rho0: DensityMatrix, H0: HermitianOperator,
-               bracket: tuple[float, float] = (1e-6, 1e6),
-               rel_tol: float = 1e-10) -> float:
-    """Solve Tr{H0 rho0} = Tr{H0 e^{-beta H0}}/Z by bisection.
+               bracket: tuple[float, float] = (1e-6, 1e6)) -> float:
+    """Solve Tr{H0 rho0} = Tr{H0 e^{-beta H0}}/Z by bisection, to relative
+    bracket width MATCH_BETA_RTOL.
 
     The Gibbs energy is strictly decreasing in beta, so the root is unique
     when it exists. NoMatchingBeta if the target energy lies outside the open
@@ -270,7 +271,7 @@ def match_beta(rho0: DensityMatrix, H0: HermitianOperator,
         raise NoMatchingBeta(
             f"no matching inverse temperature in bracket [{b_lo:g}, {b_hi:g}]: "
             f"reachable energies [{e_hi:.6g}, {e_lo:.6g}], target {target:.6g}")
-    while (b_hi - b_lo) > rel_tol * b_lo:
+    while (b_hi - b_lo) > MATCH_BETA_RTOL * b_lo:
         mid = np.sqrt(b_lo * b_hi)  # bisect in log space, bracket spans 12 decades
         if gibbs_energy(mid) >= target:
             b_lo = mid

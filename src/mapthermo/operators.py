@@ -25,7 +25,7 @@ minimum Choi eigenvalue is 0, not 1/d).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Iterable
+from typing import Callable
 
 import numpy as np
 
@@ -36,6 +36,7 @@ TRACE_TOL = 1e-12
 POSITIVITY_TOL = 1e-10
 HP_CHECK_TOL = 1e-10
 COND_THRESHOLD_DEFAULT = 1e12
+LOG_ZERO_TOL = 1e-14
 
 
 def _as_square_complex(entries) -> np.ndarray:
@@ -175,32 +176,43 @@ def stack_blocks(n: int, side: int) -> list[slice]:
     return [slice(lo, min(lo + step, n)) for lo in range(0, n, step)]
 
 
-def project_hermiticity_preserving(m: np.ndarray, times=None,
-                                   what: str = "superoperator") -> np.ndarray:
-    """Check a (n, d^2, d^2) stack of superoperator matrices for
-    Hermiticity preservation (reshuffled Choi matrix Hermitian to
-    HP_CHECK_TOL relative to the largest entry) and return the projection
-    that symmetrizes the rearrangement, mirroring the Hermitian repair on
-    operators; a projected matrix comes back bit-identical. The error names
-    the first failing matrix, by its time when `times` is given."""
+def hermiticity_preservation(m: np.ndarray,
+                             ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Hermiticity preservation of a (n, d^2, d^2) stack of superoperator
+    matrices, without raising: the Choi deviation of each matrix (the
+    largest entry of R - R^dagger for its reshuffle R), the deviation it is
+    allowed (HP_CHECK_TOL relative to its largest entry, floor 1), and the
+    projection that symmetrizes the rearrangement, mirroring the Hermitian
+    repair on operators; a projected matrix comes back bit-identical."""
     d = int(round(np.sqrt(m.shape[-1])))
     if d * d != m.shape[-1]:
         raise ConstructionError(
             f"superoperator side {m.shape[-1]} is not a perfect square")
     out = np.empty(m.shape, dtype=complex)
+    dev = np.empty(m.shape[0])
+    allowed = np.empty(m.shape[0])
     for blk in stack_blocks(m.shape[0], d * d):
         r = _reshuffle(m[blk], d)
         rh = dagger(r)
-        scale = np.maximum(1.0, np.abs(m[blk]).max(axis=(-2, -1)))
-        dev = np.abs(r - rh).max(axis=(-2, -1))
-        bad = np.flatnonzero(dev > HP_CHECK_TOL * scale)
-        if bad.size:
-            k = bad[0]
-            raise ConstructionError(
-                f"{what}{_label(times, blk.start + k)} is not "
-                f"Hermiticity-preserving: Choi deviation {dev[k]:.3e} "
-                f"(allowed {HP_CHECK_TOL * scale[k]:.3e})")
+        allowed[blk] = HP_CHECK_TOL * np.maximum(
+            1.0, np.abs(m[blk]).max(axis=(-2, -1)))
+        dev[blk] = np.abs(r - rh).max(axis=(-2, -1))
         out[blk] = _reshuffle(0.5 * (r + rh), d)
+    return dev, allowed, out
+
+
+def project_hermiticity_preserving(m: np.ndarray, times=None,
+                                   what: str = "superoperator") -> np.ndarray:
+    """The projection of `hermiticity_preservation`, after checking that no
+    matrix of the stack deviates by more than it is allowed. The error
+    names the first failing matrix, by its time when `times` is given."""
+    dev, allowed, out = hermiticity_preservation(m)
+    bad = np.flatnonzero(dev > allowed)
+    if bad.size:
+        k = bad[0]
+        raise ConstructionError(
+            f"{what}{_label(times, k)} is not Hermiticity-preserving: "
+            f"Choi deviation {dev[k]:.3e} (allowed {allowed[k]:.3e})")
     return out
 
 
@@ -246,23 +258,6 @@ def adjoint_apply_stack(maps: np.ndarray, ops: np.ndarray) -> np.ndarray:
     return (v.conj() @ maps).conj().reshape(n, d, d).swapaxes(-1, -2)
 
 
-def identity_superop(dim: int) -> Superoperator:
-    return Superoperator(np.eye(dim * dim, dtype=complex), trace_preserving=True)
-
-
-def kraus_superop(kraus_ops: Iterable[np.ndarray],
-                  trace_preserving: bool = True) -> Superoperator:
-    """Superoperator of X -> sum_k M_k X M_k^dagger."""
-    ops = [np.asarray(k, dtype=complex) for k in kraus_ops]
-    m = sum(np.kron(k.conj(), k) for k in ops)
-    return Superoperator(m, trace_preserving=trace_preserving)
-
-
-def conjugation_superop(u: np.ndarray) -> Superoperator:
-    """Superoperator of X -> U X U^dagger for a unitary U."""
-    return kraus_superop([u])
-
-
 def commutator_superop(h: np.ndarray) -> np.ndarray:
     """Matrix of X -> [H, X] in the vectorized convention (raw ndarray)."""
     h = np.asarray(h, dtype=complex)
@@ -276,41 +271,6 @@ def apply(s: Superoperator, a: np.ndarray | HermitianOperator) -> np.ndarray:
     if mat.shape != (s.dim, s.dim):
         raise ValueError(f"operator shape {mat.shape} does not match dim {s.dim}")
     return unvec(s.matrix @ vec(mat), s.dim)
-
-
-def hs_adjoint(s: Superoperator) -> Superoperator:
-    """Adjoint with respect to the Hilbert-Schmidt inner product.
-
-    With column stacking this is just the conjugate transpose of the matrix.
-    The trace_preserving flag does not survive (the adjoint of a TP map is
-    unital, not TP, in general).
-    """
-    return Superoperator(s.matrix.conj().T)
-
-
-def compose(s1: Superoperator, s2: Superoperator) -> Superoperator:
-    """Composition s1 after s2 (matrix product)."""
-    return Superoperator(s1.matrix @ s2.matrix,
-                         trace_preserving=s1.trace_preserving and s2.trace_preserving)
-
-
-def condition_number(s: Superoperator) -> float:
-    return float(np.linalg.cond(s.matrix, 2))
-
-
-def invert(s: Superoperator, cond_threshold: float = COND_THRESHOLD_DEFAULT,
-           time: float | None = None) -> tuple[Superoperator, float]:
-    """Invert a superoperator, reporting its 2-norm condition number.
-
-    Raises SingularMap (carrying `time` when given) if the condition number
-    exceeds the threshold. The trace_preserving flag is not propagated: the
-    inverse of a TP map is TP in exact arithmetic, but at high condition
-    number the numerical residual can exceed the flag's guarantee.
-    """
-    cond = condition_number(s)
-    require_invertible(np.array([cond]), cond_threshold,
-                       None if time is None else [time])
-    return Superoperator(np.linalg.inv(s.matrix)), cond
 
 
 def eig_hermitian(h: HermitianOperator) -> tuple[np.ndarray, np.ndarray]:
@@ -341,18 +301,17 @@ def exp_hermitian(h: HermitianOperator, scale: float = 1.0) -> HermitianOperator
     return func_hermitian(h, lambda x: np.exp(scale * x))
 
 
-def log_hermitian_zero_convention(h: HermitianOperator,
-                                  zero_tol: float = 1e-14) -> HermitianOperator:
+def log_hermitian_zero_convention(h: HermitianOperator) -> HermitianOperator:
     """Matrix logarithm with ln(0) := 0 on the null space.
 
-    Eigenvalues within `zero_tol` of zero contribute nothing; genuinely
+    Eigenvalues within LOG_ZERO_TOL of zero contribute nothing; genuinely
     negative eigenvalues are a domain error.
     """
     vals, vecs = eig_hermitian(h)
-    if np.any(vals < -zero_tol):
+    if np.any(vals < -LOG_ZERO_TOL):
         raise ValueError(f"logarithm undefined: negative eigenvalue {vals[0]:.3e}")
     out = np.zeros_like(vals)
-    mask = vals > zero_tol
+    mask = vals > LOG_ZERO_TOL
     out[mask] = np.log(vals[mask])
     return HermitianOperator((vecs * out) @ vecs.conj().T)
 
@@ -384,20 +343,29 @@ class CPTPReport:
     hermiticity_residual: float = field(default=0.0)
 
 
+def cptp_diagnostics_stack(m: np.ndarray) -> CPTPReport:
+    """`cptp_diagnostics` of every matrix of a (n, d^2, d^2) stack, as one
+    report whose fields are (n,) arrays."""
+    d = int(round(np.sqrt(m.shape[-1])))
+    ident = vec(np.eye(d))
+    tp, unital, herm, cmin = (np.empty(m.shape[0]) for _ in range(4))
+    for blk in stack_blocks(m.shape[0], d * d):
+        tp[blk] = np.abs(dagger(m[blk]) @ ident - ident).max(axis=-1)
+        unital[blk] = np.abs(m[blk] @ ident - ident).max(axis=-1)
+        c = _reshuffle(m[blk], d) / d
+        herm[blk] = np.abs(c - dagger(c)).max(axis=(-2, -1))
+        cmin[blk] = np.linalg.eigvalsh(0.5 * (c + dagger(c)))[:, 0]
+    return CPTPReport(trace_preserving_residual=tp, choi_min_eigenvalue=cmin,
+                      unital_residual=unital, hermiticity_residual=herm)
+
+
 def cptp_diagnostics(s: Superoperator) -> CPTPReport:
     """Diagnostics only, never raises: TP residual, minimum Choi eigenvalue
     (negative values are legal for generator-level intermediate maps and are
     reported, not rejected), unitality residual, and the Choi Hermiticity
     residual."""
-    d = s.dim
-    ident = vec(np.eye(d))
-    tp = float(np.max(np.abs(s.matrix.conj().T @ ident - ident)))
-    unital = float(np.max(np.abs(s.matrix @ ident - ident)))
-    c = choi_matrix(s)
-    herm = float(np.max(np.abs(c - c.conj().T)))
-    cmin = float(np.linalg.eigvalsh(0.5 * (c + c.conj().T))[0])
-    return CPTPReport(trace_preserving_residual=tp, choi_min_eigenvalue=cmin,
-                      unital_residual=unital, hermiticity_residual=herm)
+    rep = cptp_diagnostics_stack(s.matrix[None])
+    return CPTPReport(**{name: float(v[0]) for name, v in vars(rep).items()})
 
 
 # Pauli matrices and the qubit transfer-matrix basis change. PAULI order is
@@ -428,36 +396,6 @@ def pauli_transfer_to_superop(r: np.ndarray) -> np.ndarray:
     return 0.5 * (_PAULI_VEC @ np.asarray(r, dtype=float) @ _PAULI_VEC.conj().T)
 
 
-def pauli_transfer_matrix(s: Superoperator) -> np.ndarray:
-    """4x4 real transfer matrix of a qubit superoperator in the PAULI basis."""
-    if s.dim != 2:
-        raise ValueError("Pauli transfer matrix requires dim 2")
-    return superop_to_pauli_transfer(s.matrix)
-
-
-def superop_from_pauli_transfer(r: np.ndarray,
-                                trace_preserving: bool = False) -> Superoperator:
-    """Inverse of `pauli_transfer_matrix`: S = (1/2) sum_ij R_ij vec(P_i) vec(P_j)^dagger."""
-    r = np.asarray(r, dtype=float)
-    if r.shape != (4, 4):
-        raise ValueError("transfer matrix must be 4x4")
-    return Superoperator(pauli_transfer_to_superop(r),
-                         trace_preserving=trace_preserving)
-
-
-def random_hermitian(dim: int, rng: np.random.Generator,
-                     scale: float = 1.0) -> HermitianOperator:
+def random_hermitian(dim: int, rng: np.random.Generator) -> HermitianOperator:
     a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-    return HermitianOperator(scale * 0.5 * (a + a.conj().T))
-
-
-def random_density_matrix(dim: int, rng: np.random.Generator) -> DensityMatrix:
-    a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-    rho = a @ a.conj().T
-    return DensityMatrix(rho / np.trace(rho))
-
-
-def random_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
-    a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-    q, r = np.linalg.qr(a)
-    return q * (np.diagonal(r) / np.abs(np.diagonal(r)))
+    return HermitianOperator(0.5 * (a + a.conj().T))

@@ -46,8 +46,8 @@ import numpy as np
 
 from .dynamics import MapTrajectory
 from .errors import ConstructionError
-from .operators import (Superoperator, pauli_transfer_to_superop,
-                        require_invertible, superop_from_pauli_transfer)
+from .operators import (COND_THRESHOLD_DEFAULT, pauli_transfer_to_superop,
+                        require_invertible)
 from .quadrature import (cumulative_exp_weighted, cumulative_simpson,
                          grid_spacing, stencil_derivative)
 
@@ -82,14 +82,6 @@ class PCRates:
     gamma_plus: Callable
     gamma_minus: Callable
     gamma_z: Callable = constant_rate(0.0)
-
-
-def constant_rates(omega: float, gamma_plus: float, gamma_minus: float,
-                   gamma_z: float = 0.0) -> PCRates:
-    return PCRates(omega=constant_rate(omega),
-                   gamma_plus=constant_rate(gamma_plus),
-                   gamma_minus=constant_rate(gamma_minus),
-                   gamma_z=constant_rate(gamma_z))
 
 
 @dataclass(frozen=True, eq=False)
@@ -195,24 +187,11 @@ def pc_transfer_matrices(a, b, c, d_par, r00: float = 1.0) -> np.ndarray:
     return r
 
 
-def pc_map(coeffs: PCMapCoefficients, i: int) -> Superoperator:
-    """The dynamical map at grid index i in the vectorized convention."""
-    r = pc_transfer_matrices(coeffs.a[i], coeffs.b[i], coeffs.c[i],
-                             coeffs.d_par[i])
-    return superop_from_pauli_transfer(r, trace_preserving=True)
-
-
 def pc_generator_transfer_matrix(omega, kappa, xi, gamma_z) -> np.ndarray:
     """Pauli transfer matrix of the phase-covariant GKSL generator; a stack
     when the rates are grid arrays."""
     damp = np.asarray(kappa) / 2.0 + 2.0 * np.asarray(gamma_z)
     return pc_transfer_matrices(-damp, omega, xi, -np.asarray(kappa), r00=0.0)
-
-
-def pc_generator(omega: float, kappa: float, xi: float,
-                 gamma_z: float) -> Superoperator:
-    return superop_from_pauli_transfer(
-        pc_generator_transfer_matrix(omega, kappa, xi, gamma_z))
 
 
 def transfer_trajectory(times: np.ndarray, r: np.ndarray,
@@ -315,7 +294,8 @@ class PCGeneralResult:
 def pc_general_d(times: np.ndarray, F: np.ndarray, f: np.ndarray,
                  Fdot: np.ndarray | None = None,
                  fdot: np.ndarray | None = None,
-                 cond_threshold: float = 1e12) -> PCGeneralResult:
+                 cond_threshold: float = COND_THRESHOLD_DEFAULT,
+                 ) -> PCGeneralResult:
     """Effective-Hamiltonian, heat and work eigenvalue vectors for a
     d-level phase-covariant evolution.
 

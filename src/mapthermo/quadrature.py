@@ -19,12 +19,14 @@ import numpy as np
 
 from .errors import BoundaryStencil
 
+GRID_RTOL = 1e-9
 
-def grid_spacing(times: np.ndarray, rtol: float = 1e-9) -> float:
+
+def grid_spacing(times: np.ndarray) -> float:
     """Return the spacing of a uniform, strictly increasing grid.
 
     Raises ValueError if the grid has fewer than two points, is not strictly
-    increasing, or is not uniform to relative tolerance `rtol`.
+    increasing, or is not uniform to relative tolerance GRID_RTOL.
     """
     t = np.asarray(times, dtype=float)
     if t.ndim != 1 or t.size < 2:
@@ -33,7 +35,7 @@ def grid_spacing(times: np.ndarray, rtol: float = 1e-9) -> float:
     if np.any(steps <= 0):
         raise ValueError("grid must be strictly increasing")
     h = steps[0]
-    if np.max(np.abs(steps - h)) > rtol * max(abs(h), 1.0):
+    if np.max(np.abs(steps - h)) > GRID_RTOL * max(abs(h), 1.0):
         raise ValueError("grid must be uniform")
     return float(h)
 

@@ -38,6 +38,9 @@ from .models import (WeakCouplingParams, weak_coupling_rates, JCParams,
                      extract_pc_rates, ClosedCoherentParams,
                      closed_coherent_protocol)
 
+GKSL_JUMPS = 2
+GKSL_JUMP_STRENGTH = 0.3
+
 
 @dataclass(frozen=True)
 class CheckResult:
@@ -56,9 +59,9 @@ def _dissipator_matrix(a: np.ndarray) -> np.ndarray:
 
 
 def random_gksl_trajectory(dim: int, rng: np.random.Generator,
-                           times: np.ndarray, n_jumps: int = 2,
-                           strength: float = 0.3) -> MapTrajectory:
-    """Semigroup e^{tL} for a random time-independent GKSL generator.
+                           times: np.ndarray) -> MapTrajectory:
+    """Semigroup e^{tL} for a random time-independent GKSL generator with
+    GKSL_JUMPS jump operators of scale GKSL_JUMP_STRENGTH.
 
     Invertible at every time (the inverse is e^{-tL}) and CPTP by
     construction, which makes it a fair stress input for the generic
@@ -67,9 +70,10 @@ def random_gksl_trajectory(dim: int, rng: np.random.Generator,
     times = np.asarray(times, dtype=float)
     h = random_hermitian(dim, rng)
     gen = -1j * commutator_superop(h.matrix)
-    for _ in range(n_jumps):
-        a = strength * (rng.standard_normal((dim, dim))
-                        + 1j * rng.standard_normal((dim, dim))) / math.sqrt(2)
+    for _ in range(GKSL_JUMPS):
+        a = GKSL_JUMP_STRENGTH * (rng.standard_normal((dim, dim))
+                                  + 1j * rng.standard_normal((dim, dim))
+                                  ) / math.sqrt(2)
         gen = gen + _dissipator_matrix(a)
     # the derivatives are taken of the maps as MapTrajectory stores them
     maps = project_hermiticity_preserving(

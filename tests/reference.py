@@ -1,0 +1,303 @@
+"""Reference implementations that the tests compare the library against.
+
+The library computes every quantity along one stacked route over the whole
+time grid: `generator_splits` -> `ThermoPipeline` -> `fluctuation_table`.
+The functions here compute the same quantities one grid point, one map or
+one operator at a time, the way the formulas read, plus the small
+constructors (random states and unitaries, Kraus and conjugation maps,
+constant rates) that only tests need. Nothing in `src/mapthermo` calls
+them.
+
+The effective Hamiltonian of the minimal-dissipation split of a generator L
+on a d-level system is the double-commutator sum
+
+    K = (1/2id) sum_{j,k} [ |j><k| , L[|k><j|] ]
+
+over the computational basis; `minimal_dissipation_split` evaluates it term
+by term.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+from typing import Iterable
+
+import numpy as np
+
+from mapthermo.dynamics import MapTrajectory, map_derivatives
+from mapthermo.fluctuations import OutcomeDistribution
+from mapthermo.operators import (
+    COND_THRESHOLD_DEFAULT,
+    DensityMatrix,
+    HermitianOperator,
+    Superoperator,
+    apply,
+    commutator_superop,
+    eig_hermitian,
+    exp_hermitian,
+    gibbs_state,
+    partition_function,
+    pauli_transfer_to_superop,
+    require_invertible,
+    superop_to_pauli_transfer,
+    unvec,
+)
+from mapthermo.phase_covariant import (
+    PCMapCoefficients,
+    PCRates,
+    constant_rate,
+    pc_generator_transfer_matrix,
+    pc_transfer_matrices,
+)
+
+
+# ---------------------------------------------------------------------------
+# Per-point generator references (`mapthermo.dynamics`)
+
+
+def map_derivative(traj: MapTrajectory, i: int) -> np.ndarray:
+    """dPhi/dt at grid index i (see `map_derivatives`)."""
+    return map_derivatives(traj, i, i + 1)[0]
+
+
+def generator_at(traj: MapTrajectory, i: int,
+                 cond_threshold: float = COND_THRESHOLD_DEFAULT) -> Superoperator:
+    """Time-local generator L_{t_i} = dPhi/dt * Phi^{-1} at grid index i.
+
+    The per-point reference for `generator_splits`."""
+    inv, _ = invert(Superoperator(traj.maps[i]), cond_threshold,
+                    time=float(traj.times[i]))
+    return Superoperator(map_derivative(traj, i) @ inv.matrix)
+
+
+@dataclass(frozen=True, eq=False)
+class GeneratorSplit:
+    """Minimal-dissipation decomposition of a time-local generator:
+    L[A] = -i[K, A] + D[A] with K traceless Hermitian."""
+
+    K: HermitianOperator
+    dissipator: Superoperator
+    time: float
+
+
+def minimal_dissipation_split(L: Superoperator,
+                              time: float = 0.0) -> GeneratorSplit:
+    """Split a generator into effective Hamiltonian and dissipator.
+
+    K comes out of the double-commutator formula above; it is traceless by
+    construction (commutators are traceless) and Hermitian whenever L
+    preserves Hermiticity, which Superoperator construction guarantees.
+    """
+    d = L.dim
+    k = np.zeros((d, d), dtype=complex)
+    for j in range(d):
+        for kk in range(d):
+            b = unvec(L.matrix[:, kk + d * j], d)
+            # [E_jk, B] accumulated row/column-wise
+            k[j, :] += b[kk, :]
+            k[:, kk] -= b[:, j]
+    k = k / (2j * d)
+    K = HermitianOperator(k)
+    diss = Superoperator(L.matrix + 1j * commutator_superop(K.matrix))
+    return GeneratorSplit(K=K, dissipator=diss, time=float(time))
+
+
+def reassemble_generator(split: GeneratorSplit) -> Superoperator:
+    """L = -i[K, .] + D, for round-trip checks."""
+    return Superoperator(-1j * commutator_superop(split.K.matrix)
+                         + split.dissipator.matrix)
+
+
+def inverse_propagator(traj: MapTrajectory, i_tau: int, i_t: int,
+                       cond_threshold: float = COND_THRESHOLD_DEFAULT,
+                       ) -> Superoperator:
+    """Phi_{tau,t} = Phi_tau o Phi_t^{-1}, propagating the state at t_t back
+    to t_tau."""
+    if i_tau > i_t:
+        raise ValueError("i_tau must not exceed i_t")
+    inv, _ = invert(Superoperator(traj.maps[i_t]), cond_threshold,
+                    time=float(traj.times[i_t]))
+    return Superoperator(traj.maps[i_tau] @ inv.matrix)
+
+
+# ---------------------------------------------------------------------------
+# Single-superoperator helpers (`mapthermo.operators`)
+
+
+def invert(s: Superoperator, cond_threshold: float = COND_THRESHOLD_DEFAULT,
+           time: float | None = None) -> tuple[Superoperator, float]:
+    """Invert a superoperator, reporting its 2-norm condition number.
+
+    Raises SingularMap (carrying `time` when given) if the condition number
+    exceeds the threshold. The trace_preserving flag is not propagated: the
+    inverse of a TP map is TP in exact arithmetic, but at high condition
+    number the numerical residual can exceed the flag's guarantee.
+    """
+    cond = condition_number(s)
+    require_invertible(np.array([cond]), cond_threshold,
+                       None if time is None else [time])
+    return Superoperator(np.linalg.inv(s.matrix)), cond
+
+
+def condition_number(s: Superoperator) -> float:
+    return float(np.linalg.cond(s.matrix, 2))
+
+
+def compose(s1: Superoperator, s2: Superoperator) -> Superoperator:
+    """Composition s1 after s2 (matrix product)."""
+    return Superoperator(s1.matrix @ s2.matrix,
+                         trace_preserving=s1.trace_preserving and s2.trace_preserving)
+
+
+def conjugation_superop(u: np.ndarray) -> Superoperator:
+    """Superoperator of X -> U X U^dagger for a unitary U."""
+    return kraus_superop([u])
+
+
+def identity_superop(dim: int) -> Superoperator:
+    return Superoperator(np.eye(dim * dim, dtype=complex), trace_preserving=True)
+
+
+def kraus_superop(kraus_ops: Iterable[np.ndarray],
+                  trace_preserving: bool = True) -> Superoperator:
+    """Superoperator of X -> sum_k M_k X M_k^dagger."""
+    ops = [np.asarray(k, dtype=complex) for k in kraus_ops]
+    m = sum(np.kron(k.conj(), k) for k in ops)
+    return Superoperator(m, trace_preserving=trace_preserving)
+
+
+def hs_adjoint(s: Superoperator) -> Superoperator:
+    """Adjoint with respect to the Hilbert-Schmidt inner product.
+
+    With column stacking this is just the conjugate transpose of the matrix.
+    The trace_preserving flag does not survive (the adjoint of a TP map is
+    unital, not TP, in general).
+    """
+    return Superoperator(s.matrix.conj().T)
+
+
+def pauli_transfer_matrix(s: Superoperator) -> np.ndarray:
+    """4x4 real transfer matrix of a qubit superoperator in the PAULI basis."""
+    if s.dim != 2:
+        raise ValueError("Pauli transfer matrix requires dim 2")
+    return superop_to_pauli_transfer(s.matrix)
+
+
+def superop_from_pauli_transfer(r: np.ndarray,
+                                trace_preserving: bool = False) -> Superoperator:
+    """Inverse of `pauli_transfer_matrix`: S = (1/2) sum_ij R_ij vec(P_i) vec(P_j)^dagger."""
+    r = np.asarray(r, dtype=float)
+    if r.shape != (4, 4):
+        raise ValueError("transfer matrix must be 4x4")
+    return Superoperator(pauli_transfer_to_superop(r),
+                         trace_preserving=trace_preserving)
+
+
+def random_density_matrix(dim: int, rng: np.random.Generator) -> DensityMatrix:
+    a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    rho = a @ a.conj().T
+    return DensityMatrix(rho / np.trace(rho))
+
+
+def random_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
+    a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    q, r = np.linalg.qr(a)
+    return q * (np.diagonal(r) / np.abs(np.diagonal(r)))
+
+
+# ---------------------------------------------------------------------------
+# Phase-covariant qubit maps one at a time (`mapthermo.phase_covariant`)
+
+
+def constant_rates(omega: float, gamma_plus: float, gamma_minus: float,
+                   gamma_z: float = 0.0) -> PCRates:
+    return PCRates(omega=constant_rate(omega),
+                   gamma_plus=constant_rate(gamma_plus),
+                   gamma_minus=constant_rate(gamma_minus),
+                   gamma_z=constant_rate(gamma_z))
+
+
+def pc_map(coeffs: PCMapCoefficients, i: int) -> Superoperator:
+    """The dynamical map at grid index i in the vectorized convention."""
+    r = pc_transfer_matrices(coeffs.a[i], coeffs.b[i], coeffs.c[i],
+                             coeffs.d_par[i])
+    return superop_from_pauli_transfer(r, trace_preserving=True)
+
+
+def pc_generator(omega: float, kappa: float, xi: float,
+                 gamma_z: float) -> Superoperator:
+    return superop_from_pauli_transfer(
+        pc_generator_transfer_matrix(omega, kappa, xi, gamma_z))
+
+
+# ---------------------------------------------------------------------------
+# Per-operator fluctuation factors (`mapthermo.fluctuations`)
+
+
+@dataclass(frozen=True)
+class LambdaU:
+    value: float
+    bound: float
+    cross_check_residual: float
+    """Largest disagreement among the three equivalent evaluation routes."""
+
+
+def lambda_u(map_t: Superoperator, K_t: HermitianOperator, beta: float) -> LambdaU:
+    """Internal-energy correction factor Lambda_u = Tr{rho_G(t) Phi_t[1]}.
+
+    Evaluated three ways (direct, through the Hilbert-Schmidt adjoint, and
+    as d times the overlap with the evolved maximally mixed state) and
+    cross-checked; the bound is the largest eigenvalue of Phi_t[1].
+    """
+    d = map_t.dim
+    rho_g = gibbs_state(K_t, beta)
+    ident = np.eye(d, dtype=complex)
+    phi_id = apply(map_t, ident)
+    direct = float(np.trace(rho_g.matrix @ phi_id).real)
+    adj = float(np.trace(apply(hs_adjoint(map_t), rho_g.matrix)).real)
+    mixed = d * float(np.trace(rho_g.matrix @ apply(map_t, ident / d)).real)
+    bound = float(np.linalg.eigvalsh(0.5 * (phi_id + phi_id.conj().T))[-1])
+    residual = max(abs(direct - adj), abs(direct - mixed), abs(adj - mixed))
+    return LambdaU(value=direct, bound=bound, cross_check_residual=residual)
+
+
+def lambda_w(map_t: Superoperator, Ow_t: HermitianOperator,
+             K_t: HermitianOperator, P_t: HermitianOperator, beta: float,
+             ) -> tuple[float, float]:
+    """Work correction factor and its bound.
+
+    lambda = Tr{ e^{-beta O_w(t)} Phi_t[1] } / Z(t) with Z(t) = Tr{e^{-beta K(t)}};
+    bound = e^{beta lambda_max{P(t)}} * lambda_max{Phi_t[1]}.
+    """
+    d = map_t.dim
+    phi_id = apply(map_t, np.eye(d, dtype=complex))
+    zt = partition_function(K_t, beta)
+    lam = float(np.trace(exp_hermitian(Ow_t, -beta).matrix @ phi_id).real) / zt
+    p_max = float(eig_hermitian(P_t)[0][-1])
+    phi_max = float(np.linalg.eigvalsh(0.5 * (phi_id + phi_id.conj().T))[-1])
+    return lam, float(np.exp(beta * p_max) * phi_max)
+
+
+def free_energies(K_t: HermitianOperator, K_0: HermitianOperator,
+                  beta: float) -> tuple[float, float, float]:
+    """(Z0, Zt, deltaF) for the instantaneous Gibbs references."""
+    if beta <= 0:
+        raise ValueError("beta must be positive")
+    z0 = partition_function(K_0, beta)
+    zt = partition_function(K_t, beta)
+    return z0, zt, float(-np.log(zt / z0) / beta)
+
+
+def dissipated_work_bound(map_t: Superoperator, P_t: HermitianOperator,
+                          beta: float) -> float:
+    """Lower bound on <w> - deltaF:
+    -lambda_max{P(t)} - (1/beta) ln lambda_max{Phi_t[1]}."""
+    d = map_t.dim
+    phi_id = apply(map_t, np.eye(d, dtype=complex))
+    p_max = float(eig_hermitian(P_t)[0][-1])
+    phi_max = float(np.linalg.eigvalsh(0.5 * (phi_id + phi_id.conj().T))[-1])
+    return float(-p_max - np.log(phi_max) / beta)
+
+
+def moment(dist: OutcomeDistribution, k: int) -> float:
+    return float(np.dot(dist.probs, dist.outcomes ** k))

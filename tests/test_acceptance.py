@@ -25,15 +25,14 @@ from mapthermo.observables import (ThermoPipeline, coherent_initial_construction
                                    coherent_work_fluctuation, mean_change,
                                    shifted_observable)
 from mapthermo.operators import (DensityMatrix, HermitianOperator,
-                                 Superoperator, conjugation_superop,
-                                 cptp_diagnostics,
-                                 eig_hermitian, gibbs_state,
-                                 random_density_matrix, random_hermitian,
-                                 random_unitary)
+                                 Superoperator, cptp_diagnostics,
+                                 eig_hermitian, gibbs_state, random_hermitian)
 from mapthermo.phase_covariant import (PCRates, pc_integrals, pc_lambda_w,
                                        pc_mean_work_and_deltaF, pc_thermo,
                                        pc_trajectory)
 from mapthermo.validation import random_gksl_trajectory
+from reference import (conjugation_superop, random_density_matrix,
+                       random_unitary)
 
 
 def _verdict(num: int, ok: bool, detail: str) -> None:

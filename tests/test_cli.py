@@ -355,6 +355,29 @@ def test_map_info_reports_stored_trajectory(tmp_path, capsys):
     assert "summary: 0 singular" in out
 
 
+# header problems above valid data rows, and the line that names each
+BAD_MAP_HEADERS = {
+    "wrong_tag": ("# other-maps v1\n"
+                  "# dim=2 vectorization=column-stacking derivatives=1\n", 1),
+    "no_tag": ("# dim=2 vectorization=column-stacking derivatives=1\n", 1),
+    "dim_not_a_number": ("# mapthermo-maps v1\n"
+                         "# dim=two vectorization=column-stacking "
+                         "derivatives=1\n", 2),
+    "field_without_value": ("# mapthermo-maps v1\n"
+                            "# dim=2 vectorization=column-stacking "
+                            "derivatives\n", 2),
+}
+
+
+def write_map_file_with_header(path, header):
+    p = WeakCouplingParams()
+    traj, _ = pc_trajectory(weak_coupling_rates(p), p.grid(16))
+    save_map_trajectory(traj, str(path))
+    rows = [line for line in path.read_text().splitlines(keepends=True)
+            if not line.startswith("#")]
+    path.write_text(header + "".join(rows))
+
+
 def test_map_info_rejects_malformed_file(tmp_path, capsys):
     path = tmp_path / "broken.maps"
     path.write_text("# mapthermo-maps v1\n"
@@ -362,3 +385,48 @@ def test_map_info_rejects_malformed_file(tmp_path, capsys):
                     "0.0,snake\n")
     assert main(["map-info", str(path)]) == 2
     assert "config error" in capsys.readouterr().err
+    for header, line in BAD_MAP_HEADERS.values():
+        write_map_file_with_header(path, header)
+        assert main(["map-info", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and f"{path}:{line}: " in err
+
+
+@pytest.mark.parametrize("problem", sorted(BAD_MAP_HEADERS))
+def test_run_rejects_a_bad_map_file_header(tmp_path, capsys, problem):
+    header, line = BAD_MAP_HEADERS[problem]
+    write_map_file_with_header(tmp_path / "bad.maps", header)
+    cfg_path = write_config(tmp_path, """\
+        [scenario]
+        model = custom_map_file
+        beta_list = 1.0
+        out_dir = {out}
+
+        [custom_map_file]
+        path = bad.maps
+    """.format(out=tmp_path / "out"))
+    assert main(["run", cfg_path]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err
+    assert f"{tmp_path / 'bad.maps'}:{line}: " in err
+
+
+def test_map_info_marks_invalid_rows(tmp_path, capsys):
+    # row 3 is not Hermiticity-preserving, as in the trajectory check tests
+    times = np.linspace(0.0, 1.0, 9)
+    maps = random_gksl_trajectory(3, np.random.default_rng(8), times).maps.copy()
+    maps[3] = maps[3] + np.diag(np.arange(9)) * 1e-3j
+    path = tmp_path / "one_bad_row.maps"
+    path.write_text(
+        "# mapthermo-maps v1\n"
+        "# dim=3 vectorization=column-stacking derivatives=0\n"
+        + "".join(",".join(f"{x:.16e}" for x in (t, *m.reshape(-1).view(float)))
+                  + "\n" for t, m in zip(times, maps)))
+    assert main(["map-info", str(path)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    rows = lines[3:-1]
+    assert [r.split(",")[0] for r in rows] == [f"{t:.6g}" for t in times]
+    assert [("invalid:" in r) for r in rows] == [k == 3 for k in range(9)]
+    assert rows[3].startswith(f"{times[3]:.6g},inf,singular,invalid: ")
+    assert "not Hermiticity-preserving" in rows[3]
+    assert "1 singular" in lines[-1] and "1 invalid rows" in lines[-1]

@@ -8,16 +8,11 @@ from scipy.linalg import expm
 from mapthermo.dynamics import (
     MapTrajectory,
     condition_flags,
-    generator_at,
     generator_splits,
-    inverse_propagator,
     invertibility_report,
     load_map_trajectory,
-    map_derivative,
     map_derivatives,
-    minimal_dissipation_split,
     read_map_file,
-    reassemble_generator,
     save_map_trajectory,
 )
 from mapthermo.errors import BoundaryStencil, ConstructionError
@@ -27,16 +22,24 @@ from mapthermo.operators import (
     Superoperator,
     apply,
     commutator_superop,
-    condition_number,
-    conjugation_superop,
-    identity_superop,
-    random_density_matrix,
     random_hermitian,
-    random_unitary,
 )
-from mapthermo.phase_covariant import constant_rates, pc_trajectory
+from mapthermo.phase_covariant import pc_trajectory
 from mapthermo.quadrature import stencil_derivative
 from mapthermo.validation import random_gksl_trajectory
+from reference import (
+    condition_number,
+    conjugation_superop,
+    constant_rates,
+    generator_at,
+    identity_superop,
+    inverse_propagator,
+    map_derivative,
+    minimal_dissipation_split,
+    random_density_matrix,
+    random_unitary,
+    reassemble_generator,
+)
 
 SZ = PAULI[3]
 
@@ -273,6 +276,26 @@ def test_read_map_file_reports_format_problems(tmp_path):
                  "# dim=2 vectorization=column-stacking derivatives=0\n"
                  "0.0,snake\n")
     with pytest.raises(ConstructionError):
+        read_map_file(path)
+    # header problems above a valid identity row, named by file and line
+    row = ",".join(["0"] + [str(x) for z in np.eye(4).reshape(-1)
+                            for x in (z, 0.0)])
+    dim_line = "# dim=2 vectorization=column-stacking derivatives=0"
+    for text, line in ((f"# not-the-format v9\n{dim_line}\n", 1),
+                       (f"{dim_line}\n", 1),
+                       ("# mapthermo-maps v1\n"
+                        "# dim=two vectorization=column-stacking\n", 2),
+                       ("# mapthermo-maps v1\n"
+                        "# dim=2 vectorization=column-stacking derivatives\n",
+                        2)):
+        with open(path, "w") as fh:
+            fh.write(f"{text}{row}\n")
+        with pytest.raises(ConstructionError, match=f"bad.maps:{line}: "):
+            read_map_file(path)
+    with open(path, "w") as fh:
+        fh.write(f"# mapthermo-maps v1\n{dim_line}\n{row}\n"
+                 + row.replace("0,1.0", "0.5,nan", 1) + "\n")
+    with pytest.raises(ConstructionError, match="bad.maps:4: .*not finite"):
         read_map_file(path)
 
 

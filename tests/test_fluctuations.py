@@ -16,15 +16,10 @@ from mapthermo.fluctuations import (
     FluctuationReport,
     OutcomeDistribution,
     cluster_eigenvalues,
-    dissipated_work_bound,
     exp_average,
     fluctuation_report,
     fluctuation_table,
-    free_energies,
     heat_fluctuation,
-    lambda_u,
-    lambda_w,
-    moment,
     noneq_free_energy,
     tpms_distribution,
 )
@@ -36,14 +31,10 @@ from mapthermo.operators import (
     HermitianOperator,
     Superoperator,
     apply,
-    conjugation_superop,
     gibbs_state,
-    random_density_matrix,
     random_hermitian,
-    random_unitary,
 )
 from mapthermo.phase_covariant import (
-    constant_rates,
     pc_integrals,
     pc_lambda_u,
     pc_lambda_w,
@@ -51,6 +42,17 @@ from mapthermo.phase_covariant import (
     pc_trajectory,
 )
 from mapthermo.validation import random_gksl_trajectory
+from reference import (
+    conjugation_superop,
+    constant_rates,
+    dissipated_work_bound,
+    free_energies,
+    lambda_u,
+    lambda_w,
+    moment,
+    random_density_matrix,
+    random_unitary,
+)
 
 SZ = PAULI[3]
 IDENTITY_MAP = Superoperator(np.eye(4))

@@ -22,9 +22,9 @@ from mapthermo.operators import (
     PAULI,
     Superoperator,
     cptp_diagnostics,
-    pauli_transfer_matrix,
 )
 from mapthermo.phase_covariant import pc_trajectory
+from reference import pauli_transfer_matrix
 
 
 def test_weak_coupling_params_validation():

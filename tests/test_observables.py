@@ -6,9 +6,7 @@ from scipy.linalg import expm
 from hypothesis import given, settings
 from hypothesis.strategies import floats
 
-from mapthermo.dynamics import (MapTrajectory, generator_at,
-                                invertibility_report,
-                                minimal_dissipation_split)
+from mapthermo.dynamics import MapTrajectory, invertibility_report
 from mapthermo.errors import ConstructionError, NoMatchingBeta, SingularMap
 from mapthermo.fluctuations import fluctuation_table
 from mapthermo.models import WeakCouplingParams, weak_coupling_rates
@@ -31,14 +29,15 @@ from mapthermo.operators import (
     apply,
     gibbs_state,
     partition_function,
-    random_density_matrix,
     random_hermitian,
     unvec,
     vec,
 )
-from mapthermo.phase_covariant import constant_rates, pc_integrals, pc_thermo, pc_trajectory
+from mapthermo.phase_covariant import pc_integrals, pc_thermo, pc_trajectory
 from mapthermo.quadrature import cumulative_simpson
 from mapthermo.validation import random_gksl_trajectory
+from reference import (constant_rates, generator_at,
+                       minimal_dissipation_split, random_density_matrix)
 
 SZ = PAULI[3]
 

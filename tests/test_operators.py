@@ -13,29 +13,31 @@ from mapthermo.operators import (
     Superoperator,
     apply,
     choi_matrix,
-    compose,
-    condition_number,
-    conjugation_superop,
     cptp_diagnostics,
     eig_hermitian,
     exp_hermitian,
     func_hermitian,
     gibbs_state,
+    log_hermitian_zero_convention,
+    partition_function,
+    pauli_transfer_to_superop,
+    random_hermitian,
+    superop_to_pauli_transfer,
+    unvec,
+    vec,
+)
+from reference import (
+    compose,
+    condition_number,
+    conjugation_superop,
     hs_adjoint,
     identity_superop,
     invert,
     kraus_superop,
-    log_hermitian_zero_convention,
-    partition_function,
     pauli_transfer_matrix,
-    pauli_transfer_to_superop,
     random_density_matrix,
-    random_hermitian,
     random_unitary,
     superop_from_pauli_transfer,
-    superop_to_pauli_transfer,
-    unvec,
-    vec,
 )
 
 SX, SY, SZ = PAULI[1], PAULI[2], PAULI[3]

@@ -8,24 +8,22 @@ from hypothesis.strategies import floats
 
 from mapthermo.errors import ConstructionError, SingularMap
 from mapthermo.models import WeakCouplingParams, weak_coupling_rates
-from mapthermo.operators import (PAULI, Superoperator, cptp_diagnostics,
-                                 pauli_transfer_matrix)
+from mapthermo.operators import PAULI, Superoperator, cptp_diagnostics
 from mapthermo.phase_covariant import (
     PCRates,
-    constant_rates,
     pc_general_d,
-    pc_generator,
     pc_generator_transfer_matrix,
     pc_integrals,
     pc_lambda_u,
     pc_lambda_w,
-    pc_map,
     pc_mean_work_and_deltaF,
     pc_dissipated_bound,
     pc_thermo,
     pc_trajectory,
     pc_transfer_matrices,
 )
+from reference import (constant_rates, pauli_transfer_matrix, pc_generator,
+                       pc_map)
 
 
 def fig_drive(gamma=0.01, beta=1.0, **kw):
