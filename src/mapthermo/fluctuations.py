@@ -306,12 +306,19 @@ def _trace_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.trace(a @ b, axis1=-2, axis2=-1)
 
 
-def _exp_stack(vals: np.ndarray, vecs: np.ndarray, scale: float) -> np.ndarray:
-    """`exp_hermitian` of a stack of spectral decompositions."""
-    f = np.exp(scale * vals)
-    if not np.all(np.isfinite(f)):
-        raise ValueError(f"function undefined on eigenvalues "
-                         f"{vals[~np.isfinite(f)]}")
+def _exp_stack(vals: np.ndarray, vecs: np.ndarray, beta: float,
+               times: np.ndarray, what: str) -> np.ndarray:
+    """e^{-beta X} of a stack of spectral decompositions of X, as
+    `exp_hermitian` computes it. Raises ConstructionError naming t and
+    beta of the first row where it overflows."""
+    with np.errstate(over="ignore"):
+        f = np.exp(-beta * vals)
+    bad = np.flatnonzero(~np.all(np.isfinite(f), axis=-1))
+    if bad.size:
+        k = bad[0]
+        raise ConstructionError(
+            f"e^(-beta {what}) is undefined at t = {times[k]:.6g}, "
+            f"beta = {beta:.6g}: eigenvalues {vals[k]}")
     m = (vecs * f[:, None, :]) @ dagger(vecs)
     return 0.5 * (m + dagger(m))
 
@@ -383,8 +390,10 @@ def fluctuation_table(pipeline, beta: float, indices=None) -> FluctuationTable:
 
     p_vals, p_vecs = np.linalg.eigh(P)
     p_max = p_vals[:, -1]
-    exp_w = _trace_product(_exp_stack(*np.linalg.eigh(Ow), -beta), phi_id).real
-    exp_q = _trace_product(_exp_stack(p_vals, p_vecs, -beta), rho_t).real
+    exp_w = _trace_product(_exp_stack(*np.linalg.eigh(Ow), beta, times, "O_w"),
+                           phi_id).real
+    exp_q = _trace_product(_exp_stack(p_vals, p_vecs, beta, times, "P"),
+                           rho_t).real
     mean_w = (_trace_product(Ow, rho_t)
               - np.trace(K_0.matrix @ rho0.matrix)).real
     return FluctuationTable(

@@ -26,7 +26,7 @@ from typing import Callable
 import numpy as np
 
 from .dynamics import MapTrajectory, map_derivatives
-from .errors import ConfigError, TruncationError
+from .errors import ConfigError, ConstructionError, TruncationError
 from .operators import (
     COND_THRESHOLD_DEFAULT,
     HermitianOperator,
@@ -55,6 +55,13 @@ PC_PATTERN_TOL = 1e-7
 _PC_PATTERN = pc_transfer_matrices(1.0, 1.0, 1.0, 1.0) != 0.0
 
 DRIVE_MODES = ("monotonic", "periodic")
+
+# exchange-model level sum: points per fine block of the split grid, levels
+# per chunk, and the allowed distance of grid point j from j t_N / N in ulp
+# of t_N (np.linspace grids stay within 2)
+FINE_POINTS = 100
+LEVEL_CHUNK = 512
+GRID_ULPS = 8
 
 
 def drive_frequency(omega0: float, delta: float, Omega: float) -> Callable:
@@ -213,6 +220,74 @@ class JCCoefficients:
     dd_par: np.ndarray
 
 
+def _split_grid(times: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Coarse and fine times of a uniform grid that starts at 0.
+
+    With h = t_N / N, grid point j = J B + m sits at T_J + tau_m, where
+    T_J = J B h and tau_m = m h, B = min(FINE_POINTS, N + 1). The coarse
+    times run past t_N when B does not divide N + 1; callers drop the
+    surplus. Raises ConstructionError naming the worst index when a point
+    is off j h by more than GRID_ULPS ulp of t_N, since the split would
+    then evaluate shifted times.
+    """
+    if times.ndim != 1 or times.size < 2:
+        raise ConstructionError("grid needs at least two points")
+    n = times.size - 1
+    h = times[-1] / n
+    index = np.arange(times.size)
+    dev = np.abs(times - index * h)
+    worst = int(np.argmax(dev))
+    if not dev[worst] <= GRID_ULPS * np.spacing(abs(times[-1])):
+        raise ConstructionError(
+            f"grid is not uniform from 0: t[{worst}] = {times[worst]:.17g} is "
+            f"off {worst} * t_N / N by {dev[worst]:.3e} (allowed "
+            f"{GRID_ULPS} ulp of t_N)")
+    fine = min(FINE_POINTS, times.size)
+    n_coarse = -(-times.size // fine)
+    return np.arange(n_coarse) * fine * h, index[:fine] * h
+
+
+def _angle_factors(half: np.ndarray, coarse: np.ndarray, fine: np.ndarray,
+                   ) -> tuple[dict[str, np.ndarray], np.ndarray]:
+    """cos and sin of half_k (T + tau) by angle addition.
+
+    x = cos = C c - S s and s = sin = S c + C s, with C, S at the coarse
+    times T and c, s at the fine times tau. Returns the factors of the fine
+    pair (c, s) for "x" and "s", each (coarse, 2, K), and the fine pair
+    itself, (2, K, fine).
+    """
+    arg = coarse[:, None] * half
+    C, S = np.cos(arg), np.sin(arg)
+    arg = half[:, None] * fine
+    return ({"x": np.stack([C, -S], axis=1), "s": np.stack([S, C], axis=1)},
+            np.stack([np.cos(arg), np.sin(arg)]))
+
+
+def _product_sums(terms, upper, lower) -> np.ndarray:
+    """Weighted level sums of products on the split grid, one matrix
+    product for all rows.
+
+    Each term (W, u, v) adds the rows sum_k W[r, k] u_k(t) v_k(t), with u
+    ("x" or "s") from the upper block set and v from the lower one;
+    `upper` and `lower` are their `_angle_factors`. With u = a_0 c + a_1 s
+    and v = b_0 c' + b_1 s', the product is sum_pq a_p b_q f_p f'_q: the
+    left factor holds W a_p b_q per (row, coarse time), the right one the
+    four fine products f_p f'_q per level, so the sum over levels and pq
+    is one matrix product with inner dimension 4K. Returns
+    (rows, coarse * fine).
+    """
+    (coarse_u, fine_u), (coarse_l, fine_l) = upper, lower
+    n_coarse, _, n_levels = coarse_u["x"].shape
+    left = np.concatenate([
+        (w[:, None, None, :]
+         * (coarse_u[u][:, :, None] * coarse_l[v][:, None]
+            ).reshape(n_coarse, 4, n_levels)
+         ).reshape(w.shape[0] * n_coarse, 4 * n_levels)
+        for w, u, v in terms])
+    right = (fine_u[:, None] * fine_l[None]).reshape(4 * n_levels, -1)
+    return (left @ right).reshape(sum(w.shape[0] for w, _, _ in terms), -1)
+
+
 def jc_reduced_map(params: JCParams, times: np.ndarray,
                    ) -> tuple[MapTrajectory, JCCoefficients]:
     """Exact reduced qubit trajectory with analytic derivatives.
@@ -237,10 +312,19 @@ def jc_reduced_map(params: JCParams, times: np.ndarray,
         f = e^{-i omega_m t} S,   S = sum_n p_n u_n u_{n-1},
 
     and cancel in T_ee = sum_n p_n |u_n|^2 and T_gg = sum_n p_n |u_{n-1}|^2.
-    The level sum therefore runs in real arithmetic on one cosine and one
-    sine per block and time.
+    The level sum therefore runs in real arithmetic on weighted sums of
+    products of x_k = cos(r_k t/2) and s_k = sin(r_k t/2).
+
+    The grid must be uniform from 0 (`_split_grid`): t_j = T_J + tau_m
+    with j = J B + m, so by angle addition x and s need cosines and sines
+    only at the coarse times T_J and the B fine times tau_m. Each weighted
+    sum of products is then one matrix product with inner dimension 4K
+    over K levels (`_product_sums`): one for the seven neighbour-pair rows
+    behind S and dS/dt, one for the four same-block rows behind T_ee,
+    T_gg and their derivatives. Levels are summed in chunks of LEVEL_CHUNK.
     """
     times = np.asarray(times, dtype=float)
+    coarse_t, fine_t = _split_grid(times)
     n_max = jc_mode_count(params)
     p = _thermal_weights(params, n_max)
     delta = params.omega - params.omega_m
@@ -251,16 +335,11 @@ def jc_reduced_map(params: JCParams, times: np.ndarray,
     #   |u_k|^2 = 1 - eps_k s_k^2,  eps_k = 4 g^2 (k+1) / r_k^2,
     # so S, dS/dt, T_ee, T_gg and their derivatives are weighted sums of six
     # products of x and s; the per-block factors go into the weights.
-    xx = np.zeros(times.size)
-    ss = np.zeros((2, times.size))
-    sx = np.zeros((2, times.size))
-    xs = np.zeros((2, times.size))
-    pops = np.zeros((2, times.size))  # T_ee, T_gg
-    dpops = np.zeros((2, times.size))
-    # chunk the level sum so very hot modes stay within memory
-    chunk = max(1, 1_000_000 // max(times.size, 1))
-    for lo in range(0, n_max + 1, chunk):
-        hi = min(lo + chunk, n_max + 1)
+    pairs = np.zeros((7, coarse_t.size * fine_t.size))
+    pops = np.zeros((2, pairs.shape[1]))  # T_ee, T_gg
+    dpops = np.zeros((2, pairs.shape[1]))
+    for lo in range(0, n_max + 1, LEVEL_CHUNK):
+        hi = min(lo + LEVEL_CHUNK, n_max + 1)
         w = p[lo:hi]
         # blocks lo-1 .. hi-1; level n pairs block n (upper) with n-1 (lower)
         blocks = np.arange(lo - 1, hi)
@@ -272,27 +351,33 @@ def jc_reduced_map(params: JCParams, times: np.ndarray,
         alpha = np.divide(delta, rabi, out=np.zeros_like(rabi), where=coupled)
         eps = np.divide(couple, rabi ** 2, out=np.zeros_like(rabi),
                         where=coupled)
-        arg = half[:, None] * times
-        x = np.cos(arg)
-        s = np.sin(arg, out=arg)
-        xn, xm, sn, sm = x[1:], x[:-1], s[1:], s[:-1]
+        coarse, fine = _angle_factors(half, coarse_t, fine_t)
+        upper = ({k: v[..., 1:] for k, v in coarse.items()}, fine[:, 1:])
+        lower = ({k: v[..., :-1] for k, v in coarse.items()}, fine[:, :-1])
         an, am, hn, hm = alpha[1:], alpha[:-1], half[1:], half[:-1]
-        xx += w @ (xn * xm)
-        ss += np.stack([w * an * am, w * (hn * am + an * hm)]) @ (sn * sm)
-        sx += np.stack([w * an, w * (hn + 0.5 * delta * an)]) @ (sn * xm)
-        xs += np.stack([w * am, w * (hm + 0.5 * delta * am)]) @ (xn * sm)
+        pairs += _product_sums([
+            (w[None], "x", "x"),
+            (np.stack([w * an * am, w * (hn * am + an * hm)]), "s", "s"),
+            (np.stack([w * an, w * (hn + 0.5 * delta * an)]), "s", "x"),
+            (np.stack([w * am, w * (hm + 0.5 * delta * am)]), "x", "s"),
+        ], upper, lower)
         upper_lower = np.zeros((2, w.size + 1))
         upper_lower[0, 1:] = w
         upper_lower[1, :-1] = w
-        pops += w.sum() - (upper_lower * eps) @ (s * s)
-        dpops -= (upper_lower * (eps * rabi)) @ (s * x)
+        same = _product_sums([(upper_lower * eps, "s", "s"),
+                              (upper_lower * (eps * rabi), "s", "x")],
+                             (coarse, fine), (coarse, fine))
+        pops += w.sum() - same[:2]
+        dpops -= same[2:]
 
-    s_sum = (xx - ss[0]) - 1j * (sx[0] + xs[0])
-    ds_sum = -(sx[1] + xs[1]) + 1j * (ss[1] - delta * xx)
+    # the d-rows carry the weights of dS/dt
+    xx, ss, ss_d, sx, sx_d, xs, xs_d = pairs[:, :times.size]
+    s_sum = (xx - ss) - 1j * (sx + xs)
+    ds_sum = -(sx_d + xs_d) + 1j * (ss_d - delta * xx)
     phase = np.exp(-1j * params.omega_m * times)
     f = phase * s_sum
     df = phase * (ds_sum - 1j * params.omega_m * s_sum)
-    (T_ee, T_gg), (dT_ee, dT_gg) = pops, dpops
+    (T_ee, T_gg), (dT_ee, dT_gg) = pops[:, :times.size], dpops[:, :times.size]
 
     coeffs = JCCoefficients(
         times=times, weights=p, f=f, T_ee=T_ee, T_gg=T_gg,

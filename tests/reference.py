@@ -3,7 +3,8 @@
 The library computes every quantity along one stacked route over the whole
 time grid: `generator_splits` -> `ThermoPipeline` -> `fluctuation_table`.
 The functions here compute the same quantities one grid point, one map or
-one operator at a time, the way the formulas read, plus the small
+one operator at a time, the way the formulas read (the exchange-model
+level sum one block and grid time at a time), plus the small
 constructors (random states and unitaries, Kraus and conjugation maps,
 constant rates) that only tests need. Nothing in `src/mapthermo` calls
 them.
@@ -26,6 +27,7 @@ import numpy as np
 
 from mapthermo.dynamics import MapTrajectory, map_derivatives
 from mapthermo.fluctuations import OutcomeDistribution
+from mapthermo.models import JCParams, _thermal_weights, jc_mode_count
 from mapthermo.operators import (
     COND_THRESHOLD_DEFAULT,
     DensityMatrix,
@@ -228,6 +230,64 @@ def pc_generator(omega: float, kappa: float, xi: float,
                  gamma_z: float) -> Superoperator:
     return superop_from_pauli_transfer(
         pc_generator_transfer_matrix(omega, kappa, xi, gamma_z))
+
+
+# ---------------------------------------------------------------------------
+# Exchange-model level sum elementwise (`mapthermo.models.jc_reduced_map`)
+
+
+def jc_level_sums(params: JCParams, times: np.ndarray,
+                  ) -> tuple[np.ndarray, ...]:
+    """(f, T_ee, T_gg, df/dt, dT_ee/dt, dT_gg/dt) of the exchange model,
+    from one cosine and one sine per block and grid time, summed over the
+    levels with elementwise products in chunks of about 10^6 entries."""
+    times = np.asarray(times, dtype=float)
+    n_max = jc_mode_count(params)
+    p = _thermal_weights(params, n_max)
+    delta = params.omega - params.omega_m
+    g = params.g
+
+    xx = np.zeros(times.size)
+    ss = np.zeros((2, times.size))
+    sx = np.zeros((2, times.size))
+    xs = np.zeros((2, times.size))
+    pops = np.zeros((2, times.size))  # T_ee, T_gg
+    dpops = np.zeros((2, times.size))
+    chunk = max(1, 1_000_000 // max(times.size, 1))
+    for lo in range(0, n_max + 1, chunk):
+        hi = min(lo + chunk, n_max + 1)
+        w = p[lo:hi]
+        # blocks lo-1 .. hi-1; level n pairs block n (upper) with n-1 (lower)
+        blocks = np.arange(lo - 1, hi)
+        couple = 4.0 * g ** 2 * (blocks + 1.0)
+        couple[blocks == n_max] = 0.0
+        rabi = np.sqrt(delta ** 2 + couple)
+        half = rabi / 2.0
+        coupled = rabi > 0.0  # a zero Rabi frequency forces delta = 0
+        alpha = np.divide(delta, rabi, out=np.zeros_like(rabi), where=coupled)
+        eps = np.divide(couple, rabi ** 2, out=np.zeros_like(rabi),
+                        where=coupled)
+        arg = half[:, None] * times
+        x = np.cos(arg)
+        s = np.sin(arg, out=arg)
+        xn, xm, sn, sm = x[1:], x[:-1], s[1:], s[:-1]
+        an, am, hn, hm = alpha[1:], alpha[:-1], half[1:], half[:-1]
+        xx += w @ (xn * xm)
+        ss += np.stack([w * an * am, w * (hn * am + an * hm)]) @ (sn * sm)
+        sx += np.stack([w * an, w * (hn + 0.5 * delta * an)]) @ (sn * xm)
+        xs += np.stack([w * am, w * (hm + 0.5 * delta * am)]) @ (xn * sm)
+        upper_lower = np.zeros((2, w.size + 1))
+        upper_lower[0, 1:] = w
+        upper_lower[1, :-1] = w
+        pops += w.sum() - (upper_lower * eps) @ (s * s)
+        dpops -= (upper_lower * (eps * rabi)) @ (s * x)
+
+    s_sum = (xx - ss[0]) - 1j * (sx[0] + xs[0])
+    ds_sum = -(sx[1] + xs[1]) + 1j * (ss[1] - delta * xx)
+    phase = np.exp(-1j * params.omega_m * times)
+    f = phase * s_sum
+    df = phase * (ds_sum - 1j * params.omega_m * s_sum)
+    return f, pops[0], pops[1], df, dpops[0], dpops[1]
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import math
+import re
 import textwrap
 
 import numpy as np
@@ -144,8 +145,8 @@ QUTRIT_MAP_FILE_BODY = """\
 """
 
 
-# 2764 mode levels against chunks of 2493 at 401 grid points: the level
-# sum spans two chunks
+# 2764 mode levels against chunks of LEVEL_CHUNK = 512 levels: the level
+# sum spans six chunks
 JC_HOT_BODY = """\
     [scenario]
     model = jaynes_cummings
@@ -430,3 +431,25 @@ def test_map_info_marks_invalid_rows(tmp_path, capsys):
     assert rows[3].startswith(f"{times[3]:.6g},inf,singular,invalid: ")
     assert "not Hermiticity-preserving" in rows[3]
     assert "1 singular" in lines[-1] and "1 invalid rows" in lines[-1]
+
+
+def test_run_reports_an_undefined_exponential(tmp_path, capsys):
+    # resonant vacuum exchange: beta P(t) leaves the range of exp on the
+    # window, which is a numerical failure (exit 3), not a crash
+    cfg_path = write_config(tmp_path, """\
+        [scenario]
+        model = jaynes_cummings
+        beta_list = 1
+        t_max = 60
+        n_steps = 2400
+        out_dir = {out}
+
+        [jaynes_cummings]
+        omega = 1.0
+        omega_m = 1.0
+        g = 0.1
+    """.format(out=tmp_path / "out"))
+    assert main(["run", cfg_path]) == 3
+    err = capsys.readouterr().err
+    assert "numerical failure: ConstructionError" in err
+    assert re.search(r"undefined at t = [0-9.]+, beta = 1:", err)

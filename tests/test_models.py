@@ -6,8 +6,11 @@ import pytest
 from scipy.linalg import expm
 
 from mapthermo.dynamics import MapTrajectory
-from mapthermo.errors import ConfigError, SingularMap, TruncationError
+from mapthermo.errors import (ConfigError, ConstructionError, SingularMap,
+                               TruncationError)
 from mapthermo.models import (
+    FINE_POINTS,
+    LEVEL_CHUNK,
     ClosedCoherentParams,
     JCParams,
     WeakCouplingParams,
@@ -24,7 +27,7 @@ from mapthermo.operators import (
     cptp_diagnostics,
 )
 from mapthermo.phase_covariant import pc_trajectory
-from reference import pauli_transfer_matrix
+from reference import jc_level_sums, pauli_transfer_matrix
 
 
 def test_weak_coupling_params_validation():
@@ -219,8 +222,9 @@ def test_reduced_map_matches_joint_unitary_evolution(params):
 
 
 def test_reduced_map_level_sum_is_chunk_independent():
-    # 1201 grid points give chunks of 832 levels: the 1382-level sum spans
-    # two chunks, and must agree with a grid short enough for one chunk
+    # the 1382-level sum spans three chunks of LEVEL_CHUNK = 512 levels on
+    # both grids; the 601-point prefix, split into 7 coarse blocks against
+    # 13, must give the same sums
     params = JCParams(omega=1.0, omega_m=2.0, g=0.01, beta=0.01)
     assert jc_mode_count(params) + 1 == 1382
     long_grid = np.linspace(0.0, 60.0, 1201)
@@ -230,6 +234,67 @@ def test_reduced_map_level_sum_is_chunk_independent():
         npt.assert_allclose(getattr(two_chunks, name)[:601],
                             getattr(one_chunk, name), rtol=0.0, atol=1e-13,
                             err_msg=name)
+
+
+LEVEL_SUM_REGIMES = [
+    pytest.param(JCParams(omega=1.3, omega_m=1.0, g=0.2, beta=0.7),
+                 id="detuned_thermal"),
+    # delta = 0: the edge block n_max has zero Rabi frequency
+    pytest.param(JCParams(omega=1.0, omega_m=1.0, g=0.15, beta=1.5),
+                 id="resonant_thermal"),
+    pytest.param(JCParams(omega=1.0, omega_m=2.0, g=0.3), id="vacuum"),
+    pytest.param(JCParams(omega=0.8, omega_m=1.0, g=0.5, beta=12.0, n_max=1),
+                 id="n_max_1"),
+    pytest.param(JCParams(omega=1.4, omega_m=2.0, g=0.0, beta=1.0, n_max=12),
+                 id="g_0"),
+]
+# grid sizes against the FINE_POINTS of the split grid
+SHORT_GRIDS = [
+    pytest.param(np.linspace(0.0, 9.0, FINE_POINTS // 2 + 3),
+                 id="shorter_than_fine"),
+    pytest.param(np.linspace(0.0, 20.0, 2 * FINE_POINTS), id="fine_multiple"),
+    pytest.param(np.linspace(0.0, 20.0, 2 * FINE_POINTS + 1),
+                 id="fine_multiple_plus_1"),
+]
+INEXACT_GRID = pytest.param(np.linspace(0.0, 60.0, 2401), id="inexact_h")
+
+
+def _assert_level_sums_match_reference(params, times):
+    _, coeffs = jc_reduced_map(params, times)
+    f, T_ee, T_gg, df, dT_ee, dT_gg = jc_level_sums(params, times)
+    for name, got, want in [
+            ("f", coeffs.f, f), ("T_ee", coeffs.T_ee, T_ee),
+            ("T_gg", coeffs.T_gg, T_gg),
+            ("df", coeffs.da - 1j * coeffs.db, df),
+            ("dc", coeffs.dc, dT_ee - dT_gg),
+            ("dd_par", coeffs.dd_par, dT_ee + dT_gg)]:
+        npt.assert_allclose(got, want, rtol=0.0, atol=1e-13, err_msg=name)
+
+
+@pytest.mark.parametrize("times", SHORT_GRIDS + [INEXACT_GRID])
+@pytest.mark.parametrize("params", LEVEL_SUM_REGIMES)
+def test_level_sum_matches_elementwise_reference(params, times):
+    _assert_level_sums_match_reference(params, times)
+
+
+@pytest.mark.parametrize("times", SHORT_GRIDS)
+def test_hot_level_sum_matches_elementwise_reference(times):
+    # 13816 levels: the sum spans many level chunks
+    params = JCParams(omega_m=2.0, g=0.01, beta=1e-3)
+    assert jc_mode_count(params) + 1 > 20 * LEVEL_CHUNK
+    _assert_level_sums_match_reference(params, times)
+
+
+def test_reduced_map_rejects_a_grid_off_the_uniform_split():
+    params = JCParams(omega=1.0, omega_m=2.0, g=0.3)
+    times = np.linspace(0.0, 10.0, 101)
+    jc_reduced_map(params, times)
+    # uniform to GRID_RTOL, but 1e-12 is about 560 ulp of t_N = 10
+    times[37] += 1e-12
+    with pytest.raises(ConstructionError, match=r"t\[37\]"):
+        jc_reduced_map(params, times)
+    with pytest.raises(ConstructionError, match="not uniform from 0"):
+        jc_reduced_map(params, np.linspace(1.0, 10.0, 101))
 
 
 def test_extraction_recovers_weak_coupling_rates():
