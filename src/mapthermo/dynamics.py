@@ -256,16 +256,142 @@ def save_map_trajectory(traj: MapTrajectory, path: str) -> None:
                      + "\n")
 
 
+# Exact vectorised cell parsing. A cell as `save_map_trajectory` writes it,
+# "-d.dddddddddddddddde+dd" with the '-' optional, is M * 10^q with
+# M < 10^17. For |q| <= 27 both M and 10^|q| are exact in the 64-bit
+# significand of the x87 extended format, so M * 10^q (or M / 10^-q) is
+# rounded once there, and the cast to float64 gives the correctly rounded
+# double unless that first rounding landed on a halfway point between two
+# doubles (the 11 bits the cast drops are then 0x400). Every other cell,
+# every halfway cell and, where np.longdouble is not the x87 format, every
+# cell goes to float(), so a row reads exactly as float() reads it.
+
+_U64 = np.uint64
+_CELL = 22          # bytes of an unsigned canonical cell
+_MAX_Q = 27         # 5^27 < 2^64: 10^q is exact for |q| <= 27
+_POW10 = np.cumprod(np.full(_MAX_Q + 1, 10, np.longdouble)) / 10
+
+
+def _x87_extended() -> bool:
+    """Whether np.longdouble is the x87 format the kernel relies on: a
+    64-bit significand, stored first in 16 bytes, and exact products."""
+    if (np.finfo(np.longdouble).nmant != 63
+            or np.dtype(np.longdouble).itemsize != 16):
+        return False
+    a, b = 2**32 + 1, 2**31 + 1   # a product needing all 64 bits
+    prod = np.array([a], np.longdouble) * np.array([b], np.longdouble)
+    return int(prod.view(_U64)[0]) == a * b
+
+
+_EXACT = _x87_extended()
+
+
+def _all_digits(w: np.ndarray) -> np.ndarray:
+    """Whether every byte of each uint64 word is an ASCII digit."""
+    high = _U64(0xF0F0F0F0F0F0F0F0)
+    return ((w & high) | (((w + _U64(0x0606060606060606)) & high) >> _U64(4))
+            ) == _U64(0x3333333333333333)
+
+
+def _eight_digits(w: np.ndarray) -> np.ndarray:
+    """The number written by the 8 ASCII digits of each little-endian word
+    (first digit in the lowest byte): pairs, then quads, then the whole."""
+    w = ((w & _U64(0x0F0F0F0F0F0F0F0F)) * _U64(10 * 256 + 1)) >> _U64(8)
+    w = ((w & _U64(0x00FF00FF00FF00FF)) * _U64(100 * 65536 + 1)) >> _U64(16)
+    return (((w & _U64(0x0000FFFF0000FFFF)) * _U64(10000 * 2**32 + 1))
+            >> _U64(32))
+
+
+def _canonical_cells(line: bytes, starts: np.ndarray,
+                     ends: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Values of the cells of one row and whether each was read exactly;
+    the rest hold garbage. Needs `_EXACT` and a row of at least 32 bytes."""
+    length = ends - starts
+    neg = length == _CELL + 1
+    first = starts + neg
+    # 32 bytes from 6 before the first digit, as four words:
+    # "_____,d." "dddddddd" "dddddddd" "e+dd____", "-" for "," if signed
+    at = np.clip(first - 6, 0, len(line) - 32)
+    words = np.ndarray((len(line) - 31, 4), _U64, buffer=line,
+                       strides=(1, 8))[at].T.copy()
+    before = (words[0] >> _U64(40)) & _U64(0xFF)  # "-" or the "," ahead
+    lead = words[0] >> _U64(48)                    # "d."
+    tag = words[3] & _U64(0xFFFF)                  # "e+" or "e-"
+    expo = (words[3] >> _U64(16)) & _U64(0xFFFF)   # "dd"
+    ok = ((neg | (length == _CELL))
+          & (at == first - 6)   # not clipped: the 32 bytes lie in the row
+          & (before == np.where(neg, _U64(ord("-")), _U64(ord(","))))
+          & (lead - _U64(0x2E30) <= _U64(9))
+          & ((tag == _U64(0x2B65)) | (tag == _U64(0x2D65)))
+          & _all_digits(expo | _U64(0x3030303030300000))
+          & _all_digits(words[1:3]).all(axis=0))
+    # 10 * ord(X) + ord(Y) carries 11 * ord("0") on top of the exponent
+    e = ((expo & _U64(0xFF)) * _U64(10) + (expo >> _U64(8))).astype(np.int64)
+    q = np.where(tag == _U64(0x2D65), -1, 1) * (e - 11 * ord("0")) - 16
+    ok &= np.abs(q) <= _MAX_Q
+    high, low = _eight_digits(words[1:3])
+    mant = ((lead & _U64(0xF)) * _U64(10**16) + high * _U64(10**8)
+            + low).astype(np.longdouble)
+    scale = _POW10[np.minimum(np.abs(q), _MAX_Q)]
+    r = np.where(q < 0, mant / scale, mant * scale)
+    ok &= (r.view(_U64)[0::2] & _U64(0x7FF)) != _U64(0x400)  # not halfway
+    x = r.astype(np.float64)
+    return np.where(neg, -x, x), ok
+
+
+def _parse_row(line: bytes) -> np.ndarray:
+    """The comma-separated numbers of one data row, as float() reads each.
+    Raises ValueError (UnicodeDecodeError included) for a cell float()
+    refuses."""
+    buf = np.frombuffer(line, np.uint8)
+    end = len(line) - line.endswith(b"\n")
+    commas = np.flatnonzero(buf[:end] == ord(","))
+    starts = np.concatenate(([0], commas + 1))
+    ends = np.append(commas, end)
+    if _EXACT and len(line) >= 32:
+        vals, exact = _canonical_cells(line, starts, ends)
+    else:
+        vals, exact = np.empty(starts.size), np.zeros(starts.size, bool)
+    for j in np.flatnonzero(~exact):
+        vals[j] = float(line[starts[j]:ends[j]].decode())
+    return vals
+
+
+# several data rows of a d = 6 file, so reading a row rarely joins chunks
+_READ_BUFFER = 1 << 20
+
+
+def _numbered_lines(fh):
+    """Number the lines of a file opened in binary mode as text mode's
+    universal newlines split them: at LF, CRLF and a lone CR."""
+    lineno = 0
+    for raw in fh:
+        # a CR before the last byte ends a line inside this one
+        inner_cr = raw.find(b"\r", 0, len(raw) - 1) >= 0
+        for line in raw.splitlines() if inner_cr else (raw,):
+            lineno += 1
+            yield lineno, line
+
+
 def read_map_file(path: str) -> tuple[np.ndarray, np.ndarray,
                                       np.ndarray | None]:
     """Parse the text format into the times and (n, d^2, d^2) stacks of maps
     and (when present) derivatives, without validating a trajectory, for
     diagnostics on imperfect files. A first pass reads the header and counts
-    the rows; the second parses each row into preallocated stacks."""
-    dim, has_d, rows = None, False, []
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
+    the rows and their columns; the second parses each row into
+    preallocated stacks."""
+    dim, has_d, expect, rows = None, False, 0, []
+    with open(path, "rb", buffering=_READ_BUFFER) as fh:
+        for lineno, raw in _numbered_lines(fh):
+            # a data row as written starts with a digit or '-' and needs no
+            # decoding here: only its commas are counted
+            written_row = lineno > 1 and (raw[:1].isdigit()
+                                          or raw.startswith(b"-"))
+            try:
+                line = "" if written_row else raw.decode("utf-8").strip()
+            except UnicodeDecodeError:
+                raise ConstructionError(
+                    f"{path}:{lineno}: line is not UTF-8 text") from None
             body = line.lstrip("#").strip()
             if lineno == 1:
                 if not (line.startswith("#") and body == _FORMAT_TAG):
@@ -291,32 +417,36 @@ def read_map_file(path: str) -> tuple[np.ndarray, np.ndarray,
                         f"{fields.get('vectorization')!r}")
                 dim = int(fields["dim"])
                 has_d = fields.get("derivatives", "0") == "1"
-            elif line and not line.startswith("#"):
+                expect = 1 + 2 * dim**4 * (2 if has_d else 1)
+            elif written_row or (line and not line.startswith("#")):
                 if dim is None:
                     raise ConstructionError(
                         f"{path}:{lineno}: data row before the dim header "
                         f"line")
+                # checked here, so the stacks below fit the file
+                cols = 1 + np.count_nonzero(
+                    np.frombuffer(raw, np.uint8) == ord(","))
+                if cols != expect:
+                    raise ConstructionError(
+                        f"{path}:{lineno}: expected {expect} columns, got "
+                        f"{cols}")
                 rows.append(lineno)
     if not rows:
         raise ConstructionError(f"{path}: no data rows")
     d2 = dim * dim
     per_block = 2 * d2 * d2
-    expect = 1 + per_block * (2 if has_d else 1)
     times = np.empty(len(rows))
     maps = np.empty((len(rows), d2, d2), dtype=complex)
     derivs = np.empty_like(maps) if has_d else None
-    with open(path) as fh:
-        data = (line for line in fh
-                if line.strip() and not line.lstrip().startswith("#"))
-        for k, (lineno, line) in enumerate(zip(rows, data)):
+    with open(path, "rb", buffering=_READ_BUFFER) as fh:
+        lines = _numbered_lines(fh)
+        for k, lineno in enumerate(rows):
+            line = next(raw for n, raw in lines if n == lineno)
             try:
-                vals = np.array([float(x) for x in line.split(",")])
+                vals = _parse_row(line)
             except ValueError:
                 raise ConstructionError(
                     f"{path}:{lineno}: row is not comma-separated numbers")
-            if vals.size != expect:
-                raise ConstructionError(
-                    f"{path}:{lineno}: expected {expect} columns, got {vals.size}")
             if not np.isfinite(vals).all():
                 raise ConstructionError(
                     f"{path}:{lineno}: row holds a value that is not finite")

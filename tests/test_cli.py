@@ -412,6 +412,38 @@ def test_run_rejects_a_bad_map_file_header(tmp_path, capsys, problem):
     assert f"{tmp_path / 'bad.maps'}:{line}: " in err
 
 
+# data problems the first pass over a map file finds, and their line
+BAD_MAP_ROWS = {
+    "undecodable_bytes": (b"# dim=2 vectorization=column-stacking "
+                          b"derivatives=0\n\xff\xfe,1\n", 3),
+    "dim_line_disagrees_with_columns": (b"# dim=100000 vectorization="
+                                        b"column-stacking derivatives=0\n"
+                                        b"0.0,1\n", 3),
+}
+
+
+@pytest.mark.parametrize("problem", sorted(BAD_MAP_ROWS))
+@pytest.mark.parametrize("command", ["map-info", "run"])
+def test_bad_map_file_rows_exit_2_with_the_line(tmp_path, capsys, problem,
+                                                command):
+    body, line = BAD_MAP_ROWS[problem]
+    path = tmp_path / "bad.maps"
+    path.write_bytes(b"# mapthermo-maps v1\n" + body)
+    cfg_path = write_config(tmp_path, """\
+        [scenario]
+        model = custom_map_file
+        beta_list = 1.0
+        out_dir = {out}
+
+        [custom_map_file]
+        path = bad.maps
+    """.format(out=tmp_path / "out"))
+    arg = str(path) if command == "map-info" else cfg_path
+    assert main([command, arg]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and f"{path}:{line}: " in err
+
+
 def test_map_info_marks_invalid_rows(tmp_path, capsys):
     # row 3 is not Hermiticity-preserving, as in the trajectory check tests
     times = np.linspace(0.0, 1.0, 9)

@@ -3,8 +3,11 @@ import os
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import given, settings
+from hypothesis.strategies import floats, lists
 from scipy.linalg import expm
 
+import mapthermo.dynamics as dynamics
 from mapthermo.dynamics import (
     MapTrajectory,
     condition_flags,
@@ -354,3 +357,124 @@ def test_read_map_file_rejects_a_header_after_data(tmp_path):
         fh.write("# dim=2 vectorization=column-stacking derivatives=1\n")
     with pytest.raises(ConstructionError, match="header line after data"):
         read_map_file(path)
+
+
+# Cell parsing. A row reads as float() reads each cell, whether or not the
+# exact vectorised kernel takes the cell.
+
+def cell_row(cells):
+    """A data row of the given cells, framed by canonical cells so that the
+    cells under test sit inside the row."""
+    return (",".join(["1.0000000000000000e+00", *cells,
+                      "-2.5000000000000000e-01"]) + "\n").encode()
+
+
+def float_bits(line):
+    return np.array([float(c) for c in line.split(b",")]).tobytes()
+
+
+@settings(max_examples=300, deadline=None)
+@given(lists(floats(allow_nan=False, allow_infinity=False), min_size=1,
+             max_size=40))
+def test_written_cells_parse_to_the_bits_of_float(xs):
+    line = cell_row([f"{x:.16e}" for x in xs])
+    assert dynamics._parse_row(line).tobytes() == float_bits(line)
+
+
+EDGE_CELLS = [
+    "0.0000000000000000e+00", "-0.0000000000000000e+00",
+    "5e-324", f"{5e-324:.16e}", f"{-2.2250738585072009e-308:.16e}",
+    f"{1.5e-310:.16e}", "1.7976931348623157e+308", f"{1e-100:.16e}",
+    f"{-3.25e+250:.16e}",
+    # |q| = 27 at e+43 and e-11, one past it at e+44 and e-12
+    f"{1.2345e43:.16e}", f"{-9.87e-11:.16e}", f"{1.2345e44:.16e}",
+    f"{9.87e-12:.16e}",
+    # 2^53 + 1 exactly: a true halfway decimal, 2^53 by ties-to-even
+    "9.0071992547409930e+15",
+    # within half an extended-precision ulp of a halfway point, so that
+    # step rounds onto it; float() rounds up, ties-to-even would round down
+    "8.8549032216538136e-09", "8.6050736450284380e-09",
+    # spellings float() accepts that the kernel leaves to it
+    "1", "-2.5", " 3.0 ", "1E5", "+1.0e+00", "1e-400",
+    "+1.0000000000000000e+00", "1.0000000000000000E+00",
+]
+
+
+@pytest.mark.parametrize("exact", [True, False])
+def test_edge_cells_parse_to_the_bits_of_float(monkeypatch, exact):
+    monkeypatch.setattr(dynamics, "_EXACT", dynamics._EXACT and exact)
+    line = cell_row(EDGE_CELLS)
+    vals = dynamics._parse_row(line)
+    assert vals.tobytes() == float_bits(line)
+    assert vals[1 + EDGE_CELLS.index("9.0071992547409930e+15")] == 2.0**53
+
+
+@pytest.mark.skipif(not dynamics._EXACT,
+                    reason="np.longdouble is not the x87 extended format")
+def test_written_cells_in_range_skip_float(monkeypatch):
+    # exponents -10..9, inside the kernel's range: only the framing cells,
+    # at the row's ends, go to float() (this seed draws no halfway cell)
+    rng = np.random.default_rng(12)
+    x = (rng.choice([-1.0, 1.0], 200) * rng.uniform(1.0, 9.9, 200)
+         * 10.0 ** np.repeat(np.arange(-10, 10), 10))
+    line = cell_row([f"{v:.16e}" for v in x])
+    called = []
+    monkeypatch.setattr(dynamics, "float",
+                        lambda cell: called.append(cell) or float(cell),
+                        raising=False)
+    assert dynamics._parse_row(line).tobytes() == float_bits(line)
+    assert called == ["1.0000000000000000e+00", "-2.5000000000000000e-01"]
+
+
+def test_map_file_reads_the_same_without_the_kernel(tmp_path, monkeypatch):
+    path = str(tmp_path / "traj.maps")
+    save_map_trajectory(random_gksl_trajectory(
+        3, np.random.default_rng(13), np.linspace(0.0, 1.0, 6)), path)
+    fast = read_map_file(path)
+    monkeypatch.setattr(dynamics, "_EXACT", False)
+    for a, b in zip(fast, read_map_file(path)):
+        assert a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("newline", [b"\r\n", b"\r"])
+def test_map_file_line_ends_read_as_in_text_mode(tmp_path, newline):
+    lf = tmp_path / "lf.maps"
+    save_map_trajectory(random_gksl_trajectory(
+        2, np.random.default_rng(14), np.linspace(0.0, 1.0, 5)), str(lf))
+    other = tmp_path / "other.maps"
+    other.write_bytes(lf.read_bytes().replace(b"\n", newline))
+    for a, b in zip(read_map_file(str(lf)), read_map_file(str(other))):
+        assert a.tobytes() == b.tobytes()
+    # line numbers count the same lines
+    text = other.read_bytes().split(newline)
+    text[4] = text[4].replace(b",", b",x", 1)
+    other.write_bytes(newline.join(text))
+    with pytest.raises(ConstructionError, match="other.maps:5: "):
+        read_map_file(str(other))
+
+
+def test_read_map_file_checks_columns_before_allocating(tmp_path):
+    # dim=100000 would need stacks far beyond any memory
+    path = tmp_path / "huge.maps"
+    path.write_text("# mapthermo-maps v1\n"
+                    "# dim=100000 vectorization=column-stacking "
+                    "derivatives=0\n"
+                    "0.0,1\n")
+    with pytest.raises(ConstructionError,
+                       match=f"huge.maps:3: expected {1 + 2 * 10**20} "
+                             "columns, got 2"):
+        read_map_file(str(path))
+
+
+@pytest.mark.parametrize("bad, line", [
+    (b"\xff\xfe,1\n", 3),
+    (b"# comment \xff\n0.0,1\n", 3),
+    (b"0.0," + b"\xff" * 3 + b",0" * 31 + b"\n", 3),  # 33 columns
+], ids=["data_row", "comment", "written_row"])
+def test_read_map_file_rejects_undecodable_bytes(tmp_path, bad, line):
+    path = tmp_path / "bytes.maps"
+    path.write_bytes(b"# mapthermo-maps v1\n"
+                     b"# dim=2 vectorization=column-stacking derivatives=0\n"
+                     + bad)
+    with pytest.raises(ConstructionError, match=f"bytes.maps:{line}: "):
+        read_map_file(str(path))
