@@ -13,25 +13,14 @@ BLAS thread variables and the usable CPUs are recorded, not set.
 """
 
 import argparse
-import json
-import os
-import platform
 import time
 import tracemalloc
 
 import numpy as np
 
+from bench_record import record_run
 from mapthermo.models import JCParams, jc_mode_count, jc_reduced_map
 from run_exchange_windows import WINDOWS
-
-THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
-
-
-def machine() -> dict:
-    return {"cores": os.cpu_count(),
-            "cores_usable": len(os.sched_getaffinity(0)),
-            "python": platform.python_version(), "numpy": np.__version__,
-            "blas_threads": {k: os.environ.get(k) for k in THREAD_VARS}}
 
 
 def measure(omega_m, g, beta_mode, t_f, n_steps, repeats: int) -> dict:
@@ -63,11 +52,6 @@ def main() -> None:
     ap.add_argument("--repeats", type=int, default=5)
     args = ap.parse_args()
 
-    record = {"topic": "jc_reduced_map on the windows of "
-                       "scripts/run_exchange_windows.py", "runs": {}}
-    if os.path.exists(args.out):
-        with open(args.out) as fh:
-            record = json.load(fh)
     windows = {}
     for name, (omega_m, g, beta_mode, _, t_f, n_steps) in WINDOWS.items():
         windows[name] = measure(omega_m, g, beta_mode, t_f, n_steps,
@@ -75,10 +59,9 @@ def main() -> None:
         print(f"{name}: {windows[name]['levels']} levels, best "
               f"{windows[name]['wall_s_best']:.4f} s, peak "
               f"{windows[name]['tracemalloc_peak_mb']:.1f} MB")
-    record["runs"][args.label] = {"machine": machine(), "windows": windows}
-    with open(args.out, "w") as fh:
-        json.dump(record, fh, indent=2)
-        fh.write("\n")
+    record_run(args.out, "jc_reduced_map on the windows of "
+                         "scripts/run_exchange_windows.py",
+               args.label, "windows", windows)
 
 
 if __name__ == "__main__":

@@ -2,9 +2,13 @@
 
 Writes one seeded random GKSL trajectory in the shape of the benchmark's
 gksl_file workload (d = 6, N = 400, t in [0, 1], with derivatives: about
-49 MB of text) to a temporary directory, then times `read_map_file` on it
-and an in-process `mapthermo run` of a `custom_map_file` scenario on it
-(best of --repeats after one warm-up call each), and records the
+49 MB of text) to a temporary directory, as `save_map_trajectory` writes it
+and again with every cell respelt as `repr` and as `%.17g` write it, as a
+tomography fit or another simulator might. It times `read_map_file` on each
+spelling, on the written file once more with the exact kernel's import gate
+switched off (as where np.longdouble is not the x87 format), and an
+in-process `mapthermo run` of a `custom_map_file` scenario on the written
+file (best of --repeats after one warm-up call each), and records the
 tracemalloc peak of one `read_map_file` call. The result is merged into a
 JSON file under --label, so runs of two source trees sit side by side, for
 example a parent commit and a change, each put first on PYTHONPATH:
@@ -12,27 +16,37 @@ example a parent commit and a change, each put first on PYTHONPATH:
     OPENBLAS_NUM_THREADS=1 taskset -c 1 \\
         env PYTHONPATH=src python scripts/bench_map_io.py --label change
 
+Runs made one after the other carry the host's drift in speed between them.
+With --against the src directory of a second tree (say a checkout of the
+parent commit), both trees are imported into one process, checked to read
+every file to the same bits, and their `read_map_file` calls alternate, so
+that each spelling gets a ratio per pair of calls.
+
 BLAS thread variables and the usable CPUs are recorded, not set.
 """
 
 import argparse
 import contextlib
+import functools
+import importlib.util
 import io
-import json
 import os
-import platform
+import sys
 import tempfile
 import time
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 
+import mapthermo.dynamics as dynamics
+from bench_record import record_run
 from mapthermo.cli import main as cli_main
 from mapthermo.dynamics import read_map_file, save_map_trajectory
 from mapthermo.validation import random_gksl_trajectory
 
-THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 DIM, N_STEPS, SEED = 6, 400, 0
+RESPELLINGS = {"repr": repr, "g17": "{:.17g}".format}
 SCENARIO = """\
 [scenario]
 model = custom_map_file
@@ -43,13 +57,6 @@ out_dir = {out_dir}
 [custom_map_file]
 path = trajectory.maps
 """
-
-
-def machine() -> dict:
-    return {"cores": os.cpu_count(),
-            "cores_usable": len(os.sched_getaffinity(0)),
-            "python": platform.python_version(), "numpy": np.__version__,
-            "blas_threads": {k: os.environ.get(k) for k in THREAD_VARS}}
 
 
 def wall_times(call, repeats: int) -> list[float]:
@@ -68,15 +75,92 @@ def run_quietly(config: str) -> None:
             raise SystemExit(f"mapthermo run {config} failed")
 
 
-def measure(work_dir: str, repeats: int) -> dict:
+def respell(src: str, dst: str, spell) -> None:
+    """Copy a map file with every data cell written by `spell`."""
+    with open(src) as fin, open(dst, "w") as fout:
+        for line in fin:
+            if not line.startswith("#"):
+                cells = [spell(float(c)) for c in line.split(",")]
+                line = ",".join(cells) + "\n"
+            fout.write(line)
+
+
+def readers(module, paths: dict) -> dict:
+    """Calls of `module.read_map_file` on each spelling, and on the written
+    file with the kernel's import gate switched off."""
+    def without_gate():
+        # create=True: a tree without the kernel has no gate, reads as usual
+        with mock.patch.object(module, "_EXACT", False, create=True):
+            module.read_map_file(paths["written"])
+    calls = {name: functools.partial(module.read_map_file, path)
+             for name, path in paths.items()}
+    calls["written_gate_off"] = without_gate
+    return calls
+
+
+def load_dynamics(src: str):
+    """The dynamics module of the mapthermo package under `src`, imported
+    as mapthermo_against so that it sits beside this tree's."""
+    root = os.path.join(src, "mapthermo")
+    spec = importlib.util.spec_from_file_location(
+        "mapthermo_against", os.path.join(root, "__init__.py"),
+        submodule_search_locations=[root])
+    sys.modules[spec.name] = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(sys.modules[spec.name])
+    return importlib.import_module("mapthermo_against.dynamics")
+
+
+def alternate(ours, theirs, repeats: int) -> tuple[list, list]:
+    """Wall times of two calls made in turn, the order swapped each round,
+    so that a drift of the host's speed falls on both alike."""
+    ours()
+    theirs()
+    walls = ([], [])
+    for i in range(repeats):
+        for k in ((0, 1), (1, 0))[i % 2]:
+            start = time.perf_counter()
+            (ours, theirs)[k]()
+            walls[k].append(time.perf_counter() - start)
+    return walls
+
+
+def against(paths: dict, src: str, repeats: int) -> dict:
+    """Per spelling, this tree's read time over that of the tree under
+    `src`, call by call in alternation, after a check that both trees read
+    the same bits."""
+    other = load_dynamics(src)
+    result = {}
+    for name, path in paths.items():
+        for a, b in zip(read_map_file(path), other.read_map_file(path)):
+            if a.tobytes() != b.tobytes():
+                raise SystemExit(f"{src} reads {name} to other bits")
+    calls = zip(readers(dynamics, paths).items(),
+                readers(other, paths).values())
+    for (name, ours), theirs in calls:
+        mine, base = alternate(ours, theirs, repeats)
+        ratio = np.array(mine) / np.array(base)
+        result[name] = {"ratio_median": float(np.median(ratio)),
+                        "ratio_quartiles": np.quantile(ratio,
+                                                       [0.25, 0.75]).tolist(),
+                        "faster_in": int(np.sum(ratio < 1)),
+                        "s": mine, "against_s": base}
+    return result
+
+
+def measure(work_dir: str, repeats: int, against_src: str | None) -> dict:
     traj = random_gksl_trajectory(DIM, np.random.default_rng(SEED),
                                   np.linspace(0.0, 1.0, N_STEPS + 1))
     map_path = os.path.join(work_dir, "trajectory.maps")
     save_map_trajectory(traj, map_path)
+    paths = {"written": map_path}
+    for name, spell in RESPELLINGS.items():
+        paths[name] = os.path.join(work_dir, f"{name}.maps")
+        respell(map_path, paths[name], spell)
     config = os.path.join(work_dir, "scenario.ini")
     with open(config, "w") as fh:
         fh.write(SCENARIO.format(out_dir=os.path.join(work_dir, "out")))
-    read_walls = wall_times(lambda: read_map_file(map_path), repeats)
+    reads = {name: wall_times(call, repeats)
+             for name, call in readers(dynamics, paths).items()}
     run_walls = wall_times(lambda: run_quietly(config), repeats)
     tracemalloc.start()
     try:
@@ -84,12 +168,17 @@ def measure(work_dir: str, repeats: int) -> dict:
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    return {"dim": DIM, "n_steps": N_STEPS, "seed": SEED,
-            "map_file_bytes": os.path.getsize(map_path),
-            "read_map_file_s_best": min(read_walls),
-            "read_map_file_s": read_walls,
-            "read_map_file_tracemalloc_peak_mb": peak / 1e6,
-            "run_s_best": min(run_walls), "run_s": run_walls}
+    result = {"dim": DIM, "n_steps": N_STEPS, "seed": SEED,
+              "map_file_bytes": {name: os.path.getsize(path)
+                                 for name, path in paths.items()},
+              "read_map_file_s_best": {name: min(walls)
+                                       for name, walls in reads.items()},
+              "read_map_file_s": reads,
+              "read_map_file_tracemalloc_peak_mb": peak / 1e6,
+              "run_s_best": min(run_walls), "run_s": run_walls}
+    if against_src:
+        result["against"] = against(paths, against_src, repeats)
+    return result
 
 
 def main() -> None:
@@ -99,22 +188,23 @@ def main() -> None:
                     help="key of this run in the JSON file")
     ap.add_argument("--out", default="BENCH_map_io.json")
     ap.add_argument("--repeats", type=int, default=5)
+    ap.add_argument("--against", metavar="SRC",
+                    help="the src directory of a second source tree: time "
+                         "its read_map_file in alternation with this one's")
     args = ap.parse_args()
 
-    record = {"topic": "map-file parsing and mapthermo run on the gksl_file "
-                       "shape", "runs": {}}
-    if os.path.exists(args.out):
-        with open(args.out) as fh:
-            record = json.load(fh)
     with tempfile.TemporaryDirectory() as work_dir:
-        result = measure(work_dir, args.repeats)
-    print(f"read_map_file best {result['read_map_file_s_best']:.3f} s "
-          f"(peak {result['read_map_file_tracemalloc_peak_mb']:.1f} MB), "
+        result = measure(work_dir, args.repeats, args.against)
+    reads = ", ".join(f"{name} {best:.3f} s" for name, best
+                      in result["read_map_file_s_best"].items())
+    print(f"read_map_file best: {reads} (peak "
+          f"{result['read_map_file_tracemalloc_peak_mb']:.1f} MB); "
           f"run best {result['run_s_best']:.3f} s")
-    record["runs"][args.label] = {"machine": machine(), "map_io": result}
-    with open(args.out, "w") as fh:
-        json.dump(record, fh, indent=2)
-        fh.write("\n")
+    for name, pair in result.get("against", {}).items():
+        print(f"{name}: {pair['ratio_median']:.3f} of the other tree's "
+              f"time, faster in {pair['faster_in']} of {args.repeats}")
+    record_run(args.out, "map-file parsing and mapthermo run on the "
+                         "gksl_file shape", args.label, "map_io", result)
 
 
 if __name__ == "__main__":

@@ -4,7 +4,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 from hypothesis import given, settings
-from hypothesis.strategies import floats, lists
+from hypothesis.strategies import floats, lists, sampled_from, tuples
 from scipy.linalg import expm
 
 import mapthermo.dynamics as dynamics
@@ -369,6 +369,10 @@ def cell_row(cells):
                       "-2.5000000000000000e-01"]) + "\n").encode()
 
 
+def parse(line):
+    return dynamics._parse_row(line, line.count(b",") + 1)
+
+
 def float_bits(line):
     return np.array([float(c) for c in line.split(b",")]).tobytes()
 
@@ -378,7 +382,19 @@ def float_bits(line):
              max_size=40))
 def test_written_cells_parse_to_the_bits_of_float(xs):
     line = cell_row([f"{x:.16e}" for x in xs])
-    assert dynamics._parse_row(line).tobytes() == float_bits(line)
+    assert parse(line).tobytes() == float_bits(line)
+
+
+# spellings other writers use; ".16E" is one the kernel reads too
+SPELLINGS = ["{:.16e}", "{!r}", "{:.17g}", "{:.16E}"]
+
+
+@settings(max_examples=300, deadline=None)
+@given(lists(tuples(floats(allow_nan=False, allow_infinity=False),
+                    sampled_from(SPELLINGS)), min_size=1, max_size=40))
+def test_mixed_spellings_parse_to_the_bits_of_float(cells):
+    line = cell_row([spelling.format(x) for x, spelling in cells])
+    assert parse(line).tobytes() == float_bits(line)
 
 
 EDGE_CELLS = [
@@ -396,34 +412,66 @@ EDGE_CELLS = [
     "8.8549032216538136e-09", "8.6050736450284380e-09",
     # spellings float() accepts that the kernel leaves to it
     "1", "-2.5", " 3.0 ", "1E5", "+1.0e+00", "1e-400",
-    "+1.0000000000000000e+00", "1.0000000000000000E+00",
+    "+1.0000000000000000e+00",
+    # an upper-case "E" the kernel reads
+    "1.0000000000000000E+00", f"{-6.02214076e23:.16E}",
 ]
 
 
 @pytest.mark.parametrize("exact", [True, False])
 def test_edge_cells_parse_to_the_bits_of_float(monkeypatch, exact):
     monkeypatch.setattr(dynamics, "_EXACT", dynamics._EXACT and exact)
-    line = cell_row(EDGE_CELLS)
-    vals = dynamics._parse_row(line)
+    kernel_rows = []
+    kernel = dynamics._canonical_cells
+    monkeypatch.setattr(dynamics, "_canonical_cells",
+                        lambda *args: kernel_rows.append(1) or kernel(*args))
+    # enough plain written cells that the kernel takes and keeps the row
+    line = cell_row(EDGE_CELLS + 6 * len(EDGE_CELLS)
+                    * ["3.2500000000000000e+00"])
+    vals = parse(line)
     assert vals.tobytes() == float_bits(line)
     assert vals[1 + EDGE_CELLS.index("9.0071992547409930e+15")] == 2.0**53
+    assert len(kernel_rows) == dynamics._EXACT
 
 
 @pytest.mark.skipif(not dynamics._EXACT,
                     reason="np.longdouble is not the x87 extended format")
 def test_written_cells_in_range_skip_float(monkeypatch):
-    # exponents -10..9, inside the kernel's range: only the framing cells,
-    # at the row's ends, go to float() (this seed draws no halfway cell)
+    # exponents -10..9, inside the kernel's range, with "e" and "E": only
+    # the framing cells, at the row's ends, go to float() (this seed draws
+    # no halfway cell)
     rng = np.random.default_rng(12)
     x = (rng.choice([-1.0, 1.0], 200) * rng.uniform(1.0, 9.9, 200)
          * 10.0 ** np.repeat(np.arange(-10, 10), 10))
-    line = cell_row([f"{v:.16e}" for v in x])
+    line = cell_row([f"{v:.16e}" if k % 2 else f"{v:.16E}"
+                     for k, v in enumerate(x)])
     called = []
     monkeypatch.setattr(dynamics, "float",
                         lambda cell: called.append(cell) or float(cell),
                         raising=False)
-    assert dynamics._parse_row(line).tobytes() == float_bits(line)
+    assert parse(line).tobytes() == float_bits(line)
     assert called == ["1.0000000000000000e+00", "-2.5000000000000000e-01"]
+
+
+@pytest.mark.skipif(not dynamics._EXACT,
+                    reason="np.longdouble is not the x87 extended format")
+def test_rows_the_kernel_reads_little_of_go_to_float_whole(monkeypatch):
+    # repr cells are shorter than written cells: the kernel never runs
+    line = cell_row([repr(x) for x in np.random.default_rng(15).normal(
+        size=200).tolist()])
+    monkeypatch.setattr(dynamics, "_canonical_cells", None)
+    assert parse(line).tobytes() == float_bits(line)
+    monkeypatch.undo()
+    # written cells out of the kernel's exponent range have the width, so it
+    # runs, reads under a third of the row and leaves every cell to float()
+    cells = [f"{x:.16e}" for x in 1e-20 * np.arange(1.0, 31.0)]
+    line = cell_row(cells[:21] + ["1.0000000000000000e+00"] * 9 + cells)
+    called = []
+    monkeypatch.setattr(dynamics, "float",
+                        lambda cell: called.append(cell) or float(cell),
+                        raising=False)
+    assert parse(line).tobytes() == float_bits(line)
+    assert len(called) == 62
 
 
 def test_map_file_reads_the_same_without_the_kernel(tmp_path, monkeypatch):
