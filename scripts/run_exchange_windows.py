@@ -1,20 +1,26 @@
 """Correction-factor windows of the qubit-boson exchange model.
 
-Three regimes, one CSV each:
+Five regimes, one CSV each:
 
-  cold    detuned mode at the reference temperature; slow oscillations with
-          recurrences, factor hugging its bound
-  hot     hot mode against a cold reference; the work factor dips well
-          below one
-  strong  ten times the coupling of the weak run on the same grid; an early
-          work-factor peak with no counterpart in the internal-energy factor
+  cold      detuned mode at the reference temperature; slow oscillations
+            with recurrences, factor hugging its bound
+  hot       hot mode against a cold reference; the work factor dips well
+            below one
+  strong    ten times the coupling of the weak run on the same grid; an
+            early work-factor peak with no counterpart in the
+            internal-energy factor
+  weak      the reference for the strong run
+  resonant  resonant exchange from the vacuum, the deep non-Markovian
+            regime: the rates diverge wherever the excited amplitude
+            crosses zero, while the map coefficients stay finite
 
-The factors are evaluated through rate extraction followed by the log-space
-closed forms, which stay finite over long windows where a direct operator
-exponential overflows.
+The factors are evaluated from the map coefficients of the exact reduced
+map by the log-space closed forms, which stay finite over long windows
+where a direct operator exponential overflows.
 """
 
 import argparse
+import math
 import os
 
 import numpy as np
@@ -27,6 +33,7 @@ WINDOWS = {
     "hot": (2.0, 0.01, 1e-3, 1.0, 400.0, 1600),
     "strong": (1.5, 0.1, 0.2, 1.0, 60.0, 2400),
     "weak": (1.5, 0.01, 0.2, 1.0, 60.0, 2400),
+    "resonant": (1.0, 0.1, math.inf, 1.0, 60.0, 2400),
 }
 
 

@@ -70,8 +70,8 @@ def _fmt(x: float) -> str:
 
 @dataclass(frozen=True)
 class Tolerances:
-    cond_threshold: float = COND_THRESHOLD_DEFAULT
-    invariant_tol: float = 1e-9
+    cond_threshold: float
+    invariant_tol: float
 
 
 @dataclass
@@ -251,19 +251,14 @@ def parse_config(path: str) -> ScenarioConfig:
         dist_times = scen.get_float_list("distribution_times", default=())
     scen.finish()
 
-    tol_reader = _SectionReader(cp, "tolerances", entries, path) \
-        if cp.has_section("tolerances") else None
-    if tol_reader is not None:
-        tolerances = Tolerances(
-            cond_threshold=tol_reader.get_float("cond_threshold",
-                                                default=COND_THRESHOLD_DEFAULT),
-            invariant_tol=tol_reader.get_float("invariant_tol", default=1e-9))
+    # a missing section has no options, so every key takes its default
+    tol_reader = _SectionReader(cp, "tolerances", entries, path)
+    tolerances = Tolerances(
+        cond_threshold=tol_reader.get_float("cond_threshold",
+                                            default=COND_THRESHOLD_DEFAULT),
+        invariant_tol=tol_reader.get_float("invariant_tol", default=1e-9))
+    if cp.has_section("tolerances"):
         tol_reader.finish()
-    else:
-        tolerances = Tolerances()
-        entries["tolerances"] = [
-            ("cond_threshold", _fmt(tolerances.cond_threshold), True),
-            ("invariant_tol", _fmt(tolerances.invariant_tol), True)]
 
     return ScenarioConfig(model=model, params=params, t_max=t_max,
                           n_steps=n_steps, beta_list=beta_list,

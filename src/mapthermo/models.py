@@ -13,14 +13,15 @@ Three families:
 
 The exchange model also ships an extraction routine that projects any
 phase-covariant qubit trajectory back onto rate functions, which is how the
-non-Markovian rate structure is exposed and how round trips against the
-coefficient integrals are checked.
+non-Markovian rate structure is exposed. The closed forms need no rates:
+they read the exchange model's map coefficients directly.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -40,7 +41,6 @@ from .phase_covariant import (
     PCRates,
     constant_rate,
     pc_generator_transfer_matrix,
-    pc_integrals,
     pc_lambda_u,
     pc_lambda_w,
     pc_thermo,
@@ -119,7 +119,10 @@ class WeakCouplingParams(_SinSquaredDrive):
 
 
 def weak_coupling_rates(params: WeakCouplingParams) -> PCRates:
-    n_th = 1.0 / math.expm1(params.beta * params.omega0)
+    try:
+        n_th = 1.0 / math.expm1(params.beta * params.omega0)
+    except OverflowError:  # 1/(e^x - 1) is e^{-x} to rounding there
+        n_th = math.exp(-params.beta * params.omega0)
     return PCRates(
         omega=drive_frequency(params.omega0, params.delta, params.Omega),
         gamma_plus=constant_rate(params.gamma * n_th),
@@ -160,6 +163,8 @@ class JCParams:
             raise ConfigError("beta must be positive (math.inf for vacuum)")
         if self.n_max is not None and self.n_max < 1:
             raise ConfigError("n_max must be at least 1")
+        if not 0.0 < self.tail_margin < 1.0:
+            raise ConfigError("tail_margin must lie in (0, 1)")
 
 
 def jc_mode_count(params: JCParams) -> int:
@@ -218,6 +223,12 @@ class JCCoefficients:
     db: np.ndarray
     dc: np.ndarray
     dd_par: np.ndarray
+
+    @cached_property
+    def omega(self) -> np.ndarray:
+        """Splitting (a db - b da)/(a^2 + b^2); lazy, as 0/0 at a grid node."""
+        return ((self.a * self.db - self.b * self.da)
+                / (self.a ** 2 + self.b ** 2))
 
 
 def _split_grid(times: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -497,14 +508,14 @@ def exchange_factor_series(params: JCParams, times: np.ndarray,
     against a reference inverse temperature beta_ref, which may differ from
     the mode's.
 
-    Route: exact reduced map -> rate extraction -> closed forms from the
-    re-integrated coefficients. The closed forms run in log space, which
-    keeps long windows finite where a direct operator exponential
-    overflows. Returns (times, lambda_w, lambda_w bound, lambda_u).
+    Route: exact reduced map -> closed forms from its map coefficients, in
+    log space, which keeps long windows finite where a direct operator
+    exponential overflows. Raises SingularMap at the first grid time where
+    the map cannot be inverted. Returns (times, lambda_w, bound, lambda_u).
     """
-    traj, _ = jc_reduced_map(params, times)
-    ex = extract_pc_rates(traj)
-    coeffs = pc_integrals(ex.as_rates(), traj.times)
+    traj, coeffs = jc_reduced_map(params, times)
+    require_invertible(traj.condition_numbers, COND_THRESHOLD_DEFAULT,
+                       traj.times)
     lam, bound = pc_lambda_w(pc_thermo(coeffs), coeffs, beta_ref)
     return traj.times, lam, bound, pc_lambda_u(coeffs, beta_ref)
 

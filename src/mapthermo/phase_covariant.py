@@ -19,19 +19,20 @@ accumulated directly in the rescaled form (every stored term carries a
 non-positive exponent); J is reported as c * e^I for inspection.
 
 On top of the map coefficients the module evaluates the path-dependent
-thermodynamics in closed form: with
+thermodynamics in closed form. The path operator is P(t) = P0 * identity +
+P3 * sz with
 
-    T_A = int omega kappa c ds      (equivalently int omega kappa J e^{-I})
-    T_B = int omega kappa e^{-I} ds
-    T_C = int omega xi ds
+    P3 = (1/2) int omega d_par' ds / d_par
+    P0 = (1/2) int omega c' ds - c P3
 
-the path operator is P(t) = P0 * identity + P3 * sz with
-P3 = -T_B e^{I} / 2 and P0 = (T_C - T_A)/2 - c P3, and the work observable
-is O_w = W0 * identity + W3 * sz with W0 = -P0, W3 = omega(t)/2 - P3. The
-work correction factor and its bound then have closed forms (see
-`pc_lambda_w`), as do the exact mean work and the equilibrium free energy
-difference. These closed forms are the oracle against which the generic
-map-level pipeline is verified.
+(primes are time derivatives), and the work observable is O_w = W0 * identity
++ W3 * sz with W0 = -P0, W3 = omega(t)/2 - P3. The work correction factor and
+its bound then have closed forms (see `pc_lambda_w`), as do the exact mean
+work and the equilibrium free energy difference. These closed forms are the
+oracle against which the generic map-level pipeline is verified. They read
+map coefficients, not rates: only the fields times, omega, c, dc, d_par and
+dd_par of `coeffs`, which `pc_integrals` and the exchange model's
+`models.JCCoefficients` both carry.
 
 All cumulative integrals use the shared composite-Simpson policy from
 `quadrature`, so the analytic and generic routes share one discretization.
@@ -86,8 +87,8 @@ class PCRates:
 
 @dataclass(frozen=True, eq=False)
 class PCMapCoefficients:
-    """Map coefficients and rate samples on the grid (all arrays of length
-    N+1)."""
+    """Map coefficients, their time derivatives dc and dd_par, and rate
+    samples on the grid (all arrays of length N+1)."""
 
     times: np.ndarray
     omega: np.ndarray
@@ -101,15 +102,8 @@ class PCMapCoefficients:
     c: np.ndarray
     d_par: np.ndarray
     d_perp: np.ndarray
-
-    def check_invariants(self, tol: float = 1e-10) -> None:
-        if np.max(np.abs(self.a ** 2 + self.b ** 2 - self.d_perp ** 2)) > tol:
-            raise ConstructionError("a^2 + b^2 != d_perp^2")
-        if np.max(np.abs(self.d_par - np.exp(-self.I))) > tol:
-            raise ConstructionError("d_par != exp(-I)")
-        start = (self.a[0] - 1.0, self.b[0], self.c[0], self.d_par[0] - 1.0)
-        if max(abs(v) for v in start) > tol:
-            raise ConstructionError("coefficients at t = 0 are not the identity map")
+    dc: np.ndarray
+    dd_par: np.ndarray
 
 
 @dataclass(frozen=True, eq=False)
@@ -117,9 +111,6 @@ class PCThermo:
     """Path-dependent thermodynamic scalars on the grid."""
 
     times: np.ndarray
-    T_A: np.ndarray
-    T_B: np.ndarray
-    T_C: np.ndarray
     P0: np.ndarray
     P3: np.ndarray
     W0: np.ndarray
@@ -147,19 +138,18 @@ def pc_integrals(rates: PCRates, times: np.ndarray) -> PCMapCoefficients:
     b = d_perp * np.sin(theta)
     return PCMapCoefficients(times=t, omega=om, kappa=kappa, xi=xi, gamma_z=gz,
                              I=I, J=c * np.exp(I), a=a, b=b, c=c,
-                             d_par=d_par, d_perp=d_perp)
+                             d_par=d_par, d_perp=d_perp, dc=xi - kappa * c,
+                             dd_par=-kappa * d_par)
 
 
 def pc_thermo(coeffs: PCMapCoefficients) -> PCThermo:
-    """The T integrals and the path-operator / work-observable components."""
+    """The path-operator and work-observable components."""
     h = grid_spacing(coeffs.times)
-    T_A = cumulative_simpson(coeffs.omega * coeffs.kappa * coeffs.c, h)
-    T_B = cumulative_simpson(coeffs.omega * coeffs.kappa * coeffs.d_par, h)
-    T_C = cumulative_simpson(coeffs.omega * coeffs.xi, h)
-    P3 = -0.5 * T_B * np.exp(coeffs.I)
-    P0 = 0.5 * (T_C - T_A) - coeffs.c * P3
-    return PCThermo(times=coeffs.times, T_A=T_A, T_B=T_B, T_C=T_C,
-                    P0=P0, P3=P3, W0=-P0, W3=coeffs.omega / 2.0 - P3)
+    P3 = (0.5 * cumulative_simpson(coeffs.omega * coeffs.dd_par, h)
+          / coeffs.d_par)
+    P0 = 0.5 * cumulative_simpson(coeffs.omega * coeffs.dc, h) - coeffs.c * P3
+    return PCThermo(times=coeffs.times, P0=P0, P3=P3, W0=-P0,
+                    W3=coeffs.omega / 2.0 - P3)
 
 
 def pc_transfer_matrices(a, b, c, d_par, r00: float = 1.0) -> np.ndarray:

@@ -309,6 +309,35 @@ def test_run_closed_coherent(tmp_path):
         assert gt <= chain + 1e-12
 
 
+def test_run_weak_coupling_with_a_cold_bath(tmp_path):
+    # e^{beta omega0} overflows a double: the bath then excites nothing
+    params = WeakCouplingParams(beta=800.0)
+    assert weak_coupling_rates(params).gamma_plus(0.0) == 0.0
+    body = WEAK_BODY.format(out=tmp_path / "out") + "    beta = 800\n"
+    assert main(["run", write_config(tmp_path, body)]) == 0
+
+
+@pytest.mark.parametrize("margin", ["0", "-1", "1", "2"])
+def test_tail_margin_outside_the_unit_interval_exits_2(tmp_path, capsys,
+                                                       margin):
+    cfg_path = write_config(tmp_path, f"""\
+        [scenario]
+        model = jaynes_cummings
+        beta_list = 1.0
+        t_max = 5.0
+        n_steps = 32
+        out_dir = {tmp_path / "out"}
+
+        [jaynes_cummings]
+        beta = 1.0
+        tail_margin = {margin}
+    """)
+    assert main(["run", cfg_path]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and "[jaynes_cummings]" in err
+    assert "tail_margin" in err
+
+
 def test_exit_code_two_on_config_error(tmp_path, capsys):
     cfg_path = write_config(tmp_path, """\
         [scenario]

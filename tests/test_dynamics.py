@@ -1,4 +1,5 @@
 import os
+from types import SimpleNamespace
 
 import numpy as np
 import numpy.testing as npt
@@ -260,6 +261,25 @@ def test_save_load_round_trip(tmp_path):
     assert back.derivatives is not None
     for d1, d2 in zip(back.derivatives, traj.derivatives):
         npt.assert_array_equal(d1, d2)
+
+
+def test_save_map_trajectory_spells_cells_as_the_f_string(tmp_path):
+    # -0.0, subnormals and the largest double among ordinary cells
+    rng = np.random.default_rng(3)
+    maps = rng.standard_normal((2, 4, 4)) + 1j * rng.standard_normal((2, 4, 4))
+    maps[0, 0, 0] = complex(-0.0, 5e-324)
+    maps[1, 2, 3] = complex(1.7976931348623157e+308, 2.2250738585e-310)
+    traj = SimpleNamespace(dim=2, times=np.array([0.0, 0.5]), maps=maps,
+                           derivatives=-maps)
+    path = os.path.join(tmp_path, "edge.maps")
+    save_map_trajectory(traj, path)
+    with open(path) as fh:
+        rows = [line for line in fh.read().splitlines()
+                if not line.startswith("#")]
+    cells = np.concatenate([maps.reshape(2, -1), -maps.reshape(2, -1)],
+                           axis=1).view(float)
+    assert rows == [",".join(f"{x:.16e}" for x in (t, *row))
+                    for t, row in zip(traj.times, cells)]
 
 
 def test_read_map_file_reports_format_problems(tmp_path):

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import numpy.testing as npt
@@ -15,6 +16,7 @@ from mapthermo.models import (
     JCParams,
     WeakCouplingParams,
     closed_coherent_protocol,
+    exchange_factor_series,
     extract_pc_rates,
     jc_mode_count,
     jc_reduced_map,
@@ -26,7 +28,10 @@ from mapthermo.operators import (
     Superoperator,
     cptp_diagnostics,
 )
-from mapthermo.phase_covariant import pc_trajectory
+from mapthermo.fluctuations import fluctuation_table
+from mapthermo.observables import ThermoPipeline
+from mapthermo.phase_covariant import (pc_integrals, pc_lambda_u, pc_lambda_w,
+                                       pc_thermo, pc_trajectory)
 from reference import jc_level_sums, pauli_transfer_matrix
 
 
@@ -378,6 +383,81 @@ def test_extraction_succeeds_off_resonance():
     assert ex.generator_residual < 1e-8
     # memory effects show up as a time-dependent splitting
     assert np.ptp(ex.omega) > 1e-4
+
+
+# the windows of scripts/run_exchange_windows.py:
+# name -> (omega_m, g, beta_mode, beta_ref, t_f)
+EXCHANGE_WINDOWS = {
+    "cold": (2.0, 0.01, 5.0, 5.0, 400.0),
+    "hot": (2.0, 0.01, 1e-3, 1.0, 400.0),
+    "strong": (1.5, 0.1, 0.2, 1.0, 60.0),
+    "weak": (1.5, 0.01, 0.2, 1.0, 60.0),
+}
+
+
+def exchange_window(name, n):
+    omega_m, g, beta_mode, beta_ref, t_f = EXCHANGE_WINDOWS[name]
+    return (JCParams(omega_m=omega_m, g=g, beta=beta_mode),
+            np.linspace(0.0, t_f, n + 1), beta_ref)
+
+
+def rate_round_trip(params, times, beta_ref):
+    """The closed forms through extracted, interpolated and re-integrated
+    rates: (lambda_w, bound, lambda_u)."""
+    traj, _ = jc_reduced_map(params, times)
+    coeffs = pc_integrals(extract_pc_rates(traj).as_rates(), times)
+    lam, bound = pc_lambda_w(pc_thermo(coeffs), coeffs, beta_ref)
+    return lam, bound, pc_lambda_u(coeffs, beta_ref)
+
+
+def max_rel(x, ref):
+    return float(np.max(np.abs(x - ref) / np.abs(ref)))
+
+
+@pytest.mark.parametrize("name", sorted(EXCHANGE_WINDOWS))
+def test_exchange_closed_forms_match_the_generic_route(name):
+    params, times, beta_ref = exchange_window(name, 400)
+    _, lam, bound, lam_u = exchange_factor_series(params, times, beta_ref)
+    traj, _ = jc_reduced_map(params, times)
+    table = fluctuation_table(ThermoPipeline(traj), beta_ref)
+    assert max_rel(lam, table.lambda_w) <= 1e-12
+    assert max_rel(bound, table.lambda_w_bound) <= 1e-12
+    assert max_rel(lam_u, table.lambda_u) <= 1e-12
+
+
+@pytest.mark.parametrize("name", ["cold", "strong", "weak"])
+def test_rate_round_trip_converges_to_the_map_coefficient_route(name):
+    # the round trip's gap is its own discretization error: it shrinks by
+    # at least 4x per halving of the step
+    gaps = []
+    for n in (200, 400, 800):
+        params, times, beta_ref = exchange_window(name, n)
+        new = exchange_factor_series(params, times, beta_ref)[1:]
+        old = rate_round_trip(params, times, beta_ref)
+        gaps.append([max_rel(o, x) for o, x in zip(old, new)])
+    gaps = np.array(gaps)
+    assert np.all(gaps > 0.0)
+    assert np.all(gaps[:-1] >= 4.0 * gaps[1:])
+
+
+def test_exchange_closed_forms_stay_finite_at_resonance_from_vacuum():
+    # the deep non-Markovian regime: the rates diverge wherever the excited
+    # amplitude crosses zero, the map coefficients do not
+    params = JCParams(omega=1.0, omega_m=1.0, g=0.1, beta=math.inf)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        _, lam, bound, lam_u = exchange_factor_series(
+            params, np.linspace(0.0, 60.0, 2401), 1.0)
+    assert np.all(np.isfinite(lam) & np.isfinite(bound) & np.isfinite(lam_u))
+    assert np.all(lam <= bound * (1.0 + 1e-9))
+
+
+def test_exchange_factor_series_raises_at_singular_exchange_node():
+    p = JCParams(omega=1.0, omega_m=1.0, g=0.1, beta=math.inf)
+    t_node = np.pi / 0.2
+    with pytest.raises(SingularMap) as exc:
+        exchange_factor_series(p, np.linspace(0.0, 2.0 * t_node, 201), 1.0)
+    assert abs(exc.value.time - t_node) < 1e-9
 
 
 def test_closed_coherent_params_validation():

@@ -35,7 +35,7 @@ def test_integrals_vanish_for_zero_rates():
     rates = constant_rates(omega=1.0, gamma_plus=0.0, gamma_minus=0.0)
     co = pc_integrals(rates, np.linspace(0.0, 2.0, 41))
     th = pc_thermo(co)
-    for arr in (co.I, co.J, th.T_A, th.T_B, th.T_C, th.P0, th.P3):
+    for arr in (co.I, co.J, th.P0, th.P3):
         npt.assert_allclose(arr, 0.0, atol=1e-15)
     npt.assert_allclose(th.W3, 0.5 * co.omega, atol=1e-15)
 
@@ -110,7 +110,7 @@ def test_thermo_pure_decoherence_is_heatless():
                            gamma_z=0.3)
     co = pc_integrals(rates, np.linspace(0.0, 5.0, 201))
     th = pc_thermo(co)
-    for arr in (th.T_A, th.T_B, th.T_C, th.P0, th.P3):
+    for arr in (th.P0, th.P3):
         npt.assert_allclose(arr, 0.0, atol=1e-15)
 
 
