@@ -40,14 +40,14 @@ from .observables import ThermoPipeline
 # fluctuation_report is unused here but stays a module attribute: the traced
 # benchmark run (perfbench/child.py) wraps it by name.
 from .fluctuations import (CLUSTER_TOL, NEGATIVE_PROB_TOL, PROB_SUM_TOL,
-                           FluctuationReport, fluctuation_report,  # noqa: F401
+                           FluctuationReport, csv_lines,
+                           fluctuation_report,  # noqa: F401
                            fluctuation_table, tpms_distribution)
 from .observables import (HERMITIZE_TOL, coherent_initial_construction,
                           coherent_work_fluctuation)
 from .models import (DRIVE_MODES, ClosedCoherentParams, JCParams,
                      WeakCouplingParams, closed_coherent_protocol,
                      drive_frequency, jc_reduced_map, weak_coupling_rates)
-from .validation import format_report, run_checks
 
 MODELS = ("weak_coupling", "jaynes_cummings", "custom_pc", "custom_map_file",
           "closed_coherent")
@@ -399,8 +399,35 @@ def run_scenario(cfg: ScenarioConfig) -> list[str]:
     return written
 
 
+def _distribution_indices(cfg: ScenarioConfig, times: np.ndarray) -> list[int]:
+    """The grid index nearest each requested distribution time. A request
+    more than half a grid step outside the grid, or two requests that snap
+    to one grid time, is a ConfigError."""
+    if not cfg.distribution_times:
+        return []
+    where = (f"map file {cfg.map_path}: " if cfg.map_path else "") \
+        + "[scenario] distribution_times"
+    grid = f"the grid [{_fmt(times[0])}, {_fmt(times[-1])}]"
+    requests = np.asarray(cfg.distribution_times)
+    lo = times[0] - 0.5 * (times[1] - times[0])
+    hi = times[-1] + 0.5 * (times[-1] - times[-2])
+    outside = requests[~((requests >= lo) & (requests <= hi))]
+    if outside.size:
+        raise ConfigError(f"{where}: {', '.join(map(_fmt, outside))}: more than "
+                          f"half a step outside {grid}")
+    indices = np.argmin(np.abs(times[:, None] - requests), axis=0)
+    shared = np.flatnonzero(np.bincount(indices) > 1)
+    if shared.size:
+        i = shared[0]
+        same = requests[indices == i]
+        raise ConfigError(f"{where}: {', '.join(map(_fmt, same))} all select "
+                          f"grid time {_fmt(times[i])} of {grid}")
+    return indices.tolist()
+
+
 def _run_map_model(cfg: ScenarioConfig, written: list[str]) -> None:
     traj, coeffs = _build_trajectory(cfg)
+    dist_indices = _distribution_indices(cfg, traj.times)
     pipe = ThermoPipeline(traj, cond_threshold=cfg.tolerances.cond_threshold)
 
     if "lambda" in cfg.series:
@@ -412,31 +439,31 @@ def _run_map_model(cfg: ScenarioConfig, written: list[str]) -> None:
         _write(cfg.out_dir, "lambda_series.csv", lines, written)
 
     if "invertibility" in cfg.series:
+        rows = invertibility_report(traj, cfg.tolerances.cond_threshold)
+        cells = csv_lines([[r.time for r in rows],
+                           [r.condition_number for r in rows]])
         lines = ["t,condition_number,flag"]
-        for row in invertibility_report(traj, cfg.tolerances.cond_threshold):
-            lines.append(f"{_fmt(row.time)},{_fmt(row.condition_number)},"
-                         f"{row.flag}")
+        lines.extend(f"{c},{r.flag}" for c, r in zip(cells, rows))
         _write(cfg.out_dir, "invertibility.csv", lines, written)
 
     if "pc_coefficients" in cfg.series and coeffs is not None:
         lines = ["t,a,b,c,d_par,d_perp,I,J"]
-        for cells in zip(coeffs.times, coeffs.a, coeffs.b, coeffs.c,
-                         coeffs.d_par, coeffs.d_perp, coeffs.I, coeffs.J):
-            lines.append(",".join(_fmt(v) for v in cells))
+        lines.extend(csv_lines([coeffs.times, coeffs.a, coeffs.b, coeffs.c,
+                                coeffs.d_par, coeffs.d_perp, coeffs.I,
+                                coeffs.J]))
         _write(cfg.out_dir, "pc_coefficients.csv", lines, written)
 
-    if cfg.distribution_times:
+    if dist_indices:
         work, _ = pipe.work_heat_observables()
         K0 = pipe.effective_hamiltonian_series()[0]
-        for t_req in cfg.distribution_times:
-            i = int(np.argmin(np.abs(traj.times - t_req)))
+        for i in dist_indices:
             lines = ["beta,outcome,probability"]
             for beta in cfg.beta_list:
                 rho_g = gibbs_state(K0, beta)
                 dist = tpms_distribution(rho_g, Superoperator(traj.maps[i]),
                                          work[0], work[i])
-                for outcome, prob in zip(dist.outcomes, dist.probs):
-                    lines.append(f"{_fmt(beta)},{_fmt(outcome)},{_fmt(prob)}")
+                lines.extend(csv_lines([np.full(dist.outcomes.shape, beta),
+                                        dist.outcomes, dist.probs]))
             label = format(float(traj.times[i]), ".6g")
             _write(cfg.out_dir, f"distribution_t{label}.csv", lines, written)
 
@@ -446,16 +473,17 @@ def _run_coherent(cfg: ScenarioConfig, written: list[str]) -> None:
     rho0, hams, unitaries = closed_coherent_protocol(cfg.params, times)
     data = coherent_initial_construction(rho0, hams[0])
     e0 = hams[0].expectation(rho0)
-    lines = ["t,beta,exp_avg_w,golden_thompson_bound,jarzynski_factor,"
-             "chain_bound,delta_F_bar,lambda_min_xi,mean_w"]
+    rows = []
     for i in range(times.size):
         res = coherent_work_fluctuation(data, unitaries[i], hams[i])
         rho_t = unitaries[i] @ rho0.matrix @ unitaries[i].conj().T
         mean_w = float(np.trace(hams[i].matrix @ rho_t).real) - e0
-        cells = (times[i], res.beta, res.value, res.golden_thompson_bound,
-                 res.jarzynski_factor, res.final_bound, res.delta_F_bar,
-                 res.lambda_min_xi, mean_w)
-        lines.append(",".join(_fmt(v) for v in cells))
+        rows.append((times[i], res.beta, res.value, res.golden_thompson_bound,
+                     res.jarzynski_factor, res.final_bound, res.delta_F_bar,
+                     res.lambda_min_xi, mean_w))
+    lines = ["t,beta,exp_avg_w,golden_thompson_bound,jarzynski_factor,"
+             "chain_bound,delta_F_bar,lambda_min_xi,mean_w"]
+    lines.extend(csv_lines(list(zip(*rows))))
     _write(cfg.out_dir, "coherent_series.csv", lines, written)
 
 
@@ -554,6 +582,8 @@ def main(argv: list[str] | None = None) -> int:
                 print(path)
             return 0
         if args.command == "validate":
+            # scipy and the suite load only here, so run and map-info skip them
+            from .validation import format_report, run_checks
             results = run_checks(full=args.full)
             print(format_report(results, args.full))
             return 0 if all(r.passed for r in results) else 1

@@ -215,8 +215,12 @@ _COLUMNS = ("lambda_u", "lambda_w", "lambda_w_bound", "exp_avg_w",
 """The per-row report columns after t and beta, in CSV order."""
 
 
-def _csv_row(cells) -> str:
-    return ",".join(f"{v:.17g}" for v in cells)
+def csv_lines(columns) -> list[str]:
+    """One CSV line per row of equal-length numeric columns, every cell
+    spelled as format(x, ".17g") spells it."""
+    row = ",".join(["%.17g"] * len(columns))
+    return [row % cells for cells in
+            zip(*(np.asarray(c, dtype=float).tolist() for c in columns))]
 
 
 def _check_invariants(r, tol: float) -> None:
@@ -266,8 +270,8 @@ class FluctuationReport:
                   "exp_avg_q,delta_F_bar,mean_w,dissipated_bound")
 
     def csv_row(self) -> str:
-        return _csv_row((self.time, self.beta,
-                         *(getattr(self, name) for name in _COLUMNS)))
+        return csv_lines([[self.time], [self.beta],
+                          *([getattr(self, name)] for name in _COLUMNS)])[0]
 
 
 @dataclass(frozen=True, eq=False)
@@ -297,9 +301,8 @@ class FluctuationTable:
         _check_invariants(self, tol)
 
     def csv_rows(self) -> list[str]:
-        columns = (getattr(self, name).tolist() for name in _COLUMNS)
-        return [_csv_row((t, self.beta, *cells))
-                for t, *cells in zip(self.time.tolist(), *columns)]
+        return csv_lines([self.time, np.full(self.time.shape, self.beta),
+                          *(getattr(self, name) for name in _COLUMNS)])
 
 
 def _trace_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -1,5 +1,8 @@
 import math
+import os
 import re
+import subprocess
+import sys
 import textwrap
 
 import numpy as np
@@ -514,3 +517,103 @@ def test_run_reports_an_undefined_exponential(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "numerical failure: ConstructionError" in err
     assert re.search(r"undefined at t = [0-9.]+, beta = 1:", err)
+
+
+DIST_BODY = """\
+    [scenario]
+    model = weak_coupling
+    beta_list = 1.0
+    t_max = 10
+    n_steps = 64
+    out_dir = {out}
+    distribution_times = {times}
+
+    [weak_coupling]
+    gamma = 0.01
+"""
+
+
+@pytest.mark.parametrize("times", ["-5", "1000", "2.5, 1000"])
+def test_distribution_time_outside_the_grid_exits_2(tmp_path, capsys, times):
+    out = tmp_path / "out"
+    cfg_path = write_config(tmp_path, DIST_BODY.format(out=out, times=times))
+    assert main(["run", cfg_path]) == 2
+    err = capsys.readouterr().err
+    assert "distribution_times" in err and "the grid [0, 10]" in err
+    assert times.split(", ")[-1] in err
+    assert not list(out.iterdir())
+
+
+def test_distribution_time_within_half_a_step_of_the_end_snaps(tmp_path):
+    out = tmp_path / "out"
+    late = 10 + 0.4 * 10 / 64
+    cfg_path = write_config(tmp_path, DIST_BODY.format(out=out,
+                                                       times=repr(late)))
+    assert main(["run", cfg_path]) == 0
+    assert (out / "distribution_t10.csv").exists()
+
+
+def test_two_distribution_times_on_one_grid_point_exit_2(tmp_path, capsys):
+    out = tmp_path / "out"
+    cfg_path = write_config(tmp_path, DIST_BODY.format(
+        out=out, times="2.5, 1, 2.5000001"))
+    assert main(["run", cfg_path]) == 2
+    err = capsys.readouterr().err
+    assert "2.5, 2.5000000999999998 all select grid time 2.5" in err
+    assert not list(out.iterdir())
+
+
+def test_map_file_distribution_time_outside_the_grid_names_the_file(
+        tmp_path, capsys):
+    p = WeakCouplingParams()
+    traj, _ = pc_trajectory(weak_coupling_rates(p), p.grid(32))
+    map_path = tmp_path / "stored.maps"
+    save_map_trajectory(traj, str(map_path))
+    cfg_path = write_config(tmp_path, f"""\
+        [scenario]
+        model = custom_map_file
+        beta_list = 1.0
+        out_dir = {tmp_path / "out"}
+        distribution_times = 11
+
+        [custom_map_file]
+        path = stored.maps
+    """)
+    assert main(["run", cfg_path]) == 2
+    err = capsys.readouterr().err
+    assert f"map file {map_path}" in err and "11" in err
+
+
+# run and map-info in a fresh interpreter: the test process has scipy loaded
+_IMPORT_PROBE = """\
+import sys
+from mapthermo.cli import main
+from mapthermo.dynamics import save_map_trajectory
+from mapthermo.models import WeakCouplingParams, weak_coupling_rates
+from mapthermo.phase_covariant import pc_trajectory
+
+config, map_path = sys.argv[1:3]
+assert main(["run", config]) == 0
+p = WeakCouplingParams()
+save_map_trajectory(pc_trajectory(weak_coupling_rates(p), p.grid(16))[0],
+                    map_path)
+assert main(["map-info", map_path]) == 0
+print("loaded:", *sorted(m for m in sys.modules
+                         if m.split(".")[0] == "scipy"
+                         or m == "mapthermo.validation"))
+"""
+
+
+def test_run_and_map_info_load_neither_scipy_nor_the_suite(tmp_path):
+    src = os.path.join(os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__))), "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    cfg_path = write_config(tmp_path, WEAK_BODY.format(out=tmp_path / "out"))
+    proc = subprocess.run(
+        [sys.executable, "-c", _IMPORT_PROBE, cfg_path,
+         str(tmp_path / "stored.maps")],
+        env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "loaded:"

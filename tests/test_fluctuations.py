@@ -1,4 +1,5 @@
 import dataclasses
+import math
 import re
 
 import numpy as np
@@ -16,6 +17,7 @@ from mapthermo.fluctuations import (
     FluctuationReport,
     OutcomeDistribution,
     cluster_eigenvalues,
+    csv_lines,
     exp_average,
     fluctuation_report,
     fluctuation_table,
@@ -395,6 +397,16 @@ def test_report_csv_row_round_trips():
     for name, cell in zip(names, cells):
         attr = {"t": "time"}.get(name, name)
         assert cell == getattr(rep, attr)
+
+
+def test_csv_lines_spell_every_cell_as_format_does():
+    edge = [-0.0, math.nan, math.inf, -math.inf, 5e-324,
+            1.7976931348623157e308, 0.1]
+    columns = [np.array(edge), np.array(edge[::-1]), edge]
+    expected = [",".join(format(v, ".17g") for v in row)
+                for row in zip(*columns)]
+    assert csv_lines(columns) == expected
+    assert csv_lines([np.array(edge)]) == [format(v, ".17g") for v in edge]
 
 
 def weak_coupling_pipeline(n=120):
