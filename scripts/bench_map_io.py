@@ -33,14 +33,13 @@ import io
 import os
 import sys
 import tempfile
-import time
 import tracemalloc
 from unittest import mock
 
 import numpy as np
 
 import mapthermo.dynamics as dynamics
-from bench_record import record_run
+from bench_record import alternate, ratio_summary, record_run, timed
 from mapthermo.cli import main as cli_main
 from mapthermo.dynamics import read_map_file, save_map_trajectory
 from mapthermo.validation import random_gksl_trajectory
@@ -61,12 +60,7 @@ path = trajectory.maps
 
 def wall_times(call, repeats: int) -> list[float]:
     call()
-    walls = []
-    for _ in range(repeats):
-        start = time.perf_counter()
-        call()
-        walls.append(time.perf_counter() - start)
-    return walls
+    return [timed(call)() for _ in range(repeats)]
 
 
 def run_quietly(config: str) -> None:
@@ -110,20 +104,6 @@ def load_dynamics(src: str):
     return importlib.import_module("mapthermo_against.dynamics")
 
 
-def alternate(ours, theirs, repeats: int) -> tuple[list, list]:
-    """Wall times of two calls made in turn, the order swapped each round,
-    so that a drift of the host's speed falls on both alike."""
-    ours()
-    theirs()
-    walls = ([], [])
-    for i in range(repeats):
-        for k in ((0, 1), (1, 0))[i % 2]:
-            start = time.perf_counter()
-            (ours, theirs)[k]()
-            walls[k].append(time.perf_counter() - start)
-    return walls
-
-
 def against(paths: dict, src: str, repeats: int) -> dict:
     """Per spelling, this tree's read time over that of the tree under
     `src`, call by call in alternation, after a check that both trees read
@@ -137,13 +117,8 @@ def against(paths: dict, src: str, repeats: int) -> dict:
     calls = zip(readers(dynamics, paths).items(),
                 readers(other, paths).values())
     for (name, ours), theirs in calls:
-        mine, base = alternate(ours, theirs, repeats)
-        ratio = np.array(mine) / np.array(base)
-        result[name] = {"ratio_median": float(np.median(ratio)),
-                        "ratio_quartiles": np.quantile(ratio,
-                                                       [0.25, 0.75]).tolist(),
-                        "faster_in": int(np.sum(ratio < 1)),
-                        "s": mine, "against_s": base}
+        result[name] = ratio_summary(*alternate(timed(ours), timed(theirs),
+                                                repeats))
     return result
 
 

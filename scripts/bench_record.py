@@ -1,13 +1,16 @@
-"""The machine record and the --label merge shared by the bench scripts.
+"""The machine record, the --label merge and the --against alternation
+shared by the bench scripts.
 
 Each bench script measures one source tree and merges its result into a JSON
 file under a label, so runs of two trees (for example a parent commit and a
-change) sit side by side with the machine each ran on.
+change) sit side by side with the machine each ran on. With --against, a
+script times both trees in alternation and records the ratio per pair.
 """
 
 import json
 import os
 import platform
+import time
 
 import numpy as np
 
@@ -33,3 +36,35 @@ def record_run(path: str, topic: str, label: str, key: str,
     with open(path, "w") as fh:
         json.dump(record, fh, indent=2)
         fh.write("\n")
+
+
+def alternate(ours, theirs, repeats: int) -> tuple[list, list]:
+    """The results of two calls made in turn, `repeats` each after one
+    warm-up call each, the order swapped each round, so that a drift of the
+    host's speed falls on both alike."""
+    ours()
+    theirs()
+    results = ([], [])
+    for i in range(repeats):
+        for k in ((0, 1), (1, 0))[i % 2]:
+            results[k].append((ours, theirs)[k]())
+    return results
+
+
+def timed(call):
+    """`call` made to return its wall time in seconds."""
+    def run() -> float:
+        start = time.perf_counter()
+        call()
+        return time.perf_counter() - start
+    return run
+
+
+def ratio_summary(walls: list[float], against_walls: list[float]) -> dict:
+    """Per pair, this tree's wall time over the other's: median, quartiles,
+    and the number of pairs this tree was faster in."""
+    ratio = np.array(walls) / np.array(against_walls)
+    return {"ratio_median": float(np.median(ratio)),
+            "ratio_quartiles": np.quantile(ratio, [0.25, 0.75]).tolist(),
+            "faster_in": int(np.sum(ratio < 1)),
+            "s": walls, "against_s": against_walls}

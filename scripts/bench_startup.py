@@ -22,6 +22,7 @@ gives a ratio. The result is merged into a JSON file under --label.
 """
 
 import argparse
+import functools
 import os
 import statistics
 import subprocess
@@ -29,10 +30,8 @@ import sys
 import tempfile
 import time
 
-import numpy as np
-
 import mapthermo
-from bench_record import record_run
+from bench_record import alternate, ratio_summary, record_run
 
 N_STEPS, BETAS, T_F = 2000, (0.5, 1.0, 2.0, 4.0), 10.0
 SCENARIO = f"""\
@@ -90,22 +89,14 @@ def measure(src: str, config: str, repeats: int) -> dict:
 def against(src: str, other: str, config: str, repeats: int) -> dict:
     """Spawn to ready of the cli probe for this tree over that of the tree
     under `other`, spawn by spawn in alternation."""
-    trees = (src, other)
-    for tree in trees:
-        spawn("cli_parse_config", tree, config)
-    walls, loaded = ([], []), ([], [])
-    for i in range(repeats):
-        for k in ((0, 1), (1, 0))[i % 2]:
-            wall, scipy_loaded = spawn("cli_parse_config", trees[k], config)
-            walls[k].append(wall)
-            loaded[k].append(scipy_loaded)
-    ratio = np.array(walls[0]) / np.array(walls[1])
-    return {"ratio_median": float(np.median(ratio)),
-            "ratio_quartiles": np.quantile(ratio, [0.25, 0.75]).tolist(),
-            "faster_in": int(np.sum(ratio < 1)),
-            "s": walls[0], "against_s": walls[1],
-            "scipy_loaded": any(loaded[0]),
-            "against_scipy_loaded": any(loaded[1])}
+    ours, theirs = alternate(
+        functools.partial(spawn, "cli_parse_config", src, config),
+        functools.partial(spawn, "cli_parse_config", other, config), repeats)
+    result = ratio_summary([wall for wall, _ in ours],
+                           [wall for wall, _ in theirs])
+    result["scipy_loaded"] = any(loaded for _, loaded in ours)
+    result["against_scipy_loaded"] = any(loaded for _, loaded in theirs)
+    return result
 
 
 def main() -> None:

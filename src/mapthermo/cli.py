@@ -22,7 +22,7 @@ import configparser
 import math
 import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -35,19 +35,19 @@ from .operators import (COND_THRESHOLD_DEFAULT, Superoperator,
                         project_hermiticity_preserving)
 from .dynamics import (condition_flags, invertibility_report,
                        load_map_trajectory, read_map_file)
-from .phase_covariant import PCRates, constant_rate, pc_trajectory
+from .phase_covariant import pc_trajectory
 from .observables import ThermoPipeline
 # fluctuation_report is unused here but stays a module attribute: the traced
 # benchmark run (perfbench/child.py) wraps it by name.
 from .fluctuations import (CLUSTER_TOL, NEGATIVE_PROB_TOL, PROB_SUM_TOL,
-                           FluctuationReport, csv_lines,
+                           FluctuationTable, csv_lines,
                            fluctuation_report,  # noqa: F401
                            fluctuation_table, tpms_distribution)
 from .observables import (HERMITIZE_TOL, coherent_initial_construction,
                           coherent_work_fluctuation)
-from .models import (DRIVE_MODES, ClosedCoherentParams, JCParams,
+from .models import (ClosedCoherentParams, CustomPCParams, JCParams,
                      WeakCouplingParams, closed_coherent_protocol,
-                     drive_frequency, jc_reduced_map, weak_coupling_rates)
+                     custom_pc_rates, jc_reduced_map, weak_coupling_rates)
 
 MODELS = ("weak_coupling", "jaynes_cummings", "custom_pc", "custom_map_file",
           "closed_coherent")
@@ -68,14 +68,35 @@ def _fmt(x: float) -> str:
     return format(float(x), ".17g")
 
 
+def _float_list(raw: str) -> tuple[float, ...]:
+    return tuple(float(x) for x in raw.split(",") if x.strip())
+
+
+# value kind -> (parse, render, what the value must be); a key's kind is the
+# type of its default. A None default is JCParams.n_max, spelled "auto".
+_KINDS = {
+    str: (str, str, None),
+    float: (float, _fmt, "a number"),
+    int: (int, str, "an integer"),
+    tuple: (_float_list, lambda v: ", ".join(map(_fmt, v)),
+            "comma-separated numbers"),
+    type(None): (lambda raw: None if raw == "auto" else int(raw),
+                 lambda v: "auto" if v is None else str(v),
+                 "an integer or 'auto'"),
+}
+
+
 @dataclass(frozen=True)
 class Tolerances:
-    cond_threshold: float
-    invariant_tol: float
+    """The optional [tolerances] section."""
+
+    cond_threshold: float = COND_THRESHOLD_DEFAULT
+    invariant_tol: float = 1e-9
 
 
 @dataclass
 class ScenarioConfig:
+    path: str  # the config file it was parsed from
     model: str
     params: object
     t_max: float | None
@@ -101,83 +122,59 @@ class _SectionReader:
         self.seen: set[str] = set()
         self.entries = cfg_entries.setdefault(section, [])
 
-    def _raw(self, key: str):
-        if self.cp.has_option(self.section, key):
-            self.seen.add(key)
-            return self.cp.get(self.section, key).strip()
-        return None
-
-    def _record(self, key: str, rendered: str, took_default: bool):
-        self.entries.append((key, rendered, took_default))
-
     def _fail(self, key: str, msg: str):
         raise ConfigError(f"{self.path}: [{self.section}] {key}: {msg}")
 
-    def get_str(self, key: str, default=_REQUIRED,
-                choices: tuple[str, ...] | None = None) -> str:
-        raw = self._raw(key)
-        if raw is None:
+    def get(self, key: str, default=_REQUIRED, kind: type | None = None,
+            choices: tuple[str, ...] | None = None):
+        """The value of `key` parsed as `kind` (by default the type of
+        `default`; see _KINDS), or `default` when the key is missing, which
+        is an error when no default is given. Records the manifest entry."""
+        parse, render, what = _KINDS[kind or type(default)]
+        if not self.cp.has_option(self.section, key):
             if default is _REQUIRED:
                 self._fail(key, "required key is missing")
-            raw, took_default = default, True
+            value, took_default = default, True
         else:
-            took_default = False
-        if choices is not None and raw not in choices:
-            self._fail(key, f"must be one of {', '.join(choices)} (got {raw!r})")
-        self._record(key, raw, took_default)
-        return raw
-
-    def get_float(self, key: str, default=_REQUIRED) -> float:
-        raw = self._raw(key)
-        if raw is None:
-            if default is _REQUIRED:
-                self._fail(key, "required key is missing")
-            self._record(key, _fmt(default), True)
-            return float(default)
-        try:
-            val = float(raw)
-        except ValueError:
-            self._fail(key, f"cannot parse {raw!r} as a number")
-        self._record(key, _fmt(val), False)
-        return val
-
-    def get_int(self, key: str, default=_REQUIRED) -> int:
-        raw = self._raw(key)
-        if raw is None:
-            if default is _REQUIRED:
-                self._fail(key, "required key is missing")
-            self._record(key, str(default), True)
-            return int(default)
-        try:
-            val = int(raw)
-        except ValueError:
-            self._fail(key, f"cannot parse {raw!r} as an integer")
-        self._record(key, str(val), False)
-        return val
-
-    def get_float_list(self, key: str, default=_REQUIRED) -> tuple[float, ...]:
-        raw = self._raw(key)
-        if raw is None:
-            if default is _REQUIRED:
-                self._fail(key, "required key is missing")
-            vals, took_default = tuple(default), True
-        else:
-            took_default = False
+            self.seen.add(key)
+            raw = self.cp.get(self.section, key).strip()
             try:
-                vals = tuple(float(x) for x in raw.split(",") if x.strip())
+                value, took_default = parse(raw), False
             except ValueError:
-                self._fail(key, f"cannot parse {raw!r} as comma-separated numbers")
-        self._record(key, ", ".join(_fmt(v) for v in vals), took_default)
-        return vals
+                self._fail(key, f"cannot parse {raw!r} as {what}")
+        if choices is not None and value not in choices:
+            self._fail(key, f"must be one of {', '.join(choices)} "
+                            f"(got {value!r})")
+        self.entries.append((key, render(value), took_default))
+        return value
 
     def forbid(self, key: str, why: str):
         if self.cp.has_option(self.section, key):
             self._fail(key, why)
 
     def finish(self):
-        extra = set(self.cp.options(self.section)) - self.seen
-        if extra:
-            self._fail(sorted(extra)[0], "unknown key")
+        # a missing section has no options, so every key took its default
+        if self.cp.has_section(self.section):
+            extra = set(self.cp.options(self.section)) - self.seen
+            if extra:
+                self._fail(sorted(extra)[0], "unknown key")
+
+    def read(self, cls):
+        """An instance of the dataclass `cls` with each field read as a key
+        of this section, the field's default as the key's default."""
+        values = {f.name: self.get(f.name, f.default) for f in fields(cls)}
+        try:
+            params = cls(**values)
+        except (ValueError, ConfigError) as exc:
+            raise ConfigError(f"{self.path}: [{self.section}]: {exc}")
+        self.finish()
+        return params
+
+
+# the parameter dataclass of each model but custom_map_file: its fields are
+# the model section's keys, their defaults the keys' defaults
+_PARAMS = {"weak_coupling": WeakCouplingParams, "jaynes_cummings": JCParams,
+           "custom_pc": CustomPCParams, "closed_coherent": ClosedCoherentParams}
 
 
 def parse_config(path: str) -> ScenarioConfig:
@@ -195,24 +192,28 @@ def parse_config(path: str) -> ScenarioConfig:
 
     entries: dict[str, list[tuple[str, str, bool]]] = {}
     scen = _SectionReader(cp, "scenario", entries, path)
-    model = scen.get_str("model", choices=MODELS)
+    model = scen.get("model", kind=str, choices=MODELS)
 
     known = {"scenario", model, "tolerances", "manifest"}
     for section in cp.sections():
         if section not in known:
             raise ConfigError(f"{path}: unexpected section [{section}] "
                               f"for model {model}")
+    if not cp.has_section(model):
+        raise ConfigError(f"{path}: missing [{model}] section")
+    reader = _SectionReader(cp, model, entries, path)
+    if model == "custom_map_file":
+        params, map_path = None, _map_path(reader)
+    else:
+        params, map_path = reader.read(_PARAMS[model]), None
 
-    params, map_path, default_t_max = _parse_model_params(cp, model, entries,
-                                                          path)
-
-    out_dir = scen.get_str("out_dir", default="out")
+    out_dir = scen.get("out_dir", "out")
     if model == "closed_coherent":
         scen.forbid("beta_list",
                     "closed_coherent derives beta from the initial state")
         beta_list = ()
     else:
-        beta_list = scen.get_float_list("beta_list")
+        beta_list = scen.get("beta_list", kind=tuple)
         if not beta_list:
             raise ConfigError(f"{path}: [scenario] beta_list: empty list")
         if any(b <= 0 for b in beta_list):
@@ -224,18 +225,16 @@ def parse_config(path: str) -> ScenarioConfig:
         scen.forbid("n_steps", "the grid comes from the map file")
         t_max, n_steps = None, 0
     else:
-        if default_t_max is None:
-            t_max = scen.get_float("t_max")
-        else:
-            t_max = scen.get_float("t_max", default=default_t_max)
+        t_max = scen.get("t_max", getattr(params, "default_t_f", _REQUIRED),
+                         kind=float)
         if t_max <= 0:
             raise ConfigError(f"{path}: [scenario] t_max: must be positive")
-        n_steps = scen.get_int("n_steps", default=1000)
+        n_steps = scen.get("n_steps", 1000)
         if n_steps < 16:
             raise ConfigError(f"{path}: [scenario] n_steps: must be >= 16")
 
     allowed = _SERIES_BY_MODEL[model]
-    raw_series = scen.get_str("series", default=", ".join(allowed))
+    raw_series = scen.get("series", ", ".join(allowed))
     series = tuple(s.strip() for s in raw_series.split(",") if s.strip())
     for s in series:
         if s not in allowed:
@@ -248,19 +247,13 @@ def parse_config(path: str) -> ScenarioConfig:
                     "closed_coherent emits no sampled distributions")
         dist_times = ()
     else:
-        dist_times = scen.get_float_list("distribution_times", default=())
+        dist_times = scen.get("distribution_times", ())
     scen.finish()
 
-    # a missing section has no options, so every key takes its default
-    tol_reader = _SectionReader(cp, "tolerances", entries, path)
-    tolerances = Tolerances(
-        cond_threshold=tol_reader.get_float("cond_threshold",
-                                            default=COND_THRESHOLD_DEFAULT),
-        invariant_tol=tol_reader.get_float("invariant_tol", default=1e-9))
-    if cp.has_section("tolerances"):
-        tol_reader.finish()
+    tolerances = _SectionReader(cp, "tolerances", entries, path).read(
+        Tolerances)
 
-    return ScenarioConfig(model=model, params=params, t_max=t_max,
+    return ScenarioConfig(path=path, model=model, params=params, t_max=t_max,
                           n_steps=n_steps, beta_list=beta_list,
                           out_dir=out_dir, series=series,
                           distribution_times=dist_times,
@@ -268,89 +261,16 @@ def parse_config(path: str) -> ScenarioConfig:
                           entries=entries)
 
 
-def _parse_model_params(cp, model, entries, path):
-    """Returns (params object, map path or None, default t_max or None)."""
-    if model != "custom_map_file" and not cp.has_section(model):
-        raise ConfigError(f"{path}: missing [{model}] section")
-    reader = _SectionReader(cp, model, entries, path) \
-        if cp.has_section(model) else None
-
-    def build(factory, **kwargs):
-        try:
-            return factory(**kwargs)
-        except (ValueError, ConfigError) as exc:
-            raise ConfigError(f"{path}: [{model}]: {exc}")
-
-    if model == "weak_coupling":
-        params = build(
-            WeakCouplingParams,
-            omega0=reader.get_float("omega0", default=1.0),
-            delta=reader.get_float("delta", default=1.0),
-            Omega=reader.get_float("Omega", default=math.pi / 20.0),
-            gamma=reader.get_float("gamma", default=0.01),
-            beta=reader.get_float("beta", default=1.0),
-            drive_mode=reader.get_str("drive_mode", default="monotonic",
-                                      choices=DRIVE_MODES),
-            gamma_z=reader.get_float("gamma_z", default=0.0))
-        reader.finish()
-        return params, None, params.default_t_f
-
-    if model == "jaynes_cummings":
-        raw_n = reader.get_str("n_max", default="auto")
-        if raw_n == "auto":
-            n_max = None
-        else:
-            try:
-                n_max = int(raw_n)
-            except ValueError:
-                raise ConfigError(f"{path}: [{model}] n_max: expected an "
-                                  f"integer or 'auto', got {raw_n!r}")
-        params = build(
-            JCParams,
-            omega=reader.get_float("omega", default=1.0),
-            omega_m=reader.get_float("omega_m", default=2.0),
-            g=reader.get_float("g", default=0.01),
-            beta=reader.get_float("beta", default=math.inf),
-            n_max=n_max,
-            tail_margin=reader.get_float("tail_margin", default=1e-12))
-        reader.finish()
-        return params, None, None
-
-    if model == "custom_pc":
-        vals = {
-            "omega0": reader.get_float("omega0", default=1.0),
-            "delta": reader.get_float("delta", default=0.0),
-            "Omega": reader.get_float("Omega", default=1.0),
-            "gamma_plus": reader.get_float("gamma_plus", default=0.0),
-            "gamma_minus": reader.get_float("gamma_minus", default=0.0),
-            "gamma_z": reader.get_float("gamma_z", default=0.0),
-        }
-        reader.finish()
-        return vals, None, None
-
-    if model == "custom_map_file":
-        if reader is None:
-            raise ConfigError(f"{path}: missing [custom_map_file] section")
-        rel = reader.get_str("path")
-        reader.finish()
-        map_path = os.path.join(os.path.dirname(os.path.abspath(path)), rel) \
-            if not os.path.isabs(rel) else rel
-        if not os.path.exists(map_path):
-            raise ConfigError(f"{path}: [custom_map_file] path: "
-                              f"{map_path} does not exist")
-        return None, map_path, None
-
-    params = build(
-        ClosedCoherentParams,
-        omega0=reader.get_float("omega0", default=1.0),
-        delta=reader.get_float("delta", default=1.0),
-        Omega=reader.get_float("Omega", default=math.pi / 20.0),
-        beta0=reader.get_float("beta0", default=1.0),
-        rotation_angle=reader.get_float("rotation_angle", default=0.5),
-        drive_mode=reader.get_str("drive_mode", default="monotonic",
-                                  choices=DRIVE_MODES))
+def _map_path(reader: _SectionReader) -> str:
+    """The [custom_map_file] path, relative to the config's directory."""
+    rel = reader.get("path", kind=str)
     reader.finish()
-    return params, None, params.default_t_f
+    # an absolute rel replaces the directory
+    map_path = os.path.join(os.path.dirname(os.path.abspath(reader.path)), rel)
+    if not os.path.exists(map_path):
+        raise ConfigError(f"{reader.path}: [custom_map_file] path: "
+                          f"{map_path} does not exist")
+    return map_path
 
 
 # ---------------------------------------------------------------------------
@@ -360,17 +280,14 @@ def _grid(cfg: ScenarioConfig) -> np.ndarray:
     return np.linspace(0.0, cfg.t_max, cfg.n_steps + 1)
 
 
+_PC_RATES = {"weak_coupling": weak_coupling_rates,
+             "custom_pc": custom_pc_rates}
+
+
 def _build_trajectory(cfg: ScenarioConfig):
     """Returns (trajectory, pc coefficients or None)."""
-    if cfg.model == "weak_coupling":
-        return pc_trajectory(weak_coupling_rates(cfg.params), _grid(cfg))
-    if cfg.model == "custom_pc":
-        v = cfg.params
-        rates = PCRates(
-            omega=drive_frequency(v["omega0"], v["delta"], v["Omega"]),
-            **{k: constant_rate(v[k])
-               for k in ("gamma_plus", "gamma_minus", "gamma_z")})
-        return pc_trajectory(rates, _grid(cfg))
+    if cfg.model in _PC_RATES:
+        return pc_trajectory(_PC_RATES[cfg.model](cfg.params), _grid(cfg))
     if cfg.model == "jaynes_cummings":
         traj, _ = jc_reduced_map(cfg.params, _grid(cfg))
         return traj, None
@@ -405,9 +322,9 @@ def _distribution_indices(cfg: ScenarioConfig, times: np.ndarray) -> list[int]:
     to one grid time, is a ConfigError."""
     if not cfg.distribution_times:
         return []
-    where = (f"map file {cfg.map_path}: " if cfg.map_path else "") \
-        + "[scenario] distribution_times"
-    grid = f"the grid [{_fmt(times[0])}, {_fmt(times[-1])}]"
+    where = f"{cfg.path}: [scenario] distribution_times"
+    grid = f"the grid [{_fmt(times[0])}, {_fmt(times[-1])}]" + (
+        f" of map file {cfg.map_path}" if cfg.map_path else "")
     requests = np.asarray(cfg.distribution_times)
     lo = times[0] - 0.5 * (times[1] - times[0])
     hi = times[-1] + 0.5 * (times[-1] - times[-2])
@@ -431,7 +348,7 @@ def _run_map_model(cfg: ScenarioConfig, written: list[str]) -> None:
     pipe = ThermoPipeline(traj, cond_threshold=cfg.tolerances.cond_threshold)
 
     if "lambda" in cfg.series:
-        lines = [FluctuationReport.CSV_HEADER]
+        lines = [FluctuationTable.CSV_HEADER]
         for beta in cfg.beta_list:
             table = fluctuation_table(pipe, beta)
             table.check_invariants(cfg.tolerances.invariant_tol)
@@ -439,11 +356,11 @@ def _run_map_model(cfg: ScenarioConfig, written: list[str]) -> None:
         _write(cfg.out_dir, "lambda_series.csv", lines, written)
 
     if "invertibility" in cfg.series:
-        rows = invertibility_report(traj, cfg.tolerances.cond_threshold)
-        cells = csv_lines([[r.time for r in rows],
-                           [r.condition_number for r in rows]])
+        conds, flags = invertibility_report(traj,
+                                            cfg.tolerances.cond_threshold)
         lines = ["t,condition_number,flag"]
-        lines.extend(f"{c},{r.flag}" for c, r in zip(cells, rows))
+        lines.extend(f"{cells},{flag}" for cells, flag
+                     in zip(csv_lines([traj.times, conds]), flags))
         _write(cfg.out_dir, "invertibility.csv", lines, written)
 
     if "pc_coefficients" in cfg.series and coeffs is not None:

@@ -187,13 +187,6 @@ def generator_splits(traj: MapTrajectory,
                            "effective Hamiltonian")
 
 
-@dataclass(frozen=True)
-class InvertibilityRow:
-    time: float
-    condition_number: float
-    flag: str  # "ok", "spike", or "singular"
-
-
 def condition_flags(conds: np.ndarray,
                     cond_threshold: float = COND_THRESHOLD_DEFAULT,
                     ) -> list[str]:
@@ -217,12 +210,10 @@ def condition_flags(conds: np.ndarray,
 
 def invertibility_report(traj: MapTrajectory,
                          cond_threshold: float = COND_THRESHOLD_DEFAULT,
-                         ) -> list[InvertibilityRow]:
-    """Condition number of every grid map, with condition_flags flags."""
+                         ) -> tuple[np.ndarray, list[str]]:
+    """Condition number of every grid map and its condition_flags flag."""
     conds = traj.condition_numbers
-    flags = condition_flags(conds, cond_threshold)
-    return [InvertibilityRow(float(t), float(c), flag)
-            for t, c, flag in zip(traj.times, conds, flags)]
+    return conds, condition_flags(conds, cond_threshold)
 
 
 # Text import/export. One header block, then one CSV row per grid time with
@@ -470,6 +461,11 @@ def read_map_file(path: str) -> tuple[np.ndarray, np.ndarray,
 
 
 def load_map_trajectory(path: str) -> MapTrajectory:
-    """Read the text format and build a validated trajectory."""
+    """Read the text format and build a validated trajectory. A file whose
+    maps or grid fail validation raises ConstructionError, as a malformed
+    file does."""
     times, maps, derivs = read_map_file(path)
-    return MapTrajectory(times=times, maps=maps, derivatives=derivs)
+    try:
+        return MapTrajectory(times=times, maps=maps, derivatives=derivs)
+    except ValueError as exc:  # the grid checks of quadrature.grid_spacing
+        raise ConstructionError(f"{path}: {exc}") from None

@@ -266,13 +266,6 @@ class FluctuationReport:
     def check_invariants(self, tol: float = 1e-9) -> None:
         _check_invariants(self, tol)
 
-    CSV_HEADER = ("t,beta,lambda_u,lambda_w,lambda_w_bound,exp_avg_w,"
-                  "exp_avg_q,delta_F_bar,mean_w,dissipated_bound")
-
-    def csv_row(self) -> str:
-        return csv_lines([[self.time], [self.beta],
-                          *([getattr(self, name)] for name in _COLUMNS)])[0]
-
 
 @dataclass(frozen=True, eq=False)
 class FluctuationTable:
@@ -299,6 +292,9 @@ class FluctuationTable:
 
     def check_invariants(self, tol: float = 1e-9) -> None:
         _check_invariants(self, tol)
+
+    CSV_HEADER = ",".join(("t", "beta") + _COLUMNS)
+    """The header line of `csv_rows`, as lambda_series.csv starts."""
 
     def csv_rows(self) -> list[str]:
         return csv_lines([self.time, np.full(self.time.shape, self.beta),

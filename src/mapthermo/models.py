@@ -3,7 +3,8 @@
 Three families:
 
 * a sinusoidally driven qubit damped by constant thermal rates, the
-  workhorse for driven-dissipative scans;
+  workhorse for driven-dissipative scans, or by freely chosen constant
+  rates;
 * a qubit exchanging excitations with a single bosonic mode (the resonant
   exchange model), whose exact reduced dynamics is phase covariant and
   generically non-Markovian, built here from the closed block formulas with
@@ -78,7 +79,8 @@ class _SinSquaredDrive:
 
     def _check_drive_mode(self) -> None:
         if self.drive_mode not in DRIVE_MODES:
-            raise ConfigError(f"unknown drive_mode {self.drive_mode!r}")
+            raise ConfigError(f"unknown drive_mode {self.drive_mode!r} "
+                              f"(allowed: {', '.join(DRIVE_MODES)})")
 
     @property
     def default_t_f(self) -> float:
@@ -131,6 +133,28 @@ def weak_coupling_rates(params: WeakCouplingParams) -> PCRates:
     )
 
 
+@dataclass(frozen=True)
+class CustomPCParams:
+    """Qubit with constant rates gamma_plus, gamma_minus, gamma_z and the
+    splitting omega(t) = omega0 + delta sin^2(Omega t)."""
+
+    omega0: float = 1.0
+    delta: float = 0.0
+    Omega: float = 1.0
+    gamma_plus: float = 0.0
+    gamma_minus: float = 0.0
+    gamma_z: float = 0.0
+
+
+def custom_pc_rates(params: CustomPCParams) -> PCRates:
+    return PCRates(
+        omega=drive_frequency(params.omega0, params.delta, params.Omega),
+        gamma_plus=constant_rate(params.gamma_plus),
+        gamma_minus=constant_rate(params.gamma_minus),
+        gamma_z=constant_rate(params.gamma_z),
+    )
+
+
 # ---------------------------------------------------------------------------
 # single-mode exchange model
 
@@ -150,8 +174,8 @@ class JCParams:
     """
 
     omega: float = 1.0
-    omega_m: float = 1.0
-    g: float = 0.1
+    omega_m: float = 2.0
+    g: float = 0.01
     beta: float = math.inf
     n_max: int | None = None
     tail_margin: float = 1e-12

@@ -169,9 +169,10 @@ class ThermoPipeline:
             work, heat = K - P, P
         elif convention is Convention.SINGLE_MEASURE_FINAL:
             # shift the initial work operator to zero; heat already starts at 0
-            back = adjoint_apply_stack(self.traj.inverses(self.cond_threshold),
-                                       np.broadcast_to(K[0], K.shape))
-            work, heat = checked(K - P - back, "work observable"), P
+            zero = HermitianOperator(np.zeros_like(K[0]))
+            work = shifted_observable(self._series(K - P, "work"), self.traj,
+                                      zero, self.cond_threshold).ops
+            heat = P
         elif convention is Convention.SINGLE_MEASURE_INITIAL:
             # final operators are zero; ops[i] holds the *initial* operator
             # of the duration-t_i protocol: O'_x(0) = O_x(0) - Phi_t^dagger[O_x(t)]

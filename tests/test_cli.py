@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import os
 import re
@@ -8,10 +9,11 @@ import textwrap
 import numpy as np
 import pytest
 
-from mapthermo.cli import main, parse_config, run_scenario
+from mapthermo.cli import Tolerances, main, parse_config, run_scenario
 from mapthermo.errors import ConfigError
 from mapthermo.dynamics import save_map_trajectory
-from mapthermo.models import WeakCouplingParams, weak_coupling_rates
+from mapthermo.models import (ClosedCoherentParams, CustomPCParams, JCParams,
+                              WeakCouplingParams, weak_coupling_rates)
 from mapthermo.phase_covariant import pc_trajectory
 from mapthermo.validation import random_gksl_trajectory
 
@@ -52,6 +54,27 @@ def test_parse_minimal_weak_coupling_defaults(tmp_path):
     # defaulted keys are tagged for the manifest
     tagged = {k: d for k, _, d in cfg.entries["weak_coupling"]}
     assert tagged["gamma"] is True
+
+
+@pytest.mark.parametrize("model,params_class", [
+    ("weak_coupling", WeakCouplingParams),
+    ("jaynes_cummings", JCParams),
+    ("custom_pc", CustomPCParams),
+    ("closed_coherent", ClosedCoherentParams),
+])
+def test_an_empty_section_parses_to_the_params_defaults(tmp_path, model,
+                                                        params_class):
+    betas = "" if model == "closed_coherent" else "beta_list = 1.0\n"
+    cfg = parse_config(write_config(
+        tmp_path, f"[scenario]\nmodel = {model}\n{betas}t_max = 1\n\n"
+                  f"[{model}]\n"))
+    assert cfg.params == params_class()
+    assert cfg.tolerances == Tolerances()
+    # the manifest echoes every field, each tagged as a default
+    assert [(k, d) for k, _, d in cfg.entries[model]] == [
+        (f.name, True) for f in dataclasses.fields(params_class)]
+    assert [(k, d) for k, _, d in cfg.entries["tolerances"]] == [
+        (f.name, True) for f in dataclasses.fields(Tolerances)]
 
 
 def test_parse_keys_are_case_sensitive(tmp_path):
@@ -476,6 +499,38 @@ def test_bad_map_file_rows_exit_2_with_the_line(tmp_path, capsys, problem,
     assert "config error" in err and f"{path}:{line}: " in err
 
 
+# grids that quadrature.grid_spacing rejects, and the reason it gives
+BAD_MAP_GRIDS = {
+    "single_row": ([0.0], "at least two points"),
+    "not_increasing": ([0.0, 0.1, 0.1], "strictly increasing"),
+    "not_uniform": ([0.0, 0.1, 0.3], "uniform"),
+}
+
+
+@pytest.mark.parametrize("problem", sorted(BAD_MAP_GRIDS))
+def test_run_rejects_a_map_file_with_a_bad_grid(tmp_path, capsys, problem):
+    times, reason = BAD_MAP_GRIDS[problem]
+    identity = ",".join(map(repr, np.eye(4, dtype=complex).reshape(-1)
+                            .view(float).tolist()))
+    path = tmp_path / "bad.maps"
+    path.write_text("# mapthermo-maps v1\n"
+                    "# dim=2 vectorization=column-stacking derivatives=0\n"
+                    + "".join(f"{t!r},{identity}\n" for t in times))
+    cfg_path = write_config(tmp_path, """\
+        [scenario]
+        model = custom_map_file
+        beta_list = 1.0
+        out_dir = {out}
+
+        [custom_map_file]
+        path = bad.maps
+    """.format(out=tmp_path / "out"))
+    assert main(["run", cfg_path]) == 2
+    err = capsys.readouterr().err
+    assert f"config error: map file {path}: {path}: grid" in err
+    assert reason in err
+
+
 def test_map_info_marks_invalid_rows(tmp_path, capsys):
     # row 3 is not Hermiticity-preserving, as in the trajectory check tests
     times = np.linspace(0.0, 1.0, 9)
@@ -539,7 +594,8 @@ def test_distribution_time_outside_the_grid_exits_2(tmp_path, capsys, times):
     cfg_path = write_config(tmp_path, DIST_BODY.format(out=out, times=times))
     assert main(["run", cfg_path]) == 2
     err = capsys.readouterr().err
-    assert "distribution_times" in err and "the grid [0, 10]" in err
+    assert f"config error: {cfg_path}: [scenario] distribution_times: " in err
+    assert "the grid [0, 10]" in err
     assert times.split(", ")[-1] in err
     assert not list(out.iterdir())
 

@@ -14,7 +14,7 @@ from mapthermo.dynamics import MapTrajectory
 from mapthermo.errors import ConstructionError
 from mapthermo.fluctuations import (
     CLUSTER_TOL,
-    FluctuationReport,
+    FluctuationTable,
     OutcomeDistribution,
     cluster_eigenvalues,
     csv_lines,
@@ -389,9 +389,10 @@ def test_report_invariant_check_catches_tampering():
 def test_report_csv_row_round_trips():
     p = WeakCouplingParams()
     traj, _ = pc_trajectory(weak_coupling_rates(p), p.grid(50))
-    rep = fluctuation_report(ThermoPipeline(traj), 50, p.beta)
-    row = rep.csv_row()
-    names = FluctuationReport.CSV_HEADER.split(",")
+    pipe = ThermoPipeline(traj)
+    rep = fluctuation_report(pipe, 50, p.beta)
+    row = fluctuation_table(pipe, p.beta).csv_rows()[50]
+    names = FluctuationTable.CSV_HEADER.split(",")
     cells = [float(c) for c in row.split(",")]
     assert len(cells) == len(names) == 10
     for name, cell in zip(names, cells):
