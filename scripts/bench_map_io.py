@@ -28,10 +28,8 @@ BLAS thread variables and the usable CPUs are recorded, not set.
 import argparse
 import contextlib
 import functools
-import importlib.util
 import io
 import os
-import sys
 import tempfile
 import tracemalloc
 from unittest import mock
@@ -39,7 +37,8 @@ from unittest import mock
 import numpy as np
 
 import mapthermo.dynamics as dynamics
-from bench_record import alternate, ratio_summary, record_run, timed
+from bench_record import (alternate, import_tree, ratio_summary,
+                          record_run, timed)
 from mapthermo.cli import main as cli_main
 from mapthermo.dynamics import read_map_file, save_map_trajectory
 from mapthermo.validation import random_gksl_trajectory
@@ -92,23 +91,11 @@ def readers(module, paths: dict) -> dict:
     return calls
 
 
-def load_dynamics(src: str):
-    """The dynamics module of the mapthermo package under `src`, imported
-    as mapthermo_against so that it sits beside this tree's."""
-    root = os.path.join(src, "mapthermo")
-    spec = importlib.util.spec_from_file_location(
-        "mapthermo_against", os.path.join(root, "__init__.py"),
-        submodule_search_locations=[root])
-    sys.modules[spec.name] = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(sys.modules[spec.name])
-    return importlib.import_module("mapthermo_against.dynamics")
-
-
 def against(paths: dict, src: str, repeats: int) -> dict:
     """Per spelling, this tree's read time over that of the tree under
     `src`, call by call in alternation, after a check that both trees read
     the same bits."""
-    other = load_dynamics(src)
+    other = import_tree(src, "dynamics")
     result = {}
     for name, path in paths.items():
         for a, b in zip(read_map_file(path), other.read_map_file(path)):

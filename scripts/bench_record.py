@@ -7,9 +7,12 @@ change) sit side by side with the machine each ran on. With --against, a
 script times both trees in alternation and records the ratio per pair.
 """
 
+import importlib
+import importlib.util
 import json
 import os
 import platform
+import sys
 import time
 
 import numpy as np
@@ -68,3 +71,17 @@ def ratio_summary(walls: list[float], against_walls: list[float]) -> dict:
             "ratio_quartiles": np.quantile(ratio, [0.25, 0.75]).tolist(),
             "faster_in": int(np.sum(ratio < 1)),
             "s": walls, "against_s": against_walls}
+
+
+def import_tree(src: str, module: str):
+    """The submodule `module` of the mapthermo package under `src`, with
+    the package imported as mapthermo_against so that it sits beside the
+    tree on PYTHONPATH."""
+    if "mapthermo_against" not in sys.modules:
+        root = os.path.join(src, "mapthermo")
+        spec = importlib.util.spec_from_file_location(
+            "mapthermo_against", os.path.join(root, "__init__.py"),
+            submodule_search_locations=[root])
+        sys.modules[spec.name] = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(sys.modules[spec.name])
+    return importlib.import_module(f"mapthermo_against.{module}")

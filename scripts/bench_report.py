@@ -1,0 +1,181 @@
+"""Wall time of the fluctuation tables and of `mapthermo run` in process.
+
+Two shapes, those of the benchmark's wc_cli and gksl_file workloads:
+
+  wc_cli     weak-coupling qubit, d = 2, N = 2000, beta = 0.5, 1, 2, 4
+  gksl_file  seeded random GKSL map file, d = 6, N = 400, beta = 1
+
+For each shape it times the fluctuation tables of all its betas on a fresh
+`ThermoPipeline` (the pipeline is built outside the timed region, so the
+tables pay for every spectrum they need, as `mapthermo run` does) and an
+in-process `mapthermo run` of the shape's scenario (stdout discarded), best
+of --repeats after one warm-up call each. The result is merged into a JSON
+file under --label, so runs of two source trees sit side by side, each put
+first on PYTHONPATH:
+
+    OPENBLAS_NUM_THREADS=1 taskset -c 1 \\
+        env PYTHONPATH=src python scripts/bench_report.py --label change
+
+With --against the src directory of a second tree (say a checkout of the
+parent commit), both trees are imported into one process, their tables are
+checked to agree to 1e-12 relative, and each timed call alternates with
+the other tree's, so that each gets a ratio per pair of calls.
+
+BLAS thread variables and the usable CPUs are recorded, not set.
+"""
+
+import argparse
+import contextlib
+import importlib
+import io
+import os
+import tempfile
+
+import numpy as np
+
+from bench_record import (alternate, import_tree, ratio_summary,
+                          record_run, timed)
+from mapthermo.dynamics import save_map_trajectory
+from mapthermo.validation import random_gksl_trajectory
+
+WC_STEPS, WC_BETAS = 2000, (0.5, 1.0, 2.0, 4.0)
+GKSL_DIM, GKSL_STEPS, GKSL_BETAS, SEED = 6, 400, (1.0,), 0
+SCENARIOS = {
+    "wc_cli": f"""\
+[scenario]
+model = weak_coupling
+beta_list = {", ".join(map(repr, WC_BETAS))}
+n_steps = {WC_STEPS}
+distribution_times = 2.5, 7.5
+series = lambda, invertibility, pc_coefficients
+out_dir = {{out_dir}}
+
+[weak_coupling]
+""",
+    "gksl_file": f"""\
+[scenario]
+model = custom_map_file
+beta_list = {", ".join(map(repr, GKSL_BETAS))}
+series = lambda, invertibility
+out_dir = {{out_dir}}
+
+[custom_map_file]
+path = trajectory.maps
+""",
+}
+
+
+class Tree:
+    """The calls this script times, on one source tree's modules;
+    `module(name)` returns the tree's mapthermo submodule `name`."""
+
+    def __init__(self, module, work_dir: str):
+        self.module = module
+        self.work_dir = work_dir
+        models = module("models")
+        p = models.WeakCouplingParams()
+        self.trajs = {
+            "wc_cli": module("phase_covariant").pc_trajectory(
+                models.weak_coupling_rates(p), p.grid(WC_STEPS))[0],
+            "gksl_file": module("dynamics").load_map_trajectory(
+                os.path.join(work_dir, "trajectory.maps"))}
+        self.betas = {"wc_cli": WC_BETAS, "gksl_file": GKSL_BETAS}
+
+    def tables(self, shape: str):
+        """A call making the shape's tables on a pipeline built now."""
+        pipe = self.module("observables").ThermoPipeline(self.trajs[shape])
+        table = self.module("fluctuations").fluctuation_table
+        return lambda: [table(pipe, beta) for beta in self.betas[shape]]
+
+    def timer(self, shape: str, what: str):
+        """A call returning the wall time of the shape's tables (on a
+        pipeline built just before them) or of its in-process run."""
+        if what == "tables":
+            return lambda: timed(self.tables(shape))()
+        config = os.path.join(self.work_dir, f"{shape}.ini")
+        main = self.module("cli").main
+
+        def run():
+            with contextlib.redirect_stdout(io.StringIO()):
+                if main(["run", config]) != 0:
+                    raise SystemExit(f"mapthermo run {config} failed")
+        return timed(run)
+
+
+COLUMNS = ("lambda_u", "lambda_w", "lambda_w_bound", "exp_avg_w",
+           "exp_avg_q", "delta_F_bar", "mean_w", "dissipated_bound")
+
+
+def check_agreement(ours: Tree, theirs: Tree) -> None:
+    """Exit unless both trees' tables agree to 1e-12 relative (mean_w, which
+    cancels to zero at t = 0, to 1e-12 of its largest value)."""
+    for shape in SCENARIOS:
+        for a, b in zip(ours.tables(shape)(), theirs.tables(shape)()):
+            for name in COLUMNS:
+                x, y = getattr(a, name), getattr(b, name)
+                scale = np.maximum(np.abs(x), np.abs(y))
+                if name == "mean_w":
+                    scale = scale.max()
+                if np.any(np.abs(x - y) > 1e-12 * scale):
+                    raise SystemExit(f"{shape} {name} differs between trees")
+
+
+def measure(work_dir: str, repeats: int, against_src: str | None) -> dict:
+    traj = random_gksl_trajectory(
+        GKSL_DIM, np.random.default_rng(SEED),
+        np.linspace(0.0, 1.0, GKSL_STEPS + 1))
+    save_map_trajectory(traj, os.path.join(work_dir, "trajectory.maps"))
+    for shape, text in SCENARIOS.items():
+        with open(os.path.join(work_dir, f"{shape}.ini"), "w") as fh:
+            fh.write(text.format(out_dir=os.path.join(work_dir, shape)))
+    ours = Tree(lambda name: importlib.import_module(f"mapthermo.{name}"),
+                work_dir)
+    keys = [(shape, what) for shape in SCENARIOS for what in ("tables", "run")]
+    walls = {}
+    for shape, what in keys:
+        call = ours.timer(shape, what)
+        call()
+        walls[f"{shape}.{what}"] = [call() for _ in range(repeats)]
+    result = {"wc_cli_shape": {"dim": 2, "n_steps": WC_STEPS,
+                               "betas": list(WC_BETAS)},
+              "gksl_file_shape": {"dim": GKSL_DIM, "n_steps": GKSL_STEPS,
+                                  "betas": list(GKSL_BETAS), "seed": SEED},
+              "s_best": {key: min(w) for key, w in walls.items()},
+              "s": walls}
+    if against_src:
+        theirs = Tree(lambda name: import_tree(against_src, name), work_dir)
+        check_agreement(ours, theirs)
+        result["against"] = {
+            f"{shape}.{what}": ratio_summary(*alternate(
+                ours.timer(shape, what), theirs.timer(shape, what), repeats))
+            for shape, what in keys}
+    return result
+
+
+def main() -> None:
+    ap = argparse.ArgumentParser(
+        description="time the fluctuation tables and mapthermo run on the "
+                    "wc_cli and gksl_file shapes")
+    ap.add_argument("--label", required=True,
+                    help="key of this run in the JSON file")
+    ap.add_argument("--out", default="BENCH_report.json")
+    ap.add_argument("--repeats", type=int, default=8)
+    ap.add_argument("--against", metavar="SRC",
+                    help="the src directory of a second source tree: time "
+                         "it in alternation with this one")
+    args = ap.parse_args()
+
+    with tempfile.TemporaryDirectory() as work_dir:
+        result = measure(work_dir, args.repeats, args.against)
+    print(", ".join(f"{key} best {best * 1e3:.1f} ms"
+                    for key, best in result["s_best"].items()))
+    for key, pair in result.get("against", {}).items():
+        print(f"{key}: {pair['ratio_median']:.3f} of the other tree's time, "
+              f"faster in {pair['faster_in']} of {args.repeats}")
+    record_run(args.out, "fluctuation tables and mapthermo run on the "
+                         "wc_cli and gksl_file shapes", args.label, "report",
+               result)
+
+
+if __name__ == "__main__":
+    main()

@@ -40,7 +40,7 @@ from .observables import ThermoPipeline
 # fluctuation_report is unused here but stays a module attribute: the traced
 # benchmark run (perfbench/child.py) wraps it by name.
 from .fluctuations import (CLUSTER_TOL, NEGATIVE_PROB_TOL, PROB_SUM_TOL,
-                           FluctuationTable, csv_lines,
+                           FluctuationTable, _cluster_projectors, csv_lines,
                            fluctuation_report,  # noqa: F401
                            fluctuation_table, tpms_distribution)
 from .observables import (HERMITIZE_TOL, coherent_initial_construction,
@@ -293,8 +293,8 @@ def _build_trajectory(cfg: ScenarioConfig):
         return traj, None
     try:
         return load_map_trajectory(cfg.map_path), None
-    except ConstructionError as exc:
-        raise ConfigError(f"map file {cfg.map_path}: {exc}")
+    except ConstructionError as exc:  # its message starts with the path
+        raise ConfigError(str(exc))
 
 
 def _write(out_dir: str, name: str, lines: list[str],
@@ -372,13 +372,16 @@ def _run_map_model(cfg: ScenarioConfig, written: list[str]) -> None:
 
     if dist_indices:
         work, _ = pipe.work_heat_observables()
+        # one eigendecomposition of K(0) serves every beta
         K0 = pipe.effective_hamiltonian_series()[0]
+        states = [gibbs_state(K0, beta) for beta in cfg.beta_list]
+        first = _cluster_projectors(work[0])
         for i in dist_indices:
+            map_t = Superoperator(traj.maps[i])
+            last = _cluster_projectors(work[i])
             lines = ["beta,outcome,probability"]
-            for beta in cfg.beta_list:
-                rho_g = gibbs_state(K0, beta)
-                dist = tpms_distribution(rho_g, Superoperator(traj.maps[i]),
-                                         work[0], work[i])
+            for beta, rho_g in zip(cfg.beta_list, states):
+                dist = tpms_distribution(rho_g, map_t, first, last)
                 lines.extend(csv_lines([np.full(dist.outcomes.shape, beta),
                                         dist.outcomes, dist.probs]))
             label = format(float(traj.times[i]), ".6g")

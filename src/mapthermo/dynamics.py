@@ -463,9 +463,10 @@ def read_map_file(path: str) -> tuple[np.ndarray, np.ndarray,
 def load_map_trajectory(path: str) -> MapTrajectory:
     """Read the text format and build a validated trajectory. A file whose
     maps or grid fail validation raises ConstructionError, as a malformed
-    file does."""
+    file does; every message starts with the path."""
     times, maps, derivs = read_map_file(path)
     try:
         return MapTrajectory(times=times, maps=maps, derivatives=derivs)
-    except ValueError as exc:  # the grid checks of quadrature.grid_spacing
+    # ValueError: the grid checks of quadrature.grid_spacing
+    except (ValueError, ConstructionError) as exc:
         raise ConstructionError(f"{path}: {exc}") from None

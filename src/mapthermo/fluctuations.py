@@ -25,10 +25,14 @@ their bounds and the induced bound on the mean dissipated work are computed
 alongside.
 
 `fluctuation_table(pipeline, beta)` evaluates all of this for every grid row
-at once: each map is applied to a handful of vectors, and K(t), P(t) and
-O_w(t) are diagonalized as stacks, so a whole window costs one batched pass
-per beta. Its columns are those of `lambda_series.csv`, plus the Lambda_u
-cross-check residual per row. `fluctuation_report` is one row of it.
+at once. What does not depend on beta is computed once per pipeline, as
+whole-grid stacks the pipeline caches: the spectra of K(t), P(t) and O_w(t),
+Phi_t[1], Phi_t[1/d] and the top eigenvalue of Phi_t[1]. Each further beta
+costs the Gibbs states of K(t) (built from the cached spectrum and checked
+with one batched eigvalsh), e^{-beta P(t)} and e^{-beta O_w(t)}, one
+application of every map to rho(0) and one adjoint trace per map. Its
+columns are those of `lambda_series.csv`, plus the Lambda_u cross-check
+residual per row. `fluctuation_report` is one row of it.
 `heat_fluctuation` evaluates the heat relation for one map; the
 per-operator references for the other columns (`lambda_u`, `lambda_w`,
 `free_energies`, `dissipated_work_bound`) live in `tests/reference.py`.
@@ -42,19 +46,16 @@ import numpy as np
 
 from .errors import ConstructionError
 from .operators import (
-    HERMITICITY_TOL,
     POSITIVITY_TOL,
     TRACE_TOL,
     DensityMatrix,
     HermitianOperator,
     Superoperator,
-    adjoint_apply_stack,
     apply,
     dagger,
     eig_hermitian,
     exp_hermitian,
     gibbs_state,
-    hermitian_stack,
     partition_function,
     vec,
 )
@@ -81,9 +82,12 @@ def cluster_eigenvalues(values: np.ndarray) -> list[np.ndarray]:
     return [np.array(c) for c in clusters]
 
 
-def _cluster_projectors(op: HermitianOperator,
+def _cluster_projectors(op: HermitianOperator | tuple,
                         ) -> tuple[np.ndarray, list[np.ndarray]]:
-    """Outcome values (cluster means) and projectors of an observable."""
+    """Outcome values (cluster means) and projectors of an observable; a
+    pair this function made passes through unchanged."""
+    if isinstance(op, tuple):
+        return op
     vals, vecs = eig_hermitian(op)
     outcomes = []
     projectors = []
@@ -137,15 +141,18 @@ class OutcomeDistribution:
 
 
 def tpms_distribution(rho0: DensityMatrix, map_t: Superoperator,
-                      O0: HermitianOperator, Ot: HermitianOperator,
-                      ) -> OutcomeDistribution:
+                      O0: HermitianOperator | tuple,
+                      Ot: HermitianOperator | tuple) -> OutcomeDistribution:
     """Distribution of o_m(t) - o_n(0) under the two-point scheme.
 
     All (n, m) cluster pairs are enumerated, zero-probability outcomes
     included; outcome values agreeing within the clustering tolerance are
     merged. No diagonality of rho0 in the O0 eigenbasis is required, but the
     initial measurement dephases the state in that basis, and
-    `initial_coherence` reports how much was destroyed.
+    `initial_coherence` reports how much was destroyed. O0 and Ot may also
+    be given as the (outcomes, projectors) pairs `_cluster_projectors` made
+    of them, so that a caller measuring at several temperatures clusters
+    each observable once.
     """
     o0, proj0 = _cluster_projectors(O0)
     ot, projt = _cluster_projectors(Ot)
@@ -302,7 +309,19 @@ class FluctuationTable:
 
 
 def _trace_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    return np.trace(a @ b, axis1=-2, axis2=-1)
+    """Tr{a_n b_n} for each pair of two (n, d, d) stacks, summed as
+    a_ij b_ji without forming the products."""
+    return np.einsum("nij,nji->n", a, b)
+
+
+def _adjoint_trace(maps: np.ndarray, ops: np.ndarray) -> np.ndarray:
+    """Tr{S_n^dagger[A_n]} for each map and operator of two stacks: the
+    diagonal entries of `adjoint_apply_stack`, summed without forming the
+    rest of each image."""
+    n, d = ops.shape[0], ops.shape[-1]
+    diag = maps[:, :, ::d + 1]  # the columns of vec(|i><i|)
+    return np.einsum("nk,nki->n", ops.swapaxes(-1, -2).reshape(n, d * d),
+                     diag.conj())
 
 
 def _exp_stack(vals: np.ndarray, vecs: np.ndarray, beta: float,
@@ -330,7 +349,7 @@ def _gibbs_stack(vals: np.ndarray, vecs: np.ndarray, beta: float,
     w /= w.sum(axis=-1, keepdims=True)
     rho = (vecs * w[:, None, :]) @ dagger(vecs)
     rho = 0.5 * (rho + dagger(rho))
-    trace_dev = np.abs(np.trace(rho, axis1=-2, axis2=-1) - 1.0)
+    trace_dev = np.abs(np.einsum("nii->n", rho) - 1.0)
     low = np.linalg.eigvalsh(rho)[:, 0]
     bad = np.flatnonzero((trace_dev > TRACE_TOL) | (low < -POSITIVITY_TOL))
     if bad.size:
@@ -346,14 +365,15 @@ def fluctuation_table(pipeline, beta: float, indices=None) -> FluctuationTable:
     """The report at every requested grid row of a ThermoPipeline (all rows
     when `indices` is None), computed as one batched pass.
 
-    The initial state is the Gibbs state of K(0) at this beta. Each map is
-    applied once, to [1, 1/d, rho(0)], and once adjointly, to the Gibbs
-    state of K(t); K(t), P(t) and O_w(t) = K(t) - P(t) are diagonalized once
-    per row as stacks, and the exponential averages follow from the trace
-    formulas. <e^{-beta w}> = Tr{e^{-beta O_w(t)} Phi_t[1]} / Z(0) is
-    evaluated on its own rather than as Lambda_w e^{-beta deltaF}, so
-    `check_invariants` compares two routes. The per-operator references
-    are in `tests/reference.py`.
+    The initial state is the Gibbs state of K(0) at this beta. The
+    beta-independent inputs (the spectra of K(t), P(t) and O_w(t) = K(t) -
+    P(t), Phi_t[1] and Phi_t[1/d]) are the pipeline's cached whole-grid
+    stacks, sliced to the requested rows; per beta, each map is applied to
+    rho(0) and adjointly to the Gibbs state of K(t), and the exponential
+    averages follow from the trace formulas. <e^{-beta w}> =
+    Tr{e^{-beta O_w(t)} Phi_t[1]} / Z(0) is evaluated on its own rather
+    than as Lambda_w e^{-beta deltaF}, so `check_invariants` compares two
+    routes. The per-operator references are in `tests/reference.py`.
     """
     if beta <= 0:
         raise ValueError("beta must be positive")
@@ -363,37 +383,35 @@ def fluctuation_table(pipeline, beta: float, indices=None) -> FluctuationTable:
     rows = slice(None) if indices is None else np.asarray(indices, dtype=int)
     times = traj.times[rows]
     K_0 = pipeline.effective_hamiltonian_series()[0]
-    K = pipeline.K[rows]
-    P = pipeline.P[rows]
-    Ow = hermitian_stack(K - P, HERMITICITY_TOL, times, "work observable O_w")
+    Ow = pipeline._work_ops[rows]
 
     rho0 = gibbs_state(K_0, beta)
     z0 = partition_function(K_0, beta)
-    k_vals, k_vecs = np.linalg.eigh(K)
+    k_vals, k_vecs = (a[rows] for a in pipeline._k_spectrum)
     zt = np.sum(np.exp(-beta * k_vals), axis=-1)
     rho_g = _gibbs_stack(k_vals, k_vecs, beta, times)
 
     maps = traj.maps[rows]
-    ident = np.eye(d, dtype=complex)
-    # one matrix-vector product per input and map, as `apply` does: a single
-    # product with the stacked inputs sums in another order
-    phi_id, phi_mixed, rho_t = ((maps @ vec(a)).reshape(-1, d, d).swapaxes(1, 2)
-                                for a in (ident, ident / d, rho0.matrix))
+    phi_id, phi_mixed = (a[rows] for a in pipeline._unit_images)
+    rho_t = (maps @ vec(rho0.matrix)).reshape(-1, d, d).swapaxes(1, 2)
 
     direct = _trace_product(rho_g, phi_id).real
-    adj = np.trace(adjoint_apply_stack(maps, rho_g), axis1=-2, axis2=-1).real
+    adj = _adjoint_trace(maps, rho_g).real
     mixed = d * _trace_product(rho_g, phi_mixed).real
     residual = np.maximum.reduce([np.abs(direct - adj), np.abs(direct - mixed),
                                   np.abs(adj - mixed)])
-    phi_max = np.linalg.eigvalsh(0.5 * (phi_id + dagger(phi_id)))[:, -1]
+    phi_max = pipeline._unit_image_top[rows]
 
-    p_vals, p_vecs = np.linalg.eigh(P)
+    p_vals, p_vecs = (a[rows] for a in pipeline._p_spectrum)
     p_max = p_vals[:, -1]
-    exp_w = _trace_product(_exp_stack(*np.linalg.eigh(Ow), beta, times, "O_w"),
+    w_vals, w_vecs = (a[rows] for a in pipeline._work_spectrum)
+    exp_w = _trace_product(_exp_stack(w_vals, w_vecs, beta, times, "O_w"),
                            phi_id).real
     exp_q = _trace_product(_exp_stack(p_vals, p_vecs, beta, times, "P"),
                            rho_t).real
-    mean_w = (_trace_product(Ow, rho_t)
+    # a difference of two O(1) energies that cancels exactly at t = 0: the
+    # traces keep the summation order of `mean_change`
+    mean_w = (np.trace(Ow @ rho_t, axis1=-2, axis2=-1)
               - np.trace(K_0.matrix @ rho0.matrix)).real
     return FluctuationTable(
         time=times, beta=beta, lambda_u=direct, lambda_w=exp_w / zt,

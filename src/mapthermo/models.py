@@ -145,6 +145,11 @@ class CustomPCParams:
     gamma_minus: float = 0.0
     gamma_z: float = 0.0
 
+    def __post_init__(self):
+        # a negative rate gives maps that are not completely positive
+        if min(self.gamma_plus, self.gamma_minus, self.gamma_z) < 0:
+            raise ConfigError("rates must be nonnegative")
+
 
 def custom_pc_rates(params: CustomPCParams) -> PCRates:
     return PCRates(

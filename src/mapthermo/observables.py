@@ -43,6 +43,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 
 import numpy as np
 
@@ -50,9 +51,11 @@ from .dynamics import MapTrajectory, generator_splits, map_derivatives
 from .errors import ConstructionError, NoMatchingBeta
 from .operators import (
     COND_THRESHOLD_DEFAULT,
+    HERMITICITY_TOL,
     DensityMatrix,
     HermitianOperator,
     adjoint_apply_stack,
+    dagger,
     eig_hermitian,
     exp_hermitian,
     gibbs_state,
@@ -113,11 +116,22 @@ class ObservableSeries:
         return HermitianOperator(self.ops[i])
 
 
+def _frozen(a: np.ndarray) -> np.ndarray:
+    a.setflags(write=False)
+    return a
+
+
 class ThermoPipeline:
     """Effective Hamiltonians K(t) and path operators P(t) of one
     trajectory, each computed once for the whole grid and held as a
     Hermitian (N+1, d, d) stack (`K`, `P`), plus the observable series
-    built from them."""
+    built from them.
+
+    The beta-independent inputs of `fluctuations.fluctuation_table` are
+    cached here on first use, as read-only whole-grid stacks, so every
+    further beta reuses them: the checked O_w = K - P, the spectral
+    decompositions of K, P and O_w, Phi_t[1], Phi_t[1/d] and the largest
+    eigenvalue of the Hermitian part of Phi_t[1]."""
 
     def __init__(self, traj: MapTrajectory,
                  cond_threshold: float = COND_THRESHOLD_DEFAULT):
@@ -139,6 +153,40 @@ class ThermoPipeline:
     @property
     def times(self) -> np.ndarray:
         return self.traj.times
+
+    @cached_property
+    def _work_ops(self) -> np.ndarray:
+        return _frozen(hermitian_stack(self.K - self.P, HERMITICITY_TOL,
+                                       self.times, "work observable O_w"))
+
+    @cached_property
+    def _k_spectrum(self) -> tuple[np.ndarray, np.ndarray]:
+        return tuple(map(_frozen, np.linalg.eigh(self.K)))
+
+    @cached_property
+    def _p_spectrum(self) -> tuple[np.ndarray, np.ndarray]:
+        return tuple(map(_frozen, np.linalg.eigh(self.P)))
+
+    @cached_property
+    def _work_spectrum(self) -> tuple[np.ndarray, np.ndarray]:
+        return tuple(map(_frozen, np.linalg.eigh(self._work_ops)))
+
+    @cached_property
+    def _unit_images(self) -> tuple[np.ndarray, np.ndarray]:
+        """Phi_t[1] and Phi_t[1/d], one matrix-vector product per input
+        and map, as `apply` does: a single product with the stacked inputs
+        sums in another order."""
+        d = self.traj.dim
+        ident = np.eye(d, dtype=complex)
+        return tuple(_frozen((self.traj.maps @ vec(a)).reshape(-1, d, d)
+                             .swapaxes(1, 2)) for a in (ident, ident / d))
+
+    @cached_property
+    def _unit_image_top(self) -> np.ndarray:
+        """The largest eigenvalue of the Hermitian part of Phi_t[1]."""
+        phi_id = self._unit_images[0]
+        return _frozen(
+            np.linalg.eigvalsh(0.5 * (phi_id + dagger(phi_id)))[:, -1])
 
     def _series(self, ops: np.ndarray, label: str,
                 encoding: str = "per_time") -> ObservableSeries:

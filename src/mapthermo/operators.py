@@ -25,6 +25,7 @@ minimum Choi eigenvalue is 0, not 1/d).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -53,7 +54,9 @@ class HermitianOperator:
     Inputs within 1e-12 of Hermitian (scaled by the matrix norm) are
     symmetrized on construction; anything worse is rejected. Quadrature and
     repeated map application accumulate tiny anti-Hermitian noise, which the
-    symmetrization absorbs without hiding genuine errors.
+    symmetrization absorbs without hiding genuine errors. The matrix is
+    read-only, so its spectral decomposition (`eig_hermitian`) is computed
+    once per operator.
     """
 
     matrix: np.ndarray
@@ -67,6 +70,13 @@ class HermitianOperator:
     @property
     def dim(self) -> int:
         return self.matrix.shape[0]
+
+    @cached_property
+    def _spectrum(self) -> tuple[np.ndarray, np.ndarray]:
+        vals, vecs = np.linalg.eigh(self.matrix)
+        vals.setflags(write=False)
+        vecs.setflags(write=False)
+        return vals, vecs
 
     def __sub__(self, other: "HermitianOperator") -> "HermitianOperator":
         return HermitianOperator(self.matrix - other.matrix)
@@ -274,9 +284,9 @@ def apply(s: Superoperator, a: np.ndarray | HermitianOperator) -> np.ndarray:
 
 
 def eig_hermitian(h: HermitianOperator) -> tuple[np.ndarray, np.ndarray]:
-    """Ascending eigenvalues and orthonormal eigenvector columns."""
-    vals, vecs = np.linalg.eigh(h.matrix)
-    return vals, vecs
+    """Ascending eigenvalues and orthonormal eigenvector columns, as
+    read-only arrays computed on the first call for `h`."""
+    return h._spectrum
 
 
 def func_hermitian(h: HermitianOperator, f: Callable[[np.ndarray], np.ndarray],

@@ -364,6 +364,26 @@ def test_tail_margin_outside_the_unit_interval_exits_2(tmp_path, capsys,
     assert "tail_margin" in err
 
 
+def test_negative_custom_pc_rate_exits_2_naming_the_section(tmp_path,
+                                                            capsys):
+    cfg_path = write_config(tmp_path, f"""\
+        [scenario]
+        model = custom_pc
+        beta_list = 1.0
+        t_max = 5.0
+        n_steps = 32
+        out_dir = {tmp_path / "out"}
+
+        [custom_pc]
+        gamma_plus = 0.1
+        gamma_minus = -0.5
+    """)
+    assert main(["run", cfg_path]) == 2
+    err = capsys.readouterr().err
+    assert f"config error: {cfg_path}: [custom_pc]: rates must be " in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_exit_code_two_on_config_error(tmp_path, capsys):
     cfg_path = write_config(tmp_path, """\
         [scenario]
@@ -465,6 +485,7 @@ def test_run_rejects_a_bad_map_file_header(tmp_path, capsys, problem):
     err = capsys.readouterr().err
     assert "config error" in err
     assert f"{tmp_path / 'bad.maps'}:{line}: " in err
+    assert err.count(str(tmp_path / "bad.maps")) == 1
 
 
 # data problems the first pass over a map file finds, and their line
@@ -499,11 +520,13 @@ def test_bad_map_file_rows_exit_2_with_the_line(tmp_path, capsys, problem,
     assert "config error" in err and f"{path}:{line}: " in err
 
 
-# grids that quadrature.grid_spacing rejects, and the reason it gives
+# grids that quadrature.grid_spacing or the MapTrajectory checks reject,
+# and the reason they give
 BAD_MAP_GRIDS = {
     "single_row": ([0.0], "at least two points"),
     "not_increasing": ([0.0, 0.1, 0.1], "strictly increasing"),
     "not_uniform": ([0.0, 0.1, 0.3], "uniform"),
+    "not_starting_at_zero": ([0.1, 0.2, 0.3], "must start at 0"),
 }
 
 
@@ -527,7 +550,8 @@ def test_run_rejects_a_map_file_with_a_bad_grid(tmp_path, capsys, problem):
     """.format(out=tmp_path / "out"))
     assert main(["run", cfg_path]) == 2
     err = capsys.readouterr().err
-    assert f"config error: map file {path}: {path}: grid" in err
+    assert f"config error: {path}: grid" in err
+    assert err.count(str(path)) == 1
     assert reason in err
 
 

@@ -10,6 +10,7 @@ from scipy.linalg import expm
 from hypothesis import given, settings
 from hypothesis.strategies import floats
 
+from mapthermo import fluctuations
 from mapthermo.dynamics import MapTrajectory
 from mapthermo.errors import ConstructionError
 from mapthermo.fluctuations import (
@@ -32,6 +33,7 @@ from mapthermo.operators import (
     DensityMatrix,
     HermitianOperator,
     Superoperator,
+    adjoint_apply_stack,
     apply,
     gibbs_state,
     random_hermitian,
@@ -480,6 +482,75 @@ def test_table_invariant_check_names_the_failing_row_time():
     avg[k] = lw[k] * np.exp(-table.beta * table.delta_F_bar[k])
     with pytest.raises(ConstructionError, match=where + ".*exceeds its bound"):
         dataclasses.replace(table, lambda_w=lw, exp_avg_w=avg).check_invariants()
+
+
+TABLE_FIELDS = [f.name for f in dataclasses.fields(FluctuationTable)
+                if f.name != "beta"]
+
+
+@pytest.mark.parametrize("make_pipe", [weak_coupling_pipeline,
+                                       qutrit_pipeline])
+def test_table_rows_are_the_full_grid_rows_bit_for_bit(make_pipe):
+    rows = [0, 3, 17, 40, 17]
+    # the cached spectra filled by the full-grid call, then by the row call
+    full_first, rows_first = make_pipe(), make_pipe()
+    full = fluctuation_table(full_first, 0.9)
+    picked = [fluctuation_table(full_first, 0.9, rows)]
+    picked.append(fluctuation_table(rows_first, 0.9, rows))
+    assert np.array_equal(fluctuation_table(rows_first, 0.9).mean_w,
+                          full.mean_w)
+    for table in picked:
+        for name in TABLE_FIELDS:
+            assert getattr(table, name).tobytes() == \
+                getattr(full, name)[rows].tobytes(), name
+
+
+@pytest.mark.parametrize("make_pipe", [weak_coupling_pipeline,
+                                       qutrit_pipeline])
+def test_mean_work_is_exactly_zero_at_time_zero(make_pipe):
+    pipe = make_pipe()
+    for beta in (0.3, 1.0, 4.0):
+        assert fluctuation_table(pipe, beta).mean_w[0] == 0.0
+        assert fluctuation_report(pipe, 0, beta).mean_w == 0.0
+
+
+def test_a_second_beta_diagonalizes_no_stack_again(monkeypatch):
+    pipe = qutrit_pipeline()
+    stacks = []
+    eigh = np.linalg.eigh
+
+    def counting_eigh(a, *args, **kwargs):
+        if np.ndim(a) == 3:
+            stacks.append(np.shape(a))
+        return eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+    fluctuation_table(pipe, 0.5)
+    assert len(stacks) == 3  # K, P and O_w, each over the whole grid
+    fluctuation_table(pipe, 2.0)
+    fluctuation_table(pipe, 2.0, indices=[1, 5])
+    fluctuation_report(pipe, 7, 3.0)
+    assert len(stacks) == 3
+
+
+@pytest.mark.parametrize("dim", [2, 3, 4, 5, 6])
+def test_trace_sums_match_the_formed_products(dim):
+    rng = np.random.default_rng(dim)
+    n = 50
+    times = np.linspace(0.0, 1.0, n)
+    # states and exponentials, as the table multiplies
+    a, b = (np.array([gibbs_state(random_hermitian(dim, rng), 1.0).matrix
+                      for _ in range(n)]) for _ in range(2))
+    maps = random_gksl_trajectory(dim, rng, times).maps
+
+    def close(got, want):
+        scale = np.maximum(np.abs(got), np.abs(want))
+        assert np.all(np.abs(got - want) <= 1e-15 * scale)
+
+    close(fluctuations._trace_product(a, b),
+          np.trace(a @ b, axis1=-2, axis2=-1))
+    close(fluctuations._adjoint_trace(maps, a),
+          np.trace(adjoint_apply_stack(maps, a), axis1=-2, axis2=-1))
 
 
 @settings(max_examples=30, deadline=None)
