@@ -17,6 +17,7 @@ import os
 import numpy as np
 
 from mapthermo.models import ClosedCoherentParams, closed_coherent_protocol
+from mapthermo.operators import HermitianOperator
 from mapthermo.observables import (coherent_initial_construction,
                                    coherent_work_fluctuation)
 
@@ -39,18 +40,22 @@ def main() -> None:
         p = ClosedCoherentParams(beta0=args.beta0, rotation_angle=angle)
         times = p.grid(args.n_steps)
         rho0, hams, unitaries = closed_coherent_protocol(p, times)
-        data = coherent_initial_construction(rho0, hams[0])
-        res = coherent_work_fluctuation(data, unitaries[-1], hams[-1])
+        H0 = HermitianOperator(hams[0])
+        data = coherent_initial_construction(rho0, H0)
+        # the end of the drive, as a stack of one
+        res = coherent_work_fluctuation(data, unitaries[-1:], hams[-1:])
+        value, gt, chain, dfb = (float(a[0]) for a in (
+            res.value, res.golden_thompson_bound, res.final_bound,
+            res.delta_F_bar))
         rho_t = unitaries[-1] @ rho0.matrix @ unitaries[-1].conj().T
-        mean_w = float(np.trace(hams[-1].matrix @ rho_t).real
-                       - hams[0].expectation(rho0))
-        slack = mean_w - res.delta_F_bar - data.lambda_min_xi
-        cells = (angle, res.beta, res.value, res.golden_thompson_bound,
-                 res.final_bound, res.delta_F_bar, res.lambda_min_xi, slack)
+        mean_w = float(np.trace(hams[-1] @ rho_t).real
+                       - H0.expectation(rho0))
+        slack = mean_w - dfb - data.lambda_min_xi
+        cells = (angle, res.beta, value, gt, chain, dfb, res.lambda_min_xi,
+                 slack)
         rows.append(",".join(f"{v:.17g}" for v in cells))
         print(f"angle={angle:g}: beta={res.beta:.4f} "
-              f"value={res.value:.6f} <= gt={res.golden_thompson_bound:.6f} "
-              f"<= chain={res.final_bound:.6f}")
+              f"value={value:.6f} <= gt={gt:.6f} <= chain={chain:.6f}")
     with open(path, "w") as fh:
         fh.write("\n".join(rows) + "\n")
     print(f"wrote {path}")

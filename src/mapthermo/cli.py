@@ -29,8 +29,9 @@ import numpy as np
 from . import __version__
 from .errors import (ConfigError, ConstructionError, NoMatchingBeta,
                      SingularMap, TruncationError)
-from .operators import (COND_THRESHOLD_DEFAULT, Superoperator,
-                        cptp_diagnostics_stack, gibbs_state,
+from .operators import (COND_THRESHOLD_DEFAULT, HermitianOperator,
+                        Superoperator, cptp_diagnostics_stack, dagger,
+                        gibbs_state,
                         hermiticity_preservation,
                         project_hermiticity_preserving)
 from .dynamics import (condition_flags, invertibility_report,
@@ -391,19 +392,18 @@ def _run_map_model(cfg: ScenarioConfig, written: list[str]) -> None:
 def _run_coherent(cfg: ScenarioConfig, written: list[str]) -> None:
     times = _grid(cfg)
     rho0, hams, unitaries = closed_coherent_protocol(cfg.params, times)
-    data = coherent_initial_construction(rho0, hams[0])
-    e0 = hams[0].expectation(rho0)
-    rows = []
-    for i in range(times.size):
-        res = coherent_work_fluctuation(data, unitaries[i], hams[i])
-        rho_t = unitaries[i] @ rho0.matrix @ unitaries[i].conj().T
-        mean_w = float(np.trace(hams[i].matrix @ rho_t).real) - e0
-        rows.append((times[i], res.beta, res.value, res.golden_thompson_bound,
-                     res.jarzynski_factor, res.final_bound, res.delta_F_bar,
-                     res.lambda_min_xi, mean_w))
+    H0 = HermitianOperator(hams[0])
+    data = coherent_initial_construction(rho0, H0)
+    res = coherent_work_fluctuation(data, unitaries, hams, times)
+    rho_t = unitaries @ rho0.matrix @ dagger(unitaries)
+    mean_w = (np.trace(hams @ rho_t, axis1=-2, axis2=-1).real
+              - H0.expectation(rho0))
     lines = ["t,beta,exp_avg_w,golden_thompson_bound,jarzynski_factor,"
              "chain_bound,delta_F_bar,lambda_min_xi,mean_w"]
-    lines.extend(csv_lines(list(zip(*rows))))
+    lines.extend(csv_lines([times, np.full(times.shape, res.beta), res.value,
+                            res.golden_thompson_bound, res.jarzynski_factor,
+                            res.final_bound, res.delta_F_bar,
+                            np.full(times.shape, res.lambda_min_xi), mean_w]))
     _write(cfg.out_dir, "coherent_series.csv", lines, written)
 
 

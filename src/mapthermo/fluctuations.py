@@ -51,10 +51,10 @@ from .operators import (
     DensityMatrix,
     HermitianOperator,
     Superoperator,
+    _exp_stack,
     apply,
     dagger,
     eig_hermitian,
-    exp_hermitian,
     gibbs_state,
     partition_function,
     vec,
@@ -201,10 +201,10 @@ def heat_fluctuation(rho0: DensityMatrix, map_t: Superoperator,
                      P_t: HermitianOperator, beta: float) -> tuple[float, float]:
     """<e^{-beta q}> = Tr{ e^{-beta P(t)} Phi_t[rho0] } and its bound
     e^{-beta lambda_min{P(t)}}."""
-    value = float(np.trace(exp_hermitian(P_t, -beta).matrix
-                           @ apply(map_t, rho0.matrix)).real)
-    p_min = float(eig_hermitian(P_t)[0][0])
-    return value, float(np.exp(-beta * p_min))
+    vals, vecs = eig_hermitian(P_t)
+    exp_p = _exp_stack(vals[None], vecs[None], beta, what="P")[0]
+    value = float(np.trace(exp_p @ apply(map_t, rho0.matrix)).real)
+    return value, float(np.exp(-beta * vals[0]))
 
 
 def noneq_free_energy(rho: DensityMatrix, K: HermitianOperator,
@@ -322,23 +322,6 @@ def _adjoint_trace(maps: np.ndarray, ops: np.ndarray) -> np.ndarray:
     diag = maps[:, :, ::d + 1]  # the columns of vec(|i><i|)
     return np.einsum("nk,nki->n", ops.swapaxes(-1, -2).reshape(n, d * d),
                      diag.conj())
-
-
-def _exp_stack(vals: np.ndarray, vecs: np.ndarray, beta: float,
-               times: np.ndarray, what: str) -> np.ndarray:
-    """e^{-beta X} of a stack of spectral decompositions of X, as
-    `exp_hermitian` computes it. Raises ConstructionError naming t and
-    beta of the first row where it overflows."""
-    with np.errstate(over="ignore"):
-        f = np.exp(-beta * vals)
-    bad = np.flatnonzero(~np.all(np.isfinite(f), axis=-1))
-    if bad.size:
-        k = bad[0]
-        raise ConstructionError(
-            f"e^(-beta {what}) is undefined at t = {times[k]:.6g}, "
-            f"beta = {beta:.6g}: eigenvalues {vals[k]}")
-    m = (vecs * f[:, None, :]) @ dagger(vecs)
-    return 0.5 * (m + dagger(m))
 
 
 def _gibbs_stack(vals: np.ndarray, vecs: np.ndarray, beta: float,

@@ -578,9 +578,9 @@ class ClosedCoherentParams(_SinSquaredDrive):
 
 
 def closed_coherent_protocol(params: ClosedCoherentParams, times: np.ndarray,
-                             ) -> tuple[DensityMatrix, list[HermitianOperator],
-                                        list[np.ndarray]]:
-    """Initial state, Hamiltonian series and propagator series of the drive.
+                             ) -> tuple[DensityMatrix, np.ndarray, np.ndarray]:
+    """Initial state, and the Hamiltonians H(t) and propagators U(t) of the
+    drive as (N+1, 2, 2) stacks.
 
     H(t) commutes with itself at all times, so U(t) is a bare phase
     rotation by the accumulated angle int_0^t omega."""
@@ -588,12 +588,13 @@ def closed_coherent_protocol(params: ClosedCoherentParams, times: np.ndarray,
     omega = drive_frequency(params.omega0, params.delta, params.Omega)(times)
     h = 0.0 if times.size < 2 else float(times[1] - times[0])
     theta = cumulative_simpson(omega, h)
-    hams = [HermitianOperator(0.5 * w * PAULI[3]) for w in omega]
-    unitaries = [np.diag([np.exp(-0.5j * th), np.exp(0.5j * th)])
-                 for th in theta]
+    hams = 0.5 * omega[:, None, None] * PAULI[3]
+    unitaries = np.zeros((times.size, 2, 2), dtype=complex)
+    unitaries[:, 0, 0] = np.exp(-0.5j * theta)
+    unitaries[:, 1, 1] = np.exp(0.5j * theta)
     ang = params.rotation_angle
     rot = np.array([[math.cos(ang / 2.0), -math.sin(ang / 2.0)],
                     [math.sin(ang / 2.0), math.cos(ang / 2.0)]])
-    base = gibbs_state(hams[0], params.beta0)
+    base = gibbs_state(HermitianOperator(hams[0]), params.beta0)
     rho0 = DensityMatrix(rot @ base.matrix @ rot.T)
     return rho0, hams, unitaries

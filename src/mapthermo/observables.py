@@ -36,7 +36,8 @@ O_w(t) + O_q(t) - O_w(0) - O_q(0) = K(t) - K(0) exactly.
 The module also hosts the closed-system constructions for initial states
 with coherences: the modified Hamiltonian H*_beta whose Gibbs state is the
 initial state, the deviation xi_beta = H*_beta - H(0), and the chained
-bounds on <e^{-beta w}> that follow from the Golden-Thompson inequality.
+bounds on <e^{-beta w}> that follow from the Golden-Thompson inequality,
+evaluated for a whole stack of protocols U(t), H(t) at once.
 """
 
 from __future__ import annotations
@@ -52,13 +53,13 @@ from .errors import ConstructionError, NoMatchingBeta
 from .operators import (
     COND_THRESHOLD_DEFAULT,
     HERMITICITY_TOL,
+    LOG_ZERO_TOL,
     DensityMatrix,
     HermitianOperator,
+    _exp_stack,
     adjoint_apply_stack,
     dagger,
     eig_hermitian,
-    exp_hermitian,
-    gibbs_state,
     hermitian_stack,
     log_hermitian_zero_convention,
     partition_function,
@@ -335,67 +336,82 @@ def coherent_initial_construction(rho0: DensityMatrix, H0: HermitianOperator,
 
     H*_beta = -(1/beta) ln rho0 - (1/beta) ln Z(0), normalized so that
     Tr{e^{-beta H*_beta}} = Z(0) = Tr{e^{-beta H0}}; its Gibbs state at the
-    matched beta is exactly rho0 (on the support of rho0 when the state is
-    rank-deficient and the ln(0) := 0 convention kicks in).
+    matched beta is exactly rho0. That needs rho0 of full rank: an
+    eigenvalue at or below LOG_ZERO_TOL has no finite ln, and the ln(0) :=
+    0 convention would add Z(0) to Tr{e^{-beta H*_beta}} per null
+    direction, so such a state raises NoMatchingBeta naming the eigenvalue.
     """
+    rho_op = HermitianOperator(rho0.matrix)
+    low = float(eig_hermitian(rho_op)[0][0])
+    if low <= LOG_ZERO_TOL:
+        raise NoMatchingBeta(
+            f"initial state has eigenvalue {low:.3e} at or below "
+            f"{LOG_ZERO_TOL:g}: it is the Gibbs state of no finite H*_beta")
     beta = match_beta(rho0, H0)
     z0 = partition_function(H0, beta)
-    log_rho = log_hermitian_zero_convention(HermitianOperator(rho0.matrix))
+    log_rho = log_hermitian_zero_convention(rho_op)
     h_star = HermitianOperator(
         -(log_rho.matrix + np.log(z0) * np.eye(rho0.dim)) / beta)
     xi = h_star - H0
     lam_min = float(eig_hermitian(xi)[0][0])
-    # S(rho0 || gibbs(H0, beta)) = Tr{rho0 (ln rho0 - ln gibbs)}
-    gibbs = gibbs_state(H0, beta)
-    log_gibbs = log_hermitian_zero_convention(HermitianOperator(gibbs.matrix))
-    rel_ent = float(np.trace(rho0.matrix @ (log_rho.matrix
-                                            - log_gibbs.matrix)).real)
+    # S(rho0 || gibbs(H0, beta)) = Tr{rho0 (ln rho0 - ln gibbs)}, and
+    # ln rho0 - ln gibbs = -beta (H*_beta - H0) for a full-rank rho0
+    rel_ent = float(-beta * np.trace(rho0.matrix @ xi.matrix).real)
     return CoherentInitialData(beta=beta, H_star=h_star, xi=xi,
                                lambda_min_xi=lam_min, relative_entropy=rel_ent)
 
 
 @dataclass(frozen=True)
 class CoherentWorkResult:
-    """<e^{-beta w}> for a closed protocol from a coherent initial state,
-    with the chained bounds: value <= golden_thompson_bound <= final_bound."""
+    """<e^{-beta w}> for a stack of closed protocols from a coherent initial
+    state, with the chained bounds: value <= golden_thompson_bound <=
+    final_bound. All but beta and lambda_min_xi are (n,) arrays."""
 
     beta: float
-    value: float
-    golden_thompson_bound: float
-    jarzynski_factor: float
-    delta_F_bar: float
+    value: np.ndarray
+    golden_thompson_bound: np.ndarray
+    jarzynski_factor: np.ndarray
+    delta_F_bar: np.ndarray
     lambda_min_xi: float
 
     @property
-    def final_bound(self) -> float:
+    def final_bound(self) -> np.ndarray:
         return self.jarzynski_factor * float(np.exp(-self.beta * self.lambda_min_xi))
 
 
-def coherent_work_fluctuation(data: CoherentInitialData, u_t: np.ndarray,
-                              H_t: HermitianOperator) -> CoherentWorkResult:
+def coherent_work_fluctuation(data: CoherentInitialData, u: np.ndarray,
+                              H: np.ndarray, times=None) -> CoherentWorkResult:
     """Exponential work average for unitary evolution from a state with
-    coherences, plus each link of the bound chain.
-
-    u_t is the protocol unitary as a plain matrix. Then
+    coherences, plus each link of the bound chain, for every row of (n, d, d)
+    stacks of protocol unitaries U(t) and Hamiltonians H(t):
 
     value = Tr{ e^{-beta (H(t) + U xi U^dagger)} } / Z(0)
     golden_thompson_bound = Tr{ e^{-beta H(t)} U e^{-beta xi} U^dagger } / Z(0)
     jarzynski_factor = e^{-beta deltaF} = Z(t)/Z(0)
 
     and value <= golden_thompson_bound <= jarzynski_factor *
-    e^{-beta lambda_min_xi}.
+    e^{-beta lambda_min_xi}. A single protocol is a stack of one. H(t) and
+    H(t) + U xi U^dagger are checked Hermitian, and an exponential that
+    overflows raises ConstructionError naming beta and the first failing
+    row, by its time when `times` is given.
     """
     beta = data.beta
-    H0 = data.H_star - data.xi
-    z0 = partition_function(H0, beta)
-    zt = partition_function(H_t, beta)
-    xi_evolved = u_t @ data.xi.matrix @ u_t.conj().T
-    total = HermitianOperator(H_t.matrix + xi_evolved)
-    value = float(np.trace(exp_hermitian(total, -beta).matrix).real) / z0
-    gt = float(np.trace(exp_hermitian(H_t, -beta).matrix @ u_t
-                        @ exp_hermitian(data.xi, -beta).matrix
-                        @ u_t.conj().T).real) / z0
+    z0 = partition_function(data.H_star - data.xi, beta)
+    H = hermitian_stack(H, HERMITICITY_TOL, times, "H(t)")
+    total = hermitian_stack(H + u @ data.xi.matrix @ dagger(u),
+                            HERMITICITY_TOL, times, "H(t) + U xi U^dagger")
+    h_vals, h_vecs = np.linalg.eigh(H)
+    exp_h = _exp_stack(h_vals, h_vecs, beta, times, "H(t)")
+    zt = np.sum(np.exp(-beta * h_vals), axis=-1)
+    t_vals, t_vecs = np.linalg.eigh(total)
+    value = np.trace(_exp_stack(t_vals, t_vecs, beta, times,
+                                "(H(t) + U xi U^dagger)"),
+                     axis1=-2, axis2=-1).real / z0
+    xi_vals, xi_vecs = eig_hermitian(data.xi)
+    exp_xi = _exp_stack(xi_vals[None], xi_vecs[None], beta, what="xi")[0]
+    gt = np.trace(exp_h @ u @ exp_xi @ dagger(u),
+                  axis1=-2, axis2=-1).real / z0
     return CoherentWorkResult(beta=beta, value=value, golden_thompson_bound=gt,
                               jarzynski_factor=zt / z0,
-                              delta_F_bar=float(-np.log(zt / z0) / beta),
+                              delta_F_bar=-np.log(zt / z0) / beta,
                               lambda_min_xi=data.lambda_min_xi)

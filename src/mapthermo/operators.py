@@ -26,7 +26,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Callable
 
 import numpy as np
 
@@ -242,6 +241,23 @@ def hermitian_stack(a: np.ndarray, tol: float, times=None,
     return 0.5 * (a + dagger(a))
 
 
+def _exp_stack(vals: np.ndarray, vecs: np.ndarray, beta: float,
+               times=None, what: str = "X") -> np.ndarray:
+    """e^{-beta X} of a stack of spectral decompositions of X, symmetrized.
+    Raises ConstructionError naming beta and the first row where it
+    overflows, by its time when `times` is given."""
+    with np.errstate(over="ignore"):
+        f = np.exp(-beta * vals)
+    bad = np.flatnonzero(~np.all(np.isfinite(f), axis=-1))
+    if bad.size:
+        k = bad[0]
+        raise ConstructionError(
+            f"e^(-beta {what}) is undefined{_label(times, k)}, "
+            f"beta = {beta:.6g}: eigenvalues {vals[k]}")
+    m = (vecs * f[:, None, :]) @ dagger(vecs)
+    return 0.5 * (m + dagger(m))
+
+
 def require_invertible(conds: np.ndarray, cond_threshold: float, times=None,
                        what: str = "map") -> None:
     """Raise SingularMap at the first condition number that is not finite or
@@ -287,28 +303,6 @@ def eig_hermitian(h: HermitianOperator) -> tuple[np.ndarray, np.ndarray]:
     """Ascending eigenvalues and orthonormal eigenvector columns, as
     read-only arrays computed on the first call for `h`."""
     return h._spectrum
-
-
-def func_hermitian(h: HermitianOperator, f: Callable[[np.ndarray], np.ndarray],
-                   ) -> HermitianOperator:
-    """Spectral calculus: apply a real function to the eigenvalues.
-
-    `f` must accept an ndarray of eigenvalues and return real values; a nan
-    or inf in the output is treated as a domain error.
-    """
-    vals, vecs = eig_hermitian(h)
-    fvals = np.asarray(f(vals), dtype=float)
-    if fvals.shape != vals.shape:
-        raise ValueError("function must map eigenvalues elementwise")
-    if not np.all(np.isfinite(fvals)):
-        bad = vals[~np.isfinite(fvals)]
-        raise ValueError(f"function undefined on eigenvalues {bad}")
-    return HermitianOperator((vecs * fvals) @ vecs.conj().T)
-
-
-def exp_hermitian(h: HermitianOperator, scale: float = 1.0) -> HermitianOperator:
-    """e^{scale * H} by spectral calculus."""
-    return func_hermitian(h, lambda x: np.exp(scale * x))
 
 
 def log_hermitian_zero_convention(h: HermitianOperator) -> HermitianOperator:

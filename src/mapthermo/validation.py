@@ -218,14 +218,16 @@ def check_coherent_work_identity() -> str:
     p = ClosedCoherentParams()
     times = p.grid(200)
     rho0, hams, unitaries = closed_coherent_protocol(p, times)
-    data = coherent_initial_construction(rho0, hams[0])
-    dev = chain = 0.0
-    for i in (80, 200):
-        res = coherent_work_fluctuation(data, unitaries[i], hams[i])
-        chain = max(chain, res.value - res.golden_thompson_bound,
-                    res.golden_thompson_bound - res.final_bound)
-        dev = max(dev, _coherent_distribution_gap(data, rho0, unitaries[i],
-                                                  hams[i], res.value))
+    data = coherent_initial_construction(rho0, HermitianOperator(hams[0]))
+    rows = [80, 200]
+    res = coherent_work_fluctuation(data, unitaries[rows], hams[rows],
+                                    times[rows])
+    chain = float(np.max(np.maximum(
+        res.value - res.golden_thompson_bound,
+        res.golden_thompson_bound - res.final_bound)))
+    dev = max(_coherent_distribution_gap(data, rho0, unitaries[i], hams[i],
+                                         value)
+              for i, value in zip(rows, res.value))
     assert dev <= 1e-9, f"distribution vs trace deviation {dev:.3e}"
     assert chain <= 1e-12, f"bound chain violated by {chain:.3e}"
     return f"distribution dev {dev:.3e}, chain slack ok"
@@ -240,7 +242,7 @@ def _coherent_distribution_gap(data, rho0, u_t, H_t, value: float) -> float:
     """
     beta = data.beta
     xi_ev = u_t @ data.xi.matrix @ u_t.conj().T
-    o_t = HermitianOperator(H_t.matrix + xi_ev)
+    o_t = HermitianOperator(H_t + xi_ev)
     u_map = Superoperator(np.kron(u_t.conj(), u_t), trace_preserving=True)
     dist = tpms_distribution(rho0, u_map, data.H_star, o_t)
     return abs(exp_average(dist, beta) - value)

@@ -1,13 +1,13 @@
 """Reference implementations that the tests compare the library against.
 
 The library computes every quantity along one stacked route over the whole
-time grid: `generator_splits` -> `ThermoPipeline` -> `fluctuation_table`.
-The functions here compute the same quantities one grid point, one map or
-one operator at a time, the way the formulas read (the exchange-model
-level sum one block and grid time at a time), plus the small
-constructors (random states and unitaries, Kraus and conjugation maps,
-constant rates) that only tests need. Nothing in `src/mapthermo` calls
-them.
+time grid: `generator_splits` -> `ThermoPipeline` -> `fluctuation_table`,
+and `coherent_work_fluctuation` for the closed drive. The functions here
+compute the same quantities one grid point, one map, one operator or one
+closed protocol at a time, the way the formulas read (the exchange-model
+level sum one block and grid time at a time), plus the small constructors
+(random states and unitaries, Kraus and conjugation maps, constant rates)
+that only tests need. Nothing in `src/mapthermo` calls them.
 
 The effective Hamiltonian of the minimal-dissipation split of a generator L
 on a d-level system is the double-commutator sum
@@ -21,13 +21,14 @@ by term.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Callable, Iterable
 
 import numpy as np
 
 from mapthermo.dynamics import MapTrajectory, map_derivatives
 from mapthermo.fluctuations import OutcomeDistribution
 from mapthermo.models import JCParams, _thermal_weights, jc_mode_count
+from mapthermo.observables import CoherentInitialData, CoherentWorkResult
 from mapthermo.operators import (
     COND_THRESHOLD_DEFAULT,
     DensityMatrix,
@@ -36,7 +37,6 @@ from mapthermo.operators import (
     apply,
     commutator_superop,
     eig_hermitian,
-    exp_hermitian,
     gibbs_state,
     partition_function,
     pauli_transfer_to_superop,
@@ -291,6 +291,32 @@ def jc_level_sums(params: JCParams, times: np.ndarray,
 
 
 # ---------------------------------------------------------------------------
+# Per-operator spectral calculus (`mapthermo.operators._exp_stack`)
+
+
+def func_hermitian(h: HermitianOperator, f: Callable[[np.ndarray], np.ndarray],
+                   ) -> HermitianOperator:
+    """Spectral calculus: apply a real function to the eigenvalues.
+
+    `f` must accept an ndarray of eigenvalues and return real values; a nan
+    or inf in the output is treated as a domain error.
+    """
+    vals, vecs = eig_hermitian(h)
+    fvals = np.asarray(f(vals), dtype=float)
+    if fvals.shape != vals.shape:
+        raise ValueError("function must map eigenvalues elementwise")
+    if not np.all(np.isfinite(fvals)):
+        bad = vals[~np.isfinite(fvals)]
+        raise ValueError(f"function undefined on eigenvalues {bad}")
+    return HermitianOperator((vecs * fvals) @ vecs.conj().T)
+
+
+def exp_hermitian(h: HermitianOperator, scale: float = 1.0) -> HermitianOperator:
+    """e^{scale * H} by spectral calculus."""
+    return func_hermitian(h, lambda x: np.exp(scale * x))
+
+
+# ---------------------------------------------------------------------------
 # Per-operator fluctuation factors (`mapthermo.fluctuations`)
 
 
@@ -357,6 +383,34 @@ def dissipated_work_bound(map_t: Superoperator, P_t: HermitianOperator,
     p_max = float(eig_hermitian(P_t)[0][-1])
     phi_max = float(np.linalg.eigvalsh(0.5 * (phi_id + phi_id.conj().T))[-1])
     return float(-p_max - np.log(phi_max) / beta)
+
+
+# ---------------------------------------------------------------------------
+# Per-protocol closed-drive work average (`mapthermo.observables`)
+
+
+def coherent_work_row(data: CoherentInitialData, u_t: np.ndarray,
+                      H_t: HermitianOperator) -> CoherentWorkResult:
+    """`coherent_work_fluctuation` for one protocol, with scalar fields:
+
+    value = Tr{ e^{-beta (H(t) + U xi U^dagger)} } / Z(0)
+    golden_thompson_bound = Tr{ e^{-beta H(t)} U e^{-beta xi} U^dagger } / Z(0)
+    jarzynski_factor = e^{-beta deltaF} = Z(t)/Z(0)
+    """
+    beta = data.beta
+    H0 = data.H_star - data.xi
+    z0 = partition_function(H0, beta)
+    zt = partition_function(H_t, beta)
+    xi_evolved = u_t @ data.xi.matrix @ u_t.conj().T
+    total = HermitianOperator(H_t.matrix + xi_evolved)
+    value = float(np.trace(exp_hermitian(total, -beta).matrix).real) / z0
+    gt = float(np.trace(exp_hermitian(H_t, -beta).matrix @ u_t
+                        @ exp_hermitian(data.xi, -beta).matrix
+                        @ u_t.conj().T).real) / z0
+    return CoherentWorkResult(beta=beta, value=value, golden_thompson_bound=gt,
+                              jarzynski_factor=zt / z0,
+                              delta_F_bar=float(-np.log(zt / z0) / beta),
+                              lambda_min_xi=data.lambda_min_xi)
 
 
 def moment(dist: OutcomeDistribution, k: int) -> float:

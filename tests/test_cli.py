@@ -12,6 +12,7 @@ import pytest
 from mapthermo.cli import Tolerances, main, parse_config, run_scenario
 from mapthermo.errors import ConfigError
 from mapthermo.dynamics import save_map_trajectory
+from mapthermo.operators import HermitianOperator
 from mapthermo.models import (ClosedCoherentParams, CustomPCParams, JCParams,
                               WeakCouplingParams, weak_coupling_rates)
 from mapthermo.phase_covariant import pc_trajectory
@@ -335,6 +336,59 @@ def test_run_closed_coherent(tmp_path):
         assert gt <= chain + 1e-12
 
 
+@pytest.mark.parametrize("beta0,code", [(20.0, 0), (40.0, 3)])
+def test_run_closed_coherent_needs_a_full_rank_state(tmp_path, capsys,
+                                                     beta0, code):
+    # at beta0 = 40 the smallest eigenvalue of rho(0) is below 1e-14, where
+    # ln rho(0) is not defined; at 20 it is about 2e-9 and w = 0 at t = 0
+    # pins <e^{-beta w}> to one
+    out = tmp_path / "out"
+    cfg_path = write_config(tmp_path, f"""\
+        [scenario]
+        model = closed_coherent
+        n_steps = 40
+        out_dir = {out}
+
+        [closed_coherent]
+        beta0 = {beta0}
+        rotation_angle = 0.3
+    """)
+    assert main(["run", cfg_path]) == code
+    if code:
+        err = capsys.readouterr().err
+        assert "NoMatchingBeta" in err and "eigenvalue" in err
+        assert not (out / "coherent_series.csv").exists()
+    else:
+        first = (out / "coherent_series.csv").read_text().splitlines()[1]
+        assert abs(float(first.split(",")[2]) - 1.0) <= 1e-12
+
+
+def test_run_closed_coherent_builds_no_operator_per_row(tmp_path,
+                                                        monkeypatch):
+    built = []
+    post_init = HermitianOperator.__post_init__
+
+    def counting(self):
+        built.append(1)
+        post_init(self)
+
+    monkeypatch.setattr(HermitianOperator, "__post_init__", counting)
+    counts = []
+    for n_steps in (40, 400):
+        built.clear()
+        cfg_path = write_config(tmp_path, f"""\
+            [scenario]
+            model = closed_coherent
+            n_steps = {n_steps}
+            out_dir = {tmp_path / f"out{n_steps}"}
+
+            [closed_coherent]
+        """, name=f"n{n_steps}.ini")
+        assert main(["run", cfg_path]) == 0
+        counts.append(len(built))
+    assert counts[0] == counts[1]
+
+
 def test_run_weak_coupling_with_a_cold_bath(tmp_path):
     # e^{beta omega0} overflows a double: the bath then excites nothing
     params = WeakCouplingParams(beta=800.0)
@@ -596,6 +650,25 @@ def test_run_reports_an_undefined_exponential(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "numerical failure: ConstructionError" in err
     assert re.search(r"undefined at t = [0-9.]+, beta = 1:", err)
+
+
+def test_run_closed_coherent_reports_an_undefined_exponential(tmp_path,
+                                                              capsys):
+    # a drive amplitude of 2000 takes beta H(t) out of the range of exp
+    # mid-drive: exit 3 naming t and beta, not a traceback
+    cfg_path = write_config(tmp_path, f"""\
+        [scenario]
+        model = closed_coherent
+        n_steps = 400
+        out_dir = {tmp_path / "out"}
+
+        [closed_coherent]
+        delta = 2000
+    """)
+    assert main(["run", cfg_path]) == 3
+    err = capsys.readouterr().err
+    assert "numerical failure: ConstructionError" in err
+    assert re.search(r"undefined at t = [0-9.]+, beta = [0-9.]+:", err)
 
 
 DIST_BODY = """\

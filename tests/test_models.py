@@ -471,17 +471,18 @@ def test_closed_coherent_protocol_structure():
     p = ClosedCoherentParams(rotation_angle=0.5)
     times = p.grid(100)
     rho0, hams, unitaries = closed_coherent_protocol(p, times)
+    assert hams.shape == unitaries.shape == (times.size, 2, 2)
     assert abs(np.trace(rho0.matrix) - 1.0) < 1e-12
     assert abs(rho0.matrix[0, 1]) > 1e-3
     omega = p.omega0 + p.delta * np.sin(p.Omega * times) ** 2
-    for i in (0, 50, 100):
-        npt.assert_allclose(hams[i].matrix, 0.5 * omega[i] * PAULI[3],
-                            atol=1e-14)
+    npt.assert_allclose(hams, 0.5 * omega[:, None, None] * PAULI[3],
+                        atol=1e-14)
     npt.assert_allclose(unitaries[0], np.eye(2), atol=1e-14)
     # propagators are phase rotations by the accumulated splitting
-    for u in unitaries:
-        npt.assert_allclose(u @ u.conj().T, np.eye(2), atol=1e-12)
-        assert abs(u[0, 1]) < 1e-15
+    npt.assert_allclose(unitaries @ unitaries.conj().swapaxes(1, 2),
+                        np.broadcast_to(np.eye(2), unitaries.shape),
+                        atol=1e-12)
+    assert np.all(np.abs(unitaries[:, [0, 1], [1, 0]]) < 1e-15)
 
 
 def test_closed_coherent_undriven_propagator_closed_form():
@@ -489,7 +490,8 @@ def test_closed_coherent_undriven_propagator_closed_form():
     times = p.grid(60)
     rho0, hams, unitaries = closed_coherent_protocol(p, times)
     assert abs(rho0.matrix[0, 1]) < 1e-15
-    i = 45
-    expect = np.diag([np.exp(-0.5j * p.omega0 * times[i]),
-                      np.exp(0.5j * p.omega0 * times[i])])
-    npt.assert_allclose(unitaries[i], expect, atol=1e-12)
+    # every row, not one: the stack is filled from the accumulated angle
+    phase = np.exp(-0.5j * p.omega0 * times)
+    npt.assert_allclose(unitaries[:, 0, 0], phase, atol=1e-12)
+    npt.assert_allclose(unitaries[:, 1, 1], phase.conj(), atol=1e-12)
+    npt.assert_allclose(unitaries[:, [0, 1], [1, 0]], 0.0, atol=0)

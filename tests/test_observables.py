@@ -9,7 +9,8 @@ from hypothesis.strategies import floats
 from mapthermo.dynamics import MapTrajectory, invertibility_report
 from mapthermo.errors import ConstructionError, NoMatchingBeta, SingularMap
 from mapthermo.fluctuations import fluctuation_table
-from mapthermo.models import WeakCouplingParams, weak_coupling_rates
+from mapthermo.models import (ClosedCoherentParams, WeakCouplingParams,
+                              closed_coherent_protocol, weak_coupling_rates)
 from mapthermo.observables import (
     CoherentInitialData,
     Convention,
@@ -36,7 +37,7 @@ from mapthermo.operators import (
 from mapthermo.phase_covariant import pc_integrals, pc_thermo, pc_trajectory
 from mapthermo.quadrature import cumulative_simpson
 from mapthermo.validation import random_gksl_trajectory
-from reference import (constant_rates, generator_at,
+from reference import (coherent_work_row, constant_rates, generator_at,
                        minimal_dissipation_split, random_density_matrix)
 
 SZ = PAULI[3]
@@ -319,12 +320,14 @@ def test_coherent_fluctuation_without_coherences_is_free_energy_ratio():
     H0 = HermitianOperator(0.8 * SZ + 0.1 * PAULI[1])
     Ht = HermitianOperator(0.8 * SZ + 0.6 * PAULI[1])
     data = coherent_initial_construction(gibbs_state(H0, 1.2), H0)
-    res = coherent_work_fluctuation(data, expm(-0.7j * PAULI[2]), Ht)
-    assert abs(res.value - res.jarzynski_factor) < 1e-8
-    assert abs(res.golden_thompson_bound - res.value) < 1e-8
+    res = coherent_work_fluctuation(data, expm(-0.7j * PAULI[2])[None],
+                                    Ht.matrix[None])
+    assert res.value.shape == (1,)
+    assert abs(res.value[0] - res.jarzynski_factor[0]) < 1e-8
+    assert abs(res.golden_thompson_bound[0] - res.value[0]) < 1e-8
     expect = partition_function(Ht, data.beta) / partition_function(H0, data.beta)
-    assert abs(res.value - expect) < 1e-10
-    assert abs(res.delta_F_bar + np.log(expect) / data.beta) < 1e-10
+    assert abs(res.value[0] - expect) < 1e-10
+    assert abs(res.delta_F_bar[0] + np.log(expect) / data.beta) < 1e-10
 
 
 def test_coherent_fluctuation_chain_and_quadratic_gap():
@@ -336,13 +339,36 @@ def test_coherent_fluctuation_chain_and_quadratic_gap():
         r = expm(-1j * eps * PAULI[1])
         rho0 = DensityMatrix(r @ gibbs_state(H0, 1.2).matrix @ r.conj().T)
         res = coherent_work_fluctuation(
-            coherent_initial_construction(rho0, H0), u_prot, Ht)
-        assert res.value <= res.golden_thompson_bound + 1e-12
-        assert res.golden_thompson_bound <= res.final_bound + 1e-12
-        gaps[eps] = res.golden_thompson_bound - res.value
+            coherent_initial_construction(rho0, H0), u_prot[None],
+            Ht.matrix[None])
+        assert res.value[0] <= res.golden_thompson_bound[0] + 1e-12
+        assert res.golden_thompson_bound[0] <= res.final_bound[0] + 1e-12
+        gaps[eps] = res.golden_thompson_bound[0] - res.value[0]
     # halving the coherence angle shrinks the first gap by about four
     assert 3.3 < gaps[0.04] / gaps[0.02] < 4.7
     assert 3.3 < gaps[0.08] / gaps[0.04] < 4.7
+
+
+@pytest.mark.parametrize("drive_mode", ["monotonic", "periodic"])
+@pytest.mark.parametrize("angle", [0.0, 0.4, 1.3])
+def test_coherent_work_stack_matches_per_row_reference(drive_mode, angle):
+    p = ClosedCoherentParams(drive_mode=drive_mode, rotation_angle=angle)
+    times = p.grid(400)
+    rho0, hams, unitaries = closed_coherent_protocol(p, times)
+    data = coherent_initial_construction(rho0, HermitianOperator(hams[0]))
+    res = coherent_work_fluctuation(data, unitaries, hams, times)
+    rows = [coherent_work_row(data, u, HermitianOperator(h))
+            for u, h in zip(unitaries, hams)]
+    assert res.beta == data.beta
+    assert res.lambda_min_xi == data.lambda_min_xi
+    for name in ("value", "golden_thompson_bound", "jarzynski_factor",
+                 "delta_F_bar", "final_bound"):
+        got = getattr(res, name)
+        ref = np.array([getattr(r, name) for r in rows])
+        assert got.shape == times.shape
+        # bit for bit, signed zeros included
+        npt.assert_array_equal(got.view(np.uint64), ref.view(np.uint64),
+                               err_msg=name)
 
 
 def per_point_K_and_P(traj):

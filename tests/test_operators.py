@@ -11,12 +11,11 @@ from mapthermo.operators import (
     HermitianOperator,
     PAULI,
     Superoperator,
+    _exp_stack,
     apply,
     choi_matrix,
     cptp_diagnostics,
     eig_hermitian,
-    exp_hermitian,
-    func_hermitian,
     gibbs_state,
     log_hermitian_zero_convention,
     partition_function,
@@ -30,6 +29,8 @@ from reference import (
     compose,
     condition_number,
     conjugation_superop,
+    exp_hermitian,
+    func_hermitian,
     hs_adjoint,
     identity_superop,
     invert,
@@ -306,6 +307,11 @@ def test_exp_hermitian_matches_scipy():
     h = random_hermitian(3, rng)
     npt.assert_allclose(exp_hermitian(h, -0.7).matrix, expm(-0.7 * h.matrix),
                         atol=1e-11)
+    # the library's stacked exponential, e^{-beta X} per row
+    stack = np.stack([random_hermitian(3, rng).matrix for _ in range(4)])
+    got = _exp_stack(*np.linalg.eigh(stack), 0.7)
+    for x, e in zip(stack, got):
+        npt.assert_allclose(e, expm(-0.7 * x), atol=1e-11)
 
 
 @settings(max_examples=25, deadline=None)
