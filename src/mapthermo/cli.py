@@ -31,8 +31,7 @@ from .errors import (ConfigError, ConstructionError, NoMatchingBeta,
                      SingularMap, TruncationError)
 from .operators import (COND_THRESHOLD_DEFAULT, HermitianOperator,
                         Superoperator, cptp_diagnostics_stack, dagger,
-                        gibbs_state,
-                        hermiticity_preservation,
+                        gibbs_state, hermiticity_preservation,
                         project_hermiticity_preserving)
 from .dynamics import (condition_flags, invertibility_report,
                        load_map_trajectory, read_map_file)
@@ -41,7 +40,7 @@ from .observables import ThermoPipeline
 # fluctuation_report is unused here but stays a module attribute: the traced
 # benchmark run (perfbench/child.py) wraps it by name.
 from .fluctuations import (CLUSTER_TOL, NEGATIVE_PROB_TOL, PROB_SUM_TOL,
-                           FluctuationTable, _cluster_projectors, csv_lines,
+                           FluctuationTable, csv_lines,
                            fluctuation_report,  # noqa: F401
                            fluctuation_table, tpms_distribution)
 from .observables import (HERMITIZE_TOL, coherent_initial_construction,
@@ -69,15 +68,24 @@ def _fmt(x: float) -> str:
     return format(float(x), ".17g")
 
 
+def _number(raw: str) -> float:
+    """float(raw), refusing NaN, which every comparison check lets pass;
+    inf stays (a [jaynes_cummings] beta of inf selects the vacuum)."""
+    x = float(raw)
+    if math.isnan(x):
+        raise ValueError(raw)
+    return x
+
+
 def _float_list(raw: str) -> tuple[float, ...]:
-    return tuple(float(x) for x in raw.split(",") if x.strip())
+    return tuple(_number(x) for x in raw.split(",") if x.strip())
 
 
 # value kind -> (parse, render, what the value must be); a key's kind is the
 # type of its default. A None default is JCParams.n_max, spelled "auto".
 _KINDS = {
     str: (str, str, None),
-    float: (float, _fmt, "a number"),
+    float: (_number, _fmt, "a number"),
     int: (int, str, "an integer"),
     tuple: (_float_list, lambda v: ", ".join(map(_fmt, v)),
             "comma-separated numbers"),
@@ -93,6 +101,12 @@ class Tolerances:
 
     cond_threshold: float = COND_THRESHOLD_DEFAULT
     invariant_tol: float = 1e-9
+
+    def __post_init__(self):
+        if not (1.0 <= self.cond_threshold < math.inf):
+            raise ValueError("cond_threshold must be a finite number >= 1")
+        if not (0.0 < self.invariant_tol < math.inf):
+            raise ValueError("invariant_tol must be a finite number > 0")
 
 
 @dataclass
@@ -217,9 +231,9 @@ def parse_config(path: str) -> ScenarioConfig:
         beta_list = scen.get("beta_list", kind=tuple)
         if not beta_list:
             raise ConfigError(f"{path}: [scenario] beta_list: empty list")
-        if any(b <= 0 for b in beta_list):
-            raise ConfigError(f"{path}: [scenario] beta_list: "
-                              "inverse temperatures must be positive")
+        if not all(0 < b < math.inf for b in beta_list):
+            raise ConfigError(f"{path}: [scenario] beta_list: inverse "
+                              "temperatures must be positive and finite")
 
     if model == "custom_map_file":
         scen.forbid("t_max", "the grid comes from the map file")
@@ -228,8 +242,9 @@ def parse_config(path: str) -> ScenarioConfig:
     else:
         t_max = scen.get("t_max", getattr(params, "default_t_f", _REQUIRED),
                          kind=float)
-        if t_max <= 0:
-            raise ConfigError(f"{path}: [scenario] t_max: must be positive")
+        if not 0 < t_max < math.inf:
+            raise ConfigError(f"{path}: [scenario] t_max: must be positive "
+                              "and finite")
         n_steps = scen.get("n_steps", 1000)
         if n_steps < 16:
             raise ConfigError(f"{path}: [scenario] n_steps: must be >= 16")
@@ -373,13 +388,13 @@ def _run_map_model(cfg: ScenarioConfig, written: list[str]) -> None:
 
     if dist_indices:
         work, _ = pipe.work_heat_observables()
-        # one eigendecomposition of K(0) serves every beta
-        K0 = pipe.effective_hamiltonian_series()[0]
+        # each operator keeps its eigendecomposition, so one serves every beta
+        K0 = HermitianOperator(pipe.K[0])
         states = [gibbs_state(K0, beta) for beta in cfg.beta_list]
-        first = _cluster_projectors(work[0])
+        first = work[0]
         for i in dist_indices:
             map_t = Superoperator(traj.maps[i])
-            last = _cluster_projectors(work[i])
+            last = work[i]
             lines = ["beta,outcome,probability"]
             for beta, rho_g in zip(cfg.beta_list, states):
                 dist = tpms_distribution(rho_g, map_t, first, last)

@@ -34,7 +34,6 @@ from .errors import ConstructionError
 from .operators import (
     COND_THRESHOLD_DEFAULT,
     HERMITICITY_TOL,
-    Superoperator,
     hermitian_stack,
     project_hermiticity_preserving,
     require_invertible,
@@ -50,24 +49,26 @@ SPIKE_FACTOR = 10.0
 SPIKE_FLOOR = 100.0
 
 
-def _as_stack(items) -> np.ndarray:
-    """A complex stack from a stack or a sequence of maps."""
-    if not isinstance(items, np.ndarray):
-        items = [m.matrix if isinstance(m, Superoperator) else m for m in items]
-    return np.asarray(items, dtype=complex)
+def _require_finite(a: np.ndarray, t: np.ndarray, what: str) -> None:
+    """Raise ConstructionError at the first matrix of a stack, by its time,
+    that holds a value that is not finite."""
+    bad = np.flatnonzero(~np.isfinite(a).all(axis=(1, 2)))
+    if bad.size:
+        raise ConstructionError(f"{what} at t = {t[bad[0]]:.6g} holds a "
+                                "value that is not finite")
 
 
 @dataclass(frozen=True, eq=False)
 class MapTrajectory:
     """Dynamical maps sampled on a uniform grid t_0 = 0 < t_1 < ... < t_N.
 
-    `maps` is one read-only complex (N+1, d^2, d^2) stack in the vectorized
-    convention, `derivatives` the optional stack of analytic dPhi/dt; either
-    may be given as a stack or a sequence of Superoperators or matrices.
-    Construction is the only validation (grid, shapes, identity at t = 0,
-    Hermiticity preservation with the Superoperator Choi projection, trace
-    preservation) and names the first failing time. cond(Phi_t) and
-    Phi_t^{-1} are computed once for the whole grid, on first use.
+    `maps` is one read-only complex (N+1, d^2, d^2) array in the vectorized
+    convention, `derivatives` the optional array of analytic dPhi/dt.
+    Construction is the only validation (grid, shapes, finite entries,
+    identity at t = 0, Hermiticity preservation with the Superoperator Choi
+    projection, trace preservation) and names the first failing time.
+    cond(Phi_t) and Phi_t^{-1} are computed once for the whole grid, on
+    first use.
     """
 
     times: np.ndarray
@@ -78,11 +79,12 @@ class MapTrajectory:
         t = np.array(self.times, dtype=float)
         t.setflags(write=False)
         object.__setattr__(self, "times", t)
-        maps = _as_stack(self.maps)
+        maps = np.asarray(self.maps, dtype=complex)
         if (maps.ndim != 3 or maps.shape[1] != maps.shape[2]
                 or maps.shape[0] != t.size):
             raise ConstructionError(f"map stack of shape {maps.shape} for "
                                     f"{t.size} grid points")
+        _require_finite(maps, t, "map")
         if t[0] != 0.0:
             raise ConstructionError(f"grid must start at 0, got {t[0]}")
         grid_spacing(t)
@@ -104,11 +106,12 @@ class MapTrajectory:
         maps.setflags(write=False)
         object.__setattr__(self, "maps", maps)
         if self.derivatives is not None:
-            derivs = _as_stack(self.derivatives).view()
+            derivs = np.asarray(self.derivatives, dtype=complex).view()
             if derivs.shape != maps.shape:
                 raise ConstructionError(
                     f"derivative stack has shape {derivs.shape}, "
                     f"expected {maps.shape}")
+            _require_finite(derivs, t, "map derivative")
             derivs.setflags(write=False)
             object.__setattr__(self, "derivatives", derivs)
 

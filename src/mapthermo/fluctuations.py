@@ -28,14 +28,14 @@ alongside.
 at once. What does not depend on beta is computed once per pipeline, as
 whole-grid stacks the pipeline caches: the spectra of K(t), P(t) and O_w(t),
 Phi_t[1], Phi_t[1/d] and the top eigenvalue of Phi_t[1]. Each further beta
-costs the Gibbs states of K(t) (built from the cached spectrum and checked
-with one batched eigvalsh), e^{-beta P(t)} and e^{-beta O_w(t)}, one
-application of every map to rho(0) and one adjoint trace per map. Its
-columns are those of `lambda_series.csv`, plus the Lambda_u cross-check
-residual per row. `fluctuation_report` is one row of it.
-`heat_fluctuation` evaluates the heat relation for one map; the
-per-operator references for the other columns (`lambda_u`, `lambda_w`,
-`free_energies`, `dissipated_work_bound`) live in `tests/reference.py`.
+costs the Gibbs states of K(t), rho(0) among them (built from the cached
+spectrum and checked with one batched eigvalsh), e^{-beta P(t)} and
+e^{-beta O_w(t)}, one application of every map to rho(0) and one adjoint
+trace per map. Its columns are those of `lambda_series.csv`, plus the
+Lambda_u cross-check residual per row. `fluctuation_report` is one row of
+it. The per-operator references for the columns (`heat_fluctuation`,
+`lambda_u`, `lambda_w`, `free_energies`, `dissipated_work_bound`) live in
+`tests/reference.py`.
 """
 
 from __future__ import annotations
@@ -46,17 +46,13 @@ import numpy as np
 
 from .errors import ConstructionError
 from .operators import (
-    POSITIVITY_TOL,
-    TRACE_TOL,
     DensityMatrix,
     HermitianOperator,
     Superoperator,
     _exp_stack,
+    _gibbs_stack,
     apply,
-    dagger,
     eig_hermitian,
-    gibbs_state,
-    partition_function,
     vec,
 )
 
@@ -82,12 +78,9 @@ def cluster_eigenvalues(values: np.ndarray) -> list[np.ndarray]:
     return [np.array(c) for c in clusters]
 
 
-def _cluster_projectors(op: HermitianOperator | tuple,
+def _cluster_projectors(op: HermitianOperator,
                         ) -> tuple[np.ndarray, list[np.ndarray]]:
-    """Outcome values (cluster means) and projectors of an observable; a
-    pair this function made passes through unchanged."""
-    if isinstance(op, tuple):
-        return op
+    """Outcome values (cluster means) and projectors of an observable."""
     vals, vecs = eig_hermitian(op)
     outcomes = []
     projectors = []
@@ -141,18 +134,17 @@ class OutcomeDistribution:
 
 
 def tpms_distribution(rho0: DensityMatrix, map_t: Superoperator,
-                      O0: HermitianOperator | tuple,
-                      Ot: HermitianOperator | tuple) -> OutcomeDistribution:
+                      O0: HermitianOperator,
+                      Ot: HermitianOperator) -> OutcomeDistribution:
     """Distribution of o_m(t) - o_n(0) under the two-point scheme.
 
     All (n, m) cluster pairs are enumerated, zero-probability outcomes
     included; outcome values agreeing within the clustering tolerance are
     merged. No diagonality of rho0 in the O0 eigenbasis is required, but the
     initial measurement dephases the state in that basis, and
-    `initial_coherence` reports how much was destroyed. O0 and Ot may also
-    be given as the (outcomes, projectors) pairs `_cluster_projectors` made
-    of them, so that a caller measuring at several temperatures clusters
-    each observable once.
+    `initial_coherence` reports how much was destroyed. The spectrum of
+    each observable is computed on its first use and kept with it, so a
+    caller measuring at several temperatures passes the same operators.
     """
     o0, proj0 = _cluster_projectors(O0)
     ot, projt = _cluster_projectors(Ot)
@@ -195,16 +187,6 @@ def tpms_distribution(rho0: DensityMatrix, map_t: Superoperator,
 def exp_average(dist: OutcomeDistribution, beta: float) -> float:
     """<e^{-beta x}> over the distribution."""
     return float(np.dot(dist.probs, np.exp(-beta * dist.outcomes)))
-
-
-def heat_fluctuation(rho0: DensityMatrix, map_t: Superoperator,
-                     P_t: HermitianOperator, beta: float) -> tuple[float, float]:
-    """<e^{-beta q}> = Tr{ e^{-beta P(t)} Phi_t[rho0] } and its bound
-    e^{-beta lambda_min{P(t)}}."""
-    vals, vecs = eig_hermitian(P_t)
-    exp_p = _exp_stack(vals[None], vecs[None], beta, what="P")[0]
-    value = float(np.trace(exp_p @ apply(map_t, rho0.matrix)).real)
-    return value, float(np.exp(-beta * vals[0]))
 
 
 def noneq_free_energy(rho: DensityMatrix, K: HermitianOperator,
@@ -324,34 +306,15 @@ def _adjoint_trace(maps: np.ndarray, ops: np.ndarray) -> np.ndarray:
                      diag.conj())
 
 
-def _gibbs_stack(vals: np.ndarray, vecs: np.ndarray, beta: float,
-                 times: np.ndarray) -> np.ndarray:
-    """`gibbs_state` of a stack of spectral decompositions, with the trace
-    and positivity checks of `DensityMatrix`."""
-    w = np.exp(-beta * (vals - vals.min(axis=-1, keepdims=True)))
-    w /= w.sum(axis=-1, keepdims=True)
-    rho = (vecs * w[:, None, :]) @ dagger(vecs)
-    rho = 0.5 * (rho + dagger(rho))
-    trace_dev = np.abs(np.einsum("nii->n", rho) - 1.0)
-    low = np.linalg.eigvalsh(rho)[:, 0]
-    bad = np.flatnonzero((trace_dev > TRACE_TOL) | (low < -POSITIVITY_TOL))
-    if bad.size:
-        k = bad[0]
-        raise ConstructionError(
-            f"Gibbs state at t = {times[k]:.6g}, beta = {beta:.6g} is not a "
-            f"state: trace deviation {trace_dev[k]:.3e}, lowest eigenvalue "
-            f"{low[k]:.3e}")
-    return rho
-
-
 def fluctuation_table(pipeline, beta: float, indices=None) -> FluctuationTable:
     """The report at every requested grid row of a ThermoPipeline (all rows
     when `indices` is None), computed as one batched pass.
 
-    The initial state is the Gibbs state of K(0) at this beta. The
-    beta-independent inputs (the spectra of K(t), P(t) and O_w(t) = K(t) -
-    P(t), Phi_t[1] and Phi_t[1/d]) are the pipeline's cached whole-grid
-    stacks, sliced to the requested rows; per beta, each map is applied to
+    The initial state is the Gibbs state of K(0) at this beta, built from
+    row 0 of the cached spectrum of K(t). The beta-independent inputs (the
+    spectra of K(t), P(t) and O_w(t) = K(t) - P(t), Phi_t[1] and
+    Phi_t[1/d]) are the pipeline's cached whole-grid stacks, sliced to the
+    requested rows; per beta, each map is applied to
     rho(0) and adjointly to the Gibbs state of K(t), and the exponential
     averages follow from the trace formulas. <e^{-beta w}> =
     Tr{e^{-beta O_w(t)} Phi_t[1]} / Z(0) is evaluated on its own rather
@@ -365,18 +328,18 @@ def fluctuation_table(pipeline, beta: float, indices=None) -> FluctuationTable:
     # a slice keeps the whole-grid stacks as views, not copies
     rows = slice(None) if indices is None else np.asarray(indices, dtype=int)
     times = traj.times[rows]
-    K_0 = pipeline.effective_hamiltonian_series()[0]
     Ow = pipeline._work_ops[rows]
 
-    rho0 = gibbs_state(K_0, beta)
-    z0 = partition_function(K_0, beta)
-    k_vals, k_vecs = (a[rows] for a in pipeline._k_spectrum)
+    k_vals, k_vecs = pipeline._k_spectrum
+    rho0 = _gibbs_stack(k_vals[:1], k_vecs[:1], beta, traj.times[:1])[0]
+    z0 = np.sum(np.exp(-beta * k_vals[0]))
+    k_vals, k_vecs = k_vals[rows], k_vecs[rows]
     zt = np.sum(np.exp(-beta * k_vals), axis=-1)
     rho_g = _gibbs_stack(k_vals, k_vecs, beta, times)
 
     maps = traj.maps[rows]
     phi_id, phi_mixed = (a[rows] for a in pipeline._unit_images)
-    rho_t = (maps @ vec(rho0.matrix)).reshape(-1, d, d).swapaxes(1, 2)
+    rho_t = (maps @ vec(rho0)).reshape(-1, d, d).swapaxes(1, 2)
 
     direct = _trace_product(rho_g, phi_id).real
     adj = _adjoint_trace(maps, rho_g).real
@@ -395,7 +358,7 @@ def fluctuation_table(pipeline, beta: float, indices=None) -> FluctuationTable:
     # a difference of two O(1) energies that cancels exactly at t = 0: the
     # traces keep the summation order of `mean_change`
     mean_w = (np.trace(Ow @ rho_t, axis1=-2, axis2=-1)
-              - np.trace(K_0.matrix @ rho0.matrix)).real
+              - np.trace(pipeline.K[0] @ rho0)).real
     return FluctuationTable(
         time=times, beta=beta, lambda_u=direct, lambda_w=exp_w / zt,
         lambda_w_bound=np.exp(beta * p_max) * phi_max, exp_avg_w=exp_w / z0,

@@ -53,7 +53,6 @@ from .errors import ConstructionError, NoMatchingBeta
 from .operators import (
     COND_THRESHOLD_DEFAULT,
     HERMITICITY_TOL,
-    LOG_ZERO_TOL,
     DensityMatrix,
     HermitianOperator,
     _exp_stack,
@@ -61,7 +60,6 @@ from .operators import (
     dagger,
     eig_hermitian,
     hermitian_stack,
-    log_hermitian_zero_convention,
     partition_function,
     stack_blocks,
     unvec,
@@ -71,6 +69,9 @@ from .quadrature import cumulative_simpson
 
 HERMITIZE_TOL = 1e-9
 MATCH_BETA_RTOL = 1e-10
+# ln rho(0) of a coherent state with a smaller eigenvalue is too inaccurate
+# for the two routes to <e^{-beta w}> to agree to 1e-9
+COHERENT_EIGENVALUE_FLOOR = 1e-9
 
 
 class Convention(Enum):
@@ -84,9 +85,8 @@ class Convention(Enum):
 @dataclass(frozen=True, eq=False)
 class ObservableSeries:
     """One Hermitian operator per grid time, stored as one read-only
-    (N+1, d, d) stack `ops`, given as such (taken as Hermitian, as the
-    pipeline produces it) or as a sequence of HermitianOperators;
-    `series[i]` is the HermitianOperator at times[i].
+    (N+1, d, d) stack `ops` (taken as Hermitian, as the pipeline produces
+    it); `series[i]` is the HermitianOperator at times[i].
 
     Two encodings exist. "per_time" (the default): ops[i] is the operator
     measured at times[i] within a single protocol. "per_duration_initial"
@@ -102,10 +102,7 @@ class ObservableSeries:
     encoding: str = "per_time"
 
     def __post_init__(self):
-        ops = self.ops
-        if not isinstance(ops, np.ndarray):
-            ops = np.array([op.matrix for op in ops], dtype=complex)
-        ops = ops.view()
+        ops = self.ops.view()
         ops.setflags(write=False)
         object.__setattr__(self, "ops", ops)
         if ops.shape[0] != np.asarray(self.times).size:
@@ -196,10 +193,6 @@ class ThermoPipeline:
 
     def effective_hamiltonian_series(self) -> ObservableSeries:
         return self._series(self.K, "effective_hamiltonian")
-
-    def path_operator(self, i_t: int) -> HermitianOperator:
-        """P(t_i): back-propagated integrated dissipative energy flow."""
-        return HermitianOperator(self.P[i_t])
 
     def path_operator_series(self) -> ObservableSeries:
         return self._series(self.P, "path_operator")
@@ -336,20 +329,20 @@ def coherent_initial_construction(rho0: DensityMatrix, H0: HermitianOperator,
 
     H*_beta = -(1/beta) ln rho0 - (1/beta) ln Z(0), normalized so that
     Tr{e^{-beta H*_beta}} = Z(0) = Tr{e^{-beta H0}}; its Gibbs state at the
-    matched beta is exactly rho0. That needs rho0 of full rank: an
-    eigenvalue at or below LOG_ZERO_TOL has no finite ln, and the ln(0) :=
-    0 convention would add Z(0) to Tr{e^{-beta H*_beta}} per null
-    direction, so such a state raises NoMatchingBeta naming the eigenvalue.
+    matched beta is exactly rho0. That needs rho0 of full rank, and ln rho0
+    loses digits as its smallest eigenvalue nears zero, so a state with an
+    eigenvalue at or below COHERENT_EIGENVALUE_FLOOR raises NoMatchingBeta
+    naming the eigenvalue and the floor.
     """
-    rho_op = HermitianOperator(rho0.matrix)
-    low = float(eig_hermitian(rho_op)[0][0])
-    if low <= LOG_ZERO_TOL:
+    vals, vecs = eig_hermitian(HermitianOperator(rho0.matrix))
+    if vals[0] <= COHERENT_EIGENVALUE_FLOOR:
         raise NoMatchingBeta(
-            f"initial state has eigenvalue {low:.3e} at or below "
-            f"{LOG_ZERO_TOL:g}: it is the Gibbs state of no finite H*_beta")
+            f"initial state has eigenvalue {vals[0]:.3e} at or below "
+            f"{COHERENT_EIGENVALUE_FLOOR:g}: ln rho(0), and with it "
+            "H*_beta, is not accurate")
     beta = match_beta(rho0, H0)
     z0 = partition_function(H0, beta)
-    log_rho = log_hermitian_zero_convention(rho_op)
+    log_rho = HermitianOperator((vecs * np.log(vals)) @ vecs.conj().T)
     h_star = HermitianOperator(
         -(log_rho.matrix + np.log(z0) * np.eye(rho0.dim)) / beta)
     xi = h_star - H0

@@ -16,10 +16,10 @@ Operators are vectorized by column stacking: vec(A)[i + d*j] = A[i, j], i.e.
   so the HS adjoint of a superoperator is the conjugate transpose of its
   matrix.
 
-The Choi matrix convention is fixed by `choi_matrix` below: C = (1/d) *
-reshuffle(S), normalized so that a trace-preserving map has Tr{C} = 1 and the
-identity map gives a rank-one C with eigenvalues {1, 0, ..., 0} (so its
-minimum Choi eigenvalue is 0, not 1/d).
+The Choi matrix convention is fixed by `cptp_diagnostics_stack` below: C =
+(1/d) * reshuffle(S), normalized so that a trace-preserving map has Tr{C} = 1
+and the identity map gives a rank-one C with eigenvalues {1, 0, ..., 0} (so
+its minimum Choi eigenvalue is 0, not 1/d).
 """
 
 from __future__ import annotations
@@ -36,7 +36,6 @@ TRACE_TOL = 1e-12
 POSITIVITY_TOL = 1e-10
 HP_CHECK_TOL = 1e-10
 COND_THRESHOLD_DEFAULT = 1e12
-LOG_ZERO_TOL = 1e-14
 
 
 def _as_square_complex(entries) -> np.ndarray:
@@ -92,15 +91,7 @@ class DensityMatrix:
     matrix: np.ndarray
 
     def __post_init__(self):
-        a = hermitian_stack(_as_square_complex(self.matrix)[None],
-                            HERMITICITY_TOL, what="state")[0]
-        tr = complex(np.trace(a))
-        if abs(tr - 1.0) > TRACE_TOL:
-            raise ConstructionError(f"state trace is {tr}, expected 1")
-        lo = float(np.linalg.eigvalsh(a)[0])
-        if lo < -POSITIVITY_TOL:
-            raise ConstructionError(
-                f"state has negative eigenvalue {lo:.3e} below -{POSITIVITY_TOL}")
+        a = _state_stack(_as_square_complex(self.matrix)[None])[0]
         a.setflags(write=False)
         object.__setattr__(self, "matrix", a)
 
@@ -241,6 +232,35 @@ def hermitian_stack(a: np.ndarray, tol: float, times=None,
     return 0.5 * (a + dagger(a))
 
 
+def _state_stack(a: np.ndarray, times=None, what: str = "state") -> np.ndarray:
+    """`hermitian_stack` of a (n, d, d) stack of states, also rejecting any
+    matrix whose trace is off 1 by more than TRACE_TOL or whose lowest
+    eigenvalue is below -POSITIVITY_TOL; the error names the first failing
+    matrix, by its time when `times` is given."""
+    a = hermitian_stack(a, HERMITICITY_TOL, times, what)
+    trace_dev = np.abs(np.einsum("nii->n", a) - 1.0)
+    low = np.linalg.eigvalsh(a)[:, 0]
+    bad = np.flatnonzero((trace_dev > TRACE_TOL) | (low < -POSITIVITY_TOL))
+    if bad.size:
+        k = bad[0]
+        raise ConstructionError(
+            f"{what}{_label(times, k)} is not a state: trace deviation "
+            f"{trace_dev[k]:.3e} (allowed {TRACE_TOL:g}), lowest eigenvalue "
+            f"{low[k]:.3e} (allowed -{POSITIVITY_TOL:g})")
+    return a
+
+
+def _gibbs_stack(vals: np.ndarray, vecs: np.ndarray, beta: float,
+                 times=None) -> np.ndarray:
+    """e^{-beta X} / Tr{e^{-beta X}} of a stack of spectral decompositions
+    of X, checked by `_state_stack`; each spectrum is shifted so its largest
+    Boltzmann weight is 1 (no overflow for large beta)."""
+    w = np.exp(-beta * (vals - vals.min(axis=-1, keepdims=True)))
+    w /= w.sum(axis=-1, keepdims=True)
+    return _state_stack((vecs * w[:, None, :]) @ dagger(vecs), times,
+                        f"Gibbs state (beta = {beta:.6g})")
+
+
 def _exp_stack(vals: np.ndarray, vecs: np.ndarray, beta: float,
                times=None, what: str = "X") -> np.ndarray:
     """e^{-beta X} of a stack of spectral decompositions of X, symmetrized.
@@ -305,38 +325,15 @@ def eig_hermitian(h: HermitianOperator) -> tuple[np.ndarray, np.ndarray]:
     return h._spectrum
 
 
-def log_hermitian_zero_convention(h: HermitianOperator) -> HermitianOperator:
-    """Matrix logarithm with ln(0) := 0 on the null space.
-
-    Eigenvalues within LOG_ZERO_TOL of zero contribute nothing; genuinely
-    negative eigenvalues are a domain error.
-    """
-    vals, vecs = eig_hermitian(h)
-    if np.any(vals < -LOG_ZERO_TOL):
-        raise ValueError(f"logarithm undefined: negative eigenvalue {vals[0]:.3e}")
-    out = np.zeros_like(vals)
-    mask = vals > LOG_ZERO_TOL
-    out[mask] = np.log(vals[mask])
-    return HermitianOperator((vecs * out) @ vecs.conj().T)
-
-
 def gibbs_state(h: HermitianOperator, beta: float) -> DensityMatrix:
-    """e^{-beta H} / Tr{e^{-beta H}}, computed with the spectrum shifted so
-    the largest Boltzmann weight is 1 (no overflow for large beta)."""
+    """e^{-beta H} / Tr{e^{-beta H}}: `_gibbs_stack` of one operator."""
     vals, vecs = eig_hermitian(h)
-    w = np.exp(-beta * (vals - vals.min()))
-    w /= w.sum()
-    return DensityMatrix((vecs * w) @ vecs.conj().T)
+    return DensityMatrix(_gibbs_stack(vals[None], vecs[None], beta)[0])
 
 
 def partition_function(h: HermitianOperator, beta: float) -> float:
     vals, _ = eig_hermitian(h)
     return float(np.sum(np.exp(-beta * vals)))
-
-
-def choi_matrix(s: Superoperator) -> np.ndarray:
-    """Choi matrix, normalized to unit trace for TP maps: C = reshuffle(S)/d."""
-    return _reshuffle(s.matrix, s.dim)[0] / s.dim
 
 
 @dataclass(frozen=True)

@@ -54,16 +54,9 @@ from .quadrature import (cumulative_exp_weighted, cumulative_simpson,
 
 
 def _eval_on(f: Callable, times: np.ndarray) -> np.ndarray:
-    """Evaluate a time function on the grid, accepting scalar-only callables."""
-    try:
-        out = np.asarray(f(times), dtype=float)
-        if out.shape == times.shape:
-            return out
-        if out.ndim == 0:
-            return np.full_like(times, float(out))
-    except (TypeError, ValueError):
-        pass
-    return np.array([float(f(t)) for t in times])
+    """A vectorized time function on the grid; a scalar result is broadcast,
+    any other shape raises ValueError."""
+    return np.broadcast_to(np.asarray(f(times), float), times.shape)
 
 
 def constant_rate(value: float) -> Callable:

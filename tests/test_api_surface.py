@@ -1,11 +1,12 @@
 """The library's public names are all used outside the tests.
 
 A top-level public name of `src/mapthermo` (function, class or constant not
-starting with an underscore) counts as used when it appears as a word in
-the package outside its own definition, in `scripts/`, in `perfbench/` or
-in the README. A name that only the tests use belongs in the tests
-(`tests/reference.py` holds the per-point references and test-only
-helpers).
+starting with an underscore) counts as used when the package's code refers
+to it outside its own definition (as a name, an attribute or an imported
+name; a docstring or comment that mentions it does not count), or when it
+appears as a word in `scripts/`, in `perfbench/` or in the README. A name
+that only the tests use belongs in the tests (`tests/reference.py` holds
+the per-point references and test-only helpers).
 """
 
 import ast
@@ -21,10 +22,10 @@ def _words(text: str) -> Counter:
     return Counter(re.findall(r"\w+", text))
 
 
-def _definitions(path: Path) -> dict[str, tuple[int, int]]:
+def _definitions(tree: ast.Module) -> dict[str, tuple[int, int]]:
     """Top-level public names of a module and the line span defining each."""
     spans = {}
-    for node in ast.parse(path.read_text()).body:
+    for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
             targets = [node.name]
         elif isinstance(node, ast.Assign):
@@ -42,6 +43,21 @@ def _definitions(path: Path) -> dict[str, tuple[int, int]]:
     return spans
 
 
+def _code_references(tree: ast.Module) -> list[tuple[str, int]]:
+    """Each name a module's code reads, with its line: loaded names and
+    attributes, and the names its imports bind."""
+    refs = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            refs.append((node.id, node.lineno))
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx,
+                                                            ast.Load):
+            refs.append((node.attr, node.end_lineno))
+        elif isinstance(node, ast.alias):
+            refs.append((node.name, node.lineno))
+    return refs
+
+
 def _outside_users() -> Counter:
     files = [ROOT / "README.md"]
     for folder in ("scripts", "perfbench"):
@@ -54,18 +70,19 @@ def _outside_users() -> Counter:
 
 
 def test_every_public_name_is_used_outside_the_tests():
-    modules = sorted(PACKAGE.glob("*.py"))
-    package_words = Counter()
-    for path in modules:
-        package_words += _words(path.read_text())
+    trees = {path: ast.parse(path.read_text())
+             for path in sorted(PACKAGE.glob("*.py"))}
+    definitions = {path: _definitions(tree) for path, tree in trees.items()}
+    package_refs = Counter()
+    for path, tree in trees.items():
+        for name, line in _code_references(tree):
+            start, end = definitions[path].get(name, (0, -1))
+            if not start <= line <= end:
+                package_refs[name] += 1
     outside = _outside_users()
-    test_only = []
-    for path in modules:
-        lines = path.read_text().splitlines()
-        for name, (start, end) in _definitions(path).items():
-            own = _words("\n".join(lines[start - 1:end]))[name]
-            if package_words[name] - own == 0 and outside[name] == 0:
-                test_only.append(f"{path.name}: {name}")
+    test_only = [f"{path.name}: {name}"
+                 for path, spans in definitions.items() for name in spans
+                 if package_refs[name] == 0 and outside[name] == 0]
     assert not test_only, ("public names not used outside the tests (move "
                            "them to tests/reference.py): "
                            + ", ".join(test_only))

