@@ -70,7 +70,7 @@ def _fmt(x: float) -> str:
 
 def _number(raw: str) -> float:
     """float(raw), refusing NaN, which every comparison check lets pass;
-    inf stays (a [jaynes_cummings] beta of inf selects the vacuum)."""
+    inf stays for the checks of its key (`_SectionReader.read`)."""
     x = float(raw)
     if math.isnan(x):
         raise ValueError(raw)
@@ -176,8 +176,15 @@ class _SectionReader:
 
     def read(self, cls):
         """An instance of the dataclass `cls` with each field read as a key
-        of this section, the field's default as the key's default."""
+        of this section, the field's default as the key's default. A float
+        field takes an infinite value only where inf is its default, as for
+        [jaynes_cummings] beta, where it selects the vacuum."""
         values = {f.name: self.get(f.name, f.default) for f in fields(cls)}
+        for f in fields(cls):
+            value = values[f.name]
+            if (isinstance(value, float) and math.isinf(value)
+                    and f.default != math.inf):
+                self._fail(f.name, f"must be finite (got {value})")
         try:
             params = cls(**values)
         except (ValueError, ConfigError) as exc:

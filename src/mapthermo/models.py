@@ -287,45 +287,95 @@ def _split_grid(times: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.arange(n_coarse) * fine * h, index[:fine] * h
 
 
-def _angle_factors(half: np.ndarray, coarse: np.ndarray, fine: np.ndarray,
-                   ) -> tuple[dict[str, np.ndarray], np.ndarray]:
-    """cos and sin of half_k (T + tau) by angle addition.
+def _add_angles(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """cos and sin of the sum of two angles, by angle addition.
 
-    x = cos = C c - S s and s = sin = S c + C s, with C, S at the coarse
-    times T and c, s at the fine times tau. Returns the factors of the fine
-    pair (c, s) for "x" and "s", each (coarse, 2, K), and the fine pair
-    itself, (2, K, fine).
+    a and b are (cos, sin) stacks that broadcast against each other;
+    returns the (cos, sin) stack of a + b.
+    """
+    (xa, sa), (xb, sb) = a, b
+    out = np.empty((2,) + np.broadcast_shapes(xa.shape, xb.shape))
+    x, s = out
+    np.multiply(xa, xb, out=x)
+    x -= sa * sb
+    np.multiply(sa, xb, out=s)
+    s += xa * sb
+    return out
+
+
+def _pair_angles(upper: np.ndarray, lower: np.ndarray) -> np.ndarray:
+    """cos and sin of the difference and the sum of two angles.
+
+    upper and lower are (cos, sin) stacks of one shape; returns
+    (2, 2, *shape): difference then sum, each as (cos, sin). Four products
+    serve both angles.
+    """
+    (xu, su), (xl, sl) = upper, lower
+    out = np.empty((2, 2) + xu.shape)
+    (cos_d, sin_d), (cos_s, sin_s) = out
+    np.multiply(xu, xl, out=cos_d)
+    prod = su * sl
+    np.subtract(cos_d, prod, out=cos_s)
+    cos_d += prod
+    np.multiply(su, xl, out=sin_d)
+    np.multiply(xu, sl, out=prod)
+    np.add(sin_d, prod, out=sin_s)
+    sin_d -= prod
+    return out
+
+
+def _angle_factors(half: np.ndarray, coarse: np.ndarray, fine: np.ndarray,
+                   ) -> tuple[np.ndarray, np.ndarray]:
+    """cos and sin of half_k t at the coarse and at the fine times.
+
+    Returns the (cos, sin) stacks (2, coarse, K) at the coarse times T and
+    (2, K, fine) at the fine times tau. The fine times are split once more:
+    with b = ceil(sqrt(B)) for B fine times, tau_m = tau_{i b} + tau_j
+    (m = i b + j), so angle addition builds all B from ceil(B/b) + b
+    cosines and sines per level.
     """
     arg = coarse[:, None] * half
-    C, S = np.cos(arg), np.sin(arg)
-    arg = half[:, None] * fine
-    return ({"x": np.stack([C, -S], axis=1), "s": np.stack([S, C], axis=1)},
-            np.stack([np.cos(arg), np.sin(arg)]))
+    at_coarse = np.stack([np.cos(arg), np.sin(arg)])
+    step = math.isqrt(fine.size - 1) + 1
+    arg = half[:, None] * fine[::step]
+    outer = np.stack([np.cos(arg), np.sin(arg)])[..., None]
+    arg = half[:, None] * fine[:step]
+    inner = np.stack([np.cos(arg), np.sin(arg)])[:, :, None]
+    at_fine = _add_angles(outer, inner).reshape(2, half.size, -1)
+    return at_coarse, at_fine[..., :fine.size]
 
 
-def _product_sums(terms, upper, lower) -> np.ndarray:
-    """Weighted level sums of products on the split grid, one matrix
+def _product_sums(cos_amps: np.ndarray, sin_amps: np.ndarray,
+                  coarse: np.ndarray, fine: np.ndarray) -> np.ndarray:
+    """Level sums of cosines and sines on the split grid, one matrix
     product for all rows.
 
-    Each term (W, u, v) adds the rows sum_k W[r, k] u_k(t) v_k(t), with u
-    ("x" or "s") from the upper block set and v from the lower one;
-    `upper` and `lower` are their `_angle_factors`. With u = a_0 c + a_1 s
-    and v = b_0 c' + b_1 s', the product is sum_pq a_p b_q f_p f'_q: the
-    left factor holds W a_p b_q per (row, coarse time), the right one the
-    four fine products f_p f'_q per level, so the sum over levels and pq
-    is one matrix product with inner dimension 4K. Returns
+    Row r sums A[r, i, k] cos(w_ik t) over the levels k and the angle sets
+    i for the rows A of `cos_amps` (the cos rows), then A[r, i, k]
+    sin(w_ik t) for those of `sin_amps`. `coarse` holds (cos, sin) of
+    w_ik T, shape (sets, 2, coarse, K), and `fine` those of w_ik tau,
+    (sets, 2, K, fine). With t = T + tau,
+
+        A cos(w t) = A cos(w T) cos(w tau) - A sin(w T) sin(w tau),
+        A sin(w t) = A sin(w T) cos(w tau) + A cos(w T) sin(w tau),
+
+    so the left factor holds one product of amplitude and coarse factor per
+    (row, coarse time, set, fine factor, level), and the sum over levels
+    is one matrix product with inner dimension 2 K per set. Returns
     (rows, coarse * fine).
     """
-    (coarse_u, fine_u), (coarse_l, fine_l) = upper, lower
-    n_coarse, _, n_levels = coarse_u["x"].shape
-    left = np.concatenate([
-        (w[:, None, None, :]
-         * (coarse_u[u][:, :, None] * coarse_l[v][:, None]
-            ).reshape(n_coarse, 4, n_levels)
-         ).reshape(w.shape[0] * n_coarse, 4 * n_levels)
-        for w, u, v in terms])
-    right = (fine_u[:, None] * fine_l[None]).reshape(4 * n_levels, -1)
-    return (left @ right).reshape(sum(w.shape[0] for w, _, _ in terms), -1)
+    n_cos = len(cos_amps)
+    n_sets, _, n_coarse, n_levels = coarse.shape
+    left = np.empty((n_cos + len(sin_amps), n_coarse, n_sets, 2, n_levels))
+    x, s = coarse.transpose(1, 2, 0, 3)
+    a, b = cos_amps[:, None], sin_amps[:, None]
+    np.multiply(a, x, out=left[:n_cos, ..., 0, :])
+    np.multiply(-a, s, out=left[:n_cos, ..., 1, :])
+    np.multiply(b, s, out=left[n_cos:, ..., 0, :])
+    np.multiply(b, x, out=left[n_cos:, ..., 1, :])
+    product = left.reshape(-1, 2 * n_sets * n_levels) @ fine.reshape(
+        2 * n_sets * n_levels, -1)
+    return product.reshape(left.shape[0], -1)
 
 
 def jc_reduced_map(params: JCParams, times: np.ndarray,
@@ -356,12 +406,22 @@ def jc_reduced_map(params: JCParams, times: np.ndarray,
     products of x_k = cos(r_k t/2) and s_k = sin(r_k t/2).
 
     The grid must be uniform from 0 (`_split_grid`): t_j = T_J + tau_m
-    with j = J B + m, so by angle addition x and s need cosines and sines
-    only at the coarse times T_J and the B fine times tau_m. Each weighted
-    sum of products is then one matrix product with inner dimension 4K
-    over K levels (`_product_sums`): one for the seven neighbour-pair rows
-    behind S and dS/dt, one for the four same-block rows behind T_ee,
-    T_gg and their derivatives. Levels are summed in chunks of LEVEL_CHUNK.
+    with j = J B + m, so cosines and sines are needed only at the coarse
+    times T_J and the B fine times tau_m (`_angle_factors`, which splits
+    the fine times once more). Every product in the sums is folded into
+    cosines and sines of single angles, and each group of rows is one
+    matrix product over the levels (`_product_sums`):
+
+    * neighbour rows: the products of block n with block n-1 are cosines
+      and sines of the difference and sum angles (r_n -+ r_{n-1}) t/2
+      (`_pair_angles`), so each of the four real rows Re S, Im S,
+      Re dS/dt and Im dS/dt takes one amplitude per level and angle, with
+      inner dimension 4K over K levels;
+    * same-block rows: s_k^2 = (1 - cos r_k t)/2 and s_k x_k = sin(r_k
+      t)/2, so T_ee, T_gg and their derivatives are a constant plus sums
+      over the doubled angle r_k t, with inner dimension 2K.
+
+    Levels are summed in chunks of LEVEL_CHUNK.
     """
     times = np.asarray(times, dtype=float)
     coarse_t, fine_t = _split_grid(times)
@@ -372,12 +432,15 @@ def jc_reduced_map(params: JCParams, times: np.ndarray,
 
     # With x_k = cos(r_k t/2), s_k = sin(r_k t/2), alpha_k = delta/r_k:
     #   u_k = x_k - i alpha_k s_k,  du_k/dt = -(r_k/2) s_k - i (delta/2) x_k,
-    #   |u_k|^2 = 1 - eps_k s_k^2,  eps_k = 4 g^2 (k+1) / r_k^2,
-    # so S, dS/dt, T_ee, T_gg and their derivatives are weighted sums of six
-    # products of x and s; the per-block factors go into the weights.
-    pairs = np.zeros((7, coarse_t.size * fine_t.size))
-    pops = np.zeros((2, pairs.shape[1]))  # T_ee, T_gg
-    dpops = np.zeros((2, pairs.shape[1]))
+    #   |u_k|^2 = 1 - eps_k s_k^2,  eps_k = 4 g^2 (k+1) / r_k^2.
+    # In u_n u_{n-1} and its derivative, x_n x_{n-1} and s_n s_{n-1} are
+    # (cos w_- t +- cos w_+ t)/2, and s_n x_{n-1} and x_n s_{n-1} are
+    # (sin w_+ t +- sin w_- t)/2, with w_-+ = (r_n -+ r_{n-1})/2: Re S and
+    # Im dS/dt are cos rows, Im S and Re dS/dt sin rows, and the per-block
+    # factors go into their amplitudes.
+    sums = np.zeros((4, coarse_t.size * fine_t.size))  # Re S, Im dS, Im S, Re dS
+    pops = np.zeros((2, sums.shape[1]))  # T_ee, T_gg
+    dpops = np.zeros((2, sums.shape[1]))
     for lo in range(0, n_max + 1, LEVEL_CHUNK):
         hi = min(lo + LEVEL_CHUNK, n_max + 1)
         w = p[lo:hi]
@@ -392,28 +455,28 @@ def jc_reduced_map(params: JCParams, times: np.ndarray,
         eps = np.divide(couple, rabi ** 2, out=np.zeros_like(rabi),
                         where=coupled)
         coarse, fine = _angle_factors(half, coarse_t, fine_t)
-        upper = ({k: v[..., 1:] for k, v in coarse.items()}, fine[:, 1:])
-        lower = ({k: v[..., :-1] for k, v in coarse.items()}, fine[:, :-1])
         an, am, hn, hm = alpha[1:], alpha[:-1], half[1:], half[:-1]
-        pairs += _product_sums([
-            (w[None], "x", "x"),
-            (np.stack([w * an * am, w * (hn * am + an * hm)]), "s", "s"),
-            (np.stack([w * an, w * (hn + 0.5 * delta * an)]), "s", "x"),
-            (np.stack([w * am, w * (hm + 0.5 * delta * am)]), "x", "s"),
-        ], upper, lower)
+        aa, ah = an * am, hn * am + an * hm
+        pn, pm = hn + 0.5 * delta * an, hm + 0.5 * delta * am
+        hw = 0.5 * w
+        sums += _product_sums(
+            hw * np.array([[1.0 - aa, 1.0 + aa], [ah - delta, -ah - delta]]),
+            hw * np.array([[am - an, -an - am], [pm - pn, -pn - pm]]),
+            _pair_angles(coarse[:, :, 1:], coarse[:, :, :-1]),
+            _pair_angles(fine[:, 1:], fine[:, :-1]))
         upper_lower = np.zeros((2, w.size + 1))
         upper_lower[0, 1:] = w
         upper_lower[1, :-1] = w
-        same = _product_sums([(upper_lower * eps, "s", "s"),
-                              (upper_lower * (eps * rabi), "s", "x")],
-                             (coarse, fine), (coarse, fine))
-        pops += w.sum() - same[:2]
-        dpops -= same[2:]
+        weighted = 0.5 * upper_lower * eps
+        same = _product_sums(weighted[:, None], -(weighted * rabi)[:, None],
+                             _add_angles(coarse, coarse)[None],
+                             _add_angles(fine, fine)[None])
+        pops += (w.sum() - weighted.sum(axis=1))[:, None] + same[:2]
+        dpops += same[2:]
 
-    # the d-rows carry the weights of dS/dt
-    xx, ss, ss_d, sx, sx_d, xs, xs_d = pairs[:, :times.size]
-    s_sum = (xx - ss) - 1j * (sx + xs)
-    ds_sum = -(sx_d + xs_d) + 1j * (ss_d - delta * xx)
+    re_s, im_ds, im_s, re_ds = sums[:, :times.size]
+    s_sum = re_s + 1j * im_s
+    ds_sum = re_ds + 1j * im_ds
     phase = np.exp(-1j * params.omega_m * times)
     f = phase * s_sum
     df = phase * (ds_sum - 1j * params.omega_m * s_sum)

@@ -95,6 +95,15 @@ class DensityMatrix:
         a.setflags(write=False)
         object.__setattr__(self, "matrix", a)
 
+    @classmethod
+    def _checked(cls, a: np.ndarray) -> "DensityMatrix":
+        """The state `a`, already checked by `_state_stack`, without a
+        second check."""
+        rho = object.__new__(cls)
+        a.setflags(write=False)
+        object.__setattr__(rho, "matrix", a)
+        return rho
+
     @property
     def dim(self) -> int:
         return self.matrix.shape[0]
@@ -326,9 +335,10 @@ def eig_hermitian(h: HermitianOperator) -> tuple[np.ndarray, np.ndarray]:
 
 
 def gibbs_state(h: HermitianOperator, beta: float) -> DensityMatrix:
-    """e^{-beta H} / Tr{e^{-beta H}}: `_gibbs_stack` of one operator."""
+    """e^{-beta H} / Tr{e^{-beta H}}: `_gibbs_stack` of one operator,
+    whose state check is the only one."""
     vals, vecs = eig_hermitian(h)
-    return DensityMatrix(_gibbs_stack(vals[None], vecs[None], beta)[0])
+    return DensityMatrix._checked(_gibbs_stack(vals[None], vecs[None], beta)[0])
 
 
 def partition_function(h: HermitianOperator, beta: float) -> float:

@@ -491,8 +491,12 @@ def test_exit_code_three_on_numerical_failure(tmp_path, capsys):
      "[tolerances]: invariant_tol must be a finite number > 0"),
     ("weak_coupling", "gamma", "nan", 2,
      "[weak_coupling] gamma: cannot parse 'nan' as a number"),
-    ("weak_coupling", "delta", "inf", 3,
-     "map at t = 0.3125 holds a value that is not finite"),
+    ("weak_coupling", "delta", "inf", 2,
+     "[weak_coupling] delta: must be finite (got inf)"),
+    ("custom_pc", "gamma_plus", "inf", 2,
+     "[custom_pc] gamma_plus: must be finite (got inf)"),
+    ("custom_pc", "omega0", "-inf", 2,
+     "[custom_pc] omega0: must be finite (got -inf)"),
     ("scenario", "t_max", "inf", 2,
      "[scenario] t_max: must be positive and finite"),
     ("scenario", "beta_list", "1, inf", 2,
@@ -505,15 +509,18 @@ def test_exit_code_three_on_numerical_failure(tmp_path, capsys):
 def test_non_finite_input_is_stopped_at_the_boundary(tmp_path, capsys,
                                                      section, key, value,
                                                      code, needle):
-    sections = {"scenario": {"model": "weak_coupling", "beta_list": "1.0",
+    model = "custom_pc" if section == "custom_pc" else "weak_coupling"
+    sections = {"scenario": {"model": model, "beta_list": "1.0",
                              "n_steps": "32", "out_dir": tmp_path / "out"},
-                "weak_coupling": {}, "tolerances": {}}
+                model: {}, "tolerances": {}}
     sections[section][key] = value
     body = "".join(f"[{name}]\n" + "".join(f"{k} = {v}\n"
                                            for k, v in keys.items()) + "\n"
                    for name, keys in sections.items())
     assert main(["run", write_config(tmp_path, body)]) == code
-    assert needle in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert needle in err
+    assert "Warning" not in err
     assert not (tmp_path / "out" / "lambda_series.csv").exists()
 
 

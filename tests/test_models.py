@@ -252,6 +252,9 @@ LEVEL_SUM_REGIMES = [
                  id="n_max_1"),
     pytest.param(JCParams(omega=1.4, omega_m=2.0, g=0.0, beta=1.0, n_max=12),
                  id="g_0"),
+    # delta = 0: alpha = 0 on every block, over two level chunks
+    pytest.param(JCParams(omega=1.0, omega_m=1.0, g=0.02, beta=0.05),
+                 id="resonant_chunks"),
 ]
 # grid sizes against the FINE_POINTS of the split grid
 SHORT_GRIDS = [
@@ -262,6 +265,11 @@ SHORT_GRIDS = [
                  id="fine_multiple_plus_1"),
 ]
 INEXACT_GRID = pytest.param(np.linspace(0.0, 60.0, 2401), id="inexact_h")
+# N + 1 points, prime or not a perfect square: the split of the fine times
+# into m = i b + j leaves its last row part filled, and at 101 points the
+# second coarse block holds one point
+PARTIAL_SPLIT_GRIDS = [pytest.param(np.linspace(0.0, 7.0, n), id=f"{n}_points")
+                       for n in (2, 3, 7, 53, 97, 101)]
 
 
 def _assert_level_sums_match_reference(params, times):
@@ -276,15 +284,17 @@ def _assert_level_sums_match_reference(params, times):
         npt.assert_allclose(got, want, rtol=0.0, atol=1e-13, err_msg=name)
 
 
-@pytest.mark.parametrize("times", SHORT_GRIDS + [INEXACT_GRID])
+@pytest.mark.parametrize("times",
+                         SHORT_GRIDS + [INEXACT_GRID] + PARTIAL_SPLIT_GRIDS)
 @pytest.mark.parametrize("params", LEVEL_SUM_REGIMES)
 def test_level_sum_matches_elementwise_reference(params, times):
     _assert_level_sums_match_reference(params, times)
 
 
-@pytest.mark.parametrize("times", SHORT_GRIDS)
+@pytest.mark.parametrize("times", SHORT_GRIDS + [
+    pytest.param(np.linspace(0.0, 400.0, 1601), id="hot_window")])
 def test_hot_level_sum_matches_elementwise_reference(times):
-    # 13816 levels: the sum spans many level chunks
+    # 13816 levels: the sum spans many level chunks; delta = -1
     params = JCParams(omega_m=2.0, g=0.01, beta=1e-3)
     assert jc_mode_count(params) + 1 > 20 * LEVEL_CHUNK
     _assert_level_sums_match_reference(params, times)

@@ -12,6 +12,7 @@ from mapthermo.operators import (
     PAULI,
     Superoperator,
     _exp_stack,
+    _gibbs_stack,
     apply,
     cptp_diagnostics,
     eig_hermitian,
@@ -292,6 +293,23 @@ def test_gibbs_state_and_partition_function():
     npt.assert_allclose(rho.matrix,
                         np.diag([np.exp(-beta / 2), np.exp(beta / 2)]) / z,
                         atol=1e-12)
+
+
+def test_gibbs_state_checks_its_state_once(monkeypatch):
+    h = random_hermitian(3, np.random.default_rng(5))
+    vals, vecs = eig_hermitian(h)
+    want = DensityMatrix(_gibbs_stack(vals[None], vecs[None], 0.8)[0]).matrix
+    eigvalsh = np.linalg.eigvalsh
+    checks = []
+    monkeypatch.setattr(np.linalg, "eigvalsh",
+                        lambda a: checks.append(a.shape) or eigvalsh(a))
+    rho = gibbs_state(h, 0.8)
+    assert checks == [(1, 3, 3)]
+    assert rho.matrix.tobytes() == want.tobytes()
+    assert not rho.matrix.flags.writeable
+    # a state that fails the check still fails it
+    with pytest.raises(ConstructionError, match="not a state"):
+        DensityMatrix(np.diag([1.5, -0.5, 0.0]))
 
 
 def test_exp_hermitian_matches_scipy():
