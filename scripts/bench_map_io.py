@@ -1,4 +1,4 @@
-"""Wall time of map-file parsing and of `mapthermo run` on a map file.
+"""Wall time of reading and writing a map file, and of `mapthermo run` on it.
 
 Writes one seeded random GKSL trajectory in the shape of the benchmark's
 gksl_file workload (d = 6, N = 400, t in [0, 1], with derivatives: about
@@ -6,12 +6,14 @@ gksl_file workload (d = 6, N = 400, t in [0, 1], with derivatives: about
 and again with every cell respelt as `repr` and as `%.17g` write it, as a
 tomography fit or another simulator might. It times `read_map_file` on each
 spelling, on the written file once more with the exact kernel's import gate
-switched off (as where np.longdouble is not the x87 format), and an
-in-process `mapthermo run` of a `custom_map_file` scenario on the written
-file (best of --repeats after one warm-up call each), and records the
-tracemalloc peak of one `read_map_file` call. The result is merged into a
-JSON file under --label, so runs of two source trees sit side by side, for
-example a parent commit and a change, each put first on PYTHONPATH:
+switched off (as where np.longdouble is not the x87 format),
+`save_map_trajectory` (each call to a new file, removed after the timed
+region) and an in-process `mapthermo run` of a `custom_map_file` scenario
+on the written file (each run into a new out_dir; best of --repeats after
+one warm-up call each), and records the tracemalloc peak of one
+`read_map_file` call. The result is merged into a JSON file under --label,
+so runs of two source trees sit side by side, for example a parent commit
+and a change, each put first on PYTHONPATH:
 
     OPENBLAS_NUM_THREADS=1 taskset -c 1 \\
         env PYTHONPATH=src python scripts/bench_map_io.py --label change
@@ -19,18 +21,20 @@ example a parent commit and a change, each put first on PYTHONPATH:
 Runs made one after the other carry the host's drift in speed between them.
 With --against the src directory of a second tree (say a checkout of the
 parent commit), both trees are imported into one process, checked to read
-every file to the same bits, and their `read_map_file` calls alternate, so
-that each spelling gets a ratio per pair of calls.
+every file to the same bits and to write the same bytes, and their
+`read_map_file` calls alternate, so that each spelling gets a ratio per
+pair of calls, as do their `save_map_trajectory` calls.
 
 BLAS thread variables and the usable CPUs are recorded, not set.
 """
 
 import argparse
-import contextlib
+import filecmp
 import functools
-import io
+import itertools
 import os
 import tempfile
+import time
 import tracemalloc
 from unittest import mock
 
@@ -38,7 +42,7 @@ import numpy as np
 
 import mapthermo.dynamics as dynamics
 from bench_record import (alternate, import_tree, ratio_summary,
-                          record_run, timed)
+                          record_run, run_timer, timed)
 from mapthermo.cli import main as cli_main
 from mapthermo.dynamics import read_map_file, save_map_trajectory
 from mapthermo.validation import random_gksl_trajectory
@@ -62,10 +66,19 @@ def wall_times(call, repeats: int) -> list[float]:
     return [timed(call)() for _ in range(repeats)]
 
 
-def run_quietly(config: str) -> None:
-    with contextlib.redirect_stdout(io.StringIO()):
-        if cli_main(["run", config]) != 0:
-            raise SystemExit(f"mapthermo run {config} failed")
+def save_timer(module, traj, work_dir: str, name: str):
+    """A call returning the wall time of `module.save_map_trajectory` of
+    `traj` to a new file, which it removes after the timed region."""
+    calls = itertools.count()
+
+    def save() -> float:
+        path = os.path.join(work_dir, f"{name}_{next(calls)}.maps")
+        start = time.perf_counter()
+        module.save_map_trajectory(traj, path)
+        wall = time.perf_counter() - start
+        os.remove(path)
+        return wall
+    return save
 
 
 def respell(src: str, dst: str, spell) -> None:
@@ -91,10 +104,12 @@ def readers(module, paths: dict) -> dict:
     return calls
 
 
-def against(paths: dict, src: str, repeats: int) -> dict:
+def against(paths: dict, traj, work_dir: str, src: str,
+            repeats: int) -> dict:
     """Per spelling, this tree's read time over that of the tree under
     `src`, call by call in alternation, after a check that both trees read
-    the same bits."""
+    the same bits, and the same for the write after a check that both
+    write the same bytes."""
     other = import_tree(src, "dynamics")
     result = {}
     for name, path in paths.items():
@@ -106,6 +121,14 @@ def against(paths: dict, src: str, repeats: int) -> dict:
     for (name, ours), theirs in calls:
         result[name] = ratio_summary(*alternate(timed(ours), timed(theirs),
                                                 repeats))
+    theirs_path = os.path.join(work_dir, "against.maps")
+    other.save_map_trajectory(traj, theirs_path)
+    if not filecmp.cmp(paths["written"], theirs_path, shallow=False):
+        raise SystemExit(f"{src} writes the trajectory to other bytes")
+    os.remove(theirs_path)
+    result["save_map_trajectory"] = ratio_summary(*alternate(
+        save_timer(dynamics, traj, work_dir, "ours"),
+        save_timer(other, traj, work_dir, "theirs"), repeats))
     return result
 
 
@@ -118,12 +141,12 @@ def measure(work_dir: str, repeats: int, against_src: str | None) -> dict:
     for name, spell in RESPELLINGS.items():
         paths[name] = os.path.join(work_dir, f"{name}.maps")
         respell(map_path, paths[name], spell)
-    config = os.path.join(work_dir, "scenario.ini")
-    with open(config, "w") as fh:
-        fh.write(SCENARIO.format(out_dir=os.path.join(work_dir, "out")))
     reads = {name: wall_times(call, repeats)
              for name, call in readers(dynamics, paths).items()}
-    run_walls = wall_times(lambda: run_quietly(config), repeats)
+    save_walls = [save_timer(dynamics, traj, work_dir, "saved")()
+                  for _ in range(repeats + 1)][1:]
+    run = run_timer(cli_main, SCENARIO, work_dir, "scenario")
+    run_walls = [run() for _ in range(repeats + 1)][1:]
     tracemalloc.start()
     try:
         read_map_file(map_path)
@@ -137,22 +160,27 @@ def measure(work_dir: str, repeats: int, against_src: str | None) -> dict:
                                        for name, walls in reads.items()},
               "read_map_file_s": reads,
               "read_map_file_tracemalloc_peak_mb": peak / 1e6,
+              "save_map_trajectory_s_best": min(save_walls),
+              "save_map_trajectory_s": save_walls,
               "run_s_best": min(run_walls), "run_s": run_walls}
     if against_src:
-        result["against"] = against(paths, against_src, repeats)
+        result["against"] = against(paths, traj, work_dir, against_src,
+                                    repeats)
     return result
 
 
 def main() -> None:
     ap = argparse.ArgumentParser(
-        description="time read_map_file and mapthermo run on a map file")
+        description="time read_map_file, save_map_trajectory and mapthermo "
+                    "run on a map file")
     ap.add_argument("--label", required=True,
                     help="key of this run in the JSON file")
     ap.add_argument("--out", default="BENCH_map_io.json")
     ap.add_argument("--repeats", type=int, default=5)
     ap.add_argument("--against", metavar="SRC",
                     help="the src directory of a second source tree: time "
-                         "its read_map_file in alternation with this one's")
+                         "its read_map_file and save_map_trajectory in "
+                         "alternation with this one's")
     args = ap.parse_args()
 
     with tempfile.TemporaryDirectory() as work_dir:
@@ -161,12 +189,15 @@ def main() -> None:
                       in result["read_map_file_s_best"].items())
     print(f"read_map_file best: {reads} (peak "
           f"{result['read_map_file_tracemalloc_peak_mb']:.1f} MB); "
+          f"save_map_trajectory best "
+          f"{result['save_map_trajectory_s_best']:.3f} s; "
           f"run best {result['run_s_best']:.3f} s")
     for name, pair in result.get("against", {}).items():
         print(f"{name}: {pair['ratio_median']:.3f} of the other tree's "
               f"time, faster in {pair['faster_in']} of {args.repeats}")
-    record_run(args.out, "map-file parsing and mapthermo run on the "
-                         "gksl_file shape", args.label, "map_io", result)
+    record_run(args.out, "map-file parsing and writing and mapthermo run "
+                         "on the gksl_file shape", args.label, "map_io",
+               result)
 
 
 if __name__ == "__main__":

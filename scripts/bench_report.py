@@ -8,34 +8,43 @@ Two shapes, those of the benchmark's wc_cli and gksl_file workloads:
 For each shape it times the fluctuation tables of all its betas on a fresh
 `ThermoPipeline` (the pipeline is built outside the timed region, so the
 tables pay for every spectrum they need, as `mapthermo run` does) and an
-in-process `mapthermo run` of the shape's scenario (stdout discarded), best
-of --repeats after one warm-up call each. The result is merged into a JSON
-file under --label, so runs of two source trees sit side by side, each put
-first on PYTHONPATH:
+in-process `mapthermo run` of the shape's scenario (stdout discarded, each
+run into a new out_dir), best of --repeats after one warm-up call each. It
+also times the CSV writer on the numeric columns of the tables a wc_cli run
+writes (lambda_series.csv, pc_coefficients.csv and the cells of
+invertibility.csv, 100 050 cells): the first call in a fresh process (cold,
+--repeats processes) and the best of --repeats calls after a warm-up. The
+result is merged into a JSON file under --label, so runs of two source
+trees sit side by side, each put first on PYTHONPATH:
 
     OPENBLAS_NUM_THREADS=1 taskset -c 1 \\
         env PYTHONPATH=src python scripts/bench_report.py --label change
 
 With --against the src directory of a second tree (say a checkout of the
 parent commit), both trees are imported into one process, their tables are
-checked to agree to 1e-12 relative, and each timed call alternates with
-the other tree's, so that each gets a ratio per pair of calls.
+checked to agree to 1e-12 relative and their writers to spell the columns
+to the same bytes, and each timed call (each cold process, too) alternates
+with the other tree's, so that each gets a ratio per pair of calls.
 
 BLAS thread variables and the usable CPUs are recorded, not set.
 """
 
 import argparse
-import contextlib
 import importlib
-import io
 import os
+import subprocess
+import sys
 import tempfile
 
 import numpy as np
 
 from bench_record import (alternate, import_tree, ratio_summary,
-                          record_run, timed)
+                          record_run, run_timer, timed)
 from mapthermo.dynamics import save_map_trajectory
+from mapthermo.fluctuations import fluctuation_table
+from mapthermo.models import WeakCouplingParams, weak_coupling_rates
+from mapthermo.observables import ThermoPipeline
+from mapthermo.phase_covariant import pc_trajectory
 from mapthermo.validation import random_gksl_trajectory
 
 WC_STEPS, WC_BETAS = 2000, (0.5, 1.0, 2.0, 4.0)
@@ -89,17 +98,83 @@ class Tree:
 
     def timer(self, shape: str, what: str):
         """A call returning the wall time of the shape's tables (on a
-        pipeline built just before them) or of its in-process run."""
+        pipeline built just before them), of its in-process run or of the
+        CSV writer on the wc_cli columns."""
         if what == "tables":
             return lambda: timed(self.tables(shape))()
-        config = os.path.join(self.work_dir, f"{shape}.ini")
-        main = self.module("cli").main
+        if what == "writer":
+            write = writer(self.module)
+            columns = wc_cli_columns()
+            return timed(lambda: [write(c) for c in columns])
+        return run_timer(self.module("cli").main, SCENARIOS[shape],
+                         self.work_dir, shape)
 
-        def run():
-            with contextlib.redirect_stdout(io.StringIO()):
-                if main(["run", config]) != 0:
-                    raise SystemExit(f"mapthermo run {config} failed")
-        return timed(run)
+
+def writer(module):
+    """The tree's CSV writer as a call from columns to text: `csv_text`,
+    or before it the lines of `csv_lines`, joined."""
+    dynamics = module("dynamics")
+    if hasattr(dynamics, "csv_text"):
+        return dynamics.csv_text
+    csv_lines = module("fluctuations").csv_lines
+    return lambda columns: "".join(line + "\n" for line in csv_lines(columns))
+
+
+def wc_cli_columns() -> list[list[np.ndarray]]:
+    """The numeric columns of lambda_series.csv, pc_coefficients.csv and
+    invertibility.csv of a wc_cli run, computed by this script's tree so
+    that both trees' writers spell the same numbers."""
+    p = WeakCouplingParams()
+    traj, coeffs = pc_trajectory(weak_coupling_rates(p), p.grid(WC_STEPS))
+    pipe = ThermoPipeline(traj)
+    tables = [fluctuation_table(pipe, beta) for beta in WC_BETAS]
+    return [[np.concatenate([np.broadcast_to(getattr(table, name),
+                                             table.time.shape)
+                             for table in tables])
+             for name in ("time", "beta") + COLUMNS],
+            [coeffs.times, coeffs.a, coeffs.b, coeffs.c, coeffs.d_par,
+             coeffs.d_perp, coeffs.I, coeffs.J],
+            [traj.times, traj.condition_numbers]]
+
+
+# a fresh interpreter: import the tree's writer, then time its first call
+COLD = """
+import importlib, sys, time
+import numpy as np
+sys.path.insert(0, sys.argv[1])
+from bench_report import writer
+with np.load(sys.argv[2]) as data:
+    columns = [[data[f"{k}_{j}"] for j in range(data[f"width_{k}"])]
+               for k in range(3)]
+write = writer(lambda name: importlib.import_module(f"mapthermo.{name}"))
+start = time.perf_counter()
+for c in columns:
+    write(c)
+print(time.perf_counter() - start)
+"""
+
+
+def cold_writer(src: str, columns_path: str):
+    """A call returning the wall time of the writer's first pass over the
+    wc_cli columns in a fresh interpreter on the tree under `src`."""
+    env = dict(os.environ, PYTHONPATH=src)
+    here = os.path.dirname(os.path.abspath(__file__))
+
+    def run() -> float:
+        out = subprocess.run([sys.executable, "-c", COLD, here,
+                              columns_path], env=env, capture_output=True,
+                             text=True, check=True)
+        return float(out.stdout)
+    return run
+
+
+def check_writers(ours: Tree, theirs: Tree) -> None:
+    """Exit unless both trees' writers spell the wc_cli columns to the
+    same text."""
+    for columns in wc_cli_columns():
+        if writer(ours.module)(columns) != writer(theirs.module)(columns):
+            raise SystemExit("the trees' writers spell the columns "
+                             "differently")
 
 
 COLUMNS = ("lambda_u", "lambda_w", "lambda_w_bound", "exp_avg_w",
@@ -125,37 +200,49 @@ def measure(work_dir: str, repeats: int, against_src: str | None) -> dict:
         GKSL_DIM, np.random.default_rng(SEED),
         np.linspace(0.0, 1.0, GKSL_STEPS + 1))
     save_map_trajectory(traj, os.path.join(work_dir, "trajectory.maps"))
-    for shape, text in SCENARIOS.items():
-        with open(os.path.join(work_dir, f"{shape}.ini"), "w") as fh:
-            fh.write(text.format(out_dir=os.path.join(work_dir, shape)))
     ours = Tree(lambda name: importlib.import_module(f"mapthermo.{name}"),
                 work_dir)
     keys = [(shape, what) for shape in SCENARIOS for what in ("tables", "run")]
+    keys.append(("wc_cli", "writer"))
     walls = {}
     for shape, what in keys:
         call = ours.timer(shape, what)
         call()
         walls[f"{shape}.{what}"] = [call() for _ in range(repeats)]
+    columns = wc_cli_columns()
+    columns_path = os.path.join(work_dir, "wc_cli_columns.npz")
+    np.savez(columns_path, **{f"{k}_{j}": c for k, cols in enumerate(columns)
+                              for j, c in enumerate(cols)},
+             **{f"width_{k}": len(cols) for k, cols in enumerate(columns)})
+    ours_src = os.path.dirname(os.path.dirname(
+        os.path.abspath(importlib.import_module("mapthermo").__file__)))
+    walls["wc_cli.writer_cold"] = [cold_writer(ours_src, columns_path)()
+                                   for _ in range(repeats)]
     result = {"wc_cli_shape": {"dim": 2, "n_steps": WC_STEPS,
                                "betas": list(WC_BETAS)},
               "gksl_file_shape": {"dim": GKSL_DIM, "n_steps": GKSL_STEPS,
                                   "betas": list(GKSL_BETAS), "seed": SEED},
+              "writer_cells": sum(c.size for cols in columns for c in cols),
               "s_best": {key: min(w) for key, w in walls.items()},
               "s": walls}
     if against_src:
         theirs = Tree(lambda name: import_tree(against_src, name), work_dir)
         check_agreement(ours, theirs)
+        check_writers(ours, theirs)
         result["against"] = {
             f"{shape}.{what}": ratio_summary(*alternate(
                 ours.timer(shape, what), theirs.timer(shape, what), repeats))
             for shape, what in keys}
+        result["against"]["wc_cli.writer_cold"] = ratio_summary(*alternate(
+            cold_writer(ours_src, columns_path),
+            cold_writer(against_src, columns_path), repeats))
     return result
 
 
 def main() -> None:
     ap = argparse.ArgumentParser(
-        description="time the fluctuation tables and mapthermo run on the "
-                    "wc_cli and gksl_file shapes")
+        description="time the fluctuation tables, mapthermo run and the CSV "
+                    "writer on the wc_cli and gksl_file shapes")
     ap.add_argument("--label", required=True,
                     help="key of this run in the JSON file")
     ap.add_argument("--out", default="BENCH_report.json")
@@ -172,9 +259,9 @@ def main() -> None:
     for key, pair in result.get("against", {}).items():
         print(f"{key}: {pair['ratio_median']:.3f} of the other tree's time, "
               f"faster in {pair['faster_in']} of {args.repeats}")
-    record_run(args.out, "fluctuation tables and mapthermo run on the "
-                         "wc_cli and gksl_file shapes", args.label, "report",
-               result)
+    record_run(args.out, "fluctuation tables, mapthermo run and the CSV "
+                         "writer on the wc_cli and gksl_file shapes",
+               args.label, "report", result)
 
 
 if __name__ == "__main__":

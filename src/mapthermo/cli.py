@@ -33,14 +33,14 @@ from .operators import (COND_THRESHOLD_DEFAULT, HermitianOperator,
                         Superoperator, cptp_diagnostics_stack, dagger,
                         gibbs_state, hermiticity_preservation,
                         project_hermiticity_preserving)
-from .dynamics import (condition_flags, invertibility_report,
+from .dynamics import (condition_flags, csv_text, invertibility_report,
                        load_map_trajectory, read_map_file)
 from .phase_covariant import pc_trajectory
 from .observables import ThermoPipeline
 # fluctuation_report is unused here but stays a module attribute: the traced
 # benchmark run (perfbench/child.py) wraps it by name.
 from .fluctuations import (CLUSTER_TOL, NEGATIVE_PROB_TOL, PROB_SUM_TOL,
-                           FluctuationTable, csv_lines,
+                           FluctuationTable,
                            fluctuation_report,  # noqa: F401
                            fluctuation_table, tpms_distribution)
 from .observables import (HERMITIZE_TOL, coherent_initial_construction,
@@ -320,16 +320,33 @@ def _build_trajectory(cfg: ScenarioConfig):
         raise ConfigError(str(exc))
 
 
-def _write(out_dir: str, name: str, lines: list[str],
+def _out_dir_error(cfg: ScenarioConfig, what: str,
+                   exc: OSError) -> ConfigError:
+    return ConfigError(f"{cfg.path}: [scenario] out_dir: cannot {what}: "
+                       f"{exc.strerror or exc}")
+
+
+def _write(cfg: ScenarioConfig, name: str, text: str,
            written: list[str]) -> None:
-    path = os.path.join(out_dir, name)
-    with open(path, "w", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    path = os.path.join(cfg.out_dir, name)
+    try:
+        with open(path, "w", newline="\n") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise _out_dir_error(cfg, f"write {path}", exc)
     written.append(path)
 
 
+def _csv(header: str, columns) -> str:
+    return header + "\n" + csv_text(columns)
+
+
 def run_scenario(cfg: ScenarioConfig) -> list[str]:
-    os.makedirs(cfg.out_dir, exist_ok=True)
+    try:  # before the trajectory is built
+        os.makedirs(cfg.out_dir, exist_ok=True)
+    except OSError as exc:
+        raise _out_dir_error(cfg, f"create the directory {cfg.out_dir}",
+                             exc)
     written: list[str] = []
     if cfg.model == "closed_coherent":
         _run_coherent(cfg, written)
@@ -371,27 +388,28 @@ def _run_map_model(cfg: ScenarioConfig, written: list[str]) -> None:
     pipe = ThermoPipeline(traj, cond_threshold=cfg.tolerances.cond_threshold)
 
     if "lambda" in cfg.series:
-        lines = [FluctuationTable.CSV_HEADER]
+        tables = []
         for beta in cfg.beta_list:
-            table = fluctuation_table(pipe, beta)
-            table.check_invariants(cfg.tolerances.invariant_tol)
-            lines.extend(table.csv_rows())
-        _write(cfg.out_dir, "lambda_series.csv", lines, written)
+            tables.append(fluctuation_table(pipe, beta))
+            tables[-1].check_invariants(cfg.tolerances.invariant_tol)
+        columns = zip(*(table.csv_columns() for table in tables))
+        _write(cfg, "lambda_series.csv", _csv(
+            FluctuationTable.CSV_HEADER, map(np.concatenate, columns)),
+            written)
 
     if "invertibility" in cfg.series:
         conds, flags = invertibility_report(traj,
                                             cfg.tolerances.cond_threshold)
-        lines = ["t,condition_number,flag"]
-        lines.extend(f"{cells},{flag}" for cells, flag
-                     in zip(csv_lines([traj.times, conds]), flags))
-        _write(cfg.out_dir, "invertibility.csv", lines, written)
+        cells = csv_text([traj.times, conds]).splitlines()
+        _write(cfg, "invertibility.csv", "t,condition_number,flag\n"
+               + "".join(f"{row},{flag}\n" for row, flag in zip(cells, flags)),
+               written)
 
     if "pc_coefficients" in cfg.series and coeffs is not None:
-        lines = ["t,a,b,c,d_par,d_perp,I,J"]
-        lines.extend(csv_lines([coeffs.times, coeffs.a, coeffs.b, coeffs.c,
-                                coeffs.d_par, coeffs.d_perp, coeffs.I,
-                                coeffs.J]))
-        _write(cfg.out_dir, "pc_coefficients.csv", lines, written)
+        _write(cfg, "pc_coefficients.csv", _csv(
+            "t,a,b,c,d_par,d_perp,I,J",
+            [coeffs.times, coeffs.a, coeffs.b, coeffs.c, coeffs.d_par,
+             coeffs.d_perp, coeffs.I, coeffs.J]), written)
 
     if dist_indices:
         work, _ = pipe.work_heat_observables()
@@ -401,14 +419,14 @@ def _run_map_model(cfg: ScenarioConfig, written: list[str]) -> None:
         first = work[0]
         for i in dist_indices:
             map_t = Superoperator(traj.maps[i])
-            last = work[i]
-            lines = ["beta,outcome,probability"]
-            for beta, rho_g in zip(cfg.beta_list, states):
-                dist = tpms_distribution(rho_g, map_t, first, last)
-                lines.extend(csv_lines([np.full(dist.outcomes.shape, beta),
-                                        dist.outcomes, dist.probs]))
+            dists = [tpms_distribution(rho_g, map_t, first, work[i])
+                     for rho_g in states]
             label = format(float(traj.times[i]), ".6g")
-            _write(cfg.out_dir, f"distribution_t{label}.csv", lines, written)
+            _write(cfg, f"distribution_t{label}.csv", _csv(
+                "beta,outcome,probability",
+                [np.repeat(cfg.beta_list, [d.outcomes.size for d in dists]),
+                 np.concatenate([d.outcomes for d in dists]),
+                 np.concatenate([d.probs for d in dists])]), written)
 
 
 def _run_coherent(cfg: ScenarioConfig, written: list[str]) -> None:
@@ -420,13 +438,13 @@ def _run_coherent(cfg: ScenarioConfig, written: list[str]) -> None:
     rho_t = unitaries @ rho0.matrix @ dagger(unitaries)
     mean_w = (np.trace(hams @ rho_t, axis1=-2, axis2=-1).real
               - H0.expectation(rho0))
-    lines = ["t,beta,exp_avg_w,golden_thompson_bound,jarzynski_factor,"
-             "chain_bound,delta_F_bar,lambda_min_xi,mean_w"]
-    lines.extend(csv_lines([times, np.full(times.shape, res.beta), res.value,
-                            res.golden_thompson_bound, res.jarzynski_factor,
-                            res.final_bound, res.delta_F_bar,
-                            np.full(times.shape, res.lambda_min_xi), mean_w]))
-    _write(cfg.out_dir, "coherent_series.csv", lines, written)
+    _write(cfg, "coherent_series.csv", _csv(
+        "t,beta,exp_avg_w,golden_thompson_bound,jarzynski_factor,"
+        "chain_bound,delta_F_bar,lambda_min_xi,mean_w",
+        [times, np.full(times.shape, res.beta), res.value,
+         res.golden_thompson_bound, res.jarzynski_factor, res.final_bound,
+         res.delta_F_bar, np.full(times.shape, res.lambda_min_xi), mean_w]),
+        written)
 
 
 def _write_manifest(cfg: ScenarioConfig, written: list[str]) -> None:
@@ -448,7 +466,7 @@ def _write_manifest(cfg: ScenarioConfig, written: list[str]) -> None:
         for key, rendered, took_default in cfg.entries[section]:
             tag = "  ; default" if took_default else ""
             lines.append(f"{key} = {rendered}{tag}")
-    _write(cfg.out_dir, "run_manifest.ini", lines, written)
+    _write(cfg, "run_manifest.ini", "\n".join(lines) + "\n", written)
 
 
 # ---------------------------------------------------------------------------

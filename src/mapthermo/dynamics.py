@@ -26,7 +26,7 @@ exactly what fails first in strongly dissipative or resonant regimes.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 
@@ -223,6 +223,252 @@ def invertibility_report(traj: MapTrajectory,
 # the full vectorized map (and optionally its derivative) in row-major order.
 
 _FORMAT_TAG = "mapthermo-maps v1"
+_U64 = np.uint64
+
+
+# Exact vectorised cell spelling, the inverse of the parse kernel below.
+# Both layouts print the 17 significant digits of a double x: with
+# 10^e <= |x| < 10^(e+1), these are the digits of M, |x| 10^(16-e) rounded
+# half-even to an integer in [10^16, 10^17). See `csv_text` for why the
+# kernel's M is exact and which cells go to the per-cell fallback.
+
+_BLOCK_CELLS = 1 << 14   # cells per call of a layout: its temporaries stay
+                         # in cache, where a whole table's land on new pages
+_ASCII = _U64(0x3030303030303030)
+_SPLITTER = 2.0**27 + 1  # Dekker's split of a double into two 26-bit halves
+
+
+def _halves(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Dekker's split: a = high + low exactly, each with at most 26
+    significant bits, so their pairwise products are exact."""
+    c = _SPLITTER * a
+    high = c - (c - a)
+    return high, a - high
+
+
+# rows 10^k, then its halves; 10^k is exact for k <= 22
+_POW10_HALVES = np.array([[10.0**k for k in range(23)],
+                          *_halves(10.0 ** np.arange(23))])
+
+
+def _digit_bytes(v: np.ndarray) -> np.ndarray:
+    """The 8 decimal digits of each v < 10^8 as byte values 0..9 of a
+    little-endian word, the leading digit in the lowest byte: the inverse of
+    `_eight_digits`. Quads, then pairs, then digits are split in place by
+    multiply-shift division (5243 / 2^19 is 1/100 below 43699, 103 / 2^10
+    is 1/10 below 179)."""
+    hi = v // _U64(10**4)
+    w = hi | ((v - hi * _U64(10**4)) << _U64(32))
+    hi = ((w * _U64(5243)) >> _U64(19)) & _U64(0x0000007F0000007F)
+    w = hi | ((w - hi * _U64(100)) << _U64(16))
+    hi = ((w * _U64(103)) >> _U64(10)) & _U64(0x000F000F000F000F)
+    return hi | ((w - hi * _U64(10)) << _U64(8))
+
+
+_POWERS = 10.0 ** np.arange(-8, 18)   # the doubles nearest 10^-8 .. 10^17
+
+
+def _digits(x: np.ndarray, smallest: float):
+    """The leading digit of each |x|, the other 16 digits as two rows of
+    `_digit_bytes` words (2, n), the decimal exponent e and whether the
+    digits are exact, which needs |x| in [smallest, 1e17) (smallest >=
+    1e-6). Inexact cells hold garbage."""
+    ax = np.abs(x)
+    inside = (ax >= smallest) & (ax < 1e17)
+    ax = np.where(inside, ax, 1.0)
+    # 2^k <= |x| < 2^(k+1) puts e at floor(k log10 2) or one above
+    # (78913 / 2^18 is log10 2 to 1e-6, ample for |k| < 64)
+    e = (((ax.view(np.int64) >> 52) - 1023) * 78913) >> 18
+    e += ax >= np.take(_POWERS, e + 9)
+    p, p_high, p_low = np.take(_POW10_HALVES, 16 - e, axis=1)
+    hi = ax * p
+    a_high, a_low = _halves(ax)
+    lo = (((a_high * p_high - hi) + a_high * p_low + a_low * p_high)
+          + a_low * p_low)
+    r = np.rint(lo)
+    m = hi.astype(np.int64) + r.astype(np.int64)
+    # in [10^16, 10^17): M = 10^16 comes from hi = 10^16 alone, and then the
+    # product is below 10^16 when lo is negative
+    exact = (inside & ((m > 10**16) | ((m == 10**16) & (lo >= 0)))
+             & (m < 10**17))
+    m = m.view(_U64)
+    top = m // _U64(10**8)
+    lead = top // _U64(10**8)
+    rest = np.empty((2, m.size), _U64)
+    rest[0] = top - lead * _U64(10**8)
+    rest[1] = m - top * _U64(10**8)
+    return lead, _digit_bytes(rest), e, exact
+
+
+@cache
+def _g_tables() -> tuple[np.ndarray, np.ndarray]:
+    """The "%.17g" layout's entries, indexed by (separator, class, trailing
+    zeros): the head mask and the constant bytes as 6 rows of words, and
+    the bytes kept as 3 words of 0/1 bytes per entry. Classes are
+    2 (e + 4) + sign for e in -4..16, then the fallback class, which keeps
+    only its separator (byte 5).
+
+    A cell's 17 digits sit in bytes 7..23. In fixed notation with e >= 0 the
+    e + 1 head digits move down a byte, to 6.., and "." follows them; with
+    e < 0 "0." and -e-1 zeros end at byte 6. The sign goes before, and
+    before it the separator. Stripping trailing zeros, and a bare ".",
+    moves the end."""
+    classes = 2 * 21 + 1
+    bytes_ = np.zeros((2, classes, 2, 24), np.uint8)
+    first = np.full(classes, 5)
+    stop = np.full((classes, 17), 6)
+    zeros = np.arange(17)
+    for e in range(-4, 17):
+        start = 6 + min(e, 0)
+        frac = 16 - e if e >= 0 else 17   # digits after the point
+        for neg in (0, 1):
+            c = 2 * (e + 4) + neg
+            head, const = bytes_[:, c, 0], bytes_[:, c, 1]
+            if e >= 0:
+                head[:, 7:8 + e] = 0xFF
+                const[:, 7 + e] = ord(".")
+            else:
+                const[:, start:7] = ord("0")
+                const[:, start + 1] = ord(".")
+            const[:, start - 1] = ord("-") if neg else 0
+            first[c] = start - 1 - neg
+            stop[c] = 24 - np.minimum(zeros, frac) - (zeros >= frac)
+    for sep, char in enumerate(",\n"):
+        bytes_[sep, np.arange(classes), 1, first] = ord(char)
+    pos = np.arange(24)
+    keep = ((pos >= first[:, None, None])
+            & (pos < stop[:, :, None])).astype(np.uint8)
+    words = np.broadcast_to(bytes_[:, :, None], (2, classes, 17, 2, 24))
+    return (np.ascontiguousarray(words).view(_U64).reshape(-1, 6).T.copy(),
+            np.ascontiguousarray(np.broadcast_to(keep, (2, classes, 17, 24))
+                                 ).view(_U64).reshape(-1, 3))
+
+
+def _g_cells(x: np.ndarray, cols: int):
+    """The "%.17g" layout of the cells of a block of rows of `cols` cells:
+    24 bytes each as 3 words, the bytes kept as 0/1 bytes, the indices of
+    the fallback cells and their text."""
+    lead, digits, e, exact = _digits(x, 1e-4)
+    # trailing zero digits: the highest nonzero byte of the 16, found as the
+    # exponent of a double (0.5 when every byte is zero, giving 16)
+    nonzero = ((digits + _U64(0x7F7F7F7F7F7F7F7F))
+               & _U64(0x8080808080808080)).astype(float)
+    top = (nonzero[1] * 2.0**64 + nonzero[0] + 0.5).view(np.int64)
+    zeros = 143 - ((top + (1 << 52)) >> 55)
+    # entry (2 (e + 4) + sign) 17 + zeros, or the fallback class 42's
+    idx = np.where(exact, 34 * e + 17 * np.signbit(x) + zeros + 136, 42 * 17)
+    idx[::cols] += 43 * 17   # a row's first cell follows "\n"
+    words, keep = _g_tables()
+    head_mask, const = np.take(words, idx, axis=1).reshape(2, 3, -1)
+    s = ((lead + _U64(0x30)) << _U64(56), *(digits | _ASCII))
+    head = [w & h for w, h in zip(s, head_mask)]
+    out = np.empty((x.size, 3), _U64)
+    for k in range(3):
+        out[:, k] = (s[k] ^ head[k]) | const[k] | (head[k] >> _U64(8))
+        if k < 2:
+            out[:, k] |= head[k + 1] << _U64(56)
+    fallback = np.flatnonzero(~exact)
+    return (out, np.take(keep, idx, axis=0), fallback,
+            [format(v, ".17g") for v in x[fallback].tolist()])
+
+
+@cache
+def _e_tables() -> tuple[np.ndarray, np.ndarray]:
+    """The "%.16e" layout's entries, indexed by (separator, class, e + 6):
+    the constant words 0 and 2 as 2 rows, and the bytes kept as 3 words of
+    0/1 bytes per entry. Classes are positive, negative and fallback, which
+    keeps only its separator (byte 1). A cell is "-d.dddddddddddddddde+XX"
+    in bytes 1..23, or "d..." in bytes 2..23, after its separator."""
+    const = np.zeros((2, 3, 23, 2, 8), np.uint8)
+    const[..., 0, 3] = ord(".")
+    const[:, 1, :, 0, 1] = ord("-")
+    for e in range(-6, 17):
+        const[:, :, e + 6, 1, 4:] = np.frombuffer(f"e{e:+03d}".encode(),
+                                                 np.uint8)
+    for sep, char in enumerate(",\n"):
+        const[sep, (0, 1, 2), :, 0, (1, 0, 1)] = ord(char)
+    pos = np.arange(24)
+    keep = ((pos >= np.array([1, 0, 1])[:, None])
+            & (pos < np.array([24, 24, 2])[:, None])).astype(np.uint8)
+    keep = np.broadcast_to(keep[None, :, None], (2, 3, 23, 24))
+    return (const.view(_U64).reshape(-1, 2).T.copy(),
+            np.ascontiguousarray(keep).view(_U64).reshape(-1, 3))
+
+
+def _e_cells(x: np.ndarray, cols: int):
+    """The "%.16e" layout of the cells of a block, as `_g_cells` returns
+    it."""
+    lead, digits, e, exact = _digits(x, 1e-6)
+    idx = np.where(exact, 23 * np.signbit(x) + e + 6, 2 * 23)
+    idx[::cols] += 3 * 23   # a row's first cell follows "\n"
+    const, keep = _e_tables()
+    const = np.take(const, idx, axis=1)
+    digits |= _ASCII
+    out = np.empty((x.size, 3), _U64)
+    out[:, 0] = (((lead + _U64(0x30)) << _U64(16)) | const[0]
+                 | (digits[0] << _U64(32)))
+    out[:, 1] = (digits[0] >> _U64(32)) | (digits[1] << _U64(32))
+    out[:, 2] = (digits[1] >> _U64(32)) | const[1]
+    fallback = np.flatnonzero(~exact)
+    return (out, np.take(keep, idx, axis=0), fallback,
+            ["%.16e" % v for v in x[fallback].tolist()])
+
+
+def _row_blocks(n_rows: int, n_cols: int):
+    """Slices of whole rows, about `_BLOCK_CELLS` cells each."""
+    step = max(1, _BLOCK_CELLS // n_cols)
+    return (slice(i, i + step) for i in range(0, n_rows, step))
+
+
+def _text_chunks(blocks, layout):
+    """The text of the rows of 2-D float64 blocks, in chunks whose
+    concatenation holds one line per row, each ending in "\n".
+
+    Each cell is laid out by `layout` after its separator ("," or, before a
+    row's first cell, "\n"), the kept bytes are compressed out, and the
+    fallback cells' text is inserted after their separators. The table's
+    first separator is dropped and a last "\n" added."""
+    skip = 1
+    for block in blocks:
+        x = np.ascontiguousarray(block, dtype=float).reshape(-1)
+        out, keep, fallback, spelt = layout(x, block.shape[1])
+        text = np.compress(keep.view(bool).reshape(-1),
+                           out.view(np.uint8).reshape(-1))
+        if fallback.size:
+            ends = np.cumsum(np.bitwise_count(keep).sum(axis=1,
+                                                       dtype=np.int64))
+            text = np.insert(text, np.repeat(ends[fallback],
+                                             [len(s) for s in spelt]),
+                             np.frombuffer("".join(spelt).encode(), np.uint8))
+        yield memoryview(text)[skip:]
+        skip = 0
+    if not skip:
+        yield b"\n"
+
+
+def csv_text(columns) -> str:
+    """The CSV text of equal-length numeric columns: one line per row, each
+    ending in "\n", every cell spelled as format(x, ".17g") spells it.
+
+    The cells are spelled by one vectorised kernel, in blocks of whole rows.
+    With e = floor(log10 |x|) and 10^(16-e) an exact double (16 - e <= 22),
+    Dekker's two-product gives |x| 10^(16-e) exactly as hi + lo, no fma
+    needed. Where the product is at least 10^16 > 2^53, hi is an even
+    integer, so M = hi + rint(lo) is the product rounded half-even, exact
+    ties included, as CPython's dtoa rounds it, and its 17 digits are laid
+    out in %g's fixed notation (-4 <= e < 17) with trailing zeros and a
+    bare "." stripped. Cells go to format() instead when they are not
+    finite, zero, below 1e-4 (%g's exponent form) or at least 1e17, and
+    when the product falls outside [10^16, 10^17): e, taken from the
+    binary exponent, was one off next to a power of ten. That also covers
+    a carry of M into an 18th digit, which no double in range produces: it
+    needs |x| below a power of ten 10^-5 .. 10^17 by less than 5e-18
+    relative, and the double nearest each is the power itself, whose lower
+    neighbour is an ulp away, or lies above it."""
+    cols = [np.asarray(c, dtype=float).reshape(-1) for c in columns]
+    blocks = (np.column_stack([c[s] for c in cols])
+              for s in _row_blocks(cols[0].size, len(cols)))
+    return b"".join(_text_chunks(blocks, _g_cells)).decode()
 
 
 def save_map_trajectory(traj: MapTrajectory, path: str) -> None:
@@ -232,23 +478,31 @@ def save_map_trajectory(traj: MapTrajectory, path: str) -> None:
     "dim=<d> vectorization=column-stacking derivatives=<0|1>". Each data row
     holds the time followed by re,im pairs of the d^2 x d^2 map matrix in
     row-major order, then the same for the derivative when present. Floats
-    are written with 17 significant digits so a round trip is exact.
+    are written with 17 significant digits so a round trip is exact, each
+    spelled as f"{x:.16e}" spells it, by the exponent layout of the
+    `csv_text` kernel (cells below 1e-6, zeros and the other fallback cells
+    by "%.16e"), a block of rows at a time.
     """
     d = traj.dim
     has_d = traj.derivatives is not None
-    # "%.16e" spells a float as f"{x:.16e}" does; one template per file
-    row = ",".join(["%.16e"] * (1 + 2 * d ** 4 * (1 + has_d))) + "\n"
-    with open(path, "w") as fh:
-        fh.write(f"# {_FORMAT_TAG}\n")
-        fh.write(f"# dim={d} vectorization=column-stacking "
-                 f"derivatives={int(has_d)}\n")
-        fh.write("# row: t, re/im pairs of the map matrix (row-major)"
-                 + (", re/im pairs of dmap/dt" if has_d else "") + "\n")
-        for i, t in enumerate(traj.times):
-            blocks = [traj.maps[i]] + ([traj.derivatives[i]] if has_d else [])
-            # a complex array viewed as floats interleaves re and im
-            flat = np.concatenate([b.reshape(-1) for b in blocks]).view(float)
-            fh.write(row % (t, *flat.tolist()))
+    stacks = [traj.maps] + ([traj.derivatives] if has_d else [])
+
+    def rows(s: slice) -> np.ndarray:
+        t = traj.times[s]
+        # a complex array viewed as floats interleaves re and im
+        return np.column_stack([t, *(np.ascontiguousarray(stack[s]).reshape(
+            t.size, -1).view(float) for stack in stacks)])
+
+    cols = 1 + 2 * d**4 * len(stacks)
+    with open(path, "wb") as fh:
+        fh.write((f"# {_FORMAT_TAG}\n"
+                  f"# dim={d} vectorization=column-stacking "
+                  f"derivatives={int(has_d)}\n"
+                  "# row: t, re/im pairs of the map matrix (row-major)"
+                  + (", re/im pairs of dmap/dt" if has_d else "")
+                  + "\n").encode())
+        fh.writelines(_text_chunks(
+            map(rows, _row_blocks(len(traj.times), cols)), _e_cells))
 
 
 # Exact vectorised cell parsing. A cell as `save_map_trajectory` writes it,
@@ -262,7 +516,6 @@ def save_map_trajectory(traj: MapTrajectory, path: str) -> None:
 # not the x87 format, every cell goes to float(), so a row reads exactly as
 # float() reads it.
 
-_U64 = np.uint64
 _CELL = 22          # bytes of an unsigned canonical cell
 _MAX_Q = 27         # 5^27 < 2^64: 10^q is exact for |q| <= 27
 _POW10 = np.cumprod(np.full(_MAX_Q + 1, 10, np.longdouble)) / 10

@@ -204,14 +204,6 @@ _COLUMNS = ("lambda_u", "lambda_w", "lambda_w_bound", "exp_avg_w",
 """The per-row report columns after t and beta, in CSV order."""
 
 
-def csv_lines(columns) -> list[str]:
-    """One CSV line per row of equal-length numeric columns, every cell
-    spelled as format(x, ".17g") spells it."""
-    row = ",".join(["%.17g"] * len(columns))
-    return [row % cells for cells in
-            zip(*(np.asarray(c, dtype=float).tolist() for c in columns))]
-
-
 def _check_invariants(r, tol: float) -> None:
     """Raise ConstructionError at the first row where the two evaluation
     routes of <e^{-beta w}> disagree or lambda_w exceeds its bound.
@@ -283,11 +275,11 @@ class FluctuationTable:
         _check_invariants(self, tol)
 
     CSV_HEADER = ",".join(("t", "beta") + _COLUMNS)
-    """The header line of `csv_rows`, as lambda_series.csv starts."""
+    """The header line of lambda_series.csv, naming `csv_columns`."""
 
-    def csv_rows(self) -> list[str]:
-        return csv_lines([self.time, np.full(self.time.shape, self.beta),
-                          *(getattr(self, name) for name in _COLUMNS)])
+    def csv_columns(self) -> list[np.ndarray]:
+        return [self.time, np.full(self.time.shape, self.beta),
+                *(getattr(self, name) for name in _COLUMNS)]
 
 
 def _trace_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:

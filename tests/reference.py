@@ -7,7 +7,9 @@ compute the same quantities one grid point, one map, one operator or one
 closed protocol at a time, the way the formulas read (the exchange-model
 level sum one block and grid time at a time), plus the small constructors
 (random states and unitaries, Kraus and conjugation maps, constant rates)
-that only tests need. Nothing in `src/mapthermo` calls them.
+that only tests need, and the per-row `%` writers that the vectorised
+cell-spelling kernel of `dynamics` replaced. Nothing in `src/mapthermo`
+calls them.
 
 The effective Hamiltonian of the minimal-dissipation split of a generator L
 on a d-level system is the double-commutator sum
@@ -432,3 +434,26 @@ def coherent_work_row(data: CoherentInitialData, u_t: np.ndarray,
 
 def moment(dist: OutcomeDistribution, k: int) -> float:
     return float(np.dot(dist.probs, dist.outcomes ** k))
+
+
+def csv_lines(columns) -> list[str]:
+    """One CSV line per row of equal-length numeric columns, every cell
+    spelled as format(x, ".17g") spells it: the per-row writer that
+    `csv_text` replaced."""
+    row = ",".join(["%.17g"] * len(columns))
+    return [row % cells for cells in
+            zip(*(np.asarray(c, dtype=float).tolist() for c in columns))]
+
+
+def csv_rows(table) -> list[str]:
+    """The lambda_series.csv lines of one FluctuationTable."""
+    return csv_lines(table.csv_columns())
+
+
+def map_row_lines(rows: np.ndarray) -> list[str]:
+    """The data lines of a map file for a 2-D block of rows, each cell
+    spelled as f"{x:.16e}" spells it: the one-template writer that
+    `save_map_trajectory` used before the kernel."""
+    rows = np.asarray(rows, dtype=float)
+    row = ",".join(["%.16e"] * rows.shape[1])
+    return [row % tuple(cells) for cells in rows.tolist()]

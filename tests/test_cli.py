@@ -9,6 +9,7 @@ import textwrap
 import numpy as np
 import pytest
 
+from mapthermo import cli
 from mapthermo.cli import Tolerances, main, parse_config, run_scenario
 from mapthermo.errors import ConfigError
 from mapthermo.dynamics import save_map_trajectory
@@ -459,6 +460,32 @@ def test_exit_code_two_on_config_error(tmp_path, capsys):
     """)
     assert main(["run", cfg_path]) == 2
     assert "config error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("where", ["a_file", "under_a_file"])
+def test_out_dir_that_cannot_be_made_exits_2(tmp_path, capsys, monkeypatch,
+                                             where):
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    out = taken if where == "a_file" else taken / "out"
+    # checked before the trajectory is built
+    monkeypatch.setattr(cli, "_build_trajectory",
+                        lambda cfg: pytest.fail("trajectory built"))
+    cfg_path = write_config(tmp_path, WEAK_BODY.format(out=out))
+    assert main(["run", cfg_path]) == 2
+    err = capsys.readouterr().err
+    assert f"{cfg_path}: [scenario] out_dir: cannot create the directory " \
+           f"{out}: " in err
+    assert "Traceback" not in err
+
+
+def test_unwritable_output_file_exits_2(tmp_path, capsys):
+    out = tmp_path / "out"
+    (out / "lambda_series.csv").mkdir(parents=True)
+    cfg_path = write_config(tmp_path, WEAK_BODY.format(out=out))
+    assert main(["run", cfg_path]) == 2
+    assert (f"[scenario] out_dir: cannot write {out / 'lambda_series.csv'}: "
+            in capsys.readouterr().err)
 
 
 def test_exit_code_three_on_numerical_failure(tmp_path, capsys):

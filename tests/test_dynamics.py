@@ -5,13 +5,15 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 from hypothesis import given, settings
-from hypothesis.strategies import floats, lists, sampled_from, tuples
+from hypothesis.strategies import (floats, integers, lists, one_of,
+                                   sampled_from, tuples)
 from scipy.linalg import expm
 
 import mapthermo.dynamics as dynamics
 from mapthermo.dynamics import (
     MapTrajectory,
     condition_flags,
+    csv_text,
     generator_splits,
     invertibility_report,
     load_map_trajectory,
@@ -35,10 +37,12 @@ from reference import (
     condition_number,
     conjugation_superop,
     constant_rates,
+    csv_lines,
     generator_at,
     identity_superop,
     inverse_propagator,
     map_derivative,
+    map_row_lines,
     minimal_dissipation_split,
     random_density_matrix,
     random_unitary,
@@ -390,6 +394,114 @@ def test_read_map_file_rejects_a_header_after_data(tmp_path):
         fh.write("# dim=2 vectorization=column-stacking derivatives=1\n")
     with pytest.raises(ConstructionError, match="header line after data"):
         read_map_file(path)
+
+
+# Cell spelling. Every cell of a CSV reads as format(x, ".17g") and every
+# cell of a map file as f"{x:.16e}", whether or not the vectorised kernel
+# takes it.
+
+def map_rows_text(rows):
+    return b"".join(dynamics._text_chunks([np.asarray(rows, dtype=float)],
+                                          dynamics._e_cells)).decode()
+
+
+def lines_text(lines):
+    return "".join(line + "\n" for line in lines)
+
+
+# any float64: bit patterns (NaN payloads, subnormals and both infinities
+# included) and values spread over the kernel's exponents
+any_double = one_of(
+    integers(0, 2**64 - 1).map(
+        lambda b: float(np.array(b, np.uint64).view(np.float64))),
+    floats(), floats(-1e18, 1e18), floats(-1e-3, 1e-3))
+
+
+@settings(max_examples=300, deadline=None)
+@given(lists(any_double, min_size=1, max_size=60), integers(1, 6))
+def test_csv_text_spells_cells_as_format(xs, n_cols):
+    columns = list(np.resize(np.array(xs),
+                             (max(1, len(xs) // n_cols), n_cols)).T)
+    assert csv_text(columns) == lines_text(csv_lines(columns))
+
+
+@settings(max_examples=300, deadline=None)
+@given(lists(any_double, min_size=1, max_size=60), integers(1, 6))
+def test_map_rows_spell_cells_as_the_f_string(xs, n_cols):
+    rows = np.resize(np.array(xs), (max(1, len(xs) // n_cols), n_cols))
+    assert map_rows_text(rows) == lines_text(map_row_lines(rows))
+
+
+def ulp_neighbours(x):
+    """x and its neighbours 1 and 2 ulps away on each side."""
+    below = np.nextafter(x, 0.0)
+    above = np.nextafter(x, np.inf)
+    return [np.nextafter(below, 0.0), below, x, above,
+            np.nextafter(above, np.inf)]
+
+
+SPELLING_EDGES = np.array(
+    [v for k in range(-5, 18) for x in ulp_neighbours(10.0**k)
+     for v in (x, -x)]
+    + [-0.0, 0.0, 5e-324, 2.2250738585072014e-308, 1.7976931348623157e308,
+       np.inf, -np.inf, np.nan, 9.9999999999999995e-07, 1e-6,
+       1000000000000000.25, 1000000000000000.75, 2.0**53 + 2, 0.5, 1.0])
+
+
+def test_spelling_edge_cases():
+    text = csv_text([SPELLING_EDGES])
+    assert text == lines_text(format(v, ".17g") for v in SPELLING_EDGES)
+    one = {float(v): line for v, line in zip(SPELLING_EDGES,
+                                             text.splitlines())}
+    # the carry case below 1e-4, the largest double below 1e17, exact ties
+    # rounded half-even, and the sign of -0.0
+    assert one[float(np.nextafter(1e-4, 0.0))] == "9.9999999999999991e-05"
+    assert one[float(np.nextafter(1e17, 0.0))] == "99999999999999984"
+    assert one[1000000000000000.25] == "1000000000000000.2"
+    assert one[1000000000000000.75] == "1000000000000000.8"
+    assert csv_text([[-0.0]]) == "-0\n"
+    rows = SPELLING_EDGES.reshape(-1, 1)
+    assert map_rows_text(rows) == lines_text(map_row_lines(rows))
+    assert map_rows_text(rows.reshape(1, -1)) == lines_text(
+        map_row_lines(rows.reshape(1, -1)))
+
+
+@pytest.mark.parametrize("n_rows", [
+    3 * dynamics._BLOCK_CELLS // 5,        # several blocks, the last whole
+    3 * dynamics._BLOCK_CELLS // 5 + 7,    # ending mid-block
+])
+def test_tables_spanning_row_blocks(n_rows):
+    rng = np.random.default_rng(16)
+    columns = [rng.standard_normal(n_rows)
+               * 10.0 ** rng.integers(-6, 18, n_rows) for _ in range(5)]
+    columns[2][::97] = 0.0   # fallback cells in every block
+    assert n_rows * 5 > 2 * dynamics._BLOCK_CELLS
+    assert csv_text(columns) == lines_text(csv_lines(columns))
+    rows = np.column_stack(columns)
+    assert map_rows_text(rows) == lines_text(map_row_lines(rows))
+
+
+def test_kernel_takes_the_cells_in_its_range():
+    # |x| in [1e-4, 1e17), inside both layouts' ranges and away from powers
+    # of ten: nothing goes to the fallback, exact ties included
+    rng = np.random.default_rng(17)
+    x = rng.choice([-1.0, 1.0], 4000) * rng.uniform(1.0, 9.9, 4000) * 10.0 ** (
+        rng.integers(-4, 17, 4000))
+    x[:2] = 1000000000000000.25, -6667092368881.09375   # ties
+    for layout in (dynamics._g_cells, dynamics._e_cells):
+        assert layout(x, 4)[3] == []
+    assert dynamics._g_cells(np.array([1e-5, 0.0, np.nan, 0.5]), 1)[3] == [
+        "1.0000000000000001e-05", "0", "nan"]
+    assert dynamics._e_cells(np.array([1e-7, -0.0, np.inf, 0.5]), 1)[3] == [
+        "9.9999999999999995e-08", "-0.0000000000000000e+00", "inf"]
+
+
+def test_digit_bytes_split_every_quad():
+    v = np.arange(10**4, dtype=np.uint64) * np.uint64(10**4 + 1)
+    v = np.concatenate([v, np.arange(10**8 - 10**4, 10**8, dtype=np.uint64)])
+    raw = dynamics._digit_bytes(v) | np.uint64(0x3030303030303030)
+    assert raw.view("S8").astype(str).tolist() == [f"{n:08d}"
+                                                   for n in v.tolist()]
 
 
 # Cell parsing. A row reads as float() reads each cell, whether or not the

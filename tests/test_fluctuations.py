@@ -11,14 +11,13 @@ from hypothesis import given, settings
 from hypothesis.strategies import floats
 
 from mapthermo import fluctuations
-from mapthermo.dynamics import MapTrajectory
+from mapthermo.dynamics import MapTrajectory, csv_text
 from mapthermo.errors import ConstructionError
 from mapthermo.fluctuations import (
     CLUSTER_TOL,
     FluctuationTable,
     OutcomeDistribution,
     cluster_eigenvalues,
-    csv_lines,
     exp_average,
     fluctuation_report,
     fluctuation_table,
@@ -48,6 +47,7 @@ from mapthermo.validation import random_gksl_trajectory
 from reference import (
     conjugation_superop,
     constant_rates,
+    csv_rows,
     dissipated_work_bound,
     free_energies,
     heat_fluctuation,
@@ -394,7 +394,9 @@ def test_report_csv_row_round_trips():
     traj, _ = pc_trajectory(weak_coupling_rates(p), p.grid(50))
     pipe = ThermoPipeline(traj)
     rep = fluctuation_report(pipe, 50, p.beta)
-    row = fluctuation_table(pipe, p.beta).csv_rows()[50]
+    table = fluctuation_table(pipe, p.beta)
+    row = csv_text(table.csv_columns()).splitlines()[50]
+    assert row == csv_rows(table)[50]
     names = FluctuationTable.CSV_HEADER.split(",")
     cells = [float(c) for c in row.split(",")]
     assert len(cells) == len(names) == 10
@@ -409,8 +411,9 @@ def test_csv_lines_spell_every_cell_as_format_does():
     columns = [np.array(edge), np.array(edge[::-1]), edge]
     expected = [",".join(format(v, ".17g") for v in row)
                 for row in zip(*columns)]
-    assert csv_lines(columns) == expected
-    assert csv_lines([np.array(edge)]) == [format(v, ".17g") for v in edge]
+    assert csv_text(columns).splitlines() == expected
+    assert csv_text([np.array(edge)]).splitlines() == [format(v, ".17g")
+                                                       for v in edge]
 
 
 def weak_coupling_pipeline(n=120):
