@@ -1,8 +1,7 @@
 """Wall time of the closed drive (`closed_coherent`) in process.
 
 It times an in-process `mapthermo run` of the default closed_coherent
-scenario at N = 4000 (stdout discarded, each run into a new out_dir) and
-`coherent_work_fluctuation`
+scenario at N = 4000 (stdout discarded) and `coherent_work_fluctuation`
 alone on that grid (the protocol and the initial construction built
 outside the timed region), best of --repeats after one warm-up call each.
 The result is merged into a JSON file under --label:
@@ -28,7 +27,7 @@ import os
 import tempfile
 
 from bench_record import (alternate, import_tree, ratio_summary,
-                          record_run, run_timer, timed)
+                          record_run, timed)
 
 N_STEPS = 4000
 SCENARIO = f"""\
@@ -43,12 +42,11 @@ CSV = "coherent_series.csv"
 
 
 class Tree:
-    """The run this script times, on one source tree's modules; its
-    checked run writes into its own output directory under `work_dir`."""
+    """The run this script times, on one source tree's modules, writing
+    into its own output directory under `work_dir`."""
 
     def __init__(self, module, work_dir: str, name: str):
         self.module = module
-        self.work_dir, self.name = work_dir, name
         self.out_dir = os.path.join(work_dir, name)
         self.config = os.path.join(work_dir, f"{name}.ini")
         with open(self.config, "w") as fh:
@@ -58,12 +56,6 @@ class Tree:
         with contextlib.redirect_stdout(io.StringIO()):
             if self.module("cli").main(["run", self.config]) != 0:
                 raise SystemExit(f"mapthermo run {self.config} failed")
-
-    def timer(self):
-        """A call returning the wall time of one run, each into a new
-        out_dir."""
-        return run_timer(self.module("cli").main, SCENARIO, self.work_dir,
-                         self.name)
 
     def series_bytes(self) -> bytes:
         with open(os.path.join(self.out_dir, CSV), "rb") as fh:
@@ -87,7 +79,7 @@ def measure(work_dir: str, repeats: int, against_src: str | None) -> dict:
     ours = Tree(lambda name: importlib.import_module(f"mapthermo.{name}"),
                 work_dir, "ours")
     walls = {}
-    for key, call in (("run", ours.timer()),
+    for key, call in (("run", timed(ours.run)),
                       ("coherent_work_fluctuation",
                        timed(ours.fluctuation()))):
         call()
@@ -98,12 +90,11 @@ def measure(work_dir: str, repeats: int, against_src: str | None) -> dict:
     if against_src:
         theirs = Tree(lambda name: import_tree(against_src, name), work_dir,
                       "theirs")
-        ours.run()
         theirs.run()
         if ours.series_bytes() != theirs.series_bytes():
             raise SystemExit(f"{CSV} differs between trees")
         result["against"] = {"run": ratio_summary(*alternate(
-            ours.timer(), theirs.timer(), repeats))}
+            timed(ours.run), timed(theirs.run), repeats))}
     return result
 
 

@@ -7,15 +7,12 @@ change) sit side by side with the machine each ran on. With --against, a
 script times both trees in alternation and records the ratio per pair.
 """
 
-import contextlib
 import importlib
 import importlib.util
-import io
 import json
 import os
 import platform
 import sys
-import tempfile
 import time
 
 import numpy as np
@@ -63,34 +60,6 @@ def timed(call):
         start = time.perf_counter()
         call()
         return time.perf_counter() - start
-    return run
-
-
-def run_timer(main, scenario: str, work_dir: str, name: str):
-    """A call returning the wall time of one in-process `mapthermo run`
-    (stdout discarded) through `main`, on the scenario text with its
-    `{out_dir}` filled by a new directory under `work_dir` each call, as
-    perfbench gives each sample one. The config is written next to it (so
-    paths in it are relative to `work_dir`) and the run's files are flushed
-    to disk, both outside the timed region. On a disk mounted with
-    `discard`, overwriting the files of an earlier run costs about 0.1 s
-    per file, and a run that starts while the last one's writes are still
-    being flushed can stall for 0.4 s."""
-    def run() -> float:
-        out_dir = tempfile.mkdtemp(prefix=f"{name}_", dir=work_dir)
-        config = out_dir + ".ini"
-        with open(config, "w") as fh:
-            fh.write(scenario.format(out_dir=out_dir))
-        start = time.perf_counter()
-        with contextlib.redirect_stdout(io.StringIO()):
-            status = main(["run", config])
-        wall = time.perf_counter() - start
-        if status != 0:
-            raise SystemExit(f"mapthermo run {config} failed")
-        for entry in os.scandir(out_dir):
-            with open(entry.path, "rb") as fh:
-                os.fsync(fh.fileno())
-        return wall
     return run
 
 

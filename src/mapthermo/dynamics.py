@@ -227,12 +227,12 @@ _U64 = np.uint64
 
 
 # Exact vectorised cell spelling, the inverse of the parse kernel below.
-# Both layouts print the 17 significant digits of a double x: with
+# "%.17g" prints the 17 significant digits of a double x: with
 # 10^e <= |x| < 10^(e+1), these are the digits of M, |x| 10^(16-e) rounded
 # half-even to an integer in [10^16, 10^17). See `csv_text` for why the
 # kernel's M is exact and which cells go to the per-cell fallback.
 
-_BLOCK_CELLS = 1 << 14   # cells per call of a layout: its temporaries stay
+_BLOCK_CELLS = 1 << 14   # cells per call of `_g_cells`: its temporaries stay
                          # in cache, where a whole table's land on new pages
 _ASCII = _U64(0x3030303030303030)
 _SPLITTER = 2.0**27 + 1  # Dekker's split of a double into two 26-bit halves
@@ -265,32 +265,30 @@ def _digit_bytes(v: np.ndarray) -> np.ndarray:
     return hi | ((w - hi * _U64(10)) << _U64(8))
 
 
-_POWERS = 10.0 ** np.arange(-8, 18)   # the doubles nearest 10^-8 .. 10^17
+# the doubles nearest 10^-4 .. 10^17
+_POWERS = np.array([float(f"1e{k}") for k in range(-4, 18)])
 
 
-def _digits(x: np.ndarray, smallest: float):
+def _digits(x: np.ndarray):
     """The leading digit of each |x|, the other 16 digits as two rows of
     `_digit_bytes` words (2, n), the decimal exponent e and whether the
-    digits are exact, which needs |x| in [smallest, 1e17) (smallest >=
-    1e-6). Inexact cells hold garbage."""
+    digits are exact, which needs |x| in [1e-4, 1e17). Inexact cells hold
+    garbage."""
     ax = np.abs(x)
-    inside = (ax >= smallest) & (ax < 1e17)
+    inside = (ax >= 1e-4) & (ax < 1e17)
     ax = np.where(inside, ax, 1.0)
     # 2^k <= |x| < 2^(k+1) puts e at floor(k log10 2) or one above
     # (78913 / 2^18 is log10 2 to 1e-6, ample for |k| < 64)
     e = (((ax.view(np.int64) >> 52) - 1023) * 78913) >> 18
-    e += ax >= np.take(_POWERS, e + 9)
+    e += ax >= np.take(_POWERS, e + 5)
     p, p_high, p_low = np.take(_POW10_HALVES, 16 - e, axis=1)
     hi = ax * p
     a_high, a_low = _halves(ax)
     lo = (((a_high * p_high - hi) + a_high * p_low + a_low * p_high)
           + a_low * p_low)
-    r = np.rint(lo)
-    m = hi.astype(np.int64) + r.astype(np.int64)
-    # in [10^16, 10^17): M = 10^16 comes from hi = 10^16 alone, and then the
-    # product is below 10^16 when lo is negative
-    exact = (inside & ((m > 10**16) | ((m == 10**16) & (lo >= 0)))
-             & (m < 10**17))
+    m = hi.astype(np.int64) + np.rint(lo).astype(np.int64)
+    # a guard that does not fire in range (see `csv_text`)
+    exact = inside & (m >= 10**16) & (m < 10**17)
     m = m.view(_U64)
     top = m // _U64(10**8)
     lead = top // _U64(10**8)
@@ -301,12 +299,12 @@ def _digits(x: np.ndarray, smallest: float):
 
 
 @cache
-def _g_tables() -> tuple[np.ndarray, np.ndarray]:
+def _g_tables() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The "%.17g" layout's entries, indexed by (separator, class, trailing
-    zeros): the head mask and the constant bytes as 6 rows of words, and
-    the bytes kept as 3 words of 0/1 bytes per entry. Classes are
-    2 (e + 4) + sign for e in -4..16, then the fallback class, which keeps
-    only its separator (byte 5).
+    zeros): the head mask and the constant bytes as 6 rows of words, the
+    bytes kept as 3 words of 0/1 bytes per entry, and their count. Classes
+    are 2 (e + 4) + sign for e in -4..16, then the fallback class, which
+    keeps only its separator (byte 5).
 
     A cell's 17 digits sit in bytes 7..23. In fixed notation with e >= 0 the
     e + 1 head digits move down a byte, to 6.., and "." follows them; with
@@ -339,16 +337,17 @@ def _g_tables() -> tuple[np.ndarray, np.ndarray]:
     keep = ((pos >= first[:, None, None])
             & (pos < stop[:, :, None])).astype(np.uint8)
     words = np.broadcast_to(bytes_[:, :, None], (2, classes, 17, 2, 24))
+    keep = np.ascontiguousarray(np.broadcast_to(keep, (2, classes, 17, 24)))
     return (np.ascontiguousarray(words).view(_U64).reshape(-1, 6).T.copy(),
-            np.ascontiguousarray(np.broadcast_to(keep, (2, classes, 17, 24))
-                                 ).view(_U64).reshape(-1, 3))
+            keep.view(_U64).reshape(-1, 3),
+            keep.reshape(-1, 24).sum(axis=1, dtype=np.int64))
 
 
 def _g_cells(x: np.ndarray, cols: int):
     """The "%.17g" layout of the cells of a block of rows of `cols` cells:
-    24 bytes each as 3 words, the bytes kept as 0/1 bytes, the indices of
-    the fallback cells and their text."""
-    lead, digits, e, exact = _digits(x, 1e-4)
+    24 bytes each as 3 words, the bytes kept as 0/1 bytes and their count,
+    the indices of the fallback cells and their text."""
+    lead, digits, e, exact = _digits(x)
     # trailing zero digits: the highest nonzero byte of the 16, found as the
     # exponent of a double (0.5 when every byte is zero, giving 16)
     nonzero = ((digits + _U64(0x7F7F7F7F7F7F7F7F))
@@ -358,7 +357,7 @@ def _g_cells(x: np.ndarray, cols: int):
     # entry (2 (e + 4) + sign) 17 + zeros, or the fallback class 42's
     idx = np.where(exact, 34 * e + 17 * np.signbit(x) + zeros + 136, 42 * 17)
     idx[::cols] += 43 * 17   # a row's first cell follows "\n"
-    words, keep = _g_tables()
+    words, keep, kept = _g_tables()
     head_mask, const = np.take(words, idx, axis=1).reshape(2, 3, -1)
     s = ((lead + _U64(0x30)) << _U64(56), *(digits | _ASCII))
     head = [w & h for w, h in zip(s, head_mask)]
@@ -368,82 +367,8 @@ def _g_cells(x: np.ndarray, cols: int):
         if k < 2:
             out[:, k] |= head[k + 1] << _U64(56)
     fallback = np.flatnonzero(~exact)
-    return (out, np.take(keep, idx, axis=0), fallback,
+    return (out, np.take(keep, idx, axis=0), np.take(kept, idx), fallback,
             [format(v, ".17g") for v in x[fallback].tolist()])
-
-
-@cache
-def _e_tables() -> tuple[np.ndarray, np.ndarray]:
-    """The "%.16e" layout's entries, indexed by (separator, class, e + 6):
-    the constant words 0 and 2 as 2 rows, and the bytes kept as 3 words of
-    0/1 bytes per entry. Classes are positive, negative and fallback, which
-    keeps only its separator (byte 1). A cell is "-d.dddddddddddddddde+XX"
-    in bytes 1..23, or "d..." in bytes 2..23, after its separator."""
-    const = np.zeros((2, 3, 23, 2, 8), np.uint8)
-    const[..., 0, 3] = ord(".")
-    const[:, 1, :, 0, 1] = ord("-")
-    for e in range(-6, 17):
-        const[:, :, e + 6, 1, 4:] = np.frombuffer(f"e{e:+03d}".encode(),
-                                                 np.uint8)
-    for sep, char in enumerate(",\n"):
-        const[sep, (0, 1, 2), :, 0, (1, 0, 1)] = ord(char)
-    pos = np.arange(24)
-    keep = ((pos >= np.array([1, 0, 1])[:, None])
-            & (pos < np.array([24, 24, 2])[:, None])).astype(np.uint8)
-    keep = np.broadcast_to(keep[None, :, None], (2, 3, 23, 24))
-    return (const.view(_U64).reshape(-1, 2).T.copy(),
-            np.ascontiguousarray(keep).view(_U64).reshape(-1, 3))
-
-
-def _e_cells(x: np.ndarray, cols: int):
-    """The "%.16e" layout of the cells of a block, as `_g_cells` returns
-    it."""
-    lead, digits, e, exact = _digits(x, 1e-6)
-    idx = np.where(exact, 23 * np.signbit(x) + e + 6, 2 * 23)
-    idx[::cols] += 3 * 23   # a row's first cell follows "\n"
-    const, keep = _e_tables()
-    const = np.take(const, idx, axis=1)
-    digits |= _ASCII
-    out = np.empty((x.size, 3), _U64)
-    out[:, 0] = (((lead + _U64(0x30)) << _U64(16)) | const[0]
-                 | (digits[0] << _U64(32)))
-    out[:, 1] = (digits[0] >> _U64(32)) | (digits[1] << _U64(32))
-    out[:, 2] = (digits[1] >> _U64(32)) | const[1]
-    fallback = np.flatnonzero(~exact)
-    return (out, np.take(keep, idx, axis=0), fallback,
-            ["%.16e" % v for v in x[fallback].tolist()])
-
-
-def _row_blocks(n_rows: int, n_cols: int):
-    """Slices of whole rows, about `_BLOCK_CELLS` cells each."""
-    step = max(1, _BLOCK_CELLS // n_cols)
-    return (slice(i, i + step) for i in range(0, n_rows, step))
-
-
-def _text_chunks(blocks, layout):
-    """The text of the rows of 2-D float64 blocks, in chunks whose
-    concatenation holds one line per row, each ending in "\n".
-
-    Each cell is laid out by `layout` after its separator ("," or, before a
-    row's first cell, "\n"), the kept bytes are compressed out, and the
-    fallback cells' text is inserted after their separators. The table's
-    first separator is dropped and a last "\n" added."""
-    skip = 1
-    for block in blocks:
-        x = np.ascontiguousarray(block, dtype=float).reshape(-1)
-        out, keep, fallback, spelt = layout(x, block.shape[1])
-        text = np.compress(keep.view(bool).reshape(-1),
-                           out.view(np.uint8).reshape(-1))
-        if fallback.size:
-            ends = np.cumsum(np.bitwise_count(keep).sum(axis=1,
-                                                       dtype=np.int64))
-            text = np.insert(text, np.repeat(ends[fallback],
-                                             [len(s) for s in spelt]),
-                             np.frombuffer("".join(spelt).encode(), np.uint8))
-        yield memoryview(text)[skip:]
-        skip = 0
-    if not skip:
-        yield b"\n"
 
 
 def csv_text(columns) -> str:
@@ -458,17 +383,34 @@ def csv_text(columns) -> str:
     ties included, as CPython's dtoa rounds it, and its 17 digits are laid
     out in %g's fixed notation (-4 <= e < 17) with trailing zeros and a
     bare "." stripped. Cells go to format() instead when they are not
-    finite, zero, below 1e-4 (%g's exponent form) or at least 1e17, and
-    when the product falls outside [10^16, 10^17): e, taken from the
-    binary exponent, was one off next to a power of ten. That also covers
-    a carry of M into an 18th digit, which no double in range produces: it
-    needs |x| below a power of ten 10^-5 .. 10^17 by less than 5e-18
-    relative, and the double nearest each is the power itself, whose lower
-    neighbour is an ulp away, or lies above it."""
+    finite, zero, below 1e-4 (%g's exponent form) or at least 1e17. In that
+    range e is exact: it comes from the binary exponent and one compare
+    with the doubles nearest 10^-4 .. 10^17, which are the powers
+    themselves from 10^0 up and lie above them below. And M stays below
+    10^17: a carry into an 18th digit needs |x| below a power of ten
+    10^-3 .. 10^17 by less than 5e-18 relative, and the double nearest each
+    is the power itself, whose lower neighbour is an ulp away, or lies
+    above it. As a guard, a cell whose M falls outside [10^16, 10^17)
+    goes to format() as well."""
     cols = [np.asarray(c, dtype=float).reshape(-1) for c in columns]
-    blocks = (np.column_stack([c[s] for c in cols])
-              for s in _row_blocks(cols[0].size, len(cols)))
-    return b"".join(_text_chunks(blocks, _g_cells)).decode()
+    step = max(1, _BLOCK_CELLS // len(cols))   # whole rows per block
+    chunks = []
+    for i in range(0, cols[0].size, step):
+        # each cell after its separator: "," or, before a row's first, "\n"
+        x = np.column_stack([c[i:i + step] for c in cols]).reshape(-1)
+        out, keep, kept, fallback, spelt = _g_cells(x, len(cols))
+        text = np.compress(keep.view(bool).reshape(-1),
+                           out.view(np.uint8).reshape(-1))
+        if fallback.size:   # insert their text after their separators
+            ends = np.cumsum(kept)
+            text = np.insert(text, np.repeat(ends[fallback],
+                                             [len(v) for v in spelt]),
+                             np.frombuffer("".join(spelt).encode(), np.uint8))
+        chunks.append(text)
+    if not chunks:
+        return ""
+    chunks[0] = chunks[0][1:]   # the table's first separator
+    return b"".join([*chunks, b"\n"]).decode()
 
 
 def save_map_trajectory(traj: MapTrajectory, path: str) -> None:
@@ -478,31 +420,23 @@ def save_map_trajectory(traj: MapTrajectory, path: str) -> None:
     "dim=<d> vectorization=column-stacking derivatives=<0|1>". Each data row
     holds the time followed by re,im pairs of the d^2 x d^2 map matrix in
     row-major order, then the same for the derivative when present. Floats
-    are written with 17 significant digits so a round trip is exact, each
-    spelled as f"{x:.16e}" spells it, by the exponent layout of the
-    `csv_text` kernel (cells below 1e-6, zeros and the other fallback cells
-    by "%.16e"), a block of rows at a time.
+    are written with 17 significant digits so a round trip is exact.
     """
     d = traj.dim
     has_d = traj.derivatives is not None
-    stacks = [traj.maps] + ([traj.derivatives] if has_d else [])
-
-    def rows(s: slice) -> np.ndarray:
-        t = traj.times[s]
-        # a complex array viewed as floats interleaves re and im
-        return np.column_stack([t, *(np.ascontiguousarray(stack[s]).reshape(
-            t.size, -1).view(float) for stack in stacks)])
-
-    cols = 1 + 2 * d**4 * len(stacks)
-    with open(path, "wb") as fh:
-        fh.write((f"# {_FORMAT_TAG}\n"
-                  f"# dim={d} vectorization=column-stacking "
-                  f"derivatives={int(has_d)}\n"
-                  "# row: t, re/im pairs of the map matrix (row-major)"
-                  + (", re/im pairs of dmap/dt" if has_d else "")
-                  + "\n").encode())
-        fh.writelines(_text_chunks(
-            map(rows, _row_blocks(len(traj.times), cols)), _e_cells))
+    # "%.16e" spells a float as f"{x:.16e}" does; one template per file
+    row = ",".join(["%.16e"] * (1 + 2 * d ** 4 * (1 + has_d))) + "\n"
+    with open(path, "w") as fh:
+        fh.write(f"# {_FORMAT_TAG}\n")
+        fh.write(f"# dim={d} vectorization=column-stacking "
+                 f"derivatives={int(has_d)}\n")
+        fh.write("# row: t, re/im pairs of the map matrix (row-major)"
+                 + (", re/im pairs of dmap/dt" if has_d else "") + "\n")
+        for i, t in enumerate(traj.times):
+            blocks = [traj.maps[i]] + ([traj.derivatives[i]] if has_d else [])
+            # a complex array viewed as floats interleaves re and im
+            flat = np.concatenate([b.reshape(-1) for b in blocks]).view(float)
+            fh.write(row % (t, *flat.tolist()))
 
 
 # Exact vectorised cell parsing. A cell as `save_map_trajectory` writes it,

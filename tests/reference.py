@@ -449,11 +449,3 @@ def csv_rows(table) -> list[str]:
     """The lambda_series.csv lines of one FluctuationTable."""
     return csv_lines(table.csv_columns())
 
-
-def map_row_lines(rows: np.ndarray) -> list[str]:
-    """The data lines of a map file for a 2-D block of rows, each cell
-    spelled as f"{x:.16e}" spells it: the one-template writer that
-    `save_map_trajectory` used before the kernel."""
-    rows = np.asarray(rows, dtype=float)
-    row = ",".join(["%.16e"] * rows.shape[1])
-    return [row % tuple(cells) for cells in rows.tolist()]

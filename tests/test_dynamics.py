@@ -42,7 +42,6 @@ from reference import (
     identity_superop,
     inverse_propagator,
     map_derivative,
-    map_row_lines,
     minimal_dissipation_split,
     random_density_matrix,
     random_unitary,
@@ -396,14 +395,8 @@ def test_read_map_file_rejects_a_header_after_data(tmp_path):
         read_map_file(path)
 
 
-# Cell spelling. Every cell of a CSV reads as format(x, ".17g") and every
-# cell of a map file as f"{x:.16e}", whether or not the vectorised kernel
-# takes it.
-
-def map_rows_text(rows):
-    return b"".join(dynamics._text_chunks([np.asarray(rows, dtype=float)],
-                                          dynamics._e_cells)).decode()
-
+# Cell spelling. Every cell of a CSV reads as format(x, ".17g"), whether or
+# not the vectorised kernel takes it.
 
 def lines_text(lines):
     return "".join(line + "\n" for line in lines)
@@ -423,13 +416,6 @@ def test_csv_text_spells_cells_as_format(xs, n_cols):
     columns = list(np.resize(np.array(xs),
                              (max(1, len(xs) // n_cols), n_cols)).T)
     assert csv_text(columns) == lines_text(csv_lines(columns))
-
-
-@settings(max_examples=300, deadline=None)
-@given(lists(any_double, min_size=1, max_size=60), integers(1, 6))
-def test_map_rows_spell_cells_as_the_f_string(xs, n_cols):
-    rows = np.resize(np.array(xs), (max(1, len(xs) // n_cols), n_cols))
-    assert map_rows_text(rows) == lines_text(map_row_lines(rows))
 
 
 def ulp_neighbours(x):
@@ -460,10 +446,6 @@ def test_spelling_edge_cases():
     assert one[1000000000000000.25] == "1000000000000000.2"
     assert one[1000000000000000.75] == "1000000000000000.8"
     assert csv_text([[-0.0]]) == "-0\n"
-    rows = SPELLING_EDGES.reshape(-1, 1)
-    assert map_rows_text(rows) == lines_text(map_row_lines(rows))
-    assert map_rows_text(rows.reshape(1, -1)) == lines_text(
-        map_row_lines(rows.reshape(1, -1)))
 
 
 @pytest.mark.parametrize("n_rows", [
@@ -477,23 +459,18 @@ def test_tables_spanning_row_blocks(n_rows):
     columns[2][::97] = 0.0   # fallback cells in every block
     assert n_rows * 5 > 2 * dynamics._BLOCK_CELLS
     assert csv_text(columns) == lines_text(csv_lines(columns))
-    rows = np.column_stack(columns)
-    assert map_rows_text(rows) == lines_text(map_row_lines(rows))
 
 
 def test_kernel_takes_the_cells_in_its_range():
-    # |x| in [1e-4, 1e17), inside both layouts' ranges and away from powers
-    # of ten: nothing goes to the fallback, exact ties included
+    # |x| in [1e-4, 1e17), away from powers of ten: nothing goes to the
+    # fallback, exact ties included
     rng = np.random.default_rng(17)
     x = rng.choice([-1.0, 1.0], 4000) * rng.uniform(1.0, 9.9, 4000) * 10.0 ** (
         rng.integers(-4, 17, 4000))
     x[:2] = 1000000000000000.25, -6667092368881.09375   # ties
-    for layout in (dynamics._g_cells, dynamics._e_cells):
-        assert layout(x, 4)[3] == []
-    assert dynamics._g_cells(np.array([1e-5, 0.0, np.nan, 0.5]), 1)[3] == [
+    assert dynamics._g_cells(x, 4)[-1] == []
+    assert dynamics._g_cells(np.array([1e-5, 0.0, np.nan, 0.5]), 1)[-1] == [
         "1.0000000000000001e-05", "0", "nan"]
-    assert dynamics._e_cells(np.array([1e-7, -0.0, np.inf, 0.5]), 1)[3] == [
-        "9.9999999999999995e-08", "-0.0000000000000000e+00", "inf"]
 
 
 def test_digit_bytes_split_every_quad():
