@@ -241,6 +241,11 @@ def parse_config(path: str) -> ScenarioConfig:
         if not all(0 < b < math.inf for b in beta_list):
             raise ConfigError(f"{path}: [scenario] beta_list: inverse "
                               "temperatures must be positive and finite")
+        repeated = sorted({b for b in beta_list if beta_list.count(b) > 1})
+        if repeated:
+            raise ConfigError(f"{path}: [scenario] beta_list: "
+                              f"{', '.join(map(_fmt, repeated))} listed more "
+                              "than once")
 
     if model == "custom_map_file":
         scen.forbid("t_max", "the grid comes from the map file")

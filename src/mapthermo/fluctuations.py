@@ -189,16 +189,6 @@ def exp_average(dist: OutcomeDistribution, beta: float) -> float:
     return float(np.dot(dist.probs, np.exp(-beta * dist.outcomes)))
 
 
-def noneq_free_energy(rho: DensityMatrix, K: HermitianOperator,
-                      beta: float) -> float:
-    """U - S/beta with the von Neumann entropy (0 ln 0 = 0)."""
-    vals, _ = eig_hermitian(HermitianOperator(rho.matrix))
-    vals = np.clip(vals, 0.0, None)
-    mask = vals > 0
-    entropy = float(-np.sum(vals[mask] * np.log(vals[mask])))
-    return K.expectation(rho) - entropy / beta
-
-
 _COLUMNS = ("lambda_u", "lambda_w", "lambda_w_bound", "exp_avg_w",
             "exp_avg_q", "delta_F_bar", "mean_w", "dissipated_bound")
 """The per-row report columns after t and beta, in CSV order."""

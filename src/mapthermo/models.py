@@ -51,6 +51,9 @@ from .phase_covariant import (
 from .quadrature import cumulative_simpson
 
 TAIL_WEIGHT_MAX = 1e-10
+# photon levels the automatic exchange-model cutoff may pick: seven times the
+# hot window's 13 816; the level sum's time grows linearly with the count
+JC_AUTO_LEVELS_MAX = 100_000
 PC_PATTERN_TOL = 1e-7
 # transfer-matrix entries a phase-covariant map may populate
 _PC_PATTERN = pc_transfer_matrices(1.0, 1.0, 1.0, 1.0) != 0.0
@@ -194,6 +197,15 @@ class JCParams:
             raise ConfigError("n_max must be at least 1")
         if not 0.0 < self.tail_margin < 1.0:
             raise ConfigError("tail_margin must lie in (0, 1)")
+        n = self.n_max if self.n_max is not None else jc_mode_count(self)
+        # the squared Rabi frequency of the top block must be a double
+        if not math.isfinite(4.0 * self.g * self.g * (n + 1.0)):
+            raise ConfigError(f"g = {self.g:g}: the squared coupling of "
+                              f"the top level, 4 g^2 (n_max + 1), overflows")
+        delta = self.omega - self.omega_m
+        if not math.isfinite(delta * delta):
+            raise ConfigError(f"omega - omega_m = {delta:g}: its square "
+                              "overflows")
 
 
 def jc_mode_count(params: JCParams) -> int:
@@ -201,30 +213,37 @@ def jc_mode_count(params: JCParams) -> int:
 
     An explicit n_max must leave q^{n_max+1} below TAIL_WEIGHT_MAX or the
     truncated model is not a faithful stand-in for the infinite one;
-    TruncationError then reports the smallest acceptable cutoff.
+    TruncationError then reports the smallest acceptable cutoff. A mode so
+    cold that q underflows to 0 (beta = inf among them) is the vacuum. The
+    automatic cutoff may hold at most JC_AUTO_LEVELS_MAX levels, checked
+    before anything is allocated; above it ConfigError names the keys.
     """
-    if math.isinf(params.beta):
-        return params.n_max if params.n_max is not None else 1
     q = math.exp(-params.beta * params.omega_m)
+    if q == 0.0:
+        return params.n_max if params.n_max is not None else 1
+    log_q = math.log(q)  # 0 where beta omega_m is below rounding
     if params.n_max is not None:
         tail = q ** (params.n_max + 1)
         if tail >= TAIL_WEIGHT_MAX:
-            needed = math.ceil(math.log(TAIL_WEIGHT_MAX) / math.log(q)) - 1
+            needed = None if log_q == 0 else max(
+                math.ceil(math.log(TAIL_WEIGHT_MAX) / log_q) - 1,
+                params.n_max + 1)
             raise TruncationError(
                 f"thermal tail weight {tail:.3e} at n_max={params.n_max} "
-                f"exceeds {TAIL_WEIGHT_MAX:.0e}",
-                required_n_max=max(needed, params.n_max + 1))
+                f"exceeds {TAIL_WEIGHT_MAX:.0e}", required_n_max=needed)
         return params.n_max
-    n = math.ceil(math.log(params.tail_margin) / math.log(q)) - 1
-    return max(n, 1)
+    levels = math.log(params.tail_margin) / log_q if log_q < 0 else math.inf
+    if levels > JC_AUTO_LEVELS_MAX:
+        raise ConfigError(
+            f"beta = {params.beta:g} and tail_margin = "
+            f"{params.tail_margin:g} ask for {levels:.3g} photon levels "
+            f"(n_max = auto), above the ceiling of {JC_AUTO_LEVELS_MAX}: "
+            "raise beta or tail_margin, or set n_max")
+    return max(math.ceil(levels) - 1, 1)
 
 
 def _thermal_weights(params: JCParams, n_max: int) -> np.ndarray:
-    if math.isinf(params.beta):
-        p = np.zeros(n_max + 1)
-        p[0] = 1.0
-        return p
-    q = math.exp(-params.beta * params.omega_m)
+    q = math.exp(-params.beta * params.omega_m)  # 0 for the vacuum
     p = q ** np.arange(n_max + 1)
     return p / p.sum()
 

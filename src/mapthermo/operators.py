@@ -355,8 +355,11 @@ class CPTPReport:
 
 
 def cptp_diagnostics_stack(m: np.ndarray) -> CPTPReport:
-    """`cptp_diagnostics` of every matrix of a (n, d^2, d^2) stack, as one
-    report whose fields are (n,) arrays."""
+    """Diagnostics of every matrix of a (n, d^2, d^2) stack, as one report
+    whose fields are (n,) arrays. Never raises: the TP residual, the minimum
+    Choi eigenvalue (negative values are legal for generator-level
+    intermediate maps and are reported, not rejected), the unitality
+    residual, and the Choi Hermiticity residual."""
     d = int(round(np.sqrt(m.shape[-1])))
     ident = vec(np.eye(d))
     tp, unital, herm, cmin = (np.empty(m.shape[0]) for _ in range(4))
@@ -368,15 +371,6 @@ def cptp_diagnostics_stack(m: np.ndarray) -> CPTPReport:
         cmin[blk] = np.linalg.eigvalsh(0.5 * (c + dagger(c)))[:, 0]
     return CPTPReport(trace_preserving_residual=tp, choi_min_eigenvalue=cmin,
                       unital_residual=unital, hermiticity_residual=herm)
-
-
-def cptp_diagnostics(s: Superoperator) -> CPTPReport:
-    """Diagnostics only, never raises: TP residual, minimum Choi eigenvalue
-    (negative values are legal for generator-level intermediate maps and are
-    reported, not rejected), unitality residual, and the Choi Hermiticity
-    residual."""
-    rep = cptp_diagnostics_stack(s.matrix[None])
-    return CPTPReport(**{name: float(v[0]) for name, v in vars(rep).items()})
 
 
 # Pauli matrices and the qubit transfer-matrix basis change. PAULI order is

@@ -1,5 +1,4 @@
-"""Analytic engine for phase-covariant qubit dynamics, plus the general-d
-phase-covariant eigenvalue pipeline.
+"""Analytic engine for phase-covariant qubit dynamics.
 
 A phase-covariant qubit evolution is generated by a frequency omega(t),
 excitation/decay rates gamma_plus(t), gamma_minus(t), and a dephasing rate
@@ -46,11 +45,9 @@ from typing import Callable
 import numpy as np
 
 from .dynamics import MapTrajectory
-from .errors import ConstructionError
-from .operators import (COND_THRESHOLD_DEFAULT, pauli_transfer_to_superop,
-                        require_invertible)
+from .operators import pauli_transfer_to_superop
 from .quadrature import (cumulative_exp_weighted, cumulative_simpson,
-                         grid_spacing, stencil_derivative)
+                         grid_spacing)
 
 
 def _eval_on(f: Callable, times: np.ndarray) -> np.ndarray:
@@ -259,59 +256,3 @@ def pc_dissipated_bound(thermo: PCThermo, coeffs: PCMapCoefficients,
     mean_w - deltaF >= -P0 - |P3| - (1/beta) ln(1 + |c|)."""
     return -thermo.P0 - np.abs(thermo.P3) - np.log1p(np.abs(coeffs.c)) / beta
 
-
-# General dimension: population transfer matrix F(t) (real, columns summing
-# to one) plus dephasing factors f_jk(t) for the coherences. Everything
-# thermodynamic stays diagonal in the original eigenbasis, so the outputs
-# are eigenvalue vectors.
-
-
-@dataclass(frozen=True, eq=False)
-class PCGeneralResult:
-    times: np.ndarray
-    k: np.ndarray  # (N+1, d) effective-Hamiltonian eigenvalues
-    q: np.ndarray  # heat-observable eigenvalues
-    w: np.ndarray  # work-observable eigenvalues, w = k - q
-
-
-def pc_general_d(times: np.ndarray, F: np.ndarray, f: np.ndarray,
-                 Fdot: np.ndarray | None = None,
-                 fdot: np.ndarray | None = None,
-                 cond_threshold: float = COND_THRESHOLD_DEFAULT,
-                 ) -> PCGeneralResult:
-    """Effective-Hamiltonian, heat and work eigenvalue vectors for a
-    d-level phase-covariant evolution.
-
-    F has shape (N+1, d, d): real population transfer matrices with columns
-    summing to one. f has shape (N+1, d, d): coherence factors with
-    f_jk = conj(f_kj) (the diagonal is ignored and treated as 1). Analytic
-    derivatives can be supplied; otherwise second-order stencils are used.
-
-        k_j(t) = -(1/d) sum_k Im{ fdot_jk / f_jk }
-        q(t)   = (F(t)^{-1})^T  int_0^t Fdot(s)^T k(s) ds
-        w      = k - q
-    """
-    t = np.asarray(times, dtype=float)
-    h = grid_spacing(t)
-    F = np.asarray(F, dtype=float)
-    f = np.asarray(f, dtype=complex)
-    d = F.shape[1]
-    colsum = F.sum(axis=1)
-    if np.max(np.abs(colsum - 1.0)) > 1e-9:
-        raise ConstructionError("population matrix columns must sum to one")
-    if np.max(np.abs(f - np.conj(np.swapaxes(f, 1, 2)))) > 1e-9:
-        raise ConstructionError("coherence factors must satisfy f_jk = conj(f_kj)")
-    f = f.copy()
-    idx = np.arange(d)
-    f[:, idx, idx] = 1.0
-    if fdot is None:
-        fdot = stencil_derivative(f, h)
-    if Fdot is None:
-        Fdot = stencil_derivative(F, h)
-    k = -np.imag(fdot / f).sum(axis=2) / d
-    integrand = np.einsum("tkj,tk->tj", Fdot, k)
-    running = cumulative_simpson(integrand, h)
-    require_invertible(np.linalg.cond(F), cond_threshold, t,
-                       what="population matrix")
-    q = np.linalg.solve(F.swapaxes(1, 2), running[..., None])[..., 0]
-    return PCGeneralResult(times=t, k=k, q=q, w=k - q)

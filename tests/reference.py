@@ -6,10 +6,13 @@ and `coherent_work_fluctuation` for the closed drive. The functions here
 compute the same quantities one grid point, one map, one operator or one
 closed protocol at a time, the way the formulas read (the exchange-model
 level sum one block and grid time at a time), plus the small constructors
-(random states and unitaries, Kraus and conjugation maps, constant rates)
-that only tests need, and the per-row `%` writers that the vectorised
+(Kraus and conjugation maps, constant rates) that only tests need, the
+functions only tests call (`cptp_diagnostics` of one map,
+`noneq_free_energy`, and `pc_general_d`, the eigenvalue route of d-level
+phase-covariant maps), and the per-row `%` writers that the vectorised
 cell-spelling kernel of `dynamics` replaced. Nothing in `src/mapthermo`
-calls them.
+calls them. The random states and unitaries are those of the acceptance
+checks (`mapthermo.validation`), imported here for the other tests.
 
 The effective Hamiltonian of the minimal-dissipation split of a generator L
 on a d-level system is the double-commutator sum
@@ -28,11 +31,13 @@ from typing import Callable, Iterable
 import numpy as np
 
 from mapthermo.dynamics import MapTrajectory, map_derivatives
+from mapthermo.errors import ConstructionError
 from mapthermo.fluctuations import OutcomeDistribution
 from mapthermo.models import JCParams, _thermal_weights, jc_mode_count
 from mapthermo.observables import CoherentInitialData, CoherentWorkResult
 from mapthermo.operators import (
     COND_THRESHOLD_DEFAULT,
+    CPTPReport,
     DensityMatrix,
     HermitianOperator,
     Superoperator,
@@ -40,6 +45,7 @@ from mapthermo.operators import (
     _reshuffle,
     apply,
     commutator_superop,
+    cptp_diagnostics_stack,
     eig_hermitian,
     gibbs_state,
     partition_function,
@@ -55,6 +61,9 @@ from mapthermo.phase_covariant import (
     pc_generator_transfer_matrix,
     pc_transfer_matrices,
 )
+from mapthermo.quadrature import (cumulative_simpson, grid_spacing,
+                                  stencil_derivative)
+from mapthermo.validation import random_density_matrix, random_unitary
 
 
 # ---------------------------------------------------------------------------
@@ -204,16 +213,13 @@ def superop_from_pauli_transfer(r: np.ndarray,
                          trace_preserving=trace_preserving)
 
 
-def random_density_matrix(dim: int, rng: np.random.Generator) -> DensityMatrix:
-    a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-    rho = a @ a.conj().T
-    return DensityMatrix(rho / np.trace(rho))
-
-
-def random_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
-    a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-    q, r = np.linalg.qr(a)
-    return q * (np.diagonal(r) / np.abs(np.diagonal(r)))
+def cptp_diagnostics(s: Superoperator) -> CPTPReport:
+    """Diagnostics only, never raises: TP residual, minimum Choi eigenvalue
+    (negative values are legal for generator-level intermediate maps and are
+    reported, not rejected), unitality residual, and the Choi Hermiticity
+    residual."""
+    rep = cptp_diagnostics_stack(s.matrix[None])
+    return CPTPReport(**{name: float(v[0]) for name, v in vars(rep).items()})
 
 
 # ---------------------------------------------------------------------------
@@ -239,6 +245,63 @@ def pc_generator(omega: float, kappa: float, xi: float,
                  gamma_z: float) -> Superoperator:
     return superop_from_pauli_transfer(
         pc_generator_transfer_matrix(omega, kappa, xi, gamma_z))
+
+
+# General dimension: population transfer matrix F(t) (real, columns summing
+# to one) plus dephasing factors f_jk(t) for the coherences. Everything
+# thermodynamic stays diagonal in the original eigenbasis, so the outputs
+# are eigenvalue vectors.
+
+
+@dataclass(frozen=True, eq=False)
+class PCGeneralResult:
+    times: np.ndarray
+    k: np.ndarray  # (N+1, d) effective-Hamiltonian eigenvalues
+    q: np.ndarray  # heat-observable eigenvalues
+    w: np.ndarray  # work-observable eigenvalues, w = k - q
+
+
+def pc_general_d(times: np.ndarray, F: np.ndarray, f: np.ndarray,
+                 Fdot: np.ndarray | None = None,
+                 fdot: np.ndarray | None = None,
+                 cond_threshold: float = COND_THRESHOLD_DEFAULT,
+                 ) -> PCGeneralResult:
+    """Effective-Hamiltonian, heat and work eigenvalue vectors for a
+    d-level phase-covariant evolution.
+
+    F has shape (N+1, d, d): real population transfer matrices with columns
+    summing to one. f has shape (N+1, d, d): coherence factors with
+    f_jk = conj(f_kj) (the diagonal is ignored and treated as 1). Analytic
+    derivatives can be supplied; otherwise second-order stencils are used.
+
+        k_j(t) = -(1/d) sum_k Im{ fdot_jk / f_jk }
+        q(t)   = (F(t)^{-1})^T  int_0^t Fdot(s)^T k(s) ds
+        w      = k - q
+    """
+    t = np.asarray(times, dtype=float)
+    h = grid_spacing(t)
+    F = np.asarray(F, dtype=float)
+    f = np.asarray(f, dtype=complex)
+    d = F.shape[1]
+    colsum = F.sum(axis=1)
+    if np.max(np.abs(colsum - 1.0)) > 1e-9:
+        raise ConstructionError("population matrix columns must sum to one")
+    if np.max(np.abs(f - np.conj(np.swapaxes(f, 1, 2)))) > 1e-9:
+        raise ConstructionError("coherence factors must satisfy f_jk = conj(f_kj)")
+    f = f.copy()
+    idx = np.arange(d)
+    f[:, idx, idx] = 1.0
+    if fdot is None:
+        fdot = stencil_derivative(f, h)
+    if Fdot is None:
+        Fdot = stencil_derivative(F, h)
+    k = -np.imag(fdot / f).sum(axis=2) / d
+    integrand = np.einsum("tkj,tk->tj", Fdot, k)
+    running = cumulative_simpson(integrand, h)
+    require_invertible(np.linalg.cond(F), cond_threshold, t,
+                       what="population matrix")
+    q = np.linalg.solve(F.swapaxes(1, 2), running[..., None])[..., 0]
+    return PCGeneralResult(times=t, k=k, q=q, w=k - q)
 
 
 # ---------------------------------------------------------------------------
@@ -402,6 +465,16 @@ def heat_fluctuation(rho0: DensityMatrix, map_t: Superoperator,
     exp_p = _exp_stack(vals[None], vecs[None], beta, what="P")[0]
     value = float(np.trace(exp_p @ apply(map_t, rho0.matrix)).real)
     return value, float(np.exp(-beta * vals[0]))
+
+
+def noneq_free_energy(rho: DensityMatrix, K: HermitianOperator,
+                      beta: float) -> float:
+    """U - S/beta with the von Neumann entropy (0 ln 0 = 0)."""
+    vals, _ = eig_hermitian(HermitianOperator(rho.matrix))
+    vals = np.clip(vals, 0.0, None)
+    mask = vals > 0
+    entropy = float(-np.sum(vals[mask] * np.log(vals[mask])))
+    return K.expectation(rho) - entropy / beta
 
 
 # ---------------------------------------------------------------------------

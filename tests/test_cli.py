@@ -432,6 +432,53 @@ def test_tail_margin_outside_the_unit_interval_exits_2(tmp_path, capsys,
     assert "tail_margin" in err
 
 
+JC_SHORT_BODY = """\
+    [scenario]
+    model = jaynes_cummings
+    beta_list = {beta_list}
+    t_max = 10.0
+    n_steps = 40
+    out_dir = {out}
+
+    [jaynes_cummings]
+    {key} = {value}
+"""
+
+
+@pytest.mark.parametrize("key,value,beta_list,needles", [
+    # the automatic cutoff would hold about 1.4e10 levels
+    ("beta", "1e-9", "1", ["[jaynes_cummings]: beta = 1e-09 and "
+                           "tail_margin = 1e-12", "ceiling of 100000"]),
+    ("g", "1e300", "1", ["[jaynes_cummings]: g = 1e+300", "overflows"]),
+    ("omega", "1e300", "1", ["[jaynes_cummings]: omega - omega_m", "overflows"]),
+    ("g", "0.01", "1, 0.5, 1", ["[scenario] beta_list: 1 listed more than once"]),
+])
+def test_jc_and_beta_list_boundaries_exit_2(tmp_path, capsys, key, value,
+                                            beta_list, needles):
+    out = tmp_path / "out"
+    cfg_path = write_config(tmp_path, JC_SHORT_BODY.format(
+        beta_list=beta_list, out=out, key=key, value=value))
+    assert main(["run", cfg_path]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {cfg_path}: ")
+    for needle in needles:
+        assert needle in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+def test_a_mode_too_cold_for_a_double_is_the_vacuum(tmp_path):
+    # e^{-beta omega_m} underflows to 0 at beta = 1e300, as at beta = inf
+    tables = []
+    for beta in ("1e300", "inf"):
+        out = tmp_path / beta
+        cfg_path = write_config(tmp_path, JC_SHORT_BODY.format(
+            beta_list="1", out=out, key="beta", value=beta))
+        assert main(["run", cfg_path]) == 0
+        tables.append((out / "lambda_series.csv").read_bytes())
+    assert tables[0] == tables[1]
+
+
 def test_negative_custom_pc_rate_exits_2_naming_the_section(tmp_path,
                                                             capsys):
     cfg_path = write_config(tmp_path, f"""\

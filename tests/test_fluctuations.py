@@ -21,7 +21,6 @@ from mapthermo.fluctuations import (
     exp_average,
     fluctuation_report,
     fluctuation_table,
-    noneq_free_energy,
     tpms_distribution,
 )
 from mapthermo.models import WeakCouplingParams, weak_coupling_rates
@@ -54,6 +53,7 @@ from reference import (
     lambda_u,
     lambda_w,
     moment,
+    noneq_free_energy,
     random_density_matrix,
     random_unitary,
 )

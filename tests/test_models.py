@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -11,6 +12,7 @@ from mapthermo.errors import (ConfigError, ConstructionError, SingularMap,
                                TruncationError)
 from mapthermo.models import (
     FINE_POINTS,
+    JC_AUTO_LEVELS_MAX,
     LEVEL_CHUNK,
     ClosedCoherentParams,
     JCParams,
@@ -23,16 +25,13 @@ from mapthermo.models import (
     vacuum_excited_population,
     weak_coupling_rates,
 )
-from mapthermo.operators import (
-    PAULI,
-    Superoperator,
-    cptp_diagnostics,
-)
+from mapthermo.operators import PAULI, Superoperator
 from mapthermo.fluctuations import fluctuation_table
 from mapthermo.observables import ThermoPipeline
 from mapthermo.phase_covariant import (pc_integrals, pc_lambda_u, pc_lambda_w,
                                        pc_thermo, pc_trajectory)
-from reference import jc_level_sums, pauli_transfer_matrix
+from reference import (cptp_diagnostics, jc_level_sums,
+                       pauli_transfer_matrix)
 
 
 def test_weak_coupling_params_validation():
@@ -92,6 +91,56 @@ def test_mode_count_rejects_heavy_tail():
     # the suggested cutoff passes
     assert jc_mode_count(JCParams(beta=1.0, omega_m=1.0,
                                   n_max=exc.value.required_n_max)) > 13
+
+
+def test_mode_count_treats_an_underflowing_q_as_the_vacuum():
+    # e^{-beta omega_m} is 0 in double precision
+    assert jc_mode_count(JCParams(beta=1e300)) == 1
+    assert jc_mode_count(JCParams(beta=1e300, n_max=7)) == 7
+    times = np.linspace(0.0, 5.0, 41)
+    cold, _ = jc_reduced_map(JCParams(beta=1e300), times)
+    vacuum, _ = jc_reduced_map(JCParams(), times)
+    npt.assert_array_equal(cold.maps, vacuum.maps)
+
+
+def test_auto_cutoff_above_the_ceiling_fails_before_allocating():
+    # beta = 1e-9 asks for about 1.4e10 levels (a 103 GiB weight vector)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ConfigError, match=r"beta = 1e-09 and "
+                           r"tail_margin = 1e-12 ask for 1\.38e\+10 photon "
+                           r"levels .* ceiling of 100000"):
+            JCParams(beta=1e-9)
+        # beta omega_m below rounding: q = 1, an unbounded cutoff
+        with pytest.raises(ConfigError, match="ask for inf photon levels"):
+            JCParams(beta=1e-320)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 16
+    # at the ceiling: ln(tail_margin) / ln(q) = JC_AUTO_LEVELS_MAX levels
+    beta = -math.log(1e-12) / (2.0 * JC_AUTO_LEVELS_MAX) * (1 + 1e-9)
+    assert jc_mode_count(JCParams(beta=beta)) <= JC_AUTO_LEVELS_MAX
+    with pytest.raises(ConfigError, match="ceiling"):
+        JCParams(beta=beta * (1 - 1e-6))
+    # an explicit cutoff is the caller's choice, and q = 1 fails its tail
+    assert JCParams(beta=1e-9, n_max=10).n_max == 10
+    with pytest.raises(TruncationError) as exc:
+        jc_mode_count(JCParams(beta=1e-320, n_max=10))
+    assert exc.value.required_n_max is None
+
+
+@pytest.mark.parametrize("fields,needle", [
+    ({"g": 1e300}, "g = 1e+300"),
+    # finite g^2, but 4 g^2 (n_max + 1) overflows
+    ({"g": 1e154, "n_max": 10}, "g = 1e+154"),
+    ({"omega": 1e300}, "omega - omega_m = 1e+300"),
+    ({"omega_m": 1e300}, "omega - omega_m = -1e+300"),
+])
+def test_an_overflowing_rabi_frequency_is_a_config_error(fields, needle):
+    with pytest.raises(ConfigError, match="overflows") as exc:
+        JCParams(**fields)
+    assert needle in str(exc.value)
 
 
 def test_mode_count_auto_cutoff_meets_margin():

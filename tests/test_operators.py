@@ -14,7 +14,6 @@ from mapthermo.operators import (
     _exp_stack,
     _gibbs_stack,
     apply,
-    cptp_diagnostics,
     eig_hermitian,
     gibbs_state,
     partition_function,
@@ -28,6 +27,7 @@ from reference import (
     choi_matrix,
     compose,
     condition_number,
+    cptp_diagnostics,
     conjugation_superop,
     exp_hermitian,
     func_hermitian,

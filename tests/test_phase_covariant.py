@@ -8,10 +8,9 @@ from hypothesis.strategies import floats
 
 from mapthermo.errors import ConstructionError, SingularMap
 from mapthermo.models import WeakCouplingParams, weak_coupling_rates
-from mapthermo.operators import PAULI, Superoperator, cptp_diagnostics
+from mapthermo.operators import PAULI, Superoperator
 from mapthermo.phase_covariant import (
     PCRates,
-    pc_general_d,
     pc_generator_transfer_matrix,
     pc_integrals,
     pc_lambda_u,
@@ -22,7 +21,8 @@ from mapthermo.phase_covariant import (
     pc_trajectory,
     pc_transfer_matrices,
 )
-from reference import (constant_rates, pauli_transfer_matrix, pc_generator,
+from reference import (constant_rates, cptp_diagnostics,
+                       pauli_transfer_matrix, pc_general_d, pc_generator,
                        pc_map)
 
 

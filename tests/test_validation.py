@@ -1,7 +1,7 @@
 import numpy as np
 import numpy.testing as npt
 
-from mapthermo.operators import Superoperator, apply, cptp_diagnostics
+from mapthermo.operators import Superoperator, apply
 from mapthermo.validation import (
     CheckResult,
     FAST_CHECKS,
@@ -10,6 +10,7 @@ from mapthermo.validation import (
     random_gksl_trajectory,
     run_checks,
 )
+from reference import cptp_diagnostics
 
 
 def test_fast_checks_all_pass():
