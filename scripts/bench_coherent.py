@@ -1,7 +1,8 @@
 """Wall time of the closed drive (`closed_coherent`) in process.
 
 It times an in-process `mapthermo run` of the default closed_coherent
-scenario at N = 4000 (stdout discarded) and `coherent_work_fluctuation`
+scenario at N = 4000 (stdout discarded, each run into a new out_dir,
+`bench_record.run_timer`) and `coherent_work_fluctuation`
 alone on that grid (the protocol and the initial construction built
 outside the timed region), best of --repeats after one warm-up call each.
 The result is merged into a JSON file under --label:
@@ -27,7 +28,7 @@ import os
 import tempfile
 
 from bench_record import (alternate, import_tree, ratio_summary,
-                          record_run, timed)
+                          record_run, run_timer, timed)
 
 N_STEPS = 4000
 SCENARIO = f"""\
@@ -42,8 +43,9 @@ CSV = "coherent_series.csv"
 
 
 class Tree:
-    """The run this script times, on one source tree's modules, writing
-    into its own output directory under `work_dir`."""
+    """The run this script times, on one source tree's modules: `timer`
+    times it, `run` makes it once into the tree's own output directory
+    under `work_dir`, to compare the series it writes."""
 
     def __init__(self, module, work_dir: str, name: str):
         self.module = module
@@ -51,6 +53,8 @@ class Tree:
         self.config = os.path.join(work_dir, f"{name}.ini")
         with open(self.config, "w") as fh:
             fh.write(SCENARIO.format(out_dir=self.out_dir))
+        self.timer = run_timer(module("cli").main, SCENARIO, work_dir,
+                               f"{name}_timed")
 
     def run(self) -> None:
         with contextlib.redirect_stdout(io.StringIO()):
@@ -79,7 +83,7 @@ def measure(work_dir: str, repeats: int, against_src: str | None) -> dict:
     ours = Tree(lambda name: importlib.import_module(f"mapthermo.{name}"),
                 work_dir, "ours")
     walls = {}
-    for key, call in (("run", timed(ours.run)),
+    for key, call in (("run", ours.timer),
                       ("coherent_work_fluctuation",
                        timed(ours.fluctuation()))):
         call()
@@ -90,11 +94,12 @@ def measure(work_dir: str, repeats: int, against_src: str | None) -> dict:
     if against_src:
         theirs = Tree(lambda name: import_tree(against_src, name), work_dir,
                       "theirs")
+        ours.run()
         theirs.run()
         if ours.series_bytes() != theirs.series_bytes():
             raise SystemExit(f"{CSV} differs between trees")
         result["against"] = {"run": ratio_summary(*alternate(
-            timed(ours.run), timed(theirs.run), repeats))}
+            ours.timer, theirs.timer, repeats))}
     return result
 
 

@@ -9,7 +9,8 @@ spelling, on the written file once more with the exact kernel's import gate
 switched off (as where np.longdouble is not the x87 format),
 `save_map_trajectory` (each call to a new file, removed after the timed
 region) and an in-process `mapthermo run` of a `custom_map_file` scenario
-on the written file (best of --repeats after one warm-up call each), and
+on the written file (each into a new out_dir, `bench_record.run_timer`),
+best of --repeats after one warm-up call each, and
 records the tracemalloc peak of one `read_map_file` call. The result is
 merged into a JSON file under --label, so runs of two source trees sit side
 by side, for example a parent commit and a change, each put first on
@@ -29,10 +30,8 @@ BLAS thread variables and the usable CPUs are recorded, not set.
 """
 
 import argparse
-import contextlib
 import filecmp
 import functools
-import io
 import itertools
 import os
 import tempfile
@@ -44,7 +43,7 @@ import numpy as np
 
 import mapthermo.dynamics as dynamics
 from bench_record import (alternate, import_tree, ratio_summary,
-                          record_run, timed)
+                          record_run, run_timer, timed)
 from mapthermo.cli import main as cli_main
 from mapthermo.dynamics import read_map_file, save_map_trajectory
 from mapthermo.validation import random_gksl_trajectory
@@ -66,12 +65,6 @@ path = trajectory.maps
 def wall_times(call, repeats: int) -> list[float]:
     call()
     return [timed(call)() for _ in range(repeats)]
-
-
-def run_quietly(config: str) -> None:
-    with contextlib.redirect_stdout(io.StringIO()):
-        if cli_main(["run", config]) != 0:
-            raise SystemExit(f"mapthermo run {config} failed")
 
 
 def save_timer(module, traj, work_dir: str, name: str):
@@ -149,14 +142,12 @@ def measure(work_dir: str, repeats: int, against_src: str | None) -> dict:
     for name, spell in RESPELLINGS.items():
         paths[name] = os.path.join(work_dir, f"{name}.maps")
         respell(map_path, paths[name], spell)
-    config = os.path.join(work_dir, "scenario.ini")
-    with open(config, "w") as fh:
-        fh.write(SCENARIO.format(out_dir=os.path.join(work_dir, "out")))
     reads = {name: wall_times(call, repeats)
              for name, call in readers(dynamics, paths).items()}
     save_walls = [save_timer(dynamics, traj, work_dir, "saved")()
                   for _ in range(repeats + 1)][1:]
-    run_walls = wall_times(lambda: run_quietly(config), repeats)
+    run = run_timer(cli_main, SCENARIO, work_dir, "run")
+    run_walls = [run() for _ in range(repeats + 1)][1:]
     tracemalloc.start()
     try:
         read_map_file(map_path)

@@ -1,5 +1,5 @@
-"""The machine record, the --label merge and the --against alternation
-shared by the bench scripts.
+"""The machine record, the --label merge, the --against alternation and the
+in-process `mapthermo run` timer shared by the bench scripts.
 
 Each bench script measures one source tree and merges its result into a JSON
 file under a label, so runs of two trees (for example a parent commit and a
@@ -7,11 +7,15 @@ change) sit side by side with the machine each ran on. With --against, a
 script times both trees in alternation and records the ratio per pair.
 """
 
+import contextlib
 import importlib
 import importlib.util
+import io
+import itertools
 import json
 import os
 import platform
+import shutil
 import sys
 import time
 
@@ -60,6 +64,36 @@ def timed(call):
         start = time.perf_counter()
         call()
         return time.perf_counter() - start
+    return run
+
+
+def run_timer(main, scenario: str, work_dir: str, name: str):
+    """A call returning the wall time of one in-process `mapthermo run`
+    (`main` is a tree's `cli.main`, stdout discarded) of the config text
+    `scenario`, whose "{out_dir}" each call fills with a new directory. The
+    directory and the config, written to `work_dir`, are made before the
+    timed region; after it the run's files are flushed to disk and removed,
+    so that no sample writes over, or pays for, another's files."""
+    calls = itertools.count()
+
+    def run() -> float:
+        out_dir = os.path.join(work_dir, f"{name}_{next(calls)}")
+        os.makedirs(out_dir)
+        config = f"{out_dir}.ini"
+        with open(config, "w") as fh:
+            fh.write(scenario.format(out_dir=out_dir))
+        start = time.perf_counter()
+        with contextlib.redirect_stdout(io.StringIO()):
+            code = main(["run", config])
+        wall = time.perf_counter() - start
+        if code != 0:
+            raise SystemExit(f"mapthermo run {config} failed")
+        for entry in os.scandir(out_dir):
+            with open(entry.path, "rb") as fh:
+                os.fsync(fh.fileno())
+        shutil.rmtree(out_dir)
+        os.remove(config)
+        return wall
     return run
 
 

@@ -8,13 +8,14 @@ Two shapes, those of the benchmark's wc_cli and gksl_file workloads:
 For each shape it times the fluctuation tables of all its betas on a fresh
 `ThermoPipeline` (the pipeline is built outside the timed region, so the
 tables pay for every spectrum they need, as `mapthermo run` does) and an
-in-process `mapthermo run` of the shape's scenario (stdout discarded),
-best of --repeats after one warm-up call each. It also times the CSV writer on the numeric columns of the tables a wc_cli run
-writes (lambda_series.csv, pc_coefficients.csv and the cells of
-invertibility.csv, 100 050 cells): the first call in a fresh process (cold,
---repeats processes) and the best of --repeats calls after a warm-up. The
-result is merged into a JSON file under --label, so runs of two source
-trees sit side by side, each put first on PYTHONPATH:
+in-process `mapthermo run` of the shape's scenario (stdout discarded, each
+run into a new out_dir, `bench_record.run_timer`), best of --repeats after
+one warm-up call each. It also times the CSV writer on the numeric columns
+of the tables a wc_cli run writes (lambda_series.csv, pc_coefficients.csv
+and the cells of invertibility.csv, 100 050 cells): the first call in a
+fresh process (cold, --repeats processes) and the best of --repeats calls
+after a warm-up. The result is merged into a JSON file under --label, so
+runs of two source trees sit side by side, each put first on PYTHONPATH:
 
     OPENBLAS_NUM_THREADS=1 taskset -c 1 \\
         env PYTHONPATH=src python scripts/bench_report.py --label change
@@ -29,9 +30,7 @@ BLAS thread variables and the usable CPUs are recorded, not set.
 """
 
 import argparse
-import contextlib
 import importlib
-import io
 import os
 import subprocess
 import sys
@@ -40,7 +39,7 @@ import tempfile
 import numpy as np
 
 from bench_record import (alternate, import_tree, ratio_summary,
-                          record_run, timed)
+                          record_run, run_timer, timed)
 from mapthermo.dynamics import save_map_trajectory
 from mapthermo.fluctuations import fluctuation_table
 from mapthermo.models import WeakCouplingParams, weak_coupling_rates
@@ -107,14 +106,8 @@ class Tree:
             write = writer(self.module)
             columns = wc_cli_columns()
             return timed(lambda: [write(c) for c in columns])
-        config = os.path.join(self.work_dir, f"{shape}.ini")
-        main = self.module("cli").main
-
-        def run():
-            with contextlib.redirect_stdout(io.StringIO()):
-                if main(["run", config]) != 0:
-                    raise SystemExit(f"mapthermo run {config} failed")
-        return timed(run)
+        return run_timer(self.module("cli").main, SCENARIOS[shape],
+                         self.work_dir, shape)
 
 
 def writer(module):
@@ -207,9 +200,6 @@ def measure(work_dir: str, repeats: int, against_src: str | None) -> dict:
         GKSL_DIM, np.random.default_rng(SEED),
         np.linspace(0.0, 1.0, GKSL_STEPS + 1))
     save_map_trajectory(traj, os.path.join(work_dir, "trajectory.maps"))
-    for shape, text in SCENARIOS.items():
-        with open(os.path.join(work_dir, f"{shape}.ini"), "w") as fh:
-            fh.write(text.format(out_dir=os.path.join(work_dir, shape)))
     ours = Tree(lambda name: importlib.import_module(f"mapthermo.{name}"),
                 work_dir)
     keys = [(shape, what) for shape in SCENARIOS for what in ("tables", "run")]

@@ -25,6 +25,7 @@ exactly what fails first in strongly dissipative or resonant regimes.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from functools import cache, cached_property
 
@@ -232,8 +233,9 @@ _U64 = np.uint64
 # half-even to an integer in [10^16, 10^17). See `csv_text` for why the
 # kernel's M is exact and which cells go to the per-cell fallback.
 
-_BLOCK_CELLS = 1 << 14   # cells per call of `_g_cells`: its temporaries stay
-                         # in cache, where a whole table's land on new pages
+_BLOCK_CELLS = 1 << 14   # cells per kernel call, writing or reading: its
+                         # temporaries stay in cache, where a whole table's
+                         # land on new pages
 _ASCII = _U64(0x3030303030303030)
 _SPLITTER = 2.0**27 + 1  # Dekker's split of a double into two 26-bit halves
 
@@ -442,211 +444,206 @@ def save_map_trajectory(traj: MapTrajectory, path: str) -> None:
 # Exact vectorised cell parsing. A cell as `save_map_trajectory` writes it,
 # "-d.dddddddddddddddde+dd" with the '-' optional (an "E" reads as the
 # "e"), is M * 10^q with M < 10^17. For |q| <= 27 both M and 10^|q| are
-# exact in the 64-bit significand of the x87 extended format, so
-# M * 10^q (or M / 10^-q) is rounded once there, and the cast to float64
-# gives the correctly rounded double unless that first rounding landed on
-# a halfway point between two doubles (the 11 bits the cast drops are then
-# 0x400). Every other cell, every halfway cell and, where np.longdouble is
-# not the x87 format, every cell goes to float(), so a row reads exactly as
-# float() reads it.
+# exact in the 64-bit significand of the x87 extended format, so M * 10^q
+# (or M / 10^-q) is rounded once there, and the cast to float64 is correct
+# unless that rounding landed on a halfway point between two doubles (the
+# 11 bits the cast drops are then 0x400). For 27 < |q| <= 54 a second step
+# by 10^(|q| - 27) rounds again; as each errs by at most 2^-64 relative,
+# the result is within 2 ulps of M * 10^q, and the cast is correct unless
+# the dropped bits are within 2 of 0x400. Other cells, such cells and, where
+# np.longdouble is not the x87 format, all cells go to float().
 
 _CELL = 22          # bytes of an unsigned canonical cell
 _MAX_Q = 27         # 5^27 < 2^64: 10^q is exact for |q| <= 27
 _POW10 = np.cumprod(np.full(_MAX_Q + 1, 10, np.longdouble)) / 10
+_READ_BUFFER = 1 << 19   # bytes buffered, several data rows of a d = 6 file
+
+# whether np.longdouble is the x87 format the kernel relies on: a 64-bit
+# significand, stored first in 16 bytes, and exact products (of 64 bits)
+_EXACT = (np.finfo(np.longdouble).nmant == 63
+          and np.dtype(np.longdouble).itemsize == 16
+          and int((np.array([2**32 + 1], np.longdouble) * (2**31 + 1))
+                  .view(_U64)[0]) == (2**32 + 1) * (2**31 + 1))
 
 
-def _x87_extended() -> bool:
-    """Whether np.longdouble is the x87 format the kernel relies on: a
-    64-bit significand, stored first in 16 bytes, and exact products."""
-    if (np.finfo(np.longdouble).nmant != 63
-            or np.dtype(np.longdouble).itemsize != 16):
-        return False
-    a, b = 2**32 + 1, 2**31 + 1   # a product needing all 64 bits
-    prod = np.array([a], np.longdouble) * np.array([b], np.longdouble)
-    return int(prod.view(_U64)[0]) == a * b
-
-
-_EXACT = _x87_extended()
-
-
-def _all_digits(w: np.ndarray) -> np.ndarray:
-    """Whether every byte of each uint64 word is an ASCII digit."""
-    high = _U64(0xF0F0F0F0F0F0F0F0)
-    return ((w & high) | (((w + _U64(0x0606060606060606)) & high) >> _U64(4))
-            ) == _U64(0x3333333333333333)
-
-
-def _eight_digits(w: np.ndarray) -> np.ndarray:
-    """The number written by the 8 ASCII digits of each little-endian word
-    (first digit in the lowest byte): pairs, then quads, then the whole."""
-    w = ((w & _U64(0x0F0F0F0F0F0F0F0F)) * _U64(10 * 256 + 1)) >> _U64(8)
-    w = ((w & _U64(0x00FF00FF00FF00FF)) * _U64(100 * 65536 + 1)) >> _U64(16)
-    return (((w & _U64(0x0000FFFF0000FFFF)) * _U64(10000 * 2**32 + 1))
-            >> _U64(32))
-
-
-def _canonical_cells(line: bytes, starts: np.ndarray,
+def _canonical_cells(data: bytes, starts: np.ndarray,
                      ends: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Values of the cells of one row and whether each was read exactly;
-    the rest hold garbage. Needs `_EXACT` and a row of at least 32 bytes."""
-    length = ends - starts
-    neg = length == _CELL + 1
-    first = starts + neg
-    # 32 bytes from 6 before the first digit, as four words:
-    # "_____,d." "dddddddd" "dddddddd" "e+dd____", "-" for "," if signed
-    at = np.clip(first - 6, 0, len(line) - 32)
-    words = np.ndarray((len(line) - 31, 4), _U64, buffer=line,
-                       strides=(1, 8))[at].T.copy()
-    before = (words[0] >> _U64(40)) & _U64(0xFF)  # "-" or the "," ahead
-    lead = words[0] >> _U64(48)                    # "d."
-    tag = (words[3] & _U64(0xFFFF)) | _U64(0x20)   # "e+" or "e-", "E" as "e"
-    expo = (words[3] >> _U64(16)) & _U64(0xFFFF)   # "dd"
-    ok = ((neg | (length == _CELL))
-          & (at == first - 6)   # not clipped: the 32 bytes lie in the row
-          & (before == np.where(neg, _U64(ord("-")), _U64(ord(","))))
-          & (lead - _U64(0x2E30) <= _U64(9))
-          & ((tag == _U64(0x2B65)) | (tag == _U64(0x2D65)))
-          & _all_digits(expo | _U64(0x3030303030300000))
-          & _all_digits(words[1:3]).all(axis=0))
-    # 10 * ord(X) + ord(Y) carries 11 * ord("0") on top of the exponent
-    e = ((expo & _U64(0xFF)) * _U64(10) + (expo >> _U64(8))).astype(np.int64)
-    q = np.where(tag == _U64(0x2D65), -1, 1) * (e - 11 * ord("0")) - 16
-    ok &= np.abs(q) <= _MAX_Q
-    high, low = _eight_digits(words[1:3])
-    mant = ((lead & _U64(0xF)) * _U64(10**16) + high * _U64(10**8)
-            + low).astype(np.longdouble)
-    scale = _POW10[np.minimum(np.abs(q), _MAX_Q)]
-    r = np.where(q < 0, mant / scale, mant * scale)
-    ok &= (r.view(_U64)[0::2] & _U64(0x7FF)) != _U64(0x400)  # not halfway
-    x = r.astype(np.float64)
-    return np.where(neg, -x, x), ok
+    """Values of the cells data[starts:ends] and the indices of those not
+    read exactly, which hold garbage. Needs `_EXACT` and 32 bytes of data."""
+    neg = ends - starts == _CELL + 1
+    # 32 bytes from 6 before the first digit, where they lie in the data, as
+    # words "_____-d." "dddddddd" "dddddddd" "e+dd____", the "-" if signed
+    at = starts + neg - 6
+    ok = (ends - starts == _CELL + neg) & (at >= 0) & (at <= len(data) - 32)
+    w = np.ndarray((len(data) - 31,), "V32", buffer=data, strides=(1,))[
+        np.clip(at, 0, len(data) - 32)].view(_U64).reshape(-1, 4).T.copy()
+    lead = w[0] >> _U64(48)                    # "d."
+    tag = (w[3] & _U64(0xFFFF)) | _U64(0x20)   # "e+" or "e-", "E" as "e"
+    ok &= ((lead - _U64(0x2E30) <= _U64(9))
+           & (~neg | ((w[0] >> _U64(40)) & _U64(0xFF) == ord("-")))
+           & ((tag == _U64(0x2B65)) | (tag == _U64(0x2D65))))
+    # the 16 digits, then the exponent's as "000000dd", less "0": all are
+    # digits where no byte borrows or tops 9, so adding 0x76 sets no top bit
+    w[3] = ((w[3] << _U64(32)) & _U64(0xFFFF << 48)) | _U64(0x303030303030)
+    w = w[1:] - _ASCII
+    ok &= (((w | (w + _U64(0x7676767676767676)))
+            & _U64(0x8080808080808080)) == 0).all(axis=0)
+    # each word's number (first digit in the lowest byte): pairs, quads, all
+    w = (w * _U64(10 * 256 + 1)) >> _U64(8)
+    w = ((w & _U64(0x00FF00FF00FF00FF)) * _U64(100 * 65536 + 1)) >> _U64(16)
+    w = ((w & _U64(0x0000FFFF0000FFFF)) * _U64(10000 * 2**32 + 1)) >> _U64(32)
+    q = np.where(tag == _U64(0x2D65), -1, 1) * w[2].astype(np.int64) - 16
+    aq = np.abs(q)
+    ok &= aq <= 2 * _MAX_Q
+    w = ((lead & _U64(0xF)) * _U64(10**16) + w[0] * _U64(10**8)
+         + w[1]).astype(np.longdouble)   # the 17 digits, M
+    r = w / _POW10[np.minimum(aq, _MAX_Q)]   # q < 0 in most cells
+    up = np.flatnonzero(q > 0)
+    r[up] = w[up] * _POW10[np.minimum(aq[up], _MAX_Q)]
+    far = np.flatnonzero(ok & (aq > _MAX_Q))   # the second step
+    scale = _POW10[aq[far] - _MAX_Q]
+    r[far] = np.where(q[far] < 0, r[far] / scale, r[far] * scale)
+    w = r.view(_U64)[0::2] & _U64(0x7FF)   # the bits the cast drops
+    ok &= w != _U64(0x400)
+    ok[far] &= np.abs(w[far].astype(np.int64) - 0x400) > 2
+    return r.astype(np.float64) * np.where(neg, -1.0, 1.0), np.flatnonzero(~ok)
 
 
-def _parse_row(line: bytes, cols: int) -> np.ndarray:
-    """The `cols` comma-separated numbers of one data row, as float() reads
-    each. Raises ValueError (UnicodeDecodeError included) for a cell float()
-    refuses.
-
-    The kernel costs about 0.3 of float() on the whole split row, and
-    float() on one cell's slice about 1.5 times its share of the split row,
-    so the kernel pays off on rows of which it reads more than about half.
-    It runs when the row's cells average a written cell's width (22 to 24
-    bytes and a comma, free to test). Once it has run, finishing the row
-    cell by cell beats starting over while it has read at least a third of
-    the cells; other rows are split and read by float() alone."""
-    if _EXACT and len(line) >= 32 and 22 * cols <= len(line) <= 25 * cols:
-        buf = np.frombuffer(line, np.uint8)
-        end = len(line) - line.endswith(b"\n")
-        commas = np.flatnonzero(buf[:end] == ord(","))
-        starts = np.concatenate(([0], commas + 1))
-        ends = np.append(commas, end)
-        vals, exact = _canonical_cells(line, starts, ends)
-        bad = np.flatnonzero(~exact)
-        if 3 * bad.size <= 2 * cols:
-            vals[bad] = [float(line[a:b].decode()) for a, b in
+def _read_rows(path: str, lineno: int, data: bytes, a: int, b: int,
+               cols: int) -> np.ndarray:
+    """The lines data[a:b] from line `lineno` on as a (rows, cols) array,
+    each cell read as float() reads it; ConstructionError names the first
+    row with other columns, a cell float() refuses or a value that is not
+    finite. The kernel (about 0.2 of float()'s time) runs where the cells
+    average a written cell's width; float() reads the cells it leaves one by
+    one (1.5 times their share) if they are at most two thirds, else all."""
+    buf = np.frombuffer(data, np.uint8, b - a, a)
+    ends = np.flatnonzero((buf == ord(",")) | (buf == ord("\n")))
+    rows = np.flatnonzero(buf[ends] == ord("\n"))   # the cells ending rows
+    n = ends.size
+    if n != rows.size * cols or np.any(rows % cols != cols - 1):
+        got = np.diff(rows, prepend=-1)
+        r = np.flatnonzero(got != cols)[0]
+        raise ConstructionError(f"{path}:{lineno + r}: expected {cols} "
+                                f"columns, got {got[r]}")
+    ends += a
+    starts = np.concatenate(([a], ends[:-1] + 1))
+    bad = ends   # every cell, where the kernel does not run
+    if _EXACT and len(data) >= 32 and 22 * n <= b - a <= 25 * n:
+        vals, bad = _canonical_cells(data, starts, ends)
+    try:
+        if 3 * bad.size <= 2 * n:
+            vals[bad] = [float(data[s:e].decode()) for s, e in
                          zip(starts[bad].tolist(), ends[bad].tolist())]
-            return vals
-    return np.array([float(x) for x in line.decode().split(",")])
+        else:
+            text = data[a:b - 1].decode().replace("\n", ",")
+            vals = np.fromiter(map(float, text.split(",")), np.float64, n)
+    except ValueError:   # UnicodeDecodeError included
+        if rows.size == 1:
+            raise ConstructionError(f"{path}:{lineno}: row is not "
+                                    "comma-separated numbers") from None
+        for r, end in enumerate((ends[rows] + 1).tolist()):
+            _read_rows(path, lineno + r, data, a, end, cols)
+            a = end
+        raise
+    vals = vals.reshape(-1, cols)
+    bad = np.flatnonzero(~np.isfinite(vals).all(axis=1))
+    if bad.size:
+        raise ConstructionError(f"{path}:{lineno + bad[0]}: row holds a "
+                                "value that is not finite")
+    return vals
 
 
-# several data rows of a d = 6 file, so reading a row rarely joins chunks
-_READ_BUFFER = 1 << 20
+def _header_line(path: str, lineno: int, raw: bytes, header: dict,
+                 seen: bool) -> bool:
+    """Check a line other than a plain data row, the format tag, the dim
+    header (read into `header`) or a comment; whether it is a data row."""
+    try:
+        line = raw.decode("utf-8").strip()
+    except UnicodeDecodeError:
+        raise ConstructionError(
+            f"{path}:{lineno}: line is not UTF-8 text") from None
+    body = line.lstrip("#").strip()
+    if lineno == 1 and not (line.startswith("#") and body == _FORMAT_TAG):
+        raise ConstructionError(f"{path}:1: expected the format tag line "
+                                f"'# {_FORMAT_TAG}', got {line!r}")
+    if lineno > 1 and line.startswith("#") and body.startswith("dim="):
+        parts = [part.split("=", 1) for part in body.split()]
+        fields = dict(part for part in parts if len(part) == 2)
+        v, has_d = fields.get("vectorization"), fields.get("derivatives")
+        for fault, why in (
+                (seen, "header line after data rows"),
+                (len(fields) != len(parts) or not fields["dim"].isdigit()
+                 or int(fields["dim"]) < 1 or has_d not in (None, "0", "1"),
+                 f"malformed header line {line!r}, expected '# dim=<d> "
+                 "vectorization=column-stacking derivatives=<0|1>'"),
+                (v != "column-stacking", f"unsupported vectorization {v!r}")):
+            if fault:
+                raise ConstructionError(f"{path}:{lineno}: {why}")
+        header.update(dim=int(fields["dim"]), has_d=has_d == "1")
+    return lineno > 1 and bool(line) and not line.startswith("#")
 
 
-def _numbered_lines(fh):
-    """Number the lines of a file opened in binary mode as text mode's
-    universal newlines split them: at LF, CRLF and a lone CR."""
-    lineno = 0
-    for raw in fh:
-        # a CR before the last byte ends a line inside this one
-        inner_cr = raw.find(b"\r", 0, len(raw) - 1) >= 0
-        for line in raw.splitlines() if inner_cr else (raw,):
-            lineno += 1
-            yield lineno, line
+def _data_rows(path: str, header: dict):
+    """The data rows of a map file as (lineno, rows, data, a, b): `rows`
+    lines data[a:b] from line `lineno` on, the header read into `header` on
+    the way. Blocks of whole lines of 16 * _BLOCK_CELLS bytes or more are
+    read at a time; lines end as in text mode, and runs of rows starting
+    with a digit or '-' go whole."""
+    lineno, seen = 0, False
+    with open(path, "rb", buffering=_READ_BUFFER) as fh:
+        while lines := fh.readlines(16 * _BLOCK_CELLS):
+            data = b"".join(lines)
+            if b"\r" in data or not data.endswith(b"\n"):
+                data = data.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+                data += b"\n" * (data[-1:] != b"\n")
+                lines = data.splitlines(True)
+            ends = list(itertools.accumulate(map(len, lines)))
+            del lines   # as large as data, and not needed while it is read
+            starts = [0, *ends[:-1]]
+            head = np.frombuffer(data, np.uint8)[starts]
+            plain = (head - ord("0") <= 9) | (head == ord("-"))
+            plain[0] &= lineno > 0
+            runs = [0, *(np.diff(plain).nonzero()[0] + 1).tolist(), len(ends)]
+            for i, j in zip(runs, runs[1:]):   # lines i..j-1, all plain or not
+                if plain[i]:
+                    yield lineno + 1, j - i, data, starts[i], ends[j - 1]
+                    lineno, seen = lineno + j - i, True
+                for s, e in [] if plain[i] else zip(starts[i:j], ends[i:j]):
+                    lineno += 1
+                    if _header_line(path, lineno, data[s:e], header, seen):
+                        yield lineno, 1, data, s, e
+                        seen = True
 
 
 def read_map_file(path: str) -> tuple[np.ndarray, np.ndarray,
                                       np.ndarray | None]:
     """Parse the text format into the times and (n, d^2, d^2) stacks of maps
     and (when present) derivatives, without validating a trajectory, for
-    diagnostics on imperfect files. A first pass reads the header and counts
-    the rows and their columns; the second parses each row into
-    preallocated stacks."""
-    dim, has_d, expect, rows = None, False, 0, []
-    with open(path, "rb", buffering=_READ_BUFFER) as fh:
-        for lineno, raw in _numbered_lines(fh):
-            # a data row as written starts with a digit or '-' and needs no
-            # decoding here: only its commas are counted
-            written_row = lineno > 1 and (raw[:1].isdigit()
-                                          or raw.startswith(b"-"))
-            try:
-                line = "" if written_row else raw.decode("utf-8").strip()
-            except UnicodeDecodeError:
-                raise ConstructionError(
-                    f"{path}:{lineno}: line is not UTF-8 text") from None
-            body = line.lstrip("#").strip()
-            if lineno == 1:
-                if not (line.startswith("#") and body == _FORMAT_TAG):
-                    raise ConstructionError(
-                        f"{path}:1: expected the format tag line "
-                        f"'# {_FORMAT_TAG}', got {line!r}")
-            elif line.startswith("#") and body.startswith("dim="):
-                if rows:
-                    raise ConstructionError(
-                        f"{path}:{lineno}: header line after data rows")
-                parts = [part.split("=", 1) for part in body.split()]
-                fields = dict(part for part in parts if len(part) == 2)
-                if (len(fields) != len(parts) or not fields["dim"].isdigit()
-                        or int(fields["dim"]) < 1
-                        or fields.get("derivatives", "0") not in ("0", "1")):
-                    raise ConstructionError(
-                        f"{path}:{lineno}: malformed header line {line!r}, "
-                        "expected '# dim=<d> vectorization=column-stacking "
-                        "derivatives=<0|1>'")
-                if fields.get("vectorization") != "column-stacking":
-                    raise ConstructionError(
-                        f"{path}:{lineno}: unsupported vectorization "
-                        f"{fields.get('vectorization')!r}")
-                dim = int(fields["dim"])
-                has_d = fields.get("derivatives", "0") == "1"
-                expect = 1 + 2 * dim**4 * (2 if has_d else 1)
-            elif written_row or (line and not line.startswith("#")):
-                if dim is None:
-                    raise ConstructionError(
-                        f"{path}:{lineno}: data row before the dim header "
-                        f"line")
-                # checked here, so the stacks below fit the file
-                cols = 1 + np.count_nonzero(
-                    np.frombuffer(raw, np.uint8) == ord(","))
-                if cols != expect:
-                    raise ConstructionError(
-                        f"{path}:{lineno}: expected {expect} columns, got "
-                        f"{cols}")
-                rows.append(lineno)
-    if not rows:
+    diagnostics on imperfect files. A first pass reads the header and first
+    row and counts rows; the second reads blocks of rows into the stacks."""
+    header, n = {}, 0
+    for lineno, rows, data, a, b in _data_rows(path, header):
+        if not n and "dim" not in header:
+            raise ConstructionError(
+                f"{path}:{lineno}: data row before the dim header line")
+        expect = 1 + 2 * header["dim"]**4 * (2 if header["has_d"] else 1)
+        if not n:   # the first row, read here so that the stacks fit the file
+            _read_rows(path, lineno, data, a, data.find(b"\n", a) + 1, expect)
+        n += rows
+    if not n:
         raise ConstructionError(f"{path}: no data rows")
-    d2 = dim * dim
-    per_block = 2 * d2 * d2
-    times = np.empty(len(rows))
-    maps = np.empty((len(rows), d2, d2), dtype=complex)
-    derivs = np.empty_like(maps) if has_d else None
-    with open(path, "rb", buffering=_READ_BUFFER) as fh:
-        lines = _numbered_lines(fh)
-        for k, lineno in enumerate(rows):
-            line = next(raw for n, raw in lines if n == lineno)
-            try:
-                vals = _parse_row(line, expect)
-            except ValueError:
-                raise ConstructionError(
-                    f"{path}:{lineno}: row is not comma-separated numbers")
-            if not np.isfinite(vals).all():
-                raise ConstructionError(
-                    f"{path}:{lineno}: row holds a value that is not finite")
-            times[k] = vals[0]
-            for stack, flat in ((maps, vals[1:1 + per_block]),
-                                (derivs, vals[1 + per_block:])):
-                if stack is not None:
-                    stack[k] = (flat[0::2] + 1j * flat[1::2]).reshape(d2, d2)
+    d2 = header["dim"] ** 2
+    times, maps, k = np.empty(n), np.empty((n, d2, d2), dtype=complex), 0
+    derivs = np.empty_like(maps) if header["has_d"] else None
+    for lineno, rows, data, a, b in _data_rows(path, {}):
+        vals = _read_rows(path, lineno, data, a, b, expect)
+        times[k:k + rows] = vals[:, 0]
+        # the re, im pairs of the map, then of its derivative
+        for stack, flat in zip((maps, derivs),
+                               np.split(vals[:, 1:], 1 + header["has_d"], 1)):
+            stack[k:k + rows].reshape(rows, -1).view(float)[:] = flat
+        k += rows
     return times, maps, derivs
 
 

@@ -51,8 +51,9 @@ from .phase_covariant import (
 from .quadrature import cumulative_simpson
 
 TAIL_WEIGHT_MAX = 1e-10
-# photon levels the automatic exchange-model cutoff may pick: seven times the
-# hot window's 13 816; the level sum's time grows linearly with the count
+# photon levels the exchange-model cutoff may hold, automatic or explicit:
+# seven times the hot window's 13 816; the level sum's time grows linearly
+# with the count
 JC_AUTO_LEVELS_MAX = 100_000
 PC_PATTERN_TOL = 1e-7
 # transfer-matrix entries a phase-covariant map may populate
@@ -195,6 +196,10 @@ class JCParams:
             raise ConfigError("beta must be positive (math.inf for vacuum)")
         if self.n_max is not None and self.n_max < 1:
             raise ConfigError("n_max must be at least 1")
+        if self.n_max is not None and self.n_max + 1 > JC_AUTO_LEVELS_MAX:
+            raise ConfigError(
+                f"n_max = {self.n_max} asks for {self.n_max + 1} photon "
+                f"levels, above the ceiling of {JC_AUTO_LEVELS_MAX}")
         if not 0.0 < self.tail_margin < 1.0:
             raise ConfigError("tail_margin must lie in (0, 1)")
         n = self.n_max if self.n_max is not None else jc_mode_count(self)
@@ -216,7 +221,8 @@ def jc_mode_count(params: JCParams) -> int:
     TruncationError then reports the smallest acceptable cutoff. A mode so
     cold that q underflows to 0 (beta = inf among them) is the vacuum. The
     automatic cutoff may hold at most JC_AUTO_LEVELS_MAX levels, checked
-    before anything is allocated; above it ConfigError names the keys.
+    before anything is allocated; above it ConfigError names the keys. (An
+    explicit n_max meets the same ceiling in `JCParams`.)
     """
     q = math.exp(-params.beta * params.omega_m)
     if q == 0.0:

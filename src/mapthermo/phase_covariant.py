@@ -45,6 +45,7 @@ from typing import Callable
 import numpy as np
 
 from .dynamics import MapTrajectory
+from .errors import ConstructionError
 from .operators import pauli_transfer_to_superop
 from .quadrature import (cumulative_exp_weighted, cumulative_simpson,
                          grid_spacing)
@@ -119,17 +120,27 @@ def pc_integrals(rates: PCRates, times: np.ndarray) -> PCMapCoefficients:
     kappa = gp + gm
     xi = gp - gm
     I = cumulative_simpson(kappa, h)
-    theta = cumulative_simpson(om, h)
-    Gz = cumulative_simpson(gz, h)
-    c = cumulative_exp_weighted(xi, I, h)
-    d_par = np.exp(-I)
-    d_perp = np.exp(-I / 2.0 - 2.0 * Gz)
-    a = d_perp * np.cos(theta)
-    b = d_perp * np.sin(theta)
-    return PCMapCoefficients(times=t, omega=om, kappa=kappa, xi=xi, gamma_z=gz,
-                             I=I, J=c * np.exp(I), a=a, b=b, c=c,
-                             d_par=d_par, d_perp=d_perp, dc=xi - kappa * c,
-                             dd_par=-kappa * d_par)
+    # e^I overflows within one step where the rates times the step pass the
+    # range of a double: there the rescaled integral c loses every earlier
+    # term. Past that, J = c e^I is inf or nan by design, and quietly.
+    with np.errstate(over="ignore", invalid="ignore"):
+        step = np.flatnonzero(~np.isfinite(np.exp(np.diff(I))))
+        if step.size:
+            i = step[0] + 1
+            raise ConstructionError(
+                f"J = c e^I overflows at t = {t[i]:.6g}: the integrated "
+                f"rate I grows by {I[i] - I[i - 1]:.3e} in one step")
+        theta = cumulative_simpson(om, h)
+        Gz = cumulative_simpson(gz, h)
+        c = cumulative_exp_weighted(xi, I, h)
+        d_par = np.exp(-I)
+        d_perp = np.exp(-I / 2.0 - 2.0 * Gz)
+        a = d_perp * np.cos(theta)
+        b = d_perp * np.sin(theta)
+        return PCMapCoefficients(
+            times=t, omega=om, kappa=kappa, xi=xi, gamma_z=gz, I=I,
+            J=c * np.exp(I), a=a, b=b, c=c, d_par=d_par, d_perp=d_perp,
+            dc=xi - kappa * c, dd_par=-kappa * d_par)
 
 
 def pc_thermo(coeffs: PCMapCoefficients) -> PCThermo:

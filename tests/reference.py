@@ -30,7 +30,8 @@ from typing import Callable, Iterable
 
 import numpy as np
 
-from mapthermo.dynamics import MapTrajectory, map_derivatives
+from mapthermo.dynamics import (_CELL, _EXACT, _FORMAT_TAG, _MAX_Q, _POW10,
+                                 _U64, MapTrajectory, map_derivatives)
 from mapthermo.errors import ConstructionError
 from mapthermo.fluctuations import OutcomeDistribution
 from mapthermo.models import JCParams, _thermal_weights, jc_mode_count
@@ -522,3 +523,172 @@ def csv_rows(table) -> list[str]:
     """The lambda_series.csv lines of one FluctuationTable."""
     return csv_lines(table.csv_columns())
 
+
+
+# ---------------------------------------------------------------------------
+# Row-by-row map-file reader (`mapthermo.dynamics.read_map_file`)
+#
+# The exact cell kernel as it read one row at a time: |q| <= 27 only, each
+# row's cells found by its own comma scan, and rows found by a second pass
+# over numbered lines.
+
+
+def _all_digits(w: np.ndarray) -> np.ndarray:
+    """Whether every byte of each uint64 word is an ASCII digit."""
+    high = _U64(0xF0F0F0F0F0F0F0F0)
+    return ((w & high) | (((w + _U64(0x0606060606060606)) & high) >> _U64(4))
+            ) == _U64(0x3333333333333333)
+
+
+def _eight_digits(w: np.ndarray) -> np.ndarray:
+    """The number written by the 8 ASCII digits of each little-endian word
+    (first digit in the lowest byte): pairs, then quads, then the whole."""
+    w = ((w & _U64(0x0F0F0F0F0F0F0F0F)) * _U64(10 * 256 + 1)) >> _U64(8)
+    w = ((w & _U64(0x00FF00FF00FF00FF)) * _U64(100 * 65536 + 1)) >> _U64(16)
+    return (((w & _U64(0x0000FFFF0000FFFF)) * _U64(10000 * 2**32 + 1))
+            >> _U64(32))
+
+
+def _row_cells(line: bytes, starts: np.ndarray,
+               ends: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Values of the cells of one row and whether each was read exactly;
+    the rest hold garbage. Needs `_EXACT` and a row of at least 32 bytes."""
+    length = ends - starts
+    neg = length == _CELL + 1
+    first = starts + neg
+    at = np.clip(first - 6, 0, len(line) - 32)
+    words = np.ndarray((len(line) - 31, 4), _U64, buffer=line,
+                       strides=(1, 8))[at].T.copy()
+    before = (words[0] >> _U64(40)) & _U64(0xFF)
+    lead = words[0] >> _U64(48)
+    tag = (words[3] & _U64(0xFFFF)) | _U64(0x20)
+    expo = (words[3] >> _U64(16)) & _U64(0xFFFF)
+    ok = ((neg | (length == _CELL))
+          & (at == first - 6)
+          & (before == np.where(neg, _U64(ord("-")), _U64(ord(","))))
+          & (lead - _U64(0x2E30) <= _U64(9))
+          & ((tag == _U64(0x2B65)) | (tag == _U64(0x2D65)))
+          & _all_digits(expo | _U64(0x3030303030300000))
+          & _all_digits(words[1:3]).all(axis=0))
+    e = ((expo & _U64(0xFF)) * _U64(10) + (expo >> _U64(8))).astype(np.int64)
+    q = np.where(tag == _U64(0x2D65), -1, 1) * (e - 11 * ord("0")) - 16
+    ok &= np.abs(q) <= _MAX_Q
+    high, low = _eight_digits(words[1:3])
+    mant = ((lead & _U64(0xF)) * _U64(10**16) + high * _U64(10**8)
+            + low).astype(np.longdouble)
+    scale = _POW10[np.minimum(np.abs(q), _MAX_Q)]
+    r = np.where(q < 0, mant / scale, mant * scale)
+    ok &= (r.view(_U64)[0::2] & _U64(0x7FF)) != _U64(0x400)  # not halfway
+    x = r.astype(np.float64)
+    return np.where(neg, -x, x), ok
+
+
+def _parse_row(line: bytes, cols: int) -> np.ndarray:
+    """The `cols` comma-separated numbers of one data row, as float() reads
+    each: the kernel where the row's cells average a written cell's width,
+    float() for the cells it leaves while they are at most two thirds of
+    the row, float() on the whole split row otherwise."""
+    if _EXACT and len(line) >= 32 and 22 * cols <= len(line) <= 25 * cols:
+        buf = np.frombuffer(line, np.uint8)
+        end = len(line) - line.endswith(b"\n")
+        commas = np.flatnonzero(buf[:end] == ord(","))
+        starts = np.concatenate(([0], commas + 1))
+        ends = np.append(commas, end)
+        vals, exact = _row_cells(line, starts, ends)
+        bad = np.flatnonzero(~exact)
+        if 3 * bad.size <= 2 * cols:
+            vals[bad] = [float(line[a:b].decode()) for a, b in
+                         zip(starts[bad].tolist(), ends[bad].tolist())]
+            return vals
+    return np.array([float(x) for x in line.decode().split(",")])
+
+
+def _numbered_lines(fh):
+    """Number the lines of a file opened in binary mode as text mode's
+    universal newlines split them: at LF, CRLF and a lone CR."""
+    lineno = 0
+    for raw in fh:
+        inner_cr = raw.find(b"\r", 0, len(raw) - 1) >= 0
+        for line in raw.splitlines() if inner_cr else (raw,):
+            lineno += 1
+            yield lineno, line
+
+
+def read_map_file_by_rows(path: str) -> tuple[np.ndarray, np.ndarray,
+                                              np.ndarray | None]:
+    """`read_map_file` one row at a time: a first pass reads the header and
+    counts every row's columns, the second finds each row again and parses
+    it on its own."""
+    dim, has_d, expect, rows = None, False, 0, []
+    with open(path, "rb") as fh:
+        for lineno, raw in _numbered_lines(fh):
+            written_row = lineno > 1 and (raw[:1].isdigit()
+                                          or raw.startswith(b"-"))
+            try:
+                line = "" if written_row else raw.decode("utf-8").strip()
+            except UnicodeDecodeError:
+                raise ConstructionError(
+                    f"{path}:{lineno}: line is not UTF-8 text") from None
+            body = line.lstrip("#").strip()
+            if lineno == 1:
+                if not (line.startswith("#") and body == _FORMAT_TAG):
+                    raise ConstructionError(
+                        f"{path}:1: expected the format tag line "
+                        f"'# {_FORMAT_TAG}', got {line!r}")
+            elif line.startswith("#") and body.startswith("dim="):
+                if rows:
+                    raise ConstructionError(
+                        f"{path}:{lineno}: header line after data rows")
+                parts = [part.split("=", 1) for part in body.split()]
+                fields = dict(part for part in parts if len(part) == 2)
+                if (len(fields) != len(parts) or not fields["dim"].isdigit()
+                        or int(fields["dim"]) < 1
+                        or fields.get("derivatives", "0") not in ("0", "1")):
+                    raise ConstructionError(
+                        f"{path}:{lineno}: malformed header line {line!r}, "
+                        "expected '# dim=<d> vectorization=column-stacking "
+                        "derivatives=<0|1>'")
+                if fields.get("vectorization") != "column-stacking":
+                    raise ConstructionError(
+                        f"{path}:{lineno}: unsupported vectorization "
+                        f"{fields.get('vectorization')!r}")
+                dim = int(fields["dim"])
+                has_d = fields.get("derivatives", "0") == "1"
+                expect = 1 + 2 * dim**4 * (2 if has_d else 1)
+            elif written_row or (line and not line.startswith("#")):
+                if dim is None:
+                    raise ConstructionError(
+                        f"{path}:{lineno}: data row before the dim header "
+                        f"line")
+                cols = 1 + np.count_nonzero(
+                    np.frombuffer(raw, np.uint8) == ord(","))
+                if cols != expect:
+                    raise ConstructionError(
+                        f"{path}:{lineno}: expected {expect} columns, got "
+                        f"{cols}")
+                rows.append(lineno)
+    if not rows:
+        raise ConstructionError(f"{path}: no data rows")
+    d2 = dim * dim
+    per_block = 2 * d2 * d2
+    times = np.empty(len(rows))
+    maps = np.empty((len(rows), d2, d2), dtype=complex)
+    derivs = np.empty_like(maps) if has_d else None
+    with open(path, "rb") as fh:
+        lines = _numbered_lines(fh)
+        for k, lineno in enumerate(rows):
+            line = next(raw for n, raw in lines if n == lineno)
+            try:
+                vals = _parse_row(line, expect)
+            except ValueError:
+                raise ConstructionError(
+                    f"{path}:{lineno}: row is not comma-separated numbers")
+            if not np.isfinite(vals).all():
+                raise ConstructionError(
+                    f"{path}:{lineno}: row holds a value that is not finite")
+            times[k] = vals[0]
+            for stack, flat in ((maps, vals[1:1 + per_block]),
+                                (derivs, vals[1 + per_block:])):
+                if stack is not None:   # re, im as written, -0.0 included
+                    stack[k].reshape(-1).view(float)[:] = flat
+    return times, maps, derivs

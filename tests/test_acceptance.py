@@ -34,4 +34,5 @@ def test_check_passes_within_budget(name, check):
     elapsed = time.perf_counter() - start
     budget = BUDGETS.get(name, math.inf)
     print(f"{name}: PASS ({detail}; {elapsed:.2f}s, budget {budget:g}s)")
+    assert detail  # every check reports its measured values
     assert elapsed < budget

@@ -5,6 +5,7 @@ import re
 import subprocess
 import sys
 import textwrap
+import warnings
 
 import numpy as np
 import pytest
@@ -452,6 +453,9 @@ JC_SHORT_BODY = """\
     ("g", "1e300", "1", ["[jaynes_cummings]: g = 1e+300", "overflows"]),
     ("omega", "1e300", "1", ["[jaynes_cummings]: omega - omega_m", "overflows"]),
     ("g", "0.01", "1, 0.5, 1", ["[scenario] beta_list: 1 listed more than once"]),
+    # an explicit cutoff meets the same ceiling, before any allocation
+    ("n_max", "10000000000", "1", ["[jaynes_cummings]: n_max = 10000000000",
+                                   "ceiling of 100000"]),
 ])
 def test_jc_and_beta_list_boundaries_exit_2(tmp_path, capsys, key, value,
                                             beta_list, needles):
@@ -596,6 +600,31 @@ def test_non_finite_input_is_stopped_at_the_boundary(tmp_path, capsys,
     assert needle in err
     assert "Warning" not in err
     assert not (tmp_path / "out" / "lambda_series.csv").exists()
+
+
+@pytest.mark.parametrize("model,section,key,value,t", [
+    ("weak_coupling", "weak_coupling", "gamma", "1e300", "0.2"),
+    ("custom_pc", "custom_pc", "gamma_minus", "1e300", "0.2"),
+    ("weak_coupling", "scenario", "t_max", "1e300", "2e+298"),
+])
+def test_rates_whose_e_to_the_i_overflows_exit_3_naming_it(
+        tmp_path, capsys, model, section, key, value, t):
+    # e^I passes the range of a double within the first step: the message
+    # names J = c e^I and the time, and no numpy warning is printed
+    sections = {"scenario": {"model": model, "beta_list": "1.0",
+                             "n_steps": "50", "t_max": "10",
+                             "out_dir": tmp_path / "out"}, model: {}}
+    sections[section][key] = value
+    body = "".join(f"[{name}]\n" + "".join(f"{k} = {v}\n"
+                                           for k, v in keys.items()) + "\n"
+                   for name, keys in sections.items())
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["run", write_config(tmp_path, body)]) == 3
+    err = capsys.readouterr().err
+    assert f"ConstructionError: J = c e^I overflows at t = {t}: " in err
+    assert "RuntimeWarning" not in err
+    assert not [w for w in caught if w.category is RuntimeWarning]
 
 
 def test_validate_fast_passes(capsys):

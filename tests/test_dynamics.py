@@ -4,9 +4,9 @@ from types import SimpleNamespace
 import numpy as np
 import numpy.testing as npt
 import pytest
-from hypothesis import given, settings
-from hypothesis.strategies import (floats, integers, lists, one_of,
-                                   sampled_from, tuples)
+from hypothesis import HealthCheck, given, settings
+from hypothesis.strategies import (booleans, composite, floats, integers,
+                                   lists, one_of, sampled_from, tuples)
 from scipy.linalg import expm
 
 import mapthermo.dynamics as dynamics
@@ -39,6 +39,7 @@ from reference import (
     constant_rates,
     csv_lines,
     generator_at,
+    read_map_file_by_rows,
     identity_superop,
     inverse_propagator,
     map_derivative,
@@ -285,6 +286,10 @@ def test_save_map_trajectory_spells_cells_as_the_f_string(tmp_path):
                            axis=1).view(float)
     assert rows == [",".join(f"{x:.16e}" for x in (t, *row))
                     for t, row in zip(traj.times, cells)]
+    # and read back to the same bits, the sign of -0.0 included
+    _, back, derivs = read_map_file(path)
+    assert back.tobytes() == maps.tobytes()
+    assert derivs.tobytes() == (-maps).tobytes()
 
 
 def test_read_map_file_reports_format_problems(tmp_path):
@@ -492,7 +497,9 @@ def cell_row(cells):
 
 
 def parse(line):
-    return dynamics._parse_row(line, line.count(b",") + 1)
+    """The cells of one row, read as a block of one row."""
+    return dynamics._read_rows("row", 1, line, 0, len(line),
+                               line.count(b",") + 1)[0]
 
 
 def float_bits(line):
@@ -519,19 +526,30 @@ def test_mixed_spellings_parse_to_the_bits_of_float(cells):
     assert parse(line).tobytes() == float_bits(line)
 
 
+# written cells within 2.5 ulps of the x87 format of a halfway point between
+# two doubles, with |q| in the kernel's two-step range 28..54 (found by
+# rounding such midpoints to 17 digits); the kernel alone would read the
+# first two wrong
+HALFWAY_TWO_STEP = ["6.0147140804141281e+61", "2.9980962533624483e-30",
+                    "1.9638054652355784e-19", "3.2331449354757240e+48",
+                    "4.9672838050810543e+68"]
+
 EDGE_CELLS = [
     "0.0000000000000000e+00", "-0.0000000000000000e+00",
     "5e-324", f"{5e-324:.16e}", f"{-2.2250738585072009e-308:.16e}",
     f"{1.5e-310:.16e}", "1.7976931348623157e+308", f"{1e-100:.16e}",
     f"{-3.25e+250:.16e}",
-    # |q| = 27 at e+43 and e-11, one past it at e+44 and e-12
+    # |q| = 27 at e+43 and e-11, 28 at e+44 and e-12, 54 at e+70 and e-38,
+    # one past it at e+71 and e-39
     f"{1.2345e43:.16e}", f"{-9.87e-11:.16e}", f"{1.2345e44:.16e}",
-    f"{9.87e-12:.16e}",
+    f"{9.87e-12:.16e}", f"{-9.9999e70:.16e}", f"{1.0001e-38:.16e}",
+    f"{1.2345e71:.16e}", f"{-9.87e-39:.16e}",
     # 2^53 + 1 exactly: a true halfway decimal, 2^53 by ties-to-even
     "9.0071992547409930e+15",
     # within half an extended-precision ulp of a halfway point, so that
     # step rounds onto it; float() rounds up, ties-to-even would round down
     "8.8549032216538136e-09", "8.6050736450284380e-09",
+    *HALFWAY_TWO_STEP,
     # spellings float() accepts that the kernel leaves to it
     "1", "-2.5", " 3.0 ", "1E5", "+1.0e+00", "1e-400",
     "+1.0000000000000000e+00",
@@ -543,28 +561,46 @@ EDGE_CELLS = [
 @pytest.mark.parametrize("exact", [True, False])
 def test_edge_cells_parse_to_the_bits_of_float(monkeypatch, exact):
     monkeypatch.setattr(dynamics, "_EXACT", dynamics._EXACT and exact)
-    kernel_rows = []
+    kernel_blocks = []
     kernel = dynamics._canonical_cells
     monkeypatch.setattr(dynamics, "_canonical_cells",
-                        lambda *args: kernel_rows.append(1) or kernel(*args))
+                        lambda *args: kernel_blocks.append(1) or kernel(*args))
     # enough plain written cells that the kernel takes and keeps the row
     line = cell_row(EDGE_CELLS + 6 * len(EDGE_CELLS)
                     * ["3.2500000000000000e+00"])
     vals = parse(line)
     assert vals.tobytes() == float_bits(line)
     assert vals[1 + EDGE_CELLS.index("9.0071992547409930e+15")] == 2.0**53
-    assert len(kernel_rows) == dynamics._EXACT
+    assert len(kernel_blocks) == dynamics._EXACT
+
+
+def test_two_step_cells_next_to_a_halfway_point_go_to_float():
+    from fractions import Fraction
+    for cell in HALFWAY_TWO_STEP:
+        x = float(cell)
+        mid = (Fraction(x) + Fraction(np.nextafter(x, np.inf))) / 2
+        if Fraction(cell) < Fraction(x):
+            mid = (Fraction(x) + Fraction(np.nextafter(x, 0.0))) / 2
+        ulp = Fraction(2) ** (int(np.frexp(x)[1]) - 1 - 63)
+        assert abs(Fraction(cell) - mid) <= Fraction(5, 2) * ulp
+    if dynamics._EXACT:
+        line = cell_row(HALFWAY_TWO_STEP)
+        starts = np.array([23 + sum(len(c) + 1 for c in HALFWAY_TWO_STEP[:k])
+                           for k in range(len(HALFWAY_TWO_STEP))])
+        ends = starts + [len(c) for c in HALFWAY_TWO_STEP]
+        _, bad = dynamics._canonical_cells(line, starts, ends)
+        assert {0, 1} <= set(bad.tolist())
 
 
 @pytest.mark.skipif(not dynamics._EXACT,
                     reason="np.longdouble is not the x87 extended format")
 def test_written_cells_in_range_skip_float(monkeypatch):
-    # exponents -10..9, inside the kernel's range, with "e" and "E": only
-    # the framing cells, at the row's ends, go to float() (this seed draws
-    # no halfway cell)
+    # exponents -38..70 (|q| <= 54, both steps), with "e" and "E": only the
+    # framing cells, at the row's ends, go to float() (this seed draws no
+    # cell next to a halfway point)
     rng = np.random.default_rng(12)
-    x = (rng.choice([-1.0, 1.0], 200) * rng.uniform(1.0, 9.9, 200)
-         * 10.0 ** np.repeat(np.arange(-10, 10), 10))
+    x = (rng.choice([-1.0, 1.0], 218) * rng.uniform(1.0, 9.9, 218)
+         * 10.0 ** np.repeat(np.arange(-38, 71), 2))
     line = cell_row([f"{v:.16e}" if k % 2 else f"{v:.16E}"
                      for k, v in enumerate(x)])
     called = []
@@ -584,9 +620,10 @@ def test_rows_the_kernel_reads_little_of_go_to_float_whole(monkeypatch):
     monkeypatch.setattr(dynamics, "_canonical_cells", None)
     assert parse(line).tobytes() == float_bits(line)
     monkeypatch.undo()
-    # written cells out of the kernel's exponent range have the width, so it
-    # runs, reads under a third of the row and leaves every cell to float()
-    cells = [f"{x:.16e}" for x in 1e-20 * np.arange(1.0, 31.0)]
+    # written cells out of the kernel's exponent range (|q| = 76) have the
+    # width, so it runs, reads under a third of the row and leaves every
+    # cell to float()
+    cells = [f"{x:.16e}" for x in 1e-60 * np.arange(1.0, 31.0)]
     line = cell_row(cells[:21] + ["1.0000000000000000e+00"] * 9 + cells)
     called = []
     monkeypatch.setattr(dynamics, "float",
@@ -594,6 +631,72 @@ def test_rows_the_kernel_reads_little_of_go_to_float_whole(monkeypatch):
                         raising=False)
     assert parse(line).tobytes() == float_bits(line)
     assert len(called) == 62
+
+
+# Whole map files. `read_map_file` reads them in blocks of rows and must
+# give the bits, and the errors, of the reader that parsed one row at a time.
+
+# exponents of written cells at the kernel's edges: |q| = |e - 16| of 27,
+# 28, 54 and 55, both signs
+EDGE_EXPONENTS = [-40, -39, -38, -37, -13, -12, -11, -10, 0, 16, 42, 43, 44,
+                  45, 69, 70, 71, 72]
+map_cells = one_of(
+    tuples(floats(1.0, 10.0, exclude_max=True), sampled_from(EDGE_EXPONENTS),
+           sampled_from(["", "-"]), sampled_from(["{:.16e}"] * 3 + SPELLINGS)
+           ).map(lambda c: c[3].format(float(f"{c[2]}{c[0]!r}e{c[1]}"))),
+    floats(allow_nan=False, allow_infinity=False).map("{:.16e}".format),
+    sampled_from(EDGE_CELLS))
+
+
+@composite
+def map_files(draw):
+    """The text of a map file: a few rows of edge cells between comment and
+    blank lines, each line ending in LF, CRLF or CR (the last in none, at
+    times), and at most one fault."""
+    dim, has_d = draw(sampled_from([(1, 0), (1, 1), (2, 0)]))
+    cols = 1 + 2 * dim**4 * (1 + has_d)
+    lines = ["# mapthermo-maps v1",
+             f"# dim={dim} vectorization=column-stacking derivatives={has_d}"]
+    rows = [draw(lists(map_cells, min_size=cols, max_size=cols))
+            for _ in range(draw(integers(1, 5)))]
+    fault = draw(sampled_from([None, "snake", "nan", "1,2", "\udcff"]))
+    if fault:
+        draw(sampled_from(rows))[draw(integers(0, cols - 1))] = fault
+    for row in rows:
+        lines += draw(lists(sampled_from(["# a comment", "", "   "]),
+                            max_size=2)) + [",".join(row)]
+    ends = draw(lists(sampled_from(["\n", "\r\n", "\r"]),
+                      min_size=len(lines), max_size=len(lines)))
+    text = "".join(line + end for line, end in zip(lines, ends))
+    return text if draw(booleans()) else text.rstrip("\r\n")
+
+
+@settings(max_examples=80, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(map_files(), sampled_from([1, 3, dynamics._BLOCK_CELLS]),
+       sampled_from([16, 100, dynamics._READ_BUFFER]))
+def test_map_files_read_as_row_by_row(tmp_path, text, block_cells,
+                                      read_buffer):
+    # small blocks and buffers put rows across their boundaries; a new file
+    # each time, as rewriting one can cost more than reading it
+    path = tmp_path / f"cells{len(list(tmp_path.iterdir()))}.maps"
+    path.write_bytes(text.encode("utf-8", "surrogateescape"))
+    try:
+        want = read_map_file_by_rows(str(path))
+    except ConstructionError as exc:
+        want = str(exc)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(dynamics, "_BLOCK_CELLS", block_cells)
+        mp.setattr(dynamics, "_READ_BUFFER", read_buffer)
+        try:
+            got = read_map_file(str(path))
+        except ConstructionError as exc:
+            got = str(exc)
+    if isinstance(want, str):
+        assert got == want
+    else:
+        assert [a is None or a.tobytes() for a in got] == [
+            a is None or a.tobytes() for a in want]
 
 
 def test_map_file_reads_the_same_without_the_kernel(tmp_path, monkeypatch):

@@ -130,6 +130,26 @@ def test_auto_cutoff_above_the_ceiling_fails_before_allocating():
     assert exc.value.required_n_max is None
 
 
+def test_explicit_cutoff_above_the_ceiling_fails_before_allocating():
+    # n_max = 1e10 would ask _thermal_weights for an 80 GB weight vector
+    tracemalloc.start()
+    try:
+        with pytest.raises(ConfigError, match=r"n_max = 10000000000 asks for "
+                           r"10000000001 photon levels, above the ceiling "
+                           r"of 100000"):
+            jc_reduced_map(JCParams(beta=1.0, n_max=10**10),
+                           np.linspace(0.0, 1.0, 3))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 16
+    # the ceiling counts levels, n_max + 1 of them
+    top = JC_AUTO_LEVELS_MAX - 1
+    assert JCParams(beta=1.0, n_max=top).n_max == top
+    with pytest.raises(ConfigError, match="ceiling"):
+        JCParams(beta=1.0, n_max=top + 1)
+
+
 @pytest.mark.parametrize("fields,needle", [
     ({"g": 1e300}, "g = 1e+300"),
     # finite g^2, but 4 g^2 (n_max + 1) overflows

@@ -1,6 +1,8 @@
 import numpy as np
 import numpy.testing as npt
 
+from mapthermo import validation
+from mapthermo.errors import ConstructionError
 from mapthermo.operators import Superoperator, apply
 from mapthermo.validation import (
     CheckResult,
@@ -13,12 +15,26 @@ from mapthermo.validation import (
 from reference import cptp_diagnostics
 
 
-def test_fast_checks_all_pass():
-    results = run_checks(full=False)
-    assert len(results) == len(FAST_CHECKS)
-    for r in results:
-        assert r.passed, f"{r.name}: {r.detail}"
-        assert r.detail  # every check reports its measured deviation
+def test_run_checks_reports_every_check_it_runs(monkeypatch):
+    # the checks themselves pass in tests/test_acceptance.py; here stubs
+    # test the plumbing: one result per check, in order, with its detail
+    def failing(exc):
+        def check():
+            raise exc
+        return check
+
+    fast = (("passes", lambda: "dev 1e-12"),
+            ("asserts", failing(AssertionError("dev 0.5"))),
+            ("asserts_bare", failing(AssertionError())))
+    full = fast + (("raises", failing(ConstructionError("map at t = 1"))),)
+    monkeypatch.setattr(validation, "FAST_CHECKS", fast)
+    monkeypatch.setattr(validation, "FULL_CHECKS", full)
+    assert run_checks(full=False) == [
+        CheckResult("passes", True, "dev 1e-12"),
+        CheckResult("asserts", False, "dev 0.5"),
+        CheckResult("asserts_bare", False, "failed")]
+    assert run_checks(full=True)[3:] == [
+        CheckResult("raises", False, "ConstructionError: map at t = 1")]
 
 
 def test_full_suite_extends_fast_suite():
