@@ -2,11 +2,13 @@
 
 For each window of `run_exchange_windows.WINDOWS` this times
 `jc_reduced_map` (best of --repeats after one warm-up call), counts the mode
-levels and records the tracemalloc peak of one call; it also records the
-peak on the hot window stretched to N = 20 000 steps, where the level sum's
-left factor is largest. The result is merged into a JSON file under --label,
-so runs of two source trees sit side by side, for example a parent commit
-and a change, each put first on PYTHONPATH:
+levels and the nodes each frequency family of the level sum is evaluated on
+(difference, sum and doubled angle; a family that is not compressed keeps
+one node per level or block), and records the tracemalloc peak of one call;
+it also records the peak on the hot window stretched to N = 20 000 steps,
+where the level sum's left factor is largest. The result is merged into a
+JSON file under --label, so runs of two source trees sit side by side, for
+example a parent commit and a change, each put first on PYTHONPATH:
 
     OPENBLAS_NUM_THREADS=1 taskset -c 1 \\
         env PYTHONPATH=src python scripts/bench_level_sum.py --label change
@@ -30,6 +32,7 @@ import numpy as np
 
 from bench_record import (alternate, import_tree, ratio_summary,
                           record_run, timed)
+from mapthermo import models
 from mapthermo.models import JCParams, jc_mode_count, jc_reduced_map
 from run_exchange_windows import WINDOWS
 
@@ -59,6 +62,15 @@ def peak_mb(params, times) -> float:
         tracemalloc.stop()
 
 
+def node_counts(params, t_max: float) -> dict:
+    """The nodes of each frequency family of this tree's level sum."""
+    p = models._thermal_weights(params, jc_mode_count(params))
+    families = models._frequency_families(params, p)
+    return {family: models._chebyshev_nodes(freqs, amps, t_max)[0].size
+            for family, (freqs, amps) in zip(("difference", "sum", "doubled"),
+                                             families)}
+
+
 def measure(name: str, repeats: int) -> dict:
     params, times = window(name)
     jc_reduced_map(params, times)
@@ -67,7 +79,9 @@ def measure(name: str, repeats: int) -> dict:
         start = time.perf_counter()
         jc_reduced_map(params, times)
         walls.append(time.perf_counter() - start)
-    return {"levels": jc_mode_count(params) + 1, "n_steps": times.size - 1,
+    return {"levels": jc_mode_count(params) + 1,
+            "nodes": node_counts(params, times[-1]),
+            "n_steps": times.size - 1,
             "wall_s_best": min(walls), "wall_s": walls,
             "tracemalloc_peak_mb": peak_mb(params, times)}
 
@@ -110,7 +124,8 @@ def main() -> None:
     windows = {}
     for name in WINDOWS:
         windows[name] = measure(name, args.repeats)
-        print(f"{name}: {windows[name]['levels']} levels, best "
+        print(f"{name}: {windows[name]['levels']} levels, nodes "
+              f"{windows[name]['nodes']}, best "
               f"{windows[name]['wall_s_best']:.4f} s, peak "
               f"{windows[name]['tracemalloc_peak_mb']:.1f} MB")
     result = {"windows": windows, "long_hot": {

@@ -52,8 +52,9 @@ from .quadrature import cumulative_simpson
 
 TAIL_WEIGHT_MAX = 1e-10
 # photon levels the exchange-model cutoff may hold, automatic or explicit:
-# seven times the hot window's 13 816; the level sum's time grows linearly
-# with the count
+# seven times the hot window's 13 816; the level sum's time grows as
+# K PANEL_NODES (compression) plus nodes N (evaluation) for K levels and N
+# grid steps, where nodes <= K is set by the frequency spread times t_N
 JC_AUTO_LEVELS_MAX = 100_000
 PC_PATTERN_TOL = 1e-7
 # transfer-matrix entries a phase-covariant map may populate
@@ -61,12 +62,18 @@ _PC_PATTERN = pc_transfer_matrices(1.0, 1.0, 1.0, 1.0) != 0.0
 
 DRIVE_MODES = ("monotonic", "periodic")
 
-# exchange-model level sum: points per fine block of the split grid, levels
-# per chunk, and the allowed distance of grid point j from j t_N / N in ulp
-# of t_N (np.linspace grids stay within 2)
+# exchange-model level sum: points per fine block of the split grid,
+# frequencies per chunk (nodes per matrix product, levels per Chebyshev
+# recurrence), which bounds its memory, and the allowed distance of grid
+# point j from j t_N / N in ulp of t_N (np.linspace grids stay within 2)
 FINE_POINTS = 100
-LEVEL_CHUNK = 512
+NODE_CHUNK = 2048
 GRID_ULPS = 8
+# Chebyshev panels of the level sum (`_chebyshev_nodes`): half-width
+# PANEL_Z / t_N and PANEL_NODES nodes, so that the interpolation error per
+# unit amplitude, 4 (z/2)^m / m! / (1 - z/(2m+2)), stays below 1e-16
+PANEL_Z = 16.0
+PANEL_NODES = 47
 
 
 def drive_frequency(omega0: float, delta: float, Omega: float) -> Callable:
@@ -297,6 +304,9 @@ def _split_grid(times: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """
     if times.ndim != 1 or times.size < 2:
         raise ConstructionError("grid needs at least two points")
+    if not times[-1] > 0.0:
+        raise ConstructionError(f"grid must end after 0, not at "
+                                f"{times[-1]:.17g}")
     n = times.size - 1
     h = times[-1] / n
     index = np.arange(times.size)
@@ -328,79 +338,153 @@ def _add_angles(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
-def _pair_angles(upper: np.ndarray, lower: np.ndarray) -> np.ndarray:
-    """cos and sin of the difference and the sum of two angles.
-
-    upper and lower are (cos, sin) stacks of one shape; returns
-    (2, 2, *shape): difference then sum, each as (cos, sin). Four products
-    serve both angles.
-    """
-    (xu, su), (xl, sl) = upper, lower
-    out = np.empty((2, 2) + xu.shape)
-    (cos_d, sin_d), (cos_s, sin_s) = out
-    np.multiply(xu, xl, out=cos_d)
-    prod = su * sl
-    np.subtract(cos_d, prod, out=cos_s)
-    cos_d += prod
-    np.multiply(su, xl, out=sin_d)
-    np.multiply(xu, sl, out=prod)
-    np.add(sin_d, prod, out=sin_s)
-    sin_d -= prod
-    return out
-
-
-def _angle_factors(half: np.ndarray, coarse: np.ndarray, fine: np.ndarray,
+def _angle_factors(freqs: np.ndarray, coarse: np.ndarray, fine: np.ndarray,
                    ) -> tuple[np.ndarray, np.ndarray]:
-    """cos and sin of half_k t at the coarse and at the fine times.
+    """cos and sin of w_k t at the coarse and at the fine times.
 
     Returns the (cos, sin) stacks (2, coarse, K) at the coarse times T and
     (2, K, fine) at the fine times tau. The fine times are split once more:
     with b = ceil(sqrt(B)) for B fine times, tau_m = tau_{i b} + tau_j
     (m = i b + j), so angle addition builds all B from ceil(B/b) + b
-    cosines and sines per level.
+    cosines and sines per frequency.
     """
-    arg = coarse[:, None] * half
+    arg = coarse[:, None] * freqs
     at_coarse = np.stack([np.cos(arg), np.sin(arg)])
     step = math.isqrt(fine.size - 1) + 1
-    arg = half[:, None] * fine[::step]
+    arg = freqs[:, None] * fine[::step]
     outer = np.stack([np.cos(arg), np.sin(arg)])[..., None]
-    arg = half[:, None] * fine[:step]
+    arg = freqs[:, None] * fine[:step]
     inner = np.stack([np.cos(arg), np.sin(arg)])[:, :, None]
-    at_fine = _add_angles(outer, inner).reshape(2, half.size, -1)
+    at_fine = _add_angles(outer, inner).reshape(2, freqs.size, -1)
     return at_coarse, at_fine[..., :fine.size]
 
 
-def _product_sums(cos_amps: np.ndarray, sin_amps: np.ndarray,
-                  coarse: np.ndarray, fine: np.ndarray) -> np.ndarray:
-    """Level sums of cosines and sines on the split grid, one matrix
-    product for all rows.
+def _product_sums(freqs: np.ndarray, cos_amps: np.ndarray,
+                  sin_amps: np.ndarray, coarse_t: np.ndarray,
+                  fine_t: np.ndarray) -> np.ndarray:
+    """Sums of cosines and sines over frequencies on the split grid, one
+    matrix product for all rows per NODE_CHUNK frequencies.
 
-    Row r sums A[r, i, k] cos(w_ik t) over the levels k and the angle sets
-    i for the rows A of `cos_amps` (the cos rows), then A[r, i, k]
-    sin(w_ik t) for those of `sin_amps`. `coarse` holds (cos, sin) of
-    w_ik T, shape (sets, 2, coarse, K), and `fine` those of w_ik tau,
-    (sets, 2, K, fine). With t = T + tau,
+    Row r sums A[r, k] cos(w_k t) over the frequencies w = `freqs` for the
+    rows A of `cos_amps` (the cos rows), then A[r, k] sin(w_k t) for those
+    of `sin_amps`. With t = T + tau (`_split_grid`, `_angle_factors`),
 
         A cos(w t) = A cos(w T) cos(w tau) - A sin(w T) sin(w tau),
         A sin(w t) = A sin(w T) cos(w tau) + A cos(w T) sin(w tau),
 
     so the left factor holds one product of amplitude and coarse factor per
-    (row, coarse time, set, fine factor, level), and the sum over levels
-    is one matrix product with inner dimension 2 K per set. Returns
+    (row, coarse time, fine factor, frequency), and the sum over
+    frequencies is one matrix product with inner dimension 2 K. Returns
     (rows, coarse * fine).
     """
     n_cos = len(cos_amps)
-    n_sets, _, n_coarse, n_levels = coarse.shape
-    left = np.empty((n_cos + len(sin_amps), n_coarse, n_sets, 2, n_levels))
-    x, s = coarse.transpose(1, 2, 0, 3)
-    a, b = cos_amps[:, None], sin_amps[:, None]
-    np.multiply(a, x, out=left[:n_cos, ..., 0, :])
-    np.multiply(-a, s, out=left[:n_cos, ..., 1, :])
-    np.multiply(b, s, out=left[n_cos:, ..., 0, :])
-    np.multiply(b, x, out=left[n_cos:, ..., 1, :])
-    product = left.reshape(-1, 2 * n_sets * n_levels) @ fine.reshape(
-        2 * n_sets * n_levels, -1)
-    return product.reshape(left.shape[0], -1)
+    total = 0.0
+    for lo in range(0, freqs.size, NODE_CHUNK):
+        part = slice(lo, lo + NODE_CHUNK)
+        (x, s), fine = _angle_factors(freqs[part], coarse_t, fine_t)
+        left = np.empty((n_cos + len(sin_amps), x.shape[0], 2, x.shape[1]))
+        a, b = cos_amps[:, None, part], sin_amps[:, None, part]
+        np.multiply(a, x, out=left[:n_cos, :, 0])
+        np.multiply(-a, s, out=left[:n_cos, :, 1])
+        np.multiply(b, s, out=left[n_cos:, :, 0])
+        np.multiply(b, x, out=left[n_cos:, :, 1])
+        total += (left.reshape(-1, 2 * x.shape[1])
+                  @ fine.reshape(2 * x.shape[1], -1)).reshape(len(left), -1)
+    return total
+
+
+def _chebyshev_nodes(freqs: np.ndarray, amps: np.ndarray, t_max: float,
+                     ) -> tuple[np.ndarray, np.ndarray]:
+    """A family of frequencies and amplitude rows (rows, K), compressed onto
+    Chebyshev nodes that give the same sums of A cos(w t) and A sin(w t)
+    for t in [0, t_max].
+
+    The frequencies are cut into panels of half-width h = z / t_max (z =
+    PANEL_Z) from the lowest up. In a panel with centre c, w = c + h x with
+    x in [-1, 1] and e^{i w t} = e^{i c t} e^{i zeta x}, zeta = h t <= z.
+    The Chebyshev coefficients of e^{i zeta x} are 2 i^n J_n(zeta), and
+    |J_n(zeta)| <= (zeta/2)^n / n!, so its interpolant at the m =
+    PANEL_NODES first-kind nodes x_j errs by at most 4 (z/2)^m / m! /
+    (1 - z/(2m+2)) < 1e-16: the panel's levels act, to within that times
+    sum_k |A_k|, as the nodes c + h x_j with the real amplitudes B_j =
+    sum_k A_k l_j(x_k) (l_j the Lagrange basis) = (2/m) sum_n' T_n(x_j) M_n
+    (n = 0 halved), from the moments M_n = sum_k A_k T_n(x_k) of the
+    three-term recurrence, one matrix product per panel. Where the occupied
+    panels would hold at least as many nodes as levels, the levels are the
+    nodes.
+    """
+    half = PANEL_Z / t_max
+    panel = np.floor((freqs - freqs.min()) / (2.0 * half)).astype(np.intp)
+    order = np.argsort(panel, kind="stable")
+    panel = panel[order]
+    starts = np.flatnonzero(np.diff(panel, prepend=-1))
+    if starts.size * PANEL_NODES >= freqs.size:
+        return freqs, amps
+    centre = freqs.min() + (2.0 * panel[starts] + 1.0) * half
+    x = (freqs[order]
+         - np.repeat(centre, np.diff(starts, append=freqs.size))) / half
+    a = amps[:, order]
+    moments = np.zeros((starts.size, len(amps), PANEL_NODES))
+    # one matrix product per panel, cut where a chunk of levels begins
+    cuts = sorted(set(starts.tolist()).union(range(0, x.size, NODE_CHUNK)))
+    for lo, hi, owner in zip(cuts, cuts[1:] + [x.size],
+                             np.searchsorted(starts, cuts, "right") - 1):
+        if lo % NODE_CHUNK == 0:
+            base, part = lo, x[lo:lo + NODE_CHUNK]
+            cheb = np.empty((PANEL_NODES, part.size))
+            cheb[0], cheb[1], twice = 1.0, part, 2.0 * part
+            for n in range(2, PANEL_NODES):
+                np.multiply(twice, cheb[n - 1], out=cheb[n])
+                cheb[n] -= cheb[n - 2]
+        moments[owner] += a[:, lo:hi] @ cheb[:, lo - base:hi - base].T
+    theta = math.pi * (np.arange(PANEL_NODES) + 0.5) / PANEL_NODES
+    basis = np.cos(np.outer(np.arange(PANEL_NODES), theta))
+    basis[0] *= 0.5
+    nodes = centre[:, None] + half * np.cos(theta)
+    node_amps = (moments @ basis).transpose(1, 0, 2) * (2.0 / PANEL_NODES)
+    return nodes.ravel(), node_amps.reshape(len(amps), -1)
+
+
+def _frequency_families(params: JCParams, p: np.ndarray,
+                        ) -> list[tuple[np.ndarray, np.ndarray]]:
+    """The three frequency families of the exchange-model level sum, each
+    as (frequencies, amplitude rows) over the levels or blocks.
+
+    With x_k = cos(r_k t/2), s_k = sin(r_k t/2), alpha_k = delta/r_k:
+      u_k = x_k - i alpha_k s_k,  du_k/dt = -(r_k/2) s_k - i (delta/2) x_k,
+      |u_k|^2 = 1 - eps_k s_k^2,  eps_k = 4 g^2 (k+1) / r_k^2.
+    In u_n u_{n-1} and its derivative, x_n x_{n-1} and s_n s_{n-1} are
+    (cos w_- t +- cos w_+ t)/2, and s_n x_{n-1} and x_n s_{n-1} are
+    (sin w_+ t +- sin w_- t)/2, with w_-+ = (r_n -+ r_{n-1})/2: the
+    difference and the sum family carry the rows Re S, Im dS/dt (cos rows),
+    Im S, Re dS/dt (sin rows) over the levels n. With s_k^2 = (1 - cos r_k
+    t)/2 and s_k x_k = sin(r_k t)/2, the doubled family r_k carries the
+    non-constant parts of T_ee, T_gg (cos rows) and of their derivatives
+    (sin rows) over the blocks -1 .. n_max.
+    """
+    delta = params.omega - params.omega_m
+    n_max = p.size - 1
+    # level n pairs block n (upper) with n-1 (lower)
+    blocks = np.arange(-1, n_max + 1)
+    couple = 4.0 * params.g ** 2 * (blocks + 1.0)
+    couple[-1] = 0.0  # the edge block n_max
+    rabi = np.sqrt(delta ** 2 + couple)
+    half = rabi / 2.0
+    coupled = rabi > 0.0  # a zero Rabi frequency forces delta = 0
+    alpha = np.divide(delta, rabi, out=np.zeros_like(rabi), where=coupled)
+    eps = np.divide(couple, rabi ** 2, out=np.zeros_like(rabi), where=coupled)
+    an, am, hn, hm = alpha[1:], alpha[:-1], half[1:], half[:-1]
+    aa, ah = an * am, hn * am + an * hm
+    pn, pm = hn + 0.5 * delta * an, hm + 0.5 * delta * am
+    hw = 0.5 * p
+    upper_lower = np.zeros((2, p.size + 1))
+    upper_lower[0, 1:] = p
+    upper_lower[1, :-1] = p
+    weighted = 0.5 * upper_lower * eps
+    return [(hn - hm, hw * np.array([1.0 - aa, ah - delta, am - an, pm - pn])),
+            (hn + hm, hw * np.array([1.0 + aa, -ah - delta, -an - am,
+                                     -pn - pm])),
+            (rabi, np.concatenate([weighted, -weighted * rabi]))]
 
 
 def jc_reduced_map(params: JCParams, times: np.ndarray,
@@ -418,86 +502,39 @@ def jc_reduced_map(params: JCParams, times: np.ndarray,
     The reduced map is phase covariant; its transfer matrix is assembled
     from the amplitudes averaged over the thermal mode occupation p_n.
     Level n pairs the upper amplitude of block n with the lower amplitude
-    of block n-1, so each block is evaluated once and shared by two
-    neighbouring levels. The edge level n_max (whose outward coupling is
-    dropped) and the uncoupled ground level |g,0> are blocks n_max and -1
-    with zero coupling. Since c_n - c_{n-1} = omega_m, the block phases
-    reduce to one common factor,
+    of block n-1. The edge level n_max (whose outward coupling is dropped)
+    and the uncoupled ground level |g,0> are blocks n_max and -1 with zero
+    coupling. Since c_n - c_{n-1} = omega_m, the block phases reduce to one
+    common factor,
 
         f = e^{-i omega_m t} S,   S = sum_n p_n u_n u_{n-1},
 
     and cancel in T_ee = sum_n p_n |u_n|^2 and T_gg = sum_n p_n |u_{n-1}|^2.
-    The level sum therefore runs in real arithmetic on weighted sums of
-    products of x_k = cos(r_k t/2) and s_k = sin(r_k t/2).
+    Every product in these sums folds into cosines and sines of single
+    angles from three frequency families (`_frequency_families`): the
+    difference and the sum angles (r_n -+ r_{n-1})/2 for S and dS/dt, the
+    doubled angle r_k for T_ee, T_gg and their derivatives.
 
-    The grid must be uniform from 0 (`_split_grid`): t_j = T_J + tau_m
-    with j = J B + m, so cosines and sines are needed only at the coarse
-    times T_J and the B fine times tau_m (`_angle_factors`, which splits
-    the fine times once more). Every product in the sums is folded into
-    cosines and sines of single angles, and each group of rows is one
-    matrix product over the levels (`_product_sums`):
-
-    * neighbour rows: the products of block n with block n-1 are cosines
-      and sines of the difference and sum angles (r_n -+ r_{n-1}) t/2
-      (`_pair_angles`), so each of the four real rows Re S, Im S,
-      Re dS/dt and Im dS/dt takes one amplitude per level and angle, with
-      inner dimension 4K over K levels;
-    * same-block rows: s_k^2 = (1 - cos r_k t)/2 and s_k x_k = sin(r_k
-      t)/2, so T_ee, T_gg and their derivatives are a constant plus sums
-      over the doubled angle r_k t, with inner dimension 2K.
-
-    Levels are summed in chunks of LEVEL_CHUNK.
+    Each family is compressed onto panels of PANEL_NODES Chebyshev nodes
+    (`_chebyshev_nodes`) that reproduce its levels on [0, t_N] to within
+    1e-16 per unit amplitude. A family keeps its levels as the nodes where
+    that would not leave fewer: few levels, or a frequency spread above
+    about 2 PANEL_Z K / (PANEL_NODES t_N). The hot window's 13 816 levels
+    per family become at most 20 panels; the cost grows as K PANEL_NODES
+    + nodes N, not K N. The grid must be uniform from 0 (`_split_grid`,
+    `_product_sums`).
     """
     times = np.asarray(times, dtype=float)
     coarse_t, fine_t = _split_grid(times)
-    n_max = jc_mode_count(params)
-    p = _thermal_weights(params, n_max)
-    delta = params.omega - params.omega_m
-    g = params.g
-
-    # With x_k = cos(r_k t/2), s_k = sin(r_k t/2), alpha_k = delta/r_k:
-    #   u_k = x_k - i alpha_k s_k,  du_k/dt = -(r_k/2) s_k - i (delta/2) x_k,
-    #   |u_k|^2 = 1 - eps_k s_k^2,  eps_k = 4 g^2 (k+1) / r_k^2.
-    # In u_n u_{n-1} and its derivative, x_n x_{n-1} and s_n s_{n-1} are
-    # (cos w_- t +- cos w_+ t)/2, and s_n x_{n-1} and x_n s_{n-1} are
-    # (sin w_+ t +- sin w_- t)/2, with w_-+ = (r_n -+ r_{n-1})/2: Re S and
-    # Im dS/dt are cos rows, Im S and Re dS/dt sin rows, and the per-block
-    # factors go into their amplitudes.
-    sums = np.zeros((4, coarse_t.size * fine_t.size))  # Re S, Im dS, Im S, Re dS
-    pops = np.zeros((2, sums.shape[1]))  # T_ee, T_gg
-    dpops = np.zeros((2, sums.shape[1]))
-    for lo in range(0, n_max + 1, LEVEL_CHUNK):
-        hi = min(lo + LEVEL_CHUNK, n_max + 1)
-        w = p[lo:hi]
-        # blocks lo-1 .. hi-1; level n pairs block n (upper) with n-1 (lower)
-        blocks = np.arange(lo - 1, hi)
-        couple = 4.0 * g ** 2 * (blocks + 1.0)
-        couple[blocks == n_max] = 0.0
-        rabi = np.sqrt(delta ** 2 + couple)
-        half = rabi / 2.0
-        coupled = rabi > 0.0  # a zero Rabi frequency forces delta = 0
-        alpha = np.divide(delta, rabi, out=np.zeros_like(rabi), where=coupled)
-        eps = np.divide(couple, rabi ** 2, out=np.zeros_like(rabi),
-                        where=coupled)
-        coarse, fine = _angle_factors(half, coarse_t, fine_t)
-        an, am, hn, hm = alpha[1:], alpha[:-1], half[1:], half[:-1]
-        aa, ah = an * am, hn * am + an * hm
-        pn, pm = hn + 0.5 * delta * an, hm + 0.5 * delta * am
-        hw = 0.5 * w
-        sums += _product_sums(
-            hw * np.array([[1.0 - aa, 1.0 + aa], [ah - delta, -ah - delta]]),
-            hw * np.array([[am - an, -an - am], [pm - pn, -pn - pm]]),
-            _pair_angles(coarse[:, :, 1:], coarse[:, :, :-1]),
-            _pair_angles(fine[:, 1:], fine[:, :-1]))
-        upper_lower = np.zeros((2, w.size + 1))
-        upper_lower[0, 1:] = w
-        upper_lower[1, :-1] = w
-        weighted = 0.5 * upper_lower * eps
-        same = _product_sums(weighted[:, None], -(weighted * rabi)[:, None],
-                             _add_angles(coarse, coarse)[None],
-                             _add_angles(fine, fine)[None])
-        pops += (w.sum() - weighted.sum(axis=1))[:, None] + same[:2]
-        dpops += same[2:]
+    p = _thermal_weights(params, jc_mode_count(params))
+    diff, total, doubled = (_chebyshev_nodes(freqs, amps, times[-1]) for
+                            freqs, amps in _frequency_families(params, p))
+    freqs, amps = (np.concatenate(parts, axis=-1)
+                   for parts in zip(diff, total))
+    sums = _product_sums(freqs, amps[:2], amps[2:], coarse_t, fine_t)
+    freqs, amps = doubled
+    same = _product_sums(freqs, amps[:2], amps[2:], coarse_t, fine_t)
+    pops = (p.sum() - amps[:2].sum(axis=1))[:, None] + same[:2]
 
     re_s, im_ds, im_s, re_ds = sums[:, :times.size]
     s_sum = re_s + 1j * im_s
@@ -505,7 +542,7 @@ def jc_reduced_map(params: JCParams, times: np.ndarray,
     phase = np.exp(-1j * params.omega_m * times)
     f = phase * s_sum
     df = phase * (ds_sum - 1j * params.omega_m * s_sum)
-    (T_ee, T_gg), (dT_ee, dT_gg) = pops[:, :times.size], dpops[:, :times.size]
+    (T_ee, T_gg), (dT_ee, dT_gg) = pops[:, :times.size], same[2:, :times.size]
 
     coeffs = JCCoefficients(
         times=times, weights=p, f=f, T_ee=T_ee, T_gg=T_gg,

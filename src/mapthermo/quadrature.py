@@ -86,21 +86,24 @@ def cumulative_exp_weighted(xi: np.ndarray, growth: np.ndarray,
     accumulated in the rescaled variable, so every stored term carries a
     non-positive exponent. Algebraically identical to
     exp(-G) * cumulative_simpson(xi * exp(G)) in exact arithmetic.
+
+    The factors and the Simpson pair terms are array expressions; the even
+    prefixes are one recurrence over floats, in grid order, and each odd
+    prefix adds its trapezoid to the even one before it.
     """
     x = np.asarray(xi, dtype=float)
     G = np.asarray(growth, dtype=float)
     n = x.shape[0] - 1
     out = np.zeros_like(x)
-    if n == 0:
-        return out
-    for i in range(2, n + 1, 2):
-        out[i] = out[i - 2] * np.exp(G[i - 2] - G[i]) + (h / 3.0) * (
-            x[i - 2] * np.exp(G[i - 2] - G[i])
-            + 4.0 * x[i - 1] * np.exp(G[i - 1] - G[i])
-            + x[i]
-        )
-    for i in range(1, n + 1, 2):
-        out[i] = out[i - 1] * np.exp(G[i - 1] - G[i]) + (h / 2.0) * (
-            x[i - 1] * np.exp(G[i - 1] - G[i]) + x[i]
-        )
+    back = np.exp(G[0:n - 1:2] - G[2::2])
+    pairs = (h / 3.0) * (x[0:n - 1:2] * back
+                         + 4.0 * x[1:n:2] * np.exp(G[1:n:2] - G[2::2])
+                         + x[2::2])
+    acc, evens = 0.0, []
+    for decay, pair in zip(back.tolist(), pairs.tolist()):
+        acc = acc * decay + pair
+        evens.append(acc)
+    out[2::2] = evens
+    back = np.exp(G[0:n:2] - G[1::2])
+    out[1::2] = out[0:n:2] * back + (h / 2.0) * (x[0:n:2] * back + x[1::2])
     return out

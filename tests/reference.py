@@ -306,6 +306,33 @@ def pc_general_d(times: np.ndarray, F: np.ndarray, f: np.ndarray,
 
 
 # ---------------------------------------------------------------------------
+# Point-by-point rescaled quadrature
+# (`mapthermo.quadrature.cumulative_exp_weighted`)
+
+
+def exp_weighted_loop(xi: np.ndarray, growth: np.ndarray,
+                      h: float) -> np.ndarray:
+    """e^{-G(t_i)} int_0^{t_i} xi e^G, one grid point at a time."""
+    x = np.asarray(xi, dtype=float)
+    G = np.asarray(growth, dtype=float)
+    n = x.shape[0] - 1
+    out = np.zeros_like(x)
+    if n == 0:
+        return out
+    for i in range(2, n + 1, 2):
+        out[i] = out[i - 2] * np.exp(G[i - 2] - G[i]) + (h / 3.0) * (
+            x[i - 2] * np.exp(G[i - 2] - G[i])
+            + 4.0 * x[i - 1] * np.exp(G[i - 1] - G[i])
+            + x[i]
+        )
+    for i in range(1, n + 1, 2):
+        out[i] = out[i - 1] * np.exp(G[i - 1] - G[i]) + (h / 2.0) * (
+            x[i - 1] * np.exp(G[i - 1] - G[i]) + x[i]
+        )
+    return out
+
+
+# ---------------------------------------------------------------------------
 # Exchange-model level sum elementwise (`mapthermo.models.jc_reduced_map`)
 
 

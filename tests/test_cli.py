@@ -173,8 +173,8 @@ QUTRIT_MAP_FILE_BODY = """\
 """
 
 
-# 2764 mode levels against chunks of LEVEL_CHUNK = 512 levels: the level
-# sum spans six chunks
+# 2764 mode levels: each frequency family of the level sum is compressed
+# onto one panel of Chebyshev nodes
 JC_HOT_BODY = """\
     [scenario]
     model = jaynes_cummings
@@ -660,10 +660,14 @@ BAD_MAP_HEADERS = {
 
 
 def write_map_file_with_header(path, header):
+    """A new map file at `path`: a saved trajectory's rows under `header`.
+    The rows come from a second new file, since rewriting a file in place
+    costs far more than writing a new one on some disks."""
     p = WeakCouplingParams()
     traj, _ = pc_trajectory(weak_coupling_rates(p), p.grid(16))
-    save_map_trajectory(traj, str(path))
-    rows = [line for line in path.read_text().splitlines(keepends=True)
+    saved = path.with_name(path.name + ".saved")
+    save_map_trajectory(traj, str(saved))
+    rows = [line for line in saved.read_text().splitlines(keepends=True)
             if not line.startswith("#")]
     path.write_text(header + "".join(rows))
 
@@ -675,7 +679,8 @@ def test_map_info_rejects_malformed_file(tmp_path, capsys):
                     "0.0,snake\n")
     assert main(["map-info", str(path)]) == 2
     assert "config error" in capsys.readouterr().err
-    for header, line in BAD_MAP_HEADERS.values():
+    for problem, (header, line) in BAD_MAP_HEADERS.items():
+        path = tmp_path / f"{problem}.maps"
         write_map_file_with_header(path, header)
         assert main(["map-info", str(path)]) == 2
         err = capsys.readouterr().err

@@ -1,3 +1,4 @@
+import itertools
 import os
 from types import SimpleNamespace
 
@@ -293,23 +294,31 @@ def test_save_map_trajectory_spells_cells_as_the_f_string(tmp_path):
 
 
 def test_read_map_file_reports_format_problems(tmp_path):
-    path = os.path.join(tmp_path, "bad.maps")
-    with open(path, "w") as fh:
-        fh.write("# not-the-format v9\n# dim=2 vectorization=column-stacking derivatives=0\n")
+    # each case a new file: rewriting one in place costs far more on some
+    # disks
+    paths = (os.path.join(tmp_path, f"{i}_bad.maps")
+             for i in itertools.count())
+
+    def new_file(text):
+        path = next(paths)
+        with open(path, "w") as fh:
+            fh.write(text)
+        return path
+
     with pytest.raises(ConstructionError):
-        read_map_file(path)
-    with open(path, "w") as fh:
-        fh.write("# mapthermo-maps v1\n"
-                 "# dim=2 vectorization=column-stacking derivatives=0\n"
-                 "0.0,1,0\n")
+        read_map_file(new_file(
+            "# not-the-format v9\n"
+            "# dim=2 vectorization=column-stacking derivatives=0\n"))
     with pytest.raises(ConstructionError):
-        read_map_file(path)
-    with open(path, "w") as fh:
-        fh.write("# mapthermo-maps v1\n"
-                 "# dim=2 vectorization=column-stacking derivatives=0\n"
-                 "0.0,snake\n")
+        read_map_file(new_file(
+            "# mapthermo-maps v1\n"
+            "# dim=2 vectorization=column-stacking derivatives=0\n"
+            "0.0,1,0\n"))
     with pytest.raises(ConstructionError):
-        read_map_file(path)
+        read_map_file(new_file(
+            "# mapthermo-maps v1\n"
+            "# dim=2 vectorization=column-stacking derivatives=0\n"
+            "0.0,snake\n"))
     # header problems above a valid identity row, named by file and line
     row = ",".join(["0"] + [str(x) for z in np.eye(4).reshape(-1)
                             for x in (z, 0.0)])
@@ -321,15 +330,11 @@ def test_read_map_file_reports_format_problems(tmp_path):
                        ("# mapthermo-maps v1\n"
                         "# dim=2 vectorization=column-stacking derivatives\n",
                         2)):
-        with open(path, "w") as fh:
-            fh.write(f"{text}{row}\n")
         with pytest.raises(ConstructionError, match=f"bad.maps:{line}: "):
-            read_map_file(path)
-    with open(path, "w") as fh:
-        fh.write(f"# mapthermo-maps v1\n{dim_line}\n{row}\n"
-                 + row.replace("0,1.0", "0.5,nan", 1) + "\n")
+            read_map_file(new_file(f"{text}{row}\n"))
     with pytest.raises(ConstructionError, match="bad.maps:4: .*not finite"):
-        read_map_file(path)
+        read_map_file(new_file(f"# mapthermo-maps v1\n{dim_line}\n{row}\n"
+                               + row.replace("0,1.0", "0.5,nan", 1) + "\n"))
 
 
 def test_load_rejects_non_tp_file(tmp_path):

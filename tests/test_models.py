@@ -13,7 +13,9 @@ from mapthermo.errors import (ConfigError, ConstructionError, SingularMap,
 from mapthermo.models import (
     FINE_POINTS,
     JC_AUTO_LEVELS_MAX,
-    LEVEL_CHUNK,
+    NODE_CHUNK,
+    PANEL_NODES,
+    PANEL_Z,
     ClosedCoherentParams,
     JCParams,
     WeakCouplingParams,
@@ -24,6 +26,9 @@ from mapthermo.models import (
     jc_reduced_map,
     vacuum_excited_population,
     weak_coupling_rates,
+    _chebyshev_nodes,
+    _frequency_families,
+    _thermal_weights,
 )
 from mapthermo.operators import PAULI, Superoperator
 from mapthermo.fluctuations import fluctuation_table
@@ -296,9 +301,9 @@ def test_reduced_map_matches_joint_unitary_evolution(params):
 
 
 def test_reduced_map_level_sum_is_chunk_independent():
-    # the 1382-level sum spans three chunks of LEVEL_CHUNK = 512 levels on
-    # both grids; the 601-point prefix, split into 7 coarse blocks against
-    # 13, must give the same sums
+    # the 1382 levels are compressed onto panels of half-width
+    # PANEL_Z / t_N, which differ between the two grids; the 601-point
+    # prefix, split into 7 coarse blocks against 13, must give the same sums
     params = JCParams(omega=1.0, omega_m=2.0, g=0.01, beta=0.01)
     assert jc_mode_count(params) + 1 == 1382
     long_grid = np.linspace(0.0, 60.0, 1201)
@@ -321,9 +326,13 @@ LEVEL_SUM_REGIMES = [
                  id="n_max_1"),
     pytest.param(JCParams(omega=1.4, omega_m=2.0, g=0.0, beta=1.0, n_max=12),
                  id="g_0"),
-    # delta = 0: alpha = 0 on every block, over two level chunks
+    # delta = 0: alpha = 0 on every block, 553 levels on a few panels
     pytest.param(JCParams(omega=1.0, omega_m=1.0, g=0.02, beta=0.05),
                  id="resonant_chunks"),
+    # g = 0: all 1382 levels of a family share one frequency, on the lower
+    # edge of a single panel
+    pytest.param(JCParams(omega=1.4, omega_m=2.0, g=0.0, beta=0.01),
+                 id="g_0_compressed"),
 ]
 # grid sizes against the FINE_POINTS of the split grid
 SHORT_GRIDS = [
@@ -363,9 +372,61 @@ def test_level_sum_matches_elementwise_reference(params, times):
 @pytest.mark.parametrize("times", SHORT_GRIDS + [
     pytest.param(np.linspace(0.0, 400.0, 1601), id="hot_window")])
 def test_hot_level_sum_matches_elementwise_reference(times):
-    # 13816 levels: the sum spans many level chunks; delta = -1
+    # 13816 levels, every family compressed onto panels; delta = -1
     params = JCParams(omega_m=2.0, g=0.01, beta=1e-3)
-    assert jc_mode_count(params) + 1 > 20 * LEVEL_CHUNK
+    levels = jc_mode_count(params) + 1
+    assert max(node_counts(params, times[-1])) < levels / 10
+    _assert_level_sums_match_reference(params, times)
+
+
+def node_counts(params, t_max):
+    """Nodes of the difference, sum and doubled-angle families."""
+    p = _thermal_weights(params, jc_mode_count(params))
+    return [_chebyshev_nodes(freqs, amps, t_max)[0].size
+            for freqs, amps in _frequency_families(params, p)]
+
+
+def test_chebyshev_panel_constants_meet_the_error_bound():
+    # interpolation error of e^{i zeta x}, |zeta| <= z, at m Chebyshev
+    # nodes, per unit amplitude
+    z, m = PANEL_Z, PANEL_NODES
+    assert 4.0 * (z / 2.0) ** m / math.factorial(m) / (
+        1.0 - z / (2.0 * m + 2.0)) <= 1e-16
+
+
+def test_hot_window_node_count():
+    params = JCParams(omega_m=2.0, g=0.01, beta=1e-3)
+    # the edge levels put one stray panel into the difference family
+    counts = node_counts(params, 400.0)
+    assert counts == [2 * PANEL_NODES, 940, 940]
+    assert sum(counts) < 4200
+
+
+def test_level_sum_over_several_node_chunks():
+    # Rabi frequencies up to 100 on a long window: the sum and doubled
+    # families keep their 2501 levels as nodes, over two chunks each
+    params = JCParams(omega_m=2.0, g=1.0, beta=1.0, n_max=2500)
+    times = np.linspace(0.0, 40.0, 201)
+    assert min(node_counts(params, times[-1])[1:]) > NODE_CHUNK
+    _assert_level_sums_match_reference(params, times)
+
+
+def test_level_sum_with_levels_on_a_panel_edge():
+    # t_N puts block 40 of the doubled family exactly on the lower edge of
+    # the second of five panels
+    params = JCParams(omega_m=1.5, g=0.05, beta=0.05)
+    p = _thermal_weights(params, jc_mode_count(params))
+    rabi = _frequency_families(params, p)[2][0]
+    gap = rabi[41] - rabi.min()
+    t_max = 2.0 * PANEL_Z / gap
+    for _ in range(64):
+        ratio = gap / (2.0 * (PANEL_Z / t_max))
+        if ratio == 1.0:
+            break
+        t_max = np.nextafter(t_max, np.inf if ratio > 1.0 else -np.inf)
+    assert ratio == 1.0
+    times = np.linspace(0.0, t_max, 601)
+    assert node_counts(params, t_max)[2] < rabi.size
     _assert_level_sums_match_reference(params, times)
 
 
@@ -379,6 +440,8 @@ def test_reduced_map_rejects_a_grid_off_the_uniform_split():
         jc_reduced_map(params, times)
     with pytest.raises(ConstructionError, match="not uniform from 0"):
         jc_reduced_map(params, np.linspace(1.0, 10.0, 101))
+    with pytest.raises(ConstructionError, match="end after 0"):
+        jc_reduced_map(params, np.zeros(3))
 
 
 def test_extraction_recovers_weak_coupling_rates():
@@ -479,6 +542,22 @@ def exchange_window(name, n):
     omega_m, g, beta_mode, beta_ref, t_f = EXCHANGE_WINDOWS[name]
     return (JCParams(omega_m=omega_m, g=g, beta=beta_mode),
             np.linspace(0.0, t_f, n + 1), beta_ref)
+
+
+@pytest.mark.parametrize("name,n,compressed", [
+    ("weak", 2400, [True, True, True]),
+    ("strong", 2400, [False, False, False]),
+    ("cold", 2000, [False, False, False]),
+])
+def test_window_level_sums_match_elementwise_reference(name, n, compressed):
+    # the windows' own grids; the weak window's 93 levels sit on one panel
+    # per family, while the strong and cold windows keep their levels
+    params, times, _ = exchange_window(name, n)
+    levels = jc_mode_count(params) + 1
+    nodes = node_counts(params, times[-1])
+    assert [k < size for k, size in zip(nodes, [levels, levels, levels + 1])
+            ] == compressed
+    _assert_level_sums_match_reference(params, times)
 
 
 def rate_round_trip(params, times, beta_ref):

@@ -12,6 +12,7 @@ from mapthermo.quadrature import (
     cumulative_simpson,
     grid_spacing,
 )
+from reference import exp_weighted_loop
 
 sane_floats = partial(floats, allow_nan=False, allow_infinity=False)
 
@@ -102,6 +103,17 @@ def test_exp_weighted_constant_rates_closed_form():
     out = cumulative_exp_weighted(np.full_like(t, xi_val), kappa * t, h)
     exact = (xi_val / kappa) * (1.0 - np.exp(-kappa * t))
     npt.assert_allclose(out, exact, atol=1e-8, rtol=0.0)
+
+
+@pytest.mark.parametrize("n_steps", [0, 1, 2, 3, 10, 1600, 2000, 2001])
+def test_exp_weighted_is_bit_identical_to_the_loop(n_steps):
+    rng = np.random.default_rng(n_steps)
+    xi = rng.standard_normal(n_steps + 1)
+    # growth of either sign, past where e^G overflows
+    G = np.cumsum(rng.uniform(-2.0, 5.0, n_steps + 1))
+    fast = cumulative_exp_weighted(xi, G, 0.37)
+    slow = exp_weighted_loop(xi, G, 0.37)
+    assert np.array_equal(fast.view(np.int64), slow.view(np.int64))
 
 
 @settings(max_examples=30, deadline=None)
