@@ -7,10 +7,15 @@ Two shapes, those of the benchmark's wc_cli and gksl_file workloads:
 
 For each shape it times the fluctuation tables of all its betas on a fresh
 `ThermoPipeline` (the pipeline is built outside the timed region, so the
-tables pay for every spectrum they need, as `mapthermo run` does) and an
+tables pay for every spectrum they need, as `mapthermo run` does), the table
+of the first beta alone on a fresh pipeline (`first_beta`: the pipeline's
+caches fill there) and, on a pipeline that has made that table, the time
+per beta of the tables of all its betas (`further_beta`), and an
 in-process `mapthermo run` of the shape's scenario (stdout discarded, each
 run into a new out_dir, `bench_record.run_timer`), best of --repeats after
-one warm-up call each. It also times the CSV writer on the numeric columns
+one warm-up call each. It times the qubit transfer-matrix conversions
+(`pauli_transfer_to_superop`, `superop_to_pauli_transfer`) on the 2001
+maps of the wc_cli shape, and the CSV writer on the numeric columns
 of the tables a wc_cli run writes (lambda_series.csv, pc_coefficients.csv
 and the cells of invertibility.csv, 100 050 cells): the first call in a
 fresh process (cold, --repeats processes) and the best of --repeats calls
@@ -90,18 +95,36 @@ class Tree:
                 os.path.join(work_dir, "trajectory.maps"))}
         self.betas = {"wc_cli": WC_BETAS, "gksl_file": GKSL_BETAS}
 
-    def tables(self, shape: str):
-        """A call making the shape's tables on a pipeline built now."""
+    def tables(self, shape: str, betas=None, warm: bool = False):
+        """A call making the shape's tables (at `betas`, by default all the
+        shape's) on a pipeline built now; with `warm`, the pipeline has
+        made the table of the shape's first beta before."""
         pipe = self.module("observables").ThermoPipeline(self.trajs[shape])
         table = self.module("fluctuations").fluctuation_table
-        return lambda: [table(pipe, beta) for beta in self.betas[shape]]
+        betas = self.betas[shape] if betas is None else betas
+        if warm:
+            table(pipe, self.betas[shape][0])
+        return lambda: [table(pipe, beta) for beta in betas]
 
     def timer(self, shape: str, what: str):
         """A call returning the wall time of the shape's tables (on a
-        pipeline built just before them), of its in-process run or of the
-        CSV writer on the wc_cli columns."""
+        pipeline built just before them), of the first beta's table, of a
+        further beta's (per beta), of a qubit transfer conversion, of its
+        in-process run or of the CSV writer on the wc_cli columns."""
         if what == "tables":
             return lambda: timed(self.tables(shape))()
+        if what == "first_beta":
+            return lambda: timed(self.tables(shape, self.betas[shape][:1]))()
+        if what == "further_beta":
+            per = len(self.betas[shape])
+            return lambda: timed(self.tables(shape, warm=True))() / per
+        if what in ("to_superop", "to_transfer"):
+            ops = self.module("operators")
+            maps = self.trajs[shape].maps
+            if what == "to_transfer":
+                return timed(lambda: ops.superop_to_pauli_transfer(maps))
+            r = ops.superop_to_pauli_transfer(maps)
+            return timed(lambda: ops.pauli_transfer_to_superop(r))
         if what == "writer":
             write = writer(self.module)
             columns = wc_cli_columns()
@@ -202,8 +225,10 @@ def measure(work_dir: str, repeats: int, against_src: str | None) -> dict:
     save_map_trajectory(traj, os.path.join(work_dir, "trajectory.maps"))
     ours = Tree(lambda name: importlib.import_module(f"mapthermo.{name}"),
                 work_dir)
-    keys = [(shape, what) for shape in SCENARIOS for what in ("tables", "run")]
-    keys.append(("wc_cli", "writer"))
+    keys = [(shape, what) for shape in SCENARIOS
+            for what in ("tables", "first_beta", "further_beta", "run")]
+    keys += [("wc_cli", what) for what in ("to_superop", "to_transfer",
+                                            "writer")]
     walls = {}
     for shape, what in keys:
         call = ours.timer(shape, what)
@@ -241,8 +266,9 @@ def measure(work_dir: str, repeats: int, against_src: str | None) -> dict:
 
 def main() -> None:
     ap = argparse.ArgumentParser(
-        description="time the fluctuation tables, mapthermo run and the CSV "
-                    "writer on the wc_cli and gksl_file shapes")
+        description="time the fluctuation tables, the qubit transfer "
+                    "conversions, mapthermo run and the CSV writer on the "
+                    "wc_cli and gksl_file shapes")
     ap.add_argument("--label", required=True,
                     help="key of this run in the JSON file")
     ap.add_argument("--out", default="BENCH_report.json")
@@ -259,8 +285,9 @@ def main() -> None:
     for key, pair in result.get("against", {}).items():
         print(f"{key}: {pair['ratio_median']:.3f} of the other tree's time, "
               f"faster in {pair['faster_in']} of {args.repeats}")
-    record_run(args.out, "fluctuation tables, mapthermo run and the CSV "
-                         "writer on the wc_cli and gksl_file shapes",
+    record_run(args.out, "fluctuation tables, qubit transfer conversions, "
+                         "mapthermo run and the CSV writer on the wc_cli "
+                         "and gksl_file shapes",
                args.label, "report", result)
 
 

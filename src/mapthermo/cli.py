@@ -29,9 +29,9 @@ import numpy as np
 from . import __version__
 from .errors import (ConfigError, ConstructionError, NoMatchingBeta,
                      SingularMap, TruncationError)
-from .operators import (COND_THRESHOLD_DEFAULT, HermitianOperator,
-                        Superoperator, cptp_diagnostics_stack, dagger,
-                        gibbs_state, hermiticity_preservation,
+from .operators import (COND_THRESHOLD_DEFAULT, DensityMatrix,
+                        HermitianOperator, Superoperator, dagger,
+                        cptp_diagnostics_stack, hermiticity_preservation,
                         project_hermiticity_preserving)
 from .dynamics import (condition_flags, csv_text, invertibility_report,
                        load_map_trajectory, read_map_file)
@@ -40,7 +40,7 @@ from .observables import ThermoPipeline
 # fluctuation_report is unused here but stays a module attribute: the traced
 # benchmark run (perfbench/child.py) wraps it by name.
 from .fluctuations import (CLUSTER_TOL, NEGATIVE_PROB_TOL, PROB_SUM_TOL,
-                           FluctuationTable,
+                           FluctuationTable, _initial_state,
                            fluctuation_report,  # noqa: F401
                            fluctuation_table, tpms_distribution)
 from .observables import (HERMITIZE_TOL, coherent_initial_construction,
@@ -418,9 +418,8 @@ def _run_map_model(cfg: ScenarioConfig, written: list[str]) -> None:
 
     if dist_indices:
         work, _ = pipe.work_heat_observables()
-        # each operator keeps its eigendecomposition, so one serves every beta
-        K0 = HermitianOperator(pipe.K[0])
-        states = [gibbs_state(K0, beta) for beta in cfg.beta_list]
+        states = [DensityMatrix._checked(_initial_state(pipe, beta))
+                  for beta in cfg.beta_list]
         first = work[0]
         for i in dist_indices:
             map_t = Superoperator(traj.maps[i])

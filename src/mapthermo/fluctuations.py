@@ -25,16 +25,14 @@ their bounds and the induced bound on the mean dissipated work are computed
 alongside.
 
 `fluctuation_table(pipeline, beta)` evaluates all of this for every grid row
-at once. What does not depend on beta is computed once per pipeline, as
-whole-grid stacks the pipeline caches: the spectra of K(t), P(t) and O_w(t),
-Phi_t[1], Phi_t[1/d] and the top eigenvalue of Phi_t[1]. Each further beta
-costs the Gibbs states of K(t), rho(0) among them (built from the cached
-spectrum and checked with one batched eigvalsh), e^{-beta P(t)} and
-e^{-beta O_w(t)}, one application of every map to rho(0) and one adjoint
-trace per map. Its columns are those of `lambda_series.csv`, plus the
-Lambda_u cross-check residual per row. `fluctuation_report` is one row of
-it. The per-operator references for the columns (`heat_fluctuation`,
-`lambda_u`, `lambda_w`, `free_energies`, `dissipated_work_bound`) live in
+at once, each trace as a weighted sum sum_k f(lambda_k) <k|A|k> in the
+eigenbasis of the observable. The spectra of K(t), P(t) and O_w(t) and the
+diagonals of Phi_t[1] and Phi_t[1/d] in them do not depend on beta; the
+pipeline caches them. Each beta costs the Boltzmann weights, row sums of
+weights times diagonals, and Phi_t[rho(0)] with its diagonal in the
+eigenbasis of P(t). The columns are those of `lambda_series.csv`, plus the
+Lambda_u cross-check residual per row; `fluctuation_report` is one row. The
+per-operator references and the matrix-trace route are in
 `tests/reference.py`.
 """
 
@@ -49,8 +47,10 @@ from .operators import (
     DensityMatrix,
     HermitianOperator,
     Superoperator,
-    _exp_stack,
+    _boltzmann,
+    _diagonals,
     _gibbs_stack,
+    _gibbs_weights,
     apply,
     eig_hermitian,
     vec,
@@ -128,9 +128,6 @@ class OutcomeDistribution:
         probs.setflags(write=False)
         object.__setattr__(self, "outcomes", outcomes)
         object.__setattr__(self, "probs", probs)
-
-    def mean(self) -> float:
-        return float(np.dot(self.probs, self.outcomes))
 
 
 def tpms_distribution(rho0: DensityMatrix, map_t: Superoperator,
@@ -272,74 +269,52 @@ class FluctuationTable:
                 *(getattr(self, name) for name in _COLUMNS)]
 
 
-def _trace_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Tr{a_n b_n} for each pair of two (n, d, d) stacks, summed as
-    a_ij b_ji without forming the products."""
-    return np.einsum("nij,nji->n", a, b)
-
-
-def _adjoint_trace(maps: np.ndarray, ops: np.ndarray) -> np.ndarray:
-    """Tr{S_n^dagger[A_n]} for each map and operator of two stacks: the
-    diagonal entries of `adjoint_apply_stack`, summed without forming the
-    rest of each image."""
-    n, d = ops.shape[0], ops.shape[-1]
-    diag = maps[:, :, ::d + 1]  # the columns of vec(|i><i|)
-    return np.einsum("nk,nki->n", ops.swapaxes(-1, -2).reshape(n, d * d),
-                     diag.conj())
+def _initial_state(pipeline, beta: float) -> np.ndarray:
+    """rho(0): the Gibbs state of K(0) at beta, from row 0 of `_k_spectrum`."""
+    k_vals, k_vecs = pipeline._k_spectrum
+    return _gibbs_stack(k_vals[:1], k_vecs[:1], beta, pipeline.times[:1])[0]
 
 
 def fluctuation_table(pipeline, beta: float, indices=None) -> FluctuationTable:
     """The report at every requested grid row of a ThermoPipeline (all rows
     when `indices` is None), computed as one batched pass.
 
-    The initial state is the Gibbs state of K(0) at this beta, built from
-    row 0 of the cached spectrum of K(t). The beta-independent inputs (the
-    spectra of K(t), P(t) and O_w(t) = K(t) - P(t), Phi_t[1] and
-    Phi_t[1/d]) are the pipeline's cached whole-grid stacks, sliced to the
-    requested rows; per beta, each map is applied to
-    rho(0) and adjointly to the Gibbs state of K(t), and the exponential
-    averages follow from the trace formulas. <e^{-beta w}> =
-    Tr{e^{-beta O_w(t)} Phi_t[1]} / Z(0) is evaluated on its own rather
-    than as Lambda_w e^{-beta deltaF}, so `check_invariants` compares two
-    routes. The per-operator references are in `tests/reference.py`.
+    The pipeline's cached diagonals, sliced to the requested rows, are
+    weighted with the Gibbs populations of K(t) (the three Lambda_u routes)
+    and with e^{-beta O_w(t)} (Lambda_w); the diagonal of Phi_t[rho(0)] in
+    the eigenbasis of P(t) with e^{-beta P(t)}. Both exponentials are
+    checked for overflow. <e^{-beta w}> = Tr{e^{-beta O_w(t)} Phi_t[1]} /
+    Z(0) is evaluated on its own rather than as Lambda_w e^{-beta deltaF},
+    so `check_invariants` compares two routes.
     """
     if beta <= 0:
         raise ValueError("beta must be positive")
     traj = pipeline.traj
     d = traj.dim
-    # a slice keeps the whole-grid stacks as views, not copies
+    # a slice keeps the whole-grid arrays as views, not copies
     rows = slice(None) if indices is None else np.asarray(indices, dtype=int)
     times = traj.times[rows]
-    Ow = pipeline._work_ops[rows]
 
-    k_vals, k_vecs = pipeline._k_spectrum
-    rho0 = _gibbs_stack(k_vals[:1], k_vecs[:1], beta, traj.times[:1])[0]
+    rho0 = _initial_state(pipeline, beta)
+    k_vals = pipeline._k_spectrum[0]
     z0 = np.sum(np.exp(-beta * k_vals[0]))
-    k_vals, k_vecs = k_vals[rows], k_vecs[rows]
-    zt = np.sum(np.exp(-beta * k_vals), axis=-1)
-    rho_g = _gibbs_stack(k_vals, k_vecs, beta, times)
+    zt = np.sum(np.exp(-beta * k_vals[rows]), axis=-1)
+    gibbs = _gibbs_weights(k_vals[rows], beta)
+    *routes, phi_w, phi_max = (a[rows] for a in pipeline._unit_image_terms)
+    direct, mixed, adj = ((gibbs * a).sum(axis=-1) for a in routes)
+    residual = np.ptp([direct, mixed, adj], axis=0)  # largest disagreement
 
-    maps = traj.maps[rows]
-    phi_id, phi_mixed = (a[rows] for a in pipeline._unit_images)
-    rho_t = (maps @ vec(rho0)).reshape(-1, d, d).swapaxes(1, 2)
-
-    direct = _trace_product(rho_g, phi_id).real
-    adj = _adjoint_trace(maps, rho_g).real
-    mixed = d * _trace_product(rho_g, phi_mixed).real
-    residual = np.maximum.reduce([np.abs(direct - adj), np.abs(direct - mixed),
-                                  np.abs(adj - mixed)])
-    phi_max = pipeline._unit_image_top[rows]
-
+    w_vals = pipeline._work_spectrum[0][rows]
+    exp_w = (_boltzmann(w_vals, beta, times, "O_w") * phi_w).sum(axis=-1)
     p_vals, p_vecs = (a[rows] for a in pipeline._p_spectrum)
     p_max = p_vals[:, -1]
-    w_vals, w_vecs = (a[rows] for a in pipeline._work_spectrum)
-    exp_w = _trace_product(_exp_stack(w_vals, w_vecs, beta, times, "O_w"),
-                           phi_id).real
-    exp_q = _trace_product(_exp_stack(p_vals, p_vecs, beta, times, "P"),
-                           rho_t).real
+    vec_rho_t = traj.maps[rows] @ vec(rho0)
+    rho_t = vec_rho_t.reshape(-1, d, d).swapaxes(1, 2)
+    exp_q = (_boltzmann(p_vals, beta, times, "P")
+             * _diagonals(p_vecs, vec_rho_t[..., None])[..., 0]).sum(axis=-1)
     # a difference of two O(1) energies that cancels exactly at t = 0: the
     # traces keep the summation order of `mean_change`
-    mean_w = (np.trace(Ow @ rho_t, axis1=-2, axis2=-1)
+    mean_w = (np.trace(pipeline._work_ops[rows] @ rho_t, axis1=-2, axis2=-1)
               - np.trace(pipeline.K[0] @ rho0)).real
     return FluctuationTable(
         time=times, beta=beta, lambda_u=direct, lambda_w=exp_w / zt,

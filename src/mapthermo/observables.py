@@ -55,6 +55,7 @@ from .operators import (
     HERMITICITY_TOL,
     DensityMatrix,
     HermitianOperator,
+    _diagonals,
     _exp_stack,
     adjoint_apply_stack,
     dagger,
@@ -126,10 +127,10 @@ class ThermoPipeline:
     built from them.
 
     The beta-independent inputs of `fluctuations.fluctuation_table` are
-    cached here on first use, as read-only whole-grid stacks, so every
-    further beta reuses them: the checked O_w = K - P, the spectral
-    decompositions of K, P and O_w, Phi_t[1], Phi_t[1/d] and the largest
-    eigenvalue of the Hermitian part of Phi_t[1]."""
+    cached here on first use, as read-only whole-grid arrays, so every
+    further beta reuses them: O_w = K - P, the spectral decompositions of
+    K, P and O_w, and the diagonals of Phi_t[1] and Phi_t[1/d] in those
+    eigenbases (`_unit_image_terms`)."""
 
     def __init__(self, traj: MapTrajectory,
                  cond_threshold: float = COND_THRESHOLD_DEFAULT):
@@ -154,8 +155,8 @@ class ThermoPipeline:
 
     @cached_property
     def _work_ops(self) -> np.ndarray:
-        return _frozen(hermitian_stack(self.K - self.P, HERMITICITY_TOL,
-                                       self.times, "work observable O_w"))
+        # exactly Hermitian: K and P are, and conjugation is exact
+        return _frozen(self.K - self.P)
 
     @cached_property
     def _k_spectrum(self) -> tuple[np.ndarray, np.ndarray]:
@@ -170,21 +171,23 @@ class ThermoPipeline:
         return tuple(map(_frozen, np.linalg.eigh(self._work_ops)))
 
     @cached_property
-    def _unit_images(self) -> tuple[np.ndarray, np.ndarray]:
-        """Phi_t[1] and Phi_t[1/d], one matrix-vector product per input
-        and map, as `apply` does: a single product with the stacked inputs
-        sums in another order."""
+    def _unit_image_terms(self) -> tuple[np.ndarray, ...]:
+        """In the eigenbasis |k> of K(t), <k|Phi_t[1]|k>, d <k|Phi_t[1/d]|k>
+        and Tr{Phi_t^dagger[|k><k|]} from the map's columns (the Lambda_u
+        routes), <k|Phi_t[1]|k> in that of O_w(t), and lambda_max{Phi_t[1]}."""
         d = self.traj.dim
         ident = np.eye(d, dtype=complex)
-        return tuple(_frozen((self.traj.maps @ vec(a)).reshape(-1, d, d)
-                             .swapaxes(1, 2)) for a in (ident, ident / d))
-
-    @cached_property
-    def _unit_image_top(self) -> np.ndarray:
-        """The largest eigenvalue of the Hermitian part of Phi_t[1]."""
-        phi_id = self._unit_images[0]
-        return _frozen(
-            np.linalg.eigvalsh(0.5 * (phi_id + dagger(phi_id)))[:, -1])
+        # one matrix-vector product per input and map, as `apply` does
+        phi_id, phi_mixed = (self.traj.maps @ vec(a)
+                             for a in (ident, ident / d))
+        columns = self.traj.maps[:, :, ::d + 1] @ np.ones(d)  # sum over i
+        k_terms = _diagonals(self._k_spectrum[1],
+                             np.stack([phi_id, phi_mixed, columns], axis=-1))
+        phi = phi_id.reshape(-1, d, d).swapaxes(1, 2)
+        return tuple(map(_frozen, (
+            k_terms[..., 0], d * k_terms[..., 1], k_terms[..., 2],
+            _diagonals(self._work_spectrum[1], phi_id[..., None])[..., 0],
+            np.linalg.eigvalsh(0.5 * (phi + dagger(phi)))[:, -1])))
 
     def _series(self, ops: np.ndarray, label: str,
                 encoding: str = "per_time") -> ObservableSeries:

@@ -259,22 +259,25 @@ def _state_stack(a: np.ndarray, times=None, what: str = "state") -> np.ndarray:
     return a
 
 
+def _gibbs_weights(vals: np.ndarray, beta: float) -> np.ndarray:
+    """Gibbs populations of spectra, each shifted so that none overflows."""
+    w = np.exp(-beta * (vals - vals.min(axis=-1, keepdims=True)))
+    return w / w.sum(axis=-1, keepdims=True)
+
+
 def _gibbs_stack(vals: np.ndarray, vecs: np.ndarray, beta: float,
                  times=None) -> np.ndarray:
     """e^{-beta X} / Tr{e^{-beta X}} of a stack of spectral decompositions
-    of X, checked by `_state_stack`; each spectrum is shifted so its largest
-    Boltzmann weight is 1 (no overflow for large beta)."""
-    w = np.exp(-beta * (vals - vals.min(axis=-1, keepdims=True)))
-    w /= w.sum(axis=-1, keepdims=True)
+    of X, checked by `_state_stack`."""
+    w = _gibbs_weights(vals, beta)
     return _state_stack((vecs * w[:, None, :]) @ dagger(vecs), times,
                         f"Gibbs state (beta = {beta:.6g})")
 
 
-def _exp_stack(vals: np.ndarray, vecs: np.ndarray, beta: float,
-               times=None, what: str = "X") -> np.ndarray:
-    """e^{-beta X} of a stack of spectral decompositions of X, symmetrized.
-    Raises ConstructionError naming beta and the first row where it
-    overflows, by its time when `times` is given."""
+def _boltzmann(vals: np.ndarray, beta: float, times=None,
+               what: str = "X") -> np.ndarray:
+    """e^{-beta x} of a stack of spectra of X; a ConstructionError names beta
+    and the first row where it overflows, by its time when `times` is given."""
     with np.errstate(over="ignore"):
         f = np.exp(-beta * vals)
     bad = np.flatnonzero(~np.all(np.isfinite(f), axis=-1))
@@ -283,8 +286,22 @@ def _exp_stack(vals: np.ndarray, vecs: np.ndarray, beta: float,
         raise ConstructionError(
             f"e^(-beta {what}) is undefined{_label(times, k)}, "
             f"beta = {beta:.6g}: eigenvalues {vals[k]}")
-    m = (vecs * f[:, None, :]) @ dagger(vecs)
+    return f
+
+
+def _exp_stack(vals: np.ndarray, vecs: np.ndarray, beta: float,
+               times=None, what: str = "X") -> np.ndarray:
+    """e^{-beta X} of a stack of spectral decompositions of X, symmetrized."""
+    m = (vecs * _boltzmann(vals, beta, times, what)[:, None, :]) @ dagger(vecs)
     return 0.5 * (m + dagger(m))
+
+
+def _diagonals(vecs: np.ndarray, vec_ops: np.ndarray) -> np.ndarray:
+    """Re <k|A_j|k> as (n, d, m), |k> the eigenvector columns of a (n, d, d)
+    stack: rows vec(|k><k|)^dagger times the (n, d^2, m) stack vec(A_j)."""
+    cols = vecs.swapaxes(1, 2)  # row entry (k, b, a) is conj(V_ak) V_bk
+    return ((cols.conj()[:, :, None] * cols[..., None]).reshape(
+        *cols.shape[:2], -1) @ vec_ops).real
 
 
 def require_invertible(conds: np.ndarray, cond_threshold: float, times=None,
@@ -385,20 +402,26 @@ PAULI = (
 )
 
 
-# Columns are vec(P_i), so S = (1/2) B R B^dagger and R = (1/2) B^dagger S B.
-_PAULI_VEC = np.stack([vec(p) for p in PAULI], axis=1)
+# Row (i, j) of _OUTER is (1/2) vec(P_i) vec(P_j)^dagger, so S = R @ _OUTER
+# and R = Re(S @ _OUTER^dagger), flattened: one real product on re/im pairs.
+_PAULI_VEC = np.array([vec(p) for p in PAULI])
+_OUTER = 0.5 * np.kron(_PAULI_VEC, _PAULI_VEC.conj())
+_TO_TRANSFER = np.stack([_OUTER.real.T, _OUTER.imag.T], axis=1).reshape(32, 16)
 
 
 def superop_to_pauli_transfer(m: np.ndarray) -> np.ndarray:
     """Real transfer matrices of a stack (..., 4, 4) of qubit superoperator
     matrices."""
-    return 0.5 * (_PAULI_VEC.conj().T @ m @ _PAULI_VEC).real
+    m = np.ascontiguousarray(m, dtype=complex)
+    return (m.reshape(-1, 16).view(float) @ _TO_TRANSFER).reshape(m.shape)
 
 
 def pauli_transfer_to_superop(r: np.ndarray) -> np.ndarray:
     """Superoperator matrices of a stack (..., 4, 4) of real transfer
     matrices; the inverse of `superop_to_pauli_transfer`."""
-    return 0.5 * (_PAULI_VEC @ np.asarray(r, dtype=float) @ _PAULI_VEC.conj().T)
+    r = np.asarray(r, dtype=float)
+    return (r.reshape(-1, 16) @ _OUTER.view(float)).view(complex).reshape(
+        r.shape)
 
 
 def random_hermitian(dim: int, rng: np.random.Generator) -> HermitianOperator:

@@ -10,7 +10,10 @@ level sum one block and grid time at a time), plus the small constructors
 functions only tests call (`cptp_diagnostics` of one map,
 `noneq_free_energy`, and `pc_general_d`, the eigenvalue route of d-level
 phase-covariant maps), and the per-row `%` writers that the vectorised
-cell-spelling kernel of `dynamics` replaced. Nothing in `src/mapthermo`
+cell-spelling kernel of `dynamics` replaced, and the matrix-trace route of
+the fluctuation table (`matrix_fluctuation_table`: Gibbs states and
+exponentials formed as stacks and traced) that the eigenbasis weighted sums
+of `fluctuation_table` replaced. Nothing in `src/mapthermo`
 calls them. The random states and unitaries are those of the acceptance
 checks (`mapthermo.validation`), imported here for the other tests.
 
@@ -33,7 +36,7 @@ import numpy as np
 from mapthermo.dynamics import (_CELL, _EXACT, _FORMAT_TAG, _MAX_Q, _POW10,
                                  _U64, MapTrajectory, map_derivatives)
 from mapthermo.errors import ConstructionError
-from mapthermo.fluctuations import OutcomeDistribution
+from mapthermo.fluctuations import FluctuationTable, OutcomeDistribution
 from mapthermo.models import JCParams, _thermal_weights, jc_mode_count
 from mapthermo.observables import CoherentInitialData, CoherentWorkResult
 from mapthermo.operators import (
@@ -43,10 +46,12 @@ from mapthermo.operators import (
     HermitianOperator,
     Superoperator,
     _exp_stack,
+    _gibbs_stack,
     _reshuffle,
     apply,
     commutator_superop,
     cptp_diagnostics_stack,
+    dagger,
     eig_hermitian,
     gibbs_state,
     partition_function,
@@ -54,6 +59,7 @@ from mapthermo.operators import (
     require_invertible,
     superop_to_pauli_transfer,
     unvec,
+    vec,
 )
 from mapthermo.phase_covariant import (
     PCMapCoefficients,
@@ -493,6 +499,69 @@ def heat_fluctuation(rho0: DensityMatrix, map_t: Superoperator,
     exp_p = _exp_stack(vals[None], vecs[None], beta, what="P")[0]
     value = float(np.trace(exp_p @ apply(map_t, rho0.matrix)).real)
     return value, float(np.exp(-beta * vals[0]))
+
+
+def trace_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Tr{a_n b_n} for each pair of two (n, d, d) stacks, summed as
+    a_ij b_ji without forming the products."""
+    return np.einsum("nij,nji->n", a, b)
+
+
+def adjoint_trace(maps: np.ndarray, ops: np.ndarray) -> np.ndarray:
+    """Tr{S_n^dagger[A_n]} for each map and operator of two stacks: the
+    diagonal entries of `adjoint_apply_stack`, summed without forming the
+    rest of each image."""
+    n, d = ops.shape[0], ops.shape[-1]
+    diag = maps[:, :, ::d + 1]  # the columns of vec(|i><i|)
+    return np.einsum("nk,nki->n", ops.swapaxes(-1, -2).reshape(n, d * d),
+                     diag.conj())
+
+
+def matrix_fluctuation_table(pipeline, beta: float,
+                             indices=None) -> FluctuationTable:
+    """`fluctuation_table` by matrix traces: per beta it forms the checked
+    Gibbs states of K(t), e^{-beta O_w(t)} and e^{-beta P(t)} as (n, d, d)
+    stacks from the pipeline's cached spectra and traces them against
+    Phi_t[1], Phi_t[1/d] and Phi_t[rho(0)]; Lambda_u's adjoint route goes
+    through `adjoint_trace`."""
+    traj = pipeline.traj
+    d = traj.dim
+    rows = slice(None) if indices is None else np.asarray(indices, dtype=int)
+    times = traj.times[rows]
+    k_vals, k_vecs = pipeline._k_spectrum
+    rho0 = _gibbs_stack(k_vals[:1], k_vecs[:1], beta, traj.times[:1])[0]
+    z0 = np.sum(np.exp(-beta * k_vals[0]))
+    k_vals, k_vecs = k_vals[rows], k_vecs[rows]
+    zt = np.sum(np.exp(-beta * k_vals), axis=-1)
+    rho_g = _gibbs_stack(k_vals, k_vecs, beta, times)
+
+    maps = traj.maps[rows]
+    ident = np.eye(d, dtype=complex)
+    phi_id, phi_mixed = ((maps @ vec(a)).reshape(-1, d, d).swapaxes(1, 2)
+                         for a in (ident, ident / d))
+    rho_t = (maps @ vec(rho0)).reshape(-1, d, d).swapaxes(1, 2)
+    direct = trace_product(rho_g, phi_id).real
+    adj = adjoint_trace(maps, rho_g).real
+    mixed = d * trace_product(rho_g, phi_mixed).real
+    residual = np.maximum.reduce([np.abs(direct - adj), np.abs(direct - mixed),
+                                  np.abs(adj - mixed)])
+    phi_max = np.linalg.eigvalsh(0.5 * (phi_id + dagger(phi_id)))[:, -1]
+
+    p_vals, p_vecs = (a[rows] for a in pipeline._p_spectrum)
+    p_max = p_vals[:, -1]
+    w_vals, w_vecs = (a[rows] for a in pipeline._work_spectrum)
+    exp_w = trace_product(_exp_stack(w_vals, w_vecs, beta, times, "O_w"),
+                          phi_id).real
+    exp_q = trace_product(_exp_stack(p_vals, p_vecs, beta, times, "P"),
+                          rho_t).real
+    mean_w = (np.trace(pipeline._work_ops[rows] @ rho_t, axis1=-2, axis2=-1)
+              - np.trace(pipeline.K[0] @ rho0)).real
+    return FluctuationTable(
+        time=times, beta=beta, lambda_u=direct, lambda_w=exp_w / zt,
+        lambda_w_bound=np.exp(beta * p_max) * phi_max, exp_avg_w=exp_w / z0,
+        exp_avg_q=exp_q, delta_F_bar=-np.log(zt / z0) / beta, mean_w=mean_w,
+        dissipated_bound=-p_max - np.log(phi_max) / beta,
+        lambda_u_residual=residual)
 
 
 def noneq_free_energy(rho: DensityMatrix, K: HermitianOperator,

@@ -23,7 +23,8 @@ from mapthermo.fluctuations import (
     fluctuation_table,
     tpms_distribution,
 )
-from mapthermo.models import WeakCouplingParams, weak_coupling_rates
+from mapthermo.models import (JCParams, WeakCouplingParams, jc_reduced_map,
+                              weak_coupling_rates)
 from mapthermo.observables import ThermoPipeline, mean_change
 from mapthermo.operators import (
     PAULI,
@@ -44,6 +45,7 @@ from mapthermo.phase_covariant import (
 )
 from mapthermo.validation import random_gksl_trajectory
 from reference import (
+    adjoint_trace,
     conjugation_superop,
     constant_rates,
     csv_rows,
@@ -52,10 +54,12 @@ from reference import (
     heat_fluctuation,
     lambda_u,
     lambda_w,
+    matrix_fluctuation_table,
     moment,
     noneq_free_energy,
     random_density_matrix,
     random_unitary,
+    trace_product,
 )
 
 SZ = PAULI[3]
@@ -146,7 +150,7 @@ def test_tpms_mean_is_trace_formula_for_commuting_state():
     expect = (np.trace(Ot.matrix @ apply(map_t, rho0.matrix)).real
               - np.trace(O0.matrix @ rho0.matrix).real)
     assert dist.initial_coherence < 1e-12
-    assert abs(dist.mean() - expect) < 1e-10
+    assert abs(moment(dist, 1) - expect) < 1e-10
 
 
 def test_tpms_flags_destroyed_coherences():
@@ -204,7 +208,7 @@ def test_tpms_against_unclustered_brute_force():
             brute_mean += prob * (valst[m] - vals0[n])
     dist = tpms_distribution(rho0, map_t, O0, Ot)
     assert abs(exp_average(dist, beta) - brute) < 1e-10
-    assert abs(dist.mean() - brute_mean) < 1e-10
+    assert abs(moment(dist, 1) - brute_mean) < 1e-10
 
 
 def test_lambda_u_is_one_for_unital_maps():
@@ -537,6 +541,82 @@ def test_a_second_beta_diagonalizes_no_stack_again(monkeypatch):
     assert len(stacks) == 3
 
 
+def test_a_further_beta_forms_no_gibbs_stack_and_checks_no_row(monkeypatch):
+    pipe = qutrit_pipeline()
+    fluctuation_table(pipe, 0.5)  # fills the pipeline's caches
+    gibbs, spectra = [], []
+
+    def recording(calls, fn):
+        def call(a, *args, **kwargs):
+            calls.append(np.shape(a))
+            return fn(a, *args, **kwargs)
+        return call
+
+    monkeypatch.setattr(fluctuations, "_gibbs_stack",
+                        recording(gibbs, fluctuations._gibbs_stack))
+    for name in ("eigvalsh", "eigh"):
+        monkeypatch.setattr(np.linalg, name,
+                            recording(spectra, getattr(np.linalg, name)))
+    fluctuation_table(pipe, 2.0)
+    fluctuation_table(pipe, 2.0, indices=[1, 5])
+    # only rho(0): row 0 of the K spectrum, and its one state check
+    assert gibbs == [(1, 3), (1, 3)]
+    assert spectra == [(1, 3, 3), (1, 3, 3)]
+
+
+def gksl_pipeline(dim=6, n=60):
+    times = np.linspace(0.0, 1.0, n + 1)
+    return ThermoPipeline(
+        random_gksl_trajectory(dim, np.random.default_rng(dim), times))
+
+
+@pytest.mark.parametrize("indices", [None, [0, 1, 7, 30, 59, 60, 7]])
+@pytest.mark.parametrize("beta", [0.05, 1.0, 8.0])
+@pytest.mark.parametrize("make_pipe", [weak_coupling_pipeline,
+                                       qutrit_pipeline, gksl_pipeline])
+def test_eigenbasis_table_matches_the_matrix_route(make_pipe, beta, indices):
+    pipe = make_pipe()
+    table = fluctuation_table(pipe, beta, indices)
+    ref = matrix_fluctuation_table(pipe, beta, indices)
+    assert table.time.tobytes() == ref.time.tobytes()
+    for name in TABLE_FIELDS:
+        if name in ("time", "lambda_u_residual"):
+            continue
+        got, want = getattr(table, name), getattr(ref, name)
+        scale = np.maximum(1.0, np.abs(want))
+        assert np.all(np.abs(got - want) <= 1e-13 * scale), name
+    assert np.all(table.lambda_u_residual <= 1e-12)
+
+
+def overflowing_work_pipeline():
+    # gamma = 0.5 over the default window: beta O_w(t) leaves exp's range
+    p = WeakCouplingParams(gamma=0.5)
+    return ThermoPipeline(pc_trajectory(weak_coupling_rates(p),
+                                        p.grid(100))[0])
+
+
+def overflowing_heat_pipeline():
+    # resonant vacuum exchange: beta P(t) leaves exp's range, O_w does not
+    params = JCParams(omega=1.0, omega_m=1.0, g=0.1)
+    return ThermoPipeline(jc_reduced_map(params, np.linspace(0, 30, 201))[0])
+
+
+@pytest.mark.parametrize("make_pipe,what,ops", [
+    (overflowing_work_pipeline, "O_w", lambda pipe: pipe.K - pipe.P),
+    (overflowing_heat_pipeline, "P", lambda pipe: pipe.P)])
+def test_an_overflowing_exponential_names_its_first_row(make_pipe, what,
+                                                        ops):
+    pipe = make_pipe()
+    with np.errstate(over="ignore"):
+        finite = np.isfinite(np.exp(-np.linalg.eigvalsh(ops(pipe))))
+    k = np.flatnonzero(~finite.all(axis=-1))[0]
+    message = re.escape(f"e^(-beta {what}) is undefined at "
+                        f"t = {pipe.times[k]:.6g}, beta = 1:")
+    for table in (fluctuation_table, matrix_fluctuation_table):
+        with pytest.raises(ConstructionError, match=message):
+            table(pipe, 1.0)
+
+
 def test_the_table_builds_no_wrapper(wrapper_builds):
     # rho(0) and Z(0) come from row 0 of the cached spectrum of K(t)
     pipe = qutrit_pipeline()
@@ -562,9 +642,9 @@ def test_trace_sums_match_the_formed_products(dim):
         scale = np.maximum(np.abs(got), np.abs(want))
         assert np.all(np.abs(got - want) <= 1e-15 * scale)
 
-    close(fluctuations._trace_product(a, b),
+    close(trace_product(a, b),
           np.trace(a @ b, axis1=-2, axis2=-1))
-    close(fluctuations._adjoint_trace(maps, a),
+    close(adjoint_trace(maps, a),
           np.trace(adjoint_apply_stack(maps, a), axis1=-2, axis2=-1))
 
 
