@@ -34,12 +34,14 @@ def machine() -> dict:
 def record_run(path: str, topic: str, label: str, key: str,
                result: dict) -> None:
     """Store `result` under runs[label][key] of the JSON file at `path`,
-    next to the machine record, keeping the other labels' runs."""
-    record = {"topic": topic, "runs": {}}
+    next to the machine record, keeping the other labels' runs; the file's
+    topic becomes `topic`, so a script whose scope grew says so."""
+    runs = {}
     if os.path.exists(path):
         with open(path) as fh:
-            record = json.load(fh)
-    record["runs"][label] = {"machine": machine(), key: result}
+            runs = json.load(fh)["runs"]
+    runs[label] = {"machine": machine(), key: result}
+    record = {"topic": topic, "runs": runs}
     with open(path, "w") as fh:
         json.dump(record, fh, indent=2)
         fh.write("\n")

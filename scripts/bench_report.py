@@ -1,4 +1,5 @@
-"""Wall time of the fluctuation tables and of `mapthermo run` in process.
+"""Wall time of the fluctuation tables, the two-point distributions and of
+`mapthermo run` in process.
 
 Two shapes, those of the benchmark's wc_cli and gksl_file workloads:
 
@@ -13,7 +14,13 @@ caches fill there) and, on a pipeline that has made that table, the time
 per beta of the tables of all its betas (`further_beta`), and an
 in-process `mapthermo run` of the shape's scenario (stdout discarded, each
 run into a new out_dir, `bench_record.run_timer`), best of --repeats after
-one warm-up call each. It times the qubit transfer-matrix conversions
+one warm-up call each. A tree's tables come from its all-beta pass
+(`fluctuation_tables`), or from one `fluctuation_table` call per beta in a
+tree that has none. At the wc_cli shape it also times the two-point
+distributions of the run's two distribution times at all four betas, as
+the tree's `run` makes them (`distributions`: the work observables, the
+initial states and the distribution calls, on a pipeline whose caches a
+table has filled). It times the qubit transfer-matrix conversions
 (`pauli_transfer_to_superop`, `superop_to_pauli_transfer`) on the 2001
 maps of the wc_cli shape, and the CSV writer on the numeric columns
 of the tables a wc_cli run writes (lambda_series.csv, pc_coefficients.csv
@@ -26,10 +33,11 @@ runs of two source trees sit side by side, each put first on PYTHONPATH:
         env PYTHONPATH=src python scripts/bench_report.py --label change
 
 With --against the src directory of a second tree (say a checkout of the
-parent commit), both trees are imported into one process, their tables are
-checked to agree to 1e-12 relative and their writers to spell the columns
-to the same bytes, and each timed call (each cold process, too) alternates
-with the other tree's, so that each gets a ratio per pair of calls.
+parent commit), both trees are imported into one process, their tables and
+distributions are checked to agree to 1e-12 relative and their writers to
+spell the columns to the same bytes, and each timed call (each cold
+process, too) alternates with the other tree's, so that each gets a ratio
+per pair of calls.
 
 BLAS thread variables and the usable CPUs are recorded, not set.
 """
@@ -52,7 +60,7 @@ from mapthermo.observables import ThermoPipeline
 from mapthermo.phase_covariant import pc_trajectory
 from mapthermo.validation import random_gksl_trajectory
 
-WC_STEPS, WC_BETAS = 2000, (0.5, 1.0, 2.0, 4.0)
+WC_STEPS, WC_BETAS, WC_DIST_TIMES = 2000, (0.5, 1.0, 2.0, 4.0), (2.5, 7.5)
 GKSL_DIM, GKSL_STEPS, GKSL_BETAS, SEED = 6, 400, (1.0,), 0
 SCENARIOS = {
     "wc_cli": f"""\
@@ -60,7 +68,7 @@ SCENARIOS = {
 model = weak_coupling
 beta_list = {", ".join(map(repr, WC_BETAS))}
 n_steps = {WC_STEPS}
-distribution_times = 2.5, 7.5
+distribution_times = {", ".join(map(repr, WC_DIST_TIMES))}
 series = lambda, invertibility, pc_coefficients
 out_dir = {{out_dir}}
 
@@ -100,17 +108,46 @@ class Tree:
         shape's) on a pipeline built now; with `warm`, the pipeline has
         made the table of the shape's first beta before."""
         pipe = self.module("observables").ThermoPipeline(self.trajs[shape])
-        table = self.module("fluctuations").fluctuation_table
+        fluctuations = self.module("fluctuations")
         betas = self.betas[shape] if betas is None else betas
         if warm:
-            table(pipe, self.betas[shape][0])
-        return lambda: [table(pipe, beta) for beta in betas]
+            fluctuations.fluctuation_table(pipe, self.betas[shape][0])
+        if hasattr(fluctuations, "fluctuation_tables"):
+            return lambda: fluctuations.fluctuation_tables(pipe, betas)
+        return lambda: [fluctuations.fluctuation_table(pipe, beta)
+                        for beta in betas]
+
+    def distributions(self):
+        """A call making the wc_cli shape's distributions the way the tree's
+        `run` does, on a pipeline whose caches a table has filled."""
+        pipe = self.module("observables").ThermoPipeline(self.trajs["wc_cli"])
+        fluctuations = self.module("fluctuations")
+        fluctuations.fluctuation_table(pipe, WC_BETAS[0])
+        ops = self.module("operators")
+        maps, times = pipe.traj.maps, pipe.times
+        indices = [int(np.argmin(np.abs(times - t))) for t in WC_DIST_TIMES]
+
+        def run():
+            work, _ = pipe.work_heat_observables()
+            first = work[0]
+            if hasattr(fluctuations, "_initial_states"):
+                states = fluctuations._initial_states(pipe, WC_BETAS)
+                return [fluctuations.tpms_distribution(
+                    states, ops.Superoperator(maps[i]), first, work[i])
+                    for i in indices]
+            states = [ops.DensityMatrix._checked(
+                fluctuations._initial_state(pipe, beta)) for beta in WC_BETAS]
+            return [[fluctuations.tpms_distribution(
+                rho, ops.Superoperator(maps[i]), first, work[i])
+                for rho in states] for i in indices]
+        return run
 
     def timer(self, shape: str, what: str):
         """A call returning the wall time of the shape's tables (on a
         pipeline built just before them), of the first beta's table, of a
         further beta's (per beta), of a qubit transfer conversion, of its
-        in-process run or of the CSV writer on the wc_cli columns."""
+        in-process run, of the wc_cli distributions or of the CSV writer on
+        the wc_cli columns."""
         if what == "tables":
             return lambda: timed(self.tables(shape))()
         if what == "first_beta":
@@ -118,6 +155,8 @@ class Tree:
         if what == "further_beta":
             per = len(self.betas[shape])
             return lambda: timed(self.tables(shape, warm=True))() / per
+        if what == "distributions":
+            return lambda: timed(self.distributions())()
         if what in ("to_superop", "to_transfer"):
             ops = self.module("operators")
             maps = self.trajs[shape].maps
@@ -206,16 +245,25 @@ COLUMNS = ("lambda_u", "lambda_w", "lambda_w_bound", "exp_avg_w",
 
 def check_agreement(ours: Tree, theirs: Tree) -> None:
     """Exit unless both trees' tables agree to 1e-12 relative (mean_w, which
-    cancels to zero at t = 0, to 1e-12 of its largest value)."""
+    cancels to zero at t = 0, to 1e-12 of its largest value or of 1, the
+    scale of the traces whose difference it is), and so do
+    their wc_cli distributions (outcomes and probabilities, scale 1)."""
     for shape in SCENARIOS:
         for a, b in zip(ours.tables(shape)(), theirs.tables(shape)()):
             for name in COLUMNS:
                 x, y = getattr(a, name), getattr(b, name)
                 scale = np.maximum(np.abs(x), np.abs(y))
-                if name == "mean_w":
-                    scale = scale.max()
+                if name == "mean_w":   # a difference of O(1) traces
+                    scale = max(1.0, scale.max())
                 if np.any(np.abs(x - y) > 1e-12 * scale):
                     raise SystemExit(f"{shape} {name} differs between trees")
+    ours_dists, theirs_dists = ([d for at_time in tree.distributions()()
+                                 for d in at_time] for tree in (ours, theirs))
+    for a, b in zip(ours_dists, theirs_dists):
+        for x, y in ((a.outcomes, b.outcomes), (a.probs, b.probs)):
+            if x.shape != y.shape or np.any(
+                    np.abs(x - y) > 1e-12 * np.maximum(1.0, np.abs(y))):
+                raise SystemExit("wc_cli distributions differ between trees")
 
 
 def measure(work_dir: str, repeats: int, against_src: str | None) -> dict:
@@ -227,8 +275,8 @@ def measure(work_dir: str, repeats: int, against_src: str | None) -> dict:
                 work_dir)
     keys = [(shape, what) for shape in SCENARIOS
             for what in ("tables", "first_beta", "further_beta", "run")]
-    keys += [("wc_cli", what) for what in ("to_superop", "to_transfer",
-                                            "writer")]
+    keys += [("wc_cli", what) for what in ("distributions", "to_superop",
+                                            "to_transfer", "writer")]
     walls = {}
     for shape, what in keys:
         call = ours.timer(shape, what)
@@ -266,9 +314,10 @@ def measure(work_dir: str, repeats: int, against_src: str | None) -> dict:
 
 def main() -> None:
     ap = argparse.ArgumentParser(
-        description="time the fluctuation tables, the qubit transfer "
-                    "conversions, mapthermo run and the CSV writer on the "
-                    "wc_cli and gksl_file shapes")
+        description="time the fluctuation tables, the two-point "
+                    "distributions, the qubit transfer conversions, "
+                    "mapthermo run and the CSV writer on the wc_cli and "
+                    "gksl_file shapes")
     ap.add_argument("--label", required=True,
                     help="key of this run in the JSON file")
     ap.add_argument("--out", default="BENCH_report.json")
@@ -285,9 +334,9 @@ def main() -> None:
     for key, pair in result.get("against", {}).items():
         print(f"{key}: {pair['ratio_median']:.3f} of the other tree's time, "
               f"faster in {pair['faster_in']} of {args.repeats}")
-    record_run(args.out, "fluctuation tables, qubit transfer conversions, "
-                         "mapthermo run and the CSV writer on the wc_cli "
-                         "and gksl_file shapes",
+    record_run(args.out, "fluctuation tables, two-point distributions, "
+                         "qubit transfer conversions, mapthermo run and the "
+                         "CSV writer on the wc_cli and gksl_file shapes",
                args.label, "report", result)
 
 

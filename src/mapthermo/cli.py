@@ -29,9 +29,9 @@ import numpy as np
 from . import __version__
 from .errors import (ConfigError, ConstructionError, NoMatchingBeta,
                      SingularMap, TruncationError)
-from .operators import (COND_THRESHOLD_DEFAULT, DensityMatrix,
-                        HermitianOperator, Superoperator, dagger,
-                        cptp_diagnostics_stack, hermiticity_preservation,
+from .operators import (COND_THRESHOLD_DEFAULT, HermitianOperator,
+                        Superoperator, cptp_diagnostics_stack, dagger,
+                        hermiticity_preservation,
                         project_hermiticity_preserving)
 from .dynamics import (condition_flags, csv_text, invertibility_report,
                        load_map_trajectory, read_map_file)
@@ -40,9 +40,9 @@ from .observables import ThermoPipeline
 # fluctuation_report is unused here but stays a module attribute: the traced
 # benchmark run (perfbench/child.py) wraps it by name.
 from .fluctuations import (CLUSTER_TOL, NEGATIVE_PROB_TOL, PROB_SUM_TOL,
-                           FluctuationTable, _initial_state,
+                           FluctuationTable, _initial_states,
                            fluctuation_report,  # noqa: F401
-                           fluctuation_table, tpms_distribution)
+                           fluctuation_tables, tpms_distribution)
 from .observables import (HERMITIZE_TOL, coherent_initial_construction,
                           coherent_work_fluctuation)
 from .models import (ClosedCoherentParams, CustomPCParams, JCParams,
@@ -321,8 +321,8 @@ def _build_trajectory(cfg: ScenarioConfig):
         return traj, None
     try:
         return load_map_trajectory(cfg.map_path), None
-    except ConstructionError as exc:  # its message starts with the path
-        raise ConfigError(str(exc))
+    except (ConstructionError, OSError) as exc:  # each names the map file
+        raise ConfigError(f"{exc} ([custom_map_file] path of {cfg.path})")
 
 
 def _out_dir_error(cfg: ScenarioConfig, what: str,
@@ -393,10 +393,9 @@ def _run_map_model(cfg: ScenarioConfig, written: list[str]) -> None:
     pipe = ThermoPipeline(traj, cond_threshold=cfg.tolerances.cond_threshold)
 
     if "lambda" in cfg.series:
-        tables = []
-        for beta in cfg.beta_list:
-            tables.append(fluctuation_table(pipe, beta))
-            tables[-1].check_invariants(cfg.tolerances.invariant_tol)
+        tables = fluctuation_tables(pipe, cfg.beta_list)
+        for table in tables:
+            table.check_invariants(cfg.tolerances.invariant_tol)
         columns = zip(*(table.csv_columns() for table in tables))
         _write(cfg, "lambda_series.csv", _csv(
             FluctuationTable.CSV_HEADER, map(np.concatenate, columns)),
@@ -418,13 +417,11 @@ def _run_map_model(cfg: ScenarioConfig, written: list[str]) -> None:
 
     if dist_indices:
         work, _ = pipe.work_heat_observables()
-        states = [DensityMatrix._checked(_initial_state(pipe, beta))
-                  for beta in cfg.beta_list]
+        states = _initial_states(pipe, cfg.beta_list)
         first = work[0]
         for i in dist_indices:
-            map_t = Superoperator(traj.maps[i])
-            dists = [tpms_distribution(rho_g, map_t, first, work[i])
-                     for rho_g in states]
+            dists = tpms_distribution(states, Superoperator(traj.maps[i]),
+                                      first, work[i])
             label = format(float(traj.times[i]), ".6g")
             _write(cfg, f"distribution_t{label}.csv", _csv(
                 "beta,outcome,probability",

@@ -586,10 +586,10 @@ def _header_line(path: str, lineno: int, raw: bytes, header: dict,
 
 def _data_rows(path: str, header: dict):
     """The data rows of a map file as (lineno, rows, data, a, b): `rows`
-    lines data[a:b] from line `lineno` on, the header read into `header` on
-    the way. Blocks of whole lines of 16 * _BLOCK_CELLS bytes or more are
-    read at a time; lines end as in text mode, and runs of rows starting
-    with a digit or '-' go whole."""
+    lines data[a:b] from line `lineno` on, the header (and at the end the
+    line count, "lines") read into `header`. Blocks of whole lines of
+    16 * _BLOCK_CELLS bytes or more are read at a time; lines end as in
+    text mode, and runs of rows starting with a digit or '-' go whole."""
     lineno, seen = 0, False
     with open(path, "rb", buffering=_READ_BUFFER) as fh:
         while lines := fh.readlines(16 * _BLOCK_CELLS):
@@ -614,6 +614,7 @@ def _data_rows(path: str, header: dict):
                     if _header_line(path, lineno, data[s:e], header, seen):
                         yield lineno, 1, data, s, e
                         seen = True
+    header["lines"] = lineno
 
 
 def read_map_file(path: str) -> tuple[np.ndarray, np.ndarray,
@@ -631,8 +632,8 @@ def read_map_file(path: str) -> tuple[np.ndarray, np.ndarray,
         if not n:   # the first row, read here so that the stacks fit the file
             _read_rows(path, lineno, data, a, data.find(b"\n", a) + 1, expect)
         n += rows
-    if not n:
-        raise ConstructionError(f"{path}: no data rows")
+    if not n:   # name the line where the first one was expected
+        raise ConstructionError(f"{path}:{header['lines'] + 1}: no data rows")
     d2 = header["dim"] ** 2
     times, maps, k = np.empty(n), np.empty((n, d2, d2), dtype=complex), 0
     derivs = np.empty_like(maps) if header["has_d"] else None

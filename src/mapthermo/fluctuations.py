@@ -24,16 +24,18 @@ Lambda factors deviate from one only through the non-unitality of the map;
 their bounds and the induced bound on the mean dissipated work are computed
 alongside.
 
-`fluctuation_table(pipeline, beta)` evaluates all of this for every grid row
-at once, each trace as a weighted sum sum_k f(lambda_k) <k|A|k> in the
-eigenbasis of the observable. The spectra of K(t), P(t) and O_w(t) and the
-diagonals of Phi_t[1] and Phi_t[1/d] in them do not depend on beta; the
-pipeline caches them. Each beta costs the Boltzmann weights, row sums of
-weights times diagonals, and Phi_t[rho(0)] with its diagonal in the
-eigenbasis of P(t). The columns are those of `lambda_series.csv`, plus the
-Lambda_u cross-check residual per row; `fluctuation_report` is one row. The
-per-operator references and the matrix-trace route are in
-`tests/reference.py`.
+`fluctuation_tables(pipeline, betas)` evaluates all of this for every grid
+row and every beta in one pass, beta on a leading axis, each trace a
+weighted sum sum_k f(lambda_k) <k|A|k> in the eigenbasis of the observable.
+The spectra of K(t), P(t) and O_w(t) and the diagonals of Phi_t[1] and
+Phi_t[1/d] in them do not depend on beta; the pipeline caches them. A
+further beta costs its Boltzmann weights, row sums of weights times
+diagonals, one map-vector product per row for Phi_t[rho(0)], its share of
+one product for all betas' diagonals in P(t)'s eigenbasis, and an
+elementwise sum for the mean work. The columns are those of
+`lambda_series.csv` plus the Lambda_u cross-check residual; one beta is
+`fluctuation_table`, one row `fluctuation_report`. The per-operator
+references and the matrix-trace route are in `tests/reference.py`.
 """
 
 from __future__ import annotations
@@ -43,6 +45,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConstructionError
+from .observables import _mean_changes
 from .operators import (
     DensityMatrix,
     HermitianOperator,
@@ -51,7 +54,6 @@ from .operators import (
     _diagonals,
     _gibbs_stack,
     _gibbs_weights,
-    apply,
     eig_hermitian,
     vec,
 )
@@ -79,16 +81,13 @@ def cluster_eigenvalues(values: np.ndarray) -> list[np.ndarray]:
 
 
 def _cluster_projectors(op: HermitianOperator,
-                        ) -> tuple[np.ndarray, list[np.ndarray]]:
-    """Outcome values (cluster means) and projectors of an observable."""
+                        ) -> tuple[np.ndarray, np.ndarray]:
+    """Outcome values (cluster means) and stacked projectors of `op`."""
     vals, vecs = eig_hermitian(op)
-    outcomes = []
-    projectors = []
-    for idx in cluster_eigenvalues(vals):
-        outcomes.append(float(np.mean(vals[idx])))
-        cols = vecs[:, idx]
-        projectors.append(cols @ cols.conj().T)
-    return np.array(outcomes), projectors
+    clusters = cluster_eigenvalues(vals)
+    return (np.array([np.mean(vals[idx]) for idx in clusters]),
+            np.array([vecs[:, idx] @ vecs[:, idx].conj().T
+                      for idx in clusters]))
 
 
 @dataclass(frozen=True, eq=False)
@@ -130,55 +129,54 @@ class OutcomeDistribution:
         object.__setattr__(self, "probs", probs)
 
 
-def tpms_distribution(rho0: DensityMatrix, map_t: Superoperator,
-                      O0: HermitianOperator,
-                      Ot: HermitianOperator) -> OutcomeDistribution:
-    """Distribution of o_m(t) - o_n(0) under the two-point scheme.
+def tpms_distribution(rho0, map_t: Superoperator, O0: HermitianOperator,
+                      Ot: HermitianOperator):
+    """Distribution of o_m(t) - o_n(0) under the two-point scheme, for one
+    initial state (a DensityMatrix) or, as a list, for each state of a
+    checked (B, d, d) stack, such as the Gibbs states of several betas.
 
     All (n, m) cluster pairs are enumerated, zero-probability outcomes
     included; outcome values agreeing within the clustering tolerance are
     merged. No diagonality of rho0 in the O0 eigenbasis is required, but the
     initial measurement dephases the state in that basis, and
-    `initial_coherence` reports how much was destroyed. The spectrum of
-    each observable is computed on its first use and kept with it, so a
-    caller measuring at several temperatures passes the same operators.
+    `initial_coherence` reports how much was destroyed. The projectors are
+    formed once per call; the branches Phi_t[Pi_n rho Pi_n] and their traces
+    against Pi_m(t) are products stacked over the states, so a further state
+    (another beta) adds its share of them and its own merge of outcomes.
     """
+    single = isinstance(rho0, DensityMatrix)
+    states = rho0.matrix[None] if single else np.asarray(rho0)
     o0, proj0 = _cluster_projectors(O0)
     ot, projt = _cluster_projectors(Ot)
-    coher = rho0.matrix.copy()
-    for p in proj0:
-        pr = p @ rho0.matrix @ p
-        coher = coher - pr
-    coherence_norm = float(np.linalg.norm(coher))
-
-    raw_x = []
-    raw_p = []
-    for n, pn in enumerate(proj0):
-        branch = apply(map_t, pn @ rho0.matrix @ pn)
-        for m, pm in enumerate(projt):
-            prob = float(np.trace(pm @ branch).real)
-            raw_x.append(ot[m] - o0[n])
-            raw_p.append(prob)
-    raw_x = np.array(raw_x)
-    raw_p = np.array(raw_p)
+    kept = proj0[:, None] @ states @ proj0[:, None]  # (n, state, d, d)
+    coherence = np.linalg.norm(states - kept.sum(axis=0), axis=(-2, -1))
+    # one matrix-vector product per branch
+    branches = (map_t.matrix @ kept.swapaxes(-1, -2).reshape(
+        *kept.shape[:2], -1, 1)).reshape(kept.shape).swapaxes(-1, -2)
+    probs = np.trace(projt[:, None, None] @ branches, axis1=-2,
+                     axis2=-1).real.transpose(1, 0, 2)  # (n, m, state)
+    raw_x = (ot[None, :] - o0[:, None]).ravel()
     order = np.argsort(raw_x, kind="stable")
-    raw_x, raw_p = raw_x[order], raw_p[order]
-    scale = max(1.0, float(np.ptp(o0)) if o0.size else 1.0,
-                float(np.ptp(ot)) if ot.size else 1.0)
-    xs: list[float] = []
-    ps: list[float] = []
-    for x, p in zip(raw_x, raw_p):
-        if xs and x - xs[-1] <= CLUSTER_TOL * scale:
-            # weighted merge keeps the outcome value consistent
-            tot = ps[-1] + p
-            if tot > 0:
-                xs[-1] = (xs[-1] * ps[-1] + x * p) / tot
-            ps[-1] = tot
-        else:
-            xs.append(float(x))
-            ps.append(float(p))
-    return OutcomeDistribution(outcomes=np.array(xs), probs=np.array(ps),
-                               initial_coherence=coherence_norm)
+    raw_x, raw_p = raw_x[order], probs.reshape(-1, len(states))[order]
+    scale = max(1.0, float(np.ptp(o0)), float(np.ptp(ot)))
+    dists = []
+    for k, state_p in enumerate(raw_p.T):
+        xs: list[float] = []
+        ps: list[float] = []
+        for x, p in zip(raw_x, state_p):
+            if xs and x - xs[-1] <= CLUSTER_TOL * scale:
+                # weighted merge keeps the outcome value consistent
+                tot = ps[-1] + p
+                if tot > 0:
+                    xs[-1] = (xs[-1] * ps[-1] + x * p) / tot
+                ps[-1] = tot
+            else:
+                xs.append(float(x))
+                ps.append(float(p))
+        dists.append(OutcomeDistribution(
+            outcomes=np.array(xs), probs=np.array(ps),
+            initial_coherence=float(coherence[k])))
+    return dists[0] if single else dists
 
 
 def exp_average(dist: OutcomeDistribution, beta: float) -> float:
@@ -269,37 +267,39 @@ class FluctuationTable:
                 *(getattr(self, name) for name in _COLUMNS)]
 
 
-def _initial_state(pipeline, beta: float) -> np.ndarray:
-    """rho(0): the Gibbs state of K(0) at beta, from row 0 of `_k_spectrum`."""
+def _initial_states(pipeline, betas) -> np.ndarray:
+    """rho(0) per beta: Gibbs states of K(0) as one checked (B, d, d) stack."""
     k_vals, k_vecs = pipeline._k_spectrum
-    return _gibbs_stack(k_vals[:1], k_vecs[:1], beta, pipeline.times[:1])[0]
+    return _gibbs_stack(k_vals[:1], k_vecs[:1], betas,
+                        pipeline.times[[0] * len(betas)])
 
 
-def fluctuation_table(pipeline, beta: float, indices=None) -> FluctuationTable:
-    """The report at every requested grid row of a ThermoPipeline (all rows
-    when `indices` is None), computed as one batched pass.
+def fluctuation_tables(pipeline, betas, indices=None,
+                       ) -> list[FluctuationTable]:
+    """One FluctuationTable per beta at every requested grid row of a
+    ThermoPipeline (all rows when `indices` is None), beta on a leading axis.
 
     The pipeline's cached diagonals, sliced to the requested rows, are
     weighted with the Gibbs populations of K(t) (the three Lambda_u routes)
-    and with e^{-beta O_w(t)} (Lambda_w); the diagonal of Phi_t[rho(0)] in
+    and with e^{-beta O_w(t)} (Lambda_w); the diagonals of Phi_t[rho(0)] in
     the eigenbasis of P(t) with e^{-beta P(t)}. Both exponentials are
-    checked for overflow. <e^{-beta w}> = Tr{e^{-beta O_w(t)} Phi_t[1]} /
-    Z(0) is evaluated on its own rather than as Lambda_w e^{-beta deltaF},
-    so `check_invariants` compares two routes.
+    checked for overflow, naming the first failing beta in the order given.
+    <e^{-beta w}> = Tr{e^{-beta O_w(t)} Phi_t[1]} / Z(0) is evaluated on its
+    own, so `check_invariants` compares two routes.
     """
-    if beta <= 0:
+    beta = np.asarray(betas, dtype=float)
+    if not np.all(beta > 0):
         raise ValueError("beta must be positive")
-    traj = pipeline.traj
-    d = traj.dim
     # a slice keeps the whole-grid arrays as views, not copies
     rows = slice(None) if indices is None else np.asarray(indices, dtype=int)
-    times = traj.times[rows]
+    times = pipeline.times[rows]
+    b = beta[:, None]  # against the (B, n) columns
 
-    rho0 = _initial_state(pipeline, beta)
+    rho0 = _initial_states(pipeline, beta)
     k_vals = pipeline._k_spectrum[0]
-    z0 = np.sum(np.exp(-beta * k_vals[0]))
-    zt = np.sum(np.exp(-beta * k_vals[rows]), axis=-1)
-    gibbs = _gibbs_weights(k_vals[rows], beta)
+    z0 = np.sum(np.exp(-b * k_vals[0]), axis=-1)[:, None]
+    zt = np.sum(np.exp(-b[..., None] * k_vals[rows]), axis=-1)
+    gibbs = _gibbs_weights(k_vals[rows], b[..., None])
     *routes, phi_w, phi_max = (a[rows] for a in pipeline._unit_image_terms)
     direct, mixed, adj = ((gibbs * a).sum(axis=-1) for a in routes)
     residual = np.ptp([direct, mixed, adj], axis=0)  # largest disagreement
@@ -308,20 +308,23 @@ def fluctuation_table(pipeline, beta: float, indices=None) -> FluctuationTable:
     exp_w = (_boltzmann(w_vals, beta, times, "O_w") * phi_w).sum(axis=-1)
     p_vals, p_vecs = (a[rows] for a in pipeline._p_spectrum)
     p_max = p_vals[:, -1]
-    vec_rho_t = traj.maps[rows] @ vec(rho0)
-    rho_t = vec_rho_t.reshape(-1, d, d).swapaxes(1, 2)
-    exp_q = (_boltzmann(p_vals, beta, times, "P")
-             * _diagonals(p_vecs, vec_rho_t[..., None])[..., 0]).sum(axis=-1)
-    # a difference of two O(1) energies that cancels exactly at t = 0: the
-    # traces keep the summation order of `mean_change`
-    mean_w = (np.trace(pipeline._work_ops[rows] @ rho_t, axis1=-2, axis2=-1)
-              - np.trace(pipeline.K[0] @ rho0)).real
-    return FluctuationTable(
-        time=times, beta=beta, lambda_u=direct, lambda_w=exp_w / zt,
-        lambda_w_bound=np.exp(beta * p_max) * phi_max, exp_avg_w=exp_w / z0,
-        exp_avg_q=exp_q, delta_F_bar=-np.log(zt / z0) / beta, mean_w=mean_w,
-        dissipated_bound=-p_max - np.log(phi_max) / beta,
-        lambda_u_residual=residual)
+    # one matrix-vector product per state and map, as `mean_change` forms it
+    vec_rho_t = np.array([pipeline.traj.maps[rows] @ vec(r) for r in rho0])
+    exp_q = (_boltzmann(p_vals, beta, times, "P") * _diagonals(
+        p_vecs, np.moveaxis(vec_rho_t, 0, -1)).transpose(2, 0, 1)).sum(axis=-1)
+    mean_w = _mean_changes(pipeline._work_ops[rows], vec_rho_t,
+                           pipeline.K[0], rho0)
+    columns = (direct, exp_w / zt, np.exp(b * p_max) * phi_max, exp_w / z0,
+               exp_q, -np.log(zt / z0) / b, mean_w,
+               -p_max - np.log(phi_max) / b, residual)  # fields after beta
+    return [FluctuationTable(times, x, *row)
+            for x, *row in zip(beta.tolist(), *columns)]
+
+
+def fluctuation_table(pipeline, beta: float, indices=None) -> FluctuationTable:
+    """The report of one beta: the one-beta case of `fluctuation_tables`,
+    where a further beta costs weights, row sums and one pass over the maps."""
+    return fluctuation_tables(pipeline, [beta], indices)[0]
 
 
 def fluctuation_report(pipeline, i_t: int, beta: float) -> FluctuationReport:

@@ -63,7 +63,6 @@ from .operators import (
     hermitian_stack,
     partition_function,
     stack_blocks,
-    unvec,
     vec,
 )
 from .quadrature import cumulative_simpson
@@ -126,7 +125,7 @@ class ThermoPipeline:
     Hermitian (N+1, d, d) stack (`K`, `P`), plus the observable series
     built from them.
 
-    The beta-independent inputs of `fluctuations.fluctuation_table` are
+    The beta-independent inputs of `fluctuations.fluctuation_tables` are
     cached here on first use, as read-only whole-grid arrays, so every
     further beta reuses them: O_w = K - P, the spectral decompositions of
     K, P and O_w, and the diagonals of Phi_t[1] and Phi_t[1/d] in those
@@ -177,7 +176,7 @@ class ThermoPipeline:
         routes), <k|Phi_t[1]|k> in that of O_w(t), and lambda_max{Phi_t[1]}."""
         d = self.traj.dim
         ident = np.eye(d, dtype=complex)
-        # one matrix-vector product per input and map, as `apply` does
+        # one matrix-vector product per input and map
         phi_id, phi_mixed = (self.traj.maps @ vec(a)
                              for a in (ident, ident / d))
         columns = self.traj.maps[:, :, ::d + 1] @ np.ones(d)  # sum over i
@@ -266,9 +265,20 @@ def mean_change(series: ObservableSeries, traj: MapTrajectory, i_t: int,
     """
     if series.encoding == "per_duration_initial":
         return float(-np.trace(series.ops[i_t] @ rho0.matrix).real)
-    rho_t = unvec(traj.maps[i_t] @ vec(rho0.matrix), traj.dim)
-    return float((np.trace(series.ops[i_t] @ rho_t)
-                  - np.trace(series.ops[0] @ rho0.matrix)).real)
+    return float(_mean_changes(series.ops[i_t][None], traj.maps[i_t] @ vec(
+        rho0.matrix), series.ops[0], rho0.matrix)[0])
+
+
+def _mean_changes(ops_t: np.ndarray, vec_rho_t: np.ndarray, op0: np.ndarray,
+                  rho0: np.ndarray) -> np.ndarray:
+    """Tr{O_t rho_t} - Tr{O_0 rho_0} per row of a (n, d, d) stack O_t and a
+    (n, d^2) stack vec(rho_t) from rho_0, or (B, n, d^2) and (B, d, d) for B
+    states. Each trace is one elementwise sum, sum_ij O_ij rho_ji, in the
+    same order for both terms: O_t = O_0 and rho_t = rho_0 give exactly 0."""
+    d = op0.shape[-1]
+    rho0_t = np.ascontiguousarray(rho0.swapaxes(-1, -2))
+    return ((ops_t * vec_rho_t.reshape(*vec_rho_t.shape[:-1], d, d)).sum(
+        axis=(-2, -1)) - (op0 * rho0_t).sum(axis=(-2, -1))[..., None]).real
 
 
 @dataclass(frozen=True)

@@ -114,16 +114,6 @@ def vec(a: np.ndarray) -> np.ndarray:
     return np.asarray(a, dtype=complex).reshape(-1, order="F")
 
 
-def unvec(v: np.ndarray, dim: int | None = None) -> np.ndarray:
-    """Inverse of `vec`."""
-    v = np.asarray(v, dtype=complex).reshape(-1)
-    if dim is None:
-        dim = int(round(np.sqrt(v.size)))
-    if dim * dim != v.size:
-        raise ValueError(f"vector of length {v.size} is not a vectorized square matrix")
-    return v.reshape((dim, dim), order="F")
-
-
 @dataclass(frozen=True, eq=False)
 class Superoperator:
     """A linear map on operators, stored as its d^2 x d^2 matrix in the
@@ -226,34 +216,37 @@ def project_hermiticity_preserving(m: np.ndarray, times=None,
 
 
 def hermitian_stack(a: np.ndarray, tol: float, times=None,
-                    what: str = "operator") -> np.ndarray:
+                    what="operator") -> np.ndarray:
     """Symmetrize a (n, d, d) stack, rejecting any matrix further than
     `tol` (relative to its largest entry, floor 1) from Hermitian; the error
-    names the first failing matrix, by its time when `times` is given."""
+    names the first failing matrix k as `what` (or `what(k)`), by its time
+    when `times` is given."""
     scale = np.maximum(1.0, np.abs(a).max(axis=(-2, -1)))
     dev = np.abs(a - dagger(a)).max(axis=(-2, -1))
     bad = np.flatnonzero(dev > tol * scale)
     if bad.size:
         k = bad[0]
+        name = what(k) if callable(what) else what
         raise ConstructionError(
-            f"{what}{_label(times, k)} is not Hermitian: max |A - A^dagger| "
+            f"{name}{_label(times, k)} is not Hermitian: max |A - A^dagger| "
             f"= {dev[k]:.3e} (allowed {tol * scale[k]:.3e})")
     return 0.5 * (a + dagger(a))
 
 
-def _state_stack(a: np.ndarray, times=None, what: str = "state") -> np.ndarray:
+def _state_stack(a: np.ndarray, times=None, what="state") -> np.ndarray:
     """`hermitian_stack` of a (n, d, d) stack of states, also rejecting any
     matrix whose trace is off 1 by more than TRACE_TOL or whose lowest
     eigenvalue is below -POSITIVITY_TOL; the error names the first failing
-    matrix, by its time when `times` is given."""
+    matrix as `hermitian_stack` does."""
     a = hermitian_stack(a, HERMITICITY_TOL, times, what)
     trace_dev = np.abs(np.einsum("nii->n", a) - 1.0)
     low = np.linalg.eigvalsh(a)[:, 0]
     bad = np.flatnonzero((trace_dev > TRACE_TOL) | (low < -POSITIVITY_TOL))
     if bad.size:
         k = bad[0]
+        name = what(k) if callable(what) else what
         raise ConstructionError(
-            f"{what}{_label(times, k)} is not a state: trace deviation "
+            f"{name}{_label(times, k)} is not a state: trace deviation "
             f"{trace_dev[k]:.3e} (allowed {TRACE_TOL:g}), lowest eigenvalue "
             f"{low[k]:.3e} (allowed -{POSITIVITY_TOL:g})")
     return a
@@ -265,27 +258,32 @@ def _gibbs_weights(vals: np.ndarray, beta: float) -> np.ndarray:
     return w / w.sum(axis=-1, keepdims=True)
 
 
-def _gibbs_stack(vals: np.ndarray, vecs: np.ndarray, beta: float,
+def _gibbs_stack(vals: np.ndarray, vecs: np.ndarray, beta,
                  times=None) -> np.ndarray:
     """e^{-beta X} / Tr{e^{-beta X}} of a stack of spectral decompositions
-    of X, checked by `_state_stack`."""
-    w = _gibbs_weights(vals, beta)
+    of X, checked by `_state_stack`; `beta` is one value or a 1-d array
+    broadcast against the rows, and the error names the failing row's."""
+    beta = np.asarray(beta, dtype=float)
+    w = _gibbs_weights(vals, beta[..., None])
+    betas = np.broadcast_to(beta, w.shape[:1])
     return _state_stack((vecs * w[:, None, :]) @ dagger(vecs), times,
-                        f"Gibbs state (beta = {beta:.6g})")
+                        lambda k: f"Gibbs state (beta = {betas[k]:.6g})")
 
 
-def _boltzmann(vals: np.ndarray, beta: float, times=None,
+def _boltzmann(vals: np.ndarray, beta, times=None,
                what: str = "X") -> np.ndarray:
-    """e^{-beta x} of a stack of spectra of X; a ConstructionError names beta
-    and the first row where it overflows, by its time when `times` is given."""
+    """e^{-beta x} of a stack of spectra of X, for one beta or, on a leading
+    axis, each of a 1-d array; a ConstructionError names the first beta that
+    overflows and its first bad row, by its time when `times` is given."""
+    beta = np.asarray(beta, dtype=float)
     with np.errstate(over="ignore"):
-        f = np.exp(-beta * vals)
-    bad = np.flatnonzero(~np.all(np.isfinite(f), axis=-1))
+        f = np.exp(-beta[..., None, None] * vals)
+    bad = np.argwhere(~np.all(np.isfinite(f), axis=-1))
     if bad.size:
-        k = bad[0]
+        *j, k = bad[0]
         raise ConstructionError(
             f"e^(-beta {what}) is undefined{_label(times, k)}, "
-            f"beta = {beta:.6g}: eigenvalues {vals[k]}")
+            f"beta = {beta[tuple(j)]:.6g}: eigenvalues {vals[k]}")
     return f
 
 
@@ -335,14 +333,6 @@ def commutator_superop(h: np.ndarray) -> np.ndarray:
     h = np.asarray(h, dtype=complex)
     d = h.shape[0]
     return np.kron(np.eye(d), h) - np.kron(h.T, np.eye(d))
-
-
-def apply(s: Superoperator, a: np.ndarray | HermitianOperator) -> np.ndarray:
-    """Apply a superoperator to an operator, returning a raw ndarray."""
-    mat = a.matrix if isinstance(a, HermitianOperator) else np.asarray(a, dtype=complex)
-    if mat.shape != (s.dim, s.dim):
-        raise ValueError(f"operator shape {mat.shape} does not match dim {s.dim}")
-    return unvec(s.matrix @ vec(mat), s.dim)
 
 
 def eig_hermitian(h: HermitianOperator) -> tuple[np.ndarray, np.ndarray]:

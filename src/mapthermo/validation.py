@@ -7,7 +7,7 @@ averages against their trace formulas, the phase-covariant qubit closed
 forms against the generic pipeline, the drive-shape and temperature trends,
 the exchange-model oracles and regimes, coherent initial states, the
 operator first law, and the map-file round trip. The fluctuation columns
-come from `fluctuation_table`, the route `mapthermo run` takes.
+come from `fluctuation_tables`, the route `mapthermo run` takes.
 
 `validate` runs FAST_CHECKS; `validate --full` runs FULL_CHECKS, every
 acceptance criterion, and `tests/test_acceptance.py` runs the same list.
@@ -37,7 +37,8 @@ from .phase_covariant import (PCRates, constant_rate, pc_integrals,
                               pc_mean_work_and_deltaF)
 from .observables import ThermoPipeline, shifted_observable, mean_change, \
     coherent_initial_construction, coherent_work_fluctuation
-from .fluctuations import fluctuation_table, tpms_distribution, exp_average
+from .fluctuations import (_initial_states, exp_average, fluctuation_table,
+                           fluctuation_tables, tpms_distribution)
 from .models import (WeakCouplingParams, weak_coupling_rates, JCParams,
                      jc_reduced_map, vacuum_excited_population,
                      extract_pc_rates, exchange_factor_series,
@@ -98,11 +99,12 @@ def random_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
     return q * (np.diagonal(r) / np.abs(np.diagonal(r)))
 
 
-def _scheme_average(rho0: DensityMatrix, map_t: Superoperator,
-                    first: HermitianOperator, last: HermitianOperator,
-                    beta: float) -> float:
-    """<e^{-beta x}> over the two-point distribution of `last` - `first`."""
-    return exp_average(tpms_distribution(rho0, map_t, first, last), beta)
+def _scheme_averages(states, map_t: Superoperator, first: HermitianOperator,
+                     last: HermitianOperator, betas) -> np.ndarray:
+    """<e^{-beta x}> over the two-point distribution of `last` - `first` of
+    each state at its beta, from one call over all states, as `run` makes."""
+    return np.array([exp_average(dist, beta) for dist, beta in zip(
+        tpms_distribution(states, map_t, first, last), betas)])
 
 
 def _require(condition: bool, message: str) -> None:
@@ -127,14 +129,14 @@ def check_closed_system_jarzynski() -> str:
     traj, _ = pc_trajectory(weak_coupling_rates(p), p.grid(1000))
     pipe = ThermoPipeline(traj)
     beta = p.beta
-    rho_g = gibbs_state(pipe.effective_hamiltonian_series()[0], beta)
+    rho_g = _initial_states(pipe, [beta])
     work, _ = pipe.work_heat_observables()
     table = fluctuation_table(pipe, beta)
     dev = max(float(np.max(np.abs(table.lambda_w - 1.0))),
               float(np.max(np.abs(table.lambda_u - 1.0))))
     for i, dfb in enumerate(table.delta_F_bar):
-        jarz = _scheme_average(rho_g, Superoperator(traj.maps[i]), work[0],
-                               work[i], beta) * math.exp(beta * dfb)
+        jarz = _scheme_averages(rho_g, Superoperator(traj.maps[i]), work[0],
+                                work[i], [beta])[0] * math.exp(beta * dfb)
         dev = max(dev, abs(jarz - 1.0))
     _require(dev <= 1e-9, f"closed-drive identity deviation {dev:.3e}")
     return f"{traj.times.size} rows, max deviation {dev:.3e} (tol 1e-9)"
@@ -160,8 +162,7 @@ def check_pure_decoherence_jarzynski() -> str:
         pipe = ThermoPipeline(traj)
         _, heat = pipe.work_heat_observables()
         max_oq = max(max_oq, float(np.max(np.abs(heat.ops))))
-        for beta in (0.5, 0.7, 2.0, 7.0):
-            table = fluctuation_table(pipe, beta)
+        for table in fluctuation_tables(pipe, (0.5, 0.7, 2.0, 7.0)):
             dev_q = max(dev_q, float(np.max(np.abs(table.exp_avg_q - 1.0))))
             dev_w = max(dev_w, float(np.max(np.abs(table.lambda_w - 1.0))))
     detail = (f"heat operator max {max_oq:.1e}, exp-avg dev {dev_q:.3e} "
@@ -217,20 +218,18 @@ def _tpms_trace_gap(dim: int, seeds: range, fixed_beta_seed: int) -> float:
         pipe = ThermoPipeline(traj)
         K = pipe.effective_hamiltonian_series()
         work, heat = pipe.work_heat_observables()
-        for beta in betas:
-            rho_g = gibbs_state(K[0], beta)
-            table = fluctuation_table(pipe, beta)
-            for i in rows:
+        tables = fluctuation_tables(pipe, betas)
+        states = _initial_states(pipe, betas)
+        for i in rows:
+            map_t = Superoperator(traj.maps[i])
+            w, u, q = (_scheme_averages(states, map_t, first, last, betas)
+                       for first, last in ((work[0], work[i]), (K[0], K[i]),
+                                           (zero, heat[i])))
+            for k, (beta, table) in enumerate(zip(betas, tables)):
                 fac = math.exp(-beta * table.delta_F_bar[i])
-                map_t = Superoperator(traj.maps[i])
-                worst = max(
-                    worst,
-                    abs(_scheme_average(rho_g, map_t, work[0], work[i], beta)
-                        - table.lambda_w[i] * fac),
-                    abs(_scheme_average(rho_g, map_t, K[0], K[i], beta)
-                        - table.lambda_u[i] * fac),
-                    abs(_scheme_average(rho_g, map_t, zero, heat[i], beta)
-                        - table.exp_avg_q[i]))
+                worst = max(worst, abs(w[k] - table.lambda_w[i] * fac),
+                            abs(u[k] - table.lambda_u[i] * fac),
+                            abs(q[k] - table.exp_avg_q[i]))
     return worst
 
 
@@ -345,8 +344,8 @@ def _coherent_chain(rho0: DensityMatrix, H0: HermitianOperator,
             res.delta_F_bar))
         final = HermitianOperator(H[k] + u_t @ data.xi.matrix @ u_t.conj().T)
         u_map = Superoperator(np.kron(u_t.conj(), u_t), trace_preserving=True)
-        gap = max(gap, abs(_scheme_average(rho0, u_map, data.H_star, final,
-                                           data.beta) - value))
+        gap = max(gap, abs(_scheme_averages([rho0.matrix], u_map, data.H_star,
+                                            final, [data.beta])[0] - value))
         link = min(link, gt - value, chain - gt)
         rho_t = u_t @ rho0.matrix @ u_t.conj().T
         mean_w = float(np.trace(final.matrix @ rho_t).real

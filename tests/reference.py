@@ -13,8 +13,9 @@ phase-covariant maps), and the per-row `%` writers that the vectorised
 cell-spelling kernel of `dynamics` replaced, and the matrix-trace route of
 the fluctuation table (`matrix_fluctuation_table`: Gibbs states and
 exponentials formed as stacks and traced) that the eigenbasis weighted sums
-of `fluctuation_table` replaced. Nothing in `src/mapthermo`
-calls them. The random states and unitaries are those of the acceptance
+of `fluctuation_table` replaced, and `apply` and `unvec`, one operator
+through one map, which the library forms only as stacked products.
+Nothing in `src/mapthermo` calls them. The random states and unitaries are those of the acceptance
 checks (`mapthermo.validation`), imported here for the other tests.
 
 The effective Hamiltonian of the minimal-dissipation split of a generator L
@@ -48,7 +49,6 @@ from mapthermo.operators import (
     _exp_stack,
     _gibbs_stack,
     _reshuffle,
-    apply,
     commutator_superop,
     cptp_diagnostics_stack,
     dagger,
@@ -58,7 +58,6 @@ from mapthermo.operators import (
     pauli_transfer_to_superop,
     require_invertible,
     superop_to_pauli_transfer,
-    unvec,
     vec,
 )
 from mapthermo.phase_covariant import (
@@ -71,6 +70,28 @@ from mapthermo.phase_covariant import (
 from mapthermo.quadrature import (cumulative_simpson, grid_spacing,
                                   stencil_derivative)
 from mapthermo.validation import random_density_matrix, random_unitary
+
+
+# ---------------------------------------------------------------------------
+# One operator through one map (`mapthermo.operators`)
+
+
+def unvec(v: np.ndarray, dim: int | None = None) -> np.ndarray:
+    """Inverse of `vec`."""
+    v = np.asarray(v, dtype=complex).reshape(-1)
+    if dim is None:
+        dim = int(round(np.sqrt(v.size)))
+    if dim * dim != v.size:
+        raise ValueError(f"vector of length {v.size} is not a vectorized square matrix")
+    return v.reshape((dim, dim), order="F")
+
+
+def apply(s: Superoperator, a: np.ndarray | HermitianOperator) -> np.ndarray:
+    """Apply a superoperator to an operator, returning a raw ndarray."""
+    mat = a.matrix if isinstance(a, HermitianOperator) else np.asarray(a, dtype=complex)
+    if mat.shape != (s.dim, s.dim):
+        raise ValueError(f"operator shape {mat.shape} does not match dim {s.dim}")
+    return unvec(s.matrix @ vec(mat), s.dim)
 
 
 # ---------------------------------------------------------------------------

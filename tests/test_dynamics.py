@@ -27,7 +27,6 @@ from mapthermo.models import JCParams, WeakCouplingParams, jc_reduced_map, weak_
 from mapthermo.operators import (
     PAULI,
     Superoperator,
-    apply,
     commutator_superop,
     random_hermitian,
 )
@@ -35,18 +34,19 @@ from mapthermo.phase_covariant import pc_trajectory
 from mapthermo.quadrature import stencil_derivative
 from mapthermo.validation import random_gksl_trajectory
 from reference import (
+    apply,
     condition_number,
     conjugation_superop,
     constant_rates,
     csv_lines,
     generator_at,
-    read_map_file_by_rows,
     identity_superop,
     inverse_propagator,
     map_derivative,
     minimal_dissipation_split,
     random_density_matrix,
     random_unitary,
+    read_map_file_by_rows,
     reassemble_generator,
 )
 

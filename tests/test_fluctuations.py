@@ -21,6 +21,7 @@ from mapthermo.fluctuations import (
     exp_average,
     fluctuation_report,
     fluctuation_table,
+    fluctuation_tables,
     tpms_distribution,
 )
 from mapthermo.models import (JCParams, WeakCouplingParams, jc_reduced_map,
@@ -32,7 +33,6 @@ from mapthermo.operators import (
     HermitianOperator,
     Superoperator,
     adjoint_apply_stack,
-    apply,
     gibbs_state,
     random_hermitian,
 )
@@ -46,6 +46,7 @@ from mapthermo.phase_covariant import (
 from mapthermo.validation import random_gksl_trajectory
 from reference import (
     adjoint_trace,
+    apply,
     conjugation_superop,
     constant_rates,
     csv_rows,
@@ -541,17 +542,18 @@ def test_a_second_beta_diagonalizes_no_stack_again(monkeypatch):
     assert len(stacks) == 3
 
 
+def recording(calls, fn):
+    """`fn`, appending the shape of its first argument to `calls`."""
+    def call(a, *args, **kwargs):
+        calls.append(np.shape(a))
+        return fn(a, *args, **kwargs)
+    return call
+
+
 def test_a_further_beta_forms_no_gibbs_stack_and_checks_no_row(monkeypatch):
     pipe = qutrit_pipeline()
     fluctuation_table(pipe, 0.5)  # fills the pipeline's caches
     gibbs, spectra = [], []
-
-    def recording(calls, fn):
-        def call(a, *args, **kwargs):
-            calls.append(np.shape(a))
-            return fn(a, *args, **kwargs)
-        return call
-
     monkeypatch.setattr(fluctuations, "_gibbs_stack",
                         recording(gibbs, fluctuations._gibbs_stack))
     for name in ("eigvalsh", "eigh"):
@@ -588,6 +590,40 @@ def test_eigenbasis_table_matches_the_matrix_route(make_pipe, beta, indices):
     assert np.all(table.lambda_u_residual <= 1e-12)
 
 
+@pytest.mark.parametrize("make_pipe", [weak_coupling_pipeline,
+                                       qutrit_pipeline, gksl_pipeline])
+def test_one_pass_over_several_betas_matches_the_matrix_route(make_pipe):
+    pipe = make_pipe()
+    betas = (8.0, 0.05, 1.0)
+    tables = fluctuation_tables(pipe, betas, [0, 1, 7, 30, 7])
+    assert [table.beta for table in tables] == list(betas)
+    for beta, table in zip(betas, tables):
+        ref = matrix_fluctuation_table(pipe, beta, [0, 1, 7, 30, 7])
+        assert table.time.tobytes() == ref.time.tobytes()
+        for name in TABLE_FIELDS:
+            if name in ("time", "lambda_u_residual"):
+                continue
+            got, want = getattr(table, name), getattr(ref, name)
+            scale = np.maximum(1.0, np.abs(want))
+            assert np.all(np.abs(got - want) <= 1e-13 * scale), name
+        assert table.mean_w[0] == 0.0
+        assert np.all(table.lambda_u_residual <= 1e-12)
+
+
+def test_one_pass_forms_one_gibbs_stack_of_all_betas(monkeypatch):
+    pipe = qutrit_pipeline()
+    fluctuation_table(pipe, 0.5)  # fills the pipeline's caches
+    gibbs, spectra = [], []
+    monkeypatch.setattr(fluctuations, "_gibbs_stack",
+                        recording(gibbs, fluctuations._gibbs_stack))
+    monkeypatch.setattr(np.linalg, "eigvalsh",
+                        recording(spectra, np.linalg.eigvalsh))
+    fluctuation_tables(pipe, (2.0, 0.3, 5.0, 1.0))
+    # row 0 of the K spectrum, weighted at four betas, checked as one stack
+    assert gibbs == [(1, 3)]
+    assert spectra == [(4, 3, 3)]
+
+
 def overflowing_work_pipeline():
     # gamma = 0.5 over the default window: beta O_w(t) leaves exp's range
     p = WeakCouplingParams(gamma=0.5)
@@ -615,6 +651,34 @@ def test_an_overflowing_exponential_names_its_first_row(make_pipe, what,
     for table in (fluctuation_table, matrix_fluctuation_table):
         with pytest.raises(ConstructionError, match=message):
             table(pipe, 1.0)
+
+
+def test_an_overflow_names_the_first_failing_beta_in_order():
+    # beta = 1e-3 stays finite on the whole grid; 1 and 2 overflow
+    pipe = overflowing_work_pipeline()
+    with np.errstate(over="ignore"):
+        finite = np.isfinite(np.exp(-np.linalg.eigvalsh(pipe.K - pipe.P)))
+    k = np.flatnonzero(~finite.all(axis=-1))[0]
+    message = re.escape(f"e^(-beta O_w) is undefined at "
+                        f"t = {pipe.times[k]:.6g}, beta = 1:")
+    with pytest.raises(ConstructionError, match=message):
+        fluctuation_tables(pipe, (1e-3, 1.0, 2.0))
+
+
+def test_tpms_over_several_states_is_each_state_alone():
+    rng = np.random.default_rng(21)
+    O0, Ot = random_hermitian(3, rng), random_hermitian(3, rng)
+    map_t = Superoperator(random_gksl_trajectory(
+        3, rng, np.linspace(0.0, 1.0, 5)).maps[-1])
+    states = [random_density_matrix(3, rng) for _ in range(4)]
+    batch = tpms_distribution(np.array([r.matrix for r in states]), map_t,
+                              O0, Ot)
+    assert len(batch) == len(states)
+    for rho, dist in zip(states, batch):
+        alone = tpms_distribution(rho, map_t, O0, Ot)
+        assert dist.outcomes.tobytes() == alone.outcomes.tobytes()
+        assert dist.probs.tobytes() == alone.probs.tobytes()
+        assert dist.initial_coherence == alone.initial_coherence
 
 
 def test_the_table_builds_no_wrapper(wrapper_builds):

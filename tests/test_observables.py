@@ -27,18 +27,16 @@ from mapthermo.operators import (
     DensityMatrix,
     HermitianOperator,
     Superoperator,
-    apply,
     gibbs_state,
     partition_function,
     random_hermitian,
-    unvec,
     vec,
 )
 from mapthermo.phase_covariant import pc_integrals, pc_thermo, pc_trajectory
 from mapthermo.quadrature import cumulative_simpson
 from mapthermo.validation import random_gksl_trajectory
-from reference import (coherent_work_row, constant_rates, generator_at,
-                       minimal_dissipation_split, random_density_matrix)
+from reference import (apply, coherent_work_row, constant_rates, generator_at,
+                       minimal_dissipation_split, random_density_matrix, unvec)
 
 SZ = PAULI[3]
 

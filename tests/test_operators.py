@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -13,22 +15,21 @@ from mapthermo.operators import (
     Superoperator,
     _exp_stack,
     _gibbs_stack,
-    apply,
     eig_hermitian,
     gibbs_state,
     partition_function,
     pauli_transfer_to_superop,
     random_hermitian,
     superop_to_pauli_transfer,
-    unvec,
     vec,
 )
 from reference import (
+    apply,
     choi_matrix,
     compose,
     condition_number,
-    cptp_diagnostics,
     conjugation_superop,
+    cptp_diagnostics,
     exp_hermitian,
     func_hermitian,
     hs_adjoint,
@@ -39,6 +40,7 @@ from reference import (
     random_density_matrix,
     random_unitary,
     superop_from_pauli_transfer,
+    unvec,
 )
 
 SX, SY, SZ = PAULI[1], PAULI[2], PAULI[3]
@@ -293,6 +295,21 @@ def test_gibbs_state_and_partition_function():
     npt.assert_allclose(rho.matrix,
                         np.diag([np.exp(-beta / 2), np.exp(beta / 2)]) / z,
                         atol=1e-12)
+
+
+def test_a_gibbs_stack_of_several_betas_names_the_failing_one():
+    h = random_hermitian(3, np.random.default_rng(6))
+    vals, vecs = eig_hermitian(h)
+    betas = np.array([0.5, 2.0, 4.0])
+    rhos = _gibbs_stack(vals[None], vecs[None], betas, np.zeros(3))
+    for beta, rho in zip(betas, rhos):
+        npt.assert_allclose(rho, gibbs_state(h, beta).matrix, atol=1e-15)
+    # the eigenvectors of the second row are not orthonormal: its trace is 4
+    scaled = np.stack([vecs, 2.0 * vecs, vecs])
+    with pytest.raises(ConstructionError,
+                       match=re.escape("Gibbs state (beta = 2) at t = 0 is "
+                                       "not a state: trace deviation")):
+        _gibbs_stack(np.stack([vals] * 3), scaled, betas, np.zeros(3))
 
 
 def test_gibbs_state_checks_its_state_once(monkeypatch):

@@ -3,7 +3,7 @@ import numpy.testing as npt
 
 from mapthermo import validation
 from mapthermo.errors import ConstructionError
-from mapthermo.operators import Superoperator, apply
+from mapthermo.operators import Superoperator
 from mapthermo.validation import (
     CheckResult,
     FAST_CHECKS,
@@ -12,7 +12,7 @@ from mapthermo.validation import (
     random_gksl_trajectory,
     run_checks,
 )
-from reference import cptp_diagnostics
+from reference import apply, cptp_diagnostics
 
 
 def test_run_checks_reports_every_check_it_runs(monkeypatch):
