@@ -1,11 +1,11 @@
 """Wall time of reading and writing a map file, and of `mapthermo run` on it.
 
-Writes one seeded random GKSL trajectory in the shape of the benchmark's
-gksl_file workload (d = 6, N = 400, t in [0, 1], with derivatives: about
-49 MB of text) to a temporary directory, as `save_map_trajectory` writes it
-and again with every cell respelt as `repr` and as `%.17g` write it, as a
-tomography fit or another simulator might. It times `read_map_file` on each
-spelling, on the written file once more with the exact kernel's import gate
+Writes one seeded random GKSL trajectory, by default in the shape of the
+benchmark's gksl_file workload (--dim 6, --steps 400, t in [0, 1], with
+derivatives: about 49 MB of text), to a temporary directory, as
+`save_map_trajectory` writes it and again with every cell respelt as
+`repr` and as `%.17g` write it, as a tomography fit or another simulator
+might. It times `read_map_file` on each spelling, on the written file once more with the exact kernel's import gate
 switched off (as where np.longdouble is not the x87 format),
 `save_map_trajectory` (each call to a new file, removed after the timed
 region) and an in-process `mapthermo run` of a `custom_map_file` scenario
@@ -48,7 +48,7 @@ from mapthermo.cli import main as cli_main
 from mapthermo.dynamics import read_map_file, save_map_trajectory
 from mapthermo.validation import random_gksl_trajectory
 
-DIM, N_STEPS, SEED = 6, 400, 0
+DIM, N_STEPS, SEED = 6, 400, 0   # the defaults of --dim and --steps
 RESPELLINGS = {"repr": repr, "g17": "{:.17g}".format}
 SCENARIO = """\
 [scenario]
@@ -133,9 +133,10 @@ def against(paths: dict, traj, work_dir: str, src: str,
     return result
 
 
-def measure(work_dir: str, repeats: int, against_src: str | None) -> dict:
-    traj = random_gksl_trajectory(DIM, np.random.default_rng(SEED),
-                                  np.linspace(0.0, 1.0, N_STEPS + 1))
+def measure(work_dir: str, dim: int, n_steps: int, repeats: int,
+            against_src: str | None) -> dict:
+    traj = random_gksl_trajectory(dim, np.random.default_rng(SEED),
+                                  np.linspace(0.0, 1.0, n_steps + 1))
     map_path = os.path.join(work_dir, "trajectory.maps")
     save_map_trajectory(traj, map_path)
     paths = {"written": map_path}
@@ -154,7 +155,7 @@ def measure(work_dir: str, repeats: int, against_src: str | None) -> dict:
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    result = {"dim": DIM, "n_steps": N_STEPS, "seed": SEED,
+    result = {"dim": dim, "n_steps": n_steps, "seed": SEED,
               "map_file_bytes": {name: os.path.getsize(path)
                                  for name, path in paths.items()},
               "read_map_file_s_best": {name: min(walls)
@@ -177,6 +178,10 @@ def main() -> None:
     ap.add_argument("--label", required=True,
                     help="key of this run in the JSON file")
     ap.add_argument("--out", default="BENCH_map_io.json")
+    ap.add_argument("--dim", type=int, default=DIM,
+                    help="Hilbert-space dimension d of the trajectory")
+    ap.add_argument("--steps", type=int, default=N_STEPS,
+                    help="grid steps N of the trajectory")
     ap.add_argument("--repeats", type=int, default=5)
     ap.add_argument("--against", metavar="SRC",
                     help="the src directory of a second source tree: time "
@@ -185,7 +190,8 @@ def main() -> None:
     args = ap.parse_args()
 
     with tempfile.TemporaryDirectory() as work_dir:
-        result = measure(work_dir, args.repeats, args.against)
+        result = measure(work_dir, args.dim, args.steps, args.repeats,
+                         args.against)
     reads = ", ".join(f"{name} {best:.3f} s" for name, best
                       in result["read_map_file_s_best"].items())
     print(f"read_map_file best: {reads} (peak "

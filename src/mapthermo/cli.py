@@ -33,9 +33,11 @@ from .operators import (COND_THRESHOLD_DEFAULT, HermitianOperator,
                         Superoperator, cptp_diagnostics_stack, dagger,
                         hermiticity_preservation,
                         project_hermiticity_preserving)
-from .dynamics import (condition_flags, csv_text, invertibility_report,
-                       load_map_trajectory, read_map_file)
+from .dynamics import (condition_flags, csv_text, data_row_line,
+                       invertibility_report, load_map_trajectory,
+                       read_map_file)
 from .phase_covariant import pc_trajectory
+from .quadrature import grid_fault
 from .observables import ThermoPipeline
 # fluctuation_report is unused here but stays a module attribute: the traced
 # benchmark run (perfbench/child.py) wraps it by name.
@@ -481,10 +483,14 @@ def _cmd_map_info(path: str) -> int:
     except ConstructionError as exc:
         raise ConfigError(str(exc))
     dim = int(round(math.sqrt(mats[0].shape[0])))
+    fault = (grid_fault(times) if times[0] == 0.0
+             else (0, f"starts at {times[0]:.6g}, not 0"))
+    grid = ("uniform from 0" if fault is None
+            else f"line {data_row_line(path, fault[0])}: {fault[1]}")
     print(f"map file: {path}")
     print(f"dim={dim} grid_points={times.size} "
           f"t_range=[{times[0]:.6g}, {times[-1]:.6g}] "
-          f"derivatives={'yes' if derivs is not None else 'no'}")
+          f"derivatives={'yes' if derivs is not None else 'no'} grid={grid}")
     dev, allowed, maps = hermiticity_preservation(mats)
     invalid = dev > allowed
     conds = np.linalg.cond(maps)

@@ -26,6 +26,7 @@ exactly what fails first in strongly dissipative or resonant regimes.
 from __future__ import annotations
 
 import itertools
+import os
 from dataclasses import dataclass
 from functools import cache, cached_property
 
@@ -41,7 +42,7 @@ from .operators import (
     stack_blocks,
     vec,
 )
-from .quadrature import grid_spacing, stencil_derivative
+from .quadrature import grid_fault, grid_spacing, stencil_derivative
 
 IDENTITY_TOL = 1e-12
 TP_TOL = 1e-10
@@ -51,12 +52,12 @@ SPIKE_FLOOR = 100.0
 
 
 def _require_finite(a: np.ndarray, t: np.ndarray, what: str) -> None:
-    """Raise ConstructionError at the first matrix of a stack, by its time,
-    that holds a value that is not finite."""
+    """Raise ConstructionError at the first matrix of a stack, by its time
+    and index, that holds a value that is not finite."""
     bad = np.flatnonzero(~np.isfinite(a).all(axis=(1, 2)))
     if bad.size:
         raise ConstructionError(f"{what} at t = {t[bad[0]]:.6g} holds a "
-                                "value that is not finite")
+                                "value that is not finite", index=int(bad[0]))
 
 
 @dataclass(frozen=True, eq=False)
@@ -67,7 +68,9 @@ class MapTrajectory:
     convention, `derivatives` the optional array of analytic dPhi/dt.
     Construction is the only validation (grid, shapes, finite entries,
     identity at t = 0, Hermiticity preservation with the Superoperator Choi
-    projection, trace preservation) and names the first failing time.
+    projection, trace preservation) and names the first failing time. A
+    ConstructionError carries the index of the map at fault; a grid that is
+    not uniform raises ValueError (`quadrature.grid_fault` finds its point).
     cond(Phi_t) and Phi_t^{-1} are computed once for the whole grid, on
     first use.
     """
@@ -87,14 +90,16 @@ class MapTrajectory:
                                     f"{t.size} grid points")
         _require_finite(maps, t, "map")
         if t[0] != 0.0:
-            raise ConstructionError(f"grid must start at 0, got {t[0]}")
+            raise ConstructionError(f"grid must start at 0, got {t[0]}",
+                                    index=0)
         grid_spacing(t)
         maps = project_hermiticity_preserving(maps, t, what="map")
         d = int(round(np.sqrt(maps.shape[1])))
         dev0 = float(np.max(np.abs(maps[0] - np.eye(d * d))))
         if dev0 > IDENTITY_TOL:
             raise ConstructionError(
-                f"map at t = 0 deviates from the identity by {dev0:.3e}")
+                f"map at t = 0 deviates from the identity by {dev0:.3e}",
+                index=0)
         # Tr{S[A]} = Tr{A} for all A  <=>  S^dagger[1] = 1
         idvec = vec(np.eye(d))
         tp = np.abs(idvec @ maps - idvec).max(axis=1)
@@ -103,7 +108,7 @@ class MapTrajectory:
             i = bad[0]
             raise ConstructionError(
                 f"map at t = {t[i]:.6g} is not trace-preserving "
-                f"(residual {tp[i]:.3e})")
+                f"(residual {tp[i]:.3e})", index=int(i))
         maps.setflags(write=False)
         object.__setattr__(self, "maps", maps)
         if self.derivatives is not None:
@@ -514,9 +519,10 @@ def _read_rows(path: str, lineno: int, data: bytes, a: int, b: int,
     """The lines data[a:b] from line `lineno` on as a (rows, cols) array,
     each cell read as float() reads it; ConstructionError names the first
     row with other columns, a cell float() refuses or a value that is not
-    finite. The kernel (about 0.2 of float()'s time) runs where the cells
-    average a written cell's width; float() reads the cells it leaves one by
-    one (1.5 times their share) if they are at most two thirds, else all."""
+    finite, whichever row comes first. The kernel (about 0.2 of float()'s
+    time) runs where the cells average a written cell's width; float()
+    reads the cells it leaves one by one (1.5 times their share) if they
+    are at most two thirds, else all."""
     buf = np.frombuffer(data, np.uint8, b - a, a)
     ends = np.flatnonzero((buf == ord(",")) | (buf == ord("\n")))
     rows = np.flatnonzero(buf[ends] == ord("\n"))   # the cells ending rows
@@ -524,6 +530,8 @@ def _read_rows(path: str, lineno: int, data: bytes, a: int, b: int,
     if n != rows.size * cols or np.any(rows % cols != cols - 1):
         got = np.diff(rows, prepend=-1)
         r = np.flatnonzero(got != cols)[0]
+        if r:   # a fault in a row before it comes first
+            _read_rows(path, lineno, data, a, a + ends[rows[r - 1]] + 1, cols)
         raise ConstructionError(f"{path}:{lineno + r}: expected {cols} "
                                 f"columns, got {got[r]}")
     ends += a
@@ -621,40 +629,52 @@ def read_map_file(path: str) -> tuple[np.ndarray, np.ndarray,
                                       np.ndarray | None]:
     """Parse the text format into the times and (n, d^2, d^2) stacks of maps
     and (when present) derivatives, without validating a trajectory, for
-    diagnostics on imperfect files. A first pass reads the header and first
-    row and counts rows; the second reads blocks of rows into the stacks."""
-    header, n = {}, 0
+    diagnostics on imperfect files. One pass parses each run of rows into
+    stacks sized by the first run (or one they cannot hold), plus 4 %."""
+    header, n, stacks, left = {}, 0, [np.empty(0)], os.path.getsize(path)
     for lineno, rows, data, a, b in _data_rows(path, header):
-        if not n and "dim" not in header:
+        if "dim" not in header:
             raise ConstructionError(
                 f"{path}:{lineno}: data row before the dim header line")
-        expect = 1 + 2 * header["dim"]**4 * (2 if header["has_d"] else 1)
-        if not n:   # the first row, read here so that the stacks fit the file
-            _read_rows(path, lineno, data, a, data.find(b"\n", a) + 1, expect)
+        d2, has_d, left = header["dim"] ** 2, header["has_d"], left - (b - a)
+        cells = 2 * d2 * d2   # of a map, and of its derivative
+        vals = _read_rows(path, lineno, data, a, b, 1 + cells * (1 + has_d))
+        if n + rows > len(stacks[0]):   # the rows the bytes left hold
+            size = n + rows + int(1.04 * max(left, 0) * rows / (b - a))
+            grown = [np.empty(size), *[np.empty((size, d2, d2), complex)
+                                       for _ in range(1 + has_d)]]
+            for new, old in zip(grown, stacks):
+                new[:n] = old[:n]
+            stacks = grown
+        # the times, the re, im pairs of the maps, then of the derivatives
+        for stack, flat in zip(stacks, np.split(vals, [1, 1 + cells], 1)):
+            stack[n:n + rows].reshape(rows, -1).view(float)[:] = flat
         n += rows
     if not n:   # name the line where the first one was expected
         raise ConstructionError(f"{path}:{header['lines'] + 1}: no data rows")
-    d2 = header["dim"] ** 2
-    times, maps, k = np.empty(n), np.empty((n, d2, d2), dtype=complex), 0
-    derivs = np.empty_like(maps) if header["has_d"] else None
-    for lineno, rows, data, a, b in _data_rows(path, {}):
-        vals = _read_rows(path, lineno, data, a, b, expect)
-        times[k:k + rows] = vals[:, 0]
-        # the re, im pairs of the map, then of its derivative
-        for stack, flat in zip((maps, derivs),
-                               np.split(vals[:, 1:], 1 + header["has_d"], 1)):
-            stack[k:k + rows].reshape(rows, -1).view(float)[:] = flat
-        k += rows
-    return times, maps, derivs
+    return stacks[0][:n], stacks[1][:n], stacks[2][:n] if has_d else None
+
+
+def data_row_line(path: str, k: int) -> int:
+    """The line of data row k of a map file that `read_map_file` reads.
+    The file is read again to find it, so only a message about a row pays
+    for it."""
+    for lineno, rows, *_ in _data_rows(path, {}):
+        if k < rows:
+            return lineno + k
+        k -= rows
 
 
 def load_map_trajectory(path: str) -> MapTrajectory:
     """Read the text format and build a validated trajectory. A file whose
     maps or grid fail validation raises ConstructionError, as a malformed
-    file does; every message starts with the path."""
+    file does; every message starts with the path and the line of the
+    first row at fault."""
     times, maps, derivs = read_map_file(path)
     try:
         return MapTrajectory(times=times, maps=maps, derivatives=derivs)
-    # ValueError: the grid checks of quadrature.grid_spacing
-    except (ValueError, ConstructionError) as exc:
-        raise ConstructionError(f"{path}: {exc}") from None
+    except ConstructionError as exc:
+        row, why = exc.index, exc
+    except ValueError as exc:   # the grid checks of quadrature.grid_spacing
+        row, why = grid_fault(times)[0], exc
+    raise ConstructionError(f"{path}:{data_row_line(path, row)}: {why}")

@@ -9,7 +9,13 @@ class MapThermoError(Exception):
 
 class ConstructionError(MapThermoError):
     """An operator or map violates its type invariants (non-Hermitian input,
-    trace off by more than tolerance, negative eigenvalue, ...)."""
+    trace off by more than tolerance, negative eigenvalue, ...). Carries
+    the position in its stack of the first failing matrix when one is
+    known."""
+
+    def __init__(self, message: str, index: int | None = None):
+        super().__init__(message)
+        self.index = index
 
 
 class SingularMap(MapThermoError):

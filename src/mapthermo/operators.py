@@ -191,12 +191,14 @@ def hermiticity_preservation(m: np.ndarray,
     dev = np.empty(m.shape[0])
     allowed = np.empty(m.shape[0])
     for blk in stack_blocks(m.shape[0], d * d):
-        r = _reshuffle(m[blk], d)
-        rh = dagger(r)
         allowed[blk] = HP_CHECK_TOL * np.maximum(
             1.0, np.abs(m[blk]).max(axis=(-2, -1)))
-        dev[blk] = np.abs(r - rh).max(axis=(-2, -1))
-        out[blk] = _reshuffle(0.5 * (r + rh), d)
+        # R -/+ R^dagger holds S[ij, kl] -/+ conj(S[ji, lk]) where R holds
+        # S[ij, kl]: compared and averaged in place, with no reshuffle
+        s = m[blk].reshape(-1, d, d, d, d)
+        swapped = s.transpose(0, 2, 1, 4, 3).conj()
+        dev[blk] = np.abs(s - swapped).max(axis=(1, 2, 3, 4))
+        np.multiply(0.5, s + swapped, out=out[blk].reshape(s.shape))
     return dev, allowed, out
 
 
@@ -204,14 +206,16 @@ def project_hermiticity_preserving(m: np.ndarray, times=None,
                                    what: str = "superoperator") -> np.ndarray:
     """The projection of `hermiticity_preservation`, after checking that no
     matrix of the stack deviates by more than it is allowed. The error
-    names the first failing matrix, by its time when `times` is given."""
+    names the first failing matrix, by its time when `times` is given, and
+    carries its index."""
     dev, allowed, out = hermiticity_preservation(m)
     bad = np.flatnonzero(dev > allowed)
     if bad.size:
         k = bad[0]
         raise ConstructionError(
             f"{what}{_label(times, k)} is not Hermiticity-preserving: "
-            f"Choi deviation {dev[k]:.3e} (allowed {allowed[k]:.3e})")
+            f"Choi deviation {dev[k]:.3e} (allowed {allowed[k]:.3e})",
+            index=int(k))
     return out
 
 

@@ -22,22 +22,37 @@ from .errors import BoundaryStencil
 GRID_RTOL = 1e-9
 
 
+def grid_fault(times: np.ndarray) -> tuple[int, str] | None:
+    """The first point of `times` at fault as a uniform, strictly increasing
+    grid, and why; None when it is one. That is point 0 of a grid of fewer
+    than two points, else the end of the first step that is not positive,
+    else the end of the first step off the first by more than GRID_RTOL
+    (relative, floor 1)."""
+    t = np.asarray(times, dtype=float)
+    if t.ndim != 1 or t.size < 2:
+        return 0, "grid needs at least two points"
+    steps = np.diff(t)
+    bad = steps <= 0
+    if bad.any():
+        return int(np.argmax(bad)) + 1, "grid must be strictly increasing"
+    bad = np.abs(steps - steps[0]) > GRID_RTOL * max(abs(steps[0]), 1.0)
+    if bad.any():
+        return int(np.argmax(bad)) + 1, "grid must be uniform"
+    return None
+
+
 def grid_spacing(times: np.ndarray) -> float:
     """Return the spacing of a uniform, strictly increasing grid.
 
-    Raises ValueError if the grid has fewer than two points, is not strictly
-    increasing, or is not uniform to relative tolerance GRID_RTOL.
+    Raises ValueError with the reason of `grid_fault` if the grid has fewer
+    than two points, is not strictly increasing, or is not uniform to
+    relative tolerance GRID_RTOL.
     """
     t = np.asarray(times, dtype=float)
-    if t.ndim != 1 or t.size < 2:
-        raise ValueError("grid needs at least two points")
-    steps = np.diff(t)
-    if np.any(steps <= 0):
-        raise ValueError("grid must be strictly increasing")
-    h = steps[0]
-    if np.max(np.abs(steps - h)) > GRID_RTOL * max(abs(h), 1.0):
-        raise ValueError("grid must be uniform")
-    return float(h)
+    fault = grid_fault(t)
+    if fault:
+        raise ValueError(fault[1])
+    return float(t[1] - t[0])
 
 
 def cumulative_simpson(samples: np.ndarray, h: float) -> np.ndarray:

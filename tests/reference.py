@@ -10,11 +10,13 @@ level sum one block and grid time at a time), plus the small constructors
 functions only tests call (`cptp_diagnostics` of one map,
 `noneq_free_energy`, and `pc_general_d`, the eigenvalue route of d-level
 phase-covariant maps), and the per-row `%` writers that the vectorised
-cell-spelling kernel of `dynamics` replaced, and the matrix-trace route of
-the fluctuation table (`matrix_fluctuation_table`: Gibbs states and
-exponentials formed as stacks and traced) that the eigenbasis weighted sums
-of `fluctuation_table` replaced, and `apply` and `unvec`, one operator
-through one map, which the library forms only as stacked products.
+cell-spelling kernel of `dynamics` replaced, the reshuffle form of
+`hermiticity_preservation` that its index-swapped form replaced, and the
+matrix-trace route of the fluctuation table (`matrix_fluctuation_table`:
+Gibbs states and exponentials formed as stacks and traced) that the
+eigenbasis weighted sums of `fluctuation_table` replaced, and `apply` and
+`unvec`, one operator through one map, which the library forms only as
+stacked products.
 Nothing in `src/mapthermo` calls them. The random states and unitaries are those of the acceptance
 checks (`mapthermo.validation`), imported here for the other tests.
 
@@ -43,6 +45,7 @@ from mapthermo.observables import CoherentInitialData, CoherentWorkResult
 from mapthermo.operators import (
     COND_THRESHOLD_DEFAULT,
     CPTPReport,
+    HP_CHECK_TOL,
     DensityMatrix,
     HermitianOperator,
     Superoperator,
@@ -217,6 +220,20 @@ def hs_adjoint(s: Superoperator) -> Superoperator:
     unital, not TP, in general).
     """
     return Superoperator(s.matrix.conj().T)
+
+
+def hermiticity_preservation_by_reshuffle(m: np.ndarray,
+                                          ) -> tuple[np.ndarray, np.ndarray,
+                                                     np.ndarray]:
+    """`operators.hermiticity_preservation` as the definition reads: the
+    reshuffle R of each matrix, the largest entry of R - R^dagger, and the
+    reshuffle of (R + R^dagger) / 2 back."""
+    d = int(round(np.sqrt(m.shape[-1])))
+    r = _reshuffle(m, d)
+    rh = dagger(r)
+    allowed = HP_CHECK_TOL * np.maximum(1.0, np.abs(m).max(axis=(-2, -1)))
+    return (np.abs(r - rh).max(axis=(-2, -1)), allowed,
+            _reshuffle(0.5 * (r + rh), d))
 
 
 def choi_matrix(s: Superoperator) -> np.ndarray:

@@ -1,10 +1,16 @@
-"""The label merge of `scripts/bench_record.py`, loaded by path."""
+"""The label merge of `scripts/bench_record.py`, loaded by path, and a
+small run of `scripts/bench_map_io.py`, whose record backs the map-file
+speed claims."""
 
 import importlib.util
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
-SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "bench_record.py"
+ROOT = Path(__file__).resolve().parent.parent
+SCRIPT = ROOT / "scripts" / "bench_record.py"
 
 
 def load_bench_record():
@@ -32,3 +38,19 @@ def test_each_merge_writes_its_topic_and_keeps_the_other_labels(tmp_path):
     assert record["topic"] == "newer topic"
     assert record["runs"]["parent"]["report"] == {"s": 2.0}
     assert record["runs"]["change"]["report"] == {"s": 0.5}
+
+
+def test_bench_map_io_runs_against_a_source_tree(tmp_path):
+    # d = 2, N = 8, this tree against itself: every step of a recorded run
+    src = str(ROOT / "src")
+    out = tmp_path / "BENCH_map_io.json"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    subprocess.run([sys.executable, str(ROOT / "scripts" / "bench_map_io.py"),
+                    "--label", "smoke", "--out", str(out), "--dim", "2",
+                    "--steps", "8", "--repeats", "1", "--against", src],
+                   env=env, cwd=tmp_path, check=True, capture_output=True)
+    run = json.loads(out.read_text())["runs"]["smoke"]["map_io"]
+    assert (run["dim"], run["n_steps"]) == (2, 8)
+    assert set(run["against"]) == {"written", "repr", "g17",
+                                   "written_gate_off", "save_map_trajectory"}

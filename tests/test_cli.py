@@ -641,7 +641,7 @@ def test_map_info_reports_stored_trajectory(tmp_path, capsys):
     assert main(["map-info", path]) == 0
     out = capsys.readouterr().out
     assert "dim=2 grid_points=17" in out
-    assert "derivatives=yes" in out
+    assert "derivatives=yes grid=uniform from 0" in out
     assert "summary: 0 singular" in out
 
 
@@ -707,7 +707,8 @@ def test_run_rejects_a_bad_map_file_header(tmp_path, capsys, problem):
     assert err.count(str(tmp_path / "bad.maps")) == 1
 
 
-# data problems the first pass over a map file finds, and their line
+# data problems found before a map file's stacks are allocated, and their
+# line
 BAD_MAP_ROWS = {
     "undecodable_bytes": (b"# dim=2 vectorization=column-stacking "
                           b"derivatives=0\n\xff\xfe,1\n", 3),
@@ -740,18 +741,18 @@ def test_bad_map_file_rows_exit_2_with_the_line(tmp_path, capsys, problem,
 
 
 # grids that quadrature.grid_spacing or the MapTrajectory checks reject,
-# and the reason they give
+# the reason they give and the line of the first row at fault
 BAD_MAP_GRIDS = {
-    "single_row": ([0.0], "at least two points"),
-    "not_increasing": ([0.0, 0.1, 0.1], "strictly increasing"),
-    "not_uniform": ([0.0, 0.1, 0.3], "uniform"),
-    "not_starting_at_zero": ([0.1, 0.2, 0.3], "must start at 0"),
+    "single_row": ([0.0], "at least two points", 3),
+    "not_increasing": ([0.0, 0.1, 0.1], "strictly increasing", 5),
+    "not_uniform": ([0.0, 0.1, 0.3], "uniform", 5),
+    "not_starting_at_zero": ([0.1, 0.2, 0.3], "must start at 0", 3),
 }
 
 
 @pytest.mark.parametrize("problem", sorted(BAD_MAP_GRIDS))
 def test_run_rejects_a_map_file_with_a_bad_grid(tmp_path, capsys, problem):
-    times, reason = BAD_MAP_GRIDS[problem]
+    times, reason, line = BAD_MAP_GRIDS[problem]
     identity = ",".join(map(repr, np.eye(4, dtype=complex).reshape(-1)
                             .view(float).tolist()))
     path = tmp_path / "bad.maps"
@@ -769,7 +770,7 @@ def test_run_rejects_a_map_file_with_a_bad_grid(tmp_path, capsys, problem):
     """.format(out=tmp_path / "out"))
     assert main(["run", cfg_path]) == 2
     err = capsys.readouterr().err
-    assert f"config error: {path}: grid" in err
+    assert f"config error: {path}:{line}: grid" in err
     assert err.count(str(path)) == 1
     assert reason in err
 
@@ -793,6 +794,26 @@ def test_map_info_marks_invalid_rows(tmp_path, capsys):
     assert rows[3].startswith(f"{times[3]:.6g},inf,singular,invalid: ")
     assert "not Hermiticity-preserving" in rows[3]
     assert "1 singular" in lines[-1] and "1 invalid rows" in lines[-1]
+
+
+@pytest.mark.parametrize("times, grid", [
+    ([0.0, 0.5, 1.0], "uniform from 0"),
+    ([0.0, 0.5, 0.5], "line 6: grid must be strictly increasing"),
+    ([0.0, 0.5, 1.5], "line 6: grid must be uniform"),
+    ([0.5, 1.0, 1.5], "line 3: starts at 0.5, not 0"),
+    ([0.0], "line 3: grid needs at least two points"),
+])
+def test_map_info_prints_the_grid_verdict(tmp_path, capsys, times, grid):
+    identity = ",".join(map(repr, np.eye(4, dtype=complex).reshape(-1)
+                            .view(float).tolist()))
+    rows = [f"{t!r},{identity}\n" for t in times]
+    path = tmp_path / "grid.maps"
+    path.write_text("# mapthermo-maps v1\n"
+                    "# dim=2 vectorization=column-stacking derivatives=0\n"
+                    + rows[0] + "# a comment\n" + "".join(rows[1:]))
+    assert main(["map-info", str(path)]) == 0
+    assert capsys.readouterr().out.splitlines()[1].endswith(
+        f" derivatives=no grid={grid}")
 
 
 def test_run_reports_an_undefined_exponential(tmp_path, capsys):

@@ -1,3 +1,4 @@
+import io
 import itertools
 import os
 from types import SimpleNamespace
@@ -756,3 +757,178 @@ def test_read_map_file_rejects_undecodable_bytes(tmp_path, bad, line):
                      + bad)
     with pytest.raises(ConstructionError, match=f"bytes.maps:{line}: "):
         read_map_file(str(path))
+
+
+# One pass. `read_map_file` sizes its stacks from the first run of rows
+# and grows them, with one copy, when a later run holds more rows than
+# the first's bytes per row allowed for.
+
+class AllocationSpy:
+    """numpy, recording the length of each 1-d array that `np.empty` makes:
+    in `read_map_file`, the time stack at each allocation."""
+
+    def __init__(self):
+        self.sizes = []
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    def empty(self, shape, *args, **kwargs):
+        if isinstance(shape, int):
+            self.sizes.append(shape)
+        return np.empty(shape, *args, **kwargs)
+
+
+def short_and_long_rows(path, short_first):
+    """A d = 2 map file with derivatives: six rows of cells 0 and 1 spelled
+    as "0" and "1", and six of random cells spelled as written, one kind
+    after the other, with a comment between."""
+    rng = np.random.default_rng(21)
+    cols = 1 + 2 * 2**4 * 2
+    short = [",".join(map(str, rng.integers(0, 2, cols))) for _ in range(6)]
+    long = [",".join(f"{x:.16e}" for x in rng.standard_normal(cols))
+            for _ in range(6)]
+    first, then = (short, long) if short_first else (long, short)
+    path.write_text("# mapthermo-maps v1\n"
+                    "# dim=2 vectorization=column-stacking derivatives=1\n"
+                    + "".join(f"{row}\n" for row in first)
+                    + "# the other spelling\n"
+                    + "".join(f"{row}\n" for row in then))
+
+
+@pytest.mark.parametrize("block_cells, read_buffer", [
+    (1, 16), (3, 100), (1, dynamics._READ_BUFFER),
+    (dynamics._BLOCK_CELLS, dynamics._READ_BUFFER)])
+@pytest.mark.parametrize("short_first", [True, False])
+def test_later_rows_of_another_width_read_as_row_by_row(
+        tmp_path, monkeypatch, short_first, block_cells, read_buffer):
+    path = tmp_path / "widths.maps"
+    short_and_long_rows(path, short_first)
+    want = read_map_file_by_rows(str(path))
+    spy = AllocationSpy()
+    monkeypatch.setattr(dynamics, "np", spy)
+    monkeypatch.setattr(dynamics, "_BLOCK_CELLS", block_cells)
+    monkeypatch.setattr(dynamics, "_READ_BUFFER", read_buffer)
+    got = read_map_file(str(path))
+    assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
+    # an empty stack, then one sized by the first run of rows (the comment
+    # ends it, in one block or many): the narrower rows after it outgrow it
+    # once, the wider ones never
+    assert len(spy.sizes) - 2 == (0 if short_first else 1)
+    assert spy.sizes[-1] >= 12
+
+
+def test_a_map_file_longer_than_its_stated_size_reads_the_same(
+        tmp_path, monkeypatch):
+    # a pipe states size 0, and a file can grow while it is read: each run
+    # of rows then grows the stacks to hold it
+    path = tmp_path / "widths.maps"
+    short_and_long_rows(path, short_first=True)
+    want = read_map_file_by_rows(str(path))
+    monkeypatch.setattr(dynamics.os.path, "getsize", lambda path: 0)
+    monkeypatch.setattr(dynamics, "_BLOCK_CELLS", 1)
+    got = read_map_file(str(path))
+    assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
+
+
+def test_no_byte_of_a_map_file_is_read_twice(tmp_path, monkeypatch):
+    path = tmp_path / "gksl.maps"
+    save_map_trajectory(random_gksl_trajectory(
+        2, np.random.default_rng(22), np.linspace(0.0, 1.0, 9)), str(path))
+    read = []
+
+    class CountingFile(io.FileIO):
+        def readinto(self, buffer):
+            n = super().readinto(buffer)
+            read.append(n)
+            return n
+
+    def counting_open(file, mode, buffering):
+        assert mode == "rb"
+        return io.BufferedReader(CountingFile(file), buffering)
+
+    monkeypatch.setattr(dynamics, "open", counting_open, raising=False)
+    for block_cells in (1, dynamics._BLOCK_CELLS):   # 9 blocks, then 1
+        read.clear()
+        monkeypatch.setattr(dynamics, "_BLOCK_CELLS", block_cells)
+        times, _, _ = read_map_file(str(path))
+        assert times.size == 9
+        assert sum(read) == path.stat().st_size
+
+
+# Two faults in one file: the one that comes first in the file is reported.
+TWO_FAULTS = ["# mapthermo-maps v1",
+              "# dim=1 vectorization=column-stacking derivatives=0",
+              "0,1,0",
+              "0.5,snake,0",                                          # 4
+              "1,1,0,0",                                              # 5
+              "# dim=1 vectorization=column-stacking derivatives=0"]  # 6
+
+
+@pytest.mark.parametrize("block_cells", [1, dynamics._BLOCK_CELLS])
+@pytest.mark.parametrize("mend, message", [
+    ((), "4: row is not comma-separated numbers"),
+    ((4,), "5: expected 3 columns, got 4"),
+    ((4, 5), "6: header line after data rows"),
+    ((5,), "4: row is not comma-separated numbers"),
+    ((6,), "4: row is not comma-separated numbers"),
+])
+def test_the_first_fault_in_a_map_file_is_reported(tmp_path, monkeypatch,
+                                                   block_cells, mend,
+                                                   message):
+    lines = list(TWO_FAULTS)
+    for line in mend:
+        lines[line - 1] = "1,1,0"
+    path = tmp_path / "faults.maps"
+    path.write_text("".join(f"{line}\n" for line in lines))
+    monkeypatch.setattr(dynamics, "_BLOCK_CELLS", block_cells)
+    with pytest.raises(ConstructionError) as exc:
+        read_map_file(str(path))
+    assert str(exc.value) == f"{path}:{message}"
+
+
+def write_rows(path, times, maps):
+    """A map file of the given rows, without derivatives, with a comment
+    after the first row."""
+    d = int(round(np.sqrt(maps.shape[1])))
+    rows = [",".join(f"{x:.16e}" for x in (t, *m.reshape(-1).view(float)))
+            for t, m in zip(times, maps)]
+    path.write_text("# mapthermo-maps v1\n"
+                    f"# dim={d} vectorization=column-stacking derivatives=0\n"
+                    f"{rows[0]}\n# a comment\n"
+                    + "".join(f"{row}\n" for row in rows[1:]))
+
+
+@pytest.mark.parametrize("row, corrupt, needle", [
+    (0, lambda maps: maps[1], "deviates from the identity"),
+    (3, lambda maps: maps[3] + np.diag(np.arange(9)) * 1e-3j,
+     "not Hermiticity-preserving"),
+    (5, lambda maps: 0.9 * maps[5], "not trace-preserving"),
+])
+def test_load_names_the_line_of_the_first_failing_map(tmp_path, row,
+                                                      corrupt, needle):
+    times = np.linspace(0.0, 1.0, 9)
+    maps = random_gksl_trajectory(3, np.random.default_rng(8),
+                                  times).maps.copy()
+    maps[row] = corrupt(maps)
+    maps[7] = 0.8 * maps[7]   # a later fault is not the one named
+    path = tmp_path / "bad.maps"
+    write_rows(path, times, maps)
+    with pytest.raises(ConstructionError, match=needle) as exc:
+        load_map_trajectory(str(path))
+    line = 3 if row == 0 else row + 4   # the comment follows row 0
+    assert str(exc.value).startswith(f"{path}:{line}: map at t = ")
+    assert dynamics.data_row_line(str(path), row) == line
+
+
+def test_map_check_errors_carry_the_index_of_the_first_failing_map():
+    times = np.linspace(0.0, 1.0, 9)
+    maps = random_gksl_trajectory(2, np.random.default_rng(8),
+                                  times).maps.copy()
+    maps[[4, 6], 0, 0] = np.nan
+    with pytest.raises(ConstructionError, match="not finite") as exc:
+        MapTrajectory(times=times, maps=maps)
+    assert exc.value.index == 4
+    with pytest.raises(ConstructionError, match="start at 0") as exc:
+        MapTrajectory(times=times + 0.5, maps=maps[:1].repeat(9, axis=0))
+    assert exc.value.index == 0

@@ -17,6 +17,7 @@ from mapthermo.operators import (
     _gibbs_stack,
     eig_hermitian,
     gibbs_state,
+    hermiticity_preservation,
     partition_function,
     pauli_transfer_to_superop,
     random_hermitian,
@@ -32,6 +33,7 @@ from reference import (
     cptp_diagnostics,
     exp_hermitian,
     func_hermitian,
+    hermiticity_preservation_by_reshuffle,
     hs_adjoint,
     identity_superop,
     invert,
@@ -237,6 +239,21 @@ def test_superoperator_rejects_hermiticity_breaking():
     m[1, 1] = 1.0 + 0.5j
     with pytest.raises(ConstructionError):
         Superoperator(m)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+def test_hermiticity_preservation_matches_the_reshuffle_form(d):
+    # random stacks, one spanning two of stack_blocks' blocks at d = 4, and
+    # matrices as the projection leaves them
+    rng = np.random.default_rng(20 + d)
+    n = 2 * (1 << 16) // d**4 + 3
+    m = rng.standard_normal((n, d * d, d * d, 2)).view(complex)[..., 0]
+    got = hermiticity_preservation(m)
+    want = hermiticity_preservation_by_reshuffle(m)
+    assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
+    projected = got[2]
+    assert hermiticity_preservation(projected)[2].tobytes() == (
+        projected.tobytes())
 
 
 def test_choi_matrix_of_unitary_is_rank_one():

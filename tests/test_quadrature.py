@@ -10,6 +10,7 @@ from hypothesis.strategies import floats
 from mapthermo.quadrature import (
     cumulative_exp_weighted,
     cumulative_simpson,
+    grid_fault,
     grid_spacing,
 )
 from reference import exp_weighted_loop
@@ -29,6 +30,15 @@ def test_grid_spacing_rejects_nonuniform():
         grid_spacing(np.array([0.0, 0.1, 0.1]))
     with pytest.raises(ValueError):
         grid_spacing(np.array([0.5]))
+
+
+def test_grid_fault_names_the_first_point_of_the_failing_check():
+    assert grid_fault(np.linspace(0.0, 3.0, 31)) is None
+    # a step that does not increase outranks an earlier uneven one
+    assert grid_fault([0.0, 0.1, 0.3, 0.4, 0.4]) == (
+        4, "grid must be strictly increasing")
+    assert grid_fault([0.0, 0.1, 0.2, 0.35, 0.4]) == (3, "grid must be uniform")
+    assert grid_fault([0.5]) == (0, "grid needs at least two points")
 
 
 def test_cumulative_simpson_exact_on_cubics():
