@@ -68,14 +68,13 @@ class Tree:
     def fluctuation(self):
         """A call of `coherent_work_fluctuation` on the scenario's whole
         grid, its inputs built now."""
-        models = self.module("models")
-        observables = self.module("observables")
-        p = models.ClosedCoherentParams()
+        coherent = self.module("coherent")
+        p = coherent.ClosedCoherentParams()
         times = p.grid(N_STEPS)
-        rho0, hams, unitaries = models.closed_coherent_protocol(p, times)
-        data = observables.coherent_initial_construction(
+        rho0, hams, unitaries = coherent.closed_coherent_protocol(p, times)
+        data = coherent.coherent_initial_construction(
             rho0, self.module("operators").HermitianOperator(hams[0]))
-        return lambda: observables.coherent_work_fluctuation(
+        return lambda: coherent.coherent_work_fluctuation(
             data, unitaries, hams, times)
 
 

@@ -1,13 +1,17 @@
 """Start-up time of `mapthermo run`: spawn to ready, one process per sample.
 
-Writes a weak-coupling scenario in the shape of the benchmark's wc_cli
-workload (N = 2000, four beta, two distribution times) to a temporary
-directory. Each sample spawns a fresh interpreter that imports
-`mapthermo.cli`, parses the scenario with `parse_config` and prints the
-system-wide monotonic clock; the sample is that time less the clock just
-before the spawn. Two floors are timed the same way: an interpreter that
-imports nothing (`python -c pass`) and one that imports numpy. The child
-also reports whether any `scipy` module was loaded by then.
+Writes two scenarios to a temporary directory: a weak-coupling one in the
+shape of the benchmark's wc_cli workload (N = 2000, four beta, two
+distribution times), and a custom_map_file one that names a small stored
+GKSL map file (d = 2, 17 rows), as the gksl_file workload does. Each sample
+spawns a fresh interpreter that imports `mapthermo.cli`, parses a scenario
+with `parse_config` and prints the system-wide monotonic clock; the sample
+is that time less the clock just before the spawn. Two floors are timed the
+same way: an interpreter that imports nothing (`python -c pass`) and one
+that imports numpy. Per scenario the child also reports whether any `scipy`
+module was loaded by then and which `mapthermo` modules were, and as many
+spawns again under `-X importtime` give each of those modules' self import
+time (median, in microseconds).
 
 The tree timed is the one that holds the `mapthermo` package this script
 imports, so put its src directory first on PYTHONPATH:
@@ -16,9 +20,11 @@ imports, so put its src directory first on PYTHONPATH:
         env PYTHONPATH=src python scripts/bench_startup.py --label change
 
 With --against the src directory of a second tree (say a checkout of the
-parent commit), the two trees' spawns alternate, the order swapped each
-round, so that the host's drift in speed falls on both alike, and each pair
-gives a ratio. The result is merged into a JSON file under --label.
+parent commit), the two trees' spawns alternate per scenario, the order
+swapped each round, so that the host's drift in speed falls on both alike,
+and each pair gives a ratio; the second tree's modules and self import
+times are recorded beside. The result is merged into a JSON file under
+--label.
 """
 
 import argparse
@@ -30,11 +36,17 @@ import sys
 import tempfile
 import time
 
+import numpy as np
+
 import mapthermo
 from bench_record import alternate, ratio_summary, record_run
+from mapthermo.dynamics import save_map_trajectory
+from mapthermo.validation import random_gksl_trajectory
 
 N_STEPS, BETAS, T_F = 2000, (0.5, 1.0, 2.0, 4.0), 10.0
-SCENARIO = f"""\
+MAP_DIM, MAP_STEPS = 2, 16
+SCENARIOS = {
+    "wc_cli": f"""\
 [scenario]
 model = weak_coupling
 beta_list = {", ".join(map(repr, BETAS))}
@@ -45,28 +57,57 @@ out_dir = out
 
 [weak_coupling]
 gamma = 0.01
-"""
-PROBES = {
-    "python_pass": "import time; print(time.monotonic(), False)",
-    "import_numpy": "import time, numpy; print(time.monotonic(), False)",
-    "cli_parse_config": (
-        "import sys, time\n"
-        "from mapthermo.cli import parse_config\n"
-        "parse_config(sys.argv[1])\n"
-        "print(time.monotonic(),"
-        " any(m.split('.')[0] == 'scipy' for m in sys.modules))"),
+""",
+    "custom_map_file": """\
+[scenario]
+model = custom_map_file
+beta_list = 1.0
+series = lambda, invertibility
+out_dir = out
+
+[custom_map_file]
+path = trajectory.maps
+""",
 }
+FLOORS = {
+    "python_pass": "import time; print(time.monotonic())",
+    "import_numpy": "import time, numpy; print(time.monotonic())",
+}
+# ready: the clock, then whether scipy is loaded and the mapthermo modules
+READY = (
+    "import sys, time\n"
+    "from mapthermo.cli import parse_config\n"
+    "parse_config(sys.argv[1])\n"
+    "print(time.monotonic())\n"
+    "print(any(m.split('.')[0] == 'scipy' for m in sys.modules))\n"
+    "print(*sorted(m for m in sys.modules if m.startswith('mapthermo')))")
 
 
-def spawn(probe: str, src: str, config: str) -> tuple[float, bool]:
-    """Seconds from spawn to ready of one child, and whether it had scipy
-    loaded by then."""
+def spawn(code: str, src: str, config: str,
+          *flags: str) -> tuple[float, list[str], str]:
+    """Seconds from spawn to ready of one child, the lines it printed after
+    the clock, and its stderr."""
     env = dict(os.environ, PYTHONPATH=src)
     start = time.monotonic()
-    out = subprocess.run([sys.executable, "-c", PROBES[probe], config],
+    out = subprocess.run([sys.executable, *flags, "-c", code, config],
                          env=env, capture_output=True, text=True, check=True)
-    ready, scipy_loaded = out.stdout.split()
-    return float(ready) - start, scipy_loaded == "True"
+    ready, *lines = out.stdout.splitlines()
+    return float(ready) - start, lines, out.stderr
+
+
+def self_import_us(src: str, config: str, repeats: int) -> dict:
+    """Median self import time in microseconds of each mapthermo module
+    that `READY` loads, over `repeats` spawns under -X importtime."""
+    samples: dict[str, list[int]] = {}
+    for _ in range(repeats):
+        *_, stderr = spawn(READY, src, config, "-X", "importtime")
+        for line in stderr.splitlines():
+            # "import time: <self us> | <cumulative us> | <module>"
+            parts = line.split("|")
+            if len(parts) == 3 and parts[2].strip().startswith("mapthermo"):
+                samples.setdefault(parts[2].strip(), []).append(
+                    int(parts[0].split(":")[1]))
+    return {name: statistics.median(us) for name, us in sorted(samples.items())}
 
 
 def summary(walls: list[float]) -> dict:
@@ -74,29 +115,63 @@ def summary(walls: list[float]) -> dict:
             "s": walls}
 
 
-def measure(src: str, config: str, repeats: int) -> dict:
+def scenario_record(src: str, config: str, samples: list, repeats: int,
+                    prefix: str = "") -> dict:
+    """What one tree loaded by ready for one scenario, from its timed
+    samples' reports and from -X importtime spawns."""
+    modules = self_import_us(src, config, repeats)
+    return {prefix + "scipy_loaded": any(lines[0] == "True"
+                                         for _, lines, _ in samples),
+            prefix + "modules": samples[0][1][1].split(),
+            prefix + "self_import_us": modules,
+            prefix + "self_import_us_total": sum(modules.values())}
+
+
+def measure(src: str, configs: dict, repeats: int) -> dict:
     result = {"n_steps": N_STEPS, "betas": list(BETAS),
-              "repeats": repeats, "spawn_to_ready_s": {}}
-    for probe in PROBES:
-        spawn(probe, src, config)  # warm the file cache
-        samples = [spawn(probe, src, config) for _ in range(repeats)]
-        result["spawn_to_ready_s"][probe] = summary([s for s, _ in samples])
-        if probe == "cli_parse_config":
-            result["scipy_loaded"] = any(loaded for _, loaded in samples)
+              "map_file": {"dim": MAP_DIM, "n_steps": MAP_STEPS},
+              "repeats": repeats, "spawn_to_ready_s": {}, "scenarios": {}}
+    for probe, code in FLOORS.items():
+        spawn(code, src, "")  # warm the file cache
+        result["spawn_to_ready_s"][probe] = summary(
+            [spawn(code, src, "")[0] for _ in range(repeats)])
+    for scenario, config in configs.items():
+        spawn(READY, src, config)
+        samples = [spawn(READY, src, config) for _ in range(repeats)]
+        result["spawn_to_ready_s"][scenario] = summary(
+            [wall for wall, *_ in samples])
+        result["scenarios"][scenario] = scenario_record(src, config, samples,
+                                                        repeats)
     return result
 
 
-def against(src: str, other: str, config: str, repeats: int) -> dict:
-    """Spawn to ready of the cli probe for this tree over that of the tree
+def against(src: str, other: str, configs: dict, repeats: int) -> dict:
+    """Per scenario, spawn to ready for this tree over that of the tree
     under `other`, spawn by spawn in alternation."""
-    ours, theirs = alternate(
-        functools.partial(spawn, "cli_parse_config", src, config),
-        functools.partial(spawn, "cli_parse_config", other, config), repeats)
-    result = ratio_summary([wall for wall, _ in ours],
-                           [wall for wall, _ in theirs])
-    result["scipy_loaded"] = any(loaded for _, loaded in ours)
-    result["against_scipy_loaded"] = any(loaded for _, loaded in theirs)
+    result = {}
+    for scenario, config in configs.items():
+        ours, theirs = alternate(functools.partial(spawn, READY, src, config),
+                                 functools.partial(spawn, READY, other,
+                                                   config), repeats)
+        result[scenario] = ratio_summary([wall for wall, *_ in ours],
+                                         [wall for wall, *_ in theirs])
+        result[scenario].update(scenario_record(other, config, theirs,
+                                                repeats, "against_"))
     return result
+
+
+def write_inputs(work_dir: str) -> dict:
+    """The scenario files, and the map file they name, in `work_dir`."""
+    save_map_trajectory(random_gksl_trajectory(
+        MAP_DIM, np.random.default_rng(0),
+        np.linspace(0.0, 1.0, MAP_STEPS + 1)),
+        os.path.join(work_dir, "trajectory.maps"))
+    configs = {}
+    for scenario, text in SCENARIOS.items():
+        configs[scenario] = os.path.join(work_dir, f"{scenario}.ini")
+        with open(configs[scenario], "w") as fh:
+            fh.write(text)
+    return configs
 
 
 def main() -> None:
@@ -114,23 +189,26 @@ def main() -> None:
     src = os.path.dirname(os.path.dirname(os.path.abspath(
         mapthermo.__file__)))
     with tempfile.TemporaryDirectory() as work_dir:
-        config = os.path.join(work_dir, "scenario.ini")
-        with open(config, "w") as fh:
-            fh.write(SCENARIO)
-        result = measure(src, config, args.repeats)
+        configs = write_inputs(work_dir)
+        result = measure(src, configs, args.repeats)
         if args.against:
             result["against"] = against(src, os.path.abspath(args.against),
-                                        config, args.repeats)
+                                        configs, args.repeats)
     for probe, times in result["spawn_to_ready_s"].items():
         print(f"{probe}: median {times['median']:.3f} s, "
               f"best {times['best']:.3f} s")
-    print(f"scipy loaded: {result['scipy_loaded']}")
-    pair = result.get("against")
-    if pair:
-        print(f"against {args.against}: {pair['ratio_median']:.3f} of its "
-              f"time, faster in {pair['faster_in']} of {args.repeats}")
+    for scenario, rec in result["scenarios"].items():
+        print(f"{scenario}: scipy loaded {rec['scipy_loaded']}, "
+              f"{len(rec['modules'])} mapthermo modules, self import "
+              f"{rec['self_import_us_total'] / 1e3:.1f} ms")
+    for scenario, pair in result.get("against", {}).items():
+        print(f"{scenario} against {args.against}: "
+              f"{pair['ratio_median']:.3f} of its time, faster in "
+              f"{pair['faster_in']} of {args.repeats}; its self import "
+              f"{pair['against_self_import_us_total'] / 1e3:.1f} ms")
     record_run(args.out, "spawn to ready of mapthermo run at the wc_cli "
-                         "shape", args.label, "startup", result)
+                         "shape and for a stored map file", args.label,
+               "startup", result)
 
 
 if __name__ == "__main__":

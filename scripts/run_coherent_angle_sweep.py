@@ -16,10 +16,11 @@ import os
 
 import numpy as np
 
-from mapthermo.models import ClosedCoherentParams, closed_coherent_protocol
+from mapthermo.coherent import (ClosedCoherentParams,
+                                closed_coherent_protocol,
+                                coherent_initial_construction,
+                                coherent_work_fluctuation)
 from mapthermo.operators import HermitianOperator
-from mapthermo.observables import (coherent_initial_construction,
-                                   coherent_work_fluctuation)
 
 
 def main() -> None:

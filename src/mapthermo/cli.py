@@ -36,20 +36,16 @@ from .operators import (COND_THRESHOLD_DEFAULT, HermitianOperator,
 from .dynamics import (condition_flags, csv_text, data_row_line,
                        invertibility_report, load_map_trajectory,
                        read_map_file)
-from .phase_covariant import pc_trajectory
 from .quadrature import grid_fault
-from .observables import ThermoPipeline
+from .observables import HERMITIZE_TOL, ThermoPipeline
 # fluctuation_report is unused here but stays a module attribute: the traced
 # benchmark run (perfbench/child.py) wraps it by name.
 from .fluctuations import (CLUSTER_TOL, NEGATIVE_PROB_TOL, PROB_SUM_TOL,
                            FluctuationTable, _initial_states,
                            fluctuation_report,  # noqa: F401
                            fluctuation_tables, tpms_distribution)
-from .observables import (HERMITIZE_TOL, coherent_initial_construction,
-                          coherent_work_fluctuation)
-from .models import (ClosedCoherentParams, CustomPCParams, JCParams,
-                     WeakCouplingParams, closed_coherent_protocol,
-                     custom_pc_rates, jc_reduced_map, weak_coupling_rates)
+# The model modules load with the config that names them (`_params_class`):
+# a map-file run compiles neither `models`, `phase_covariant` nor `coherent`.
 
 MODELS = ("weak_coupling", "jaynes_cummings", "custom_pc", "custom_map_file",
           "closed_coherent")
@@ -197,8 +193,19 @@ class _SectionReader:
 
 # the parameter dataclass of each model but custom_map_file: its fields are
 # the model section's keys, their defaults the keys' defaults
-_PARAMS = {"weak_coupling": WeakCouplingParams, "jaynes_cummings": JCParams,
-           "custom_pc": CustomPCParams, "closed_coherent": ClosedCoherentParams}
+_PARAMS = {"weak_coupling": "WeakCouplingParams", "jaynes_cummings": "JCParams",
+           "custom_pc": "CustomPCParams",
+           "closed_coherent": "ClosedCoherentParams"}
+
+
+def _params_class(model: str) -> type:
+    """The parameter dataclass of `model`, its module imported now, so that
+    the model's code compiles before a run starts."""
+    if model == "closed_coherent":
+        from . import coherent as module
+    else:
+        from . import models as module
+    return getattr(module, _PARAMS[model])
 
 
 def parse_config(path: str) -> ScenarioConfig:
@@ -229,7 +236,7 @@ def parse_config(path: str) -> ScenarioConfig:
     if model == "custom_map_file":
         params, map_path = None, _map_path(reader)
     else:
-        params, map_path = reader.read(_PARAMS[model]), None
+        params, map_path = reader.read(_params_class(model)), None
 
     out_dir = scen.get("out_dir", "out")
     if model == "closed_coherent":
@@ -310,21 +317,28 @@ def _grid(cfg: ScenarioConfig) -> np.ndarray:
     return np.linspace(0.0, cfg.t_max, cfg.n_steps + 1)
 
 
-_PC_RATES = {"weak_coupling": weak_coupling_rates,
-             "custom_pc": custom_pc_rates}
+# pc_trajectory stays a module attribute: the traced benchmark run
+# (perfbench/child.py) wraps it by name. phase_covariant loads on the first
+# call, which for the qubit models `models` has already loaded.
+def pc_trajectory(rates, times: np.ndarray):
+    from .phase_covariant import pc_trajectory as build
+    return build(rates, times)
 
 
 def _build_trajectory(cfg: ScenarioConfig):
     """Returns (trajectory, pc coefficients or None)."""
-    if cfg.model in _PC_RATES:
-        return pc_trajectory(_PC_RATES[cfg.model](cfg.params), _grid(cfg))
+    if cfg.model == "custom_map_file":
+        try:
+            return load_map_trajectory(cfg.map_path), None
+        except (ConstructionError, OSError) as exc:  # each names the map file
+            raise ConfigError(f"{exc} ([custom_map_file] path of {cfg.path})")
+    from . import models  # loaded by parse_config
     if cfg.model == "jaynes_cummings":
-        traj, _ = jc_reduced_map(cfg.params, _grid(cfg))
+        traj, _ = models.jc_reduced_map(cfg.params, _grid(cfg))
         return traj, None
-    try:
-        return load_map_trajectory(cfg.map_path), None
-    except (ConstructionError, OSError) as exc:  # each names the map file
-        raise ConfigError(f"{exc} ([custom_map_file] path of {cfg.path})")
+    rates = (models.weak_coupling_rates if cfg.model == "weak_coupling"
+             else models.custom_pc_rates)
+    return pc_trajectory(rates(cfg.params), _grid(cfg))
 
 
 def _out_dir_error(cfg: ScenarioConfig, what: str,
@@ -433,11 +447,13 @@ def _run_map_model(cfg: ScenarioConfig, written: list[str]) -> None:
 
 
 def _run_coherent(cfg: ScenarioConfig, written: list[str]) -> None:
+    from . import coherent  # loaded by parse_config
     times = _grid(cfg)
-    rho0, hams, unitaries = closed_coherent_protocol(cfg.params, times)
+    rho0, hams, unitaries = coherent.closed_coherent_protocol(cfg.params,
+                                                              times)
     H0 = HermitianOperator(hams[0])
-    data = coherent_initial_construction(rho0, H0)
-    res = coherent_work_fluctuation(data, unitaries, hams, times)
+    data = coherent.coherent_initial_construction(rho0, H0)
+    res = coherent.coherent_work_fluctuation(data, unitaries, hams, times)
     rho_t = unitaries @ rho0.matrix @ dagger(unitaries)
     mean_w = (np.trace(hams @ rho_t, axis1=-2, axis2=-1).real
               - H0.expectation(rho0))

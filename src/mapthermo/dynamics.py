@@ -630,7 +630,9 @@ def read_map_file(path: str) -> tuple[np.ndarray, np.ndarray,
     """Parse the text format into the times and (n, d^2, d^2) stacks of maps
     and (when present) derivatives, without validating a trajectory, for
     diagnostics on imperfect files. One pass parses each run of rows into
-    stacks sized by the first run (or one they cannot hold), plus 4 %."""
+    stacks sized by the first run (or one they cannot hold), plus 4 %. A
+    run of several rows is sized by its rows after the first: the t = 0 row
+    often spells the identity map in short cells."""
     header, n, stacks, left = {}, 0, [np.empty(0)], os.path.getsize(path)
     for lineno, rows, data, a, b in _data_rows(path, header):
         if "dim" not in header:
@@ -640,7 +642,10 @@ def read_map_file(path: str) -> tuple[np.ndarray, np.ndarray,
         cells = 2 * d2 * d2   # of a map, and of its derivative
         vals = _read_rows(path, lineno, data, a, b, 1 + cells * (1 + has_d))
         if n + rows > len(stacks[0]):   # the rows the bytes left hold
-            size = n + rows + int(1.04 * max(left, 0) * rows / (b - a))
+            used, per = b - a, rows
+            if rows > 1:
+                used, per = b - data.index(b"\n", a) - 1, rows - 1
+            size = n + rows + int(1.04 * max(left, 0) * per / used)
             grown = [np.empty(size), *[np.empty((size, d2, d2), complex)
                                        for _ in range(1 + has_d)]]
             for new, old in zip(grown, stacks):

@@ -1,6 +1,6 @@
 """Concrete open-system models that produce map trajectories on a grid.
 
-Three families:
+Two families:
 
 * a sinusoidally driven qubit damped by constant thermal rates, the
   workhorse for driven-dissipative scans, or by freely chosen constant
@@ -8,9 +8,11 @@ Three families:
 * a qubit exchanging excitations with a single bosonic mode (the resonant
   exchange model), whose exact reduced dynamics is phase covariant and
   generically non-Markovian, built here from the closed block formulas with
-  analytic time derivatives;
-* a closed drive acting on an initial state with coherences, for the
-  modified-Hamiltonian work statistics.
+  analytic time derivatives.
+
+The closed drive from an initial state with coherences shares the
+sinusoidal drive (`drive_frequency`, `_SinSquaredDrive`) but lives in
+`coherent`, so that the qubit models do not load it.
 
 The exchange model also ships an extraction routine that projects any
 phase-covariant qubit trajectory back onto rate functions, which is how the
@@ -31,10 +33,6 @@ from .dynamics import MapTrajectory, map_derivatives
 from .errors import ConfigError, ConstructionError, TruncationError
 from .operators import (
     COND_THRESHOLD_DEFAULT,
-    HermitianOperator,
-    DensityMatrix,
-    PAULI,
-    gibbs_state,
     require_invertible,
     superop_to_pauli_transfer,
 )
@@ -48,7 +46,6 @@ from .phase_covariant import (
     pc_transfer_matrices,
     transfer_trajectory,
 )
-from .quadrature import cumulative_simpson
 
 TAIL_WEIGHT_MAX = 1e-10
 # photon levels the exchange-model cutoff may hold, automatic or explicit:
@@ -672,54 +669,3 @@ def exchange_factor_series(params: JCParams, times: np.ndarray,
                        traj.times)
     lam, bound = pc_lambda_w(pc_thermo(coeffs), coeffs, beta_ref)
     return traj.times, lam, bound, pc_lambda_u(coeffs, beta_ref)
-
-
-# ---------------------------------------------------------------------------
-# closed drive from a coherent initial state
-
-
-@dataclass(frozen=True)
-class ClosedCoherentParams(_SinSquaredDrive):
-    """Closed sinusoidal drive applied to a rotated thermal state.
-
-    The drive Hamiltonian is H(t) = (omega(t)/2) sigma_z with the same
-    omega(t) as the weak-coupling family. The initial state is the Gibbs
-    state of H(0) at beta0, rotated about the y axis by rotation_angle, so
-    it carries coherences in the H(0) eigenbasis whenever the angle is not
-    a multiple of pi.
-    """
-
-    omega0: float = 1.0
-    delta: float = 1.0
-    Omega: float = math.pi / 20
-    beta0: float = 1.0
-    rotation_angle: float = 0.5
-    drive_mode: str = "monotonic"
-
-    def __post_init__(self):
-        self._check_drive_mode()
-        if self.beta0 <= 0 or self.omega0 <= 0 or self.Omega <= 0:
-            raise ConfigError("beta0, omega0 and Omega must be positive")
-
-
-def closed_coherent_protocol(params: ClosedCoherentParams, times: np.ndarray,
-                             ) -> tuple[DensityMatrix, np.ndarray, np.ndarray]:
-    """Initial state, and the Hamiltonians H(t) and propagators U(t) of the
-    drive as (N+1, 2, 2) stacks.
-
-    H(t) commutes with itself at all times, so U(t) is a bare phase
-    rotation by the accumulated angle int_0^t omega."""
-    times = np.asarray(times, dtype=float)
-    omega = drive_frequency(params.omega0, params.delta, params.Omega)(times)
-    h = 0.0 if times.size < 2 else float(times[1] - times[0])
-    theta = cumulative_simpson(omega, h)
-    hams = 0.5 * omega[:, None, None] * PAULI[3]
-    unitaries = np.zeros((times.size, 2, 2), dtype=complex)
-    unitaries[:, 0, 0] = np.exp(-0.5j * theta)
-    unitaries[:, 1, 1] = np.exp(0.5j * theta)
-    ang = params.rotation_angle
-    rot = np.array([[math.cos(ang / 2.0), -math.sin(ang / 2.0)],
-                    [math.sin(ang / 2.0), math.cos(ang / 2.0)]])
-    base = gibbs_state(HermitianOperator(hams[0]), params.beta0)
-    rho0 = DensityMatrix(rot @ base.matrix @ rot.T)
-    return rho0, hams, unitaries

@@ -35,14 +35,15 @@ from .dynamics import MapTrajectory, save_map_trajectory, load_map_trajectory
 from .phase_covariant import (PCRates, constant_rate, pc_integrals,
                               pc_trajectory, pc_thermo, pc_lambda_w,
                               pc_mean_work_and_deltaF)
-from .observables import ThermoPipeline, shifted_observable, mean_change, \
-    coherent_initial_construction, coherent_work_fluctuation
+from .observables import ThermoPipeline, shifted_observable, mean_change
+from .coherent import (ClosedCoherentParams, closed_coherent_protocol,
+                       coherent_initial_construction,
+                       coherent_work_fluctuation)
 from .fluctuations import (_initial_states, exp_average, fluctuation_table,
                            fluctuation_tables, tpms_distribution)
 from .models import (WeakCouplingParams, weak_coupling_rates, JCParams,
                      jc_reduced_map, vacuum_excited_population,
-                     extract_pc_rates, exchange_factor_series,
-                     ClosedCoherentParams, closed_coherent_protocol)
+                     extract_pc_rates, exchange_factor_series)
 
 GKSL_JUMPS = 2
 GKSL_JUMP_STRENGTH = 0.3

@@ -36,12 +36,12 @@ from typing import Callable, Iterable
 
 import numpy as np
 
+from mapthermo.coherent import CoherentInitialData, CoherentWorkResult
 from mapthermo.dynamics import (_CELL, _EXACT, _FORMAT_TAG, _MAX_Q, _POW10,
                                  _U64, MapTrajectory, map_derivatives)
 from mapthermo.errors import ConstructionError
 from mapthermo.fluctuations import FluctuationTable, OutcomeDistribution
 from mapthermo.models import JCParams, _thermal_weights, jc_mode_count
-from mapthermo.observables import CoherentInitialData, CoherentWorkResult
 from mapthermo.operators import (
     COND_THRESHOLD_DEFAULT,
     CPTPReport,

@@ -54,3 +54,28 @@ def test_bench_map_io_runs_against_a_source_tree(tmp_path):
     assert (run["dim"], run["n_steps"]) == (2, 8)
     assert set(run["against"]) == {"written", "repr", "g17",
                                    "written_gate_off", "save_map_trajectory"}
+
+
+def test_bench_startup_runs_against_a_source_tree(tmp_path):
+    # one spawn per probe, this tree against itself
+    src = str(ROOT / "src")
+    out = tmp_path / "BENCH_startup.json"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    subprocess.run([sys.executable, str(ROOT / "scripts" / "bench_startup.py"),
+                    "--label", "smoke", "--out", str(out), "--repeats", "1",
+                    "--against", src],
+                   env=env, cwd=tmp_path, check=True, capture_output=True)
+    run = json.loads(out.read_text())["runs"]["smoke"]["startup"]
+    probes = {"wc_cli", "custom_map_file"}
+    assert probes < set(run["spawn_to_ready_s"])
+    assert set(run["scenarios"]) == set(run["against"]) == probes
+    for scenario in probes:
+        for rec, prefix in ((run["scenarios"][scenario], ""),
+                            (run["against"][scenario], "against_")):
+            modules = rec[prefix + "modules"]
+            assert "mapthermo.cli" in modules
+            assert set(rec[prefix + "self_import_us"]) == set(modules)
+    assert "mapthermo.models" in run["scenarios"]["wc_cli"]["modules"]
+    assert "mapthermo.models" not in (
+        run["scenarios"]["custom_map_file"]["modules"])

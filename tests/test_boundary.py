@@ -72,7 +72,7 @@ def configs(draw):
         scenario.setdefault("beta_list", "1.0")
     scenario.setdefault("n_steps", "32")
     sections = {"scenario": scenario,
-                model: draw(_section(cli._PARAMS[model]))}
+                model: draw(_section(cli._params_class(model)))}
     if draw(st.booleans()):
         sections["tolerances"] = draw(_section(cli.Tolerances))
     return sections

@@ -12,10 +12,11 @@ import pytest
 
 from mapthermo import cli
 from mapthermo.cli import Tolerances, main, parse_config, run_scenario
+from mapthermo.coherent import ClosedCoherentParams
 from mapthermo.errors import ConfigError
 from mapthermo.dynamics import save_map_trajectory
-from mapthermo.models import (ClosedCoherentParams, CustomPCParams, JCParams,
-                              WeakCouplingParams, weak_coupling_rates)
+from mapthermo.models import (CustomPCParams, JCParams, WeakCouplingParams,
+                              weak_coupling_rates)
 from mapthermo.phase_covariant import pc_trajectory
 from mapthermo.validation import random_gksl_trajectory
 
@@ -956,3 +957,72 @@ def test_run_and_map_info_load_neither_scipy_nor_the_suite(tmp_path):
         env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1] == "loaded:"
+
+
+# the mapthermo modules a fresh interpreter holds after some cli steps, each
+# step a (command, argument) pair: "parse_config" or a subcommand
+_MODULES_PROBE = """\
+import sys
+from mapthermo.cli import main, parse_config
+
+for command, arg in zip(sys.argv[1::2], sys.argv[2::2]):
+    if command == "parse_config":
+        parse_config(arg)
+    else:
+        assert main([command, arg]) == 0
+print(*sorted(m for m in sys.modules if m.startswith("mapthermo.")))
+"""
+MODEL_MODULES = {"mapthermo.models", "mapthermo.phase_covariant",
+                 "mapthermo.coherent"}
+
+
+def loaded_after(*steps: str) -> set[str]:
+    src = os.path.join(os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__))), "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-c", _MODULES_PROBE, *steps],
+                          env=env, capture_output=True, text=True,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return set(proc.stdout.splitlines()[-1].split())
+
+
+def test_a_map_file_run_and_map_info_load_no_model_module(tmp_path):
+    p = WeakCouplingParams()
+    map_path = str(tmp_path / "stored.maps")
+    save_map_trajectory(pc_trajectory(weak_coupling_rates(p), p.grid(16))[0],
+                        map_path)
+    cfg_path = write_config(tmp_path, f"""\
+        [scenario]
+        model = custom_map_file
+        beta_list = 1.0
+        out_dir = {tmp_path / "out"}
+
+        [custom_map_file]
+        path = stored.maps
+    """)
+    loaded = loaded_after("run", cfg_path, "map-info", map_path)
+    assert "mapthermo.dynamics" in loaded
+    assert not loaded & MODEL_MODULES
+
+
+def test_weak_coupling_loads_its_model_before_the_run(tmp_path):
+    # parse_config compiles the builders, so that no run pays for them
+    cfg_path = write_config(tmp_path, WEAK_BODY.format(out=tmp_path / "out"))
+    loaded = loaded_after("parse_config", cfg_path)
+    assert MODEL_MODULES - loaded == {"mapthermo.coherent"}
+
+
+def test_a_closed_coherent_run_loads_the_closed_drive(tmp_path):
+    cfg_path = write_config(tmp_path, f"""\
+        [scenario]
+        model = closed_coherent
+        n_steps = 16
+        out_dir = {tmp_path / "out"}
+
+        [closed_coherent]
+    """)
+    assert "mapthermo.coherent" in loaded_after("parse_config", cfg_path)
+    assert "mapthermo.coherent" in loaded_after("run", cfg_path)

@@ -831,6 +831,29 @@ def test_a_map_file_longer_than_its_stated_size_reads_the_same(
     assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
 
 
+@pytest.mark.parametrize("block_cells, read_buffer", [(64, 1024), (256, 4096)])
+@pytest.mark.parametrize("spell", [repr, "{:.17g}".format],
+                         ids=["repr", "g17"])
+def test_stacks_are_sized_by_the_rows_after_the_first(tmp_path, monkeypatch,
+                                                      spell, block_cells,
+                                                      read_buffer):
+    # in these spellings the t = 0 row writes the identity map in short
+    # cells ("1.0", "0.0"); the first run of rows holds it and others
+    path = tmp_path / "gksl.maps"
+    save_map_trajectory(random_gksl_trajectory(
+        2, np.random.default_rng(23), np.linspace(0.0, 1.0, 201)), str(path))
+    path.write_text("".join(
+        line if line.startswith("#")
+        else ",".join(spell(float(c)) for c in line.split(",")) + "\n"
+        for line in path.read_text().splitlines(True)))
+    monkeypatch.setattr(dynamics, "_BLOCK_CELLS", block_cells)
+    monkeypatch.setattr(dynamics, "_READ_BUFFER", read_buffer)
+    assert next(dynamics._data_rows(str(path), {}))[1] > 1
+    times, maps, _ = read_map_file(str(path))
+    assert times.size == 201
+    assert maps.base.shape[0] <= 1.05 * times.size
+
+
 def test_no_byte_of_a_map_file_is_read_twice(tmp_path, monkeypatch):
     path = tmp_path / "gksl.maps"
     save_map_trajectory(random_gksl_trajectory(

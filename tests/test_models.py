@@ -7,6 +7,7 @@ import numpy.testing as npt
 import pytest
 from scipy.linalg import expm
 
+from mapthermo.coherent import ClosedCoherentParams, closed_coherent_protocol
 from mapthermo.dynamics import MapTrajectory
 from mapthermo.errors import (ConfigError, ConstructionError, SingularMap,
                                TruncationError)
@@ -16,10 +17,8 @@ from mapthermo.models import (
     NODE_CHUNK,
     PANEL_NODES,
     PANEL_Z,
-    ClosedCoherentParams,
     JCParams,
     WeakCouplingParams,
-    closed_coherent_protocol,
     exchange_factor_series,
     extract_pc_rates,
     jc_mode_count,

@@ -7,18 +7,21 @@ from hypothesis import given, settings
 from hypothesis.strategies import floats
 
 from mapthermo.dynamics import MapTrajectory, invertibility_report
-from mapthermo.errors import ConstructionError, NoMatchingBeta, SingularMap
-from mapthermo.fluctuations import fluctuation_table
-from mapthermo.models import (ClosedCoherentParams, WeakCouplingParams,
-                              closed_coherent_protocol, weak_coupling_rates)
-from mapthermo.observables import (
+from mapthermo.coherent import (
+    ClosedCoherentParams,
     CoherentInitialData,
-    Convention,
-    ObservableSeries,
-    ThermoPipeline,
+    closed_coherent_protocol,
     coherent_initial_construction,
     coherent_work_fluctuation,
     match_beta,
+)
+from mapthermo.errors import ConstructionError, NoMatchingBeta, SingularMap
+from mapthermo.fluctuations import fluctuation_table
+from mapthermo.models import WeakCouplingParams, weak_coupling_rates
+from mapthermo.observables import (
+    Convention,
+    ObservableSeries,
+    ThermoPipeline,
     mean_change,
     shifted_observable,
 )
