@@ -20,9 +20,10 @@ tree that has none. At the wc_cli shape it also times the two-point
 distributions of the run's two distribution times at all four betas, as
 the tree's `run` makes them (`distributions`: the work observables, the
 initial states and the distribution calls, on a pipeline whose caches a
-table has filled). It times the qubit transfer-matrix conversions
-(`pauli_transfer_to_superop`, `superop_to_pauli_transfer`) on the 2001
-maps of the wc_cli shape, and the CSV writer on the numeric columns
+table has filled). At both shapes it times the L2 steps on a trajectory
+built from the shape's stacks just before each call: the condition
+numbers, the inverse stack, `generator_splits` (with those two made) and
+the `ThermoPipeline` set-up. It times the CSV writer on the numeric columns
 of the tables a wc_cli run writes (lambda_series.csv, pc_coefficients.csv
 and the cells of invertibility.csv, 100 050 cells): the first call in a
 fresh process (cold, --repeats processes) and the best of --repeats calls
@@ -61,6 +62,7 @@ from mapthermo.phase_covariant import pc_trajectory
 from mapthermo.validation import random_gksl_trajectory
 
 WC_STEPS, WC_BETAS, WC_DIST_TIMES = 2000, (0.5, 1.0, 2.0, 4.0), (2.5, 7.5)
+L2_CALLS = ("condition_numbers", "inverse", "generator_splits", "pipeline")
 GKSL_DIM, GKSL_STEPS, GKSL_BETAS, SEED = 6, 400, (1.0,), 0
 SCENARIOS = {
     "wc_cli": f"""\
@@ -130,6 +132,9 @@ class Tree:
         def run():
             work, _ = pipe.work_heat_observables()
             first = work[0]
+            if not hasattr(ops, "Superoperator"):   # Gibbs states by beta
+                return [fluctuations.tpms_distribution(
+                    WC_BETAS, maps[i], first, work[i]) for i in indices]
             if hasattr(fluctuations, "_initial_states"):
                 states = fluctuations._initial_states(pipe, WC_BETAS)
                 return [fluctuations.tpms_distribution(
@@ -142,10 +147,33 @@ class Tree:
                 for rho in states] for i in indices]
         return run
 
+    def l2_timer(self, shape: str, what: str):
+        """A call returning the wall time of one L2 step on a trajectory
+        built just before it from the shape's stacks (construction is not
+        timed): the condition numbers, the inverse stack, the generator
+        split (on a trajectory whose condition numbers and inverses are
+        made) or the `ThermoPipeline` set-up."""
+        dynamics = self.module("dynamics")
+        traj = self.trajs[shape]
+
+        def run() -> float:
+            fresh = dynamics.MapTrajectory(times=traj.times, maps=traj.maps,
+                                           derivatives=traj.derivatives)
+            if what == "generator_splits":
+                fresh.inverses()
+            call = {"condition_numbers": lambda: fresh.condition_numbers,
+                    "inverse": lambda: fresh._inverse_stack,
+                    "generator_splits":
+                        lambda: dynamics.generator_splits(fresh),
+                    "pipeline": lambda: self.module(
+                        "observables").ThermoPipeline(fresh)}[what]
+            return timed(call)()
+        return run
+
     def timer(self, shape: str, what: str):
         """A call returning the wall time of the shape's tables (on a
         pipeline built just before them), of the first beta's table, of a
-        further beta's (per beta), of a qubit transfer conversion, of its
+        further beta's (per beta), of an L2 step (`l2_timer`), of its
         in-process run, of the wc_cli distributions or of the CSV writer on
         the wc_cli columns."""
         if what == "tables":
@@ -157,13 +185,8 @@ class Tree:
             return lambda: timed(self.tables(shape, warm=True))() / per
         if what == "distributions":
             return lambda: timed(self.distributions())()
-        if what in ("to_superop", "to_transfer"):
-            ops = self.module("operators")
-            maps = self.trajs[shape].maps
-            if what == "to_transfer":
-                return timed(lambda: ops.superop_to_pauli_transfer(maps))
-            r = ops.superop_to_pauli_transfer(maps)
-            return timed(lambda: ops.pauli_transfer_to_superop(r))
+        if what in L2_CALLS:
+            return self.l2_timer(shape, what)
         if what == "writer":
             write = writer(self.module)
             columns = wc_cli_columns()
@@ -244,16 +267,18 @@ COLUMNS = ("lambda_u", "lambda_w", "lambda_w_bound", "exp_avg_w",
 
 
 def check_agreement(ours: Tree, theirs: Tree) -> None:
-    """Exit unless both trees' tables agree to 1e-12 relative (mean_w, which
-    cancels to zero at t = 0, to 1e-12 of its largest value or of 1, the
-    scale of the traces whose difference it is), and so do
+    """Exit unless both trees' tables agree to 1e-12 relative (mean_w,
+    delta_F_bar and dissipated_bound, which cancel to zero at t = 0, to
+    1e-12 of their largest value or of 1, the scale of the traces, log
+    partition functions and eigenvalues whose differences they are), and
+    so do
     their wc_cli distributions (outcomes and probabilities, scale 1)."""
     for shape in SCENARIOS:
         for a, b in zip(ours.tables(shape)(), theirs.tables(shape)()):
             for name in COLUMNS:
                 x, y = getattr(a, name), getattr(b, name)
                 scale = np.maximum(np.abs(x), np.abs(y))
-                if name == "mean_w":   # a difference of O(1) traces
+                if name in ("mean_w", "delta_F_bar", "dissipated_bound"):
                     scale = max(1.0, scale.max())
                 if np.any(np.abs(x - y) > 1e-12 * scale):
                     raise SystemExit(f"{shape} {name} differs between trees")
@@ -274,9 +299,9 @@ def measure(work_dir: str, repeats: int, against_src: str | None) -> dict:
     ours = Tree(lambda name: importlib.import_module(f"mapthermo.{name}"),
                 work_dir)
     keys = [(shape, what) for shape in SCENARIOS
-            for what in ("tables", "first_beta", "further_beta", "run")]
-    keys += [("wc_cli", what) for what in ("distributions", "to_superop",
-                                            "to_transfer", "writer")]
+            for what in ("tables", "first_beta", "further_beta", "run",
+                         *L2_CALLS)]
+    keys += [("wc_cli", what) for what in ("distributions", "writer")]
     walls = {}
     for shape, what in keys:
         call = ours.timer(shape, what)
@@ -315,9 +340,8 @@ def measure(work_dir: str, repeats: int, against_src: str | None) -> dict:
 def main() -> None:
     ap = argparse.ArgumentParser(
         description="time the fluctuation tables, the two-point "
-                    "distributions, the qubit transfer conversions, "
-                    "mapthermo run and the CSV writer on the wc_cli and "
-                    "gksl_file shapes")
+                    "distributions, the L2 steps, mapthermo run and the CSV "
+                    "writer on the wc_cli and gksl_file shapes")
     ap.add_argument("--label", required=True,
                     help="key of this run in the JSON file")
     ap.add_argument("--out", default="BENCH_report.json")
@@ -335,8 +359,8 @@ def main() -> None:
         print(f"{key}: {pair['ratio_median']:.3f} of the other tree's time, "
               f"faster in {pair['faster_in']} of {args.repeats}")
     record_run(args.out, "fluctuation tables, two-point distributions, "
-                         "qubit transfer conversions, mapthermo run and the "
-                         "CSV writer on the wc_cli and gksl_file shapes",
+                         "L2 steps, mapthermo run and the CSV writer on the "
+                         "wc_cli and gksl_file shapes",
                args.label, "report", result)
 
 

@@ -30,18 +30,16 @@ from . import __version__
 from .errors import (ConfigError, ConstructionError, NoMatchingBeta,
                      SingularMap, TruncationError)
 from .operators import (COND_THRESHOLD_DEFAULT, HermitianOperator,
-                        Superoperator, cptp_diagnostics_stack, dagger,
-                        hermiticity_preservation,
-                        project_hermiticity_preserving)
-from .dynamics import (condition_flags, csv_text, data_row_line,
-                       invertibility_report, load_map_trajectory,
-                       read_map_file)
+                        basis_maps, cptp_diagnostics_stack, dagger)
+from .dynamics import (_hermiticity_check, _real_stack, condition_flags,
+                       csv_text, data_row_line, invertibility_report,
+                       load_map_trajectory, read_map_file)
 from .quadrature import grid_fault
 from .observables import HERMITIZE_TOL, ThermoPipeline
 # fluctuation_report is unused here but stays a module attribute: the traced
 # benchmark run (perfbench/child.py) wraps it by name.
 from .fluctuations import (CLUSTER_TOL, NEGATIVE_PROB_TOL, PROB_SUM_TOL,
-                           FluctuationTable, _initial_states,
+                           FluctuationTable,
                            fluctuation_report,  # noqa: F401
                            fluctuation_tables, tpms_distribution)
 # The model modules load with the config that names them (`_params_class`):
@@ -433,11 +431,10 @@ def _run_map_model(cfg: ScenarioConfig, written: list[str]) -> None:
 
     if dist_indices:
         work, _ = pipe.work_heat_observables()
-        states = _initial_states(pipe, cfg.beta_list)
         first = work[0]
         for i in dist_indices:
-            dists = tpms_distribution(states, Superoperator(traj.maps[i]),
-                                      first, work[i])
+            dists = tpms_distribution(cfg.beta_list, traj.maps[i], first,
+                                      work[i])
             label = format(float(traj.times[i]), ".6g")
             _write(cfg, f"distribution_t{label}.csv", _csv(
                 "beta,outcome,probability",
@@ -507,18 +504,19 @@ def _cmd_map_info(path: str) -> int:
     print(f"dim={dim} grid_points={times.size} "
           f"t_range=[{times[0]:.6g}, {times[-1]:.6g}] "
           f"derivatives={'yes' if derivs is not None else 'no'} grid={grid}")
-    dev, allowed, maps = hermiticity_preservation(mats)
+    stack = basis_maps(mats)
+    dev, allowed = _hermiticity_check(stack)
     invalid = dev > allowed
-    conds = np.linalg.cond(maps)
+    conds = np.linalg.cond(stack.real)
     conds[invalid] = math.inf
     flags = condition_flags(conds)
-    rep = cptp_diagnostics_stack(maps)
+    rep = cptp_diagnostics_stack(stack.real)
     print("t,condition_number,flag,choi_min,tp_residual,unital_residual,"
           "hermiticity_residual")
     for k, (t, c, flag) in enumerate(zip(times, conds, flags)):
         if invalid[k]:
             try:  # the construction check's own message for this row
-                project_hermiticity_preserving(mats[k:k + 1])
+                _real_stack(stack[k:k + 1], times[k:k + 1], "map")
             except ConstructionError as exc:
                 print(f"{t:.6g},{c:.6g},{flag},invalid: {exc}")
             continue

@@ -4,9 +4,11 @@ A `MapTrajectory` is the single source of dynamical truth: a uniform time
 grid starting at 0, the dynamical maps at every grid point as one
 time-batched stack (the map at t = 0 is the identity, since system and
 environment start uncorrelated), and optionally the stack of the maps' time
-derivatives. When derivatives are not supplied they are formed by
-second-order finite differences: central stencils in the interior, one-sided
-three-point stencils at the endpoints.
+derivatives, each map as its real matrix in a Hermitian operator basis, so
+that every layer after it runs in real arithmetic; the complex
+column-stacked form exists only in map files. When derivatives are not
+supplied they are formed by second-order finite differences: central
+stencils in the interior, one-sided three-point stencils at the endpoints.
 
 From the trajectory this module extracts the time-local generator
 L_t = dPhi_t/dt o Phi_t^{-1} and splits it into a commutator part with an
@@ -15,17 +17,18 @@ whose Lindblad operators are traceless:
 
     K = (1/2id) sum_{j,k} [ |j><k| , L[|k><j|] ]
 
-computed in the computational basis (the formula is basis independent, which
-the tests exercise). `generator_splits` evaluates it for the whole grid as
-two partial traces of the stacked generators; the per-point references it
-is tested against live in `tests/reference.py`. Every inversion is gated on
-the condition number, computed once per grid point, since invertibility is
-exactly what fails first in strongly dissipative or resonant regimes.
+The formula is basis independent, which the tests exercise: for the whole
+grid, `generator_splits` takes one product of the real generators with the
+basis' structure constants; the per-point references it is tested against
+live in `tests/reference.py`. Every inversion is gated on the condition
+number, computed once per grid point, since invertibility is exactly what
+fails first in strongly dissipative or resonant regimes.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 import os
 from dataclasses import dataclass
 from functools import cache, cached_property
@@ -36,11 +39,14 @@ from .errors import ConstructionError
 from .operators import (
     COND_THRESHOLD_DEFAULT,
     HERMITICITY_TOL,
+    HP_CHECK_TOL,
+    _split_table,
+    basis_maps,
+    column_stacked,
+    from_coordinates,
     hermitian_stack,
-    project_hermiticity_preserving,
     require_invertible,
     stack_blocks,
-    vec,
 )
 from .quadrature import grid_fault, grid_spacing, stencil_derivative
 
@@ -51,28 +57,50 @@ SPIKE_FACTOR = 10.0
 SPIKE_FLOOR = 100.0
 
 
-def _require_finite(a: np.ndarray, t: np.ndarray, what: str) -> None:
-    """Raise ConstructionError at the first matrix of a stack, by its time
-    and index, that holds a value that is not finite."""
-    bad = np.flatnonzero(~np.isfinite(a).all(axis=(1, 2)))
+def _hermiticity_check(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The largest imaginary entry of each map of a stack in the operator
+    basis, and that allowed (HP_CHECK_TOL of its largest entry, floor 1);
+    NaN where a value is not finite, so that ~(dev <= allowed) fails."""
+    scale = np.abs(a.real).max(axis=(1, 2))
+    with np.errstate(invalid="ignore"):
+        dev = 0.0 * scale
+    if np.iscomplexobj(a):
+        dev += np.abs(a.imag).max(axis=(1, 2))
+    return dev, HP_CHECK_TOL * np.maximum(1.0, scale)
+
+
+def _real_stack(a: np.ndarray, t: np.ndarray, what: str) -> np.ndarray:
+    """The real part of a stack of maps in the operator basis, as a copy; a
+    ConstructionError names the first map, by time and index, that holds a
+    value that is not finite or that does not preserve Hermiticity."""
+    dev, allowed = _hermiticity_check(a)
+    bad = np.flatnonzero(~(dev <= allowed))
     if bad.size:
-        raise ConstructionError(f"{what} at t = {t[bad[0]]:.6g} holds a "
-                                "value that is not finite", index=int(bad[0]))
+        k = int(bad[0])
+        why = ("holds a value that is not finite"
+               if not np.isfinite(a[k]).all() else
+               f"is not Hermiticity-preserving: imaginary part {dev[k]:.3e} "
+               f"(allowed {allowed[k]:.3e})")
+        raise ConstructionError(f"{what} at t = {t[k]:.6g} {why}", index=k)
+    return np.array(a.real, dtype=float)
 
 
 @dataclass(frozen=True, eq=False)
 class MapTrajectory:
     """Dynamical maps sampled on a uniform grid t_0 = 0 < t_1 < ... < t_N.
 
-    `maps` is one read-only complex (N+1, d^2, d^2) array in the vectorized
-    convention, `derivatives` the optional array of analytic dPhi/dt.
-    Construction is the only validation (grid, shapes, finite entries,
-    identity at t = 0, Hermiticity preservation with the Superoperator Choi
-    projection, trace preservation) and names the first failing time. A
-    ConstructionError carries the index of the map at fault; a grid that is
-    not uniform raises ValueError (`quadrature.grid_fault` finds its point).
-    cond(Phi_t) and Phi_t^{-1} are computed once for the whole grid, on
-    first use.
+    `maps` is one read-only real (N+1, d^2, d^2) array, each map as its
+    matrix R_ab = Tr{B_a Phi_t[B_b]} in the Hermitian operator basis of
+    `operators.hermitian_basis` (for d = 2 the Pauli transfer matrix), and
+    `derivatives` the optional array of analytic dPhi/dt in that basis.
+    Either may be given complex (`operators.basis_maps` of column-stacked
+    matrices). Construction is the only validation (grid, shapes, finite
+    entries, Hermiticity preservation as an imaginary part within
+    HP_CHECK_TOL, which it drops, identity at t = 0, trace preservation as
+    a first row e_0) and names the first failing time. A ConstructionError
+    carries the index of the map at fault; a grid that is not uniform
+    raises ValueError (`quadrature.grid_fault` finds its point). cond(Phi_t)
+    and Phi_t^{-1} are computed once for the whole grid, on first use.
     """
 
     times: np.ndarray
@@ -83,26 +111,28 @@ class MapTrajectory:
         t = np.array(self.times, dtype=float)
         t.setflags(write=False)
         object.__setattr__(self, "times", t)
-        maps = np.asarray(self.maps, dtype=complex)
+        maps = np.asarray(self.maps)
         if (maps.ndim != 3 or maps.shape[1] != maps.shape[2]
                 or maps.shape[0] != t.size):
             raise ConstructionError(f"map stack of shape {maps.shape} for "
                                     f"{t.size} grid points")
-        _require_finite(maps, t, "map")
+        maps = _real_stack(maps, t, "map")
         if t[0] != 0.0:
             raise ConstructionError(f"grid must start at 0, got {t[0]}",
                                     index=0)
         grid_spacing(t)
-        maps = project_hermiticity_preserving(maps, t, what="map")
-        d = int(round(np.sqrt(maps.shape[1])))
-        dev0 = float(np.max(np.abs(maps[0] - np.eye(d * d))))
+        d2 = maps.shape[1]
+        if math.isqrt(d2) ** 2 != d2:
+            raise ConstructionError(f"map side {d2} is not a perfect square")
+        dev0 = float(np.max(np.abs(maps[0] - np.eye(d2))))
         if dev0 > IDENTITY_TOL:
             raise ConstructionError(
                 f"map at t = 0 deviates from the identity by {dev0:.3e}",
                 index=0)
-        # Tr{S[A]} = Tr{A} for all A  <=>  S^dagger[1] = 1
-        idvec = vec(np.eye(d))
-        tp = np.abs(idvec @ maps - idvec).max(axis=1)
+        if dev0:   # a basis change leaves it a few ulps off
+            maps[0] = np.eye(d2)
+        # Tr{S[A]} = Tr{A} for all A  <=>  S^dagger[1] = 1  <=>  R^T e_0 = e_0
+        tp = np.abs(maps[:, 0] - np.eye(d2)[0]).max(axis=1)
         bad = np.flatnonzero(tp > TP_TOL)
         if bad.size:
             i = bad[0]
@@ -112,22 +142,18 @@ class MapTrajectory:
         maps.setflags(write=False)
         object.__setattr__(self, "maps", maps)
         if self.derivatives is not None:
-            derivs = np.asarray(self.derivatives, dtype=complex).view()
+            derivs = np.asarray(self.derivatives)
             if derivs.shape != maps.shape:
                 raise ConstructionError(
                     f"derivative stack has shape {derivs.shape}, "
                     f"expected {maps.shape}")
-            _require_finite(derivs, t, "map derivative")
+            derivs = _real_stack(derivs, t, "map derivative")
             derivs.setflags(write=False)
             object.__setattr__(self, "derivatives", derivs)
 
     @property
     def dim(self) -> int:
-        return int(round(np.sqrt(self.maps.shape[1])))
-
-    @property
-    def n_steps(self) -> int:
-        return self.times.size - 1
+        return math.isqrt(self.maps.shape[1])
 
     @cached_property
     def spacing(self) -> float:
@@ -177,22 +203,19 @@ def generator_splits(traj: MapTrajectory,
     """Effective Hamiltonians of the minimal-dissipation split at every grid
     point, as one Hermitian (N+1, d, d) stack.
 
-    With L = dPhi/dt Phi^{-1} reshaped as L4[t, j, i, l, k] = <i|L[|k><l|]|j>,
-    the double-commutator formula is two partial traces,
-        K[a, b] = ( sum_k L4[b, k, a, k] - sum_j L4[j, a, j, b] ) / 2id.
-    L exists only in `stack_blocks`; the dissipator is never formed. The
-    per-point reference is `minimal_dissipation_split(generator_at(...))`
-    in `tests/reference.py`.
+    The double-commutator formula is linear in the real basis matrix of
+    L = dPhi/dt Phi^{-1}: one product with `operators._split_table` gives
+    K's coordinates. L exists only in `stack_blocks`; the dissipator is
+    never formed. The per-point reference is
+    `minimal_dissipation_split(generator_at(...))` in `tests/reference.py`.
     """
     inv = traj.inverses(cond_threshold)
     d = traj.dim
-    K = np.empty((traj.times.size, d, d), dtype=complex)
+    k = np.empty((traj.times.size, d * d))
     for blk in stack_blocks(traj.times.size, d * d):
-        L4 = (map_derivatives(traj, blk.start, blk.stop) @ inv[blk]).reshape(
-            -1, d, d, d, d)
-        K[blk] = (np.einsum("tbkak->tab", L4)
-                  - np.einsum("tjajb->tab", L4)) / (2j * d)
-    return hermitian_stack(K, HERMITICITY_TOL, traj.times,
+        L = map_derivatives(traj, blk.start, blk.stop) @ inv[blk]
+        k[blk] = L.reshape(-1, d ** 4) @ _split_table(d)
+    return hermitian_stack(from_coordinates(k), HERMITICITY_TOL, traj.times,
                            "effective Hamiltonian")
 
 
@@ -425,9 +448,11 @@ def save_map_trajectory(traj: MapTrajectory, path: str) -> None:
 
     Header lines start with '#': a format tag, then
     "dim=<d> vectorization=column-stacking derivatives=<0|1>". Each data row
-    holds the time followed by re,im pairs of the d^2 x d^2 map matrix in
+    holds the time followed by re,im pairs of the d^2 x d^2 column-stacked
+    superoperator matrix (`operators.column_stacked` of the map) in
     row-major order, then the same for the derivative when present. Floats
-    are written with 17 significant digits so a round trip is exact.
+    are written with 17 significant digits, so the file holds those
+    matrices exactly; loading changes basis back, within a few ulps.
     """
     d = traj.dim
     has_d = traj.derivatives is not None
@@ -441,8 +466,9 @@ def save_map_trajectory(traj: MapTrajectory, path: str) -> None:
                  + (", re/im pairs of dmap/dt" if has_d else "") + "\n")
         for i, t in enumerate(traj.times):
             blocks = [traj.maps[i]] + ([traj.derivatives[i]] if has_d else [])
-            # a complex array viewed as floats interleaves re and im
-            flat = np.concatenate([b.reshape(-1) for b in blocks]).view(float)
+            # row by row, so no whole complex stack is held; a complex array
+            # viewed as floats interleaves re and im
+            flat = column_stacked(np.stack(blocks)).reshape(-1).view(float)
             fh.write(row % (t, *flat.tolist()))
 
 
@@ -677,7 +703,9 @@ def load_map_trajectory(path: str) -> MapTrajectory:
     first row at fault."""
     times, maps, derivs = read_map_file(path)
     try:
-        return MapTrajectory(times=times, maps=maps, derivatives=derivs)
+        return MapTrajectory(times=times, maps=basis_maps(maps),
+                             derivatives=None if derivs is None
+                             else basis_maps(derivs))
     except ConstructionError as exc:
         row, why = exc.index, exc
     except ValueError as exc:   # the grid checks of quadrature.grid_spacing

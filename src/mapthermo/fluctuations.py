@@ -27,12 +27,11 @@ alongside.
 `fluctuation_tables(pipeline, betas)` evaluates all of this for every grid
 row and every beta in one pass, beta on a leading axis, each trace a
 weighted sum sum_k f(lambda_k) <k|A|k> in the eigenbasis of the observable.
-The spectra of K(t), P(t) and O_w(t) and the diagonals of Phi_t[1] and
-Phi_t[1/d] in them do not depend on beta; the pipeline caches them. A
-further beta costs its Boltzmann weights, row sums of weights times
-diagonals, one map-vector product per row for Phi_t[rho(0)], its share of
-one product for all betas' diagonals in P(t)'s eigenbasis, and an
-elementwise sum for the mean work. The columns are those of
+The spectra of K(t), P(t) and O_w(t), the diagonals of Phi_t[1] and
+Phi_t[1/d] in them and P(t)'s eigenprojectors do not depend on beta; the
+pipeline caches them. A further beta costs its Boltzmann weights and
+elementwise sums over real basis coordinates, and its share of one
+product for Phi_t[rho(0)] at every row. The columns are those of
 `lambda_series.csv` plus the Lambda_u cross-check residual; one beta is
 `fluctuation_table`, one row `fluctuation_report`. The per-operator
 references and the matrix-trace route are in `tests/reference.py`.
@@ -49,13 +48,11 @@ from .observables import _mean_changes
 from .operators import (
     DensityMatrix,
     HermitianOperator,
-    Superoperator,
     _boltzmann,
-    _diagonals,
     _gibbs_stack,
     _gibbs_weights,
+    coordinates,
     eig_hermitian,
-    vec,
 )
 
 CLUSTER_TOL = 1e-9
@@ -129,35 +126,47 @@ class OutcomeDistribution:
         object.__setattr__(self, "probs", probs)
 
 
-def tpms_distribution(rho0, map_t: Superoperator, O0: HermitianOperator,
+def tpms_distribution(rho0, map_t: np.ndarray, O0: HermitianOperator,
                       Ot: HermitianOperator):
     """Distribution of o_m(t) - o_n(0) under the two-point scheme, for one
     initial state (a DensityMatrix) or, as a list, for each state of a
-    checked (B, d, d) stack, such as the Gibbs states of several betas.
+    checked (B, d, d) stack or, given a 1-d sequence of betas, for each
+    Gibbs state e^{-beta O0} / Z, as `run` writes them; `map_t` is a row of
+    `MapTrajectory.maps`.
 
     All (n, m) cluster pairs are enumerated, zero-probability outcomes
     included; outcome values agreeing within the clustering tolerance are
     merged. No diagonality of rho0 in the O0 eigenbasis is required, but the
     initial measurement dephases the state in that basis, and
-    `initial_coherence` reports how much was destroyed. The projectors are
-    formed once per call; the branches Phi_t[Pi_n rho Pi_n] and their traces
-    against Pi_m(t) are products stacked over the states, so a further state
-    (another beta) adds its share of them and its own merge of outcomes.
+    `initial_coherence` reports how much was destroyed. A Gibbs state of O0
+    has branch n its population times Pi_n, so small populations keep their
+    relative accuracy (a state given as a matrix carries an absolute error
+    of about eps into each branch). The branches Phi_t[Pi_n rho Pi_n] and
+    their traces against Pi_m(t) are sums of real basis coordinates that
+    take each state alone; a further state (another beta) adds its share of
+    them and its own merge of outcomes.
     """
     single = isinstance(rho0, DensityMatrix)
     states = rho0.matrix[None] if single else np.asarray(rho0)
     o0, proj0 = _cluster_projectors(O0)
+    if states.ndim == 1:   # betas
+        vals, _ = eig_hermitian(O0)
+        weights = _gibbs_weights(vals, states[:, None])
+        pops = np.array([weights[:, idx].sum(axis=1)
+                         for idx in cluster_eigenvalues(vals)])
+        kept = pops[..., None] * coordinates(proj0)[:, None]
+        coherence = np.zeros(states.size)
+    else:
+        kept = proj0[:, None] @ states @ proj0[:, None]  # (n, state, d, d)
+        coherence = np.linalg.norm(states - kept.sum(axis=0), axis=(-2, -1))
+        kept = coordinates(kept)
     ot, projt = _cluster_projectors(Ot)
-    kept = proj0[:, None] @ states @ proj0[:, None]  # (n, state, d, d)
-    coherence = np.linalg.norm(states - kept.sum(axis=0), axis=(-2, -1))
-    # one matrix-vector product per branch
-    branches = (map_t.matrix @ kept.swapaxes(-1, -2).reshape(
-        *kept.shape[:2], -1, 1)).reshape(kept.shape).swapaxes(-1, -2)
-    probs = np.trace(projt[:, None, None] @ branches, axis1=-2,
-                     axis2=-1).real.transpose(1, 0, 2)  # (n, m, state)
+    # Tr{Pi_m Phi_t[X]} = c(Pi_m) . R c(X) for Hermitian X, c coordinates
+    branches = np.einsum("ab,nsb->nsa", map_t, kept)
+    probs = np.einsum("ma,nsa->nms", coordinates(projt), branches)
     raw_x = (ot[None, :] - o0[:, None]).ravel()
     order = np.argsort(raw_x, kind="stable")
-    raw_x, raw_p = raw_x[order], probs.reshape(-1, len(states))[order]
+    raw_x, raw_p = raw_x[order], probs.reshape(-1, kept.shape[1])[order]
     scale = max(1.0, float(np.ptp(o0)), float(np.ptp(ot)))
     dists = []
     for k, state_p in enumerate(raw_p.T):
@@ -306,14 +315,18 @@ def fluctuation_tables(pipeline, betas, indices=None,
 
     w_vals = pipeline._work_spectrum[0][rows]
     exp_w = (_boltzmann(w_vals, beta, times, "O_w") * phi_w).sum(axis=-1)
-    p_vals, p_vecs = (a[rows] for a in pipeline._p_spectrum)
+    p_vals = pipeline._p_spectrum[0][rows]
     p_max = p_vals[:, -1]
-    # one matrix-vector product per state and map, as `mean_change` forms it
-    vec_rho_t = np.array([pipeline.traj.maps[rows] @ vec(r) for r in rho0])
-    exp_q = (_boltzmann(p_vals, beta, times, "P") * _diagonals(
-        p_vecs, np.moveaxis(vec_rho_t, 0, -1)).transpose(2, 0, 1)).sum(axis=-1)
-    mean_w = _mean_changes(pipeline._work_ops[rows], vec_rho_t,
-                           pipeline.K[0], rho0)
+    # rho_t = Phi_t[rho(0)] per state, as (B, n, d^2) coordinates: one
+    # product for every row and state
+    maps = pipeline.traj.maps[rows]
+    r0 = coordinates(rho0)
+    rho_t = (r0 @ maps.reshape(-1, maps.shape[-1]).T).reshape(
+        len(r0), *maps.shape[:2])
+    exp_q = (_boltzmann(p_vals, beta, times, "P") * np.einsum(
+        "nka,bna->bnk", pipeline._p_projectors[rows], rho_t)).sum(axis=-1)
+    mean_w = _mean_changes(pipeline._work_coordinates[rows], rho_t,
+                           pipeline._work_coordinates[0], r0)
     columns = (direct, exp_w / zt, np.exp(b * p_max) * phi_max, exp_w / z0,
                exp_q, -np.log(zt / z0) / b, mean_w,
                -p_max - np.log(phi_max) / b, residual)  # fields after beta

@@ -31,11 +31,7 @@ import numpy as np
 
 from .dynamics import MapTrajectory, map_derivatives
 from .errors import ConfigError, ConstructionError, TruncationError
-from .operators import (
-    COND_THRESHOLD_DEFAULT,
-    require_invertible,
-    superop_to_pauli_transfer,
-)
+from .operators import COND_THRESHOLD_DEFAULT, require_invertible
 from .phase_covariant import (
     PCRates,
     constant_rate,
@@ -44,7 +40,6 @@ from .phase_covariant import (
     pc_lambda_w,
     pc_thermo,
     pc_transfer_matrices,
-    transfer_trajectory,
 )
 
 TAIL_WEIGHT_MAX = 1e-10
@@ -548,13 +543,14 @@ def jc_reduced_map(params: JCParams, times: np.ndarray,
     r = pc_transfer_matrices(coeffs.a, coeffs.b, coeffs.c, coeffs.d_par)
     dr = pc_transfer_matrices(coeffs.da, coeffs.db, coeffs.dc, coeffs.dd_par,
                               r00=0.0)
-    return transfer_trajectory(times, r, dr), coeffs
+    return MapTrajectory(times=times, maps=r, derivatives=dr), coeffs
 
 
 def vacuum_excited_population(traj: MapTrajectory) -> np.ndarray:
     """Excited-state survival probability from the maps themselves."""
-    # <e|Phi[|e><e|]|e>: vec index 0 in and out
-    return traj.maps[:, 0, 0].real
+    # <e|Phi[|e><e|]|e> with |e><e| = (1 + sigma_z)/2: the transfer-matrix
+    # entries of rows and columns 0 and 3, over 2
+    return 0.5 * traj.maps[:, ::3, ::3].sum(axis=(1, 2))
 
 
 # ---------------------------------------------------------------------------
@@ -611,7 +607,7 @@ def extract_pc_rates(traj: MapTrajectory,
     """
     if traj.dim != 2:
         raise ConfigError("rate extraction requires a qubit trajectory")
-    r = superop_to_pauli_transfer(traj.maps)
+    r = traj.maps
     off = np.abs(np.where(_PC_PATTERN, 0.0, r)).max(axis=(1, 2))
     sym = np.stack([np.abs(r[:, 1, 1] - r[:, 2, 2]),
                     np.abs(r[:, 1, 2] + r[:, 2, 1]),
@@ -627,7 +623,7 @@ def extract_pc_rates(traj: MapTrajectory,
     b = 0.5 * (r[:, 2, 1] - r[:, 1, 2])
     c = r[:, 3, 0]
     d_par = r[:, 3, 3]
-    dr = superop_to_pauli_transfer(map_derivatives(traj))
+    dr = map_derivatives(traj)
     da = dr[:, 1, 1]
     db = dr[:, 2, 1]
     dc = dr[:, 3, 0]

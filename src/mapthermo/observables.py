@@ -51,12 +51,12 @@ from .operators import (
     COND_THRESHOLD_DEFAULT,
     DensityMatrix,
     HermitianOperator,
-    _diagonals,
+    _projectors,
     adjoint_apply_stack,
-    dagger,
+    coordinates,
+    from_coordinates,
     hermitian_stack,
     stack_blocks,
-    vec,
 )
 from .quadrature import cumulative_simpson
 
@@ -116,26 +116,30 @@ class ThermoPipeline:
 
     The beta-independent inputs of `fluctuations.fluctuation_tables` are
     cached here on first use, as read-only whole-grid arrays, so every
-    further beta reuses them: O_w = K - P, the spectral decompositions of
-    K, P and O_w, and the diagonals of Phi_t[1] and Phi_t[1/d] in those
-    eigenbases (`_unit_image_terms`)."""
+    further beta reuses them: O_w = K - P and its basis coordinates, the
+    spectral decompositions of K, P and O_w, P's eigenprojectors, and the
+    diagonals of Phi_t[1] and Phi_t[1/d] in those eigenbases
+    (`_unit_image_terms`)."""
 
     def __init__(self, traj: MapTrajectory,
                  cond_threshold: float = COND_THRESHOLD_DEFAULT):
         self.traj = traj
         self.cond_threshold = cond_threshold
         self.K = generator_splits(traj, cond_threshold)
-        # integrand g(tau) = dPhi_tau/dtau^dagger[ K(tau) ] (module docstring)
-        g = np.empty_like(self.K)
+        # integrand g(tau) = dPhi_tau/dtau^dagger[ K(tau) ] (module docstring),
+        # in basis coordinates
+        k = coordinates(self.K)
+        g = np.empty_like(k)
         for blk in stack_blocks(traj.times.size, traj.dim ** 2):
             g[blk] = adjoint_apply_stack(
-                map_derivatives(traj, blk.start, blk.stop), self.K[blk])
+                map_derivatives(traj, blk.start, blk.stop), k[blk])
         running = cumulative_simpson(g, traj.spacing)
-        self.P = hermitian_stack(
-            adjoint_apply_stack(traj.inverses(cond_threshold), running),
-            HERMITIZE_TOL, traj.times, "path operator")
+        p = adjoint_apply_stack(traj.inverses(cond_threshold), running)
+        self.P = hermitian_stack(from_coordinates(p), HERMITIZE_TOL,
+                                 traj.times, "path operator")
         self.K.setflags(write=False)
         self.P.setflags(write=False)
+        self._work_coordinates = _frozen(k - p)
 
     @property
     def times(self) -> np.ndarray:
@@ -159,23 +163,30 @@ class ThermoPipeline:
         return tuple(map(_frozen, np.linalg.eigh(self._work_ops)))
 
     @cached_property
+    def _p_projectors(self) -> np.ndarray:
+        return _frozen(_projectors(self._p_spectrum[1]))
+
+    @cached_property
     def _unit_image_terms(self) -> tuple[np.ndarray, ...]:
         """In the eigenbasis |k> of K(t), <k|Phi_t[1]|k>, d <k|Phi_t[1/d]|k>
-        and Tr{Phi_t^dagger[|k><k|]} from the map's columns (the Lambda_u
-        routes), <k|Phi_t[1]|k> in that of O_w(t), and lambda_max{Phi_t[1]}."""
+        and Tr{Phi_t^dagger[|k><k|]} from the map's images of the |i><i|
+        (the Lambda_u routes), <k|Phi_t[1]|k> in that of O_w(t), and
+        lambda_max{Phi_t[1]}."""
         d = self.traj.dim
-        ident = np.eye(d, dtype=complex)
-        # one matrix-vector product per input and map
-        phi_id, phi_mixed = (self.traj.maps @ vec(a)
-                             for a in (ident, ident / d))
-        columns = self.traj.maps[:, :, ::d + 1] @ np.ones(d)  # sum over i
-        k_terms = _diagonals(self._k_spectrum[1],
-                             np.stack([phi_id, phi_mixed, columns], axis=-1))
-        phi = phi_id.reshape(-1, d, d).swapaxes(1, 2)
+        maps = self.traj.maps
+        # 1 has the coordinates sqrt(d) e_0: Phi_t[1] is a column of the map
+        phi_id, phi_mixed = (maps[:, :, 0] * f for f in (d**0.5, d**-0.5))
+        units = coordinates(np.eye(d)[:, :, None] * np.eye(d)[:, None, :])
+        columns = (maps.reshape(-1, d * d) @ units.T).reshape(
+            maps.shape[:2] + (d,)).sum(axis=-1)  # sum over i
+        direct, mixed, adj = np.einsum(
+            "nka,mna->mnk", _projectors(self._k_spectrum[1]),
+            np.stack([phi_id, phi_mixed, columns]))
         return tuple(map(_frozen, (
-            k_terms[..., 0], d * k_terms[..., 1], k_terms[..., 2],
-            _diagonals(self._work_spectrum[1], phi_id[..., None])[..., 0],
-            np.linalg.eigvalsh(0.5 * (phi + dagger(phi)))[:, -1])))
+            direct, d * mixed, adj,
+            np.einsum("nka,na->nk", _projectors(self._work_spectrum[1]),
+                      phi_id),
+            np.linalg.eigvalsh(from_coordinates(phi_id))[:, -1])))
 
     def _series(self, ops: np.ndarray, label: str,
                 encoding: str = "per_time") -> ObservableSeries:
@@ -194,10 +205,6 @@ class ThermoPipeline:
         """Work and heat observable series in the requested convention."""
         K, P = self.K, self.P
         encoding = "per_time"
-
-        def checked(a, what):
-            return hermitian_stack(a, HERMITIZE_TOL, self.times, what)
-
         if convention is Convention.TWO_POINT_ENERGY_FIRST:
             work, heat = K - P, P
         elif convention is Convention.SINGLE_MEASURE_FINAL:
@@ -210,9 +217,10 @@ class ThermoPipeline:
             # final operators are zero; ops[i] holds the *initial* operator
             # of the duration-t_i protocol: O'_x(0) = O_x(0) - Phi_t^dagger[O_x(t)]
             maps = self.traj.maps
-            work = checked(K[0] - adjoint_apply_stack(maps, K - P),
-                           "work observable")
-            heat = checked(-adjoint_apply_stack(maps, P), "heat observable")
+            work = K[0] - from_coordinates(adjoint_apply_stack(
+                maps, self._work_coordinates))
+            heat = -from_coordinates(adjoint_apply_stack(maps,
+                                                         coordinates(P)))
             encoding = "per_duration_initial"
         else:
             raise ValueError(f"unknown convention {convention!r}")
@@ -236,11 +244,8 @@ def shifted_observable(series: ObservableSeries, traj: MapTrajectory,
     if series.encoding != "per_time":
         raise ValueError("initial-condition shifts act on per_time series; "
                          "a per_duration_initial series mixes protocols")
-    delta = series.ops[0] - new_initial.matrix
-    back = adjoint_apply_stack(traj.inverses(cond_threshold),
-                               np.broadcast_to(delta, series.ops.shape))
-    ops = hermitian_stack(series.ops - back, HERMITIZE_TOL, series.times,
-                          "shifted observable")
+    delta = coordinates(series.ops[0] - new_initial.matrix)
+    ops = series.ops - from_coordinates(delta @ traj.inverses(cond_threshold))
     ops[0] = new_initial.matrix
     return ObservableSeries(series.times, ops, label=series.label)
 
@@ -254,17 +259,17 @@ def mean_change(series: ObservableSeries, traj: MapTrajectory, i_t: int,
     """
     if series.encoding == "per_duration_initial":
         return float(-np.trace(series.ops[i_t] @ rho0.matrix).real)
-    return float(_mean_changes(series.ops[i_t][None], traj.maps[i_t] @ vec(
-        rho0.matrix), series.ops[0], rho0.matrix)[0])
+    r0 = coordinates(rho0.matrix)
+    return float(_mean_changes(coordinates(series.ops[i_t][None]),
+                               (traj.maps[i_t] @ r0)[None],
+                               coordinates(series.ops[0]), r0)[0])
 
 
-def _mean_changes(ops_t: np.ndarray, vec_rho_t: np.ndarray, op0: np.ndarray,
+def _mean_changes(ops_t: np.ndarray, rho_t: np.ndarray, op0: np.ndarray,
                   rho0: np.ndarray) -> np.ndarray:
-    """Tr{O_t rho_t} - Tr{O_0 rho_0} per row of a (n, d, d) stack O_t and a
-    (n, d^2) stack vec(rho_t) from rho_0, or (B, n, d^2) and (B, d, d) for B
-    states. Each trace is one elementwise sum, sum_ij O_ij rho_ji, in the
-    same order for both terms: O_t = O_0 and rho_t = rho_0 give exactly 0."""
-    d = op0.shape[-1]
-    rho0_t = np.ascontiguousarray(rho0.swapaxes(-1, -2))
-    return ((ops_t * vec_rho_t.reshape(*vec_rho_t.shape[:-1], d, d)).sum(
-        axis=(-2, -1)) - (op0 * rho0_t).sum(axis=(-2, -1))[..., None]).real
+    """Tr{O_t rho_t} - Tr{O_0 rho_0} per row of (n, d^2) basis coordinates
+    of O_t and rho_t from rho_0, or (n, d^2) and (B, n, d^2) for B states
+    with rho_0 as (B, d^2). Each trace is one elementwise sum of
+    coordinates, in the same order for both terms: O_t = O_0 and
+    rho_t = rho_0 give exactly 0."""
+    return (ops_t * rho_t).sum(axis=-1) - (op0 * rho0).sum(axis=-1)[..., None]

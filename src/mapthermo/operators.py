@@ -1,20 +1,13 @@
 """Dense linear algebra for small Hilbert spaces.
 
-Hermitian operators, density matrices, spectral calculus, and superoperators
-in the vectorized (Liouville) representation. Everything is plain numpy on
-d x d and d^2 x d^2 complex arrays; dimensions stay small (d <= ~64) so no
-sparsity or structure exploitation is attempted.
+Hermitian operators, density matrices, spectral calculus, and maps on
+operators as real matrices in a Hermitian operator basis (below, with the
+basis). Everything is plain numpy; dimensions stay small (d <= ~64).
 
-Vectorization convention (fixed globally, never changed)
---------------------------------------------------------
-Operators are vectorized by column stacking: vec(A)[i + d*j] = A[i, j], i.e.
-``A.reshape(-1, order="F")``. Consequences used throughout:
-
-* vec(A X B) = (B^T kron A) vec(X)
-* a Kraus map X -> sum_k M_k X M_k^dagger has matrix sum_k conj(M_k) kron M_k
-* the Hilbert-Schmidt inner product Tr{A^dagger B} equals vec(A)^dagger vec(B),
-  so the HS adjoint of a superoperator is the conjugate transpose of its
-  matrix.
+Map files, `column_stacked` and the Choi diagnostics use the column-stacked
+(Liouville) matrix S of a map: vec(A)[i + d*j] = A[i, j], so vec(A X B) =
+(B^T kron A) vec(X), a Kraus map X -> sum_k M_k X M_k^dagger has the matrix
+sum_k conj(M_k) kron M_k, and the HS adjoint is the conjugate transpose.
 
 The Choi matrix convention is fixed by `cptp_diagnostics_stack` below: C =
 (1/d) * reshuffle(S), normalized so that a trace-preserving map has Tr{C} = 1
@@ -24,8 +17,9 @@ its minimum Choi eigenvalue is 0, not 1/d).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 
@@ -109,45 +103,6 @@ class DensityMatrix:
         return self.matrix.shape[0]
 
 
-def vec(a: np.ndarray) -> np.ndarray:
-    """Column-stack a matrix into a vector."""
-    return np.asarray(a, dtype=complex).reshape(-1, order="F")
-
-
-@dataclass(frozen=True, eq=False)
-class Superoperator:
-    """A linear map on operators, stored as its d^2 x d^2 matrix in the
-    column-stacking convention.
-
-    Construction checks Hermiticity preservation and projects onto it
-    (`project_hermiticity_preserving`); physical maps, generators,
-    dissipators, adjoints, inverses and their compositions all satisfy
-    this. The `trace_preserving` flag is advisory: when set, Tr{S[A]} =
-    Tr{A} is verified on construction to 1e-10.
-    """
-
-    matrix: np.ndarray
-    trace_preserving: bool = False
-
-    def __post_init__(self):
-        m = _as_square_complex(self.matrix)
-        projected = project_hermiticity_preserving(m[None])[0]
-        if self.trace_preserving:
-            ident = vec(np.eye(int(round(np.sqrt(m.shape[0])))))
-            tp_dev = float(np.max(np.abs(m.conj().T @ ident - ident)))
-            scale = max(1.0, float(np.max(np.abs(m))))
-            if tp_dev > HP_CHECK_TOL * scale:
-                raise ConstructionError(
-                    f"flagged trace-preserving but residual is {tp_dev:.3e}")
-        projected.setflags(write=False)
-        object.__setattr__(self, "matrix", projected)
-
-    @property
-    def dim(self) -> int:
-        """Hilbert-space dimension d (matrix side is d^2)."""
-        return int(round(np.sqrt(self.matrix.shape[0])))
-
-
 def _reshuffle(m: np.ndarray, d: int) -> np.ndarray:
     """Row-reshuffle of a stack of d^2 x d^2 matrices (unnormalized Choi
     rearrangement for the column-stacking convention)."""
@@ -173,50 +128,6 @@ def stack_blocks(n: int, side: int) -> list[slice]:
     of whole-grid superoperator work stay about 1 MB each at any d."""
     step = max(1, _STACK_BLOCK_ELEMENTS // (side * side))
     return [slice(lo, min(lo + step, n)) for lo in range(0, n, step)]
-
-
-def hermiticity_preservation(m: np.ndarray,
-                             ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Hermiticity preservation of a (n, d^2, d^2) stack of superoperator
-    matrices, without raising: the Choi deviation of each matrix (the
-    largest entry of R - R^dagger for its reshuffle R), the deviation it is
-    allowed (HP_CHECK_TOL relative to its largest entry, floor 1), and the
-    projection that symmetrizes the rearrangement, mirroring the Hermitian
-    repair on operators; a projected matrix comes back bit-identical."""
-    d = int(round(np.sqrt(m.shape[-1])))
-    if d * d != m.shape[-1]:
-        raise ConstructionError(
-            f"superoperator side {m.shape[-1]} is not a perfect square")
-    out = np.empty(m.shape, dtype=complex)
-    dev = np.empty(m.shape[0])
-    allowed = np.empty(m.shape[0])
-    for blk in stack_blocks(m.shape[0], d * d):
-        allowed[blk] = HP_CHECK_TOL * np.maximum(
-            1.0, np.abs(m[blk]).max(axis=(-2, -1)))
-        # R -/+ R^dagger holds S[ij, kl] -/+ conj(S[ji, lk]) where R holds
-        # S[ij, kl]: compared and averaged in place, with no reshuffle
-        s = m[blk].reshape(-1, d, d, d, d)
-        swapped = s.transpose(0, 2, 1, 4, 3).conj()
-        dev[blk] = np.abs(s - swapped).max(axis=(1, 2, 3, 4))
-        np.multiply(0.5, s + swapped, out=out[blk].reshape(s.shape))
-    return dev, allowed, out
-
-
-def project_hermiticity_preserving(m: np.ndarray, times=None,
-                                   what: str = "superoperator") -> np.ndarray:
-    """The projection of `hermiticity_preservation`, after checking that no
-    matrix of the stack deviates by more than it is allowed. The error
-    names the first failing matrix, by its time when `times` is given, and
-    carries its index."""
-    dev, allowed, out = hermiticity_preservation(m)
-    bad = np.flatnonzero(dev > allowed)
-    if bad.size:
-        k = bad[0]
-        raise ConstructionError(
-            f"{what}{_label(times, k)} is not Hermiticity-preserving: "
-            f"Choi deviation {dev[k]:.3e} (allowed {allowed[k]:.3e})",
-            index=int(k))
-    return out
 
 
 def hermitian_stack(a: np.ndarray, tol: float, times=None,
@@ -298,12 +209,12 @@ def _exp_stack(vals: np.ndarray, vecs: np.ndarray, beta: float,
     return 0.5 * (m + dagger(m))
 
 
-def _diagonals(vecs: np.ndarray, vec_ops: np.ndarray) -> np.ndarray:
-    """Re <k|A_j|k> as (n, d, m), |k> the eigenvector columns of a (n, d, d)
-    stack: rows vec(|k><k|)^dagger times the (n, d^2, m) stack vec(A_j)."""
-    cols = vecs.swapaxes(1, 2)  # row entry (k, b, a) is conj(V_ak) V_bk
-    return ((cols.conj()[:, :, None] * cols[..., None]).reshape(
-        *cols.shape[:2], -1) @ vec_ops).real
+def _projectors(vecs: np.ndarray) -> np.ndarray:
+    """Basis coordinates (n, d, d^2) of the projectors |k><k| onto the
+    eigenvector columns of a (n, d, d) stack, one real product for all:
+    <k|A|k> = sum_a c_a(|k><k|) x_a for a Hermitian A of coordinates x."""
+    cols = vecs.swapaxes(1, 2)  # row k holds |k>
+    return coordinates(cols[..., :, None] * cols.conj()[..., None, :])
 
 
 def require_invertible(conds: np.ndarray, cond_threshold: float, times=None,
@@ -323,13 +234,11 @@ def require_invertible(conds: np.ndarray, cond_threshold: float, times=None,
         condition_number=cond)
 
 
-def adjoint_apply_stack(maps: np.ndarray, ops: np.ndarray) -> np.ndarray:
-    """S_t^dagger[A_t] for a (n, d^2, d^2) stack of superoperator matrices
-    and a (n, d, d) stack of operators, without copying the maps."""
-    n, d = ops.shape[0], ops.shape[-1]
-    v = ops.swapaxes(-1, -2).reshape(n, 1, d * d)
-    # (v^dagger S)^dagger = S^dagger v, one row-vector product per map
-    return (v.conj() @ maps).conj().reshape(n, d, d).swapaxes(-1, -2)
+def adjoint_apply_stack(maps: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Coordinates of S_t^dagger[A_t] for a (n, d^2, d^2) stack of real
+    basis map matrices R_t and the (n, d^2) coordinates x_t of A_t: R_t^T x_t,
+    formed as x_t^T R_t without copying the maps."""
+    return (x[:, None, :] @ maps)[:, 0]
 
 
 def commutator_superop(h: np.ndarray) -> np.ndarray:
@@ -365,14 +274,16 @@ class CPTPReport:
     hermiticity_residual: float = field(default=0.0)
 
 
-def cptp_diagnostics_stack(m: np.ndarray) -> CPTPReport:
-    """Diagnostics of every matrix of a (n, d^2, d^2) stack, as one report
-    whose fields are (n,) arrays. Never raises: the TP residual, the minimum
+def cptp_diagnostics_stack(r: np.ndarray) -> CPTPReport:
+    """Diagnostics of every map of a (n, d^2, d^2) stack of real basis
+    matrices, as one report whose fields are (n,) arrays, taken on their
+    column-stacked matrices. Never raises: the TP residual, the minimum
     Choi eigenvalue (negative values are legal for generator-level
     intermediate maps and are reported, not rejected), the unitality
     residual, and the Choi Hermiticity residual."""
-    d = int(round(np.sqrt(m.shape[-1])))
-    ident = vec(np.eye(d))
+    m = column_stacked(r)
+    d = math.isqrt(m.shape[-1])
+    ident = np.eye(d).reshape(-1)  # vec(1)
     tp, unital, herm, cmin = (np.empty(m.shape[0]) for _ in range(4))
     for blk in stack_blocks(m.shape[0], d * d):
         tp[blk] = np.abs(dagger(m[blk]) @ ident - ident).max(axis=-1)
@@ -384,9 +295,7 @@ def cptp_diagnostics_stack(m: np.ndarray) -> CPTPReport:
                       unital_residual=unital, hermiticity_residual=herm)
 
 
-# Pauli matrices and the qubit transfer-matrix basis change. PAULI order is
-# (identity, sigma_x, sigma_y, sigma_z); transfer matrices R act on Bloch
-# coefficient vectors via R_ij = Tr{P_i S[P_j]} / 2.
+# Pauli matrices in the order (identity, sigma_x, sigma_y, sigma_z).
 
 PAULI = (
     np.eye(2, dtype=complex),
@@ -396,26 +305,84 @@ PAULI = (
 )
 
 
-# Row (i, j) of _OUTER is (1/2) vec(P_i) vec(P_j)^dagger, so S = R @ _OUTER
-# and R = Re(S @ _OUTER^dagger), flattened: one real product on re/im pairs.
-_PAULI_VEC = np.array([vec(p) for p in PAULI])
-_OUTER = 0.5 * np.kron(_PAULI_VEC, _PAULI_VEC.conj())
-_TO_TRANSFER = np.stack([_OUTER.real.T, _OUTER.imag.T], axis=1).reshape(32, 16)
+# The Hermitian operator basis B_a: 1/sqrt(d), (|j><k| + |k><j|)/sqrt(2)
+# and (i|k><j| - i|j><k|)/sqrt(2) for each j < k, then for l = 1 .. d-1
+# (|0><0| + ... + |l-1><l-1| - l|l><l|)/sqrt(l(l+1)); for d = 2, PAULI over
+# sqrt(2). A Hermitian X has the real coordinates x_a = Tr{B_a X}, and a
+# map that preserves Hermiticity the real matrix R_ab = Tr{B_a S[B_b]} (for
+# d = 2 the Pauli transfer matrix), with R^T that of S^dagger.
 
 
-def superop_to_pauli_transfer(m: np.ndarray) -> np.ndarray:
-    """Real transfer matrices of a stack (..., 4, 4) of qubit superoperator
-    matrices."""
-    m = np.ascontiguousarray(m, dtype=complex)
-    return (m.reshape(-1, 16).view(float) @ _TO_TRANSFER).reshape(m.shape)
+@cache
+def hermitian_basis(d: int) -> np.ndarray:
+    """The basis as a read-only (d^2, d, d) complex stack."""
+    b = np.zeros((d * d, d, d), dtype=complex)
+    b[0] = np.eye(d) / math.sqrt(d)
+    j, k = np.triu_indices(d, 1)
+    sym = np.arange(1, j.size + 1)
+    b[sym, j, k] = b[sym, k, j] = 1 / math.sqrt(2)
+    b[sym + j.size, j, k] = -1j / math.sqrt(2)
+    b[sym + j.size, k, j] = 1j / math.sqrt(2)
+    for l in range(1, d):
+        diag = np.append(np.ones(l), -l) / math.sqrt(l * (l + 1))
+        b[d * d - d + l, np.arange(l + 1), np.arange(l + 1)] = diag
+    b.setflags(write=False)
+    return b
 
 
-def pauli_transfer_to_superop(r: np.ndarray) -> np.ndarray:
-    """Superoperator matrices of a stack (..., 4, 4) of real transfer
-    matrices; the inverse of `superop_to_pauli_transfer`."""
-    r = np.asarray(r, dtype=float)
-    return (r.reshape(-1, 16) @ _OUTER.view(float)).view(complex).reshape(
-        r.shape)
+@cache
+def _coordinate_tables(d: int) -> tuple[np.ndarray, np.ndarray]:
+    """The real tables of `coordinates` and `from_coordinates` on re, im
+    pairs: x_a = Re sum_ij conj(B_a[i, j]) X[i, j], X = sum_a x_a B_a."""
+    flat = hermitian_basis(d).reshape(d * d, d * d)
+    to = np.stack([flat.real.T, flat.imag.T], axis=1).reshape(2 * d * d, -1)
+    return to, np.ascontiguousarray(flat).view(float)
+
+
+def coordinates(ops: np.ndarray) -> np.ndarray:
+    """Real basis coordinates (..., d^2) of Hermitian matrices (..., d, d)."""
+    ops = np.ascontiguousarray(ops, dtype=complex)
+    d = ops.shape[-1]
+    x = ops.reshape(-1, d * d).view(float) @ _coordinate_tables(d)[0]
+    return x.reshape(*ops.shape[:-2], d * d)
+
+
+def from_coordinates(x: np.ndarray) -> np.ndarray:
+    """Hermitian matrices (..., d, d) of real basis coordinates (..., d^2)."""
+    x = np.asarray(x, dtype=float)
+    d = math.isqrt(x.shape[-1])
+    m = x.reshape(-1, d * d) @ _coordinate_tables(d)[1]
+    return m.view(complex).reshape(*x.shape[:-1], d, d)
+
+
+def basis_maps(m: np.ndarray) -> np.ndarray:
+    """The basis matrices of column-stacked ones (..., d^2, d^2): complex,
+    real where a map preserves Hermiticity (vec(B_a) = conj(flat[a]))."""
+    m = np.asarray(m, dtype=complex)
+    d = math.isqrt(m.shape[-1])
+    flat = hermitian_basis(d).reshape(d * d, d * d)
+    return flat @ m @ flat.conj().T
+
+
+def column_stacked(r: np.ndarray) -> np.ndarray:
+    """The column-stacked matrices of basis ones; inverse of `basis_maps`."""
+    d = math.isqrt(r.shape[-1])
+    flat = hermitian_basis(d).reshape(d * d, d * d)
+    return flat.conj().T @ r @ flat
+
+
+@cache
+def _split_table(d: int) -> np.ndarray:
+    """The real (d^4, d^2) table T with L.reshape(-1, d^4) @ T the
+    coordinates of K = (1/2id) sum_ab L_ba [B_a, B_b] for basis matrices L:
+    (1/2id) sum_jk [|j><k|, L[|k><j|]], as sum_jk |j><k| (x) |k><j| is that
+    sum over any orthonormal basis."""
+    b, n = hermitian_basis(d), d * d
+    # (B_a B_b)[i, k] at [a, b, i, k], then Tr{B_c B_a B_b} at [a, b, c]
+    prod = (b.reshape(n * d, d) @ b.swapaxes(0, 1).reshape(d, n * d)).reshape(
+        n, d, n, d).swapaxes(1, 2)
+    f = (prod.reshape(n * n, n) @ b.reshape(n, n).conj().T).reshape(n, n, n)
+    return (f.swapaxes(0, 1) - f).imag.reshape(n * n, n) / (2 * d)
 
 
 def random_hermitian(dim: int, rng: np.random.Generator) -> HermitianOperator:

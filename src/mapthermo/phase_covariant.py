@@ -46,7 +46,6 @@ import numpy as np
 
 from .dynamics import MapTrajectory
 from .errors import ConstructionError
-from .operators import pauli_transfer_to_superop
 from .quadrature import (cumulative_exp_weighted, cumulative_simpson,
                          grid_spacing)
 
@@ -185,15 +184,6 @@ def pc_generator_transfer_matrix(omega, kappa, xi, gamma_z) -> np.ndarray:
     return pc_transfer_matrices(-damp, omega, xi, -np.asarray(kappa), r00=0.0)
 
 
-def transfer_trajectory(times: np.ndarray, r: np.ndarray,
-                        dr: np.ndarray | None = None) -> MapTrajectory:
-    """MapTrajectory from a (N+1, 4, 4) stack of map transfer matrices and,
-    optionally, the stack of their time derivatives, converted as stacks."""
-    return MapTrajectory(
-        times=times, maps=pauli_transfer_to_superop(r),
-        derivatives=None if dr is None else pauli_transfer_to_superop(dr))
-
-
 def pc_trajectory(rates: PCRates, times: np.ndarray,
                   derivative_source: str = "analytic"):
     """Build a MapTrajectory from phase-covariant rates.
@@ -211,7 +201,7 @@ def pc_trajectory(rates: PCRates, times: np.ndarray,
                                           coeffs.xi, coeffs.gamma_z) @ r
     elif derivative_source != "finite_difference":
         raise ValueError(f"unknown derivative_source {derivative_source!r}")
-    return transfer_trajectory(coeffs.times, r, dr), coeffs
+    return MapTrajectory(times=coeffs.times, maps=r, derivatives=dr), coeffs
 
 
 def _log_cosh(x: np.ndarray) -> np.ndarray:

@@ -27,11 +27,12 @@ import numpy as np
 from scipy.linalg import expm
 
 from .errors import MapThermoError
-from .operators import (DensityMatrix, HermitianOperator, Superoperator,
-                        commutator_superop, cptp_diagnostics_stack,
-                        eig_hermitian, gibbs_state,
-                        project_hermiticity_preserving, random_hermitian)
-from .dynamics import MapTrajectory, save_map_trajectory, load_map_trajectory
+from .operators import (DensityMatrix, HermitianOperator, basis_maps,
+                        column_stacked, commutator_superop,
+                        cptp_diagnostics_stack, eig_hermitian, gibbs_state,
+                        random_hermitian)
+from .dynamics import (MapTrajectory, load_map_trajectory, read_map_file,
+                       save_map_trajectory)
 from .phase_covariant import (PCRates, constant_rate, pc_integrals,
                               pc_trajectory, pc_thermo, pc_lambda_w,
                               pc_mean_work_and_deltaF)
@@ -82,9 +83,8 @@ def random_gksl_trajectory(dim: int, rng: np.random.Generator,
                                   + 1j * rng.standard_normal((dim, dim))
                                   ) / math.sqrt(2)
         gen = gen + _dissipator_matrix(a)
-    # the derivatives are taken of the maps as MapTrajectory stores them
-    maps = project_hermiticity_preserving(
-        np.stack([expm(t * gen) for t in times]))
+    gen = basis_maps(gen).real
+    maps = np.stack([expm(t * gen) for t in times])
     return MapTrajectory(times=times, maps=maps, derivatives=gen @ maps)
 
 
@@ -98,14 +98,6 @@ def random_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
     a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
     q, r = np.linalg.qr(a)
     return q * (np.diagonal(r) / np.abs(np.diagonal(r)))
-
-
-def _scheme_averages(states, map_t: Superoperator, first: HermitianOperator,
-                     last: HermitianOperator, betas) -> np.ndarray:
-    """<e^{-beta x}> over the two-point distribution of `last` - `first` of
-    each state at its beta, from one call over all states, as `run` makes."""
-    return np.array([exp_average(dist, beta) for dist, beta in zip(
-        tpms_distribution(states, map_t, first, last), betas)])
 
 
 def _require(condition: bool, message: str) -> None:
@@ -130,14 +122,14 @@ def check_closed_system_jarzynski() -> str:
     traj, _ = pc_trajectory(weak_coupling_rates(p), p.grid(1000))
     pipe = ThermoPipeline(traj)
     beta = p.beta
-    rho_g = _initial_states(pipe, [beta])
     work, _ = pipe.work_heat_observables()
     table = fluctuation_table(pipe, beta)
     dev = max(float(np.max(np.abs(table.lambda_w - 1.0))),
               float(np.max(np.abs(table.lambda_u - 1.0))))
     for i, dfb in enumerate(table.delta_F_bar):
-        jarz = _scheme_averages(rho_g, Superoperator(traj.maps[i]), work[0],
-                                work[i], [beta])[0] * math.exp(beta * dfb)
+        jarz = exp_average(tpms_distribution(
+            [beta], traj.maps[i], work[0], work[i])[0], beta) * math.exp(
+                beta * dfb)
         dev = max(dev, abs(jarz - 1.0))
     _require(dev <= 1e-9, f"closed-drive identity deviation {dev:.3e}")
     return f"{traj.times.size} rows, max deviation {dev:.3e} (tol 1e-9)"
@@ -222,10 +214,12 @@ def _tpms_trace_gap(dim: int, seeds: range, fixed_beta_seed: int) -> float:
         tables = fluctuation_tables(pipe, betas)
         states = _initial_states(pipe, betas)
         for i in rows:
-            map_t = Superoperator(traj.maps[i])
-            w, u, q = (_scheme_averages(states, map_t, first, last, betas)
-                       for first, last in ((work[0], work[i]), (K[0], K[i]),
-                                           (zero, heat[i])))
+            # scheme averages from one call over all states, as `run` makes
+            w, u, q = ([exp_average(dist, beta) for dist, beta in zip(
+                tpms_distribution(first, traj.maps[i], O0, Ot), betas)]
+                       for first, O0, Ot in ((betas, work[0], work[i]),
+                                             (betas, K[0], K[i]),
+                                             (states, zero, heat[i])))
             for k, (beta, table) in enumerate(zip(betas, tables)):
                 fac = math.exp(-beta * table.delta_F_bar[i])
                 worst = max(worst, abs(w[k] - table.lambda_w[i] * fac),
@@ -315,13 +309,21 @@ def check_map_file_round_trip() -> str:
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "traj.csv")
         save_map_trajectory(traj, path)
+        file_stacks = read_map_file(path)
         back = load_map_trajectory(path)
-    dev = float(np.max(np.abs(traj.maps - back.maps)))
-    dev_d = float(np.max(np.abs(traj.derivatives - back.derivatives)))
-    dev_t = float(np.max(np.abs(traj.times - back.times)))
-    dev = max(dev, dev_d, dev_t)
-    _require(dev == 0.0, f"round trip not exact: {dev:.3e}")
-    return "round trip exact"
+    # the file holds the times and the column-stacked matrices exactly; the
+    # basis change back to the real stacks rounds, by a few ulps
+    dev = max(float(np.max(np.abs(got - want))) for got, want in zip(
+        file_stacks, (traj.times, column_stacked(traj.maps),
+                      column_stacked(traj.derivatives))))
+    drift = max(np.abs(got - want).max() / max(1.0, np.abs(want).max())
+                for got, want in ((back.maps, traj.maps),
+                                  (back.derivatives, traj.derivatives)))
+    _require(dev == 0.0, f"file round trip not exact: {dev:.3e}")
+    _require(drift <= 8 * np.finfo(float).eps,
+             f"basis round trip off by {drift:.3e}")
+    return (f"file round trip exact, basis round trip within {drift:.3e} "
+            "(tol 8 ulps)")
 
 
 def _coherent_chain(rho0: DensityMatrix, H0: HermitianOperator,
@@ -344,9 +346,9 @@ def _coherent_chain(rho0: DensityMatrix, H0: HermitianOperator,
             res.value, res.golden_thompson_bound, res.final_bound,
             res.delta_F_bar))
         final = HermitianOperator(H[k] + u_t @ data.xi.matrix @ u_t.conj().T)
-        u_map = Superoperator(np.kron(u_t.conj(), u_t), trace_preserving=True)
-        gap = max(gap, abs(_scheme_averages([rho0.matrix], u_map, data.H_star,
-                                            final, [data.beta])[0] - value))
+        u_map = basis_maps(np.kron(u_t.conj(), u_t)).real
+        gap = max(gap, abs(exp_average(tpms_distribution(
+            rho0, u_map, data.H_star, final), data.beta) - value))
         link = min(link, gt - value, chain - gt)
         rho_t = u_t @ rho0.matrix @ u_t.conj().T
         mean_w = float(np.trace(final.matrix @ rho_t).real

@@ -2,7 +2,8 @@
 
 import pytest
 
-from mapthermo.operators import DensityMatrix, HermitianOperator, Superoperator
+from mapthermo.operators import DensityMatrix, HermitianOperator
+from reference import Superoperator
 
 
 @pytest.fixture

@@ -10,8 +10,10 @@ level sum one block and grid time at a time), plus the small constructors
 functions only tests call (`cptp_diagnostics` of one map,
 `noneq_free_energy`, and `pc_general_d`, the eigenvalue route of d-level
 phase-covariant maps), and the per-row `%` writers that the vectorised
-cell-spelling kernel of `dynamics` replaced, the reshuffle form of
-`hermiticity_preservation` that its index-swapped form replaced, and the
+cell-spelling kernel of `dynamics` replaced, the column-stacked
+`Superoperator` with the reshuffle form of the Hermiticity-preservation
+check (the library keeps maps as real matrices in a Hermitian basis and
+checks the imaginary part there), and the
 matrix-trace route of the fluctuation table (`matrix_fluctuation_table`:
 Gibbs states and exponentials formed as stacks and traced) that the
 eigenbasis weighted sums of `fluctuation_table` replaced, and `apply` and
@@ -48,20 +50,19 @@ from mapthermo.operators import (
     HP_CHECK_TOL,
     DensityMatrix,
     HermitianOperator,
-    Superoperator,
+    _as_square_complex,
     _exp_stack,
     _gibbs_stack,
     _reshuffle,
+    basis_maps,
+    column_stacked,
     commutator_superop,
     cptp_diagnostics_stack,
     dagger,
     eig_hermitian,
     gibbs_state,
     partition_function,
-    pauli_transfer_to_superop,
     require_invertible,
-    superop_to_pauli_transfer,
-    vec,
 )
 from mapthermo.phase_covariant import (
     PCMapCoefficients,
@@ -79,6 +80,12 @@ from mapthermo.validation import random_density_matrix, random_unitary
 # One operator through one map (`mapthermo.operators`)
 
 
+def vec(a: np.ndarray) -> np.ndarray:
+    """Column-stack a matrix into a vector (the convention of the map files
+    and of `operators.column_stacked`)."""
+    return np.asarray(a, dtype=complex).reshape(-1, order="F")
+
+
 def unvec(v: np.ndarray, dim: int | None = None) -> np.ndarray:
     """Inverse of `vec`."""
     v = np.asarray(v, dtype=complex).reshape(-1)
@@ -87,6 +94,65 @@ def unvec(v: np.ndarray, dim: int | None = None) -> np.ndarray:
     if dim * dim != v.size:
         raise ValueError(f"vector of length {v.size} is not a vectorized square matrix")
     return v.reshape((dim, dim), order="F")
+
+
+@dataclass(frozen=True, eq=False)
+class Superoperator:
+    """A linear map on operators, stored as its d^2 x d^2 matrix in the
+    column-stacking convention.
+
+    Construction checks Hermiticity preservation and projects onto it
+    (`hermiticity_preservation_by_reshuffle`); physical maps, generators,
+    dissipators, adjoints, inverses and their compositions all satisfy
+    this. The `trace_preserving` flag is advisory: when set, Tr{S[A]} =
+    Tr{A} is verified on construction to 1e-10.
+    """
+
+    matrix: np.ndarray
+    trace_preserving: bool = False
+
+    def __post_init__(self):
+        m = _as_square_complex(self.matrix)
+        dev, allowed, projected = hermiticity_preservation_by_reshuffle(
+            m[None])
+        if dev[0] > allowed[0]:
+            raise ConstructionError(
+                f"superoperator is not Hermiticity-preserving: Choi "
+                f"deviation {dev[0]:.3e} (allowed {allowed[0]:.3e})")
+        if self.trace_preserving:
+            ident = vec(np.eye(self.dim))
+            tp_dev = float(np.max(np.abs(m.conj().T @ ident - ident)))
+            scale = max(1.0, float(np.max(np.abs(m))))
+            if tp_dev > HP_CHECK_TOL * scale:
+                raise ConstructionError(
+                    f"flagged trace-preserving but residual is {tp_dev:.3e}")
+        projected = projected[0]
+        projected.setflags(write=False)
+        object.__setattr__(self, "matrix", projected)
+
+    @property
+    def dim(self) -> int:
+        """Hilbert-space dimension d (matrix side is d^2)."""
+        return int(round(np.sqrt(np.shape(self.matrix)[0])))
+
+
+def map_at(traj: MapTrajectory, i: int) -> Superoperator:
+    """The map at grid index i as a column-stacked Superoperator."""
+    return Superoperator(column_stacked(traj.maps[i]))
+
+
+def stacked_trajectory(times, maps, derivatives=None) -> MapTrajectory:
+    """A MapTrajectory from column-stacked superoperator stacks, changed to
+    the Hermitian basis as `load_map_trajectory` changes a file's."""
+    return MapTrajectory(times=times, maps=basis_maps(maps),
+                         derivatives=None if derivatives is None
+                         else basis_maps(derivatives))
+
+
+def real_map(s: Superoperator) -> np.ndarray:
+    """The real matrix of a Superoperator in the Hermitian operator basis,
+    as `MapTrajectory.maps` holds maps."""
+    return basis_maps(s.matrix).real
 
 
 def apply(s: Superoperator, a: np.ndarray | HermitianOperator) -> np.ndarray:
@@ -102,8 +168,8 @@ def apply(s: Superoperator, a: np.ndarray | HermitianOperator) -> np.ndarray:
 
 
 def map_derivative(traj: MapTrajectory, i: int) -> np.ndarray:
-    """dPhi/dt at grid index i (see `map_derivatives`)."""
-    return map_derivatives(traj, i, i + 1)[0]
+    """dPhi/dt at grid index i (see `map_derivatives`), column-stacked."""
+    return column_stacked(map_derivatives(traj, i, i + 1)[0])
 
 
 def generator_at(traj: MapTrajectory, i: int,
@@ -111,7 +177,7 @@ def generator_at(traj: MapTrajectory, i: int,
     """Time-local generator L_{t_i} = dPhi/dt * Phi^{-1} at grid index i.
 
     The per-point reference for `generator_splits`."""
-    inv, _ = invert(Superoperator(traj.maps[i]), cond_threshold,
+    inv, _ = invert(map_at(traj, i), cond_threshold,
                     time=float(traj.times[i]))
     return Superoperator(map_derivative(traj, i) @ inv.matrix)
 
@@ -161,9 +227,9 @@ def inverse_propagator(traj: MapTrajectory, i_tau: int, i_t: int,
     to t_tau."""
     if i_tau > i_t:
         raise ValueError("i_tau must not exceed i_t")
-    inv, _ = invert(Superoperator(traj.maps[i_t]), cond_threshold,
+    inv, _ = invert(map_at(traj, i_t), cond_threshold,
                     time=float(traj.times[i_t]))
-    return Superoperator(traj.maps[i_tau] @ inv.matrix)
+    return Superoperator(map_at(traj, i_tau).matrix @ inv.matrix)
 
 
 # ---------------------------------------------------------------------------
@@ -225,9 +291,10 @@ def hs_adjoint(s: Superoperator) -> Superoperator:
 def hermiticity_preservation_by_reshuffle(m: np.ndarray,
                                           ) -> tuple[np.ndarray, np.ndarray,
                                                      np.ndarray]:
-    """`operators.hermiticity_preservation` as the definition reads: the
-    reshuffle R of each matrix, the largest entry of R - R^dagger, and the
-    reshuffle of (R + R^dagger) / 2 back."""
+    """Hermiticity preservation of column-stacked matrices as the definition
+    reads: the reshuffle R of each matrix, the largest entry of R - R^dagger,
+    the deviation allowed (HP_CHECK_TOL of the largest entry, floor 1) and
+    the reshuffle of (R + R^dagger) / 2 back."""
     d = int(round(np.sqrt(m.shape[-1])))
     r = _reshuffle(m, d)
     rh = dagger(r)
@@ -245,7 +312,7 @@ def pauli_transfer_matrix(s: Superoperator) -> np.ndarray:
     """4x4 real transfer matrix of a qubit superoperator in the PAULI basis."""
     if s.dim != 2:
         raise ValueError("Pauli transfer matrix requires dim 2")
-    return superop_to_pauli_transfer(s.matrix)
+    return basis_maps(s.matrix).real
 
 
 def superop_from_pauli_transfer(r: np.ndarray,
@@ -254,7 +321,7 @@ def superop_from_pauli_transfer(r: np.ndarray,
     r = np.asarray(r, dtype=float)
     if r.shape != (4, 4):
         raise ValueError("transfer matrix must be 4x4")
-    return Superoperator(pauli_transfer_to_superop(r),
+    return Superoperator(column_stacked(r),
                          trace_preserving=trace_preserving)
 
 
@@ -263,7 +330,7 @@ def cptp_diagnostics(s: Superoperator) -> CPTPReport:
     (negative values are legal for generator-level intermediate maps and are
     reported, not rejected), unitality residual, and the Choi Hermiticity
     residual."""
-    rep = cptp_diagnostics_stack(s.matrix[None])
+    rep = cptp_diagnostics_stack(basis_maps(s.matrix[None]).real)
     return CPTPReport(**{name: float(v[0]) for name, v in vars(rep).items()})
 
 
@@ -573,7 +640,7 @@ def matrix_fluctuation_table(pipeline, beta: float,
     zt = np.sum(np.exp(-beta * k_vals), axis=-1)
     rho_g = _gibbs_stack(k_vals, k_vecs, beta, times)
 
-    maps = traj.maps[rows]
+    maps = column_stacked(traj.maps[rows])
     ident = np.eye(d, dtype=complex)
     phi_id, phi_mixed = ((maps @ vec(a)).reshape(-1, d, d).swapaxes(1, 2)
                          for a in (ident, ident / d))

@@ -17,6 +17,7 @@ from mapthermo.errors import ConfigError
 from mapthermo.dynamics import save_map_trajectory
 from mapthermo.models import (CustomPCParams, JCParams, WeakCouplingParams,
                               weak_coupling_rates)
+from mapthermo.operators import column_stacked
 from mapthermo.phase_covariant import pc_trajectory
 from mapthermo.validation import random_gksl_trajectory
 
@@ -779,8 +780,10 @@ def test_run_rejects_a_map_file_with_a_bad_grid(tmp_path, capsys, problem):
 def test_map_info_marks_invalid_rows(tmp_path, capsys):
     # row 3 is not Hermiticity-preserving, as in the trajectory check tests
     times = np.linspace(0.0, 1.0, 9)
-    maps = random_gksl_trajectory(3, np.random.default_rng(8), times).maps.copy()
+    maps = random_gksl_trajectory(3, np.random.default_rng(8),
+                                  times).maps.astype(complex)
     maps[3] = maps[3] + np.diag(np.arange(9)) * 1e-3j
+    maps = column_stacked(maps)
     path = tmp_path / "one_bad_row.maps"
     path.write_text(
         "# mapthermo-maps v1\n"

@@ -27,7 +27,7 @@ from mapthermo.errors import BoundaryStencil, ConstructionError
 from mapthermo.models import JCParams, WeakCouplingParams, jc_reduced_map, weak_coupling_rates
 from mapthermo.operators import (
     PAULI,
-    Superoperator,
+    column_stacked,
     commutator_superop,
     random_hermitian,
 )
@@ -35,6 +35,7 @@ from mapthermo.phase_covariant import pc_trajectory
 from mapthermo.quadrature import stencil_derivative
 from mapthermo.validation import random_gksl_trajectory
 from reference import (
+    Superoperator,
     apply,
     condition_number,
     conjugation_superop,
@@ -43,12 +44,14 @@ from reference import (
     generator_at,
     identity_superop,
     inverse_propagator,
+    map_at,
     map_derivative,
     minimal_dissipation_split,
     random_density_matrix,
     random_unitary,
     read_map_file_by_rows,
     reassemble_generator,
+    stacked_trajectory,
 )
 
 SZ = PAULI[3]
@@ -57,7 +60,7 @@ SZ = PAULI[3]
 def unitary_trajectory(h_matrix, times):
     maps = np.stack([conjugation_superop(expm(-1j * t * h_matrix)).matrix
                      for t in times])
-    return MapTrajectory(times=np.asarray(times, dtype=float), maps=maps)
+    return stacked_trajectory(np.asarray(times, dtype=float), maps)
 
 
 def test_trajectory_requires_identity_at_zero():
@@ -66,7 +69,7 @@ def test_trajectory_requires_identity_at_zero():
     times = np.linspace(0.0, 1.0, 3)
     maps = np.stack([conjugation_superop(u).matrix] * 3)
     with pytest.raises(ConstructionError):
-        MapTrajectory(times=times, maps=maps)
+        stacked_trajectory(times, maps)
 
 
 def test_trajectory_requires_trace_preservation():
@@ -94,7 +97,7 @@ def test_generator_of_unitary_trajectory():
     assert np.max(np.abs(L.matrix - expect)) < 1e-5  # finite-difference floor
     # derivative from central differences at interior points
     dm = map_derivative(traj, 500)
-    assert np.max(np.abs(dm - expect @ traj.maps[500])) < 1e-5
+    assert np.max(np.abs(dm - expect @ map_at(traj, 500).matrix)) < 1e-5
 
 
 def test_generator_of_identity_trajectory_is_zero():
@@ -113,12 +116,11 @@ def test_map_derivative_needs_three_points():
 
 def test_map_derivative_prefers_analytic():
     times = np.linspace(0.0, 1.0, 3)
-    marker = np.full((4, 4), 7.0, dtype=complex)
-    traj = MapTrajectory(times=times,
-                         maps=np.stack([identity_superop(2).matrix] * 3),
+    marker = np.full((4, 4), 7.0)
+    traj = MapTrajectory(times=times, maps=np.stack([np.eye(4)] * 3),
                          derivatives=np.stack([marker] * 3))
     assert traj.derivative_source == "analytic"
-    npt.assert_allclose(map_derivative(traj, 1), marker)
+    npt.assert_array_equal(map_derivatives(traj, 1, 2)[0], marker)
 
 
 def test_minimal_split_of_commutator():
@@ -170,12 +172,13 @@ def test_split_basis_independence():
     v = random_unitary(2, rng)
     vc = conjugation_superop(v)
     vci = conjugation_superop(v.conj().T)
-    rotated = MapTrajectory(
-        times=times,
-        maps=np.stack([Superoperator(vc.matrix @ m @ vci.matrix).matrix
-                       for m in traj.maps]),
-        derivatives=None if traj.derivatives is None else np.stack([
-            vc.matrix @ dm @ vci.matrix for dm in traj.derivatives]))
+    rotated = stacked_trajectory(
+        times,
+        np.stack([Superoperator(vc.matrix @ m @ vci.matrix).matrix
+                  for m in column_stacked(traj.maps)]),
+        None if traj.derivatives is None else np.stack([
+            vc.matrix @ dm @ vci.matrix
+            for dm in column_stacked(traj.derivatives)]))
     for i in (2, 6):
         k_orig = minimal_dissipation_split(generator_at(traj, i)).K.matrix
         k_rot = minimal_dissipation_split(generator_at(rotated, i)).K.matrix
@@ -204,8 +207,8 @@ def test_inverse_propagator_back_propagates_states():
     rng = np.random.default_rng(5)
     traj = random_gksl_trajectory(2, rng, np.linspace(0.0, 1.2, 13))
     rho0 = random_density_matrix(2, rng)
-    rho_t = apply(Superoperator(traj.maps[10]), rho0.matrix)
-    rho_tau = apply(Superoperator(traj.maps[4]), rho0.matrix)
+    rho_t = apply(map_at(traj, 10), rho0.matrix)
+    rho_tau = apply(map_at(traj, 4), rho0.matrix)
     back = apply(inverse_propagator(traj, 4, 10), rho_t)
     assert np.max(np.abs(back - rho_tau)) < 1e-8
 
@@ -213,8 +216,8 @@ def test_inverse_propagator_back_propagates_states():
 def test_inverse_propagator_composition():
     rng = np.random.default_rng(6)
     traj = random_gksl_trajectory(2, rng, np.linspace(0.0, 1.0, 9))
-    lhs = inverse_propagator(traj, 2, 7).matrix @ traj.maps[7]
-    assert np.max(np.abs(lhs - traj.maps[2])) < 1e-10
+    lhs = inverse_propagator(traj, 2, 7).matrix @ map_at(traj, 7).matrix
+    assert np.max(np.abs(lhs - map_at(traj, 2).matrix)) < 1e-10
     with pytest.raises(ValueError):
         inverse_propagator(traj, 7, 2)
 
@@ -228,11 +231,22 @@ def test_condition_numbers_identity_trajectory():
         assert flag == "ok"
 
 
+@pytest.mark.parametrize("dim", [2, 3, 6])
+def test_condition_numbers_are_those_of_the_column_stacked_maps(dim):
+    # the basis change is unitary, so the real stack's condition numbers are
+    # those of the superoperator matrices
+    traj = random_gksl_trajectory(dim, np.random.default_rng(dim),
+                                  np.linspace(0.0, 3.0, 41))
+    npt.assert_allclose(traj.condition_numbers,
+                        np.linalg.cond(column_stacked(traj.maps)), rtol=1e-13)
+
+
 def test_condition_numbers_grow_monotonically_for_damped_qubit():
     rates = constant_rates(omega=1.0, gamma_plus=0.05, gamma_minus=0.15)
     times = np.linspace(0.0, 8.0, 81)
     traj, _ = pc_trajectory(rates, times)
-    conds = np.array([condition_number(Superoperator(m)) for m in traj.maps])
+    conds = np.array([condition_number(map_at(traj, i))
+                      for i in range(times.size)])
     assert np.all(np.diff(conds) > -1e-9)
     assert conds[-1] > conds[0]
 
@@ -262,17 +276,25 @@ def test_save_load_round_trip(tmp_path):
     traj = random_gksl_trajectory(2, rng, np.linspace(0.0, 1.0, 9))
     path = os.path.join(tmp_path, "traj.maps")
     save_map_trajectory(traj, path)
+    # the file holds the column-stacked matrices exactly, and loading
+    # changes basis back within a few ulps
+    times, maps, derivs = read_map_file(path)
+    npt.assert_array_equal(maps, column_stacked(traj.maps))
+    npt.assert_array_equal(derivs, column_stacked(traj.derivatives))
     back = load_map_trajectory(path)
     npt.assert_array_equal(back.times, traj.times)
-    for m1, m2 in zip(back.maps, traj.maps):
-        npt.assert_array_equal(m1, m2)
+    ulps = 8 * np.finfo(float).eps
+    npt.assert_allclose(back.maps, traj.maps, rtol=0, atol=ulps)
     assert back.derivatives is not None
-    for d1, d2 in zip(back.derivatives, traj.derivatives):
-        npt.assert_array_equal(d1, d2)
+    npt.assert_allclose(back.derivatives, traj.derivatives, rtol=0,
+                        atol=ulps * np.abs(traj.derivatives).max())
 
 
-def test_save_map_trajectory_spells_cells_as_the_f_string(tmp_path):
-    # -0.0, subnormals and the largest double among ordinary cells
+def test_save_map_trajectory_spells_cells_as_the_f_string(tmp_path,
+                                                         monkeypatch):
+    # -0.0, subnormals and the largest double among ordinary cells, written
+    # as given (no basis change)
+    monkeypatch.setattr(dynamics, "column_stacked", lambda r: r)
     rng = np.random.default_rng(3)
     maps = rng.standard_normal((2, 4, 4)) + 1j * rng.standard_normal((2, 4, 4))
     maps[0, 0, 0] = complex(-0.0, 5e-324)
@@ -368,12 +390,13 @@ def test_load_rejects_non_tp_file(tmp_path):
 def test_trajectory_names_the_first_failing_map(corrupt, needle):
     times = np.linspace(0.0, 1.0, 9)
     traj = random_gksl_trajectory(3, np.random.default_rng(8), times)
-    maps = traj.maps.copy()
+    maps = traj.maps.astype(complex)
     for k in (3, 6):
         maps[k] = corrupt(maps[k])
     with pytest.raises(ConstructionError, match=needle) as exc:
         MapTrajectory(times=times, maps=maps, derivatives=traj.derivatives)
     assert f"t = {times[3]:.6g}" in str(exc.value)
+    assert exc.value.index == 3
 
 
 def test_trajectory_names_the_first_non_finite_derivative():
@@ -915,7 +938,7 @@ def write_rows(path, times, maps):
     after the first row."""
     d = int(round(np.sqrt(maps.shape[1])))
     rows = [",".join(f"{x:.16e}" for x in (t, *m.reshape(-1).view(float)))
-            for t, m in zip(times, maps)]
+            for t, m in zip(times, column_stacked(maps))]
     path.write_text("# mapthermo-maps v1\n"
                     f"# dim={d} vectorization=column-stacking derivatives=0\n"
                     f"{rows[0]}\n# a comment\n"
@@ -932,7 +955,7 @@ def test_load_names_the_line_of_the_first_failing_map(tmp_path, row,
                                                       corrupt, needle):
     times = np.linspace(0.0, 1.0, 9)
     maps = random_gksl_trajectory(3, np.random.default_rng(8),
-                                  times).maps.copy()
+                                  times).maps.astype(complex)
     maps[row] = corrupt(maps)
     maps[7] = 0.8 * maps[7]   # a later fault is not the one named
     path = tmp_path / "bad.maps"

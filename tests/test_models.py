@@ -29,13 +29,13 @@ from mapthermo.models import (
     _frequency_families,
     _thermal_weights,
 )
-from mapthermo.operators import PAULI, Superoperator
+from mapthermo.operators import PAULI, column_stacked
 from mapthermo.fluctuations import fluctuation_table
 from mapthermo.observables import ThermoPipeline
 from mapthermo.phase_covariant import (pc_integrals, pc_lambda_u, pc_lambda_w,
                                        pc_thermo, pc_trajectory)
-from reference import (cptp_diagnostics, jc_level_sums,
-                       pauli_transfer_matrix)
+from reference import (Superoperator, cptp_diagnostics, jc_level_sums,
+                       map_at, pauli_transfer_matrix, stacked_trajectory)
 
 
 def test_weak_coupling_params_validation():
@@ -203,10 +203,10 @@ def test_reduced_map_is_cptp_and_phase_covariant():
     times = np.linspace(0.0, 8.0, 81)
     traj, _ = jc_reduced_map(p, times)
     for i in (20, 50, 80):
-        rep = cptp_diagnostics(Superoperator(traj.maps[i]))
+        rep = cptp_diagnostics(map_at(traj, i))
         assert rep.choi_min_eigenvalue > -1e-9
         assert rep.trace_preserving_residual < 1e-12
-        r = pauli_transfer_matrix(Superoperator(traj.maps[i]))
+        r = pauli_transfer_matrix(map_at(traj, i))
         pattern = np.array([[1, 0, 0, 0], [0, 1, 1, 0],
                             [0, 1, 1, 0], [1, 0, 0, 1]], dtype=bool)
         assert np.max(np.abs(np.where(pattern, 0.0, r))) < 1e-12
@@ -293,9 +293,9 @@ def test_reduced_map_matches_joint_unitary_evolution(params):
     times = np.linspace(0.0, 9.0, 13)
     traj, _ = jc_reduced_map(params, times)
     maps, derivs = _joint_unitary_oracle(params, times)
-    npt.assert_allclose(traj.maps, maps,
+    npt.assert_allclose(column_stacked(traj.maps), maps,
                         rtol=0.0, atol=1e-12)
-    npt.assert_allclose(np.stack(traj.derivatives), derivs,
+    npt.assert_allclose(column_stacked(traj.derivatives), derivs,
                         rtol=0.0, atol=1e-12)
 
 
@@ -488,7 +488,7 @@ def test_extraction_rejects_non_phase_covariant_trajectory():
     maps = np.stack([Superoperator(np.kron(expm(1j * t * sx),
                                            expm(-1j * t * sx))).matrix
                      for t in times])
-    traj = MapTrajectory(times=times, maps=maps)
+    traj = stacked_trajectory(times, maps)
     with pytest.raises(ConfigError):
         extract_pc_rates(traj)
 

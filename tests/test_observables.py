@@ -29,17 +29,17 @@ from mapthermo.operators import (
     PAULI,
     DensityMatrix,
     HermitianOperator,
-    Superoperator,
     gibbs_state,
     partition_function,
     random_hermitian,
-    vec,
 )
 from mapthermo.phase_covariant import pc_integrals, pc_thermo, pc_trajectory
 from mapthermo.quadrature import cumulative_simpson
 from mapthermo.validation import random_gksl_trajectory
-from reference import (apply, coherent_work_row, constant_rates, generator_at,
-                       minimal_dissipation_split, random_density_matrix, unvec)
+from reference import (Superoperator, apply, coherent_work_row,
+                       constant_rates, generator_at, map_at,
+                       minimal_dissipation_split, random_density_matrix,
+                       stacked_trajectory, unvec, vec)
 
 SZ = PAULI[3]
 
@@ -61,8 +61,8 @@ def two_piece_unitary_trajectory(A, B, times):
         du = -1j * (A @ u + ua @ B @ ub)
         maps.append(Superoperator(np.kron(u.conj(), u)).matrix)
         derivs.append(np.kron(du.conj(), u) + np.kron(u.conj(), du))
-    return MapTrajectory(times=np.asarray(times, dtype=float),
-                         maps=np.stack(maps), derivatives=np.stack(derivs))
+    return stacked_trajectory(np.asarray(times, dtype=float),
+                              np.stack(maps), np.stack(derivs))
 
 
 A_GEN = 0.7 * PAULI[1] + 0.2 * PAULI[3]
@@ -164,7 +164,7 @@ def test_mean_work_equals_power_integral():
     rho0 = random_density_matrix(2, np.random.default_rng(11))
     work, heat = pipe.work_heat_observables()
     mw = mean_change(work, traj, times.size - 1, rho0)
-    vz = np.array([float(np.trace(SZ @ apply(Superoperator(traj.maps[i]), rho0.matrix)).real)
+    vz = np.array([float(np.trace(SZ @ apply(map_at(traj, i), rho0.matrix)).real)
                    for i in range(times.size)])
     wdot = p.delta * p.Omega * np.sin(2.0 * p.Omega * times)
     oracle = cumulative_simpson(0.5 * wdot * vz, traj.spacing)[-1]
@@ -376,15 +376,16 @@ def per_point_K_and_P(traj):
     """K(t) and P(t) one grid point at a time: the generator, its split, and
     the integrand Phi^dagger[D^dagger[K]] with the dissipator written out."""
     d = traj.dim
+    maps = [map_at(traj, i).matrix for i in range(traj.times.size)]
     K, g = [], []
-    for i in range(traj.times.size):
+    for i, m in enumerate(maps):
         split = minimal_dissipation_split(generator_at(traj, i))
         dk = split.dissipator.matrix.conj().T @ vec(split.K.matrix)
-        g.append(unvec(traj.maps[i].conj().T @ dk, d))
+        g.append(unvec(m.conj().T @ dk, d))
         K.append(split.K.matrix)
     running = cumulative_simpson(np.array(g), traj.spacing)
     P = [unvec(np.linalg.inv(m).conj().T @ vec(r), d)
-         for m, r in zip(traj.maps, running)]
+         for m, r in zip(maps, running)]
     return np.array(K), np.array(P)
 
 
@@ -403,7 +404,10 @@ def test_stacked_K_and_P_match_the_per_point_references(source):
     pipe = ThermoPipeline(traj)
     K, P = per_point_K_and_P(traj)
     npt.assert_allclose(pipe.K, K, rtol=0, atol=1e-12)
-    npt.assert_allclose(pipe.P, P, rtol=0, atol=1e-12)
+    # P grows to about 200 on the weak-coupling window, and the per-point
+    # route works on the column-stacked maps, the stacked one in the basis
+    npt.assert_allclose(pipe.P, P, rtol=0,
+                        atol=1e-12 * max(1.0, np.abs(P).max()))
     assert pipe.effective_hamiltonian_series().ops.shape == K.shape
     assert isinstance(pipe.path_operator_series()[3], HermitianOperator)
 

@@ -9,22 +9,25 @@ from hypothesis.strategies import integers
 
 from mapthermo.errors import ConstructionError, SingularMap
 from mapthermo.operators import (
+    HP_CHECK_TOL,
     DensityMatrix,
     HermitianOperator,
     PAULI,
-    Superoperator,
     _exp_stack,
     _gibbs_stack,
     eig_hermitian,
+    basis_maps,
+    column_stacked,
+    coordinates,
+    from_coordinates,
     gibbs_state,
-    hermiticity_preservation,
+    hermitian_basis,
     partition_function,
-    pauli_transfer_to_superop,
     random_hermitian,
-    superop_to_pauli_transfer,
-    vec,
 )
+from mapthermo.dynamics import _hermiticity_check
 from reference import (
+    Superoperator,
     apply,
     choi_matrix,
     compose,
@@ -43,6 +46,7 @@ from reference import (
     random_unitary,
     superop_from_pauli_transfer,
     unvec,
+    vec,
 )
 
 SX, SY, SZ = PAULI[1], PAULI[2], PAULI[3]
@@ -241,19 +245,38 @@ def test_superoperator_rejects_hermiticity_breaking():
         Superoperator(m)
 
 
-@pytest.mark.parametrize("d", [1, 2, 3, 4])
+@pytest.mark.parametrize("d", [1, 2, 3, 4, 5, 6])
 def test_hermiticity_preservation_matches_the_reshuffle_form(d):
-    # random stacks, one spanning two of stack_blocks' blocks at d = 4, and
-    # matrices as the projection leaves them
+    # the basis is orthonormal and Hermitian, and for d = 2 it is PAULI over
+    # sqrt(2): a map's basis matrix is its Pauli transfer matrix
+    b = hermitian_basis(d)
+    npt.assert_array_equal(b, b.conj().swapaxes(1, 2))
+    npt.assert_allclose(np.einsum("aij,bji->ab", b, b), np.eye(d * d),
+                        atol=4e-16)
+    if d == 2:
+        npt.assert_allclose(b * np.sqrt(2), PAULI, atol=1e-15)
+    # random stacks: taking the real part in the basis is the projection of
+    # the reshuffle form, and the imaginary part is what it removes
     rng = np.random.default_rng(20 + d)
-    n = 2 * (1 << 16) // d**4 + 3
-    m = rng.standard_normal((n, d * d, d * d, 2)).view(complex)[..., 0]
-    got = hermiticity_preservation(m)
-    want = hermiticity_preservation_by_reshuffle(m)
-    assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
-    projected = got[2]
-    assert hermiticity_preservation(projected)[2].tobytes() == (
-        projected.tobytes())
+    m = rng.standard_normal((7, d * d, d * d, 2)).view(complex)[..., 0]
+    eps = np.finfo(float).eps
+    dev, allowed, want = hermiticity_preservation_by_reshuffle(m)
+    r = basis_maps(m)
+    npt.assert_allclose(column_stacked(r.real), want, atol=1e-14 * d)
+    # and the projected stack passes the check the reshuffle form fails
+    assert np.all(dev > allowed)
+    assert np.all(np.greater(*_hermiticity_check(r)))
+    leftover, allowed = _hermiticity_check(basis_maps(want))
+    assert np.all(leftover <= 8 * d * eps * allowed / HP_CHECK_TOL)
+    # complex -> real -> complex round-trips within a few ulps, and the
+    # coordinates of Hermitian matrices likewise
+    npt.assert_allclose(column_stacked(basis_maps(want).real), want,
+                        rtol=0, atol=8 * d * eps * np.abs(want).max())
+    h = 0.5 * (m[:, :d, :d] + m[:, :d, :d].conj().swapaxes(1, 2))
+    x = coordinates(h)
+    npt.assert_allclose(from_coordinates(x), h, rtol=0, atol=8 * d * eps)
+    npt.assert_allclose(x, [[np.trace(bb @ hh).real for bb in b] for hh in h],
+                        rtol=0, atol=8 * d * eps)
 
 
 def test_choi_matrix_of_unitary_is_rank_one():
@@ -284,7 +307,7 @@ def test_pauli_transfer_round_trip():
 def test_stacked_pauli_transfer_conversions_match_the_trace_formula():
     rng = np.random.default_rng(16)
     r = rng.normal(size=(5, 4, 4))
-    m = pauli_transfer_to_superop(r)
+    m = column_stacked(r)
     assert m.shape == (5, 4, 4)
     for k in range(5):
         # S[P_j] = sum_i R_ij P_i, read off column by column
@@ -292,7 +315,7 @@ def test_stacked_pauli_transfer_conversions_match_the_trace_formula():
             image = unvec(m[k] @ vec(pj))
             npt.assert_allclose(image, sum(r[k, i, j] * PAULI[i]
                                            for i in range(4)), atol=1e-14)
-    npt.assert_allclose(superop_to_pauli_transfer(m), r, atol=1e-14)
+    npt.assert_allclose(basis_maps(m), r, atol=1e-14)
 
 
 def test_vec_unvec_round_trip():

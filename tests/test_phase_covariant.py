@@ -8,7 +8,7 @@ from hypothesis.strategies import floats
 
 from mapthermo.errors import ConstructionError, SingularMap
 from mapthermo.models import WeakCouplingParams, weak_coupling_rates
-from mapthermo.operators import PAULI, Superoperator
+from mapthermo.operators import PAULI
 from mapthermo.phase_covariant import (
     PCRates,
     pc_generator_transfer_matrix,
@@ -21,7 +21,7 @@ from mapthermo.phase_covariant import (
     pc_trajectory,
     pc_transfer_matrices,
 )
-from reference import (constant_rates, cptp_diagnostics,
+from reference import (constant_rates, map_at, cptp_diagnostics,
                        pauli_transfer_matrix, pc_general_d, pc_generator,
                        pc_map)
 
@@ -129,6 +129,9 @@ def test_trajectory_structure_and_positivity():
     p = fig_drive(gamma_z=0.01)
     traj, co = pc_trajectory(weak_coupling_rates(p), p.grid(150))
     assert traj.derivative_source == "analytic"
+    # the stack is the transfer matrices themselves, bit for bit
+    assert traj.maps.tobytes() == pc_transfer_matrices(
+        co.a, co.b, co.c, co.d_par).tobytes()
     pattern = np.array([
         [1, 0, 0, 0],
         [0, 1, 1, 0],
@@ -136,9 +139,9 @@ def test_trajectory_structure_and_positivity():
         [1, 0, 0, 1],
     ], dtype=bool)
     for i in (0, 75, 150):
-        r = pauli_transfer_matrix(Superoperator(traj.maps[i]))
+        r = pauli_transfer_matrix(map_at(traj, i))
         assert np.max(np.abs(np.where(pattern, 0.0, r))) < 1e-10
-        rep = cptp_diagnostics(Superoperator(traj.maps[i]))
+        rep = cptp_diagnostics(map_at(traj, i))
         assert rep.choi_min_eigenvalue > -1e-12
         assert rep.trace_preserving_residual < 1e-12
 

@@ -3,7 +3,6 @@ import numpy.testing as npt
 
 from mapthermo import validation
 from mapthermo.errors import ConstructionError
-from mapthermo.operators import Superoperator
 from mapthermo.validation import (
     CheckResult,
     FAST_CHECKS,
@@ -12,7 +11,7 @@ from mapthermo.validation import (
     random_gksl_trajectory,
     run_checks,
 )
-from reference import apply, cptp_diagnostics
+from reference import apply, cptp_diagnostics, map_at
 
 
 def test_run_checks_reports_every_check_it_runs(monkeypatch):
@@ -64,7 +63,7 @@ def test_random_gksl_trajectory_properties():
         npt.assert_allclose(traj.maps[0], np.eye(dim * dim),
                             atol=1e-12)
         for i in (10, 30):
-            rep = cptp_diagnostics(Superoperator(traj.maps[i]))
+            rep = cptp_diagnostics(map_at(traj, i))
             assert rep.choi_min_eigenvalue > -1e-10
             assert rep.trace_preserving_residual < 1e-10
         # semigroup property on the uniform grid
