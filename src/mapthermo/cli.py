@@ -31,9 +31,9 @@ from .errors import (ConfigError, ConstructionError, NoMatchingBeta,
                      SingularMap, TruncationError)
 from .operators import (COND_THRESHOLD_DEFAULT, HermitianOperator,
                         basis_maps, cptp_diagnostics_stack, dagger)
-from .dynamics import (_hermiticity_check, _real_stack, condition_flags,
-                       csv_text, data_row_line, invertibility_report,
-                       load_map_trajectory, read_map_file)
+from .dynamics import (condition_flags, csv_text, data_row_line,
+                       invertibility_report, load_map_trajectory, map_faults,
+                       read_map_file)
 from .quadrature import grid_fault
 from .observables import HERMITIZE_TOL, ThermoPipeline
 # fluctuation_report is unused here but stays a module attribute: the traced
@@ -504,21 +504,18 @@ def _cmd_map_info(path: str) -> int:
     print(f"dim={dim} grid_points={times.size} "
           f"t_range=[{times[0]:.6g}, {times[-1]:.6g}] "
           f"derivatives={'yes' if derivs is not None else 'no'} grid={grid}")
-    stack = basis_maps(mats)
-    dev, allowed = _hermiticity_check(stack)
-    invalid = dev > allowed
+    stack = basis_maps(mats, dynamical=True)
+    faults = map_faults(stack, times)   # the construction check's messages
+    invalid = np.isin(np.arange(times.size), list(faults))
     conds = np.linalg.cond(stack.real)
     conds[invalid] = math.inf
     flags = condition_flags(conds)
-    rep = cptp_diagnostics_stack(stack.real)
+    rep = cptp_diagnostics_stack(mats)
     print("t,condition_number,flag,choi_min,tp_residual,unital_residual,"
           "hermiticity_residual")
     for k, (t, c, flag) in enumerate(zip(times, conds, flags)):
         if invalid[k]:
-            try:  # the construction check's own message for this row
-                _real_stack(stack[k:k + 1], times[k:k + 1], "map")
-            except ConstructionError as exc:
-                print(f"{t:.6g},{c:.6g},{flag},invalid: {exc}")
+            print(f"{t:.6g},{c:.6g},{flag},invalid: {faults[k]}")
             continue
         print(f"{t:.6g},{c:.6g},{flag},{rep.choi_min_eigenvalue[k]:.6g},"
               f"{rep.trace_preserving_residual[k]:.6g},"

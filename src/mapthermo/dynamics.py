@@ -57,31 +57,29 @@ SPIKE_FACTOR = 10.0
 SPIKE_FLOOR = 100.0
 
 
-def _hermiticity_check(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The largest imaginary entry of each map of a stack in the operator
-    basis, and that allowed (HP_CHECK_TOL of its largest entry, floor 1);
-    NaN where a value is not finite, so that ~(dev <= allowed) fails."""
+def map_faults(a: np.ndarray, t: np.ndarray,
+               what: str = "map") -> dict[int, str]:
+    """The maps of a (n, d^2, d^2) basis stack, by index, that hold a value
+    that is not finite or have an imaginary part above HP_CHECK_TOL of
+    their largest entry (floor 1), each with a message naming its time."""
     scale = np.abs(a.real).max(axis=(1, 2))
     with np.errstate(invalid="ignore"):
-        dev = 0.0 * scale
+        dev = 0.0 * scale   # NaN where a value is not finite
     if np.iscomplexobj(a):
         dev += np.abs(a.imag).max(axis=(1, 2))
-    return dev, HP_CHECK_TOL * np.maximum(1.0, scale)
+    allowed = HP_CHECK_TOL * np.maximum(1.0, scale)
+    return {int(k): f"{what} at t = {t[k]:.6g} " + (
+        "holds a value that is not finite" if not np.isfinite(a[k]).all()
+        else f"is not Hermiticity-preserving: imaginary part {dev[k]:.3e} "
+             f"(allowed {allowed[k]:.3e})")
+        for k in np.flatnonzero(~(dev <= allowed))}
 
 
 def _real_stack(a: np.ndarray, t: np.ndarray, what: str) -> np.ndarray:
-    """The real part of a stack of maps in the operator basis, as a copy; a
-    ConstructionError names the first map, by time and index, that holds a
-    value that is not finite or that does not preserve Hermiticity."""
-    dev, allowed = _hermiticity_check(a)
-    bad = np.flatnonzero(~(dev <= allowed))
-    if bad.size:
-        k = int(bad[0])
-        why = ("holds a value that is not finite"
-               if not np.isfinite(a[k]).all() else
-               f"is not Hermiticity-preserving: imaginary part {dev[k]:.3e} "
-               f"(allowed {allowed[k]:.3e})")
-        raise ConstructionError(f"{what} at t = {t[k]:.6g} {why}", index=k)
+    """The real part of a basis stack, as a copy; a ConstructionError
+    names the first map at fault (`map_faults`) and carries its index."""
+    for k, why in map_faults(a, t, what).items():
+        raise ConstructionError(why, index=k)
     return np.array(a.real, dtype=float)
 
 
@@ -90,17 +88,16 @@ class MapTrajectory:
     """Dynamical maps sampled on a uniform grid t_0 = 0 < t_1 < ... < t_N.
 
     `maps` is one read-only real (N+1, d^2, d^2) array, each map as its
-    matrix R_ab = Tr{B_a Phi_t[B_b]} in the Hermitian operator basis of
+    matrix R_ab = Tr{B_a Phi_t[B_b]} in the basis of
     `operators.hermitian_basis` (for d = 2 the Pauli transfer matrix), and
-    `derivatives` the optional array of analytic dPhi/dt in that basis.
-    Either may be given complex (`operators.basis_maps` of column-stacked
-    matrices). Construction is the only validation (grid, shapes, finite
-    entries, Hermiticity preservation as an imaginary part within
-    HP_CHECK_TOL, which it drops, identity at t = 0, trace preservation as
-    a first row e_0) and names the first failing time. A ConstructionError
-    carries the index of the map at fault; a grid that is not uniform
-    raises ValueError (`quadrature.grid_fault` finds its point). cond(Phi_t)
-    and Phi_t^{-1} are computed once for the whole grid, on first use.
+    `derivatives` the optional array of analytic dPhi/dt in that basis;
+    either may be given complex (`operators.basis_maps`). Construction is
+    the only validation (grid, shapes, `map_faults`, whose imaginary part
+    it then drops, identity at t = 0, trace preservation as a first row
+    e_0) and names the first failing time. A ConstructionError carries the
+    index of the map at fault; a grid that is not uniform raises ValueError
+    (`quadrature.grid_fault` finds its point). cond(Phi_t) and Phi_t^{-1}
+    are computed once for the whole grid, on first use.
     """
 
     times: np.ndarray
@@ -129,8 +126,6 @@ class MapTrajectory:
             raise ConstructionError(
                 f"map at t = 0 deviates from the identity by {dev0:.3e}",
                 index=0)
-        if dev0:   # a basis change leaves it a few ulps off
-            maps[0] = np.eye(d2)
         # Tr{S[A]} = Tr{A} for all A  <=>  S^dagger[1] = 1  <=>  R^T e_0 = e_0
         tp = np.abs(maps[:, 0] - np.eye(d2)[0]).max(axis=1)
         bad = np.flatnonzero(tp > TP_TOL)
@@ -452,7 +447,8 @@ def save_map_trajectory(traj: MapTrajectory, path: str) -> None:
     superoperator matrix (`operators.column_stacked` of the map) in
     row-major order, then the same for the derivative when present. Floats
     are written with 17 significant digits, so the file holds those
-    matrices exactly; loading changes basis back, within a few ulps.
+    matrices exactly; loading changes basis back, within a few ulps (the
+    identity at t = 0 exactly, see `operators.basis_maps`).
     """
     d = traj.dim
     has_d = traj.derivatives is not None
@@ -465,10 +461,11 @@ def save_map_trajectory(traj: MapTrajectory, path: str) -> None:
         fh.write("# row: t, re/im pairs of the map matrix (row-major)"
                  + (", re/im pairs of dmap/dt" if has_d else "") + "\n")
         for i, t in enumerate(traj.times):
-            blocks = [traj.maps[i]] + ([traj.derivatives[i]] if has_d else [])
             # row by row, so no whole complex stack is held; a complex array
             # viewed as floats interleaves re and im
-            flat = column_stacked(np.stack(blocks)).reshape(-1).view(float)
+            blocks = [column_stacked(traj.maps[i], dynamical=True)] + (
+                [column_stacked(traj.derivatives[i])] if has_d else [])
+            flat = np.concatenate([b.reshape(-1) for b in blocks]).view(float)
             fh.write(row % (t, *flat.tolist()))
 
 
@@ -703,7 +700,8 @@ def load_map_trajectory(path: str) -> MapTrajectory:
     first row at fault."""
     times, maps, derivs = read_map_file(path)
     try:
-        return MapTrajectory(times=times, maps=basis_maps(maps),
+        return MapTrajectory(times=times,
+                             maps=basis_maps(maps, dynamical=True),
                              derivatives=None if derivs is None
                              else basis_maps(derivs))
     except ConstructionError as exc:

@@ -29,9 +29,9 @@ row and every beta in one pass, beta on a leading axis, each trace a
 weighted sum sum_k f(lambda_k) <k|A|k> in the eigenbasis of the observable.
 The spectra of K(t), P(t) and O_w(t), the diagonals of Phi_t[1] and
 Phi_t[1/d] in them and P(t)'s eigenprojectors do not depend on beta; the
-pipeline caches them. A further beta costs its Boltzmann weights and
-elementwise sums over real basis coordinates, and its share of one
-product for Phi_t[rho(0)] at every row. The columns are those of
+pipeline caches them. A further beta costs its Boltzmann weights,
+elementwise sums over real basis coordinates and one map-vector product
+per row for Phi_t[rho(0)]. The columns are those of
 `lambda_series.csv` plus the Lambda_u cross-check residual; one beta is
 `fluctuation_table`, one row `fluctuation_report`. The per-operator
 references and the matrix-trace route are in `tests/reference.py`.
@@ -51,6 +51,7 @@ from .operators import (
     _boltzmann,
     _gibbs_stack,
     _gibbs_weights,
+    _projectors,
     coordinates,
     eig_hermitian,
 )
@@ -77,14 +78,15 @@ def cluster_eigenvalues(values: np.ndarray) -> list[np.ndarray]:
     return [np.array(c) for c in clusters]
 
 
-def _cluster_projectors(op: HermitianOperator,
-                        ) -> tuple[np.ndarray, np.ndarray]:
-    """Outcome values (cluster means) and stacked projectors of `op`."""
+def _measurement(op: HermitianOperator):
+    """Outcome values (cluster means) of `op`, the basis coordinates of its
+    cluster projectors, and its eigenvalues, eigenvectors and clusters."""
     vals, vecs = eig_hermitian(op)
     clusters = cluster_eigenvalues(vals)
+    proj = _projectors(vecs[None])[0]
     return (np.array([np.mean(vals[idx]) for idx in clusters]),
-            np.array([vecs[:, idx] @ vecs[:, idx].conj().T
-                      for idx in clusters]))
+            np.array([proj[idx].sum(axis=0) for idx in clusters]),
+            vals, vecs, clusters)
 
 
 @dataclass(frozen=True, eq=False)
@@ -130,40 +132,41 @@ def tpms_distribution(rho0, map_t: np.ndarray, O0: HermitianOperator,
                       Ot: HermitianOperator):
     """Distribution of o_m(t) - o_n(0) under the two-point scheme, for one
     initial state (a DensityMatrix) or, as a list, for each state of a
-    checked (B, d, d) stack or, given a 1-d sequence of betas, for each
-    Gibbs state e^{-beta O0} / Z, as `run` writes them; `map_t` is a row of
-    `MapTrajectory.maps`.
+    checked (B, d, d) stack or, given a 1-d sequence of positive betas, for
+    each Gibbs state e^{-beta O0} / Z, as `run` writes them; `map_t` is a
+    row of `MapTrajectory.maps`.
 
     All (n, m) cluster pairs are enumerated, zero-probability outcomes
     included; outcome values agreeing within the clustering tolerance are
     merged. No diagonality of rho0 in the O0 eigenbasis is required, but the
     initial measurement dephases the state in that basis, and
-    `initial_coherence` reports how much was destroyed. A Gibbs state of O0
-    has branch n its population times Pi_n, so small populations keep their
-    relative accuracy (a state given as a matrix carries an absolute error
-    of about eps into each branch). The branches Phi_t[Pi_n rho Pi_n] and
-    their traces against Pi_m(t) are sums of real basis coordinates that
-    take each state alone; a further state (another beta) adds its share of
-    them and its own merge of outcomes.
+    `initial_coherence` reports how much was destroyed. Given betas, each
+    branch Pi_n rho Pi_n is its population times Pi_n, so a small
+    population keeps its relative accuracy (from a matrix it carries an
+    absolute error of about eps, which e^{beta o_n} in `exp_average` then
+    multiplies). The branches Phi_t[Pi_n rho Pi_n] and their traces against
+    Pi_m(t) are sums of basis coordinates that take each state alone.
     """
     single = isinstance(rho0, DensityMatrix)
     states = rho0.matrix[None] if single else np.asarray(rho0)
-    o0, proj0 = _cluster_projectors(O0)
+    o0, proj0, vals0, vecs0, clusters0 = _measurement(O0)
     if states.ndim == 1:   # betas
-        vals, _ = eig_hermitian(O0)
-        weights = _gibbs_weights(vals, states[:, None])
-        pops = np.array([weights[:, idx].sum(axis=1)
-                         for idx in cluster_eigenvalues(vals)])
-        kept = pops[..., None] * coordinates(proj0)[:, None]
+        if not np.all(states > 0):
+            raise ValueError("beta must be positive")
+        w = _gibbs_weights(vals0, states[:, None])
+        kept = np.array([w[:, idx].sum(axis=1) for idx in clusters0])[
+            ..., None] * proj0[:, None]   # (n, state, d^2)
         coherence = np.zeros(states.size)
     else:
-        kept = proj0[:, None] @ states @ proj0[:, None]  # (n, state, d, d)
+        p0 = np.array([vecs0[:, idx] @ vecs0[:, idx].conj().T
+                       for idx in clusters0])[:, None]
+        kept = p0 @ states @ p0  # (n, state, d, d)
         coherence = np.linalg.norm(states - kept.sum(axis=0), axis=(-2, -1))
         kept = coordinates(kept)
-    ot, projt = _cluster_projectors(Ot)
+    ot, projt, *_ = _measurement(Ot)
     # Tr{Pi_m Phi_t[X]} = c(Pi_m) . R c(X) for Hermitian X, c coordinates
     branches = np.einsum("ab,nsb->nsa", map_t, kept)
-    probs = np.einsum("ma,nsa->nms", coordinates(projt), branches)
+    probs = np.einsum("ma,nsa->nms", projt, branches)
     raw_x = (ot[None, :] - o0[:, None]).ravel()
     order = np.argsort(raw_x, kind="stable")
     raw_x, raw_p = raw_x[order], probs.reshape(-1, kept.shape[1])[order]
@@ -317,16 +320,14 @@ def fluctuation_tables(pipeline, betas, indices=None,
     exp_w = (_boltzmann(w_vals, beta, times, "O_w") * phi_w).sum(axis=-1)
     p_vals = pipeline._p_spectrum[0][rows]
     p_max = p_vals[:, -1]
-    # rho_t = Phi_t[rho(0)] per state, as (B, n, d^2) coordinates: one
-    # product for every row and state
-    maps = pipeline.traj.maps[rows]
-    r0 = coordinates(rho0)
-    rho_t = (r0 @ maps.reshape(-1, maps.shape[-1]).T).reshape(
-        len(r0), *maps.shape[:2])
+    # rho_t = Phi_t[rho(0)] per state, as (B, n, d^2) coordinates, summed
+    # as `mean_change` sums it
+    r0 = np.array([coordinates(r) for r in rho0])
+    rho_t = np.einsum("nab,sb->sna", pipeline.traj.maps[rows], r0)
     exp_q = (_boltzmann(p_vals, beta, times, "P") * np.einsum(
         "nka,bna->bnk", pipeline._p_projectors[rows], rho_t)).sum(axis=-1)
-    mean_w = _mean_changes(pipeline._work_coordinates[rows], rho_t,
-                           pipeline._work_coordinates[0], r0)
+    work = coordinates(pipeline._work_ops)  # whole, as `mean_change` takes it
+    mean_w = _mean_changes(work[rows], rho_t, work[0], r0)
     columns = (direct, exp_w / zt, np.exp(b * p_max) * phi_max, exp_w / z0,
                exp_q, -np.log(zt / z0) / b, mean_w,
                -p_max - np.log(phi_max) / b, residual)  # fields after beta

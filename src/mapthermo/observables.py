@@ -116,10 +116,9 @@ class ThermoPipeline:
 
     The beta-independent inputs of `fluctuations.fluctuation_tables` are
     cached here on first use, as read-only whole-grid arrays, so every
-    further beta reuses them: O_w = K - P and its basis coordinates, the
-    spectral decompositions of K, P and O_w, P's eigenprojectors, and the
-    diagonals of Phi_t[1] and Phi_t[1/d] in those eigenbases
-    (`_unit_image_terms`)."""
+    further beta reuses them: O_w = K - P, the spectral decompositions of
+    K, P and O_w, P's eigenprojectors, and the diagonals of Phi_t[1] and
+    Phi_t[1/d] in those eigenbases (`_unit_image_terms`)."""
 
     def __init__(self, traj: MapTrajectory,
                  cond_threshold: float = COND_THRESHOLD_DEFAULT):
@@ -139,7 +138,6 @@ class ThermoPipeline:
                                  traj.times, "path operator")
         self.K.setflags(write=False)
         self.P.setflags(write=False)
-        self._work_coordinates = _frozen(k - p)
 
     @property
     def times(self) -> np.ndarray:
@@ -218,7 +216,7 @@ class ThermoPipeline:
             # of the duration-t_i protocol: O'_x(0) = O_x(0) - Phi_t^dagger[O_x(t)]
             maps = self.traj.maps
             work = K[0] - from_coordinates(adjoint_apply_stack(
-                maps, self._work_coordinates))
+                maps, coordinates(self._work_ops)))
             heat = -from_coordinates(adjoint_apply_stack(maps,
                                                          coordinates(P)))
             encoding = "per_duration_initial"
@@ -260,9 +258,9 @@ def mean_change(series: ObservableSeries, traj: MapTrajectory, i_t: int,
     if series.encoding == "per_duration_initial":
         return float(-np.trace(series.ops[i_t] @ rho0.matrix).real)
     r0 = coordinates(rho0.matrix)
-    return float(_mean_changes(coordinates(series.ops[i_t][None]),
-                               (traj.maps[i_t] @ r0)[None],
-                               coordinates(series.ops[0]), r0)[0])
+    ops = coordinates(series.ops)  # whole, as the tables convert O_w
+    rho_t = np.einsum("ab,b->a", traj.maps[i_t], r0)  # as the tables sum it
+    return float(_mean_changes(ops[i_t][None], rho_t[None], ops[0], r0)[0])
 
 
 def _mean_changes(ops_t: np.ndarray, rho_t: np.ndarray, op0: np.ndarray,

@@ -274,14 +274,12 @@ class CPTPReport:
     hermiticity_residual: float = field(default=0.0)
 
 
-def cptp_diagnostics_stack(r: np.ndarray) -> CPTPReport:
-    """Diagnostics of every map of a (n, d^2, d^2) stack of real basis
-    matrices, as one report whose fields are (n,) arrays, taken on their
-    column-stacked matrices. Never raises: the TP residual, the minimum
-    Choi eigenvalue (negative values are legal for generator-level
-    intermediate maps and are reported, not rejected), the unitality
-    residual, and the Choi Hermiticity residual."""
-    m = column_stacked(r)
+def cptp_diagnostics_stack(m: np.ndarray) -> CPTPReport:
+    """Diagnostics of every matrix of a (n, d^2, d^2) stack of
+    column-stacked maps, as one report whose fields are (n,) arrays. Never
+    raises: the TP residual, the minimum Choi eigenvalue (negative values
+    are legal for generator-level intermediate maps and are reported, not
+    rejected), the unitality residual, and the Choi Hermiticity residual."""
     d = math.isqrt(m.shape[-1])
     ident = np.eye(d).reshape(-1)  # vec(1)
     tp, unital, herm, cmin = (np.empty(m.shape[0]) for _ in range(4))
@@ -355,20 +353,28 @@ def from_coordinates(x: np.ndarray) -> np.ndarray:
     return m.view(complex).reshape(*x.shape[:-1], d, d)
 
 
-def basis_maps(m: np.ndarray) -> np.ndarray:
+def basis_maps(m: np.ndarray, dynamical: bool = False) -> np.ndarray:
     """The basis matrices of column-stacked ones (..., d^2, d^2): complex,
-    real where a map preserves Hermiticity (vec(B_a) = conj(flat[a]))."""
-    m = np.asarray(m, dtype=complex)
-    d = math.isqrt(m.shape[-1])
-    flat = hermitian_basis(d).reshape(d * d, d * d)
-    return flat @ m @ flat.conj().T
+    real where a map preserves Hermiticity (vec(B_a) = conj(flat[a])). A
+    `dynamical` stack holds maps, of order one: their difference from the
+    identity is converted, so that the identity at t = 0 converts exactly
+    (a derivative's small and zero entries would lose accuracy that way)."""
+    return _changed(np.asarray(m, dtype=complex), dynamical, inverse=False)
 
 
-def column_stacked(r: np.ndarray) -> np.ndarray:
+def column_stacked(r: np.ndarray, dynamical: bool = False) -> np.ndarray:
     """The column-stacked matrices of basis ones; inverse of `basis_maps`."""
-    d = math.isqrt(r.shape[-1])
-    flat = hermitian_basis(d).reshape(d * d, d * d)
-    return flat.conj().T @ r @ flat
+    return _changed(r, dynamical, inverse=True)
+
+
+def _changed(m: np.ndarray, dynamical: bool, inverse: bool) -> np.ndarray:
+    """`basis_maps` of a complex stack, or `column_stacked` if `inverse`."""
+    flat = hermitian_basis(math.isqrt(m.shape[-1])).reshape(m.shape[-1], -1)
+    left, right = (flat.conj().T, flat) if inverse else (flat, flat.conj().T)
+    if not dynamical:
+        return left @ m @ right
+    eye = np.eye(m.shape[-1])
+    return left @ (m - eye) @ right + eye
 
 
 @cache

@@ -138,13 +138,13 @@ class Superoperator:
 
 def map_at(traj: MapTrajectory, i: int) -> Superoperator:
     """The map at grid index i as a column-stacked Superoperator."""
-    return Superoperator(column_stacked(traj.maps[i]))
+    return Superoperator(column_stacked(traj.maps[i], dynamical=True))
 
 
 def stacked_trajectory(times, maps, derivatives=None) -> MapTrajectory:
     """A MapTrajectory from column-stacked superoperator stacks, changed to
     the Hermitian basis as `load_map_trajectory` changes a file's."""
-    return MapTrajectory(times=times, maps=basis_maps(maps),
+    return MapTrajectory(times=times, maps=basis_maps(maps, dynamical=True),
                          derivatives=None if derivatives is None
                          else basis_maps(derivatives))
 
@@ -152,7 +152,7 @@ def stacked_trajectory(times, maps, derivatives=None) -> MapTrajectory:
 def real_map(s: Superoperator) -> np.ndarray:
     """The real matrix of a Superoperator in the Hermitian operator basis,
     as `MapTrajectory.maps` holds maps."""
-    return basis_maps(s.matrix).real
+    return basis_maps(s.matrix, dynamical=True).real
 
 
 def apply(s: Superoperator, a: np.ndarray | HermitianOperator) -> np.ndarray:
@@ -174,12 +174,16 @@ def map_derivative(traj: MapTrajectory, i: int) -> np.ndarray:
 
 def generator_at(traj: MapTrajectory, i: int,
                  cond_threshold: float = COND_THRESHOLD_DEFAULT) -> Superoperator:
-    """Time-local generator L_{t_i} = dPhi/dt * Phi^{-1} at grid index i.
+    """Time-local generator L_{t_i} = dPhi/dt * Phi^{-1} at grid index i,
+    formed from the real map matrices as the trajectory holds them and
+    returned column-stacked.
 
     The per-point reference for `generator_splits`."""
-    inv, _ = invert(map_at(traj, i), cond_threshold,
-                    time=float(traj.times[i]))
-    return Superoperator(map_derivative(traj, i) @ inv.matrix)
+    r = traj.maps[i]
+    require_invertible(np.array([np.linalg.cond(r)]), cond_threshold,
+                       [float(traj.times[i])])
+    return Superoperator(column_stacked(
+        map_derivatives(traj, i, i + 1)[0] @ np.linalg.inv(r)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -330,7 +334,7 @@ def cptp_diagnostics(s: Superoperator) -> CPTPReport:
     (negative values are legal for generator-level intermediate maps and are
     reported, not rejected), unitality residual, and the Choi Hermiticity
     residual."""
-    rep = cptp_diagnostics_stack(basis_maps(s.matrix[None]).real)
+    rep = cptp_diagnostics_stack(s.matrix[None])
     return CPTPReport(**{name: float(v[0]) for name, v in vars(rep).items()})
 
 
@@ -640,7 +644,7 @@ def matrix_fluctuation_table(pipeline, beta: float,
     zt = np.sum(np.exp(-beta * k_vals), axis=-1)
     rho_g = _gibbs_stack(k_vals, k_vecs, beta, times)
 
-    maps = column_stacked(traj.maps[rows])
+    maps = column_stacked(traj.maps[rows], dynamical=True)
     ident = np.eye(d, dtype=complex)
     phi_id, phi_mixed = ((maps @ vec(a)).reshape(-1, d, d).swapaxes(1, 2)
                          for a in (ident, ident / d))

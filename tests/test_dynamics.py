@@ -277,14 +277,16 @@ def test_save_load_round_trip(tmp_path):
     path = os.path.join(tmp_path, "traj.maps")
     save_map_trajectory(traj, path)
     # the file holds the column-stacked matrices exactly, and loading
-    # changes basis back within a few ulps
+    # changes basis back within a few ulps, the identity at t = 0 exactly
     times, maps, derivs = read_map_file(path)
-    npt.assert_array_equal(maps, column_stacked(traj.maps))
+    npt.assert_array_equal(maps[0], np.eye(4))
+    npt.assert_array_equal(maps, column_stacked(traj.maps, dynamical=True))
     npt.assert_array_equal(derivs, column_stacked(traj.derivatives))
     back = load_map_trajectory(path)
     npt.assert_array_equal(back.times, traj.times)
     ulps = 8 * np.finfo(float).eps
     npt.assert_allclose(back.maps, traj.maps, rtol=0, atol=ulps)
+    npt.assert_array_equal(back.maps[0], np.eye(4))
     assert back.derivatives is not None
     npt.assert_allclose(back.derivatives, traj.derivatives, rtol=0,
                         atol=ulps * np.abs(traj.derivatives).max())
@@ -294,7 +296,8 @@ def test_save_map_trajectory_spells_cells_as_the_f_string(tmp_path,
                                                          monkeypatch):
     # -0.0, subnormals and the largest double among ordinary cells, written
     # as given (no basis change)
-    monkeypatch.setattr(dynamics, "column_stacked", lambda r: r)
+    monkeypatch.setattr(dynamics, "column_stacked",
+                        lambda r, dynamical=False: r)
     rng = np.random.default_rng(3)
     maps = rng.standard_normal((2, 4, 4)) + 1j * rng.standard_normal((2, 4, 4))
     maps[0, 0, 0] = complex(-0.0, 5e-324)

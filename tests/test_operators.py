@@ -9,7 +9,6 @@ from hypothesis.strategies import integers
 
 from mapthermo.errors import ConstructionError, SingularMap
 from mapthermo.operators import (
-    HP_CHECK_TOL,
     DensityMatrix,
     HermitianOperator,
     PAULI,
@@ -25,7 +24,7 @@ from mapthermo.operators import (
     partition_function,
     random_hermitian,
 )
-from mapthermo.dynamics import _hermiticity_check
+from mapthermo.dynamics import map_faults
 from reference import (
     Superoperator,
     apply,
@@ -263,15 +262,23 @@ def test_hermiticity_preservation_matches_the_reshuffle_form(d):
     dev, allowed, want = hermiticity_preservation_by_reshuffle(m)
     r = basis_maps(m)
     npt.assert_allclose(column_stacked(r.real), want, atol=1e-14 * d)
-    # and the projected stack passes the check the reshuffle form fails
+    # and the projected stack passes the check the reshuffle form fails,
+    # with an imaginary part of a few ulps left
+    t = np.arange(7.0)
     assert np.all(dev > allowed)
-    assert np.all(np.greater(*_hermiticity_check(r)))
-    leftover, allowed = _hermiticity_check(basis_maps(want))
-    assert np.all(leftover <= 8 * d * eps * allowed / HP_CHECK_TOL)
-    # complex -> real -> complex round-trips within a few ulps, and the
-    # coordinates of Hermitian matrices likewise
-    npt.assert_allclose(column_stacked(basis_maps(want).real), want,
+    assert list(map_faults(r, t)) == list(range(7))
+    projected = basis_maps(want)
+    assert not map_faults(projected, t)
+    assert np.all(np.abs(projected.imag).max(axis=(1, 2)) <= 8 * d * eps
+                  * np.abs(projected.real).max(axis=(1, 2)))
+    # complex -> real -> complex round-trips within a few ulps, the
+    # identity map exactly, and the coordinates of Hermitian matrices
+    # within a few ulps
+    npt.assert_allclose(column_stacked(projected.real), want,
                         rtol=0, atol=8 * d * eps * np.abs(want).max())
+    eye = np.eye(d * d)[None]
+    npt.assert_array_equal(basis_maps(eye, dynamical=True), eye)
+    npt.assert_array_equal(column_stacked(eye, dynamical=True), eye)
     h = 0.5 * (m[:, :d, :d] + m[:, :d, :d].conj().swapaxes(1, 2))
     x = coordinates(h)
     npt.assert_allclose(from_coordinates(x), h, rtol=0, atol=8 * d * eps)
