@@ -35,7 +35,7 @@ from .dynamics import (condition_flags, csv_text, data_row_line,
                        invertibility_report, load_map_trajectory, map_faults,
                        read_map_file)
 from .quadrature import grid_fault
-from .observables import HERMITIZE_TOL, ThermoPipeline
+from .observables import ThermoPipeline
 # fluctuation_report is unused here but stays a module attribute: the traced
 # benchmark run (perfbench/child.py) wraps it by name.
 from .fluctuations import (CLUSTER_TOL, NEGATIVE_PROB_TOL, PROB_SUM_TOL,
@@ -470,7 +470,6 @@ def _write_manifest(cfg: ScenarioConfig, written: list[str]) -> None:
         f"version = {__version__}",
         # fixed internal tolerances, recorded for reproducibility
         f"cluster_tol = {_fmt(CLUSTER_TOL)}",
-        f"hermitize_tol = {_fmt(HERMITIZE_TOL)}",
         f"negative_prob_tol = {_fmt(NEGATIVE_PROB_TOL)}",
         f"prob_sum_tol = {_fmt(PROB_SUM_TOL)}",
     ]
@@ -495,7 +494,7 @@ def _cmd_map_info(path: str) -> int:
         raise ConfigError(f"cannot read map file: {exc}")
     except ConstructionError as exc:
         raise ConfigError(str(exc))
-    dim = int(round(math.sqrt(mats[0].shape[0])))
+    dim = math.isqrt(mats.shape[-1])
     fault = (grid_fault(times) if times[0] == 0.0
              else (0, f"starts at {times[0]:.6g}, not 0"))
     grid = ("uniform from 0" if fault is None
@@ -558,14 +557,21 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "run":
             for path in run_scenario(parse_config(args.config)):
                 print(path)
-            return 0
-        if args.command == "validate":
+            code = 0
+        elif args.command == "validate":
             # scipy and the suite load only here, so run and map-info skip them
             from .validation import format_report, run_checks
             results = run_checks(full=args.full)
             print(format_report(results, args.full))
-            return 0 if all(r.passed for r in results) else 1
-        return _cmd_map_info(args.path)
+            code = 0 if all(r.passed for r in results) else 1
+        else:
+            code = _cmd_map_info(args.path)
+        sys.stdout.flush()  # a closed pipe raises here, not at exit
+        return code
+    except BrokenPipeError:
+        # the reader left (`| head`): devnull takes the interpreter's flush
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -38,13 +38,10 @@ import numpy as np
 from .errors import ConstructionError
 from .operators import (
     COND_THRESHOLD_DEFAULT,
-    HERMITICITY_TOL,
     HP_CHECK_TOL,
     _split_table,
     basis_maps,
     column_stacked,
-    from_coordinates,
-    hermitian_stack,
     require_invertible,
     stack_blocks,
 )
@@ -196,7 +193,7 @@ def generator_splits(traj: MapTrajectory,
                      cond_threshold: float = COND_THRESHOLD_DEFAULT,
                      ) -> np.ndarray:
     """Effective Hamiltonians of the minimal-dissipation split at every grid
-    point, as one Hermitian (N+1, d, d) stack.
+    point, as their real basis coordinates Tr{B_a K(t)}: one (N+1, d^2) array.
 
     The double-commutator formula is linear in the real basis matrix of
     L = dPhi/dt Phi^{-1}: one product with `operators._split_table` gives
@@ -210,8 +207,7 @@ def generator_splits(traj: MapTrajectory,
     for blk in stack_blocks(traj.times.size, d * d):
         L = map_derivatives(traj, blk.start, blk.stop) @ inv[blk]
         k[blk] = L.reshape(-1, d ** 4) @ _split_table(d)
-    return hermitian_stack(from_coordinates(k), HERMITICITY_TOL, traj.times,
-                           "effective Hamiltonian")
+    return k
 
 
 def condition_flags(conds: np.ndarray,

@@ -326,8 +326,7 @@ def fluctuation_tables(pipeline, betas, indices=None,
     rho_t = np.einsum("nab,sb->sna", pipeline.traj.maps[rows], r0)
     exp_q = (_boltzmann(p_vals, beta, times, "P") * np.einsum(
         "nka,bna->bnk", pipeline._p_projectors[rows], rho_t)).sum(axis=-1)
-    work = coordinates(pipeline._work_ops)  # whole, as `mean_change` takes it
-    mean_w = _mean_changes(work[rows], rho_t, work[0], r0)
+    mean_w = _mean_changes(pipeline.w[rows], rho_t, pipeline.w[0], r0)
     columns = (direct, exp_w / zt, np.exp(b * p_max) * phi_max, exp_w / z0,
                exp_q, -np.log(zt / z0) / b, mean_w,
                -p_max - np.log(phi_max) / b, residual)  # fields after beta

@@ -33,6 +33,10 @@ effective Hamiltonian at both ends: O_w(t) = K(t) - P(t), O_q(t) = P(t),
 O_w(0) = K(0), O_q(0) = 0, and satisfies the operator first law
 O_w(t) + O_q(t) - O_w(0) - O_q(0) = K(t) - K(0) exactly.
 
+Operators are held as their real coordinates in the Hermitian basis of
+`operators`, on which the maps act as real matrices, so they are Hermitian
+by construction; complex matrices are formed only for spectra.
+
 The closed-system constructions for initial states with coherences live in
 `coherent`, which the map models never load.
 """
@@ -55,12 +59,9 @@ from .operators import (
     adjoint_apply_stack,
     coordinates,
     from_coordinates,
-    hermitian_stack,
     stack_blocks,
 )
 from .quadrature import cumulative_simpson
-
-HERMITIZE_TOL = 1e-9
 
 
 class Convention(Enum):
@@ -73,34 +74,34 @@ class Convention(Enum):
 
 @dataclass(frozen=True, eq=False)
 class ObservableSeries:
-    """One Hermitian operator per grid time, stored as one read-only
-    (N+1, d, d) stack `ops` (taken as Hermitian, as the pipeline produces
-    it); `series[i]` is the HermitianOperator at times[i].
+    """One Hermitian operator per grid time, stored as the read-only
+    (N+1, d^2) array `coords` of its real basis coordinates; `series[i]` is
+    the HermitianOperator at times[i].
 
-    Two encodings exist. "per_time" (the default): ops[i] is the operator
-    measured at times[i] within a single protocol. "per_duration_initial"
-    (the single_measure_initial convention): the series is indexed by
-    protocol duration, ops[i] is the *initial* operator of the protocol that
-    ends at times[i], and that protocol's final operator is zero by
-    construction.
+    Two encodings exist. "per_time" (the default): coords[i] is the
+    operator measured at times[i] within a single protocol.
+    "per_duration_initial" (the single_measure_initial convention): the
+    series is indexed by protocol duration, coords[i] is the *initial*
+    operator of the protocol that ends at times[i], and that protocol's
+    final operator is zero by construction.
     """
 
     times: np.ndarray
-    ops: np.ndarray
+    coords: np.ndarray
     label: str = "custom"
     encoding: str = "per_time"
 
     def __post_init__(self):
-        ops = self.ops.view()
-        ops.setflags(write=False)
-        object.__setattr__(self, "ops", ops)
-        if ops.shape[0] != np.asarray(self.times).size:
+        coords = self.coords.view()
+        coords.setflags(write=False)
+        object.__setattr__(self, "coords", coords)
+        if coords.shape[0] != np.asarray(self.times).size:
             raise ConstructionError("series length does not match grid")
         if self.encoding not in ("per_time", "per_duration_initial"):
             raise ConstructionError(f"unknown encoding {self.encoding!r}")
 
     def __getitem__(self, i: int) -> HermitianOperator:
-        return HermitianOperator(self.ops[i])
+        return HermitianOperator(from_coordinates(self.coords[i]))
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
@@ -109,44 +110,42 @@ def _frozen(a: np.ndarray) -> np.ndarray:
 
 
 class ThermoPipeline:
-    """Effective Hamiltonians K(t) and path operators P(t) of one
-    trajectory, each computed once for the whole grid and held as a
-    Hermitian (N+1, d, d) stack (`K`, `P`), plus the observable series
-    built from them.
+    """Effective Hamiltonians K(t), path operators P(t) and work operators
+    O_w(t) = K(t) - P(t) of one trajectory, each computed once for the
+    whole grid as the read-only (N+1, d^2) coordinates `k`, `p` and `w`,
+    plus the observable series built from them.
 
     The beta-independent inputs of `fluctuations.fluctuation_tables` are
     cached here on first use, as read-only whole-grid arrays, so every
-    further beta reuses them: O_w = K - P, the spectral decompositions of
-    K, P and O_w, P's eigenprojectors, and the diagonals of Phi_t[1] and
-    Phi_t[1/d] in those eigenbases (`_unit_image_terms`)."""
+    further beta reuses them: the Hermitian (N+1, d, d) stacks `K` and `P`,
+    the spectral decompositions of K, P and O_w, P's eigenprojectors, and
+    the diagonals of Phi_t[1] and Phi_t[1/d] in those eigenbases."""
 
     def __init__(self, traj: MapTrajectory,
                  cond_threshold: float = COND_THRESHOLD_DEFAULT):
         self.traj = traj
         self.cond_threshold = cond_threshold
-        self.K = generator_splits(traj, cond_threshold)
-        # integrand g(tau) = dPhi_tau/dtau^dagger[ K(tau) ] (module docstring),
-        # in basis coordinates
-        k = coordinates(self.K)
+        k = generator_splits(traj, cond_threshold)
+        # integrand g(tau) = dPhi_tau/dtau^dagger[ K(tau) ] (module docstring)
         g = np.empty_like(k)
         for blk in stack_blocks(traj.times.size, traj.dim ** 2):
             g[blk] = adjoint_apply_stack(
                 map_derivatives(traj, blk.start, blk.stop), k[blk])
         running = cumulative_simpson(g, traj.spacing)
         p = adjoint_apply_stack(traj.inverses(cond_threshold), running)
-        self.P = hermitian_stack(from_coordinates(p), HERMITIZE_TOL,
-                                 traj.times, "path operator")
-        self.K.setflags(write=False)
-        self.P.setflags(write=False)
+        self.k, self.p, self.w = map(_frozen, (k, p, k - p))
 
     @property
     def times(self) -> np.ndarray:
         return self.traj.times
 
     @cached_property
-    def _work_ops(self) -> np.ndarray:
-        # exactly Hermitian: K and P are, and conjugation is exact
-        return _frozen(self.K - self.P)
+    def K(self) -> np.ndarray:
+        return _frozen(from_coordinates(self.k))
+
+    @cached_property
+    def P(self) -> np.ndarray:
+        return _frozen(from_coordinates(self.p))
 
     @cached_property
     def _k_spectrum(self) -> tuple[np.ndarray, np.ndarray]:
@@ -158,7 +157,7 @@ class ThermoPipeline:
 
     @cached_property
     def _work_spectrum(self) -> tuple[np.ndarray, np.ndarray]:
-        return tuple(map(_frozen, np.linalg.eigh(self._work_ops)))
+        return tuple(map(_frozen, np.linalg.eigh(from_coordinates(self.w))))
 
     @cached_property
     def _p_projectors(self) -> np.ndarray:
@@ -174,7 +173,7 @@ class ThermoPipeline:
         maps = self.traj.maps
         # 1 has the coordinates sqrt(d) e_0: Phi_t[1] is a column of the map
         phi_id, phi_mixed = (maps[:, :, 0] * f for f in (d**0.5, d**-0.5))
-        units = coordinates(np.eye(d)[:, :, None] * np.eye(d)[:, None, :])
+        units = _projectors(np.eye(d)[None])[0]  # the |i><i|
         columns = (maps.reshape(-1, d * d) @ units.T).reshape(
             maps.shape[:2] + (d,)).sum(axis=-1)  # sum over i
         direct, mixed, adj = np.einsum(
@@ -186,39 +185,36 @@ class ThermoPipeline:
                       phi_id),
             np.linalg.eigvalsh(from_coordinates(phi_id))[:, -1])))
 
-    def _series(self, ops: np.ndarray, label: str,
+    def _series(self, coords: np.ndarray, label: str,
                 encoding: str = "per_time") -> ObservableSeries:
-        return ObservableSeries(self.times, ops, label=label,
+        return ObservableSeries(self.times, coords, label=label,
                                 encoding=encoding)
 
     def effective_hamiltonian_series(self) -> ObservableSeries:
-        return self._series(self.K, "effective_hamiltonian")
+        return self._series(self.k, "effective_hamiltonian")
 
     def path_operator_series(self) -> ObservableSeries:
-        return self._series(self.P, "path_operator")
+        return self._series(self.p, "path_operator")
 
     def work_heat_observables(self,
                               convention: Convention = Convention.TWO_POINT_ENERGY_FIRST,
                               ) -> tuple[ObservableSeries, ObservableSeries]:
         """Work and heat observable series in the requested convention."""
-        K, P = self.K, self.P
         encoding = "per_time"
         if convention is Convention.TWO_POINT_ENERGY_FIRST:
-            work, heat = K - P, P
+            work, heat = self.w, self.p
         elif convention is Convention.SINGLE_MEASURE_FINAL:
             # shift the initial work operator to zero; heat already starts at 0
-            zero = HermitianOperator(np.zeros_like(K[0]))
-            work = shifted_observable(self._series(K - P, "work"), self.traj,
-                                      zero, self.cond_threshold).ops
-            heat = P
+            zero = HermitianOperator(np.zeros((self.traj.dim,) * 2))
+            work = shifted_observable(self._series(self.w, "work"), self.traj,
+                                      zero, self.cond_threshold).coords
+            heat = self.p
         elif convention is Convention.SINGLE_MEASURE_INITIAL:
-            # final operators are zero; ops[i] holds the *initial* operator
+            # final operators are zero; coords[i] holds the *initial* operator
             # of the duration-t_i protocol: O'_x(0) = O_x(0) - Phi_t^dagger[O_x(t)]
             maps = self.traj.maps
-            work = K[0] - from_coordinates(adjoint_apply_stack(
-                maps, coordinates(self._work_ops)))
-            heat = -from_coordinates(adjoint_apply_stack(maps,
-                                                         coordinates(P)))
+            work = self.k[0] - adjoint_apply_stack(maps, self.w)
+            heat = -adjoint_apply_stack(maps, self.p)
             encoding = "per_duration_initial"
         else:
             raise ValueError(f"unknown convention {convention!r}")
@@ -229,8 +225,8 @@ class ThermoPipeline:
         """Max deviation of the operator first law for the default
         convention: O_w(t) + O_q(t) - O_w(0) - O_q(0) = K(t) - K(0)."""
         work, heat = self.work_heat_observables(Convention.TWO_POINT_ENERGY_FIRST)
-        lhs = work.ops + heat.ops - work.ops[0] - heat.ops[0]
-        return float(np.max(np.abs(lhs - (self.K - self.K[0]))))
+        lhs = work.coords + heat.coords - work.coords[0] - heat.coords[0]
+        return float(np.max(np.abs(lhs - (self.k - self.k[0]))))
 
 
 def shifted_observable(series: ObservableSeries, traj: MapTrajectory,
@@ -242,10 +238,11 @@ def shifted_observable(series: ObservableSeries, traj: MapTrajectory,
     if series.encoding != "per_time":
         raise ValueError("initial-condition shifts act on per_time series; "
                          "a per_duration_initial series mixes protocols")
-    delta = coordinates(series.ops[0] - new_initial.matrix)
-    ops = series.ops - from_coordinates(delta @ traj.inverses(cond_threshold))
-    ops[0] = new_initial.matrix
-    return ObservableSeries(series.times, ops, label=series.label)
+    new = coordinates(new_initial.matrix)
+    coords = series.coords - (series.coords[0] - new) @ traj.inverses(
+        cond_threshold)
+    coords[0] = new
+    return ObservableSeries(series.times, coords, label=series.label)
 
 
 def mean_change(series: ObservableSeries, traj: MapTrajectory, i_t: int,
@@ -253,14 +250,13 @@ def mean_change(series: ObservableSeries, traj: MapTrajectory, i_t: int,
     """Two-point mean change <O(t)>_t - <O(0)>_0 for one initial state.
 
     Honors the series encoding: for per_duration_initial the final operator
-    of the duration-t protocol is zero, so the mean is -<ops[i_t]>_0.
+    of the duration-t protocol is zero, so the mean is -<coords[i_t]>_0.
     """
+    x, r0 = series.coords, coordinates(rho0.matrix)
     if series.encoding == "per_duration_initial":
-        return float(-np.trace(series.ops[i_t] @ rho0.matrix).real)
-    r0 = coordinates(rho0.matrix)
-    ops = coordinates(series.ops)  # whole, as the tables convert O_w
+        return float(-(x[i_t] * r0).sum())
     rho_t = np.einsum("ab,b->a", traj.maps[i_t], r0)  # as the tables sum it
-    return float(_mean_changes(ops[i_t][None], rho_t[None], ops[0], r0)[0])
+    return float(_mean_changes(x[i_t][None], rho_t[None], x[0], r0)[0])
 
 
 def _mean_changes(ops_t: np.ndarray, rho_t: np.ndarray, op0: np.ndarray,

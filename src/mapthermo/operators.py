@@ -346,10 +346,12 @@ def coordinates(ops: np.ndarray) -> np.ndarray:
 
 
 def from_coordinates(x: np.ndarray) -> np.ndarray:
-    """Hermitian matrices (..., d, d) of real basis coordinates (..., d^2)."""
+    """Hermitian matrices (..., d, d) of real basis coordinates (..., d^2),
+    exactly; `einsum` sums each entry in one order, so a row converts to
+    the same bits alone as in a stack (a BLAS product need not)."""
     x = np.asarray(x, dtype=float)
     d = math.isqrt(x.shape[-1])
-    m = x.reshape(-1, d * d) @ _coordinate_tables(d)[1]
+    m = np.einsum("na,ab->nb", x.reshape(-1, d * d), _coordinate_tables(d)[1])
     return m.view(complex).reshape(*x.shape[:-1], d, d)
 
 

@@ -154,7 +154,7 @@ def check_pure_decoherence_jarzynski() -> str:
     for traj in trajectories:
         pipe = ThermoPipeline(traj)
         _, heat = pipe.work_heat_observables()
-        max_oq = max(max_oq, float(np.max(np.abs(heat.ops))))
+        max_oq = max(max_oq, float(np.max(np.abs(heat.coords))))
         for table in fluctuation_tables(pipe, (0.5, 0.7, 2.0, 7.0)):
             dev_q = max(dev_q, float(np.max(np.abs(table.exp_avg_q - 1.0))))
             dev_w = max(dev_w, float(np.max(np.abs(table.lambda_w - 1.0))))

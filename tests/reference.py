@@ -60,6 +60,7 @@ from mapthermo.operators import (
     cptp_diagnostics_stack,
     dagger,
     eig_hermitian,
+    from_coordinates,
     gibbs_state,
     partition_function,
     require_invertible,
@@ -663,7 +664,8 @@ def matrix_fluctuation_table(pipeline, beta: float,
                           phi_id).real
     exp_q = trace_product(_exp_stack(p_vals, p_vecs, beta, times, "P"),
                           rho_t).real
-    mean_w = (np.trace(pipeline._work_ops[rows] @ rho_t, axis1=-2, axis2=-1)
+    mean_w = (np.trace(from_coordinates(pipeline.w[rows]) @ rho_t,
+                       axis1=-2, axis2=-1)
               - np.trace(pipeline.K[0] @ rho0)).real
     return FluctuationTable(
         time=times, beta=beta, lambda_u=direct, lambda_w=exp_w / zt,

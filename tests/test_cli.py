@@ -947,17 +947,22 @@ print("loaded:", *sorted(m for m in sys.modules
 """
 
 
-def test_run_and_map_info_load_neither_scipy_nor_the_suite(tmp_path):
+def source_env() -> dict[str, str]:
+    """This environment, with the package source first on PYTHONPATH."""
     src = os.path.join(os.path.dirname(os.path.dirname(
         os.path.abspath(__file__))), "src")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (src, env.get("PYTHONPATH")) if p)
+    return env
+
+
+def test_run_and_map_info_load_neither_scipy_nor_the_suite(tmp_path):
     cfg_path = write_config(tmp_path, WEAK_BODY.format(out=tmp_path / "out"))
     proc = subprocess.run(
         [sys.executable, "-c", _IMPORT_PROBE, cfg_path,
          str(tmp_path / "stored.maps")],
-        env=env, capture_output=True, text=True, timeout=120)
+        env=source_env(), capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1] == "loaded:"
 
@@ -980,13 +985,8 @@ MODEL_MODULES = {"mapthermo.models", "mapthermo.phase_covariant",
 
 
 def loaded_after(*steps: str) -> set[str]:
-    src = os.path.join(os.path.dirname(os.path.dirname(
-        os.path.abspath(__file__))), "src")
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (src, env.get("PYTHONPATH")) if p)
     proc = subprocess.run([sys.executable, "-c", _MODULES_PROBE, *steps],
-                          env=env, capture_output=True, text=True,
+                          env=source_env(), capture_output=True, text=True,
                           timeout=120)
     assert proc.returncode == 0, proc.stderr
     return set(proc.stdout.splitlines()[-1].split())
@@ -1009,6 +1009,24 @@ def test_a_map_file_run_and_map_info_load_no_model_module(tmp_path):
     loaded = loaded_after("run", cfg_path, "map-info", map_path)
     assert "mapthermo.dynamics" in loaded
     assert not loaded & MODEL_MODULES
+
+
+def test_map_info_into_a_closed_pipe_exits_1_quietly(tmp_path):
+    # `mapthermo map-info <file> | head -1`: the 2001 rows overflow the pipe
+    # buffer, so the writer always meets the closed pipe
+    p = WeakCouplingParams()
+    path = str(tmp_path / "long.maps")
+    save_map_trajectory(pc_trajectory(weak_coupling_rates(p), p.grid(2000))[0],
+                        path)
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "mapthermo.cli", "map-info", path],
+        env=source_env(), stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        text=True)
+    assert proc.stdout.readline() == f"map file: {path}\n"
+    proc.stdout.close()
+    err = proc.stderr.read()
+    assert proc.wait(timeout=120) == 1
+    assert err == ""
 
 
 def test_weak_coupling_loads_its_model_before_the_run(tmp_path):

@@ -29,6 +29,7 @@ from mapthermo.operators import (
     PAULI,
     column_stacked,
     commutator_superop,
+    from_coordinates,
     random_hermitian,
 )
 from mapthermo.phase_covariant import pc_trajectory
@@ -150,7 +151,7 @@ def test_minimal_split_recovers_drive_frequency():
     splits = generator_splits(traj)
     for i in (0, 50, 100, 200):
         expect = 0.5 * coeffs.omega[i] * SZ
-        assert np.max(np.abs(splits[i] - expect)) < 1e-9
+        assert np.max(np.abs(from_coordinates(splits[i]) - expect)) < 1e-9
 
 
 def test_split_reassembles_generator():

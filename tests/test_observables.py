@@ -72,15 +72,16 @@ B_GEN = 0.5 * PAULI[2] - 0.3 * PAULI[3]
 
 
 def test_series_length_must_match_grid():
-    ops = np.stack([HermitianOperator(SZ).matrix] * 4)
+    coords = np.stack([coordinates(SZ)] * 4)
     with pytest.raises(ConstructionError):
-        ObservableSeries(times=np.linspace(0.0, 1.0, 5), ops=ops)
+        ObservableSeries(times=np.linspace(0.0, 1.0, 5), coords=coords)
 
 
 def test_series_rejects_unknown_encoding():
-    ops = HermitianOperator(SZ).matrix[None]
+    coords = coordinates(SZ)[None]
     with pytest.raises(ConstructionError):
-        ObservableSeries(times=np.zeros(1), ops=ops, encoding="per_protocol")
+        ObservableSeries(times=np.zeros(1), coords=coords,
+                         encoding="per_protocol")
 
 
 def test_path_operator_vanishes_for_unitary_evolution():
@@ -96,8 +97,8 @@ def test_path_operator_vanishes_for_pure_decoherence():
     traj, _ = pc_trajectory(rates, np.linspace(0.0, 3.0, 151))
     pipe = ThermoPipeline(traj)
     series = pipe.path_operator_series()
-    for op in series.ops:
-        npt.assert_allclose(op, 0.0, atol=1e-13)
+    for x in series.coords:
+        npt.assert_allclose(x, 0.0, atol=1e-13)
 
 
 def test_path_operator_matches_closed_form_for_weak_coupling():
@@ -408,8 +409,27 @@ def test_stacked_K_and_P_match_the_per_point_references(source):
     K, P = per_point_K_and_P(traj)
     npt.assert_allclose(pipe.K, K, rtol=0, atol=1e-12)
     npt.assert_allclose(pipe.P, P, rtol=0, atol=1e-12)
-    assert pipe.effective_hamiltonian_series().ops.shape == K.shape
+    # one representation: read-only coordinates, O_w = K - P, and the
+    # matrices formed from them
+    n, d = K.shape[:2]
+    assert pipe.effective_hamiltonian_series().coords.shape == (n, d * d)
     assert isinstance(pipe.path_operator_series()[3], HermitianOperator)
+    npt.assert_array_equal(pipe.w, pipe.k - pipe.p)
+    for x in (pipe.k, pipe.p, pipe.w):
+        assert not x.flags.writeable
+    npt.assert_array_equal(pipe.K, from_coordinates(pipe.k))
+    npt.assert_array_equal(pipe.P, from_coordinates(pipe.p))
+    # the single-measure-initial and shifted work series keep the mean
+    # changes of the default one
+    work, _ = pipe.work_heat_observables()
+    initial, _ = pipe.work_heat_observables(Convention.SINGLE_MEASURE_INITIAL)
+    rng = np.random.default_rng(6)
+    shifted = shifted_observable(work, traj, random_hermitian(d, rng))
+    rho0 = random_density_matrix(d, rng)
+    for i in (1, n // 2, n - 1):
+        ref = mean_change(work, traj, i, rho0)
+        assert abs(mean_change(initial, traj, i, rho0) - ref) < 1e-10
+        assert abs(mean_change(shifted, traj, i, rho0) - ref) < 1e-9
 
 
 def test_pipeline_singular_map_names_the_first_singular_time():

@@ -284,6 +284,14 @@ def test_hermiticity_preservation_matches_the_reshuffle_form(d):
     npt.assert_allclose(from_coordinates(x), h, rtol=0, atol=8 * d * eps)
     npt.assert_allclose(x, [[np.trace(bb @ hh).real for bb in b] for hh in h],
                         rtol=0, atol=8 * d * eps)
+    # from coordinates: Hermitian bit for bit, and a row converts to the
+    # same bits alone as in a stack, scaled over decades
+    y = rng.standard_normal((2001, d * d)) * 10.0 ** rng.uniform(
+        -3, 3, (2001, 1))
+    back = from_coordinates(y)
+    npt.assert_array_equal(back, back.conj().swapaxes(1, 2))
+    for i, row in enumerate(y):
+        npt.assert_array_equal(from_coordinates(row), back[i])
 
 
 def test_choi_matrix_of_unitary_is_rank_one():
