@@ -90,13 +90,18 @@ def run_timer(main, scenario: str, work_dir: str, name: str):
         wall = time.perf_counter() - start
         if code != 0:
             raise SystemExit(f"mapthermo run {config} failed")
-        for entry in os.scandir(out_dir):
-            with open(entry.path, "rb") as fh:
-                os.fsync(fh.fileno())
-        shutil.rmtree(out_dir)
+        flush_and_remove(out_dir)
         os.remove(config)
         return wall
     return run
+
+
+def flush_and_remove(out_dir: str) -> None:
+    """Flush the files in `out_dir` to disk, then remove it."""
+    for entry in os.scandir(out_dir):
+        with open(entry.path, "rb") as fh:
+            os.fsync(fh.fileno())
+    shutil.rmtree(out_dir)
 
 
 def ratio_summary(walls: list[float], against_walls: list[float]) -> dict:

@@ -23,12 +23,15 @@ initial states and the distribution calls, on a pipeline whose caches a
 table has filled). At both shapes it times the L2 steps on a trajectory
 built from the shape's stacks just before each call: the condition
 numbers, the inverse stack, `generator_splits` (with those two made) and
-the `ThermoPipeline` set-up. It times the CSV writer on the numeric columns
-of the tables a wc_cli run writes (lambda_series.csv, pc_coefficients.csv
-and the cells of invertibility.csv, 100 050 cells): the first call in a
-fresh process (cold, --repeats processes) and the best of --repeats calls
-after a warm-up. The result is merged into a JSON file under --label, so
-runs of two source trees sit side by side, each put first on PYTHONPATH:
+the `ThermoPipeline` set-up. It times the CSV writer as `run` uses it
+(`cli._csv`, then `cli._write`) on the tables a wc_cli run writes
+(lambda_series.csv, pc_coefficients.csv and the numeric cells of
+invertibility.csv, 100 050 cells), written as files into a new out_dir
+made before the timed region and flushed and removed after it: the first
+pass in a fresh process (cold, --repeats processes) and the best of
+--repeats passes after a warm-up. The result is merged into a JSON file
+under --label, so runs of two source trees sit side by side, each put first
+on PYTHONPATH:
 
     OPENBLAS_NUM_THREADS=1 taskset -c 1 \\
         env PYTHONPATH=src python scripts/bench_report.py --label change
@@ -36,9 +39,9 @@ runs of two source trees sit side by side, each put first on PYTHONPATH:
 With --against the src directory of a second tree (say a checkout of the
 parent commit), both trees are imported into one process, their tables and
 distributions are checked to agree to 1e-12 relative and their writers to
-spell the columns to the same bytes, and each timed call (each cold
-process, too) alternates with the other tree's, so that each gets a ratio
-per pair of calls.
+write the same bytes, and each timed call (each cold process, too)
+alternates with the other tree's, so that each gets a ratio per pair of
+calls.
 
 BLAS thread variables and the usable CPUs are recorded, not set.
 """
@@ -46,14 +49,17 @@ BLAS thread variables and the usable CPUs are recorded, not set.
 import argparse
 import importlib
 import os
+import shutil
 import subprocess
 import sys
 import tempfile
+from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 
-from bench_record import (alternate, import_tree, ratio_summary,
-                          record_run, run_timer, timed)
+from bench_record import (alternate, flush_and_remove, import_tree,
+                          ratio_summary, record_run, run_timer, timed)
 from mapthermo.dynamics import save_map_trajectory
 from mapthermo.fluctuations import fluctuation_table
 from mapthermo.models import WeakCouplingParams, weak_coupling_rates
@@ -174,8 +180,8 @@ class Tree:
         """A call returning the wall time of the shape's tables (on a
         pipeline built just before them), of the first beta's table, of a
         further beta's (per beta), of an L2 step (`l2_timer`), of its
-        in-process run, of the wc_cli distributions or of the CSV writer on
-        the wc_cli columns."""
+        in-process run, of the wc_cli distributions or of the CSV writer
+        writing the wc_cli tables (`writer_timer`)."""
         if what == "tables":
             return lambda: timed(self.tables(shape))()
         if what == "first_beta":
@@ -188,82 +194,120 @@ class Tree:
         if what in L2_CALLS:
             return self.l2_timer(shape, what)
         if what == "writer":
-            write = writer(self.module)
-            columns = wc_cli_columns()
-            return timed(lambda: [write(c) for c in columns])
+            return writer_timer(writer(self.module), self.work_dir)
         return run_timer(self.module("cli").main, SCENARIOS[shape],
                          self.work_dir, shape)
 
 
 def writer(module):
-    """The tree's CSV writer as a call from columns to text: `csv_text`,
-    or before it the lines of `csv_lines`, joined."""
-    dynamics = module("dynamics")
-    if hasattr(dynamics, "csv_text"):
-        return dynamics.csv_text
-    csv_lines = module("fluctuations").csv_lines
-    return lambda columns: "".join(line + "\n" for line in csv_lines(columns))
+    """The tree's CSV writer as `run` uses it: a call writing the wc_cli
+    tables (`wc_cli_tables`) as files into a directory."""
+    cli = module("cli")
+
+    def write(out_dir: str, tables) -> None:
+        cfg = SimpleNamespace(out_dir=out_dir)
+        for name, header, columns in tables:
+            cli._write(cfg, name, cli._csv(header, columns), [])
+    return write
 
 
-def wc_cli_columns() -> list[list[np.ndarray]]:
-    """The numeric columns of lambda_series.csv, pc_coefficients.csv and
-    invertibility.csv of a wc_cli run, computed by this script's tree so
-    that both trees' writers spell the same numbers."""
+def wc_cli_tables() -> list[tuple[str, str, list[np.ndarray]]]:
+    """The file name, header and numeric columns of lambda_series.csv,
+    pc_coefficients.csv and invertibility.csv of a wc_cli run, computed by
+    this script's tree so that both trees' writers spell the same
+    numbers."""
     p = WeakCouplingParams()
     traj, coeffs = pc_trajectory(weak_coupling_rates(p), p.grid(WC_STEPS))
     pipe = ThermoPipeline(traj)
     tables = [fluctuation_table(pipe, beta) for beta in WC_BETAS]
-    return [[np.concatenate([np.broadcast_to(getattr(table, name),
-                                             table.time.shape)
-                             for table in tables])
-             for name in ("time", "beta") + COLUMNS],
-            [coeffs.times, coeffs.a, coeffs.b, coeffs.c, coeffs.d_par,
-             coeffs.d_perp, coeffs.I, coeffs.J],
-            [traj.times, traj.condition_numbers]]
+    lambda_series = [np.concatenate([np.broadcast_to(getattr(table, name),
+                                                     table.time.shape)
+                                     for table in tables])
+                     for name in ("time", "beta") + COLUMNS]
+    return [(name, header, columns) for (name, header), columns in zip(
+        TABLE_FILES, [lambda_series,
+                      [coeffs.times, coeffs.a, coeffs.b, coeffs.c,
+                       coeffs.d_par, coeffs.d_perp, coeffs.I, coeffs.J],
+                      [traj.times, traj.condition_numbers]])]
 
 
-# a fresh interpreter: import the tree's writer, then time its first call
+def save_tables(path: str, tables) -> None:
+    np.savez(path, **{f"{k}_{j}": c
+                      for k, (_, _, columns) in enumerate(tables)
+                      for j, c in enumerate(columns)})
+
+
+def load_tables(path: str) -> list[tuple[str, str, list[np.ndarray]]]:
+    """The tables `save_tables` stored, their names and headers as
+    `wc_cli_tables` gives them."""
+    with np.load(path) as data:
+        return [(name, header, [data[f"{k}_{j}"]
+                                for j in range(header.count(",") + 1)])
+                for k, (name, header) in enumerate(TABLE_FILES)]
+
+
+def writer_timer(write, work_dir: str):
+    """A call returning the wall time of `write` writing the wc_cli tables
+    into a new out_dir, made before the timed region and flushed and
+    removed after it."""
+    tables = wc_cli_tables()
+
+    def run() -> float:
+        out_dir = tempfile.mkdtemp(dir=work_dir)
+        wall = timed(lambda: write(out_dir, tables))()
+        flush_and_remove(out_dir)
+        return wall
+    return run
+
+
+# a fresh interpreter: import the tree's writer, then time its first pass
 COLD = """
-import importlib, sys, time
-import numpy as np
+import importlib, sys, tempfile, time
 sys.path.insert(0, sys.argv[1])
-from bench_report import writer
-with np.load(sys.argv[2]) as data:
-    columns = [[data[f"{k}_{j}"] for j in range(data[f"width_{k}"])]
-               for k in range(3)]
+from bench_record import flush_and_remove
+from bench_report import load_tables, writer
+tables, out_dir = load_tables(sys.argv[2]), tempfile.mkdtemp(dir=sys.argv[3])
 write = writer(lambda name: importlib.import_module(f"mapthermo.{name}"))
 start = time.perf_counter()
-for c in columns:
-    write(c)
+write(out_dir, tables)
 print(time.perf_counter() - start)
+flush_and_remove(out_dir)
 """
 
 
-def cold_writer(src: str, columns_path: str):
+def cold_writer(src: str, tables_path: str, work_dir: str):
     """A call returning the wall time of the writer's first pass over the
-    wc_cli columns in a fresh interpreter on the tree under `src`."""
+    wc_cli tables in a fresh interpreter on the tree under `src`."""
     env = dict(os.environ, PYTHONPATH=src)
     here = os.path.dirname(os.path.abspath(__file__))
 
     def run() -> float:
-        out = subprocess.run([sys.executable, "-c", COLD, here,
-                              columns_path], env=env, capture_output=True,
+        out = subprocess.run([sys.executable, "-c", COLD, here, tables_path,
+                              work_dir], env=env, capture_output=True,
                              text=True, check=True)
         return float(out.stdout)
     return run
 
 
-def check_writers(ours: Tree, theirs: Tree) -> None:
-    """Exit unless both trees' writers spell the wc_cli columns to the
-    same text."""
-    for columns in wc_cli_columns():
-        if writer(ours.module)(columns) != writer(theirs.module)(columns):
-            raise SystemExit("the trees' writers spell the columns "
-                             "differently")
+def check_writers(ours: Tree, theirs: Tree, work_dir: str) -> None:
+    """Exit unless both trees' writers write the wc_cli tables to the same
+    bytes."""
+    tables, files = wc_cli_tables(), []
+    for tree in (ours, theirs):
+        out_dir = tempfile.mkdtemp(dir=work_dir)
+        writer(tree.module)(out_dir, tables)
+        files.append({name: Path(out_dir, name).read_bytes()
+                      for name, _, _ in tables})
+        shutil.rmtree(out_dir)
+    if files[0] != files[1]:
+        raise SystemExit("the trees' writers write the tables differently")
 
 
 COLUMNS = ("lambda_u", "lambda_w", "lambda_w_bound", "exp_avg_w",
            "exp_avg_q", "delta_F_bar", "mean_w", "dissipated_bound")
+TABLE_FILES = (("lambda_series.csv", ",".join(("t", "beta") + COLUMNS)),
+               ("pc_coefficients.csv", "t,a,b,c,d_par,d_perp,I,J"),
+               ("invertibility.csv", "t,condition_number"))
 
 
 def check_agreement(ours: Tree, theirs: Tree) -> None:
@@ -307,33 +351,33 @@ def measure(work_dir: str, repeats: int, against_src: str | None) -> dict:
         call = ours.timer(shape, what)
         call()
         walls[f"{shape}.{what}"] = [call() for _ in range(repeats)]
-    columns = wc_cli_columns()
-    columns_path = os.path.join(work_dir, "wc_cli_columns.npz")
-    np.savez(columns_path, **{f"{k}_{j}": c for k, cols in enumerate(columns)
-                              for j, c in enumerate(cols)},
-             **{f"width_{k}": len(cols) for k, cols in enumerate(columns)})
+    tables = wc_cli_tables()
+    tables_path = os.path.join(work_dir, "wc_cli_tables.npz")
+    save_tables(tables_path, tables)
     ours_src = os.path.dirname(os.path.dirname(
         os.path.abspath(importlib.import_module("mapthermo").__file__)))
-    walls["wc_cli.writer_cold"] = [cold_writer(ours_src, columns_path)()
-                                   for _ in range(repeats)]
+    walls["wc_cli.writer_cold"] = [
+        cold_writer(ours_src, tables_path, work_dir)()
+        for _ in range(repeats)]
     result = {"wc_cli_shape": {"dim": 2, "n_steps": WC_STEPS,
                                "betas": list(WC_BETAS)},
               "gksl_file_shape": {"dim": GKSL_DIM, "n_steps": GKSL_STEPS,
                                   "betas": list(GKSL_BETAS), "seed": SEED},
-              "writer_cells": sum(c.size for cols in columns for c in cols),
+              "writer_cells": sum(c.size for _, _, columns in tables
+                                  for c in columns),
               "s_best": {key: min(w) for key, w in walls.items()},
               "s": walls}
     if against_src:
         theirs = Tree(lambda name: import_tree(against_src, name), work_dir)
         check_agreement(ours, theirs)
-        check_writers(ours, theirs)
+        check_writers(ours, theirs, work_dir)
         result["against"] = {
             f"{shape}.{what}": ratio_summary(*alternate(
                 ours.timer(shape, what), theirs.timer(shape, what), repeats))
             for shape, what in keys}
         result["against"]["wc_cli.writer_cold"] = ratio_summary(*alternate(
-            cold_writer(ours_src, columns_path),
-            cold_writer(against_src, columns_path), repeats))
+            cold_writer(ours_src, tables_path, work_dir),
+            cold_writer(against_src, tables_path, work_dir), repeats))
     return result
 
 

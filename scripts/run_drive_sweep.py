@@ -8,6 +8,7 @@ ratio so the low-temperature saturation trend is visible at a glance.
 import argparse
 import os
 
+from mapthermo.dynamics import csv_text
 from mapthermo.models import WeakCouplingParams, weak_coupling_rates
 from mapthermo.phase_covariant import (pc_integrals, pc_lambda_u, pc_lambda_w,
                                        pc_thermo)
@@ -34,9 +35,8 @@ def main() -> None:
         lu = pc_lambda_u(coeffs, beta)
         path = os.path.join(args.out_dir, f"drive_beta{beta:g}.csv")
         with open(path, "w") as fh:
-            fh.write("t,lambda_w,lambda_w_bound,lambda_u\n")
-            for row in zip(coeffs.times, lam, bound, lu):
-                fh.write(",".join(f"{v:.17g}" for v in row) + "\n")
+            fh.write("t,lambda_w,lambda_w_bound,lambda_u\n"
+                     + csv_text([coeffs.times, lam, bound, lu]))
         print(f"{path}: beta={beta:g} "
               f"final factor/bound ratio {lam[-1] / bound[-1]:.6f}")
 

@@ -25,6 +25,7 @@ import os
 
 import numpy as np
 
+from mapthermo.dynamics import csv_text
 from mapthermo.models import JCParams, exchange_factor_series
 
 # name -> (omega_m, g, beta_mode, beta_ref, t_f, n_steps)
@@ -58,9 +59,8 @@ def main() -> None:
                                               t_f, n_steps)
         path = os.path.join(args.out_dir, f"exchange_{name}.csv")
         with open(path, "w") as fh:
-            fh.write("t,lambda_w,lambda_w_bound,lambda_u\n")
-            for row in zip(times, lam, bound, lu):
-                fh.write(",".join(f"{v:.17g}" for v in row) + "\n")
+            fh.write("t,lambda_w,lambda_w_bound,lambda_u\n"
+                     + csv_text([times, lam, bound, lu]))
         print(f"{path}: lambda_w in [{lam.min():.6f}, {lam.max():.6f}], "
               f"max |lambda_w - 1| = {np.max(np.abs(lam - 1.0)):.3e}")
 

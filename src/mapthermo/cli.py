@@ -23,6 +23,7 @@ import math
 import os
 import sys
 from dataclasses import dataclass, field, fields
+from functools import cache
 
 import numpy as np
 
@@ -31,7 +32,7 @@ from .errors import (ConfigError, ConstructionError, NoMatchingBeta,
                      SingularMap, TruncationError)
 from .operators import (COND_THRESHOLD_DEFAULT, HermitianOperator,
                         basis_maps, cptp_diagnostics_stack, dagger)
-from .dynamics import (condition_flags, csv_text, data_row_line,
+from .dynamics import (_csv_bytes, condition_flags, data_row_line,
                        invertibility_report, load_map_trajectory, map_faults,
                        read_map_file)
 from .quadrature import grid_fault
@@ -345,19 +346,23 @@ def _out_dir_error(cfg: ScenarioConfig, what: str,
                        f"{exc.strerror or exc}")
 
 
-def _write(cfg: ScenarioConfig, name: str, text: str,
-           written: list[str]) -> None:
+def _write(cfg: ScenarioConfig, name: str, data, written: list[str]) -> None:
+    """Write `data` to out_dir/name: bytes (a CSV buffer) as they are, text
+    (the manifest) as `parse_config` reads it, in the locale's encoding."""
     path = os.path.join(cfg.out_dir, name)
     try:
-        with open(path, "w", newline="\n") as fh:
-            fh.write(text)
+        with (open(path, "w", newline="\n") if isinstance(data, str)
+              else open(path, "wb")) as fh:
+            fh.write(data)
     except OSError as exc:
         raise _out_dir_error(cfg, f"write {path}", exc)
     written.append(path)
 
 
-def _csv(header: str, columns) -> str:
-    return header + "\n" + csv_text(columns)
+def _csv(header: str, columns, labels: list[str] | None = None) -> np.ndarray:
+    """The bytes of a CSV file: the header line, then a row per entry of
+    the numeric columns (and of `labels`, a last column of text)."""
+    return _csv_bytes(columns, header.encode(), labels)
 
 
 def run_scenario(cfg: ScenarioConfig) -> list[str]:
@@ -418,10 +423,8 @@ def _run_map_model(cfg: ScenarioConfig, written: list[str]) -> None:
     if "invertibility" in cfg.series:
         conds, flags = invertibility_report(traj,
                                             cfg.tolerances.cond_threshold)
-        cells = csv_text([traj.times, conds]).splitlines()
-        _write(cfg, "invertibility.csv", "t,condition_number,flag\n"
-               + "".join(f"{row},{flag}\n" for row, flag in zip(cells, flags)),
-               written)
+        _write(cfg, "invertibility.csv", _csv(
+            "t,condition_number,flag", [traj.times, conds], flags), written)
 
     if "pc_coefficients" in cfg.series and coeffs is not None:
         _write(cfg, "pc_coefficients.csv", _csv(
@@ -534,6 +537,7 @@ def _cmd_map_info(path: str) -> int:
 
 # ---------------------------------------------------------------------------
 
+@cache   # one per process: a second `main` call reuses it
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="mapthermo",

@@ -252,9 +252,12 @@ _U64 = np.uint64
 # half-even to an integer in [10^16, 10^17). See `csv_text` for why the
 # kernel's M is exact and which cells go to the per-cell fallback.
 
-_BLOCK_CELLS = 1 << 14   # cells per kernel call, writing or reading: its
-                         # temporaries stay in cache, where a whole table's
+_WRITE_CELLS = 1 << 12   # cells per kernel call of the writer: its
+                         # temporaries (about 100 kB) stay in cache and in
+                         # memory the heap reuses, where a whole table's
                          # land on new pages
+_CELL_BYTES = 25         # the most a written cell takes: its separator and
+                         # format's longest, "-2.2250738585072014e-308"
 _ASCII = _U64(0x3030303030303030)
 _SPLITTER = 2.0**27 + 1  # Dekker's split of a double into two 26-bit halves
 
@@ -392,9 +395,84 @@ def _g_cells(x: np.ndarray, cols: int):
             [format(v, ".17g") for v in x[fallback].tolist()])
 
 
+def _label_cells(labels: list[str]):
+    """The cells of a column of ASCII labels as `_g_cells` lays cells out:
+    per distinct label, "," and the label (at most 23 bytes) in 24 bytes as
+    3 words, the bytes kept as 0/1 bytes and their count; and the index of
+    each row's label."""
+    names = list(dict.fromkeys(labels))
+    text = np.zeros((len(names), 24), np.uint8)
+    keep = np.zeros_like(text)
+    for k, name in enumerate(names):
+        raw = f",{name}".encode("ascii")
+        text[k, :len(raw)] = np.frombuffer(raw, np.uint8)
+        keep[k, :len(raw)] = 1
+    index = dict(zip(names, range(len(names))))
+    return ((text.view(_U64), keep.view(_U64),
+             keep.sum(axis=1, dtype=np.int64)),
+            np.fromiter(map(index.__getitem__, labels), np.intp, len(labels)))
+
+
+def _put_cells(buf: np.ndarray, pos: int, out: np.ndarray, keep: np.ndarray,
+               kept: np.ndarray, fallback: np.ndarray, spelt: list[str]) -> int:
+    """Compress laid-out cells into buf[pos:], each fallback cell's text
+    copied in after its separator, the one byte of it kept; the position
+    after them. The cells go in runs, each ending at a fallback cell or at
+    the last cell."""
+    stops = [*fallback.tolist(), kept.size - 1]
+    ends = np.cumsum(kept)[stops].tolist()   # of each run's kept bytes
+    out, keep = out.view(np.uint8).reshape(-1), keep.view(bool).reshape(-1)
+    first = start = 0   # the run's first cell, and where its bytes start
+    for stop, end, text in zip(stops, ends, [*spelt, ""]):
+        np.compress(keep[24 * first:24 * stop + 24],
+                    out[24 * first:24 * stop + 24],
+                    out=buf[pos:pos + end - start])
+        pos += end - start
+        buf.data[pos:pos + len(text)] = text.encode("ascii")
+        pos += len(text)
+        first, start = stop + 1, end
+    return pos
+
+
+def _csv_bytes(columns, head: bytes = b"", labels: list[str] | None = None
+               ) -> np.ndarray:
+    """`head`, then each row of the equal-length numeric columns as "\n"
+    and its cells joined by ",", each spelled as format(x, ".17g") spells it
+    (see `csv_text`); with `labels`, one ASCII string per row, each row
+    ends in "," and its label. A "\n" closes the last row, or `head` when
+    there are none. The bytes are a view of one uint8 buffer, sized for the
+    longest cells and filled block by block: `_WRITE_CELLS` cells a kernel
+    call, in whole rows, each block's kept bytes compressed straight into
+    it."""
+    cols = [np.asarray(c, dtype=float).reshape(-1) for c in columns]
+    width, rows = len(cols), cols[0].size
+    if labels is not None:
+        label_cells, label_of = _label_cells(labels)
+    size = _CELL_BYTES * rows * (width + (labels is not None))
+    buf = np.empty(len(head) + size + 1, np.uint8)
+    buf.data[:len(head)] = head
+    pos, step = len(head), max(1, _WRITE_CELLS // width)   # whole rows
+    for i in range(0, rows, step):
+        # each cell after its separator: "," or, before a row's first, "\n"
+        x = np.column_stack([c[i:i + step] for c in cols]).reshape(-1)
+        out, keep, kept, fallback, spelt = _g_cells(x, width)
+        if labels is not None:   # each row's label cell after its last
+            n = x.size // width
+            out, keep, kept = (
+                np.concatenate([a.reshape(n, width, -1),
+                                label[label_of[i:i + step]].reshape(n, 1, -1)],
+                               axis=1).reshape(a.shape[0] + n, *a.shape[1:])
+                for a, label in zip((out, keep, kept), label_cells))
+            fallback += fallback // width
+        pos = _put_cells(buf, pos, out, keep, kept, fallback, spelt)
+    buf[pos] = ord("\n")
+    return buf[:pos + 1]
+
+
 def csv_text(columns) -> str:
     """The CSV text of equal-length numeric columns: one line per row, each
-    ending in "\n", every cell spelled as format(x, ".17g") spells it.
+    ending in "\n", every cell spelled as format(x, ".17g") spells it: the
+    bytes `run` writes after a table's header, decoded.
 
     The cells are spelled by one vectorised kernel, in blocks of whole rows.
     With e = floor(log10 |x|) and 10^(16-e) an exact double (16 - e <= 22),
@@ -413,25 +491,7 @@ def csv_text(columns) -> str:
     is the power itself, whose lower neighbour is an ulp away, or lies
     above it. As a guard, a cell whose M falls outside [10^16, 10^17)
     goes to format() as well."""
-    cols = [np.asarray(c, dtype=float).reshape(-1) for c in columns]
-    step = max(1, _BLOCK_CELLS // len(cols))   # whole rows per block
-    chunks = []
-    for i in range(0, cols[0].size, step):
-        # each cell after its separator: "," or, before a row's first, "\n"
-        x = np.column_stack([c[i:i + step] for c in cols]).reshape(-1)
-        out, keep, kept, fallback, spelt = _g_cells(x, len(cols))
-        text = np.compress(keep.view(bool).reshape(-1),
-                           out.view(np.uint8).reshape(-1))
-        if fallback.size:   # insert their text after their separators
-            ends = np.cumsum(kept)
-            text = np.insert(text, np.repeat(ends[fallback],
-                                             [len(v) for v in spelt]),
-                             np.frombuffer("".join(spelt).encode(), np.uint8))
-        chunks.append(text)
-    if not chunks:
-        return ""
-    chunks[0] = chunks[0][1:]   # the table's first separator
-    return b"".join([*chunks, b"\n"]).decode()
+    return str(_csv_bytes(columns)[1:], "ascii")
 
 
 def save_map_trajectory(traj: MapTrajectory, path: str) -> None:
@@ -481,6 +541,8 @@ _CELL = 22          # bytes of an unsigned canonical cell
 _MAX_Q = 27         # 5^27 < 2^64: 10^q is exact for |q| <= 27
 _POW10 = np.cumprod(np.full(_MAX_Q + 1, 10, np.longdouble)) / 10
 _READ_BUFFER = 1 << 19   # bytes buffered, several data rows of a d = 6 file
+_BLOCK_CELLS = 1 << 14   # cells per block of rows the reader parses at a
+                         # time: its temporaries stay in cache
 
 # whether np.longdouble is the x87 format the kernel relies on: a 64-bit
 # significand, stored first in 16 bytes, and exact products (of 64 bits)
@@ -649,9 +711,12 @@ def read_map_file(path: str) -> tuple[np.ndarray, np.ndarray,
     """Parse the text format into the times and (n, d^2, d^2) stacks of maps
     and (when present) derivatives, without validating a trajectory, for
     diagnostics on imperfect files. One pass parses each run of rows into
-    stacks sized by the first run (or one they cannot hold), plus 4 %. A
-    run of several rows is sized by its rows after the first: the t = 0 row
-    often spells the identity map in short cells."""
+    stacks sized by the first run (or one they cannot hold), plus an
+    eighth: in `repr` spellings the early rows can be longer than the
+    file's average (by 7 % in a d = 2 GKSL file). The stacks are cut to
+    their rows in place at the end, and the pages past the last row are
+    never written. A run of several rows is sized by its rows after the
+    first: the t = 0 row often spells the identity map in short cells."""
     header, n, stacks, left = {}, 0, [np.empty(0)], os.path.getsize(path)
     for lineno, rows, data, a, b in _data_rows(path, header):
         if "dim" not in header:
@@ -664,7 +729,7 @@ def read_map_file(path: str) -> tuple[np.ndarray, np.ndarray,
             used, per = b - a, rows
             if rows > 1:
                 used, per = b - data.index(b"\n", a) - 1, rows - 1
-            size = n + rows + int(1.04 * max(left, 0) * per / used)
+            size = n + rows + int(1.125 * max(left, 0) * per / used)
             grown = [np.empty(size), *[np.empty((size, d2, d2), complex)
                                        for _ in range(1 + has_d)]]
             for new, old in zip(grown, stacks):
@@ -676,6 +741,8 @@ def read_map_file(path: str) -> tuple[np.ndarray, np.ndarray,
         n += rows
     if not n:   # name the line where the first one was expected
         raise ConstructionError(f"{path}:{header['lines'] + 1}: no data rows")
+    for stack in stacks:   # realloc shrinks in place; no view of it is left
+        stack.resize((n, *stack.shape[1:]), refcheck=False)
     return stacks[0][:n], stacks[1][:n], stacks[2][:n] if has_d else None
 
 

@@ -14,12 +14,14 @@ from mapthermo import cli
 from mapthermo.cli import Tolerances, main, parse_config, run_scenario
 from mapthermo.coherent import ClosedCoherentParams
 from mapthermo.errors import ConfigError
-from mapthermo.dynamics import save_map_trajectory
+from mapthermo.fluctuations import FluctuationTable
+from mapthermo.dynamics import condition_flags, save_map_trajectory
 from mapthermo.models import (CustomPCParams, JCParams, WeakCouplingParams,
                               weak_coupling_rates)
 from mapthermo.operators import column_stacked
 from mapthermo.phase_covariant import pc_trajectory
 from mapthermo.validation import random_gksl_trajectory
+from reference import csv_lines
 
 
 def write_config(tmp_path, body, name="scenario.ini"):
@@ -220,6 +222,52 @@ def test_rerun_is_byte_identical(tmp_path, body, names):
     assert main(["run", cfg_path]) == 0
     for n in names:
         assert (out / n).read_bytes() == before[n], n
+
+
+WC_CLI_BODY = """\
+    [scenario]
+    model = weak_coupling
+    beta_list = 0.5, 1.0, 2.0, 4.0
+    n_steps = 2000
+    distribution_times = 2.5, 7.5
+    series = lambda, invertibility, pc_coefficients
+    out_dir = {out}
+
+    [weak_coupling]
+"""
+
+
+def test_each_csv_of_a_run_is_its_header_and_the_reference_lines(tmp_path):
+    # the cells read back exactly (17 digits), so the per-row reference
+    # writer must spell the same lines; invertibility.csv ends each row in
+    # the flag of its condition number
+    out = tmp_path / "out"
+    assert main(["run", write_config(tmp_path,
+                                     WC_CLI_BODY.format(out=out))]) == 0
+    shapes = {  # header, rows
+        "distribution_t2.5.csv": ("beta,outcome,probability", None),
+        "distribution_t7.5.csv": ("beta,outcome,probability", None),
+        "invertibility.csv": ("t,condition_number,flag", 2001),
+        "lambda_series.csv": (FluctuationTable.CSV_HEADER, 4 * 2001),
+        "pc_coefficients.csv": ("t,a,b,c,d_par,d_perp,I,J", 2001)}
+    assert sorted(p.name for p in out.glob("*.csv")) == sorted(shapes)
+    for name, (want_header, n_rows) in shapes.items():
+        header, *rows = (out / name).read_bytes().decode().split("\n")[:-1]
+        assert header == want_header
+        assert len(rows) == n_rows or n_rows is None and rows
+        cells = [row.split(",") for row in rows]
+        flags = [row.pop() for row in cells] if name == "invertibility.csv" \
+            else None
+        columns = list(np.array(cells, dtype=float).T)
+        want = csv_lines(columns)
+        if flags is not None:
+            assert flags == condition_flags(columns[1])
+            want = [f"{line},{flag}" for line, flag in zip(want, flags)]
+        assert rows == want, name
+
+
+def test_the_argument_parser_is_built_once():
+    assert cli._build_parser() is cli._build_parser()
 
 
 def test_manifest_is_a_valid_equivalent_config(tmp_path):

@@ -487,16 +487,69 @@ def test_spelling_edge_cases():
 
 
 @pytest.mark.parametrize("n_rows", [
-    3 * dynamics._BLOCK_CELLS // 5,        # several blocks, the last whole
-    3 * dynamics._BLOCK_CELLS // 5 + 7,    # ending mid-block
+    3 * dynamics._WRITE_CELLS // 5,        # several blocks, the last whole
+    3 * dynamics._WRITE_CELLS // 5 + 7,    # ending mid-block
 ])
 def test_tables_spanning_row_blocks(n_rows):
     rng = np.random.default_rng(16)
     columns = [rng.standard_normal(n_rows)
                * 10.0 ** rng.integers(-6, 18, n_rows) for _ in range(5)]
     columns[2][::97] = 0.0   # fallback cells in every block
-    assert n_rows * 5 > 2 * dynamics._BLOCK_CELLS
+    assert n_rows * 5 > 2 * dynamics._WRITE_CELLS
     assert csv_text(columns) == lines_text(csv_lines(columns))
+
+
+def spread_columns(n_rows, n_cols, seed):
+    """Columns of values the kernel takes, over its exponents and signs."""
+    rng = np.random.default_rng(seed)
+    return [rng.choice([-1.0, 1.0], n_rows) * rng.uniform(1.0, 9.9, n_rows)
+            * 10.0 ** rng.integers(-4, 17, n_rows) for _ in range(n_cols)]
+
+
+@pytest.mark.parametrize("first", [0.0, -0.0, 1e-300])
+def test_a_fallback_cell_first_in_the_table(first):
+    columns = spread_columns(7, 3, 18)
+    columns[0][0] = first
+    assert csv_text(columns) == lines_text(csv_lines(columns))
+    assert csv_text(columns).startswith(format(first, ".17g") + ",")
+
+
+@pytest.mark.parametrize("n_cols", [1, 3, 7])
+def test_fallback_cells_first_and_last_in_every_block(n_cols):
+    step = dynamics._WRITE_CELLS // n_cols   # whole rows per block
+    n_rows = 3 * step + step // 2
+    columns = spread_columns(n_rows, n_cols, 19)
+    columns[0][::step] = [np.nan, -0.0, 1e-300, -np.inf]   # each first cell
+    columns[-1][step - 1::step] = [0.0, -1e300, np.inf]    # each last whole
+    columns[-1][-1] = -2.2250738585072014e-308   # format's longest spelling
+    assert csv_text(columns) == lines_text(csv_lines(columns))
+
+
+def test_an_all_fallback_column():
+    n_rows = dynamics._WRITE_CELLS   # two blocks of 3 columns
+    columns = spread_columns(n_rows, 3, 20)
+    # zeros, and values below 1e-4 (%g's exponent form)
+    columns[1] = np.where(np.arange(n_rows) % 3, 0.0,
+                          np.ldexp(columns[0], -400))
+    assert dynamics._g_cells(columns[1], 1)[3].size == n_rows
+    assert csv_text(columns) == lines_text(csv_lines(columns))
+
+
+def test_a_zero_row_table_writes_its_header_only():
+    empty = [np.empty(0), np.empty(0)]
+    assert csv_text(empty) == ""
+    assert dynamics._csv_bytes(empty, b"t,x").tobytes() == b"t,x\n"
+    assert dynamics._csv_bytes(empty, b"t,x", []).tobytes() == b"t,x\n"
+
+
+@pytest.mark.parametrize("n_rows", [1, 9, dynamics._WRITE_CELLS // 2 + 3])
+def test_a_label_column_ends_each_row(n_rows):
+    columns = spread_columns(n_rows, 2, 21)
+    columns[1][::4] = 0.0
+    labels = [("ok", "spike", "singular")[k % 3] for k in range(n_rows)]
+    assert dynamics._csv_bytes(columns, b"t,c,flag", labels).tobytes() == (
+        "t,c,flag\n" + "".join(f"{line},{label}\n" for line, label in
+                              zip(csv_lines(columns), labels))).encode()
 
 
 def test_kernel_takes_the_cells_in_its_range():
@@ -876,9 +929,14 @@ def test_stacks_are_sized_by_the_rows_after_the_first(tmp_path, monkeypatch,
     monkeypatch.setattr(dynamics, "_BLOCK_CELLS", block_cells)
     monkeypatch.setattr(dynamics, "_READ_BUFFER", read_buffer)
     assert next(dynamics._data_rows(str(path), {}))[1] > 1
+    spy = AllocationSpy()
+    monkeypatch.setattr(dynamics, "np", spy)
     times, maps, _ = read_map_file(str(path))
     assert times.size == 201
     assert maps.base.shape[0] <= 1.05 * times.size
+    # the rows after t = 0 in the first run are longer than most later
+    # ones: an empty stack, then one allocation that holds every row
+    assert len(spy.sizes) == 2 and spy.sizes[1] >= times.size
 
 
 def test_no_byte_of_a_map_file_is_read_twice(tmp_path, monkeypatch):
