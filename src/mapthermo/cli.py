@@ -380,10 +380,16 @@ def run_scenario(cfg: ScenarioConfig) -> list[str]:
     return written
 
 
+def _distribution_file(t: float) -> str:
+    """The file of the distributions at grid time t, labelled to 6 digits."""
+    return f"distribution_t{format(float(t), '.6g')}.csv"
+
+
 def _distribution_indices(cfg: ScenarioConfig, times: np.ndarray) -> list[int]:
     """The grid index nearest each requested distribution time. A request
-    more than half a grid step outside the grid, or two requests that snap
-    to one grid time, is a ConfigError."""
+    more than half a grid step outside the grid, or two requests that would
+    write one file (they snap to one grid time, or to two with one 6-digit
+    label), is a ConfigError."""
     if not cfg.distribution_times:
         return []
     where = f"{cfg.path}: [scenario] distribution_times"
@@ -397,12 +403,17 @@ def _distribution_indices(cfg: ScenarioConfig, times: np.ndarray) -> list[int]:
         raise ConfigError(f"{where}: {', '.join(map(_fmt, outside))}: more than "
                           f"half a step outside {grid}")
     indices = np.argmin(np.abs(times[:, None] - requests), axis=0)
-    shared = np.flatnonzero(np.bincount(indices) > 1)
-    if shared.size:
-        i = shared[0]
-        same = requests[indices == i]
-        raise ConfigError(f"{where}: {', '.join(map(_fmt, same))} all select "
-                          f"grid time {_fmt(times[i])} of {grid}")
+    files = np.array([_distribution_file(t) for t in times[indices]])
+    for name in files:
+        same = files == name
+        if same.sum() > 1:
+            rows = np.unique(times[indices[same]])
+            picks = (f"all select grid time {_fmt(rows[0])} of {grid}"
+                     if rows.size == 1 else
+                     f"select grid times {', '.join(map(_fmt, rows))} of "
+                     f"{grid}, which share the file {name}")
+            raise ConfigError(
+                f"{where}: {', '.join(map(_fmt, requests[same]))} {picks}")
     return indices.tolist()
 
 
@@ -438,8 +449,7 @@ def _run_map_model(cfg: ScenarioConfig, written: list[str]) -> None:
         for i in dist_indices:
             dists = tpms_distribution(cfg.beta_list, traj.maps[i], first,
                                       work[i])
-            label = format(float(traj.times[i]), ".6g")
-            _write(cfg, f"distribution_t{label}.csv", _csv(
+            _write(cfg, _distribution_file(traj.times[i]), _csv(
                 "beta,outcome,probability",
                 [np.repeat(cfg.beta_list, [d.outcomes.size for d in dists]),
                  np.concatenate([d.outcomes for d in dists]),

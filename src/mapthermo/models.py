@@ -15,27 +15,28 @@ sinusoidal drive (`drive_frequency`, `_SinSquaredDrive`) but lives in
 `coherent`, so that the qubit models do not load it.
 
 The exchange model also ships an extraction routine that projects any
-phase-covariant qubit trajectory back onto rate functions, which is how the
-non-Markovian rate structure is exposed. The closed forms need no rates:
-they read the exchange model's map coefficients directly.
+phase-covariant qubit trajectory with invertible maps back onto rate
+functions, which is how the non-Markovian rate structure is exposed: the
+coefficients `phase_covariant.pc_coefficients` reads. The closed forms need
+no rates: they read the coefficients that `jc_reduced_map` returns.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Callable
 
 import numpy as np
 
-from .dynamics import MapTrajectory, map_derivatives
+from .dynamics import MapTrajectory
 from .errors import ConfigError, ConstructionError, TruncationError
 from .operators import COND_THRESHOLD_DEFAULT, require_invertible
 from .phase_covariant import (
+    PCMapEntries,
     PCRates,
     constant_rate,
-    pc_generator_transfer_matrix,
+    pc_coefficients,
     pc_lambda_u,
     pc_lambda_w,
     pc_thermo,
@@ -48,9 +49,6 @@ TAIL_WEIGHT_MAX = 1e-10
 # K PANEL_NODES (compression) plus nodes N (evaluation) for K levels and N
 # grid steps, where nodes <= K is set by the frequency spread times t_N
 JC_AUTO_LEVELS_MAX = 100_000
-PC_PATTERN_TOL = 1e-7
-# transfer-matrix entries a phase-covariant map may populate
-_PC_PATTERN = pc_transfer_matrices(1.0, 1.0, 1.0, 1.0) != 0.0
 
 DRIVE_MODES = ("monotonic", "periodic")
 
@@ -253,37 +251,6 @@ def _thermal_weights(params: JCParams, n_max: int) -> np.ndarray:
     return p / p.sum()
 
 
-@dataclass(frozen=True, eq=False)
-class JCCoefficients:
-    """Reduced-map data of the exchange model on the grid.
-
-    f is the coherence factor <e|Phi[|e><g|]|g>; T_ee and T_gg the
-    population survival probabilities of the excited and ground state. The
-    transfer-matrix entries a, b, c, d_par and their time derivatives
-    follow from these.
-    """
-
-    times: np.ndarray
-    weights: np.ndarray
-    f: np.ndarray
-    T_ee: np.ndarray
-    T_gg: np.ndarray
-    a: np.ndarray
-    b: np.ndarray
-    c: np.ndarray
-    d_par: np.ndarray
-    da: np.ndarray
-    db: np.ndarray
-    dc: np.ndarray
-    dd_par: np.ndarray
-
-    @cached_property
-    def omega(self) -> np.ndarray:
-        """Splitting (a db - b da)/(a^2 + b^2); lazy, as 0/0 at a grid node."""
-        return ((self.a * self.db - self.b * self.da)
-                / (self.a ** 2 + self.b ** 2))
-
-
 def _split_grid(times: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Coarse and fine times of a uniform grid that starts at 0.
 
@@ -480,7 +447,7 @@ def _frequency_families(params: JCParams, p: np.ndarray,
 
 
 def jc_reduced_map(params: JCParams, times: np.ndarray,
-                   ) -> tuple[MapTrajectory, JCCoefficients]:
+                   ) -> tuple[MapTrajectory, PCMapEntries]:
     """Exact reduced qubit trajectory with analytic derivatives.
 
     Excitation number is conserved, so the joint unitary is block diagonal
@@ -514,7 +481,8 @@ def jc_reduced_map(params: JCParams, times: np.ndarray,
     about 2 PANEL_Z K / (PANEL_NODES t_N). The hot window's 13 816 levels
     per family become at most 20 panels; the cost grows as K PANEL_NODES
     + nodes N, not K N. The grid must be uniform from 0 (`_split_grid`,
-    `_product_sums`).
+    `_product_sums`). Returns the trajectory and its map coefficients
+    (`pc_coefficients`).
     """
     times = np.asarray(times, dtype=float)
     coarse_t, fine_t = _split_grid(times)
@@ -536,18 +504,18 @@ def jc_reduced_map(params: JCParams, times: np.ndarray,
     df = phase * (ds_sum - 1j * params.omega_m * s_sum)
     (T_ee, T_gg), (dT_ee, dT_gg) = pops[:, :times.size], same[2:, :times.size]
 
-    coeffs = JCCoefficients(
-        times=times, weights=p, f=f, T_ee=T_ee, T_gg=T_gg,
-        a=f.real, b=-f.imag, c=T_ee - T_gg, d_par=T_ee + T_gg - 1.0,
-        da=df.real, db=-df.imag, dc=dT_ee - dT_gg, dd_par=dT_ee + dT_gg)
-    r = pc_transfer_matrices(coeffs.a, coeffs.b, coeffs.c, coeffs.d_par)
-    dr = pc_transfer_matrices(coeffs.da, coeffs.db, coeffs.dc, coeffs.dd_par,
+    r = pc_transfer_matrices(f.real, -f.imag, T_ee - T_gg, T_ee + T_gg - 1.0)
+    dr = pc_transfer_matrices(df.real, -df.imag, dT_ee - dT_gg, dT_ee + dT_gg,
                               r00=0.0)
-    return MapTrajectory(times=times, maps=r, derivatives=dr), coeffs
+    traj = MapTrajectory(times=times, maps=r, derivatives=dr)
+    return traj, pc_coefficients(traj)
 
 
 def vacuum_excited_population(traj: MapTrajectory) -> np.ndarray:
     """Excited-state survival probability from the maps themselves."""
+    if traj.dim != 2:
+        raise ConfigError(f"the excited population needs a qubit trajectory, "
+                          f"not d = {traj.dim}")
     # <e|Phi[|e><e|]|e> with |e><e| = (1 + sigma_z)/2: the transfer-matrix
     # entries of rows and columns 0 and 3, over 2
     return 0.5 * traj.maps[:, ::3, ::3].sum(axis=(1, 2))
@@ -557,94 +525,19 @@ def vacuum_excited_population(traj: MapTrajectory) -> np.ndarray:
 # rate extraction from a phase-covariant trajectory
 
 
-@dataclass(frozen=True, eq=False)
-class ExtractedPCRates:
-    """Rate functions recovered from a qubit trajectory on its grid.
-
-    map_residual is the largest transfer-matrix entry outside the
-    phase-covariant pattern; generator_residual the largest mismatch
-    between the time-local generator and its phase-covariant form built
-    from the extracted rates. Both stay at rounding level when the
-    trajectory really is phase covariant.
-    """
-
-    times: np.ndarray
-    omega: np.ndarray
-    kappa: np.ndarray
-    xi: np.ndarray
-    gamma_z: np.ndarray
-    gamma_plus: np.ndarray
-    gamma_minus: np.ndarray
-    map_residual: float
-    generator_residual: float
-
-    def as_rates(self) -> PCRates:
-        """Callable rates that reproduce the grid samples exactly and
-        interpolate linearly in between."""
-        times = self.times
-
-        def interp(samples):
-            return lambda t: np.interp(np.asarray(t, dtype=float), times, samples)
-
-        return PCRates(omega=interp(self.omega),
-                       gamma_plus=interp(self.gamma_plus),
-                       gamma_minus=interp(self.gamma_minus),
-                       gamma_z=interp(self.gamma_z))
-
-
 def extract_pc_rates(traj: MapTrajectory,
                      cond_threshold: float = COND_THRESHOLD_DEFAULT,
-                     ) -> ExtractedPCRates:
-    """Project a qubit trajectory onto phase-covariant rate functions.
-
-    Works from the transfer matrices M(t) and their derivatives: the
-    time-local generator in transfer form is L = Mdot M^{-1}, and for a
-    phase-covariant family its nonzero entries are functions of
-    (omega, kappa, xi, gamma_z) alone. Raises ConfigError when the
-    trajectory is not phase covariant to within PC_PATTERN_TOL, and
-    SingularMap at grid times where the map cannot be inverted (the rates
-    blow up at such isolated times; they are not interpolated over).
-    """
-    if traj.dim != 2:
-        raise ConfigError("rate extraction requires a qubit trajectory")
-    r = traj.maps
-    off = np.abs(np.where(_PC_PATTERN, 0.0, r)).max(axis=(1, 2))
-    sym = np.stack([np.abs(r[:, 1, 1] - r[:, 2, 2]),
-                    np.abs(r[:, 1, 2] + r[:, 2, 1]),
-                    np.abs(r[:, 0, 0] - 1.0)])
-    map_residual = float(max(off.max(), sym.max()))
-    if map_residual > PC_PATTERN_TOL:
-        raise ConfigError(
-            f"trajectory is not phase covariant: pattern residual "
-            f"{map_residual:.3e} exceeds {PC_PATTERN_TOL:.0e}")
+                     ) -> PCMapEntries:
+    """Project a qubit trajectory onto phase-covariant rate functions: its
+    coefficients (`pc_coefficients`), with the rates and their generator
+    residual computed. Raises ConfigError when the trajectory is not phase
+    covariant to within PC_PATTERN_TOL, and SingularMap at grid times where
+    the map cannot be inverted (the rates blow up at such isolated times;
+    they are not interpolated over)."""
+    coeffs = pc_coefficients(traj)
     require_invertible(traj.condition_numbers, cond_threshold, traj.times)
-
-    a = 0.5 * (r[:, 1, 1] + r[:, 2, 2])
-    b = 0.5 * (r[:, 2, 1] - r[:, 1, 2])
-    c = r[:, 3, 0]
-    d_par = r[:, 3, 3]
-    dr = map_derivatives(traj)
-    da = dr[:, 1, 1]
-    db = dr[:, 2, 1]
-    dc = dr[:, 3, 0]
-    dd = dr[:, 3, 3]
-
-    sq = a ** 2 + b ** 2
-    omega = (db * a - da * b) / sq
-    damp = -(da * a + db * b) / sq
-    kappa = -dd / d_par
-    xi = dc - (dd / d_par) * c
-    gamma_z = 0.5 * (damp - 0.5 * kappa)
-
-    l_ptm = (pc_transfer_matrices(da, db, dc, dd, r00=0.0)
-             @ np.linalg.inv(pc_transfer_matrices(a, b, c, d_par)))
-    l_pc = pc_generator_transfer_matrix(omega, kappa, xi, gamma_z)
-    gen_residual = float(np.max(np.abs(l_ptm - l_pc)))
-
-    return ExtractedPCRates(
-        times=traj.times, omega=omega, kappa=kappa, xi=xi, gamma_z=gamma_z,
-        gamma_plus=0.5 * (kappa + xi), gamma_minus=0.5 * (kappa - xi),
-        map_residual=map_residual, generator_residual=gen_residual)
+    coeffs.generator_residual  # the rates and their check, computed here
+    return coeffs
 
 
 def exchange_factor_series(params: JCParams, times: np.ndarray,

@@ -30,8 +30,8 @@ its bound then have closed forms (see `pc_lambda_w`), as do the exact mean
 work and the equilibrium free energy difference. These closed forms are the
 oracle against which the generic map-level pipeline is verified. They read
 map coefficients, not rates: only the fields times, omega, c, dc, d_par and
-dd_par of `coeffs`, which `pc_integrals` and the exchange model's
-`models.JCCoefficients` both carry.
+dd_par of `coeffs`, which `pc_integrals` integrates from rates and
+`pc_coefficients` reads from any phase-covariant qubit trajectory.
 
 All cumulative integrals use the shared composite-Simpson policy from
 `quadrature`, so the analytic and generic routes share one discretization.
@@ -40,12 +40,13 @@ All cumulative integrals use the shared composite-Simpson policy from
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property, partial
 from typing import Callable
 
 import numpy as np
 
-from .dynamics import MapTrajectory
-from .errors import ConstructionError
+from .dynamics import MapTrajectory, map_derivatives
+from .errors import ConfigError, ConstructionError
 from .quadrature import (cumulative_exp_weighted, cumulative_simpson,
                          grid_spacing)
 
@@ -182,6 +183,101 @@ def pc_generator_transfer_matrix(omega, kappa, xi, gamma_z) -> np.ndarray:
     when the rates are grid arrays."""
     damp = np.asarray(kappa) / 2.0 + 2.0 * np.asarray(gamma_z)
     return pc_transfer_matrices(-damp, omega, xi, -np.asarray(kappa), r00=0.0)
+
+
+PC_PATTERN_TOL = 1e-7
+
+
+@dataclass(frozen=True, eq=False)
+class PCMapEntries:
+    """Transfer-matrix entries a, b, c, d_par of a phase-covariant qubit
+    trajectory and their time derivatives, as `pc_coefficients` reads them.
+    The rates, functions of these alone through the generator L = Mdot
+    M^{-1}, are lazy: 0/0 where a map is singular. map_residual is the maps'
+    largest deviation from the pattern, generator_residual that of L from
+    its form built from the rates (the maps must be invertible); both stay
+    at rounding level when the trajectory really is phase covariant."""
+
+    times: np.ndarray
+    a: np.ndarray
+    b: np.ndarray
+    c: np.ndarray
+    d_par: np.ndarray
+    da: np.ndarray
+    db: np.ndarray
+    dc: np.ndarray
+    dd_par: np.ndarray
+    map_residual: float
+
+    @cached_property
+    def omega(self) -> np.ndarray:
+        """Splitting (a db - b da)/(a^2 + b^2)."""
+        return ((self.a * self.db - self.b * self.da)
+                / (self.a ** 2 + self.b ** 2))
+
+    @cached_property
+    def kappa(self) -> np.ndarray:
+        return -self.dd_par / self.d_par
+
+    @cached_property
+    def xi(self) -> np.ndarray:
+        return self.dc + self.kappa * self.c
+
+    @cached_property
+    def gamma_z(self) -> np.ndarray:
+        damp = (-(self.da * self.a + self.db * self.b)
+                / (self.a ** 2 + self.b ** 2))
+        return 0.5 * (damp - 0.5 * self.kappa)
+
+    @cached_property
+    def gamma_plus(self) -> np.ndarray:
+        return 0.5 * (self.kappa + self.xi)
+
+    @cached_property
+    def gamma_minus(self) -> np.ndarray:
+        return 0.5 * (self.kappa - self.xi)
+
+    @cached_property
+    def generator_residual(self) -> float:
+        l_ptm = (pc_transfer_matrices(self.da, self.db, self.dc, self.dd_par,
+                                      r00=0.0)
+                 @ np.linalg.inv(pc_transfer_matrices(self.a, self.b, self.c,
+                                                      self.d_par)))
+        l_pc = pc_generator_transfer_matrix(self.omega, self.kappa, self.xi,
+                                            self.gamma_z)
+        return float(np.max(np.abs(l_ptm - l_pc)))
+
+    def as_rates(self) -> PCRates:
+        """Callable rates that reproduce the grid samples exactly and
+        interpolate linearly in between."""
+        return PCRates(*(partial(np.interp, xp=self.times, fp=samples)
+                         for samples in (self.omega, self.gamma_plus,
+                                         self.gamma_minus, self.gamma_z)))
+
+
+def pc_coefficients(traj: MapTrajectory) -> PCMapEntries:
+    """The entries of a qubit trajectory's phase-covariant transfer matrices
+    and of their time derivatives (the analytic ones it carries, or
+    `map_derivatives`' stencils). Raises ConfigError when the trajectory is
+    not a qubit's or not phase covariant to within PC_PATTERN_TOL."""
+    if traj.dim != 2:
+        raise ConfigError(f"phase-covariant coefficients need a qubit "
+                          f"trajectory, not d = {traj.dim}")
+    r = traj.maps
+    # off the pattern of r11, r21, r30, r33: every entry it leaves 0, and
+    # r22 - r11, r12 + r21, r00 - 1
+    map_residual = float(np.abs(r - pc_transfer_matrices(
+        r[:, 1, 1], r[:, 2, 1], r[:, 3, 0], r[:, 3, 3])).max())
+    if map_residual > PC_PATTERN_TOL:
+        raise ConfigError(
+            f"trajectory is not phase covariant: pattern residual "
+            f"{map_residual:.3e} exceeds {PC_PATTERN_TOL:.0e}")
+    dr = map_derivatives(traj)
+    return PCMapEntries(
+        times=traj.times, a=0.5 * (r[:, 1, 1] + r[:, 2, 2]),
+        b=0.5 * (r[:, 2, 1] - r[:, 1, 2]), c=r[:, 3, 0], d_par=r[:, 3, 3],
+        da=dr[:, 1, 1], db=dr[:, 2, 1], dc=dr[:, 3, 0], dd_par=dr[:, 3, 3],
+        map_residual=map_residual)
 
 
 def pc_trajectory(rates: PCRates, times: np.ndarray,

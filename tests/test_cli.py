@@ -954,6 +954,27 @@ def test_two_distribution_times_on_one_grid_point_exit_2(tmp_path, capsys):
     assert not list(out.iterdir())
 
 
+def test_distribution_times_with_one_file_label_are_refused(tmp_path):
+    # 1.2 and 1.200005 snap to rows 240000 and 240001 of a 300 001-point
+    # grid, which "%.6g" both labels 1.2: one file would replace the other
+    cfg = parse_config(write_config(tmp_path, DIST_BODY.format(
+        out=tmp_path / "out", times="1.2, 1.200005").replace(
+            "t_max = 10", "t_max = 1.5").replace("n_steps = 64",
+                                                 "n_steps = 300000")))
+    times = cli._grid(cfg)
+    assert times.size == 300_001
+    with pytest.raises(ConfigError) as exc:
+        cli._distribution_indices(cfg, times)
+    assert ("[scenario] distribution_times: 1.2, 1.200005 select grid times "
+            "1.2000000000000002, 1.200005 of the grid [0, 1.5], which share "
+            "the file distribution_t1.2.csv") in str(exc.value)
+    # one request more on either row: every request of the file is named
+    with pytest.raises(ConfigError, match=re.escape(
+            "1.2, 1.200005, 1.2000048999999999 select")):
+        cli._distribution_indices(dataclasses.replace(
+            cfg, distribution_times=(1.2, 1.200005, 1.2000049)), times)
+
+
 def test_map_file_distribution_time_outside_the_grid_names_the_file(
         tmp_path, capsys):
     p = WeakCouplingParams()

@@ -32,8 +32,10 @@ from mapthermo.models import (
 from mapthermo.operators import PAULI, column_stacked
 from mapthermo.fluctuations import fluctuation_table
 from mapthermo.observables import ThermoPipeline
-from mapthermo.phase_covariant import (pc_integrals, pc_lambda_u, pc_lambda_w,
-                                       pc_thermo, pc_trajectory)
+from mapthermo.phase_covariant import (pc_coefficients, pc_integrals,
+                                       pc_lambda_u, pc_lambda_w, pc_thermo,
+                                       pc_trajectory)
+from mapthermo.validation import random_gksl_trajectory
 from reference import (Superoperator, cptp_diagnostics, jc_level_sums,
                        map_at, pauli_transfer_matrix, stacked_trajectory)
 
@@ -308,7 +310,7 @@ def test_reduced_map_level_sum_is_chunk_independent():
     long_grid = np.linspace(0.0, 60.0, 1201)
     _, two_chunks = jc_reduced_map(params, long_grid)
     _, one_chunk = jc_reduced_map(params, long_grid[:601])
-    for name in ("f", "T_ee", "T_gg", "da", "db", "dc", "dd_par"):
+    for name in ("a", "b", "c", "d_par", "da", "db", "dc", "dd_par"):
         npt.assert_allclose(getattr(two_chunks, name)[:601],
                             getattr(one_chunk, name), rtol=0.0, atol=1e-13,
                             err_msg=name)
@@ -353,8 +355,9 @@ def _assert_level_sums_match_reference(params, times):
     _, coeffs = jc_reduced_map(params, times)
     f, T_ee, T_gg, df, dT_ee, dT_gg = jc_level_sums(params, times)
     for name, got, want in [
-            ("f", coeffs.f, f), ("T_ee", coeffs.T_ee, T_ee),
-            ("T_gg", coeffs.T_gg, T_gg),
+            ("f", coeffs.a - 1j * coeffs.b, f),
+            ("T_ee", 0.5 * (1.0 + coeffs.c + coeffs.d_par), T_ee),
+            ("T_gg", 0.5 * (1.0 - coeffs.c + coeffs.d_par), T_gg),
             ("df", coeffs.da - 1j * coeffs.db, df),
             ("dc", coeffs.dc, dT_ee - dT_gg),
             ("dd_par", coeffs.dd_par, dT_ee + dT_gg)]:
@@ -493,6 +496,17 @@ def test_extraction_rejects_non_phase_covariant_trajectory():
         extract_pc_rates(traj)
 
 
+# the excited population of a qutrit stack's entries (0, 0), (0, 3),
+# (3, 0), (3, 3) would read 1.5 at t = 0
+@pytest.mark.parametrize("read", [extract_pc_rates, pc_coefficients,
+                                  vacuum_excited_population])
+def test_qubit_readers_reject_a_qutrit_trajectory(read):
+    traj = random_gksl_trajectory(3, np.random.default_rng(5),
+                                  np.linspace(0.0, 1.0, 11))
+    with pytest.raises(ConfigError, match="qubit trajectory, not d = 3"):
+        read(traj)
+
+
 def test_extraction_raises_at_singular_exchange_node():
     p = JCParams(omega=1.0, omega_m=1.0, g=0.1, beta=math.inf)
     t_node = np.pi / 0.2
@@ -577,6 +591,12 @@ def test_exchange_closed_forms_match_the_generic_route(name):
     params, times, beta_ref = exchange_window(name, 400)
     _, lam, bound, lam_u = exchange_factor_series(params, times, beta_ref)
     traj, _ = jc_reduced_map(params, times)
+    # the series is the closed forms of the coefficients read from the maps
+    coeffs = pc_coefficients(traj)
+    closed = pc_lambda_w(pc_thermo(coeffs), coeffs, beta_ref)
+    for got, want in zip((lam, bound, lam_u),
+                         closed + (pc_lambda_u(coeffs, beta_ref),)):
+        assert got.tobytes() == want.tobytes()
     table = fluctuation_table(ThermoPipeline(traj), beta_ref)
     assert max_rel(lam, table.lambda_w) <= 1e-12
     assert max_rel(bound, table.lambda_w_bound) <= 1e-12

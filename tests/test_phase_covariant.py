@@ -6,11 +6,14 @@ from scipy.linalg import expm
 from hypothesis import given, settings
 from hypothesis.strategies import floats
 
+from mapthermo.dynamics import load_map_trajectory, save_map_trajectory
 from mapthermo.errors import ConstructionError, SingularMap
-from mapthermo.models import WeakCouplingParams, weak_coupling_rates
+from mapthermo.models import (JCParams, WeakCouplingParams, jc_reduced_map,
+                              weak_coupling_rates)
 from mapthermo.operators import PAULI
 from mapthermo.phase_covariant import (
     PCRates,
+    pc_coefficients,
     pc_generator_transfer_matrix,
     pc_integrals,
     pc_lambda_u,
@@ -21,6 +24,7 @@ from mapthermo.phase_covariant import (
     pc_trajectory,
     pc_transfer_matrices,
 )
+from mapthermo.quadrature import stencil_derivative
 from reference import (constant_rates, map_at, cptp_diagnostics,
                        pauli_transfer_matrix, pc_general_d, pc_generator,
                        pc_map)
@@ -144,6 +148,57 @@ def test_trajectory_structure_and_positivity():
         rep = cptp_diagnostics(map_at(traj, i))
         assert rep.choi_min_eigenvalue > -1e-12
         assert rep.trace_preserving_residual < 1e-12
+
+
+# the entries pc_coefficients reads from a derivative stack
+DERIVATIVE_ENTRIES = {"da": (1, 1), "db": (2, 1), "dc": (3, 0),
+                      "dd_par": (3, 3)}
+
+
+@pytest.mark.parametrize("build", ["pc_trajectory", "jc_reduced_map"])
+def test_coefficients_give_back_the_packed_entries(build):
+    times = np.linspace(0.0, 10.0, 151)
+    if build == "pc_trajectory":
+        traj, packed = pc_trajectory(
+            weak_coupling_rates(fig_drive(gamma_z=0.01)), times)
+    else:
+        traj, packed = jc_reduced_map(
+            JCParams(omega=1.3, omega_m=1.0, g=0.2, beta=0.7), times)
+    read = pc_coefficients(traj)
+    assert read.map_residual == 0.0
+    assert read.times.tobytes() == traj.times.tobytes()
+    for name in ("a", "b", "c", "d_par"):
+        assert getattr(read, name).tobytes() == getattr(packed, name).tobytes()
+    # the maps are the pattern of the entries read, bit for bit
+    assert pc_transfer_matrices(read.a, read.b, read.c, read.d_par
+                                ).tobytes() == traj.maps.tobytes()
+    for name, (i, j) in DERIVATIVE_ENTRIES.items():
+        assert getattr(read, name).tobytes() == \
+            traj.derivatives[:, i, j].tobytes(), name
+
+
+def test_coefficients_of_a_map_file_without_derivatives(tmp_path):
+    p = fig_drive(gamma=0.05, gamma_z=0.01)
+    rates = weak_coupling_rates(p)
+    times = p.grid(400)
+    traj, _ = pc_trajectory(rates, times,
+                            derivative_source="finite_difference")
+    path = str(tmp_path / "pc.maps")
+    save_map_trajectory(traj, path)
+    loaded = load_map_trajectory(path)
+    assert loaded.derivatives is None
+    read = pc_coefficients(loaded)
+    stencil = stencil_derivative(loaded.maps, loaded.spacing)
+    for name, (i, j) in DERIVATIVE_ENTRIES.items():
+        assert getattr(read, name).tobytes() == stencil[:, i, j].tobytes(), \
+            name
+    assert read.map_residual < 1e-15
+    # second-order stencils: the rates to within about h^2 omega^3 / 6
+    # (h = 0.025, omega up to 2), one-sided at the ends
+    for name, tol in [("omega", 5e-3), ("gamma_plus", 1e-6),
+                      ("gamma_minus", 1e-6), ("gamma_z", 2e-4)]:
+        npt.assert_allclose(getattr(read, name), getattr(rates, name)(times),
+                            rtol=0.0, atol=tol, err_msg=name)
 
 
 def test_transfer_matrix_stacks_match_scalar_entries():
