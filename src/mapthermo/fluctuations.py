@@ -9,6 +9,9 @@ defines the random variable x = o_m(t) - o_n(0) with distribution
 Projectors onto *clusters* of numerically degenerate eigenvalues are used
 throughout, so a zero observable at time zero cleanly degenerates to a
 one-point measurement of the final observable (the heat statistics case).
+`tpms_distribution` measures the observables by their real basis
+coordinates, as `ThermoPipeline` holds them: K(0) then O_w(t) for work, a
+zero first observable then P(t) for heat.
 
 From the distributions come the exponential averages and the correction
 factors to the Jarzynski equality:
@@ -46,14 +49,12 @@ import numpy as np
 from .errors import ConstructionError
 from .observables import _mean_changes
 from .operators import (
-    DensityMatrix,
-    HermitianOperator,
     _boltzmann,
     _gibbs_stack,
     _gibbs_weights,
     _projectors,
     coordinates,
-    eig_hermitian,
+    from_coordinates,
 )
 
 CLUSTER_TOL = 1e-9
@@ -78,15 +79,22 @@ def cluster_eigenvalues(values: np.ndarray) -> list[np.ndarray]:
     return [np.array(c) for c in clusters]
 
 
-def _measurement(op: HermitianOperator):
-    """Outcome values (cluster means) of `op`, the basis coordinates of its
-    cluster projectors, and its eigenvalues, eigenvectors and clusters."""
-    vals, vecs = eig_hermitian(op)
+def _measurement(x: np.ndarray):
+    """Outcome values (cluster means) of the observable of real basis
+    coordinates x, the coordinates of its eigenprojectors |i><i|, and its
+    eigenvalues, eigenvectors and clusters."""
+    vals, vecs = np.linalg.eigh(from_coordinates(x))
     clusters = cluster_eigenvalues(vals)
-    proj = _projectors(vecs[None])[0]
     return (np.array([np.mean(vals[idx]) for idx in clusters]),
-            np.array([proj[idx].sum(axis=0) for idx in clusters]),
-            vals, vecs, clusters)
+            _projectors(vecs[None])[0], vals, vecs, clusters)
+
+
+def _positive_betas(betas) -> np.ndarray:
+    """The inverse temperatures as an array, each 0 < beta < inf."""
+    beta = np.asarray(betas, dtype=float)
+    if not np.all((beta > 0) & (beta < np.inf)):
+        raise ValueError("beta must be positive and finite")
+    return beta
 
 
 @dataclass(frozen=True, eq=False)
@@ -111,6 +119,9 @@ class OutcomeDistribution:
         probs = np.asarray(self.probs, dtype=float)
         if outcomes.shape != probs.shape or outcomes.ndim != 1:
             raise ConstructionError("outcomes and probs must be matching 1-d arrays")
+        # NaN fails every comparison, so this holds for finite values only
+        if np.any(~(np.abs(np.concatenate([outcomes, probs])) < np.inf)):
+            raise ConstructionError("outcomes and probabilities must be finite")
         if np.any(np.diff(outcomes) <= 0):
             raise ConstructionError("outcomes must be strictly increasing")
         worst = float(probs.min(initial=0.0))
@@ -128,34 +139,33 @@ class OutcomeDistribution:
         object.__setattr__(self, "probs", probs)
 
 
-def tpms_distribution(rho0, map_t: np.ndarray, O0: HermitianOperator,
-                      Ot: HermitianOperator):
-    """Distribution of o_m(t) - o_n(0) under the two-point scheme, for one
-    initial state (a DensityMatrix) or, as a list, for each state of a
-    checked (B, d, d) stack or, given a 1-d sequence of positive betas, for
-    each Gibbs state e^{-beta O0} / Z, as `run` writes them; `map_t` is a
-    row of `MapTrajectory.maps`.
+def tpms_distribution(rho0, map_t: np.ndarray, o0: np.ndarray,
+                      ot: np.ndarray) -> list[OutcomeDistribution]:
+    """Distributions of o_m(t) - o_n(0) under the two-point scheme, one per
+    initial state: each state of a checked (B, d, d) stack or, given a 1-d
+    sequence of betas (each 0 < beta < inf), each Gibbs state e^{-beta O0} / Z,
+    as `run` writes them. `o0` and `ot` are the (d^2,) real basis
+    coordinates of the first and second observable, and `map_t` is a row of
+    `MapTrajectory.maps`.
 
     All (n, m) cluster pairs are enumerated, zero-probability outcomes
     included; outcome values agreeing within the clustering tolerance are
     merged. No diagonality of rho0 in the O0 eigenbasis is required, but the
     initial measurement dephases the state in that basis, and
     `initial_coherence` reports how much was destroyed. Given betas, each
-    branch Pi_n rho Pi_n is its population times Pi_n, so a small
-    population keeps its relative accuracy (from a matrix it carries an
-    absolute error of about eps, which e^{beta o_n} in `exp_average` then
-    multiplies). The branches Phi_t[Pi_n rho Pi_n] and their traces against
-    Pi_m(t) are sums of basis coordinates that take each state alone.
+    branch Pi_n rho Pi_n is sum_{i in n} w_i |i><i| over the Gibbs
+    populations w_i of the cluster's eigenvectors, so a small population
+    keeps its relative accuracy (from a matrix it carries an absolute error
+    of about eps, which e^{beta o_n} in `exp_average` then multiplies). The
+    branches Phi_t[Pi_n rho Pi_n] and their traces against Pi_m(t) are sums
+    of basis coordinates that take each state alone.
     """
-    single = isinstance(rho0, DensityMatrix)
-    states = rho0.matrix[None] if single else np.asarray(rho0)
-    o0, proj0, vals0, vecs0, clusters0 = _measurement(O0)
+    states = np.asarray(rho0)
+    out0, proj0, vals0, vecs0, clusters0 = _measurement(o0)
     if states.ndim == 1:   # betas
-        if not np.all(states > 0):
-            raise ValueError("beta must be positive")
-        w = _gibbs_weights(vals0, states[:, None])
-        kept = np.array([w[:, idx].sum(axis=1) for idx in clusters0])[
-            ..., None] * proj0[:, None]   # (n, state, d^2)
+        w = _gibbs_weights(vals0, _positive_betas(states)[:, None])
+        kept = np.array([(w[:, idx, None] * proj0[idx]).sum(axis=1)
+                         for idx in clusters0])   # (n, state, d^2)
         coherence = np.zeros(states.size)
     else:
         p0 = np.array([vecs0[:, idx] @ vecs0[:, idx].conj().T
@@ -163,14 +173,15 @@ def tpms_distribution(rho0, map_t: np.ndarray, O0: HermitianOperator,
         kept = p0 @ states @ p0  # (n, state, d, d)
         coherence = np.linalg.norm(states - kept.sum(axis=0), axis=(-2, -1))
         kept = coordinates(kept)
-    ot, projt, *_ = _measurement(Ot)
+    outt, projt, _, _, clusterst = _measurement(ot)
+    projt = np.array([projt[idx].sum(axis=0) for idx in clusterst])
     # Tr{Pi_m Phi_t[X]} = c(Pi_m) . R c(X) for Hermitian X, c coordinates
     branches = np.einsum("ab,nsb->nsa", map_t, kept)
     probs = np.einsum("ma,nsa->nms", projt, branches)
-    raw_x = (ot[None, :] - o0[:, None]).ravel()
+    raw_x = (outt[None, :] - out0[:, None]).ravel()
     order = np.argsort(raw_x, kind="stable")
     raw_x, raw_p = raw_x[order], probs.reshape(-1, kept.shape[1])[order]
-    scale = max(1.0, float(np.ptp(o0)), float(np.ptp(ot)))
+    scale = max(1.0, float(np.ptp(out0)), float(np.ptp(outt)))
     dists = []
     for k, state_p in enumerate(raw_p.T):
         xs: list[float] = []
@@ -188,7 +199,7 @@ def tpms_distribution(rho0, map_t: np.ndarray, O0: HermitianOperator,
         dists.append(OutcomeDistribution(
             outcomes=np.array(xs), probs=np.array(ps),
             initial_coherence=float(coherence[k])))
-    return dists[0] if single else dists
+    return dists
 
 
 def exp_average(dist: OutcomeDistribution, beta: float) -> float:
@@ -299,9 +310,7 @@ def fluctuation_tables(pipeline, betas, indices=None,
     <e^{-beta w}> = Tr{e^{-beta O_w(t)} Phi_t[1]} / Z(0) is evaluated on its
     own, so `check_invariants` compares two routes.
     """
-    beta = np.asarray(betas, dtype=float)
-    if not np.all(beta > 0):
-        raise ValueError("beta must be positive")
+    beta = _positive_betas(betas)
     # a slice keeps the whole-grid arrays as views, not copies
     rows = slice(None) if indices is None else np.asarray(indices, dtype=int)
     times = pipeline.times[rows]

@@ -22,16 +22,16 @@ g is accumulated with the shared cumulative Simpson rule and the single
 factor (Phi_t^{-1})^dagger is applied once per target time, all as stacks
 over the grid, so a whole-grid evaluation needs one batched inversion.
 
-Work and heat observable series come in three interchangeable conventions
-related by the initial-condition freedom
+The work and heat observables measure the effective Hamiltonian at both
+ends: O_w(t) = K(t) - P(t), O_q(t) = P(t), O_w(0) = K(0), O_q(0) = 0, which
+satisfy the operator first law O_w(t) + O_q(t) - O_w(0) - O_q(0) =
+K(t) - K(0) exactly. Any other choice follows from the initial-condition
+freedom (`shifted_observable`)
 
     O'_x(t) = O_x(t) - (Phi_t^{-1})^dagger [ O_x(0) - O'_x(0) ],
 
 which leaves the two-point mean change <O_x(t)>_t - <O_x(0)>_0 untouched for
-every initial state. The default ("two_point_energy_first") measures the
-effective Hamiltonian at both ends: O_w(t) = K(t) - P(t), O_q(t) = P(t),
-O_w(0) = K(0), O_q(0) = 0, and satisfies the operator first law
-O_w(t) + O_q(t) - O_w(0) - O_q(0) = K(t) - K(0) exactly.
+every initial state.
 
 Operators are held as their real coordinates in the Hermitian basis of
 `operators`, on which the maps act as real matrices, so they are Hermitian
@@ -43,18 +43,14 @@ The closed-system constructions for initial states with coherences live in
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from enum import Enum
 from functools import cached_property
 
 import numpy as np
 
 from .dynamics import MapTrajectory, generator_splits, map_derivatives
-from .errors import ConstructionError
 from .operators import (
     COND_THRESHOLD_DEFAULT,
     DensityMatrix,
-    HermitianOperator,
     _projectors,
     adjoint_apply_stack,
     coordinates,
@@ -62,46 +58,6 @@ from .operators import (
     stack_blocks,
 )
 from .quadrature import cumulative_simpson
-
-
-class Convention(Enum):
-    """Where the initial-condition freedom puts the measured operators."""
-
-    TWO_POINT_ENERGY_FIRST = "two_point_energy_first"
-    SINGLE_MEASURE_FINAL = "single_measure_final"
-    SINGLE_MEASURE_INITIAL = "single_measure_initial"
-
-
-@dataclass(frozen=True, eq=False)
-class ObservableSeries:
-    """One Hermitian operator per grid time, stored as the read-only
-    (N+1, d^2) array `coords` of its real basis coordinates; `series[i]` is
-    the HermitianOperator at times[i].
-
-    Two encodings exist. "per_time" (the default): coords[i] is the
-    operator measured at times[i] within a single protocol.
-    "per_duration_initial" (the single_measure_initial convention): the
-    series is indexed by protocol duration, coords[i] is the *initial*
-    operator of the protocol that ends at times[i], and that protocol's
-    final operator is zero by construction.
-    """
-
-    times: np.ndarray
-    coords: np.ndarray
-    label: str = "custom"
-    encoding: str = "per_time"
-
-    def __post_init__(self):
-        coords = self.coords.view()
-        coords.setflags(write=False)
-        object.__setattr__(self, "coords", coords)
-        if coords.shape[0] != np.asarray(self.times).size:
-            raise ConstructionError("series length does not match grid")
-        if self.encoding not in ("per_time", "per_duration_initial"):
-            raise ConstructionError(f"unknown encoding {self.encoding!r}")
-
-    def __getitem__(self, i: int) -> HermitianOperator:
-        return HermitianOperator(from_coordinates(self.coords[i]))
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
@@ -112,8 +68,7 @@ def _frozen(a: np.ndarray) -> np.ndarray:
 class ThermoPipeline:
     """Effective Hamiltonians K(t), path operators P(t) and work operators
     O_w(t) = K(t) - P(t) of one trajectory, each computed once for the
-    whole grid as the read-only (N+1, d^2) coordinates `k`, `p` and `w`,
-    plus the observable series built from them.
+    whole grid as the read-only (N+1, d^2) coordinates `k`, `p` and `w`.
 
     The beta-independent inputs of `fluctuations.fluctuation_tables` are
     cached here on first use, as read-only whole-grid arrays, so every
@@ -185,76 +140,39 @@ class ThermoPipeline:
                       phi_id),
             np.linalg.eigvalsh(from_coordinates(phi_id))[:, -1])))
 
-    def _series(self, coords: np.ndarray, label: str,
-                encoding: str = "per_time") -> ObservableSeries:
-        return ObservableSeries(self.times, coords, label=label,
-                                encoding=encoding)
+    def path_operator_series(self) -> np.ndarray:
+        """The coordinates of P(t), (N+1, d^2)."""
+        return self.p
 
-    def effective_hamiltonian_series(self) -> ObservableSeries:
-        return self._series(self.k, "effective_hamiltonian")
-
-    def path_operator_series(self) -> ObservableSeries:
-        return self._series(self.p, "path_operator")
-
-    def work_heat_observables(self,
-                              convention: Convention = Convention.TWO_POINT_ENERGY_FIRST,
-                              ) -> tuple[ObservableSeries, ObservableSeries]:
-        """Work and heat observable series in the requested convention."""
-        encoding = "per_time"
-        if convention is Convention.TWO_POINT_ENERGY_FIRST:
-            work, heat = self.w, self.p
-        elif convention is Convention.SINGLE_MEASURE_FINAL:
-            # shift the initial work operator to zero; heat already starts at 0
-            zero = HermitianOperator(np.zeros((self.traj.dim,) * 2))
-            work = shifted_observable(self._series(self.w, "work"), self.traj,
-                                      zero, self.cond_threshold).coords
-            heat = self.p
-        elif convention is Convention.SINGLE_MEASURE_INITIAL:
-            # final operators are zero; coords[i] holds the *initial* operator
-            # of the duration-t_i protocol: O'_x(0) = O_x(0) - Phi_t^dagger[O_x(t)]
-            maps = self.traj.maps
-            work = self.k[0] - adjoint_apply_stack(maps, self.w)
-            heat = -adjoint_apply_stack(maps, self.p)
-            encoding = "per_duration_initial"
-        else:
-            raise ValueError(f"unknown convention {convention!r}")
-        return (self._series(work, "work", encoding),
-                self._series(heat, "heat", encoding))
+    def work_heat_observables(self) -> tuple[np.ndarray, np.ndarray]:
+        """The coordinates of O_w(t) and O_q(t) = P(t), each (N+1, d^2)."""
+        return self.w, self.p
 
     def balance_residual(self) -> float:
-        """Max deviation of the operator first law for the default
-        convention: O_w(t) + O_q(t) - O_w(0) - O_q(0) = K(t) - K(0)."""
-        work, heat = self.work_heat_observables(Convention.TWO_POINT_ENERGY_FIRST)
-        lhs = work.coords + heat.coords - work.coords[0] - heat.coords[0]
+        """Max deviation of the operator first law
+        O_w(t) + O_q(t) - O_w(0) - O_q(0) = K(t) - K(0)."""
+        lhs = self.w + self.p - self.w[0] - self.p[0]
         return float(np.max(np.abs(lhs - (self.k - self.k[0]))))
 
 
-def shifted_observable(series: ObservableSeries, traj: MapTrajectory,
-                       new_initial: HermitianOperator,
+def shifted_observable(x: np.ndarray, traj: MapTrajectory,
+                       new_initial: np.ndarray,
                        cond_threshold: float = COND_THRESHOLD_DEFAULT,
-                       ) -> ObservableSeries:
-    """Apply the initial-condition freedom: replace the initial operator and
-    correct every later one so all two-point mean changes are preserved."""
-    if series.encoding != "per_time":
-        raise ValueError("initial-condition shifts act on per_time series; "
-                         "a per_duration_initial series mixes protocols")
-    new = coordinates(new_initial.matrix)
-    coords = series.coords - (series.coords[0] - new) @ traj.inverses(
-        cond_threshold)
-    coords[0] = new
-    return ObservableSeries(series.times, coords, label=series.label)
+                       ) -> np.ndarray:
+    """Apply the initial-condition freedom to the (N+1, d^2) coordinates of
+    an observable series: replace the initial operator by the one of
+    coordinates `new_initial` and correct every later one so all two-point
+    mean changes are preserved."""
+    shifted = x - (x[0] - new_initial) @ traj.inverses(cond_threshold)
+    shifted[0] = new_initial
+    return shifted
 
 
-def mean_change(series: ObservableSeries, traj: MapTrajectory, i_t: int,
+def mean_change(x: np.ndarray, traj: MapTrajectory, i_t: int,
                 rho0: DensityMatrix) -> float:
-    """Two-point mean change <O(t)>_t - <O(0)>_0 for one initial state.
-
-    Honors the series encoding: for per_duration_initial the final operator
-    of the duration-t protocol is zero, so the mean is -<coords[i_t]>_0.
-    """
-    x, r0 = series.coords, coordinates(rho0.matrix)
-    if series.encoding == "per_duration_initial":
-        return float(-(x[i_t] * r0).sum())
+    """Two-point mean change <O(t)>_t - <O(0)>_0 of the observable series
+    of coordinates x, for one initial state."""
+    r0 = coordinates(rho0.matrix)
     rho_t = np.einsum("ab,b->a", traj.maps[i_t], r0)  # as the tables sum it
     return float(_mean_changes(x[i_t][None], rho_t[None], x[0], r0)[0])
 

@@ -28,9 +28,9 @@ from scipy.linalg import expm
 
 from .errors import MapThermoError
 from .operators import (DensityMatrix, HermitianOperator, basis_maps,
-                        column_stacked, commutator_superop,
-                        cptp_diagnostics_stack, eig_hermitian, gibbs_state,
-                        random_hermitian)
+                        column_stacked, commutator_superop, coordinates,
+                        cptp_diagnostics_stack, eig_hermitian,
+                        from_coordinates, gibbs_state, random_hermitian)
 from .dynamics import (MapTrajectory, load_map_trajectory, read_map_file,
                        save_map_trajectory)
 from .phase_covariant import (PCRates, constant_rate, pc_integrals,
@@ -154,7 +154,7 @@ def check_pure_decoherence_jarzynski() -> str:
     for traj in trajectories:
         pipe = ThermoPipeline(traj)
         _, heat = pipe.work_heat_observables()
-        max_oq = max(max_oq, float(np.max(np.abs(heat.coords))))
+        max_oq = max(max_oq, float(np.max(np.abs(heat))))
         for table in fluctuation_tables(pipe, (0.5, 0.7, 2.0, 7.0)):
             dev_q = max(dev_q, float(np.max(np.abs(table.exp_avg_q - 1.0))))
             dev_w = max(dev_w, float(np.max(np.abs(table.lambda_w - 1.0))))
@@ -201,7 +201,7 @@ def _tpms_trace_gap(dim: int, seeds: range, fixed_beta_seed: int) -> float:
     `fixed_beta_seed` is also measured at beta = 0.8."""
     worst = 0.0
     rows = (20, 42, 64)
-    zero = HermitianOperator(np.zeros((dim, dim)))
+    zero = np.zeros(dim * dim)
     for seed in seeds:
         rng = np.random.default_rng(seed)
         traj = random_gksl_trajectory(dim, rng, np.linspace(0.0, 1.5, 65))
@@ -209,7 +209,7 @@ def _tpms_trace_gap(dim: int, seeds: range, fixed_beta_seed: int) -> float:
         if seed == fixed_beta_seed:
             betas.append(0.8)
         pipe = ThermoPipeline(traj)
-        K = pipe.effective_hamiltonian_series()
+        K = pipe.k
         work, heat = pipe.work_heat_observables()
         tables = fluctuation_tables(pipe, betas)
         states = _initial_states(pipe, betas)
@@ -266,7 +266,8 @@ def _shift_drift(series, traj: MapTrajectory, rho0: DensityMatrix,
     worst = 0.0
     for _ in range(n_shifts):
         shifted = shifted_observable(series, traj,
-                                     random_hermitian(traj.dim, rng))
+                                     coordinates(random_hermitian(
+                                         traj.dim, rng).matrix))
         for b, i in zip(base, rows):
             worst = max(worst, abs(mean_change(shifted, traj, i, rho0) - b))
     return worst
@@ -290,8 +291,8 @@ def check_operator_balance() -> str:
         for series in (work, heat):
             drift = max(drift, _shift_drift(series, traj, rho0, rng, 5, rows))
         if k == 0:
-            rho_g = gibbs_state(pipe.effective_hamiltonian_series()[0],
-                                WeakCouplingParams().beta)
+            rho_g = gibbs_state(HermitianOperator(from_coordinates(
+                pipe.k[0])), WeakCouplingParams().beta)
             drift = max(drift, _shift_drift(work, traj, rho_g,
                                             np.random.default_rng(11), 2,
                                             (n - 1,)))
@@ -347,7 +348,8 @@ def _coherent_chain(rho0: DensityMatrix, H0: HermitianOperator,
         final = HermitianOperator(H[k] + u_t @ data.xi.matrix @ u_t.conj().T)
         u_map = basis_maps(np.kron(u_t.conj(), u_t)).real
         gap = max(gap, abs(exp_average(tpms_distribution(
-            rho0, u_map, data.H_star, final), data.beta) - value))
+            rho0.matrix[None], u_map, coordinates(data.H_star.matrix),
+            coordinates(final.matrix))[0], data.beta) - value))
         link = min(link, gt - value, chain - gt)
         rho_t = u_t @ rho0.matrix @ u_t.conj().T
         mean_w = float(np.trace(final.matrix @ rho_t).real

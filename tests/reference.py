@@ -16,9 +16,13 @@ check (the library keeps maps as real matrices in a Hermitian basis and
 checks the imaginary part there), and the
 matrix-trace route of the fluctuation table (`matrix_fluctuation_table`:
 Gibbs states and exponentials formed as stacks and traced) that the
-eigenbasis weighted sums of `fluctuation_table` replaced, and `apply` and
+eigenbasis weighted sums of `fluctuation_table` replaced, `apply` and
 `unvec`, one operator through one map, which the library forms only as
-stacked products.
+stacked products, the two single-measurement conventions of the work and
+heat observables (`single_measure_final_work`, `single_measure_initial`),
+which the library's one convention reaches through `shifted_observable`,
+and `one_state_tpms`, the two-point distribution of one `DensityMatrix`
+between two `HermitianOperator`s.
 Nothing in `src/mapthermo` calls them. The random states and unitaries are those of the acceptance
 checks (`mapthermo.validation`), imported here for the other tests.
 
@@ -42,7 +46,8 @@ from mapthermo.coherent import CoherentInitialData, CoherentWorkResult
 from mapthermo.dynamics import (_CELL, _EXACT, _FORMAT_TAG, _MAX_Q, _POW10,
                                  _U64, MapTrajectory, map_derivatives)
 from mapthermo.errors import ConstructionError
-from mapthermo.fluctuations import FluctuationTable, OutcomeDistribution
+from mapthermo.fluctuations import (FluctuationTable, OutcomeDistribution,
+                                    tpms_distribution)
 from mapthermo.models import JCParams, _thermal_weights, jc_mode_count
 from mapthermo.operators import (
     COND_THRESHOLD_DEFAULT,
@@ -54,9 +59,11 @@ from mapthermo.operators import (
     _exp_stack,
     _gibbs_stack,
     _reshuffle,
+    adjoint_apply_stack,
     basis_maps,
     column_stacked,
     commutator_superop,
+    coordinates,
     cptp_diagnostics_stack,
     dagger,
     eig_hermitian,
@@ -65,6 +72,7 @@ from mapthermo.operators import (
     partition_function,
     require_invertible,
 )
+from mapthermo.observables import shifted_observable
 from mapthermo.phase_covariant import (
     PCMapCoefficients,
     PCRates,
@@ -711,6 +719,45 @@ def coherent_work_row(data: CoherentInitialData, u_t: np.ndarray,
                               jarzynski_factor=zt / z0,
                               delta_F_bar=float(-np.log(zt / z0) / beta),
                               lambda_min_xi=data.lambda_min_xi)
+
+
+# ---------------------------------------------------------------------------
+# The single-measurement conventions and one-state distributions
+# (`mapthermo.observables`, `mapthermo.fluctuations`)
+
+
+def single_measure_final_work(pipeline) -> np.ndarray:
+    """The work series whose initial operator is zero: O_w shifted by the
+    initial-condition freedom (the heat series P(t) already starts at 0)."""
+    return shifted_observable(pipeline.w, pipeline.traj,
+                              np.zeros(pipeline.w.shape[1]),
+                              pipeline.cond_threshold)
+
+
+def single_measure_initial(pipeline) -> tuple[np.ndarray, np.ndarray]:
+    """Work and heat series indexed by protocol duration: row i holds the
+    initial operator O'_x(0) = O_x(0) - Phi_t^dagger[O_x(t)] of the protocol
+    that ends at t_i, whose final operator is zero."""
+    maps = pipeline.traj.maps
+    return (pipeline.k[0] - adjoint_apply_stack(maps, pipeline.w),
+            -adjoint_apply_stack(maps, pipeline.p))
+
+
+def duration_mean_change(x: np.ndarray, i_t: int,
+                         rho0: DensityMatrix) -> float:
+    """The two-point mean change of the duration-t_i protocol of a
+    `single_measure_initial` series: its final operator is zero, so the
+    mean is -<x[i_t]>_0."""
+    return float(-(x[i_t] * coordinates(rho0.matrix)).sum())
+
+
+def one_state_tpms(rho0: DensityMatrix, map_t: np.ndarray,
+                   O0: HermitianOperator,
+                   Ot: HermitianOperator) -> OutcomeDistribution:
+    """`tpms_distribution` of one state between two operators."""
+    return tpms_distribution(rho0.matrix[None], map_t,
+                             coordinates(O0.matrix),
+                             coordinates(Ot.matrix))[0]
 
 
 def moment(dist: OutcomeDistribution, k: int) -> float:

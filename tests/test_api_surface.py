@@ -1,10 +1,11 @@
 """The library's public names are all used outside the tests.
 
 A top-level public name of `src/mapthermo` (function, class or constant not
-starting with an underscore) counts as used when the package's code refers
-to it outside its own definition (as a name, an attribute or an imported
-name; a docstring or comment that mentions it does not count), or when it
-appears as a word in `scripts/` or in `perfbench/`. A mention in the README
+starting with an underscore), or a public method or property of one of its
+classes, counts as used when the package's code refers to it outside its
+own definition (as a name, an attribute or an imported name; a docstring or
+comment that mentions it does not count), or when it appears as a word in
+`scripts/` or in `perfbench/`. A mention in the README
 is not a use: a name that only the tests and the README use belongs in the
 tests (`tests/reference.py` holds the per-point references and test-only
 helpers).
@@ -44,6 +45,23 @@ def _definitions(tree: ast.Module) -> dict[str, tuple[int, int]]:
     return spans
 
 
+def _members(tree: ast.Module) -> dict[str, tuple[str, int, int]]:
+    """Public methods and properties of a module's top-level classes, by
+    qualified name, with their name and the line span defining each."""
+    spans = {}
+    for cls in tree.body:
+        if not isinstance(cls, ast.ClassDef):
+            continue
+        for node in cls.body:
+            if (isinstance(node, ast.FunctionDef)
+                    and not node.name.startswith("_")):
+                start = min([node.lineno] + [d.lineno for d in
+                                             node.decorator_list])
+                spans[f"{cls.name}.{node.name}"] = (node.name, start,
+                                                    node.end_lineno)
+    return spans
+
+
 def _code_references(tree: ast.Module) -> list[tuple[str, int]]:
     """Each name a module's code reads, with its line: loaded names and
     attributes, and the names its imports bind."""
@@ -70,9 +88,13 @@ def _outside_users() -> Counter:
     return words
 
 
+def _trees() -> dict[Path, ast.Module]:
+    return {path: ast.parse(path.read_text())
+            for path in sorted(PACKAGE.glob("*.py"))}
+
+
 def test_every_public_name_is_used_outside_the_tests():
-    trees = {path: ast.parse(path.read_text())
-             for path in sorted(PACKAGE.glob("*.py"))}
+    trees = _trees()
     definitions = {path: _definitions(tree) for path, tree in trees.items()}
     package_refs = Counter()
     for path, tree in trees.items():
@@ -86,4 +108,22 @@ def test_every_public_name_is_used_outside_the_tests():
                  if package_refs[name] == 0 and outside[name] == 0]
     assert not test_only, ("public names not used outside the tests (move "
                            "them to tests/reference.py): "
+                           + ", ".join(test_only))
+
+
+def test_every_public_method_is_used_outside_the_tests():
+    trees = _trees()
+    refs = [(path, name, line) for path, tree in trees.items()
+            for name, line in _code_references(tree)]
+    outside = _outside_users()
+    test_only = []
+    for path, tree in trees.items():
+        for qualname, (name, start, end) in _members(tree).items():
+            used = any(ref == name and not (where == path
+                                            and start <= line <= end)
+                       for where, ref, line in refs)
+            if not used and outside[name] == 0:
+                test_only.append(f"{path.name}: {qualname}")
+    assert not test_only, ("public methods and properties not used outside "
+                           "the tests (move them to tests/reference.py): "
                            + ", ".join(test_only))

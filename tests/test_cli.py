@@ -224,6 +224,70 @@ def test_rerun_is_byte_identical(tmp_path, body, names):
         assert (out / n).read_bytes() == before[n], n
 
 
+def assert_distributions_match_lambda_series(out):
+    """Per distribution file and beta, sum_x p e^{-beta x} equals the
+    exp_avg_w of that grid row and beta in lambda_series.csv within 1e-12
+    relative; returns the files' names."""
+    avg_col = FluctuationTable.CSV_HEADER.split(",").index("exp_avg_w")
+    table = np.loadtxt(out / "lambda_series.csv", delimiter=",", skiprows=1,
+                       ndmin=2)
+    names = sorted(p.name for p in out.glob("distribution_t*.csv"))
+    for name in names:
+        t = float(name[len("distribution_t"):-len(".csv")])
+        dist = np.loadtxt(out / name, delimiter=",", skiprows=1, ndmin=2)
+        for beta in np.unique(dist[:, 0]):
+            rows = table[table[:, 1] == beta]
+            want = rows[np.argmin(np.abs(rows[:, 0] - t)), avg_col]
+            x, prob = dist[dist[:, 0] == beta, 1:].T
+            got = np.dot(prob, np.exp(-beta * x))
+            assert abs(got - want) <= 1e-12 * abs(want), (name, beta, got,
+                                                          want)
+    return names
+
+
+@pytest.mark.parametrize("body", [
+    pytest.param(WEAK_BODY.replace("beta_list = 1.0", "beta_list = 0.5, 2.0")
+                 .replace("n_steps = 64", "n_steps = 200")
+                 .replace("5.004", "2.5, 7.5"), id="weak_coupling"),
+    pytest.param(QUTRIT_MAP_FILE_BODY.replace("0.75", "0.75, 1.5"),
+                 id="qutrit_map_file")])
+def test_distribution_files_agree_with_lambda_series(tmp_path, body):
+    if "custom_map_file" in body:
+        traj = random_gksl_trajectory(3, np.random.default_rng(21),
+                                      np.linspace(0.0, 1.5, 49))
+        save_map_trajectory(traj, str(tmp_path / "qutrit.maps"))
+    out = tmp_path / "out"
+    assert main(["run", write_config(tmp_path, body.format(out=out))]) == 0
+    names = assert_distributions_match_lambda_series(out)
+    assert len(names) == 2
+    for name in names:
+        betas = np.loadtxt(out / name, delimiter=",", skiprows=1)[:, 0]
+        assert len(set(betas)) == 2
+
+
+def test_a_degenerate_first_observable_gives_its_distribution(tmp_path):
+    # omega0 = 0: K(0) = 0, one cluster of rank 2 measured first
+    out = tmp_path / "out"
+    cfg_path = write_config(tmp_path, f"""\
+        [scenario]
+        model = custom_pc
+        beta_list = 1.0
+        t_max = 5
+        n_steps = 100
+        out_dir = {out}
+        distribution_times = 2.5
+
+        [custom_pc]
+        omega0 = 0.0
+        gamma_minus = 0.1
+    """)
+    assert main(["run", cfg_path]) == 0
+    assert (out / "distribution_t2.5.csv").read_text() == (
+        "beta,outcome,probability\n1,0,1\n")
+    assert assert_distributions_match_lambda_series(out) == [
+        "distribution_t2.5.csv"]
+
+
 WC_CLI_BODY = """\
     [scenario]
     model = weak_coupling

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis.strategies import floats
 
 from mapthermo import fluctuations
-from mapthermo.dynamics import csv_text
+from mapthermo.dynamics import MapTrajectory, csv_text
 from mapthermo.errors import ConstructionError
 from mapthermo.fluctuations import (
     CLUSTER_TOL,
@@ -32,7 +32,9 @@ from mapthermo.operators import (
     DensityMatrix,
     HermitianOperator,
     adjoint_apply_stack,
+    basis_maps,
     column_stacked,
+    commutator_superop,
     coordinates,
     from_coordinates,
     gibbs_state,
@@ -45,7 +47,7 @@ from mapthermo.phase_covariant import (
     pc_thermo,
     pc_trajectory,
 )
-from mapthermo.validation import random_gksl_trajectory
+from mapthermo.validation import _dissipator_matrix, random_gksl_trajectory
 from reference import (
     Superoperator,
     adjoint_trace,
@@ -62,6 +64,7 @@ from reference import (
     matrix_fluctuation_table,
     moment,
     noneq_free_energy,
+    one_state_tpms,
     random_density_matrix,
     random_unitary,
     real_map,
@@ -121,12 +124,25 @@ def test_distribution_clips_rounding_level_negatives():
     assert abs(dist.probs.sum() - 1.0) < 1e-15
 
 
+@pytest.mark.parametrize("outcomes,probs", [
+    ([0.0, 1.0], [math.nan, 1.0]),
+    ([0.0, 1.0], [math.nan, math.nan]),
+    ([0.0, 1.0], [0.0, math.inf]),
+    ([0.0, math.nan], [0.5, 0.5]),
+    ([-math.inf, 0.0], [0.5, 0.5]),
+    ([0.0, math.inf], [0.0, 1.0])])
+def test_distribution_refuses_values_that_are_not_finite(outcomes, probs):
+    with pytest.raises(ConstructionError, match="must be finite"):
+        OutcomeDistribution(outcomes=np.array(outcomes),
+                            probs=np.array(probs))
+
+
 def test_tpms_static_diagonal_state_keeps_zero_outcome():
     # repeated measurement of sigma_z without evolution: the +-2 jumps exist
     # as outcomes but carry no weight
     rho0 = DensityMatrix(np.diag([0.3, 0.7]))
-    dist = tpms_distribution(rho0, real_map(IDENTITY_MAP),
-                             HermitianOperator(SZ), HermitianOperator(SZ))
+    dist = one_state_tpms(rho0, real_map(IDENTITY_MAP),
+                          HermitianOperator(SZ), HermitianOperator(SZ))
     npt.assert_allclose(dist.outcomes, [-2.0, 0.0, 2.0])
     npt.assert_allclose(dist.probs, [0.0, 1.0, 0.0], atol=1e-15)
     assert dist.initial_coherence == 0.0
@@ -134,9 +150,9 @@ def test_tpms_static_diagonal_state_keeps_zero_outcome():
 
 def test_tpms_quarter_rotation_splits_evenly():
     u = expm(-1j * (np.pi / 4) * PAULI[1])
-    dist = tpms_distribution(DensityMatrix(np.diag([1.0, 0.0])),
-                             real_map(conjugation_superop(u)),
-                             HermitianOperator(SZ), HermitianOperator(SZ))
+    dist = one_state_tpms(DensityMatrix(np.diag([1.0, 0.0])),
+                          real_map(conjugation_superop(u)),
+                          HermitianOperator(SZ), HermitianOperator(SZ))
     npt.assert_allclose(dist.outcomes, [-2.0, 0.0, 2.0])
     npt.assert_allclose(dist.probs, [0.5, 0.5, 0.0], atol=1e-12)
 
@@ -152,7 +168,7 @@ def test_tpms_mean_is_trace_formula_for_commuting_state():
     p = rng.uniform(0.2, 1.0, size=3)
     p /= p.sum()
     rho0 = DensityMatrix(vecs @ np.diag(p) @ vecs.conj().T)
-    dist = tpms_distribution(rho0, real_map(map_t), O0, Ot)
+    dist = one_state_tpms(rho0, real_map(map_t), O0, Ot)
     expect = (np.trace(Ot.matrix @ apply(map_t, rho0.matrix)).real
               - np.trace(O0.matrix @ rho0.matrix).real)
     assert dist.initial_coherence < 1e-12
@@ -161,17 +177,17 @@ def test_tpms_mean_is_trace_formula_for_commuting_state():
 
 def test_tpms_flags_destroyed_coherences():
     rho0 = DensityMatrix(np.array([[0.6, 0.3], [0.3, 0.4]]))
-    dist = tpms_distribution(rho0, real_map(IDENTITY_MAP),
-                             HermitianOperator(SZ),
-                             HermitianOperator(0.5 * SZ))
+    dist = one_state_tpms(rho0, real_map(IDENTITY_MAP),
+                          HermitianOperator(SZ),
+                          HermitianOperator(0.5 * SZ))
     assert dist.initial_coherence > 0.1
 
 
 def test_tpms_degenerate_first_observable_is_one_point():
     # zero first observable: single cluster, no dephasing, heat-style scheme
     rho0 = DensityMatrix(np.array([[0.6, 0.3], [0.3, 0.4]]))
-    dist = tpms_distribution(rho0, real_map(IDENTITY_MAP), zero_op(),
-                             HermitianOperator(SZ))
+    dist = one_state_tpms(rho0, real_map(IDENTITY_MAP), zero_op(),
+                          HermitianOperator(SZ))
     assert dist.initial_coherence == 0.0
     npt.assert_allclose(dist.outcomes, [-1.0, 1.0])
     npt.assert_allclose(dist.probs, [0.4, 0.6], atol=1e-12)
@@ -179,15 +195,15 @@ def test_tpms_degenerate_first_observable_is_one_point():
 
 def test_exp_average_of_delta_is_one():
     H = HermitianOperator(0.7 * SZ)
-    dist = tpms_distribution(gibbs_state(H, 1.0), real_map(IDENTITY_MAP),
-                             H, H)
+    dist = one_state_tpms(gibbs_state(H, 1.0), real_map(IDENTITY_MAP),
+                          H, H)
     assert abs(exp_average(dist, 2.2) - 1.0) < 1e-12
 
 
 def test_exp_average_symmetric_outcomes_is_cosh():
-    dist = tpms_distribution(DensityMatrix(0.5 * np.eye(2)),
-                             real_map(IDENTITY_MAP),
-                             zero_op(), HermitianOperator(0.9 * PAULI[1]))
+    dist = one_state_tpms(DensityMatrix(0.5 * np.eye(2)),
+                          real_map(IDENTITY_MAP),
+                          zero_op(), HermitianOperator(0.9 * PAULI[1]))
     beta = 1.4
     assert abs(exp_average(dist, beta) - np.cosh(beta * 0.9)) < 1e-12
     assert abs(moment(dist, 2) - 0.81) < 1e-12
@@ -215,7 +231,7 @@ def test_tpms_against_unclustered_brute_force():
             prob = float(np.trace(pm @ branch).real)
             brute += prob * np.exp(-beta * (valst[m] - vals0[n]))
             brute_mean += prob * (valst[m] - vals0[n])
-    dist = tpms_distribution(rho0, real_map(map_t), O0, Ot)
+    dist = one_state_tpms(rho0, real_map(map_t), O0, Ot)
     assert abs(exp_average(dist, beta) - brute) < 1e-10
     assert abs(moment(dist, 1) - brute_mean) < 1e-10
 
@@ -239,7 +255,7 @@ def test_lambda_u_weak_coupling_exceeds_one_and_matches_closed_form():
     prev = 1.0
     for i in (50, 100, 150, 200):
         lu = lambda_u(map_at(traj, i),
-                      pipe.effective_hamiltonian_series()[i], p.beta)
+                      HermitianOperator(pipe.K[i]), p.beta)
         assert abs(lu.value - closed[i]) < 1e-9
         assert lu.cross_check_residual < 1e-10
         assert lu.value > prev
@@ -253,10 +269,9 @@ def test_lambda_w_is_one_for_closed_and_pure_decoherence():
     for traj in (closed, dephasing):
         pipe = ThermoPipeline(traj)
         i = 100
-        Ow = HermitianOperator(pipe.effective_hamiltonian_series()[i].matrix
-                               - pipe.P[i])
+        Ow = HermitianOperator(pipe.K[i] - pipe.P[i])
         lam, bound = lambda_w(map_at(traj, i), Ow,
-                              pipe.effective_hamiltonian_series()[i],
+                              HermitianOperator(pipe.K[i]),
                               HermitianOperator(pipe.P[i]), 2.0)
         assert abs(lam - 1.0) < 1e-9
         assert abs(bound - 1.0) < 1e-9
@@ -271,10 +286,9 @@ def test_lambda_w_weak_coupling_matches_closed_form():
     th = pc_thermo(coeffs)
     lam_c, bound_c = pc_lambda_w(th, coeffs, p.beta)
     for i in (60, 140, 200):
-        Ow = HermitianOperator(pipe.effective_hamiltonian_series()[i].matrix
-                               - pipe.P[i])
+        Ow = HermitianOperator(pipe.K[i] - pipe.P[i])
         lam, bound = lambda_w(map_at(traj, i), Ow,
-                              pipe.effective_hamiltonian_series()[i],
+                              HermitianOperator(pipe.K[i]),
                               HermitianOperator(pipe.P[i]), p.beta)
         assert abs(lam - lam_c[i]) < 1e-9
         assert abs(bound - bound_c[i]) < 1e-9
@@ -304,7 +318,8 @@ def test_heat_factor_matches_one_point_distribution():
     i = 100
     P = HermitianOperator(pipe.P[i])
     val, bound = heat_fluctuation(rho0, map_at(traj, i), P, p.beta)
-    dist = tpms_distribution(rho0, traj.maps[i], zero_op(), P)
+    dist, = tpms_distribution(rho0.matrix[None], traj.maps[i],
+                              np.zeros(4), pipe.p[i])
     assert abs(exp_average(dist, p.beta) - val) < 1e-10 * abs(val)
     assert val <= bound * (1.0 + 1e-12)
 
@@ -353,7 +368,7 @@ def test_dissipated_bound_for_unital_dynamics_is_path_operator_top():
     phi1 = apply(map_at(traj, i), np.eye(2, dtype=complex))
     npt.assert_allclose(phi1, np.eye(2), atol=1e-12)
     lu = lambda_u(map_at(traj, i),
-                  pipe.effective_hamiltonian_series()[i], 1.3)
+                  HermitianOperator(pipe.K[i]), 1.3)
     assert abs(lu.value - 1.0) < 1e-12
 
 
@@ -367,21 +382,20 @@ def test_report_matches_distribution_routes():
     rep = fluctuation_report(pipe, i, beta)
     rep.check_invariants()
 
-    K0 = pipe.effective_hamiltonian_series()[0]
-    K_t = pipe.effective_hamiltonian_series()[i]
-    P = HermitianOperator(pipe.P[i])
-    Ow = HermitianOperator(K_t.matrix - P.matrix)
-    rho0 = gibbs_state(K0, beta)
+    # the pipeline's coordinates, measured as `run` measures them
+    rho0 = gibbs_state(HermitianOperator(pipe.K[0]), beta).matrix[None]
+    k0 = pipe.k[0]
 
-    dist_w = tpms_distribution(rho0, traj.maps[i], K0, Ow)
+    dist_w, = tpms_distribution(rho0, traj.maps[i], k0, pipe.w[i])
     assert abs(exp_average(dist_w, beta) - rep.exp_avg_w) < 1e-9
     assert abs(moment(dist_w, 1) - rep.mean_w) < 1e-9
 
-    dist_u = tpms_distribution(rho0, traj.maps[i], K0, K_t)
+    dist_u, = tpms_distribution(rho0, traj.maps[i], k0, pipe.k[i])
     expect_u = rep.lambda_u * np.exp(-beta * rep.delta_F_bar)
     assert abs(exp_average(dist_u, beta) - expect_u) < 1e-9
 
-    dist_q = tpms_distribution(rho0, traj.maps[i], zero_op(), P)
+    dist_q, = tpms_distribution(rho0, traj.maps[i], np.zeros_like(k0),
+                                pipe.p[i])
     # about 5e10 on this row, where 1e-9 is below one ulp: the distribution
     # divides its probabilities by their sum, which rounds to 1 or to a few
     # ulps from it, so the two routes agree within a few ulps
@@ -448,8 +462,8 @@ def qutrit_pipeline():
 def reference_row(pipe, work, i, beta):
     """The report columns at one row from the per-operator functions."""
     traj = pipe.traj
-    K0, K_t = (pipe.effective_hamiltonian_series()[0],
-               pipe.effective_hamiltonian_series()[i])
+    K0, K_t = (HermitianOperator(pipe.K[0]),
+               HermitianOperator(pipe.K[i]))
     P = HermitianOperator(pipe.P[i])
     Ow = HermitianOperator(K_t.matrix - P.matrix)
     map_t = map_at(traj, i)
@@ -683,13 +697,91 @@ def test_tpms_over_several_states_is_each_state_alone():
     map_t = random_gksl_trajectory(3, rng, np.linspace(0.0, 1.0, 5)).maps[-1]
     states = [random_density_matrix(3, rng) for _ in range(4)]
     batch = tpms_distribution(np.array([r.matrix for r in states]), map_t,
-                              O0, Ot)
+                              coordinates(O0.matrix), coordinates(Ot.matrix))
     assert len(batch) == len(states)
     for rho, dist in zip(states, batch):
-        alone = tpms_distribution(rho, map_t, O0, Ot)
+        alone = one_state_tpms(rho, map_t, O0, Ot)
         assert dist.outcomes.tobytes() == alone.outcomes.tobytes()
         assert dist.probs.tobytes() == alone.probs.tobytes()
         assert dist.initial_coherence == alone.initial_coherence
+
+
+@pytest.mark.parametrize("bad", [math.inf, math.nan, 0.0, -1.0, -math.inf])
+def test_a_beta_outside_zero_to_infinity_is_refused(bad):
+    pipe = qutrit_pipeline()
+    with pytest.raises(ValueError, match="positive and finite"):
+        tpms_distribution([1.0, bad], pipe.traj.maps[9], pipe.w[0],
+                          pipe.w[9])
+    with pytest.raises(ValueError, match="positive and finite"):
+        fluctuation_tables(pipe, [1.0, bad])
+
+
+def dephasing_trajectory(energies, rates, times, analytic=True):
+    """e^{tL} of pure decoherence in the energy basis: H = diag(energies)
+    and jump operators sqrt(gamma_k) |k><k|, built from the real generator,
+    with its exact derivatives or, if not `analytic`, the stencils."""
+    d = len(energies)
+    gen = -1j * commutator_superop(np.diag(energies))
+    for k, gamma in enumerate(rates):
+        jump = np.zeros((d, d))
+        jump[k, k] = math.sqrt(gamma)
+        gen = gen + _dissipator_matrix(jump)
+    gen = basis_maps(gen).real
+    maps = np.stack([expm(t * gen) for t in times])
+    return MapTrajectory(times=times, maps=maps,
+                         derivatives=gen @ maps if analytic else None)
+
+
+@pytest.mark.parametrize("analytic", [True, False],
+                         ids=["analytic", "stencils"])
+def test_pure_decoherence_qutrit_exchanges_no_heat(analytic):
+    # the paper's pure-decoherence class beyond the qubit: P(t) vanishes, so
+    # <e^{-beta q}> and Lambda_w are one on every row
+    times = np.linspace(0.0, 8.0, 401)
+    pipe = ThermoPipeline(dephasing_trajectory(
+        (0.0, 1.0, 2.3), (0.1, 0.2, 0.3), times, analytic))
+    assert np.max(np.abs(pipe.p)) <= 1e-14
+    betas = (0.5, 2.0)
+    for table in fluctuation_tables(pipe, betas):
+        assert np.max(np.abs(table.exp_avg_q - 1.0)) <= 1e-12
+        assert np.max(np.abs(table.lambda_w - 1.0)) <= 1e-12
+    # heat from a zero first observable at t = 4: one outcome, zero
+    i = 200
+    assert times[i] == 4.0
+    for dist in tpms_distribution(betas, pipe.traj.maps[i], np.zeros(9),
+                                  pipe.p[i]):
+        assert dist.outcomes.size == 1
+        assert abs(dist.outcomes[0]) <= 1e-14
+        assert dist.probs.tolist() == [1.0]
+
+
+@pytest.mark.parametrize("energies", [
+    None, (0.0, 0.0, 1.0), (0.0, 0.1 * CLUSTER_TOL, 1.0)],
+    ids=["qubit_zero_K0", "qutrit_doubled_level", "qutrit_near_doubled_level"])
+def test_gibbs_betas_weigh_a_degenerate_cluster_as_its_states_do(energies):
+    # given betas, a cluster's branch is the sum of its eigenvectors'
+    # Gibbs populations times their projectors, as Pi_n rho Pi_n of the
+    # Gibbs states themselves
+    times = np.linspace(0.0, 5.0, 101)
+    if energies is None:  # a damped qubit without splitting: K(0) = 0
+        traj = pc_trajectory(constant_rates(0.0, 0.0, 0.1), times)[0]
+    else:
+        traj = dephasing_trajectory(energies, (0.1, 0.2, 0.3), times)
+    pipe = ThermoPipeline(traj)
+    d = pipe.traj.dim
+    betas = [0.5, 1.0, 3.0]
+    states = fluctuations._initial_states(pipe, betas)
+    second = coordinates(random_hermitian(d, np.random.default_rng(d)).matrix)
+    for i in (50, 100):
+        for ot in (pipe.w[i], second):
+            by_beta = tpms_distribution(betas, pipe.traj.maps[i], pipe.w[0],
+                                        ot)
+            by_state = tpms_distribution(states, pipe.traj.maps[i],
+                                         pipe.w[0], ot)
+            for a, b in zip(by_beta, by_state):
+                npt.assert_allclose(a.outcomes, b.outcomes, rtol=0,
+                                    atol=1e-15)
+                npt.assert_allclose(a.probs, b.probs, rtol=0, atol=1e-14)
 
 
 def test_the_table_builds_no_wrapper(wrapper_builds):

@@ -15,12 +15,10 @@ from mapthermo.coherent import (
     coherent_work_fluctuation,
     match_beta,
 )
-from mapthermo.errors import ConstructionError, NoMatchingBeta, SingularMap
+from mapthermo.errors import NoMatchingBeta, SingularMap
 from mapthermo.fluctuations import fluctuation_table
 from mapthermo.models import WeakCouplingParams, weak_coupling_rates
 from mapthermo.observables import (
-    Convention,
-    ObservableSeries,
     ThermoPipeline,
     mean_change,
     shifted_observable,
@@ -39,9 +37,11 @@ from mapthermo.phase_covariant import pc_integrals, pc_thermo, pc_trajectory
 from mapthermo.quadrature import cumulative_simpson
 from mapthermo.validation import random_gksl_trajectory
 from reference import (Superoperator, apply, coherent_work_row,
-                       constant_rates, generator_at, map_at,
-                       minimal_dissipation_split, random_density_matrix,
-                       stacked_trajectory, unvec, vec)
+                       constant_rates, duration_mean_change, generator_at,
+                       map_at, minimal_dissipation_split,
+                       random_density_matrix, single_measure_final_work,
+                       single_measure_initial, stacked_trajectory, unvec,
+                       vec)
 
 SZ = PAULI[3]
 
@@ -71,19 +71,6 @@ A_GEN = 0.7 * PAULI[1] + 0.2 * PAULI[3]
 B_GEN = 0.5 * PAULI[2] - 0.3 * PAULI[3]
 
 
-def test_series_length_must_match_grid():
-    coords = np.stack([coordinates(SZ)] * 4)
-    with pytest.raises(ConstructionError):
-        ObservableSeries(times=np.linspace(0.0, 1.0, 5), coords=coords)
-
-
-def test_series_rejects_unknown_encoding():
-    coords = coordinates(SZ)[None]
-    with pytest.raises(ConstructionError):
-        ObservableSeries(times=np.zeros(1), coords=coords,
-                         encoding="per_protocol")
-
-
 def test_path_operator_vanishes_for_unitary_evolution():
     traj = two_piece_unitary_trajectory(A_GEN, B_GEN, np.linspace(0.0, 2.0, 201))
     pipe = ThermoPipeline(traj)
@@ -96,8 +83,7 @@ def test_path_operator_vanishes_for_pure_decoherence():
                            gamma_z=0.4)
     traj, _ = pc_trajectory(rates, np.linspace(0.0, 3.0, 151))
     pipe = ThermoPipeline(traj)
-    series = pipe.path_operator_series()
-    for x in series.coords:
+    for x in pipe.path_operator_series():
         npt.assert_allclose(x, 0.0, atol=1e-13)
 
 
@@ -119,10 +105,8 @@ def test_closed_system_two_point_work_is_effective_hamiltonian():
     pipe = ThermoPipeline(traj)
     work, heat = pipe.work_heat_observables()
     for i in (0, 80, 200):
-        npt.assert_allclose(work[i].matrix,
-                            pipe.effective_hamiltonian_series()[i].matrix,
-                            atol=1e-13)
-        npt.assert_allclose(heat[i].matrix, 0.0, atol=1e-13)
+        npt.assert_allclose(from_coordinates(work[i]), pipe.K[i], atol=1e-13)
+        npt.assert_allclose(from_coordinates(heat[i]), 0.0, atol=1e-13)
 
 
 def test_closed_system_single_measure_initial_operator():
@@ -131,15 +115,14 @@ def test_closed_system_single_measure_initial_operator():
     ts = np.linspace(0.0, 2.0, 201)
     traj = two_piece_unitary_trajectory(A_GEN, B_GEN, ts)
     pipe = ThermoPipeline(traj)
-    work, heat = pipe.work_heat_observables(Convention.SINGLE_MEASURE_INITIAL)
-    assert work.encoding == "per_duration_initial"
+    work, heat = single_measure_initial(pipe)
     i = 150
     ua, ub = expm(-1j * ts[i] * A_GEN), expm(-1j * ts[i] * B_GEN)
     u = ua @ ub
     K_t = A_GEN + ua @ B_GEN @ ua.conj().T
     expect = (A_GEN + B_GEN) - u.conj().T @ K_t @ u
-    npt.assert_allclose(work[i].matrix, expect, atol=1e-12)
-    npt.assert_allclose(heat[i].matrix, 0.0, atol=1e-12)
+    npt.assert_allclose(from_coordinates(work[i]), expect, atol=1e-12)
+    npt.assert_allclose(from_coordinates(heat[i]), 0.0, atol=1e-12)
 
 
 def test_conventions_agree_on_mean_changes():
@@ -148,13 +131,13 @@ def test_conventions_agree_on_mean_changes():
     pipe = ThermoPipeline(traj)
     rho0 = random_density_matrix(2, np.random.default_rng(3))
     w_tp, _ = pipe.work_heat_observables()
-    w_smf, _ = pipe.work_heat_observables(Convention.SINGLE_MEASURE_FINAL)
-    w_smi, _ = pipe.work_heat_observables(Convention.SINGLE_MEASURE_INITIAL)
-    npt.assert_allclose(w_smf[0].matrix, 0.0, atol=1e-12)
+    w_smf = single_measure_final_work(pipe)
+    w_smi, _ = single_measure_initial(pipe)
+    npt.assert_allclose(from_coordinates(w_smf[0]), 0.0, atol=1e-12)
     for i in (40, 150, 200):
         ref = mean_change(w_tp, traj, i, rho0)
         assert abs(mean_change(w_smf, traj, i, rho0) - ref) < 1e-10
-        assert abs(mean_change(w_smi, traj, i, rho0) - ref) < 1e-10
+        assert abs(duration_mean_change(w_smi, i, rho0) - ref) < 1e-10
 
 
 def test_mean_work_equals_power_integral():
@@ -175,8 +158,7 @@ def test_mean_work_equals_power_integral():
 
     # and the three mean changes close the first law exactly
     mq = mean_change(heat, traj, times.size - 1, rho0)
-    du = mean_change(pipe.effective_hamiltonian_series(), traj,
-                     times.size - 1, rho0)
+    du = mean_change(pipe.k, traj, times.size - 1, rho0)
     assert abs(mw + mq - du) < 1e-12
 
 
@@ -201,7 +183,8 @@ def test_shift_with_same_initial_is_identity():
     work, _ = pipe.work_heat_observables()
     same = shifted_observable(work, traj, work[0])
     for i in (0, 50, 100):
-        npt.assert_allclose(same[i].matrix, work[i].matrix, atol=1e-12)
+        npt.assert_allclose(from_coordinates(same[i]),
+                            from_coordinates(work[i]), atol=1e-12)
 
 
 def test_shift_by_identity_component_is_uniform():
@@ -211,11 +194,12 @@ def test_shift_by_identity_component_is_uniform():
     pipe = ThermoPipeline(traj)
     work, _ = pipe.work_heat_observables()
     c = 0.7
-    new0 = HermitianOperator(work[0].matrix - c * np.eye(2))
+    new0 = work[0] - c * coordinates(np.eye(2))
     shifted = shifted_observable(work, traj, new0)
     for i in (0, 33, 100):
-        npt.assert_allclose(shifted[i].matrix,
-                            work[i].matrix - c * np.eye(2), atol=1e-10)
+        npt.assert_allclose(from_coordinates(shifted[i]),
+                            from_coordinates(work[i]) - c * np.eye(2),
+                            atol=1e-10)
 
 
 def test_shift_preserves_every_two_point_mean_change():
@@ -223,22 +207,14 @@ def test_shift_preserves_every_two_point_mean_change():
     pipe = ThermoPipeline(traj)
     work, _ = pipe.work_heat_observables()
     rng = np.random.default_rng(5)
-    shifted = shifted_observable(work, traj, random_hermitian(2, rng))
+    shifted = shifted_observable(work, traj,
+                                 coordinates(random_hermitian(2, rng).matrix))
     for _ in range(10):
         rho0 = random_density_matrix(2, rng)
         for i in (17, 101, 200):
             before = mean_change(work, traj, i, rho0)
             after = mean_change(shifted, traj, i, rho0)
             assert abs(before - after) < 1e-9
-
-
-def test_shift_rejects_duration_indexed_series():
-    ts = np.linspace(0.0, 1.0, 51)
-    traj = two_piece_unitary_trajectory(A_GEN, B_GEN, ts)
-    pipe = ThermoPipeline(traj)
-    work, _ = pipe.work_heat_observables(Convention.SINGLE_MEASURE_INITIAL)
-    with pytest.raises(ValueError):
-        shifted_observable(work, traj, work[0])
 
 
 def test_match_beta_recovers_gibbs_temperature():
@@ -412,8 +388,8 @@ def test_stacked_K_and_P_match_the_per_point_references(source):
     # one representation: read-only coordinates, O_w = K - P, and the
     # matrices formed from them
     n, d = K.shape[:2]
-    assert pipe.effective_hamiltonian_series().coords.shape == (n, d * d)
-    assert isinstance(pipe.path_operator_series()[3], HermitianOperator)
+    assert pipe.k.shape == (n, d * d)
+    assert pipe.path_operator_series() is pipe.p
     npt.assert_array_equal(pipe.w, pipe.k - pipe.p)
     for x in (pipe.k, pipe.p, pipe.w):
         assert not x.flags.writeable
@@ -422,13 +398,14 @@ def test_stacked_K_and_P_match_the_per_point_references(source):
     # the single-measure-initial and shifted work series keep the mean
     # changes of the default one
     work, _ = pipe.work_heat_observables()
-    initial, _ = pipe.work_heat_observables(Convention.SINGLE_MEASURE_INITIAL)
+    initial, _ = single_measure_initial(pipe)
     rng = np.random.default_rng(6)
-    shifted = shifted_observable(work, traj, random_hermitian(d, rng))
+    shifted = shifted_observable(work, traj,
+                                 coordinates(random_hermitian(d, rng).matrix))
     rho0 = random_density_matrix(d, rng)
     for i in (1, n // 2, n - 1):
         ref = mean_change(work, traj, i, rho0)
-        assert abs(mean_change(initial, traj, i, rho0) - ref) < 1e-10
+        assert abs(duration_mean_change(initial, i, rho0) - ref) < 1e-10
         assert abs(mean_change(shifted, traj, i, rho0) - ref) < 1e-9
 
 
@@ -475,7 +452,7 @@ def count_per_point_work(monkeypatch, n):
         traj, _ = pc_trajectory(weak_coupling_rates(p), p.grid(n))
         pipe = ThermoPipeline(traj)
         pipe.path_operator_series()
-        pipe.work_heat_observables(Convention.SINGLE_MEASURE_FINAL)
+        single_measure_final_work(pipe)
         fluctuation_table(pipe, p.beta)
         invertibility_report(traj)
     return counts
