@@ -72,8 +72,7 @@ class Tree:
         p = coherent.ClosedCoherentParams()
         times = p.grid(N_STEPS)
         rho0, hams, unitaries = coherent.closed_coherent_protocol(p, times)
-        data = coherent.coherent_initial_construction(
-            rho0, self.module("operators").HermitianOperator(hams[0]))
+        data = coherent.coherent_initial_construction(rho0, hams[0])
         return lambda: coherent.coherent_work_fluctuation(
             data, unitaries, hams, times)
 

@@ -15,11 +15,10 @@ per beta of the tables of all its betas (`further_beta`), and an
 in-process `mapthermo run` of the shape's scenario (stdout discarded, each
 run into a new out_dir, `bench_record.run_timer`), best of --repeats after
 one warm-up call each. A tree's tables come from its all-beta pass
-(`fluctuation_tables`), or from one `fluctuation_table` call per beta in a
-tree that has none. At the wc_cli shape it also times the two-point
+(`fluctuation_tables`). At the wc_cli shape it also times the two-point
 distributions of the run's two distribution times at all four betas, as
-the tree's `run` makes them (`distributions`: the work observables, the
-initial states and the distribution calls, on a pipeline whose caches a
+the tree's `run` makes them (`distributions`: the work observables and
+the distribution calls at the four betas, on a pipeline whose caches a
 table has filled). At both shapes it times the L2 steps on a trajectory
 built from the shape's stacks just before each call: the condition
 numbers, the inverse stack, `generator_splits` (with those two made) and
@@ -120,10 +119,7 @@ class Tree:
         betas = self.betas[shape] if betas is None else betas
         if warm:
             fluctuations.fluctuation_table(pipe, self.betas[shape][0])
-        if hasattr(fluctuations, "fluctuation_tables"):
-            return lambda: fluctuations.fluctuation_tables(pipe, betas)
-        return lambda: [fluctuations.fluctuation_table(pipe, beta)
-                        for beta in betas]
+        return lambda: fluctuations.fluctuation_tables(pipe, betas)
 
     def distributions(self):
         """A call making the wc_cli shape's distributions the way the tree's
@@ -131,26 +127,13 @@ class Tree:
         pipe = self.module("observables").ThermoPipeline(self.trajs["wc_cli"])
         fluctuations = self.module("fluctuations")
         fluctuations.fluctuation_table(pipe, WC_BETAS[0])
-        ops = self.module("operators")
         maps, times = pipe.traj.maps, pipe.times
         indices = [int(np.argmin(np.abs(times - t))) for t in WC_DIST_TIMES]
 
         def run():
             work, _ = pipe.work_heat_observables()
-            first = work[0]
-            if not hasattr(ops, "Superoperator"):   # Gibbs states by beta
-                return [fluctuations.tpms_distribution(
-                    WC_BETAS, maps[i], first, work[i]) for i in indices]
-            if hasattr(fluctuations, "_initial_states"):
-                states = fluctuations._initial_states(pipe, WC_BETAS)
-                return [fluctuations.tpms_distribution(
-                    states, ops.Superoperator(maps[i]), first, work[i])
-                    for i in indices]
-            states = [ops.DensityMatrix._checked(
-                fluctuations._initial_state(pipe, beta)) for beta in WC_BETAS]
-            return [[fluctuations.tpms_distribution(
-                rho, ops.Superoperator(maps[i]), first, work[i])
-                for rho in states] for i in indices]
+            return [fluctuations.tpms_distribution(
+                WC_BETAS, maps[i], work[0], work[i]) for i in indices]
         return run
 
     def l2_timer(self, shape: str, what: str):

@@ -20,7 +20,6 @@ from mapthermo.coherent import (ClosedCoherentParams,
                                 closed_coherent_protocol,
                                 coherent_initial_construction,
                                 coherent_work_fluctuation)
-from mapthermo.operators import HermitianOperator
 
 
 def main() -> None:
@@ -41,16 +40,15 @@ def main() -> None:
         p = ClosedCoherentParams(beta0=args.beta0, rotation_angle=angle)
         times = p.grid(args.n_steps)
         rho0, hams, unitaries = closed_coherent_protocol(p, times)
-        H0 = HermitianOperator(hams[0])
-        data = coherent_initial_construction(rho0, H0)
+        data = coherent_initial_construction(rho0, hams[0])
         # the end of the drive, as a stack of one
         res = coherent_work_fluctuation(data, unitaries[-1:], hams[-1:])
         value, gt, chain, dfb = (float(a[0]) for a in (
             res.value, res.golden_thompson_bound, res.final_bound,
             res.delta_F_bar))
-        rho_t = unitaries[-1] @ rho0.matrix @ unitaries[-1].conj().T
+        rho_t = unitaries[-1] @ rho0 @ unitaries[-1].conj().T
         mean_w = float(np.trace(hams[-1] @ rho_t).real
-                       - H0.expectation(rho0))
+                       - np.trace(hams[0] @ rho0).real)
         slack = mean_w - dfb - data.lambda_min_xi
         cells = (angle, res.beta, value, gt, chain, dfb, res.lambda_min_xi,
                  slack)

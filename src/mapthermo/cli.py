@@ -30,8 +30,8 @@ import numpy as np
 from . import __version__
 from .errors import (ConfigError, ConstructionError, NoMatchingBeta,
                      SingularMap, TruncationError)
-from .operators import (COND_THRESHOLD_DEFAULT, HermitianOperator,
-                        basis_maps, cptp_diagnostics_stack, dagger)
+from .operators import (COND_THRESHOLD_DEFAULT, basis_maps,
+                        cptp_diagnostics_stack, dagger)
 from .dynamics import (_csv_bytes, condition_flags, data_row_line,
                        invertibility_report, load_map_trajectory, map_faults,
                        read_map_file)
@@ -461,12 +461,11 @@ def _run_coherent(cfg: ScenarioConfig, written: list[str]) -> None:
     times = _grid(cfg)
     rho0, hams, unitaries = coherent.closed_coherent_protocol(cfg.params,
                                                               times)
-    H0 = HermitianOperator(hams[0])
-    data = coherent.coherent_initial_construction(rho0, H0)
+    data = coherent.coherent_initial_construction(rho0, hams[0])
     res = coherent.coherent_work_fluctuation(data, unitaries, hams, times)
-    rho_t = unitaries @ rho0.matrix @ dagger(unitaries)
+    rho_t = unitaries @ rho0 @ dagger(unitaries)
     mean_w = (np.trace(hams @ rho_t, axis1=-2, axis2=-1).real
-              - H0.expectation(rho0))
+              - np.trace(hams[0] @ rho0).real)
     _write(cfg, "coherent_series.csv", _csv(
         "t,beta,exp_avg_w,golden_thompson_bound,jarzynski_factor,"
         "chain_bound,delta_F_bar,lambda_min_xi,mean_w",
@@ -588,6 +587,12 @@ def main(argv: list[str] | None = None) -> int:
         return 1
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:   # arrays that numpy cannot allocate
+        if args.command != "run":
+            raise
+        print(f"config error: {args.config}: the run does not fit in memory: "
+              f"{exc}", file=sys.stderr)
         return 2
     except (SingularMap, TruncationError, NoMatchingBeta,
             ConstructionError) as exc:

@@ -25,14 +25,11 @@ from .models import _SinSquaredDrive, drive_frequency
 from .operators import (
     HERMITICITY_TOL,
     PAULI,
-    DensityMatrix,
-    HermitianOperator,
     _exp_stack,
+    _gibbs_stack,
+    _state_stack,
     dagger,
-    eig_hermitian,
-    gibbs_state,
     hermitian_stack,
-    partition_function,
 )
 from .quadrature import cumulative_simpson
 
@@ -67,9 +64,9 @@ class ClosedCoherentParams(_SinSquaredDrive):
 
 
 def closed_coherent_protocol(params: ClosedCoherentParams, times: np.ndarray,
-                             ) -> tuple[DensityMatrix, np.ndarray, np.ndarray]:
-    """Initial state, and the Hamiltonians H(t) and propagators U(t) of the
-    drive as (N+1, 2, 2) stacks.
+                             ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Initial state as a (2, 2) array, and the Hamiltonians H(t) and
+    propagators U(t) of the drive as (N+1, 2, 2) stacks.
 
     H(t) commutes with itself at all times, so U(t) is a bare phase
     rotation by the accumulated angle int_0^t omega."""
@@ -84,9 +81,9 @@ def closed_coherent_protocol(params: ClosedCoherentParams, times: np.ndarray,
     ang = params.rotation_angle
     rot = np.array([[math.cos(ang / 2.0), -math.sin(ang / 2.0)],
                     [math.sin(ang / 2.0), math.cos(ang / 2.0)]])
-    base = gibbs_state(HermitianOperator(hams[0]), params.beta0)
-    rho0 = DensityMatrix(rot @ base.matrix @ rot.T)
-    return rho0, hams, unitaries
+    base = _gibbs_stack(*np.linalg.eigh(hams[:1]), params.beta0)[0]
+    rho0 = rot @ base @ rot.T
+    return 0.5 * (rho0 + dagger(rho0)), hams, unitaries
 
 
 @dataclass(frozen=True)
@@ -94,28 +91,29 @@ class CoherentInitialData:
     """Closed-system scheme for an initial state with coherences: the
     inverse temperature matched so the state's energy equals its Gibbs
     counterpart's, the modified Hamiltonian H*_beta whose Gibbs state is
-    rho(0), and the deviation xi_beta = H*_beta - H(0)."""
+    rho(0), and the deviation xi_beta = H*_beta - H(0), as (d, d) arrays."""
 
     beta: float
-    H_star: HermitianOperator
-    xi: HermitianOperator
+    H_star: np.ndarray
+    xi: np.ndarray
     lambda_min_xi: float
     relative_entropy: float
     """Relative entropy of rho(0) with respect to the beta-Gibbs state of
     H(0); recorded as a diagnostic, not asserted minimal."""
 
 
-def match_beta(rho0: DensityMatrix, H0: HermitianOperator,
+def match_beta(rho0: np.ndarray, H0: np.ndarray,
                bracket: tuple[float, float] = (1e-6, 1e6)) -> float:
     """Solve Tr{H0 rho0} = Tr{H0 e^{-beta H0}}/Z by bisection, to relative
-    bracket width MATCH_BETA_RTOL.
+    bracket width MATCH_BETA_RTOL, for a state and a Hamiltonian that
+    `coherent_initial_construction` has checked.
 
     The Gibbs energy is strictly decreasing in beta, so the root is unique
     when it exists. NoMatchingBeta if the target energy lies outside the open
     spectral interval of H0 or outside the energies reachable in the bracket.
     """
-    vals, _ = eig_hermitian(H0)
-    target = H0.expectation(rho0)
+    vals = np.linalg.eigh(H0)[0]
+    target = float(np.trace(H0 @ rho0).real)
     lo_e, hi_e = float(vals[0]), float(vals[-1])
     if float(np.ptp(vals)) < 1e-14:
         raise NoMatchingBeta("reference Hamiltonian is proportional to the identity")
@@ -144,9 +142,11 @@ def match_beta(rho0: DensityMatrix, H0: HermitianOperator,
     return float(0.5 * (b_lo + b_hi))
 
 
-def coherent_initial_construction(rho0: DensityMatrix, H0: HermitianOperator,
+def coherent_initial_construction(rho0: np.ndarray, H0: np.ndarray,
                                   ) -> CoherentInitialData:
-    """Match beta by energy, then build H*_beta and xi_beta.
+    """Match beta by energy, then build H*_beta and xi_beta, after checking
+    the (d, d) arrays rho0 (a state) and H0 (Hermitian) once; a
+    ConstructionError names `rho(0)` or `H(0)`.
 
     H*_beta = -(1/beta) ln rho0 - (1/beta) ln Z(0), normalized so that
     Tr{e^{-beta H*_beta}} = Z(0) = Tr{e^{-beta H0}}; its Gibbs state at the
@@ -155,22 +155,24 @@ def coherent_initial_construction(rho0: DensityMatrix, H0: HermitianOperator,
     eigenvalue at or below COHERENT_EIGENVALUE_FLOOR raises NoMatchingBeta
     naming the eigenvalue and the floor.
     """
-    vals, vecs = eig_hermitian(HermitianOperator(rho0.matrix))
+    rho0 = _state_stack(np.asarray(rho0)[None], what="rho(0)")[0]
+    H0 = hermitian_stack(np.asarray(H0)[None], HERMITICITY_TOL, what="H(0)")[0]
+    vals, vecs = np.linalg.eigh(rho0)
     if vals[0] <= COHERENT_EIGENVALUE_FLOOR:
         raise NoMatchingBeta(
             f"initial state has eigenvalue {vals[0]:.3e} at or below "
             f"{COHERENT_EIGENVALUE_FLOOR:g}: ln rho(0), and with it "
             "H*_beta, is not accurate")
     beta = match_beta(rho0, H0)
-    z0 = partition_function(H0, beta)
-    log_rho = HermitianOperator((vecs * np.log(vals)) @ vecs.conj().T)
-    h_star = HermitianOperator(
-        -(log_rho.matrix + np.log(z0) * np.eye(rho0.dim)) / beta)
+    z0 = float(np.sum(np.exp(-beta * np.linalg.eigh(H0)[0])))
+    log_rho = (vecs * np.log(vals)) @ dagger(vecs)
+    log_rho = 0.5 * (log_rho + dagger(log_rho))  # the rest stays Hermitian
+    h_star = -(log_rho + np.log(z0) * np.eye(rho0.shape[0])) / beta
     xi = h_star - H0
-    lam_min = float(eig_hermitian(xi)[0][0])
+    lam_min = float(np.linalg.eigh(xi)[0][0])
     # S(rho0 || gibbs(H0, beta)) = Tr{rho0 (ln rho0 - ln gibbs)}, and
     # ln rho0 - ln gibbs = -beta (H*_beta - H0) for a full-rank rho0
-    rel_ent = float(-beta * np.trace(rho0.matrix @ xi.matrix).real)
+    rel_ent = float(-beta * np.trace(rho0 @ xi).real)
     return CoherentInitialData(beta=beta, H_star=h_star, xi=xi,
                                lambda_min_xi=lam_min, relative_entropy=rel_ent)
 
@@ -204,16 +206,18 @@ def coherent_work_fluctuation(data: CoherentInitialData, u: np.ndarray,
     jarzynski_factor = e^{-beta deltaF} = Z(t)/Z(0)
 
     and value <= golden_thompson_bound <= jarzynski_factor *
-    e^{-beta lambda_min_xi}. A single protocol is a stack of one. H(t) and
-    H(t) + U xi U^dagger are checked Hermitian, and an exponential that
-    overflows raises ConstructionError naming beta and the first failing
-    row, by its time when `times` is given.
+    e^{-beta lambda_min_xi}. A single protocol is a stack of one. H(t) is
+    checked Hermitian, and an exponential that overflows raises
+    ConstructionError naming beta and the first failing row, by its time
+    when `times` is given.
     """
     beta = data.beta
-    z0 = partition_function(data.H_star - data.xi, beta)
+    h0_vals = np.linalg.eigh(data.H_star - data.xi)[0]
+    z0 = float(np.sum(np.exp(-beta * h0_vals)))
     H = hermitian_stack(H, HERMITICITY_TOL, times, "H(t)")
-    total = hermitian_stack(H + u @ data.xi.matrix @ dagger(u),
-                            HERMITICITY_TOL, times, "H(t) + U xi U^dagger")
+    # U X U^dagger is Hermitian for any U when X is: symmetrize, not check
+    total = H + u @ data.xi @ dagger(u)
+    total = 0.5 * (total + dagger(total))
     h_vals, h_vecs = np.linalg.eigh(H)
     exp_h = _exp_stack(h_vals, h_vecs, beta, times, "H(t)")
     zt = np.sum(np.exp(-beta * h_vals), axis=-1)
@@ -221,7 +225,7 @@ def coherent_work_fluctuation(data: CoherentInitialData, u: np.ndarray,
     value = np.trace(_exp_stack(t_vals, t_vecs, beta, times,
                                 "(H(t) + U xi U^dagger)"),
                      axis1=-2, axis2=-1).real / z0
-    xi_vals, xi_vecs = eig_hermitian(data.xi)
+    xi_vals, xi_vecs = np.linalg.eigh(data.xi)
     exp_xi = _exp_stack(xi_vals[None], xi_vecs[None], beta, what="xi")[0]
     gt = np.trace(exp_h @ u @ exp_xi @ dagger(u),
                   axis1=-2, axis2=-1).real / z0

@@ -53,6 +53,7 @@ from .operators import (
     _gibbs_stack,
     _gibbs_weights,
     _projectors,
+    _state_stack,
     coordinates,
     from_coordinates,
 )
@@ -142,7 +143,8 @@ class OutcomeDistribution:
 def tpms_distribution(rho0, map_t: np.ndarray, o0: np.ndarray,
                       ot: np.ndarray) -> list[OutcomeDistribution]:
     """Distributions of o_m(t) - o_n(0) under the two-point scheme, one per
-    initial state: each state of a checked (B, d, d) stack or, given a 1-d
+    initial state: each state of a (B, d, d) stack, checked here (a
+    ConstructionError names the first that is not a state) or, given a 1-d
     sequence of betas (each 0 < beta < inf), each Gibbs state e^{-beta O0} / Z,
     as `run` writes them. `o0` and `ot` are the (d^2,) real basis
     coordinates of the first and second observable, and `map_t` is a row of
@@ -168,6 +170,7 @@ def tpms_distribution(rho0, map_t: np.ndarray, o0: np.ndarray,
                          for idx in clusters0])   # (n, state, d^2)
         coherence = np.zeros(states.size)
     else:
+        states = _state_stack(states, what=lambda k: f"state {k}")
         p0 = np.array([vecs0[:, idx] @ vecs0[:, idx].conj().T
                        for idx in clusters0])[:, None]
         kept = p0 @ states @ p0  # (n, state, d, d)

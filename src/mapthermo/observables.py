@@ -50,8 +50,8 @@ import numpy as np
 from .dynamics import MapTrajectory, generator_splits, map_derivatives
 from .operators import (
     COND_THRESHOLD_DEFAULT,
-    DensityMatrix,
     _projectors,
+    _state_stack,
     adjoint_apply_stack,
     coordinates,
     from_coordinates,
@@ -169,10 +169,10 @@ def shifted_observable(x: np.ndarray, traj: MapTrajectory,
 
 
 def mean_change(x: np.ndarray, traj: MapTrajectory, i_t: int,
-                rho0: DensityMatrix) -> float:
+                rho0: np.ndarray) -> float:
     """Two-point mean change <O(t)>_t - <O(0)>_0 of the observable series
-    of coordinates x, for one initial state."""
-    r0 = coordinates(rho0.matrix)
+    of coordinates x, for one initial state rho0, checked here."""
+    r0 = coordinates(_state_stack(np.asarray(rho0)[None], what="rho(0)")[0])
     rho_t = np.einsum("ab,b->a", traj.maps[i_t], r0)  # as the tables sum it
     return float(_mean_changes(x[i_t][None], rho_t[None], x[0], r0)[0])
 

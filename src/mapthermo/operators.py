@@ -1,8 +1,10 @@
 """Dense linear algebra for small Hilbert spaces.
 
-Hermitian operators, density matrices, spectral calculus, and maps on
-operators as real matrices in a Hermitian operator basis (below, with the
-basis). Everything is plain numpy; dimensions stay small (d <= ~64).
+Operators are plain numpy arrays: real coordinates in a Hermitian basis
+(below), as observables and maps are stored, or complex (..., d, d) stacks
+for spectra; d stays small (d <= ~64). `hermitian_stack` and `_state_stack`
+check a caller's stack once, where it enters, and return it symmetrized;
+nothing wraps or re-checks the library's own intermediates.
 
 Map files, `column_stacked` and the Choi diagnostics use the column-stacked
 (Liouville) matrix S of a map: vec(A)[i + d*j] = A[i, j], so vec(A X B) =
@@ -19,7 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cache, cached_property
+from functools import cache
 
 import numpy as np
 
@@ -30,77 +32,6 @@ TRACE_TOL = 1e-12
 POSITIVITY_TOL = 1e-10
 HP_CHECK_TOL = 1e-10
 COND_THRESHOLD_DEFAULT = 1e12
-
-
-def _as_square_complex(entries) -> np.ndarray:
-    a = np.asarray(entries, dtype=complex)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ConstructionError(f"expected a square matrix, got shape {a.shape}")
-    return a
-
-
-@dataclass(frozen=True, eq=False)
-class HermitianOperator:
-    """A d x d complex Hermitian matrix.
-
-    Inputs within 1e-12 of Hermitian (scaled by the matrix norm) are
-    symmetrized on construction; anything worse is rejected. Quadrature and
-    repeated map application accumulate tiny anti-Hermitian noise, which the
-    symmetrization absorbs without hiding genuine errors. The matrix is
-    read-only, so its spectral decomposition (`eig_hermitian`) is computed
-    once per operator.
-    """
-
-    matrix: np.ndarray
-
-    def __post_init__(self):
-        a = _as_square_complex(self.matrix)
-        sym = hermitian_stack(a[None], HERMITICITY_TOL, what="matrix")[0]
-        sym.setflags(write=False)
-        object.__setattr__(self, "matrix", sym)
-
-    @property
-    def dim(self) -> int:
-        return self.matrix.shape[0]
-
-    @cached_property
-    def _spectrum(self) -> tuple[np.ndarray, np.ndarray]:
-        vals, vecs = np.linalg.eigh(self.matrix)
-        vals.setflags(write=False)
-        vecs.setflags(write=False)
-        return vals, vecs
-
-    def __sub__(self, other: "HermitianOperator") -> "HermitianOperator":
-        return HermitianOperator(self.matrix - other.matrix)
-
-    def expectation(self, rho: "DensityMatrix") -> float:
-        return float(np.trace(self.matrix @ rho.matrix).real)
-
-
-@dataclass(frozen=True, eq=False)
-class DensityMatrix:
-    """A valid quantum state: Hermitian, unit trace, positive semidefinite
-    (minimum eigenvalue >= -1e-10 to tolerate roundoff)."""
-
-    matrix: np.ndarray
-
-    def __post_init__(self):
-        a = _state_stack(_as_square_complex(self.matrix)[None])[0]
-        a.setflags(write=False)
-        object.__setattr__(self, "matrix", a)
-
-    @classmethod
-    def _checked(cls, a: np.ndarray) -> "DensityMatrix":
-        """The state `a`, already checked by `_state_stack`, without a
-        second check."""
-        rho = object.__new__(cls)
-        a.setflags(write=False)
-        object.__setattr__(rho, "matrix", a)
-        return rho
-
-    @property
-    def dim(self) -> int:
-        return self.matrix.shape[0]
 
 
 def _reshuffle(m: np.ndarray, d: int) -> np.ndarray:
@@ -135,7 +66,10 @@ def hermitian_stack(a: np.ndarray, tol: float, times=None,
     """Symmetrize a (n, d, d) stack, rejecting any matrix further than
     `tol` (relative to its largest entry, floor 1) from Hermitian; the error
     names the first failing matrix k as `what` (or `what(k)`), by its time
-    when `times` is given."""
+    when `times` is given. A stack of any other shape is rejected too."""
+    a = np.asarray(a)
+    if a.ndim != 3 or a.shape[1] != a.shape[2]:
+        raise ConstructionError(f"expected a (n, d, d) stack, got {a.shape}")
     scale = np.maximum(1.0, np.abs(a).max(axis=(-2, -1)))
     dev = np.abs(a - dagger(a)).max(axis=(-2, -1))
     bad = np.flatnonzero(dev > tol * scale)
@@ -246,24 +180,6 @@ def commutator_superop(h: np.ndarray) -> np.ndarray:
     h = np.asarray(h, dtype=complex)
     d = h.shape[0]
     return np.kron(np.eye(d), h) - np.kron(h.T, np.eye(d))
-
-
-def eig_hermitian(h: HermitianOperator) -> tuple[np.ndarray, np.ndarray]:
-    """Ascending eigenvalues and orthonormal eigenvector columns, as
-    read-only arrays computed on the first call for `h`."""
-    return h._spectrum
-
-
-def gibbs_state(h: HermitianOperator, beta: float) -> DensityMatrix:
-    """e^{-beta H} / Tr{e^{-beta H}}: `_gibbs_stack` of one operator,
-    whose state check is the only one."""
-    vals, vecs = eig_hermitian(h)
-    return DensityMatrix._checked(_gibbs_stack(vals[None], vecs[None], beta)[0])
-
-
-def partition_function(h: HermitianOperator, beta: float) -> float:
-    vals, _ = eig_hermitian(h)
-    return float(np.sum(np.exp(-beta * vals)))
 
 
 @dataclass(frozen=True)
@@ -392,7 +308,3 @@ def _split_table(d: int) -> np.ndarray:
     f = (prod.reshape(n * n, n) @ b.reshape(n, n).conj().T).reshape(n, n, n)
     return (f.swapaxes(0, 1) - f).imag.reshape(n * n, n) / (2 * d)
 
-
-def random_hermitian(dim: int, rng: np.random.Generator) -> HermitianOperator:
-    a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-    return HermitianOperator(0.5 * (a + a.conj().T))

@@ -27,10 +27,9 @@ import numpy as np
 from scipy.linalg import expm
 
 from .errors import MapThermoError
-from .operators import (DensityMatrix, HermitianOperator, basis_maps,
+from .operators import (_gibbs_stack, _state_stack, basis_maps,
                         column_stacked, commutator_superop, coordinates,
-                        cptp_diagnostics_stack, eig_hermitian,
-                        from_coordinates, gibbs_state, random_hermitian)
+                        cptp_diagnostics_stack, dagger, from_coordinates)
 from .dynamics import (MapTrajectory, load_map_trajectory, read_map_file,
                        save_map_trajectory)
 from .phase_covariant import (PCRates, constant_rate, pc_integrals,
@@ -77,7 +76,7 @@ def random_gksl_trajectory(dim: int, rng: np.random.Generator,
     """
     times = np.asarray(times, dtype=float)
     h = random_hermitian(dim, rng)
-    gen = -1j * commutator_superop(h.matrix)
+    gen = -1j * commutator_superop(h)
     for _ in range(GKSL_JUMPS):
         a = GKSL_JUMP_STRENGTH * (rng.standard_normal((dim, dim))
                                   + 1j * rng.standard_normal((dim, dim))
@@ -88,10 +87,16 @@ def random_gksl_trajectory(dim: int, rng: np.random.Generator,
     return MapTrajectory(times=times, maps=maps, derivatives=gen @ maps)
 
 
-def random_density_matrix(dim: int, rng: np.random.Generator) -> DensityMatrix:
+def random_hermitian(dim: int, rng: np.random.Generator) -> np.ndarray:
+    a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    return 0.5 * (a + dagger(a))
+
+
+def random_density_matrix(dim: int, rng: np.random.Generator) -> np.ndarray:
+    """A random full-rank state, checked by `_state_stack`."""
     a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
     rho = a @ a.conj().T
-    return DensityMatrix(rho / np.trace(rho))
+    return _state_stack((rho / np.trace(rho))[None])[0]
 
 
 def random_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
@@ -258,16 +263,15 @@ def _model_zoo():
                                  np.linspace(0.0, 1.5, 65))
 
 
-def _shift_drift(series, traj: MapTrajectory, rho0: DensityMatrix,
+def _shift_drift(series, traj: MapTrajectory, rho0: np.ndarray,
                  rng: np.random.Generator, n_shifts: int, rows) -> float:
     """Largest change of the mean changes at `rows` when the observable
     series is shifted by random Hermitian integration constants."""
     base = [mean_change(series, traj, i, rho0) for i in rows]
     worst = 0.0
     for _ in range(n_shifts):
-        shifted = shifted_observable(series, traj,
-                                     coordinates(random_hermitian(
-                                         traj.dim, rng).matrix))
+        shifted = shifted_observable(
+            series, traj, coordinates(random_hermitian(traj.dim, rng)))
         for b, i in zip(base, rows):
             worst = max(worst, abs(mean_change(shifted, traj, i, rho0) - b))
     return worst
@@ -291,8 +295,8 @@ def check_operator_balance() -> str:
         for series in (work, heat):
             drift = max(drift, _shift_drift(series, traj, rho0, rng, 5, rows))
         if k == 0:
-            rho_g = gibbs_state(HermitianOperator(from_coordinates(
-                pipe.k[0])), WeakCouplingParams().beta)
+            rho_g = _gibbs_stack(*np.linalg.eigh(from_coordinates(
+                pipe.k[:1])), WeakCouplingParams().beta)[0]
             drift = max(drift, _shift_drift(work, traj, rho_g,
                                             np.random.default_rng(11), 2,
                                             (n - 1,)))
@@ -326,7 +330,7 @@ def check_map_file_round_trip() -> str:
     return f"file round trip exact, basis within {drift:.3e} (tol 8 ulps)"
 
 
-def _coherent_chain(rho0: DensityMatrix, H0: HermitianOperator,
+def _coherent_chain(rho0: np.ndarray, H0: np.ndarray,
                     u: np.ndarray, H: np.ndarray,
                     ) -> tuple[float, float, float]:
     """For closed protocols (stacks of U(t) and H(t)) from a state with
@@ -345,15 +349,16 @@ def _coherent_chain(rho0: DensityMatrix, H0: HermitianOperator,
         value, gt, chain, dfb = (float(a[k]) for a in (
             res.value, res.golden_thompson_bound, res.final_bound,
             res.delta_F_bar))
-        final = HermitianOperator(H[k] + u_t @ data.xi.matrix @ u_t.conj().T)
+        final = H[k] + u_t @ data.xi @ u_t.conj().T
+        final = 0.5 * (final + dagger(final))
         u_map = basis_maps(np.kron(u_t.conj(), u_t)).real
         gap = max(gap, abs(exp_average(tpms_distribution(
-            rho0.matrix[None], u_map, coordinates(data.H_star.matrix),
-            coordinates(final.matrix))[0], data.beta) - value))
+            rho0[None], u_map, coordinates(data.H_star),
+            coordinates(final))[0], data.beta) - value))
         link = min(link, gt - value, chain - gt)
-        rho_t = u_t @ rho0.matrix @ u_t.conj().T
-        mean_w = float(np.trace(final.matrix @ rho_t).real
-                       - np.trace(data.H_star.matrix @ rho0.matrix).real)
+        rho_t = u_t @ rho0 @ u_t.conj().T
+        mean_w = float(np.trace(final @ rho_t).real
+                       - np.trace(data.H_star @ rho0).real)
         slack = min(slack, mean_w - dfb - data.lambda_min_xi)
     return gap, link, slack
 
@@ -365,25 +370,25 @@ def check_coherent_work_identity() -> str:
     for seed in range(20):
         rng = np.random.default_rng(seed)
         h = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
-        H0 = HermitianOperator(0.5 * (h + h.conj().T))
+        H0 = 0.5 * (h + h.conj().T)
         beta0 = float(10.0 ** rng.uniform(-0.5, 0.7))
         ang = float(rng.uniform(0.1, 0.5))
         phi = float(rng.uniform(0.0, 2.0 * math.pi))
-        _, vecs = eig_hermitian(H0)
+        vals, vecs = np.linalg.eigh(H0)
         g01 = np.exp(1j * phi) * np.outer(vecs[:, 0], vecs[:, 1].conj())
         v = expm(-1j * ang * (g01 + g01.conj().T))
-        rho0 = DensityMatrix(v @ gibbs_state(H0, beta0).matrix @ v.conj().T)
-        in_eigbasis = vecs.conj().T @ rho0.matrix @ vecs
+        rho0 = v @ _gibbs_stack(vals[None], vecs[None], beta0)[0] @ v.conj().T
+        rho0 = 0.5 * (rho0 + dagger(rho0))
+        in_eigbasis = vecs.conj().T @ rho0 @ vecs
         coherence = min(coherence, float(np.linalg.norm(
             in_eigbasis - np.diag(np.diag(in_eigbasis)))))
         H_t = random_hermitian(2, rng)
         u = random_unitary(2, rng)
-        seeds.append(_coherent_chain(rho0, H0, u[None], H_t.matrix[None]))
+        seeds.append(_coherent_chain(rho0, H0, u[None], H_t[None]))
     p = ClosedCoherentParams()
     rho0, hams, unitaries = closed_coherent_protocol(p, p.grid(200))
     rows = [80, 200]
-    drive = _coherent_chain(rho0, HermitianOperator(hams[0]),
-                            unitaries[rows], hams[rows])
+    drive = _coherent_chain(rho0, hams[0], unitaries[rows], hams[rows])
     gaps, links, slacks = zip(*seeds, drive)  # the drive last
     detail = (f"20 seeds: scheme/trace gap {max(gaps[:-1]):.3e}, weakest "
               f"chain link {min(links[:-1]):.2e}, min inequality slack "

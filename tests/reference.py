@@ -21,10 +21,12 @@ eigenbasis weighted sums of `fluctuation_table` replaced, `apply` and
 stacked products, the two single-measurement conventions of the work and
 heat observables (`single_measure_final_work`, `single_measure_initial`),
 which the library's one convention reaches through `shifted_observable`,
-and `one_state_tpms`, the two-point distribution of one `DensityMatrix`
-between two `HermitianOperator`s.
-Nothing in `src/mapthermo` calls them. The random states and unitaries are those of the acceptance
-checks (`mapthermo.validation`), imported here for the other tests.
+`one_state_tpms`, the two-point distribution of one state between two
+operators, and `gibbs_state` and `partition_function` of one Hamiltonian.
+Operators and states are plain (d, d) arrays. Nothing in `src/mapthermo`
+calls them. The random states, Hamiltonians and unitaries are those of the
+acceptance checks (`mapthermo.validation`), imported here for the other
+tests.
 
 The effective Hamiltonian of the minimal-dissipation split of a generator L
 on a d-level system is the double-commutator sum
@@ -52,10 +54,8 @@ from mapthermo.models import JCParams, _thermal_weights, jc_mode_count
 from mapthermo.operators import (
     COND_THRESHOLD_DEFAULT,
     CPTPReport,
+    HERMITICITY_TOL,
     HP_CHECK_TOL,
-    DensityMatrix,
-    HermitianOperator,
-    _as_square_complex,
     _exp_stack,
     _gibbs_stack,
     _reshuffle,
@@ -66,10 +66,8 @@ from mapthermo.operators import (
     coordinates,
     cptp_diagnostics_stack,
     dagger,
-    eig_hermitian,
     from_coordinates,
-    gibbs_state,
-    partition_function,
+    hermitian_stack,
     require_invertible,
 )
 from mapthermo.observables import shifted_observable
@@ -82,7 +80,8 @@ from mapthermo.phase_covariant import (
 )
 from mapthermo.quadrature import (cumulative_simpson, grid_spacing,
                                   stencil_derivative)
-from mapthermo.validation import random_density_matrix, random_unitary
+from mapthermo.validation import (random_density_matrix, random_hermitian,
+                                  random_unitary)
 
 
 # ---------------------------------------------------------------------------
@@ -121,7 +120,10 @@ class Superoperator:
     trace_preserving: bool = False
 
     def __post_init__(self):
-        m = _as_square_complex(self.matrix)
+        m = np.asarray(self.matrix, dtype=complex)
+        if m.ndim != 2 or m.shape[0] != m.shape[1]:
+            raise ConstructionError(
+                f"expected a square matrix, got shape {m.shape}")
         dev, allowed, projected = hermiticity_preservation_by_reshuffle(
             m[None])
         if dev[0] > allowed[0]:
@@ -164,9 +166,9 @@ def real_map(s: Superoperator) -> np.ndarray:
     return basis_maps(s.matrix, dynamical=True).real
 
 
-def apply(s: Superoperator, a: np.ndarray | HermitianOperator) -> np.ndarray:
+def apply(s: Superoperator, a: np.ndarray) -> np.ndarray:
     """Apply a superoperator to an operator, returning a raw ndarray."""
-    mat = a.matrix if isinstance(a, HermitianOperator) else np.asarray(a, dtype=complex)
+    mat = np.asarray(a, dtype=complex)
     if mat.shape != (s.dim, s.dim):
         raise ValueError(f"operator shape {mat.shape} does not match dim {s.dim}")
     return unvec(s.matrix @ vec(mat), s.dim)
@@ -200,7 +202,7 @@ class GeneratorSplit:
     """Minimal-dissipation decomposition of a time-local generator:
     L[A] = -i[K, A] + D[A] with K traceless Hermitian."""
 
-    K: HermitianOperator
+    K: np.ndarray
     dissipator: Superoperator
     time: float
 
@@ -221,15 +223,14 @@ def minimal_dissipation_split(L: Superoperator,
             # [E_jk, B] accumulated row/column-wise
             k[j, :] += b[kk, :]
             k[:, kk] -= b[:, j]
-    k = k / (2j * d)
-    K = HermitianOperator(k)
-    diss = Superoperator(L.matrix + 1j * commutator_superop(K.matrix))
+    K = hermitian_stack(k[None] / (2j * d), HERMITICITY_TOL)[0]
+    diss = Superoperator(L.matrix + 1j * commutator_superop(K))
     return GeneratorSplit(K=K, dissipator=diss, time=float(time))
 
 
 def reassemble_generator(split: GeneratorSplit) -> Superoperator:
     """L = -i[K, .] + D, for round-trip checks."""
-    return Superoperator(-1j * commutator_superop(split.K.matrix)
+    return Superoperator(-1j * commutator_superop(split.K)
                          + split.dissipator.matrix)
 
 
@@ -518,24 +519,26 @@ def jc_level_sums(params: JCParams, times: np.ndarray,
 # Per-operator spectral calculus (`mapthermo.operators._exp_stack`)
 
 
-def func_hermitian(h: HermitianOperator, f: Callable[[np.ndarray], np.ndarray],
-                   ) -> HermitianOperator:
-    """Spectral calculus: apply a real function to the eigenvalues.
+def func_hermitian(h: np.ndarray, f: Callable[[np.ndarray], np.ndarray],
+                   ) -> np.ndarray:
+    """Spectral calculus: apply a real function to the eigenvalues of a
+    Hermitian array.
 
     `f` must accept an ndarray of eigenvalues and return real values; a nan
     or inf in the output is treated as a domain error.
     """
-    vals, vecs = eig_hermitian(h)
+    vals, vecs = np.linalg.eigh(h)
     fvals = np.asarray(f(vals), dtype=float)
     if fvals.shape != vals.shape:
         raise ValueError("function must map eigenvalues elementwise")
     if not np.all(np.isfinite(fvals)):
         bad = vals[~np.isfinite(fvals)]
         raise ValueError(f"function undefined on eigenvalues {bad}")
-    return HermitianOperator((vecs * fvals) @ vecs.conj().T)
+    m = (vecs * fvals) @ vecs.conj().T
+    return 0.5 * (m + dagger(m))
 
 
-def exp_hermitian(h: HermitianOperator, scale: float = 1.0) -> HermitianOperator:
+def exp_hermitian(h: np.ndarray, scale: float = 1.0) -> np.ndarray:
     """e^{scale * H} by spectral calculus."""
     return func_hermitian(h, lambda x: np.exp(scale * x))
 
@@ -552,7 +555,18 @@ class LambdaU:
     """Largest disagreement among the three equivalent evaluation routes."""
 
 
-def lambda_u(map_t: Superoperator, K_t: HermitianOperator, beta: float) -> LambdaU:
+def gibbs_state(h: np.ndarray, beta: float) -> np.ndarray:
+    """e^{-beta H} / Tr{e^{-beta H}} of one Hermitian array, formed and
+    checked as the library forms a stack of them (`_gibbs_stack`)."""
+    return _gibbs_stack(*np.linalg.eigh(np.asarray(h)[None]), beta)[0]
+
+
+def partition_function(h: np.ndarray, beta: float) -> float:
+    """Tr{e^{-beta H}} of one Hermitian array."""
+    return float(np.sum(np.exp(-beta * np.linalg.eigh(h)[0])))
+
+
+def lambda_u(map_t: Superoperator, K_t: np.ndarray, beta: float) -> LambdaU:
     """Internal-energy correction factor Lambda_u = Tr{rho_G(t) Phi_t[1]}.
 
     Evaluated three ways (direct, through the Hilbert-Schmidt adjoint, and
@@ -563,16 +577,16 @@ def lambda_u(map_t: Superoperator, K_t: HermitianOperator, beta: float) -> Lambd
     rho_g = gibbs_state(K_t, beta)
     ident = np.eye(d, dtype=complex)
     phi_id = apply(map_t, ident)
-    direct = float(np.trace(rho_g.matrix @ phi_id).real)
-    adj = float(np.trace(apply(hs_adjoint(map_t), rho_g.matrix)).real)
-    mixed = d * float(np.trace(rho_g.matrix @ apply(map_t, ident / d)).real)
+    direct = float(np.trace(rho_g @ phi_id).real)
+    adj = float(np.trace(apply(hs_adjoint(map_t), rho_g)).real)
+    mixed = d * float(np.trace(rho_g @ apply(map_t, ident / d)).real)
     bound = float(np.linalg.eigvalsh(0.5 * (phi_id + phi_id.conj().T))[-1])
     residual = max(abs(direct - adj), abs(direct - mixed), abs(adj - mixed))
     return LambdaU(value=direct, bound=bound, cross_check_residual=residual)
 
 
-def lambda_w(map_t: Superoperator, Ow_t: HermitianOperator,
-             K_t: HermitianOperator, P_t: HermitianOperator, beta: float,
+def lambda_w(map_t: Superoperator, Ow_t: np.ndarray,
+             K_t: np.ndarray, P_t: np.ndarray, beta: float,
              ) -> tuple[float, float]:
     """Work correction factor and its bound.
 
@@ -582,13 +596,13 @@ def lambda_w(map_t: Superoperator, Ow_t: HermitianOperator,
     d = map_t.dim
     phi_id = apply(map_t, np.eye(d, dtype=complex))
     zt = partition_function(K_t, beta)
-    lam = float(np.trace(exp_hermitian(Ow_t, -beta).matrix @ phi_id).real) / zt
-    p_max = float(eig_hermitian(P_t)[0][-1])
+    lam = float(np.trace(exp_hermitian(Ow_t, -beta) @ phi_id).real) / zt
+    p_max = float(np.linalg.eigh(P_t)[0][-1])
     phi_max = float(np.linalg.eigvalsh(0.5 * (phi_id + phi_id.conj().T))[-1])
     return lam, float(np.exp(beta * p_max) * phi_max)
 
 
-def free_energies(K_t: HermitianOperator, K_0: HermitianOperator,
+def free_energies(K_t: np.ndarray, K_0: np.ndarray,
                   beta: float) -> tuple[float, float, float]:
     """(Z0, Zt, deltaF) for the instantaneous Gibbs references."""
     if beta <= 0:
@@ -598,24 +612,24 @@ def free_energies(K_t: HermitianOperator, K_0: HermitianOperator,
     return z0, zt, float(-np.log(zt / z0) / beta)
 
 
-def dissipated_work_bound(map_t: Superoperator, P_t: HermitianOperator,
+def dissipated_work_bound(map_t: Superoperator, P_t: np.ndarray,
                           beta: float) -> float:
     """Lower bound on <w> - deltaF:
     -lambda_max{P(t)} - (1/beta) ln lambda_max{Phi_t[1]}."""
     d = map_t.dim
     phi_id = apply(map_t, np.eye(d, dtype=complex))
-    p_max = float(eig_hermitian(P_t)[0][-1])
+    p_max = float(np.linalg.eigh(P_t)[0][-1])
     phi_max = float(np.linalg.eigvalsh(0.5 * (phi_id + phi_id.conj().T))[-1])
     return float(-p_max - np.log(phi_max) / beta)
 
 
-def heat_fluctuation(rho0: DensityMatrix, map_t: Superoperator,
-                     P_t: HermitianOperator, beta: float) -> tuple[float, float]:
+def heat_fluctuation(rho0: np.ndarray, map_t: Superoperator,
+                     P_t: np.ndarray, beta: float) -> tuple[float, float]:
     """<e^{-beta q}> = Tr{ e^{-beta P(t)} Phi_t[rho0] } and its bound
     e^{-beta lambda_min{P(t)}}."""
-    vals, vecs = eig_hermitian(P_t)
+    vals, vecs = np.linalg.eigh(P_t)
     exp_p = _exp_stack(vals[None], vecs[None], beta, what="P")[0]
-    value = float(np.trace(exp_p @ apply(map_t, rho0.matrix)).real)
+    value = float(np.trace(exp_p @ apply(map_t, rho0)).real)
     return value, float(np.exp(-beta * vals[0]))
 
 
@@ -683,14 +697,14 @@ def matrix_fluctuation_table(pipeline, beta: float,
         lambda_u_residual=residual)
 
 
-def noneq_free_energy(rho: DensityMatrix, K: HermitianOperator,
+def noneq_free_energy(rho: np.ndarray, K: np.ndarray,
                       beta: float) -> float:
     """U - S/beta with the von Neumann entropy (0 ln 0 = 0)."""
-    vals, _ = eig_hermitian(HermitianOperator(rho.matrix))
+    vals = np.linalg.eigvalsh(rho)
     vals = np.clip(vals, 0.0, None)
     mask = vals > 0
     entropy = float(-np.sum(vals[mask] * np.log(vals[mask])))
-    return K.expectation(rho) - entropy / beta
+    return float(np.trace(K @ rho).real) - entropy / beta
 
 
 # ---------------------------------------------------------------------------
@@ -698,7 +712,7 @@ def noneq_free_energy(rho: DensityMatrix, K: HermitianOperator,
 
 
 def coherent_work_row(data: CoherentInitialData, u_t: np.ndarray,
-                      H_t: HermitianOperator) -> CoherentWorkResult:
+                      H_t: np.ndarray) -> CoherentWorkResult:
     """`coherent_work_fluctuation` for one protocol, with scalar fields:
 
     value = Tr{ e^{-beta (H(t) + U xi U^dagger)} } / Z(0)
@@ -709,11 +723,11 @@ def coherent_work_row(data: CoherentInitialData, u_t: np.ndarray,
     H0 = data.H_star - data.xi
     z0 = partition_function(H0, beta)
     zt = partition_function(H_t, beta)
-    xi_evolved = u_t @ data.xi.matrix @ u_t.conj().T
-    total = HermitianOperator(H_t.matrix + xi_evolved)
-    value = float(np.trace(exp_hermitian(total, -beta).matrix).real) / z0
-    gt = float(np.trace(exp_hermitian(H_t, -beta).matrix @ u_t
-                        @ exp_hermitian(data.xi, -beta).matrix
+    total = H_t + u_t @ data.xi @ u_t.conj().T
+    total = 0.5 * (total + dagger(total))
+    value = float(np.trace(exp_hermitian(total, -beta)).real) / z0
+    gt = float(np.trace(exp_hermitian(H_t, -beta) @ u_t
+                        @ exp_hermitian(data.xi, -beta)
                         @ u_t.conj().T).real) / z0
     return CoherentWorkResult(beta=beta, value=value, golden_thompson_bound=gt,
                               jarzynski_factor=zt / z0,
@@ -744,20 +758,18 @@ def single_measure_initial(pipeline) -> tuple[np.ndarray, np.ndarray]:
 
 
 def duration_mean_change(x: np.ndarray, i_t: int,
-                         rho0: DensityMatrix) -> float:
+                         rho0: np.ndarray) -> float:
     """The two-point mean change of the duration-t_i protocol of a
     `single_measure_initial` series: its final operator is zero, so the
     mean is -<x[i_t]>_0."""
-    return float(-(x[i_t] * coordinates(rho0.matrix)).sum())
+    return float(-(x[i_t] * coordinates(rho0)).sum())
 
 
-def one_state_tpms(rho0: DensityMatrix, map_t: np.ndarray,
-                   O0: HermitianOperator,
-                   Ot: HermitianOperator) -> OutcomeDistribution:
-    """`tpms_distribution` of one state between two operators."""
-    return tpms_distribution(rho0.matrix[None], map_t,
-                             coordinates(O0.matrix),
-                             coordinates(Ot.matrix))[0]
+def one_state_tpms(rho0: np.ndarray, map_t: np.ndarray, O0: np.ndarray,
+                   Ot: np.ndarray) -> OutcomeDistribution:
+    """`tpms_distribution` of one state between two Hermitian operators."""
+    return tpms_distribution(np.asarray(rho0)[None], map_t, coordinates(O0),
+                             coordinates(Ot))[0]
 
 
 def moment(dist: OutcomeDistribution, k: int) -> float:

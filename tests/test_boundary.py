@@ -188,3 +188,16 @@ def test_run_names_the_config_key_of_a_bad_map_file(tmp_path, rel, grid):
     assert code == 2
     assert err.endswith(f" ([custom_map_file] path of {config})\n")
     assert ("grid must be strictly increasing" in err) == grid
+
+
+def test_a_grid_too_large_to_allocate_exits_2_naming_the_config(tmp_path):
+    # 10^12 steps: numpy refuses the 7 TiB time grid at once
+    config = tmp_path / "big.ini"
+    config.write_text("[scenario]\nmodel = weak_coupling\nbeta_list = 1\n"
+                      "n_steps = 1000000000000\nseries = lambda\n"
+                      f"out_dir = {tmp_path / 'out'}\n[weak_coupling]\n")
+    code, err = _main(["run", str(config)])
+    assert code == 2, err
+    assert err.startswith(
+        f"config error: {config}: the run does not fit in memory: "), err
+    assert "Traceback" not in err

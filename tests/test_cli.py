@@ -480,44 +480,6 @@ def test_run_closed_coherent_needs_a_full_rank_state(tmp_path, capsys,
         assert abs(float(first.split(",")[2]) - 1.0) <= 1e-12
 
 
-def test_run_closed_coherent_builds_no_operator_per_row(tmp_path,
-                                                        wrapper_builds):
-    counts = []
-    for n_steps in (40, 400):
-        wrapper_builds.clear()
-        cfg_path = write_config(tmp_path, f"""\
-            [scenario]
-            model = closed_coherent
-            n_steps = {n_steps}
-            out_dir = {tmp_path / f"out{n_steps}"}
-
-            [closed_coherent]
-        """, name=f"n{n_steps}.ini")
-        assert main(["run", cfg_path]) == 0
-        counts.append(len(wrapper_builds))
-    assert counts[0] == counts[1]
-
-
-def test_run_builds_no_wrapper_per_row(tmp_path, wrapper_builds):
-    counts = []
-    for n_steps in (40, 400):
-        wrapper_builds.clear()
-        cfg_path = write_config(tmp_path, f"""\
-            [scenario]
-            model = weak_coupling
-            beta_list = 0.5, 2.0
-            n_steps = {n_steps}
-            out_dir = {tmp_path / f"out{n_steps}"}
-            distribution_times = 2.5, 10
-
-            [weak_coupling]
-            gamma = 0.05
-        """, name=f"n{n_steps}.ini")
-        assert main(["run", cfg_path]) == 0
-        counts.append(sorted(wrapper_builds))
-    assert counts[0] == counts[1]
-
-
 def test_run_weak_coupling_with_a_cold_bath(tmp_path):
     # e^{beta omega0} overflows a double: the bath then excites nothing
     params = WeakCouplingParams(beta=800.0)

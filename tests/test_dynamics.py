@@ -30,11 +30,10 @@ from mapthermo.operators import (
     column_stacked,
     commutator_superop,
     from_coordinates,
-    random_hermitian,
 )
 from mapthermo.phase_covariant import pc_trajectory
 from mapthermo.quadrature import stencil_derivative
-from mapthermo.validation import random_gksl_trajectory
+from mapthermo.validation import random_gksl_trajectory, random_hermitian
 from reference import (
     Superoperator,
     apply,
@@ -126,11 +125,11 @@ def test_map_derivative_prefers_analytic():
 
 def test_minimal_split_of_commutator():
     rng = np.random.default_rng(1)
-    h = random_hermitian(2, rng).matrix
+    h = random_hermitian(2, rng)
     h = h - np.trace(h) / 2 * np.eye(2)  # traceless so K is unambiguous
     L = Superoperator(-1j * commutator_superop(h))
     split = minimal_dissipation_split(L)
-    assert np.max(np.abs(split.K.matrix - h)) < 1e-10
+    assert np.max(np.abs(split.K - h)) < 1e-10
     assert np.max(np.abs(split.dissipator.matrix)) < 1e-10
 
 
@@ -140,7 +139,7 @@ def test_minimal_split_of_pure_dissipator():
     ident = np.eye(4)
     D = gz * (np.kron(SZ.conj(), SZ) - ident)
     split = minimal_dissipation_split(Superoperator(D))
-    assert np.max(np.abs(split.K.matrix)) < 1e-12
+    assert np.max(np.abs(split.K)) < 1e-12
     assert np.max(np.abs(split.dissipator.matrix - D)) < 1e-12
 
 
@@ -162,7 +161,7 @@ def test_split_reassembles_generator():
         split = minimal_dissipation_split(L, time=float(traj.times[i]))
         back = reassemble_generator(split)
         assert np.max(np.abs(back.matrix - L.matrix)) < 1e-10
-        assert abs(np.trace(split.K.matrix)) < 1e-12
+        assert abs(np.trace(split.K)) < 1e-12
 
 
 def test_split_basis_independence():
@@ -181,8 +180,8 @@ def test_split_basis_independence():
             vc.matrix @ dm @ vci.matrix
             for dm in column_stacked(traj.derivatives)]))
     for i in (2, 6):
-        k_orig = minimal_dissipation_split(generator_at(traj, i)).K.matrix
-        k_rot = minimal_dissipation_split(generator_at(rotated, i)).K.matrix
+        k_orig = minimal_dissipation_split(generator_at(traj, i)).K
+        k_rot = minimal_dissipation_split(generator_at(rotated, i)).K
         assert np.max(np.abs(k_rot - v @ k_orig @ v.conj().T)) < 1e-8
 
 
@@ -208,8 +207,8 @@ def test_inverse_propagator_back_propagates_states():
     rng = np.random.default_rng(5)
     traj = random_gksl_trajectory(2, rng, np.linspace(0.0, 1.2, 13))
     rho0 = random_density_matrix(2, rng)
-    rho_t = apply(map_at(traj, 10), rho0.matrix)
-    rho_tau = apply(map_at(traj, 4), rho0.matrix)
+    rho_t = apply(map_at(traj, 10), rho0)
+    rho_tau = apply(map_at(traj, 4), rho0)
     back = apply(inverse_propagator(traj, 4, 10), rho_t)
     assert np.max(np.abs(back - rho_tau)) < 1e-8
 

@@ -29,16 +29,12 @@ from mapthermo.models import (JCParams, WeakCouplingParams, jc_reduced_map,
 from mapthermo.observables import ThermoPipeline, mean_change
 from mapthermo.operators import (
     PAULI,
-    DensityMatrix,
-    HermitianOperator,
     adjoint_apply_stack,
     basis_maps,
     column_stacked,
     commutator_superop,
     coordinates,
     from_coordinates,
-    gibbs_state,
-    random_hermitian,
 )
 from mapthermo.phase_covariant import (
     pc_integrals,
@@ -57,6 +53,7 @@ from reference import (
     csv_rows,
     dissipated_work_bound,
     free_energies,
+    gibbs_state,
     heat_fluctuation,
     lambda_u,
     lambda_w,
@@ -66,6 +63,7 @@ from reference import (
     noneq_free_energy,
     one_state_tpms,
     random_density_matrix,
+    random_hermitian,
     random_unitary,
     real_map,
     stacked_trajectory,
@@ -77,7 +75,7 @@ IDENTITY_MAP = Superoperator(np.eye(4))
 
 
 def zero_op(dim=2):
-    return HermitianOperator(np.zeros((dim, dim)))
+    return np.zeros((dim, dim))
 
 
 def unital_gksl_trajectory(t_f=2.0, n=100):
@@ -140,9 +138,8 @@ def test_distribution_refuses_values_that_are_not_finite(outcomes, probs):
 def test_tpms_static_diagonal_state_keeps_zero_outcome():
     # repeated measurement of sigma_z without evolution: the +-2 jumps exist
     # as outcomes but carry no weight
-    rho0 = DensityMatrix(np.diag([0.3, 0.7]))
-    dist = one_state_tpms(rho0, real_map(IDENTITY_MAP),
-                          HermitianOperator(SZ), HermitianOperator(SZ))
+    rho0 = np.diag([0.3, 0.7])
+    dist = one_state_tpms(rho0, real_map(IDENTITY_MAP), SZ, SZ)
     npt.assert_allclose(dist.outcomes, [-2.0, 0.0, 2.0])
     npt.assert_allclose(dist.probs, [0.0, 1.0, 0.0], atol=1e-15)
     assert dist.initial_coherence == 0.0
@@ -150,9 +147,9 @@ def test_tpms_static_diagonal_state_keeps_zero_outcome():
 
 def test_tpms_quarter_rotation_splits_evenly():
     u = expm(-1j * (np.pi / 4) * PAULI[1])
-    dist = one_state_tpms(DensityMatrix(np.diag([1.0, 0.0])),
+    dist = one_state_tpms(np.diag([1.0, 0.0]),
                           real_map(conjugation_superop(u)),
-                          HermitianOperator(SZ), HermitianOperator(SZ))
+                          SZ, SZ)
     npt.assert_allclose(dist.outcomes, [-2.0, 0.0, 2.0])
     npt.assert_allclose(dist.probs, [0.5, 0.5, 0.0], atol=1e-12)
 
@@ -164,46 +161,43 @@ def test_tpms_mean_is_trace_formula_for_commuting_state():
     u = random_unitary(3, rng)
     map_t = conjugation_superop(u)
     # state diagonal in the first measurement basis
-    vals, vecs = np.linalg.eigh(O0.matrix)
+    vals, vecs = np.linalg.eigh(O0)
     p = rng.uniform(0.2, 1.0, size=3)
     p /= p.sum()
-    rho0 = DensityMatrix(vecs @ np.diag(p) @ vecs.conj().T)
+    rho0 = vecs @ np.diag(p) @ vecs.conj().T
     dist = one_state_tpms(rho0, real_map(map_t), O0, Ot)
-    expect = (np.trace(Ot.matrix @ apply(map_t, rho0.matrix)).real
-              - np.trace(O0.matrix @ rho0.matrix).real)
+    expect = (np.trace(Ot @ apply(map_t, rho0)).real
+              - np.trace(O0 @ rho0).real)
     assert dist.initial_coherence < 1e-12
     assert abs(moment(dist, 1) - expect) < 1e-10
 
 
 def test_tpms_flags_destroyed_coherences():
-    rho0 = DensityMatrix(np.array([[0.6, 0.3], [0.3, 0.4]]))
-    dist = one_state_tpms(rho0, real_map(IDENTITY_MAP),
-                          HermitianOperator(SZ),
-                          HermitianOperator(0.5 * SZ))
+    rho0 = np.array([[0.6, 0.3], [0.3, 0.4]])
+    dist = one_state_tpms(rho0, real_map(IDENTITY_MAP), SZ, 0.5 * SZ)
     assert dist.initial_coherence > 0.1
 
 
 def test_tpms_degenerate_first_observable_is_one_point():
     # zero first observable: single cluster, no dephasing, heat-style scheme
-    rho0 = DensityMatrix(np.array([[0.6, 0.3], [0.3, 0.4]]))
-    dist = one_state_tpms(rho0, real_map(IDENTITY_MAP), zero_op(),
-                          HermitianOperator(SZ))
+    rho0 = np.array([[0.6, 0.3], [0.3, 0.4]])
+    dist = one_state_tpms(rho0, real_map(IDENTITY_MAP), zero_op(), SZ)
     assert dist.initial_coherence == 0.0
     npt.assert_allclose(dist.outcomes, [-1.0, 1.0])
     npt.assert_allclose(dist.probs, [0.4, 0.6], atol=1e-12)
 
 
 def test_exp_average_of_delta_is_one():
-    H = HermitianOperator(0.7 * SZ)
+    H = 0.7 * SZ
     dist = one_state_tpms(gibbs_state(H, 1.0), real_map(IDENTITY_MAP),
                           H, H)
     assert abs(exp_average(dist, 2.2) - 1.0) < 1e-12
 
 
 def test_exp_average_symmetric_outcomes_is_cosh():
-    dist = one_state_tpms(DensityMatrix(0.5 * np.eye(2)),
+    dist = one_state_tpms(0.5 * np.eye(2),
                           real_map(IDENTITY_MAP),
-                          zero_op(), HermitianOperator(0.9 * PAULI[1]))
+                          zero_op(), 0.9 * PAULI[1])
     beta = 1.4
     assert abs(exp_average(dist, beta) - np.cosh(beta * 0.9)) < 1e-12
     assert abs(moment(dist, 2) - 0.81) < 1e-12
@@ -215,17 +209,17 @@ def test_tpms_against_unclustered_brute_force():
     O0 = random_hermitian(dim, rng)
     Ot = random_hermitian(dim, rng)
     map_t = conjugation_superop(random_unitary(dim, rng))
-    vals0, vecs0 = np.linalg.eigh(O0.matrix)
+    vals0, vecs0 = np.linalg.eigh(O0)
     p = rng.uniform(0.1, 1.0, size=dim)
     p /= p.sum()
-    rho0 = DensityMatrix(vecs0 @ np.diag(p) @ vecs0.conj().T)
-    valst, vecst = np.linalg.eigh(Ot.matrix)
+    rho0 = vecs0 @ np.diag(p) @ vecs0.conj().T
+    valst, vecst = np.linalg.eigh(Ot)
     beta = 0.8
     brute = 0.0
     brute_mean = 0.0
     for n in range(dim):
         pn = np.outer(vecs0[:, n], vecs0[:, n].conj())
-        branch = apply(map_t, pn @ rho0.matrix @ pn)
+        branch = apply(map_t, pn @ rho0 @ pn)
         for m in range(dim):
             pm = np.outer(vecst[:, m], vecst[:, m].conj())
             prob = float(np.trace(pm @ branch).real)
@@ -239,7 +233,7 @@ def test_tpms_against_unclustered_brute_force():
 def test_lambda_u_is_one_for_unital_maps():
     for map_t in (IDENTITY_MAP,
                   conjugation_superop(random_unitary(2, np.random.default_rng(1)))):
-        lu = lambda_u(map_t, HermitianOperator(0.8 * SZ), 1.5)
+        lu = lambda_u(map_t, 0.8 * SZ, 1.5)
         assert abs(lu.value - 1.0) < 1e-12
         assert abs(lu.bound - 1.0) < 1e-12
         assert lu.cross_check_residual < 1e-12
@@ -254,8 +248,7 @@ def test_lambda_u_weak_coupling_exceeds_one_and_matches_closed_form():
     closed = pc_lambda_u(coeffs, p.beta)
     prev = 1.0
     for i in (50, 100, 150, 200):
-        lu = lambda_u(map_at(traj, i),
-                      HermitianOperator(pipe.K[i]), p.beta)
+        lu = lambda_u(map_at(traj, i), pipe.K[i], p.beta)
         assert abs(lu.value - closed[i]) < 1e-9
         assert lu.cross_check_residual < 1e-10
         assert lu.value > prev
@@ -269,10 +262,9 @@ def test_lambda_w_is_one_for_closed_and_pure_decoherence():
     for traj in (closed, dephasing):
         pipe = ThermoPipeline(traj)
         i = 100
-        Ow = HermitianOperator(pipe.K[i] - pipe.P[i])
+        Ow = pipe.K[i] - pipe.P[i]
         lam, bound = lambda_w(map_at(traj, i), Ow,
-                              HermitianOperator(pipe.K[i]),
-                              HermitianOperator(pipe.P[i]), 2.0)
+                              pipe.K[i], pipe.P[i], 2.0)
         assert abs(lam - 1.0) < 1e-9
         assert abs(bound - 1.0) < 1e-9
 
@@ -286,10 +278,9 @@ def test_lambda_w_weak_coupling_matches_closed_form():
     th = pc_thermo(coeffs)
     lam_c, bound_c = pc_lambda_w(th, coeffs, p.beta)
     for i in (60, 140, 200):
-        Ow = HermitianOperator(pipe.K[i] - pipe.P[i])
+        Ow = pipe.K[i] - pipe.P[i]
         lam, bound = lambda_w(map_at(traj, i), Ow,
-                              HermitianOperator(pipe.K[i]),
-                              HermitianOperator(pipe.P[i]), p.beta)
+                              pipe.K[i], pipe.P[i], p.beta)
         assert abs(lam - lam_c[i]) < 1e-9
         assert abs(bound - bound_c[i]) < 1e-9
         assert lam <= bound + 1e-12
@@ -303,7 +294,7 @@ def test_heat_factor_is_one_without_dissipative_flow():
         traj, _ = pc_trajectory(rates, ts)
         pipe = ThermoPipeline(traj)
         val, bound = heat_fluctuation(random_density_matrix(2, rng),
-                                      map_at(traj, 100), HermitianOperator(pipe.P[100]),
+                                      map_at(traj, 100), pipe.P[100],
                                       3.0)
         assert abs(val - 1.0) < 1e-12
         assert abs(bound - 1.0) < 1e-12
@@ -316,9 +307,9 @@ def test_heat_factor_matches_one_point_distribution():
     pipe = ThermoPipeline(traj)
     rho0 = random_density_matrix(2, np.random.default_rng(4))
     i = 100
-    P = HermitianOperator(pipe.P[i])
+    P = pipe.P[i]
     val, bound = heat_fluctuation(rho0, map_at(traj, i), P, p.beta)
-    dist, = tpms_distribution(rho0.matrix[None], traj.maps[i],
+    dist, = tpms_distribution(rho0[None], traj.maps[i],
                               np.zeros(4), pipe.p[i])
     assert abs(exp_average(dist, p.beta) - val) < 1e-10 * abs(val)
     assert val <= bound * (1.0 + 1e-12)
@@ -326,21 +317,20 @@ def test_heat_factor_matches_one_point_distribution():
 
 def test_free_energies_qubit_closed_form():
     beta = 1.7
-    z0, zt, dfb = free_energies(HermitianOperator(1.0 * SZ / 2),
-                                HermitianOperator(0.6 * SZ / 2), beta)
+    z0, zt, dfb = free_energies(1.0 * SZ / 2, 0.6 * SZ / 2, beta)
     # careful with the argument order: first argument is the final splitting
     assert abs(zt - 2.0 * np.cosh(beta * 0.5)) < 1e-12
     assert abs(z0 - 2.0 * np.cosh(beta * 0.3)) < 1e-12
     assert abs(dfb - np.log(z0 / zt) / beta) < 1e-12
     with pytest.raises(ValueError):
-        free_energies(HermitianOperator(SZ), HermitianOperator(SZ), 0.0)
+        free_energies(SZ, SZ, 0.0)
 
 
 def test_noneq_free_energy_of_gibbs_state_is_log_partition():
-    H = HermitianOperator(np.array([[0.9, 0.3], [0.3, -0.7]]))
+    H = np.array([[0.9, 0.3], [0.3, -0.7]])
     beta = 2.4
     f = noneq_free_energy(gibbs_state(H, beta), H, beta)
-    z = np.sum(np.exp(-beta * np.linalg.eigvalsh(H.matrix)))
+    z = np.sum(np.exp(-beta * np.linalg.eigvalsh(H)))
     assert abs(f + np.log(z) / beta) < 1e-10
     # any other state pays a relative-entropy premium
     other = random_density_matrix(2, np.random.default_rng(9))
@@ -351,7 +341,7 @@ def test_dissipated_bound_vanishes_for_closed_dynamics():
     ts = np.linspace(0.0, 2.0, 101)
     traj, _ = pc_trajectory(constant_rates(1.0, 0.0, 0.0), ts)
     pipe = ThermoPipeline(traj)
-    b = dissipated_work_bound(map_at(traj, 100), HermitianOperator(pipe.P[100]), 1.7)
+    b = dissipated_work_bound(map_at(traj, 100), pipe.P[100], 1.7)
     assert abs(b) < 1e-12
 
 
@@ -359,16 +349,15 @@ def test_dissipated_bound_for_unital_dynamics_is_path_operator_top():
     traj = unital_gksl_trajectory()
     pipe = ThermoPipeline(traj)
     i = traj.times.size - 1
-    P = HermitianOperator(pipe.P[i])
-    p_max = float(np.linalg.eigvalsh(P.matrix)[-1])
+    P = pipe.P[i]
+    p_max = float(np.linalg.eigvalsh(P)[-1])
     assert p_max > 0.1
     b = dissipated_work_bound(map_at(traj, i), P, 1.3)
     assert abs(b + p_max) < 1e-12
     # the map really is unital, and the internal-energy factor sees that
     phi1 = apply(map_at(traj, i), np.eye(2, dtype=complex))
     npt.assert_allclose(phi1, np.eye(2), atol=1e-12)
-    lu = lambda_u(map_at(traj, i),
-                  HermitianOperator(pipe.K[i]), 1.3)
+    lu = lambda_u(map_at(traj, i), pipe.K[i], 1.3)
     assert abs(lu.value - 1.0) < 1e-12
 
 
@@ -383,7 +372,7 @@ def test_report_matches_distribution_routes():
     rep.check_invariants()
 
     # the pipeline's coordinates, measured as `run` measures them
-    rho0 = gibbs_state(HermitianOperator(pipe.K[0]), beta).matrix[None]
+    rho0 = gibbs_state(pipe.K[0], beta)[None]
     k0 = pipe.k[0]
 
     dist_w, = tpms_distribution(rho0, traj.maps[i], k0, pipe.w[i])
@@ -462,10 +451,9 @@ def qutrit_pipeline():
 def reference_row(pipe, work, i, beta):
     """The report columns at one row from the per-operator functions."""
     traj = pipe.traj
-    K0, K_t = (HermitianOperator(pipe.K[0]),
-               HermitianOperator(pipe.K[i]))
-    P = HermitianOperator(pipe.P[i])
-    Ow = HermitianOperator(K_t.matrix - P.matrix)
+    K0, K_t = pipe.K[0], pipe.K[i]
+    P = pipe.P[i]
+    Ow = K_t - P
     map_t = map_at(traj, i)
     rho0 = gibbs_state(K0, beta)
     lw, bound = lambda_w(map_t, Ow, K_t, P, beta)
@@ -696,14 +684,28 @@ def test_tpms_over_several_states_is_each_state_alone():
     O0, Ot = random_hermitian(3, rng), random_hermitian(3, rng)
     map_t = random_gksl_trajectory(3, rng, np.linspace(0.0, 1.0, 5)).maps[-1]
     states = [random_density_matrix(3, rng) for _ in range(4)]
-    batch = tpms_distribution(np.array([r.matrix for r in states]), map_t,
-                              coordinates(O0.matrix), coordinates(Ot.matrix))
+    batch = tpms_distribution(np.array(states), map_t,
+                              coordinates(O0), coordinates(Ot))
     assert len(batch) == len(states)
     for rho, dist in zip(states, batch):
         alone = one_state_tpms(rho, map_t, O0, Ot)
         assert dist.outcomes.tobytes() == alone.outcomes.tobytes()
         assert dist.probs.tobytes() == alone.probs.tobytes()
         assert dist.initial_coherence == alone.initial_coherence
+
+
+@pytest.mark.parametrize("bad,why", [
+    (np.array([[0.5, 0.4], [0.0, 0.5]]), "is not Hermitian"),
+    (np.diag([1.5, -0.5]), "is not a state"),
+    (np.diag([0.6, 0.6]), "is not a state"),
+])
+def test_a_bad_state_is_refused_by_its_index(bad, why):
+    # each state of the stack is checked where it enters, and the error
+    # names the first bad one
+    good = np.diag([0.25, 0.75])
+    with pytest.raises(ConstructionError, match=f"state 1 {why}"):
+        tpms_distribution(np.stack([good, bad]), real_map(IDENTITY_MAP),
+                          coordinates(SZ), coordinates(SZ))
 
 
 @pytest.mark.parametrize("bad", [math.inf, math.nan, 0.0, -1.0, -math.inf])
@@ -771,7 +773,7 @@ def test_gibbs_betas_weigh_a_degenerate_cluster_as_its_states_do(energies):
     d = pipe.traj.dim
     betas = [0.5, 1.0, 3.0]
     states = fluctuations._initial_states(pipe, betas)
-    second = coordinates(random_hermitian(d, np.random.default_rng(d)).matrix)
+    second = coordinates(random_hermitian(d, np.random.default_rng(d)))
     for i in (50, 100):
         for ot in (pipe.w[i], second):
             by_beta = tpms_distribution(betas, pipe.traj.maps[i], pipe.w[0],
@@ -784,24 +786,13 @@ def test_gibbs_betas_weigh_a_degenerate_cluster_as_its_states_do(energies):
                 npt.assert_allclose(a.probs, b.probs, rtol=0, atol=1e-14)
 
 
-def test_the_table_builds_no_wrapper(wrapper_builds):
-    # rho(0) and Z(0) come from row 0 of the cached spectrum of K(t)
-    pipe = qutrit_pipeline()
-    wrapper_builds.clear()
-    fluctuation_table(pipe, 0.5)
-    fluctuation_table(pipe, 2.0)
-    fluctuation_table(pipe, 2.0, indices=[1, 5])
-    fluctuation_report(pipe, 7, 3.0)
-    assert wrapper_builds == []
-
-
 @pytest.mark.parametrize("dim", [2, 3, 4, 5, 6])
 def test_trace_sums_match_the_formed_products(dim):
     rng = np.random.default_rng(dim)
     n = 50
     times = np.linspace(0.0, 1.0, n)
     # states and exponentials, as the table multiplies
-    a, b = (np.array([gibbs_state(random_hermitian(dim, rng), 1.0).matrix
+    a, b = (np.array([gibbs_state(random_hermitian(dim, rng), 1.0)
                       for _ in range(n)]) for _ in range(2))
     maps = random_gksl_trajectory(dim, rng, times).maps
 

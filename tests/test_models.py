@@ -650,8 +650,8 @@ def test_closed_coherent_protocol_structure():
     times = p.grid(100)
     rho0, hams, unitaries = closed_coherent_protocol(p, times)
     assert hams.shape == unitaries.shape == (times.size, 2, 2)
-    assert abs(np.trace(rho0.matrix) - 1.0) < 1e-12
-    assert abs(rho0.matrix[0, 1]) > 1e-3
+    assert abs(np.trace(rho0) - 1.0) < 1e-12
+    assert abs(rho0[0, 1]) > 1e-3
     omega = p.omega0 + p.delta * np.sin(p.Omega * times) ** 2
     npt.assert_allclose(hams, 0.5 * omega[:, None, None] * PAULI[3],
                         atol=1e-14)
@@ -667,7 +667,7 @@ def test_closed_coherent_undriven_propagator_closed_form():
     p = ClosedCoherentParams(delta=1e-30, rotation_angle=0.0)
     times = p.grid(60)
     rho0, hams, unitaries = closed_coherent_protocol(p, times)
-    assert abs(rho0.matrix[0, 1]) < 1e-15
+    assert abs(rho0[0, 1]) < 1e-15
     # every row, not one: the stack is filled from the accumulated angle
     phase = np.exp(-0.5j * p.omega0 * times)
     npt.assert_allclose(unitaries[:, 0, 0], phase, atol=1e-12)

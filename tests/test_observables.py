@@ -23,23 +23,15 @@ from mapthermo.observables import (
     mean_change,
     shifted_observable,
 )
-from mapthermo.operators import (
-    PAULI,
-    DensityMatrix,
-    HermitianOperator,
-    coordinates,
-    from_coordinates,
-    gibbs_state,
-    partition_function,
-    random_hermitian,
-)
+from mapthermo.operators import PAULI, coordinates, from_coordinates
 from mapthermo.phase_covariant import pc_integrals, pc_thermo, pc_trajectory
 from mapthermo.quadrature import cumulative_simpson
 from mapthermo.validation import random_gksl_trajectory
 from reference import (Superoperator, apply, coherent_work_row,
                        constant_rates, duration_mean_change, generator_at,
-                       map_at, minimal_dissipation_split,
-                       random_density_matrix, single_measure_final_work,
+                       gibbs_state, map_at, minimal_dissipation_split,
+                       partition_function, random_density_matrix,
+                       random_hermitian, single_measure_final_work,
                        single_measure_initial, stacked_trajectory, unvec,
                        vec)
 
@@ -150,7 +142,7 @@ def test_mean_work_equals_power_integral():
     rho0 = random_density_matrix(2, np.random.default_rng(11))
     work, heat = pipe.work_heat_observables()
     mw = mean_change(work, traj, times.size - 1, rho0)
-    vz = np.array([float(np.trace(SZ @ apply(map_at(traj, i), rho0.matrix)).real)
+    vz = np.array([float(np.trace(SZ @ apply(map_at(traj, i), rho0)).real)
                    for i in range(times.size)])
     wdot = p.delta * p.Omega * np.sin(2.0 * p.Omega * times)
     oracle = cumulative_simpson(0.5 * wdot * vz, traj.spacing)[-1]
@@ -167,7 +159,7 @@ def test_gibbs_fixed_point_absorbs_no_heat():
     # state rides the drive without any dissipative energy flow
     p, traj = weak_traj(n=400)
     pipe = ThermoPipeline(traj)
-    rho0 = gibbs_state(HermitianOperator(0.5 * p.omega0 * SZ), p.beta)
+    rho0 = gibbs_state(0.5 * p.omega0 * SZ, p.beta)
     _, heat = pipe.work_heat_observables()
     assert abs(mean_change(heat, traj, traj.times.size - 1, rho0)) < 1e-9
 
@@ -208,7 +200,7 @@ def test_shift_preserves_every_two_point_mean_change():
     work, _ = pipe.work_heat_observables()
     rng = np.random.default_rng(5)
     shifted = shifted_observable(work, traj,
-                                 coordinates(random_hermitian(2, rng).matrix))
+                                 coordinates(random_hermitian(2, rng)))
     for _ in range(10):
         rho0 = random_density_matrix(2, rng)
         for i in (17, 101, 200):
@@ -218,18 +210,18 @@ def test_shift_preserves_every_two_point_mean_change():
 
 
 def test_match_beta_recovers_gibbs_temperature():
-    H0 = HermitianOperator(np.array([[0.9, 0.3 - 0.2j], [0.3 + 0.2j, -0.7]]))
+    H0 = np.array([[0.9, 0.3 - 0.2j], [0.3 + 0.2j, -0.7]])
     beta = match_beta(gibbs_state(H0, 2.31), H0)
     assert abs(beta - 2.31) / 2.31 < 1e-8
 
 
 def test_match_beta_against_grid_scan():
     rng = np.random.default_rng(7)
-    H0 = HermitianOperator(np.array([[0.9, 0.3 - 0.2j], [0.3 + 0.2j, -0.7]]))
+    H0 = np.array([[0.9, 0.3 - 0.2j], [0.3 + 0.2j, -0.7]])
     rho = random_density_matrix(2, rng)
     beta = match_beta(rho, H0)
-    vals = np.linalg.eigvalsh(H0.matrix)
-    target = H0.expectation(rho)
+    vals = np.linalg.eigvalsh(H0)
+    target = float(np.trace(H0 @ rho).real)
     grid = np.logspace(-3.0, 3.0, 200001)
     w = np.exp(-np.outer(grid, vals - vals.min()))
     energies = (w @ vals) / np.sum(w, axis=1)
@@ -238,26 +230,26 @@ def test_match_beta_against_grid_scan():
 
 
 def test_match_beta_rejects_trivial_hamiltonian():
-    H0 = HermitianOperator(3.0 * np.eye(2))
+    H0 = 3.0 * np.eye(2)
     with pytest.raises(NoMatchingBeta):
         match_beta(random_density_matrix(2, np.random.default_rng(0)), H0)
 
 
 def test_match_beta_rejects_maximally_mixed_state():
-    H0 = HermitianOperator(0.8 * SZ)
+    H0 = 0.8 * SZ
     with pytest.raises(NoMatchingBeta):
-        match_beta(DensityMatrix(0.5 * np.eye(2)), H0)
+        match_beta(0.5 * np.eye(2), H0)
 
 
 def test_match_beta_rejects_energy_outside_spectrum():
-    H0 = HermitianOperator(0.8 * SZ)
-    excited = DensityMatrix(np.diag([1.0, 0.0]))
+    H0 = 0.8 * SZ
+    excited = np.diag([1.0, 0.0])
     with pytest.raises(NoMatchingBeta):
         match_beta(excited, H0)
 
 
 def test_match_beta_respects_bracket():
-    H0 = HermitianOperator(0.8 * SZ)
+    H0 = 0.8 * SZ
     rho = gibbs_state(H0, 1.0)
     with pytest.raises(NoMatchingBeta):
         match_beta(rho, H0, bracket=(10.0, 1e6))
@@ -266,29 +258,29 @@ def test_match_beta_respects_bracket():
 @settings(max_examples=25, deadline=None)
 @given(floats(min_value=0.1, max_value=5.0))
 def test_match_beta_roundtrip_property(beta_true):
-    H0 = HermitianOperator(np.array([[1.1, 0.4], [0.4, -0.5]]))
+    H0 = np.array([[1.1, 0.4], [0.4, -0.5]])
     beta = match_beta(gibbs_state(H0, beta_true), H0)
     assert abs(beta - beta_true) / beta_true < 1e-6
 
 
 def test_coherent_construction_reproduces_gibbs_reference():
-    H0 = HermitianOperator(0.8 * SZ + 0.1 * PAULI[1])
+    H0 = 0.8 * SZ + 0.1 * PAULI[1]
     data = coherent_initial_construction(gibbs_state(H0, 1.7), H0)
     assert abs(data.beta - 1.7) / 1.7 < 1e-8
-    npt.assert_allclose(data.H_star.matrix, H0.matrix, atol=1e-8)
-    npt.assert_allclose(data.xi.matrix, 0.0, atol=1e-8)
+    npt.assert_allclose(data.H_star, H0, atol=1e-8)
+    npt.assert_allclose(data.xi, 0.0, atol=1e-8)
     assert abs(data.lambda_min_xi) < 1e-8
     assert abs(data.relative_entropy) < 1e-10
 
 
 def test_coherent_construction_gibbs_of_h_star_is_the_state():
     rng = np.random.default_rng(21)
-    H0 = HermitianOperator(0.8 * SZ + 0.1 * PAULI[1])
+    H0 = 0.8 * SZ + 0.1 * PAULI[1]
     r = expm(-0.3j * PAULI[1])
-    rho0 = DensityMatrix(r @ gibbs_state(H0, 1.2).matrix @ r.conj().T)
+    rho0 = r @ gibbs_state(H0, 1.2) @ r.conj().T
     data = coherent_initial_construction(rho0, H0)
-    npt.assert_allclose(gibbs_state(data.H_star, data.beta).matrix,
-                        rho0.matrix, atol=1e-9)
+    npt.assert_allclose(gibbs_state(data.H_star, data.beta),
+                        rho0, atol=1e-9)
     # normalisation pins Tr e^{-beta H*} to the reference partition function
     assert abs(partition_function(data.H_star, data.beta)
                - partition_function(H0, data.beta)) < 1e-9
@@ -297,11 +289,11 @@ def test_coherent_construction_gibbs_of_h_star_is_the_state():
 
 
 def test_coherent_fluctuation_without_coherences_is_free_energy_ratio():
-    H0 = HermitianOperator(0.8 * SZ + 0.1 * PAULI[1])
-    Ht = HermitianOperator(0.8 * SZ + 0.6 * PAULI[1])
+    H0 = 0.8 * SZ + 0.1 * PAULI[1]
+    Ht = 0.8 * SZ + 0.6 * PAULI[1]
     data = coherent_initial_construction(gibbs_state(H0, 1.2), H0)
     res = coherent_work_fluctuation(data, expm(-0.7j * PAULI[2])[None],
-                                    Ht.matrix[None])
+                                    Ht[None])
     assert res.value.shape == (1,)
     assert abs(res.value[0] - res.jarzynski_factor[0]) < 1e-8
     assert abs(res.golden_thompson_bound[0] - res.value[0]) < 1e-8
@@ -311,16 +303,16 @@ def test_coherent_fluctuation_without_coherences_is_free_energy_ratio():
 
 
 def test_coherent_fluctuation_chain_and_quadratic_gap():
-    H0 = HermitianOperator(0.8 * SZ + 0.1 * PAULI[1])
-    Ht = HermitianOperator(0.8 * SZ + 0.6 * PAULI[1])
+    H0 = 0.8 * SZ + 0.1 * PAULI[1]
+    Ht = 0.8 * SZ + 0.6 * PAULI[1]
     u_prot = expm(-0.7j * PAULI[2])
     gaps = {}
     for eps in (0.02, 0.04, 0.08):
         r = expm(-1j * eps * PAULI[1])
-        rho0 = DensityMatrix(r @ gibbs_state(H0, 1.2).matrix @ r.conj().T)
+        rho0 = r @ gibbs_state(H0, 1.2) @ r.conj().T
         res = coherent_work_fluctuation(
             coherent_initial_construction(rho0, H0), u_prot[None],
-            Ht.matrix[None])
+            Ht[None])
         assert res.value[0] <= res.golden_thompson_bound[0] + 1e-12
         assert res.golden_thompson_bound[0] <= res.final_bound[0] + 1e-12
         gaps[eps] = res.golden_thompson_bound[0] - res.value[0]
@@ -335,9 +327,9 @@ def test_coherent_work_stack_matches_per_row_reference(drive_mode, angle):
     p = ClosedCoherentParams(drive_mode=drive_mode, rotation_angle=angle)
     times = p.grid(400)
     rho0, hams, unitaries = closed_coherent_protocol(p, times)
-    data = coherent_initial_construction(rho0, HermitianOperator(hams[0]))
+    data = coherent_initial_construction(rho0, hams[0])
     res = coherent_work_fluctuation(data, unitaries, hams, times)
-    rows = [coherent_work_row(data, u, HermitianOperator(h))
+    rows = [coherent_work_row(data, u, h)
             for u, h in zip(unitaries, hams)]
     assert res.beta == data.beta
     assert res.lambda_min_xi == data.lambda_min_xi
@@ -360,9 +352,9 @@ def per_point_K_and_P(traj):
     K, g = [], []
     for i, r in enumerate(traj.maps):
         split = minimal_dissipation_split(generator_at(traj, i))
-        dk = split.dissipator.matrix.conj().T @ vec(split.K.matrix)
+        dk = split.dissipator.matrix.conj().T @ vec(split.K)
         g.append(r.T @ coordinates(unvec(dk, d)))
-        K.append(split.K.matrix)
+        K.append(split.K)
     running = cumulative_simpson(np.array(g), traj.spacing)
     P = [from_coordinates(np.linalg.inv(r).T @ x)
          for r, x in zip(traj.maps, running)]
@@ -401,7 +393,7 @@ def test_stacked_K_and_P_match_the_per_point_references(source):
     initial, _ = single_measure_initial(pipe)
     rng = np.random.default_rng(6)
     shifted = shifted_observable(work, traj,
-                                 coordinates(random_hermitian(d, rng).matrix))
+                                 coordinates(random_hermitian(d, rng)))
     rho0 = random_density_matrix(d, rng)
     for i in (1, n // 2, n - 1):
         ref = mean_change(work, traj, i, rho0)
@@ -426,8 +418,9 @@ def test_pipeline_singular_map_names_the_first_singular_time():
 
 def count_per_point_work(monkeypatch, n):
     """Run the weak-coupling pipeline end to end on an n-step grid, counting
-    the matrices that cond and inv see and the wrapper constructions."""
-    counts = dict(cond=0, inv=0, superop=0, hermitian=0)
+    the matrices that cond and inv see and the Superoperator
+    constructions."""
+    counts = dict(cond=0, inv=0, superop=0)
 
     def per_matrix(name, fn):
         def counted(a, *args, **kwargs):
@@ -446,8 +439,6 @@ def count_per_point_work(monkeypatch, n):
         m.setattr(np.linalg, "inv", per_matrix("inv", np.linalg.inv))
         m.setattr(Superoperator, "__post_init__",
                   per_call("superop", Superoperator.__post_init__))
-        m.setattr(HermitianOperator, "__post_init__",
-                  per_call("hermitian", HermitianOperator.__post_init__))
         p = WeakCouplingParams()
         traj, _ = pc_trajectory(weak_coupling_rates(p), p.grid(n))
         pipe = ThermoPipeline(traj)
@@ -465,4 +456,3 @@ def test_pipeline_does_its_per_point_work_once(monkeypatch):
         assert counts["cond"] == n + 1
         assert counts["inv"] == n + 1
         assert counts["superop"] == 0
-    assert small["hermitian"] == large["hermitian"]

@@ -7,24 +7,23 @@ import pytest
 from hypothesis import given, settings
 from hypothesis.strategies import integers
 
+from mapthermo.coherent import coherent_initial_construction
 from mapthermo.errors import ConstructionError, SingularMap
 from mapthermo.operators import (
-    DensityMatrix,
-    HermitianOperator,
+    HERMITICITY_TOL,
     PAULI,
     _exp_stack,
     _gibbs_stack,
-    eig_hermitian,
+    _state_stack,
     basis_maps,
     column_stacked,
     coordinates,
     from_coordinates,
-    gibbs_state,
     hermitian_basis,
-    partition_function,
-    random_hermitian,
+    hermitian_stack,
 )
-from mapthermo.dynamics import map_faults
+from mapthermo.dynamics import MapTrajectory, map_faults
+from mapthermo.observables import mean_change
 from reference import (
     Superoperator,
     apply,
@@ -35,13 +34,16 @@ from reference import (
     cptp_diagnostics,
     exp_hermitian,
     func_hermitian,
+    gibbs_state,
     hermiticity_preservation_by_reshuffle,
     hs_adjoint,
     identity_superop,
     invert,
     kraus_superop,
+    partition_function,
     pauli_transfer_matrix,
     random_density_matrix,
+    random_hermitian,
     random_unitary,
     superop_from_pauli_transfer,
     unvec,
@@ -53,26 +55,44 @@ SX, SY, SZ = PAULI[1], PAULI[2], PAULI[3]
 
 def test_hermitian_symmetrizes_small_drift():
     m = np.array([[1.0, 0.5 + 1e-14j], [0.5, -1.0]])
-    h = HermitianOperator(m)
-    npt.assert_allclose(h.matrix, h.matrix.conj().T)
+    h = hermitian_stack(m[None], HERMITICITY_TOL)[0]
+    npt.assert_array_equal(h, h.conj().T)
+    npt.assert_allclose(h, m, atol=1e-14)
 
 
 def test_hermitian_rejects_large_drift():
-    with pytest.raises(ConstructionError):
-        HermitianOperator(np.array([[0.0, 1.0], [0.0, 0.0]]))
+    # where a caller's Hamiltonian enters: the coherent construction's H(0)
+    bad = np.array([[0.0, 1.0], [0.0, 0.0]])
+    with pytest.raises(ConstructionError,
+                       match=re.escape("H(0) is not Hermitian")):
+        coherent_initial_construction(0.5 * np.eye(2), bad)
+    with pytest.raises(ConstructionError, match="matrix is not Hermitian"):
+        hermitian_stack(bad[None], HERMITICITY_TOL, what="matrix")
+    with pytest.raises(ConstructionError,
+                       match=re.escape("stack, got (2, 2)")):
+        hermitian_stack(SZ, HERMITICITY_TOL)
 
 
 def test_density_matrix_invariants():
-    rho = DensityMatrix(np.diag([0.25, 0.75]))
-    assert abs(np.trace(rho.matrix) - 1.0) < 1e-12
-    with pytest.raises(ConstructionError):
-        DensityMatrix(np.diag([1.5, -0.5]))
-    with pytest.raises(ConstructionError):
-        DensityMatrix(np.diag([0.5, 0.4]))
+    # where a caller's state enters: the coherent construction's rho(0) and
+    # the two-point mean change
+    rho = _state_stack(np.diag([0.25, 0.75])[None])[0]
+    assert abs(np.trace(rho) - 1.0) < 1e-12
+    times = np.linspace(0.0, 1.0, 17)
+    traj = MapTrajectory(times=times, maps=np.stack([np.eye(4)] * 17))
+    x = np.zeros((17, 4))
+    for bad in (np.diag([1.5, -0.5]), np.diag([0.5, 0.4])):
+        for call in (lambda: coherent_initial_construction(bad, SZ),
+                     lambda: mean_change(x, traj, 16, bad)):
+            with pytest.raises(ConstructionError,
+                               match=re.escape("rho(0) is not a state")):
+                call()
 
 
 def test_eig_sigma_z():
-    vals, vecs = eig_hermitian(HermitianOperator(SZ))
+    # the convention the library reads spectra in: ascending eigenvalues,
+    # eigenvector columns
+    vals, vecs = np.linalg.eigh(SZ)
     npt.assert_allclose(vals, [-1.0, 1.0])
     # columns are the computational basis up to phase
     assert abs(abs(vecs[1, 0]) - 1.0) < 1e-12
@@ -80,7 +100,7 @@ def test_eig_sigma_z():
 
 
 def test_eig_degenerate_identity():
-    vals, vecs = eig_hermitian(HermitianOperator(np.eye(2)))
+    vals, vecs = np.linalg.eigh(np.eye(2))
     npt.assert_allclose(vals, [1.0, 1.0])
     npt.assert_allclose(vecs.conj().T @ vecs, np.eye(2), atol=1e-10)
 
@@ -88,14 +108,14 @@ def test_eig_degenerate_identity():
 def test_eig_reconstruction_random():
     rng = np.random.default_rng(3)
     h = random_hermitian(3, rng)
-    vals, vecs = eig_hermitian(h)
+    vals, vecs = np.linalg.eigh(h)
     rebuilt = (vecs * vals) @ vecs.conj().T
-    assert np.linalg.norm(rebuilt - h.matrix) < 1e-10
+    assert np.linalg.norm(rebuilt - h) < 1e-10
 
 
 def test_func_hermitian_exp_diag():
-    h = HermitianOperator(np.diag([0.0, np.log(2.0)]))
-    npt.assert_allclose(func_hermitian(h, np.exp).matrix, np.diag([1.0, 2.0]),
+    h = np.diag([0.0, np.log(2.0)])
+    npt.assert_allclose(func_hermitian(h, np.exp), np.diag([1.0, 2.0]),
                         atol=1e-12)
 
 
@@ -103,12 +123,12 @@ def test_func_hermitian_square_matches_product():
     rng = np.random.default_rng(11)
     h = random_hermitian(3, rng)
     sq = func_hermitian(h, lambda x: x ** 2)
-    assert np.max(np.abs(sq.matrix - h.matrix @ h.matrix)) < 1e-10
+    assert np.max(np.abs(sq - h @ h)) < 1e-10
 
 
 def test_apply_identity_and_unitary():
     rng = np.random.default_rng(5)
-    a = random_hermitian(2, rng).matrix
+    a = random_hermitian(2, rng)
     npt.assert_allclose(apply(identity_superop(2), a), a, atol=1e-14)
     u = random_unitary(2, rng)
     out = apply(conjugation_superop(u), a)
@@ -123,7 +143,7 @@ def test_apply_preserves_trace_for_tp_map():
     k1 = np.array([[0.0, np.sqrt(p)], [0.0, 0.0]])
     s = kraus_superop([k0, k1])
     assert s.trace_preserving
-    assert abs(np.trace(apply(s, rho.matrix)) - 1.0) < 1e-10
+    assert abs(np.trace(apply(s, rho)) - 1.0) < 1e-10
 
 
 def test_hs_adjoint_of_conjugation():
@@ -147,8 +167,8 @@ def test_hs_adjoint_duality():
     k0 = np.array([[1.0, 0.0], [0.0, np.sqrt(1 - p)]])
     k1 = np.array([[0.0, np.sqrt(p)], [0.0, 0.0]])
     s = kraus_superop([k0, k1])
-    a = random_hermitian(2, rng).matrix + 1j * rng.normal(size=(2, 2))
-    b = random_hermitian(2, rng).matrix
+    a = random_hermitian(2, rng) + 1j * rng.normal(size=(2, 2))
+    b = random_hermitian(2, rng)
     lhs = np.trace(a.conj().T @ apply(s, b))
     rhs = np.trace(apply(hs_adjoint(s), a).conj().T @ b)
     assert abs(lhs - rhs) < 1e-10
@@ -342,23 +362,23 @@ def test_vec_unvec_round_trip():
 
 
 def test_gibbs_state_and_partition_function():
-    h = HermitianOperator(0.5 * SZ)
+    h = 0.5 * SZ
     beta = 2.0
     rho = gibbs_state(h, beta)
     z = partition_function(h, beta)
     assert abs(z - 2.0 * np.cosh(beta / 2.0)) < 1e-12
-    npt.assert_allclose(rho.matrix,
+    npt.assert_allclose(rho,
                         np.diag([np.exp(-beta / 2), np.exp(beta / 2)]) / z,
                         atol=1e-12)
 
 
 def test_a_gibbs_stack_of_several_betas_names_the_failing_one():
     h = random_hermitian(3, np.random.default_rng(6))
-    vals, vecs = eig_hermitian(h)
+    vals, vecs = np.linalg.eigh(h)
     betas = np.array([0.5, 2.0, 4.0])
     rhos = _gibbs_stack(vals[None], vecs[None], betas, np.zeros(3))
     for beta, rho in zip(betas, rhos):
-        npt.assert_allclose(rho, gibbs_state(h, beta).matrix, atol=1e-15)
+        npt.assert_allclose(rho, gibbs_state(h, beta), atol=1e-15)
     # the eigenvectors of the second row are not orthonormal: its trace is 4
     scaled = np.stack([vecs, 2.0 * vecs, vecs])
     with pytest.raises(ConstructionError,
@@ -369,29 +389,28 @@ def test_a_gibbs_stack_of_several_betas_names_the_failing_one():
 
 def test_gibbs_state_checks_its_state_once(monkeypatch):
     h = random_hermitian(3, np.random.default_rng(5))
-    vals, vecs = eig_hermitian(h)
-    want = DensityMatrix(_gibbs_stack(vals[None], vecs[None], 0.8)[0]).matrix
+    vals, vecs = np.linalg.eigh(h)
+    want = _gibbs_stack(vals[None], vecs[None], 0.8)[0]
     eigvalsh = np.linalg.eigvalsh
     checks = []
     monkeypatch.setattr(np.linalg, "eigvalsh",
                         lambda a: checks.append(a.shape) or eigvalsh(a))
-    rho = gibbs_state(h, 0.8)
+    rho = gibbs_state(h, 0.8)   # `_gibbs_stack` of one operator
     assert checks == [(1, 3, 3)]
-    assert rho.matrix.tobytes() == want.tobytes()
-    assert not rho.matrix.flags.writeable
+    assert rho.tobytes() == want.tobytes()
     # a state that fails the check still fails it
     with pytest.raises(ConstructionError, match="not a state"):
-        DensityMatrix(np.diag([1.5, -0.5, 0.0]))
+        _state_stack(np.diag([1.5, -0.5, 0.0])[None])
 
 
 def test_exp_hermitian_matches_scipy():
     from scipy.linalg import expm
     rng = np.random.default_rng(17)
     h = random_hermitian(3, rng)
-    npt.assert_allclose(exp_hermitian(h, -0.7).matrix, expm(-0.7 * h.matrix),
+    npt.assert_allclose(exp_hermitian(h, -0.7), expm(-0.7 * h),
                         atol=1e-11)
     # the library's stacked exponential, e^{-beta X} per row
-    stack = np.stack([random_hermitian(3, rng).matrix for _ in range(4)])
+    stack = np.stack([random_hermitian(3, rng) for _ in range(4)])
     got = _exp_stack(*np.linalg.eigh(stack), 0.7)
     for x, e in zip(stack, got):
         npt.assert_allclose(e, expm(-0.7 * x), atol=1e-11)
@@ -402,10 +421,10 @@ def test_exp_hermitian_matches_scipy():
 def test_spectral_reconstruction_property(seed, dim):
     rng = np.random.default_rng(seed)
     h = random_hermitian(dim, rng)
-    vals, vecs = eig_hermitian(h)
+    vals, vecs = np.linalg.eigh(h)
     assert np.all(np.diff(vals) >= 0)
     rebuilt = (vecs * vals) @ vecs.conj().T
-    assert np.linalg.norm(rebuilt - h.matrix) < 1e-10
+    assert np.linalg.norm(rebuilt - h) < 1e-10
 
 
 @settings(max_examples=25, deadline=None)
@@ -415,8 +434,8 @@ def test_adjoint_duality_property(seed):
     u = random_unitary(2, rng)
     v = random_unitary(2, rng)
     s = compose(conjugation_superop(u), conjugation_superop(v))
-    a = random_hermitian(2, rng).matrix
-    b = random_hermitian(2, rng).matrix
+    a = random_hermitian(2, rng)
+    b = random_hermitian(2, rng)
     lhs = np.trace(a.conj().T @ apply(s, b))
     rhs = np.trace(apply(hs_adjoint(s), a).conj().T @ b)
     assert abs(lhs - rhs) < 1e-10
