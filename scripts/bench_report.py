@@ -9,20 +9,19 @@ Two shapes, those of the benchmark's wc_cli and gksl_file workloads:
 For each shape it times the fluctuation tables of all its betas on a fresh
 `ThermoPipeline` (the pipeline is built outside the timed region, so the
 tables pay for every spectrum they need, as `mapthermo run` does), the table
-of the first beta alone on a fresh pipeline (`first_beta`: the pipeline's
-caches fill there) and, on a pipeline that has made that table, the time
-per beta of the tables of all its betas (`further_beta`), and an
-in-process `mapthermo run` of the shape's scenario (stdout discarded, each
-run into a new out_dir, `bench_record.run_timer`), best of --repeats after
-one warm-up call each. A tree's tables come from its all-beta pass
-(`fluctuation_tables`). At the wc_cli shape it also times the two-point
-distributions of the run's two distribution times at all four betas, as
-the tree's `run` makes them (`distributions`: the work observables and
-the distribution calls at the four betas, on a pipeline whose caches a
-table has filled). At both shapes it times the L2 steps on a trajectory
-built from the shape's stacks just before each call: the condition
-numbers, the inverse stack, `generator_splits` (with those two made) and
-the `ThermoPipeline` set-up. It times the CSV writer as `run` uses it
+of the first beta alone on a fresh pipeline (`first_beta`: the spectra of
+K(t), P(t) and O_w(t) on every row and of K(0), the diagonals in them, and
+one beta's weights and sums), and an in-process `mapthermo run` of the
+shape's scenario (stdout discarded, each run into a new out_dir,
+`bench_record.run_timer`), best of --repeats after one warm-up call each. A
+tree's tables come from its all-beta pass (`fluctuation_tables`). At the
+wc_cli shape it also times the two-point distributions of the run's two
+distribution times at all four betas, as the tree's `run` makes them
+(`distributions`: the work observables and the distribution calls at the
+four betas, on a fresh pipeline). At both shapes it times the L2 steps on
+a trajectory built from the shape's stacks just before each call: the
+condition numbers, the inverse stack, `generator_splits` (with those two
+made) and the `ThermoPipeline` set-up. It times the CSV writer as `run` uses it
 (`cli._csv`, then `cli._write`) on the tables a wc_cli run writes
 (lambda_series.csv, pc_coefficients.csv and the numeric cells of
 invertibility.csv, 100 050 cells), written as files into a new out_dir
@@ -60,7 +59,7 @@ import numpy as np
 from bench_record import (alternate, flush_and_remove, import_tree,
                           ratio_summary, record_run, run_timer, timed)
 from mapthermo.dynamics import save_map_trajectory
-from mapthermo.fluctuations import fluctuation_table
+from mapthermo.fluctuations import fluctuation_tables
 from mapthermo.models import WeakCouplingParams, weak_coupling_rates
 from mapthermo.observables import ThermoPipeline
 from mapthermo.phase_covariant import pc_trajectory
@@ -110,23 +109,19 @@ class Tree:
                 os.path.join(work_dir, "trajectory.maps"))}
         self.betas = {"wc_cli": WC_BETAS, "gksl_file": GKSL_BETAS}
 
-    def tables(self, shape: str, betas=None, warm: bool = False):
+    def tables(self, shape: str, betas=None):
         """A call making the shape's tables (at `betas`, by default all the
-        shape's) on a pipeline built now; with `warm`, the pipeline has
-        made the table of the shape's first beta before."""
+        shape's) on a pipeline built now."""
         pipe = self.module("observables").ThermoPipeline(self.trajs[shape])
         fluctuations = self.module("fluctuations")
         betas = self.betas[shape] if betas is None else betas
-        if warm:
-            fluctuations.fluctuation_table(pipe, self.betas[shape][0])
         return lambda: fluctuations.fluctuation_tables(pipe, betas)
 
     def distributions(self):
         """A call making the wc_cli shape's distributions the way the tree's
-        `run` does, on a pipeline whose caches a table has filled."""
+        `run` does, on a pipeline built now."""
         pipe = self.module("observables").ThermoPipeline(self.trajs["wc_cli"])
         fluctuations = self.module("fluctuations")
-        fluctuations.fluctuation_table(pipe, WC_BETAS[0])
         maps, times = pipe.traj.maps, pipe.times
         indices = [int(np.argmin(np.abs(times - t))) for t in WC_DIST_TIMES]
 
@@ -161,17 +156,14 @@ class Tree:
 
     def timer(self, shape: str, what: str):
         """A call returning the wall time of the shape's tables (on a
-        pipeline built just before them), of the first beta's table, of a
-        further beta's (per beta), of an L2 step (`l2_timer`), of its
+        pipeline built just before them), of the first beta's table, of an
+        L2 step (`l2_timer`), of its
         in-process run, of the wc_cli distributions or of the CSV writer
         writing the wc_cli tables (`writer_timer`)."""
         if what == "tables":
             return lambda: timed(self.tables(shape))()
         if what == "first_beta":
             return lambda: timed(self.tables(shape, self.betas[shape][:1]))()
-        if what == "further_beta":
-            per = len(self.betas[shape])
-            return lambda: timed(self.tables(shape, warm=True))() / per
         if what == "distributions":
             return lambda: timed(self.distributions())()
         if what in L2_CALLS:
@@ -201,8 +193,7 @@ def wc_cli_tables() -> list[tuple[str, str, list[np.ndarray]]]:
     numbers."""
     p = WeakCouplingParams()
     traj, coeffs = pc_trajectory(weak_coupling_rates(p), p.grid(WC_STEPS))
-    pipe = ThermoPipeline(traj)
-    tables = [fluctuation_table(pipe, beta) for beta in WC_BETAS]
+    tables = fluctuation_tables(ThermoPipeline(traj), WC_BETAS)
     lambda_series = [np.concatenate([np.broadcast_to(getattr(table, name),
                                                      table.time.shape)
                                      for table in tables])
@@ -326,7 +317,7 @@ def measure(work_dir: str, repeats: int, against_src: str | None) -> dict:
     ours = Tree(lambda name: importlib.import_module(f"mapthermo.{name}"),
                 work_dir)
     keys = [(shape, what) for shape in SCENARIOS
-            for what in ("tables", "first_beta", "further_beta", "run",
+            for what in ("tables", "first_beta", "run",
                          *L2_CALLS)]
     keys += [("wc_cli", what) for what in ("distributions", "writer")]
     walls = {}

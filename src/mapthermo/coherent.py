@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, NoMatchingBeta
+from .errors import ConfigError, ConstructionError, NoMatchingBeta
 from .models import _SinSquaredDrive, drive_frequency
 from .operators import (
     HERMITICITY_TOL,
@@ -31,7 +31,7 @@ from .operators import (
     dagger,
     hermitian_stack,
 )
-from .quadrature import cumulative_simpson
+from .quadrature import cumulative_simpson, grid_spacing
 
 MATCH_BETA_RTOL = 1e-10
 # ln rho(0) of a coherent state with a smaller eigenvalue is too inaccurate
@@ -69,11 +69,10 @@ def closed_coherent_protocol(params: ClosedCoherentParams, times: np.ndarray,
     propagators U(t) of the drive as (N+1, 2, 2) stacks.
 
     H(t) commutes with itself at all times, so U(t) is a bare phase
-    rotation by the accumulated angle int_0^t omega."""
+    rotation by the accumulated angle int_0^t omega on a uniform grid."""
     times = np.asarray(times, dtype=float)
     omega = drive_frequency(params.omega0, params.delta, params.Omega)(times)
-    h = 0.0 if times.size < 2 else float(times[1] - times[0])
-    theta = cumulative_simpson(omega, h)
+    theta = cumulative_simpson(omega, grid_spacing(times))
     hams = 0.5 * omega[:, None, None] * PAULI[3]
     unitaries = np.zeros((times.size, 2, 2), dtype=complex)
     unitaries[:, 0, 0] = np.exp(-0.5j * theta)
@@ -145,8 +144,8 @@ def match_beta(rho0: np.ndarray, H0: np.ndarray,
 def coherent_initial_construction(rho0: np.ndarray, H0: np.ndarray,
                                   ) -> CoherentInitialData:
     """Match beta by energy, then build H*_beta and xi_beta, after checking
-    the (d, d) arrays rho0 (a state) and H0 (Hermitian) once; a
-    ConstructionError names `rho(0)` or `H(0)`.
+    the (d, d) arrays rho0 (a state) and H0 (Hermitian, of rho0's shape)
+    once; a ConstructionError names `rho(0)` or `H(0)`.
 
     H*_beta = -(1/beta) ln rho0 - (1/beta) ln Z(0), normalized so that
     Tr{e^{-beta H*_beta}} = Z(0) = Tr{e^{-beta H0}}; its Gibbs state at the
@@ -157,6 +156,9 @@ def coherent_initial_construction(rho0: np.ndarray, H0: np.ndarray,
     """
     rho0 = _state_stack(np.asarray(rho0)[None], what="rho(0)")[0]
     H0 = hermitian_stack(np.asarray(H0)[None], HERMITICITY_TOL, what="H(0)")[0]
+    if rho0.shape != H0.shape:
+        raise ConstructionError(f"rho(0) has shape {rho0.shape}, but H(0) "
+                                f"has {H0.shape}")
     vals, vecs = np.linalg.eigh(rho0)
     if vals[0] <= COHERENT_EIGENVALUE_FLOOR:
         raise NoMatchingBeta(

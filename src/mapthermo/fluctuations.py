@@ -31,10 +31,10 @@ alongside.
 row and every beta in one pass, beta on a leading axis, each trace a
 weighted sum sum_k f(lambda_k) <k|A|k> in the eigenbasis of the observable.
 The spectra of K(t), P(t) and O_w(t), the diagonals of Phi_t[1] and
-Phi_t[1/d] in them and P(t)'s eigenprojectors do not depend on beta; the
-pipeline caches them. A further beta costs its Boltzmann weights,
-elementwise sums over real basis coordinates and one map-vector product
-per row for Phi_t[rho(0)]. The columns are those of
+Phi_t[1/d] in them and P(t)'s eigenprojectors do not depend on beta; a
+call forms them once, for its rows. Within it a further beta costs its
+Boltzmann weights, elementwise sums over real basis coordinates and one
+map-vector product per row for Phi_t[rho(0)]. The columns are those of
 `lambda_series.csv` plus the Lambda_u cross-check residual; one beta is
 `fluctuation_table`, one row `fluctuation_report`. The per-operator
 references and the matrix-trace route are in `tests/reference.py`.
@@ -42,6 +42,7 @@ references and the matrix-trace route are in `tests/reference.py`.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -148,7 +149,8 @@ def tpms_distribution(rho0, map_t: np.ndarray, o0: np.ndarray,
     sequence of betas (each 0 < beta < inf), each Gibbs state e^{-beta O0} / Z,
     as `run` writes them. `o0` and `ot` are the (d^2,) real basis
     coordinates of the first and second observable, and `map_t` is a row of
-    `MapTrajectory.maps`.
+    `MapTrajectory.maps`, (d^2, d^2); a ConstructionError names the first
+    argument whose shape does not fit o0's.
 
     All (n, m) cluster pairs are enumerated, zero-probability outcomes
     included; outcome values agreeing within the clustering tolerance are
@@ -162,7 +164,14 @@ def tpms_distribution(rho0, map_t: np.ndarray, o0: np.ndarray,
     branches Phi_t[Pi_n rho Pi_n] and their traces against Pi_m(t) are sums
     of basis coordinates that take each state alone.
     """
-    states = np.asarray(rho0)
+    states, d = np.asarray(rho0), math.isqrt(np.size(o0))
+    for what, shape, expect in (
+            ("o0", np.shape(o0), (d * d,)), ("ot", np.shape(ot), (d * d,)),
+            ("map_t", np.shape(map_t), (d * d, d * d)),
+            ("rho0", states.shape, states.shape[:1] + (d, d))):
+        if shape != expect and (what != "rho0" or states.ndim != 1):
+            raise ConstructionError(f"{what} has shape {shape}, but o0 of "
+                                    f"shape {np.shape(o0)} needs {expect}")
     out0, proj0, vals0, vecs0, clusters0 = _measurement(o0)
     if states.ndim == 1:   # betas
         w = _gibbs_weights(vals0, _positive_betas(states)[:, None])
@@ -293,11 +302,11 @@ class FluctuationTable:
                 *(getattr(self, name) for name in _COLUMNS)]
 
 
-def _initial_states(pipeline, betas) -> np.ndarray:
-    """rho(0) per beta: Gibbs states of K(0) as one checked (B, d, d) stack."""
-    k_vals, k_vecs = pipeline._k_spectrum
-    return _gibbs_stack(k_vals[:1], k_vecs[:1], betas,
-                        pipeline.times[[0] * len(betas)])
+def _initial_states(pipeline, betas) -> tuple[np.ndarray, np.ndarray]:
+    """K(0)'s (1, d) eigenvalues, and its Gibbs states per beta, rho(0)."""
+    k_vals, k_vecs = np.linalg.eigh(from_coordinates(pipeline.k[:1]))
+    return k_vals, _gibbs_stack(k_vals, k_vecs, betas,
+                                pipeline.times[[0] * len(betas)])
 
 
 def fluctuation_tables(pipeline, betas, indices=None,
@@ -305,8 +314,9 @@ def fluctuation_tables(pipeline, betas, indices=None,
     """One FluctuationTable per beta at every requested grid row of a
     ThermoPipeline (all rows when `indices` is None), beta on a leading axis.
 
-    The pipeline's cached diagonals, sliced to the requested rows, are
-    weighted with the Gibbs populations of K(t) (the three Lambda_u routes)
+    K(t), P(t) and O_w(t) are diagonalized on the requested rows, and the
+    diagonals of Phi_t[1] and Phi_t[1/d] in their eigenbases are weighted
+    with the Gibbs populations of K(t) (the three Lambda_u routes)
     and with e^{-beta O_w(t)} (Lambda_w); the diagonals of Phi_t[rho(0)] in
     the eigenbasis of P(t) with e^{-beta P(t)}. Both exponentials are
     checked for overflow, naming the first failing beta in the order given.
@@ -316,28 +326,40 @@ def fluctuation_tables(pipeline, betas, indices=None,
     beta = _positive_betas(betas)
     # a slice keeps the whole-grid arrays as views, not copies
     rows = slice(None) if indices is None else np.asarray(indices, dtype=int)
-    times = pipeline.times[rows]
+    times, maps = pipeline.times[rows], pipeline.traj.maps[rows]
     b = beta[:, None]  # against the (B, n) columns
 
-    rho0 = _initial_states(pipeline, beta)
-    k_vals = pipeline._k_spectrum[0]
-    z0 = np.sum(np.exp(-b * k_vals[0]), axis=-1)[:, None]
-    zt = np.sum(np.exp(-b[..., None] * k_vals[rows]), axis=-1)
-    gibbs = _gibbs_weights(k_vals[rows], b[..., None])
-    *routes, phi_w, phi_max = (a[rows] for a in pipeline._unit_image_terms)
-    direct, mixed, adj = ((gibbs * a).sum(axis=-1) for a in routes)
+    k0_vals, rho0 = _initial_states(pipeline, beta)
+    z0 = np.sum(np.exp(-b * k0_vals[0]), axis=-1)[:, None]
+    (k_vals, k_vecs), (p_vals, p_vecs), (w_vals, w_vecs) = (
+        np.linalg.eigh(from_coordinates(x[rows]))
+        for x in (pipeline.k, pipeline.p, pipeline.w))
+    zt = np.sum(np.exp(-b[..., None] * k_vals), axis=-1)
+    gibbs = _gibbs_weights(k_vals, b[..., None])
+    # in the eigenbasis |k> of K(t): <k|Phi_t[1]|k>, d <k|Phi_t[1/d]|k> and
+    # Tr{Phi_t^dagger[|k><k|]} from the map's images of the |i><i|; 1 has
+    # the coordinates sqrt(d) e_0, so Phi_t[1] is a column of the map
+    d = k_vecs.shape[-1]
+    phi_id, phi_mixed = (maps[:, :, 0] * f for f in (d**0.5, d**-0.5))
+    units = _projectors(np.eye(d)[None])[0]  # the |i><i|
+    images = (maps.reshape(-1, d * d) @ units.T).reshape(
+        maps.shape[:2] + (d,)).sum(axis=-1)  # sum over i
+    routes = np.einsum("nka,mna->mnk", _projectors(k_vecs),
+                       np.stack([phi_id, phi_mixed, images]))
+    direct, mixed, adj = ((gibbs * a).sum(axis=-1)
+                          for a in (routes[0], d * routes[1], routes[2]))
     residual = np.ptp([direct, mixed, adj], axis=0)  # largest disagreement
 
-    w_vals = pipeline._work_spectrum[0][rows]
+    phi_w = np.einsum("nka,na->nk", _projectors(w_vecs), phi_id)
     exp_w = (_boltzmann(w_vals, beta, times, "O_w") * phi_w).sum(axis=-1)
-    p_vals = pipeline._p_spectrum[0][rows]
+    phi_max = np.linalg.eigvalsh(from_coordinates(phi_id))[:, -1]
     p_max = p_vals[:, -1]
     # rho_t = Phi_t[rho(0)] per state, as (B, n, d^2) coordinates, summed
     # as `mean_change` sums it
     r0 = np.array([coordinates(r) for r in rho0])
-    rho_t = np.einsum("nab,sb->sna", pipeline.traj.maps[rows], r0)
+    rho_t = np.einsum("nab,sb->sna", maps, r0)
     exp_q = (_boltzmann(p_vals, beta, times, "P") * np.einsum(
-        "nka,bna->bnk", pipeline._p_projectors[rows], rho_t)).sum(axis=-1)
+        "nka,bna->bnk", _projectors(p_vecs), rho_t)).sum(axis=-1)
     mean_w = _mean_changes(pipeline.w[rows], rho_t, pipeline.w[0], r0)
     columns = (direct, exp_w / zt, np.exp(b * p_max) * phi_max, exp_w / z0,
                exp_q, -np.log(zt / z0) / b, mean_w,
@@ -347,8 +369,8 @@ def fluctuation_tables(pipeline, betas, indices=None,
 
 
 def fluctuation_table(pipeline, beta: float, indices=None) -> FluctuationTable:
-    """The report of one beta: the one-beta case of `fluctuation_tables`,
-    where a further beta costs weights, row sums and one pass over the maps."""
+    """The report of one beta: the one-beta case of `fluctuation_tables`.
+    Each call diagonalizes anew; for many betas, call that one once."""
     return fluctuation_tables(pipeline, [beta], indices)[0]
 
 

@@ -481,8 +481,8 @@ def jc_reduced_map(params: JCParams, times: np.ndarray,
     about 2 PANEL_Z K / (PANEL_NODES t_N). The hot window's 13 816 levels
     per family become at most 20 panels; the cost grows as K PANEL_NODES
     + nodes N, not K N. The grid must be uniform from 0 (`_split_grid`,
-    `_product_sums`). Returns the trajectory and its map coefficients
-    (`pc_coefficients`).
+    `_product_sums`). Returns the trajectory and its map coefficients, the
+    entries it was built from, as `pc_coefficients` would read them back.
     """
     times = np.asarray(times, dtype=float)
     coarse_t, fine_t = _split_grid(times)
@@ -504,11 +504,14 @@ def jc_reduced_map(params: JCParams, times: np.ndarray,
     df = phase * (ds_sum - 1j * params.omega_m * s_sum)
     (T_ee, T_gg), (dT_ee, dT_gg) = pops[:, :times.size], same[2:, :times.size]
 
-    r = pc_transfer_matrices(f.real, -f.imag, T_ee - T_gg, T_ee + T_gg - 1.0)
-    dr = pc_transfer_matrices(df.real, -df.imag, dT_ee - dT_gg, dT_ee + dT_gg,
-                              r00=0.0)
-    traj = MapTrajectory(times=times, maps=r, derivatives=dr)
-    return traj, pc_coefficients(traj)
+    # the maps hold these entries in the pattern exactly
+    entries = dict(a=f.real, b=-f.imag, c=T_ee - T_gg, d_par=T_ee + T_gg - 1.0,
+                   da=df.real, db=-df.imag, dc=dT_ee - dT_gg,
+                   dd_par=dT_ee + dT_gg)
+    parts = list(entries.values())
+    traj = MapTrajectory(times=times, maps=pc_transfer_matrices(*parts[:4]),
+                         derivatives=pc_transfer_matrices(*parts[4:], r00=0.0))
+    return traj, PCMapEntries(times=traj.times, map_residual=0.0, **entries)
 
 
 def vacuum_excited_population(traj: MapTrajectory) -> np.ndarray:

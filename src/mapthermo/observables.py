@@ -43,18 +43,14 @@ The closed-system constructions for initial states with coherences live in
 
 from __future__ import annotations
 
-from functools import cached_property
-
 import numpy as np
 
 from .dynamics import MapTrajectory, generator_splits, map_derivatives
 from .operators import (
     COND_THRESHOLD_DEFAULT,
-    _projectors,
     _state_stack,
     adjoint_apply_stack,
     coordinates,
-    from_coordinates,
     stack_blocks,
 )
 from .quadrature import cumulative_simpson
@@ -69,17 +65,12 @@ class ThermoPipeline:
     """Effective Hamiltonians K(t), path operators P(t) and work operators
     O_w(t) = K(t) - P(t) of one trajectory, each computed once for the
     whole grid as the read-only (N+1, d^2) coordinates `k`, `p` and `w`.
-
-    The beta-independent inputs of `fluctuations.fluctuation_tables` are
-    cached here on first use, as read-only whole-grid arrays, so every
-    further beta reuses them: the Hermitian (N+1, d, d) stacks `K` and `P`,
-    the spectral decompositions of K, P and O_w, P's eigenprojectors, and
-    the diagonals of Phi_t[1] and Phi_t[1/d] in those eigenbases."""
+    `fluctuations.fluctuation_tables` forms the spectra it needs from them,
+    for the rows it is asked for."""
 
     def __init__(self, traj: MapTrajectory,
                  cond_threshold: float = COND_THRESHOLD_DEFAULT):
         self.traj = traj
-        self.cond_threshold = cond_threshold
         k = generator_splits(traj, cond_threshold)
         # integrand g(tau) = dPhi_tau/dtau^dagger[ K(tau) ] (module docstring)
         g = np.empty_like(k)
@@ -93,52 +84,6 @@ class ThermoPipeline:
     @property
     def times(self) -> np.ndarray:
         return self.traj.times
-
-    @cached_property
-    def K(self) -> np.ndarray:
-        return _frozen(from_coordinates(self.k))
-
-    @cached_property
-    def P(self) -> np.ndarray:
-        return _frozen(from_coordinates(self.p))
-
-    @cached_property
-    def _k_spectrum(self) -> tuple[np.ndarray, np.ndarray]:
-        return tuple(map(_frozen, np.linalg.eigh(self.K)))
-
-    @cached_property
-    def _p_spectrum(self) -> tuple[np.ndarray, np.ndarray]:
-        return tuple(map(_frozen, np.linalg.eigh(self.P)))
-
-    @cached_property
-    def _work_spectrum(self) -> tuple[np.ndarray, np.ndarray]:
-        return tuple(map(_frozen, np.linalg.eigh(from_coordinates(self.w))))
-
-    @cached_property
-    def _p_projectors(self) -> np.ndarray:
-        return _frozen(_projectors(self._p_spectrum[1]))
-
-    @cached_property
-    def _unit_image_terms(self) -> tuple[np.ndarray, ...]:
-        """In the eigenbasis |k> of K(t), <k|Phi_t[1]|k>, d <k|Phi_t[1/d]|k>
-        and Tr{Phi_t^dagger[|k><k|]} from the map's images of the |i><i|
-        (the Lambda_u routes), <k|Phi_t[1]|k> in that of O_w(t), and
-        lambda_max{Phi_t[1]}."""
-        d = self.traj.dim
-        maps = self.traj.maps
-        # 1 has the coordinates sqrt(d) e_0: Phi_t[1] is a column of the map
-        phi_id, phi_mixed = (maps[:, :, 0] * f for f in (d**0.5, d**-0.5))
-        units = _projectors(np.eye(d)[None])[0]  # the |i><i|
-        columns = (maps.reshape(-1, d * d) @ units.T).reshape(
-            maps.shape[:2] + (d,)).sum(axis=-1)  # sum over i
-        direct, mixed, adj = np.einsum(
-            "nka,mna->mnk", _projectors(self._k_spectrum[1]),
-            np.stack([phi_id, phi_mixed, columns]))
-        return tuple(map(_frozen, (
-            direct, d * mixed, adj,
-            np.einsum("nka,na->nk", _projectors(self._work_spectrum[1]),
-                      phi_id),
-            np.linalg.eigvalsh(from_coordinates(phi_id))[:, -1])))
 
     def path_operator_series(self) -> np.ndarray:
         """The coordinates of P(t), (N+1, d^2)."""

@@ -184,7 +184,7 @@ def _closed_form_gaps(p: WeakCouplingParams, n: int,
     mw_c, df_c = pc_mean_work_and_deltaF(th, coeffs, beta)
     pipe = ThermoPipeline(traj)
     table = fluctuation_table(pipe, beta)
-    pm = pipe.P
+    pm = from_coordinates(pipe.p)
     p0 = 0.5 * (pm[:, 0, 0] + pm[:, 1, 1]).real
     p3 = 0.5 * (pm[:, 0, 0] - pm[:, 1, 1]).real
     gap = max(float(np.max(np.abs(a - b))) for a, b in (
@@ -217,7 +217,7 @@ def _tpms_trace_gap(dim: int, seeds: range, fixed_beta_seed: int) -> float:
         K = pipe.k
         work, heat = pipe.work_heat_observables()
         tables = fluctuation_tables(pipe, betas)
-        states = _initial_states(pipe, betas)
+        _, states = _initial_states(pipe, betas)
         for i in rows:
             # scheme averages from one call over all states, as `run` makes
             w, u, q = ([exp_average(dist, beta) for dist, beta in zip(
@@ -295,8 +295,7 @@ def check_operator_balance() -> str:
         for series in (work, heat):
             drift = max(drift, _shift_drift(series, traj, rho0, rng, 5, rows))
         if k == 0:
-            rho_g = _gibbs_stack(*np.linalg.eigh(from_coordinates(
-                pipe.k[:1])), WeakCouplingParams().beta)[0]
+            rho_g = _initial_states(pipe, [WeakCouplingParams().beta])[1][0]
             drift = max(drift, _shift_drift(work, traj, rho_g,
                                             np.random.default_rng(11), 2,
                                             (n - 1,)))

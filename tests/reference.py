@@ -653,14 +653,14 @@ def matrix_fluctuation_table(pipeline, beta: float,
                              indices=None) -> FluctuationTable:
     """`fluctuation_table` by matrix traces: per beta it forms the checked
     Gibbs states of K(t), e^{-beta O_w(t)} and e^{-beta P(t)} as (n, d, d)
-    stacks from the pipeline's cached spectra and traces them against
-    Phi_t[1], Phi_t[1/d] and Phi_t[rho(0)]; Lambda_u's adjoint route goes
-    through `adjoint_trace`."""
+    stacks from spectra of its own and traces them against Phi_t[1],
+    Phi_t[1/d] and Phi_t[rho(0)]; Lambda_u's adjoint route goes through
+    `adjoint_trace`."""
     traj = pipeline.traj
     d = traj.dim
     rows = slice(None) if indices is None else np.asarray(indices, dtype=int)
     times = traj.times[rows]
-    k_vals, k_vecs = pipeline._k_spectrum
+    k_vals, k_vecs = np.linalg.eigh(from_coordinates(pipeline.k))
     rho0 = _gibbs_stack(k_vals[:1], k_vecs[:1], beta, traj.times[:1])[0]
     z0 = np.sum(np.exp(-beta * k_vals[0]))
     k_vals, k_vecs = k_vals[rows], k_vecs[rows]
@@ -679,16 +679,16 @@ def matrix_fluctuation_table(pipeline, beta: float,
                                   np.abs(adj - mixed)])
     phi_max = np.linalg.eigvalsh(0.5 * (phi_id + dagger(phi_id)))[:, -1]
 
-    p_vals, p_vecs = (a[rows] for a in pipeline._p_spectrum)
+    p_vals, p_vecs = np.linalg.eigh(from_coordinates(pipeline.p[rows]))
     p_max = p_vals[:, -1]
-    w_vals, w_vecs = (a[rows] for a in pipeline._work_spectrum)
+    w_vals, w_vecs = np.linalg.eigh(from_coordinates(pipeline.w[rows]))
     exp_w = trace_product(_exp_stack(w_vals, w_vecs, beta, times, "O_w"),
                           phi_id).real
     exp_q = trace_product(_exp_stack(p_vals, p_vecs, beta, times, "P"),
                           rho_t).real
     mean_w = (np.trace(from_coordinates(pipeline.w[rows]) @ rho_t,
                        axis1=-2, axis2=-1)
-              - np.trace(pipeline.K[0] @ rho0)).real
+              - np.trace(from_coordinates(pipeline.k[0]) @ rho0)).real
     return FluctuationTable(
         time=times, beta=beta, lambda_u=direct, lambda_w=exp_w / zt,
         lambda_w_bound=np.exp(beta * p_max) * phi_max, exp_avg_w=exp_w / z0,
@@ -744,8 +744,7 @@ def single_measure_final_work(pipeline) -> np.ndarray:
     """The work series whose initial operator is zero: O_w shifted by the
     initial-condition freedom (the heat series P(t) already starts at 0)."""
     return shifted_observable(pipeline.w, pipeline.traj,
-                              np.zeros(pipeline.w.shape[1]),
-                              pipeline.cond_threshold)
+                              np.zeros(pipeline.w.shape[1]))
 
 
 def single_measure_initial(pipeline) -> tuple[np.ndarray, np.ndarray]:

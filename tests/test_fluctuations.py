@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis.strategies import floats
 
 from mapthermo import fluctuations
+from mapthermo.coherent import coherent_initial_construction
 from mapthermo.dynamics import MapTrajectory, csv_text
 from mapthermo.errors import ConstructionError
 from mapthermo.fluctuations import (
@@ -248,7 +249,7 @@ def test_lambda_u_weak_coupling_exceeds_one_and_matches_closed_form():
     closed = pc_lambda_u(coeffs, p.beta)
     prev = 1.0
     for i in (50, 100, 150, 200):
-        lu = lambda_u(map_at(traj, i), pipe.K[i], p.beta)
+        lu = lambda_u(map_at(traj, i), from_coordinates(pipe.k[i]), p.beta)
         assert abs(lu.value - closed[i]) < 1e-9
         assert lu.cross_check_residual < 1e-10
         assert lu.value > prev
@@ -262,9 +263,8 @@ def test_lambda_w_is_one_for_closed_and_pure_decoherence():
     for traj in (closed, dephasing):
         pipe = ThermoPipeline(traj)
         i = 100
-        Ow = pipe.K[i] - pipe.P[i]
-        lam, bound = lambda_w(map_at(traj, i), Ow,
-                              pipe.K[i], pipe.P[i], 2.0)
+        K_t, P = from_coordinates(pipe.k[i]), from_coordinates(pipe.p[i])
+        lam, bound = lambda_w(map_at(traj, i), K_t - P, K_t, P, 2.0)
         assert abs(lam - 1.0) < 1e-9
         assert abs(bound - 1.0) < 1e-9
 
@@ -278,9 +278,8 @@ def test_lambda_w_weak_coupling_matches_closed_form():
     th = pc_thermo(coeffs)
     lam_c, bound_c = pc_lambda_w(th, coeffs, p.beta)
     for i in (60, 140, 200):
-        Ow = pipe.K[i] - pipe.P[i]
-        lam, bound = lambda_w(map_at(traj, i), Ow,
-                              pipe.K[i], pipe.P[i], p.beta)
+        K_t, P = from_coordinates(pipe.k[i]), from_coordinates(pipe.p[i])
+        lam, bound = lambda_w(map_at(traj, i), K_t - P, K_t, P, p.beta)
         assert abs(lam - lam_c[i]) < 1e-9
         assert abs(bound - bound_c[i]) < 1e-9
         assert lam <= bound + 1e-12
@@ -294,8 +293,8 @@ def test_heat_factor_is_one_without_dissipative_flow():
         traj, _ = pc_trajectory(rates, ts)
         pipe = ThermoPipeline(traj)
         val, bound = heat_fluctuation(random_density_matrix(2, rng),
-                                      map_at(traj, 100), pipe.P[100],
-                                      3.0)
+                                      map_at(traj, 100),
+                                      from_coordinates(pipe.p[100]), 3.0)
         assert abs(val - 1.0) < 1e-12
         assert abs(bound - 1.0) < 1e-12
 
@@ -307,7 +306,7 @@ def test_heat_factor_matches_one_point_distribution():
     pipe = ThermoPipeline(traj)
     rho0 = random_density_matrix(2, np.random.default_rng(4))
     i = 100
-    P = pipe.P[i]
+    P = from_coordinates(pipe.p[i])
     val, bound = heat_fluctuation(rho0, map_at(traj, i), P, p.beta)
     dist, = tpms_distribution(rho0[None], traj.maps[i],
                               np.zeros(4), pipe.p[i])
@@ -341,7 +340,8 @@ def test_dissipated_bound_vanishes_for_closed_dynamics():
     ts = np.linspace(0.0, 2.0, 101)
     traj, _ = pc_trajectory(constant_rates(1.0, 0.0, 0.0), ts)
     pipe = ThermoPipeline(traj)
-    b = dissipated_work_bound(map_at(traj, 100), pipe.P[100], 1.7)
+    b = dissipated_work_bound(map_at(traj, 100),
+                              from_coordinates(pipe.p[100]), 1.7)
     assert abs(b) < 1e-12
 
 
@@ -349,7 +349,7 @@ def test_dissipated_bound_for_unital_dynamics_is_path_operator_top():
     traj = unital_gksl_trajectory()
     pipe = ThermoPipeline(traj)
     i = traj.times.size - 1
-    P = pipe.P[i]
+    P = from_coordinates(pipe.p[i])
     p_max = float(np.linalg.eigvalsh(P)[-1])
     assert p_max > 0.1
     b = dissipated_work_bound(map_at(traj, i), P, 1.3)
@@ -357,7 +357,7 @@ def test_dissipated_bound_for_unital_dynamics_is_path_operator_top():
     # the map really is unital, and the internal-energy factor sees that
     phi1 = apply(map_at(traj, i), np.eye(2, dtype=complex))
     npt.assert_allclose(phi1, np.eye(2), atol=1e-12)
-    lu = lambda_u(map_at(traj, i), pipe.K[i], 1.3)
+    lu = lambda_u(map_at(traj, i), from_coordinates(pipe.k[i]), 1.3)
     assert abs(lu.value - 1.0) < 1e-12
 
 
@@ -372,7 +372,7 @@ def test_report_matches_distribution_routes():
     rep.check_invariants()
 
     # the pipeline's coordinates, measured as `run` measures them
-    rho0 = gibbs_state(pipe.K[0], beta)[None]
+    rho0 = gibbs_state(from_coordinates(pipe.k[0]), beta)[None]
     k0 = pipe.k[0]
 
     dist_w, = tpms_distribution(rho0, traj.maps[i], k0, pipe.w[i])
@@ -451,8 +451,8 @@ def qutrit_pipeline():
 def reference_row(pipe, work, i, beta):
     """The report columns at one row from the per-operator functions."""
     traj = pipe.traj
-    K0, K_t = pipe.K[0], pipe.K[i]
-    P = pipe.P[i]
+    K0, K_t = from_coordinates(pipe.k[0]), from_coordinates(pipe.k[i])
+    P = from_coordinates(pipe.p[i])
     Ow = K_t - P
     map_t = map_at(traj, i)
     rho0 = gibbs_state(K0, beta)
@@ -515,7 +515,8 @@ TABLE_FIELDS = [f.name for f in dataclasses.fields(FluctuationTable)
                                        qutrit_pipeline])
 def test_table_rows_are_the_full_grid_rows_bit_for_bit(make_pipe):
     rows = [0, 3, 17, 40, 17]
-    # the cached spectra filled by the full-grid call, then by the row call
+    # a row call diagonalizes its rows alone, after a full-grid call on the
+    # same pipeline or before one on a fresh pipeline
     full_first, rows_first = make_pipe(), make_pipe()
     full = fluctuation_table(full_first, 0.9)
     picked = [fluctuation_table(full_first, 0.9, rows)]
@@ -537,25 +538,6 @@ def test_mean_work_is_exactly_zero_at_time_zero(make_pipe):
         assert fluctuation_report(pipe, 0, beta).mean_w == 0.0
 
 
-def test_a_second_beta_diagonalizes_no_stack_again(monkeypatch):
-    pipe = qutrit_pipeline()
-    stacks = []
-    eigh = np.linalg.eigh
-
-    def counting_eigh(a, *args, **kwargs):
-        if np.ndim(a) == 3:
-            stacks.append(np.shape(a))
-        return eigh(a, *args, **kwargs)
-
-    monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
-    fluctuation_table(pipe, 0.5)
-    assert len(stacks) == 3  # K, P and O_w, each over the whole grid
-    fluctuation_table(pipe, 2.0)
-    fluctuation_table(pipe, 2.0, indices=[1, 5])
-    fluctuation_report(pipe, 7, 3.0)
-    assert len(stacks) == 3
-
-
 def recording(calls, fn):
     """`fn`, appending the shape of its first argument to `calls`."""
     def call(a, *args, **kwargs):
@@ -564,20 +546,17 @@ def recording(calls, fn):
     return call
 
 
-def test_a_further_beta_forms_no_gibbs_stack_and_checks_no_row(monkeypatch):
+@pytest.mark.parametrize("indices,n", [(None, 65), ([1, 5, 40, 5], 4)])
+def test_a_call_diagonalizes_its_rows_once_and_k0_once(monkeypatch, indices,
+                                                      n):
     pipe = qutrit_pipeline()
-    fluctuation_table(pipe, 0.5)  # fills the pipeline's caches
-    gibbs, spectra = [], []
-    monkeypatch.setattr(fluctuations, "_gibbs_stack",
-                        recording(gibbs, fluctuations._gibbs_stack))
-    for name in ("eigvalsh", "eigh"):
-        monkeypatch.setattr(np.linalg, name,
-                            recording(spectra, getattr(np.linalg, name)))
-    fluctuation_table(pipe, 2.0)
-    fluctuation_table(pipe, 2.0, indices=[1, 5])
-    # only rho(0): row 0 of the K spectrum, and its one state check
-    assert gibbs == [(1, 3), (1, 3)]
-    assert spectra == [(1, 3, 3), (1, 3, 3)]
+    spectra = []
+    monkeypatch.setattr(np.linalg, "eigh", recording(spectra, np.linalg.eigh))
+    fluctuation_tables(pipe, (2.0, 0.3, 5.0), indices)
+    # K(0) for rho(0) and Z(0), then K, P and O_w over the requested rows
+    assert spectra == [(1, 3, 3)] + [(n, 3, 3)] * 3
+    fluctuation_report(pipe, 7, 3.0)
+    assert spectra[4:] == [(1, 3, 3)] * 4
 
 
 def gksl_pipeline(dim=6, n=60):
@@ -626,16 +605,16 @@ def test_one_pass_over_several_betas_matches_the_matrix_route(make_pipe):
 
 def test_one_pass_forms_one_gibbs_stack_of_all_betas(monkeypatch):
     pipe = qutrit_pipeline()
-    fluctuation_table(pipe, 0.5)  # fills the pipeline's caches
     gibbs, spectra = [], []
     monkeypatch.setattr(fluctuations, "_gibbs_stack",
                         recording(gibbs, fluctuations._gibbs_stack))
     monkeypatch.setattr(np.linalg, "eigvalsh",
                         recording(spectra, np.linalg.eigvalsh))
     fluctuation_tables(pipe, (2.0, 0.3, 5.0, 1.0))
-    # row 0 of the K spectrum, weighted at four betas, checked as one stack
+    # the K(0) spectrum, weighted at four betas, checked as one stack; the
+    # other spectrum is lambda_max of Phi_t[1] on every row
     assert gibbs == [(1, 3)]
-    assert spectra == [(4, 3, 3)]
+    assert spectra == [(4, 3, 3), (65, 3, 3)]
 
 
 def overflowing_work_pipeline():
@@ -652,8 +631,9 @@ def overflowing_heat_pipeline():
 
 
 @pytest.mark.parametrize("make_pipe,what,ops", [
-    (overflowing_work_pipeline, "O_w", lambda pipe: pipe.K - pipe.P),
-    (overflowing_heat_pipeline, "P", lambda pipe: pipe.P)])
+    (overflowing_work_pipeline, "O_w",
+     lambda pipe: from_coordinates(pipe.k) - from_coordinates(pipe.p)),
+    (overflowing_heat_pipeline, "P", lambda pipe: from_coordinates(pipe.p))])
 def test_an_overflowing_exponential_names_its_first_row(make_pipe, what,
                                                         ops):
     pipe = make_pipe()
@@ -671,7 +651,8 @@ def test_an_overflow_names_the_first_failing_beta_in_order():
     # beta = 1e-3 stays finite on the whole grid; 1 and 2 overflow
     pipe = overflowing_work_pipeline()
     with np.errstate(over="ignore"):
-        finite = np.isfinite(np.exp(-np.linalg.eigvalsh(pipe.K - pipe.P)))
+        finite = np.isfinite(np.exp(-np.linalg.eigvalsh(
+            from_coordinates(pipe.k) - from_coordinates(pipe.p))))
     k = np.flatnonzero(~finite.all(axis=-1))[0]
     message = re.escape(f"e^(-beta O_w) is undefined at "
                         f"t = {pipe.times[k]:.6g}, beta = 1:")
@@ -706,6 +687,24 @@ def test_a_bad_state_is_refused_by_its_index(bad, why):
     with pytest.raises(ConstructionError, match=f"state 1 {why}"):
         tpms_distribution(np.stack([good, bad]), real_map(IDENTITY_MAP),
                           coordinates(SZ), coordinates(SZ))
+
+
+@pytest.mark.parametrize("call,message", [
+    (lambda: coherent_initial_construction(np.eye(3) / 3, SZ),
+     "rho(0) has shape (3, 3), but H(0) has (2, 2)"),
+    (lambda: tpms_distribution((np.eye(3) / 3)[None], np.eye(4),
+                               coordinates(SZ), coordinates(SZ)),
+     "rho0 has shape (1, 3, 3), but o0 of shape (4,) needs (1, 2, 2)"),
+    (lambda: tpms_distribution([1.0], np.eye(4), coordinates(SZ),
+                               coordinates(np.eye(3))),
+     "ot has shape (9,), but o0 of shape (4,) needs (4,)"),
+    (lambda: tpms_distribution([1.0], np.eye(9), coordinates(SZ),
+                               coordinates(SZ)),
+     "map_t has shape (9, 9), but o0 of shape (4,) needs (4, 4)")],
+    ids=["coherent_rho0", "tpms_states", "tpms_ot", "tpms_map_t"])
+def test_mismatched_dimensions_are_refused_by_argument(call, message):
+    with pytest.raises(ConstructionError, match=re.escape(message)):
+        call()
 
 
 @pytest.mark.parametrize("bad", [math.inf, math.nan, 0.0, -1.0, -math.inf])
@@ -772,7 +771,7 @@ def test_gibbs_betas_weigh_a_degenerate_cluster_as_its_states_do(energies):
     pipe = ThermoPipeline(traj)
     d = pipe.traj.dim
     betas = [0.5, 1.0, 3.0]
-    states = fluctuations._initial_states(pipe, betas)
+    _, states = fluctuations._initial_states(pipe, betas)
     second = coordinates(random_hermitian(d, np.random.default_rng(d)))
     for i in (50, 100):
         for ot in (pipe.w[i], second):

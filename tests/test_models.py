@@ -9,6 +9,7 @@ from scipy.linalg import expm
 
 from mapthermo.coherent import ClosedCoherentParams, closed_coherent_protocol
 from mapthermo.dynamics import MapTrajectory
+from mapthermo import models
 from mapthermo.errors import (ConfigError, ConstructionError, SingularMap,
                                TruncationError)
 from mapthermo.models import (
@@ -573,6 +574,32 @@ def test_window_level_sums_match_elementwise_reference(name, n, compressed):
     _assert_level_sums_match_reference(params, times)
 
 
+PC_ENTRY_FIELDS = ("times", "a", "b", "c", "d_par", "da", "db", "dc",
+                   "dd_par", "map_residual", "omega", "kappa", "xi", "gamma_z",
+                   "gamma_plus", "gamma_minus", "generator_residual")
+
+
+@pytest.mark.parametrize("params,times", [
+    pytest.param(*exchange_window("hot", 1600)[:2], id="hot"),
+    pytest.param(JCParams(omega=1.0, omega_m=1.0, g=0.1),
+                 np.linspace(0.0, 60.0, 2401), id="resonant_vacuum"),
+    pytest.param(*exchange_window("strong", 2400)[:2], id="strong")])
+def test_jc_coefficients_are_the_entries_its_maps_read_back(monkeypatch,
+                                                            params, times):
+    def read_back(traj):
+        raise AssertionError("jc_reduced_map read its own maps back")
+
+    with monkeypatch.context() as m:
+        m.setattr(models, "pc_coefficients", read_back)
+        traj, coeffs = jc_reduced_map(params, times)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for name, want in zip(PC_ENTRY_FIELDS, (
+                getattr(pc_coefficients(traj), name)
+                for name in PC_ENTRY_FIELDS)):
+            assert np.asarray(getattr(coeffs, name)).tobytes() == \
+                np.asarray(want).tobytes(), name
+
+
 def rate_round_trip(params, times, beta_ref):
     """The closed forms through extracted, interpolated and re-integrated
     rates: (lambda_w, bound, lambda_u)."""
@@ -661,6 +688,17 @@ def test_closed_coherent_protocol_structure():
                         np.broadcast_to(np.eye(2), unitaries.shape),
                         atol=1e-12)
     assert np.all(np.abs(unitaries[:, [0, 1], [1, 0]]) < 1e-15)
+
+
+@pytest.mark.parametrize("times,why", [
+    ([0.0, 0.1, 0.5, 0.6, 2.0], "grid must be uniform"),
+    ([0.0, 1.0, 1.0], "grid must be strictly increasing"),
+    ([0.0], "grid needs at least two points")])
+def test_closed_coherent_protocol_refuses_a_grid_that_is_not_uniform(times,
+                                                                     why):
+    # the accumulated angle is a Simpson sum on the grid's spacing
+    with pytest.raises(ValueError, match=why):
+        closed_coherent_protocol(ClosedCoherentParams(), np.array(times))
 
 
 def test_closed_coherent_undriven_propagator_closed_form():
