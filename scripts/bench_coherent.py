@@ -29,6 +29,7 @@ import tempfile
 
 from bench_record import (alternate, import_tree, ratio_summary,
                           record_run, run_timer, timed)
+from mapthermo.params import ClosedCoherentParams
 
 N_STEPS = 4000
 SCENARIO = f"""\
@@ -69,7 +70,7 @@ class Tree:
         """A call of `coherent_work_fluctuation` on the scenario's whole
         grid, its inputs built now."""
         coherent = self.module("coherent")
-        p = coherent.ClosedCoherentParams()
+        p = ClosedCoherentParams()   # either tree's protocol reads its fields
         times = p.grid(N_STEPS)
         rho0, hams, unitaries = coherent.closed_coherent_protocol(p, times)
         data = coherent.coherent_initial_construction(rho0, hams[0])

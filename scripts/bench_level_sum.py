@@ -33,7 +33,8 @@ import numpy as np
 from bench_record import (alternate, import_tree, ratio_summary,
                           record_run, timed)
 from mapthermo import models
-from mapthermo.models import JCParams, jc_mode_count, jc_reduced_map
+from mapthermo.models import jc_reduced_map
+from mapthermo.params import JCParams, jc_mode_count
 from run_exchange_windows import WINDOWS
 
 # the hot window's grid stretched to N = 20 000 steps

@@ -22,7 +22,7 @@ four betas, on a fresh pipeline). At both shapes it times the L2 steps on
 a trajectory built from the shape's stacks just before each call: the
 condition numbers, the inverse stack, `generator_splits` (with those two
 made) and the `ThermoPipeline` set-up. It times the CSV writer as `run` uses it
-(`cli._csv`, then `cli._write`) on the tables a wc_cli run writes
+(`csvout.csv_bytes`, then `cli._write`) on the tables a wc_cli run writes
 (lambda_series.csv, pc_coefficients.csv and the numeric cells of
 invertibility.csv, 100 050 cells), written as files into a new out_dir
 made before the timed region and flushed and removed after it: the first
@@ -60,7 +60,10 @@ from bench_record import (alternate, flush_and_remove, import_tree,
                           ratio_summary, record_run, run_timer, timed)
 from mapthermo.dynamics import save_map_trajectory
 from mapthermo.fluctuations import fluctuation_tables
-from mapthermo.models import WeakCouplingParams, weak_coupling_rates
+try:
+    from mapthermo.params import WeakCouplingParams, weak_coupling_rates
+except ImportError:   # the cold writer imports this file on a tree before it
+    from mapthermo.models import WeakCouplingParams, weak_coupling_rates
 from mapthermo.observables import ThermoPipeline
 from mapthermo.phase_covariant import pc_trajectory
 from mapthermo.validation import random_gksl_trajectory
@@ -100,11 +103,10 @@ class Tree:
     def __init__(self, module, work_dir: str):
         self.module = module
         self.work_dir = work_dir
-        models = module("models")
-        p = models.WeakCouplingParams()
+        p = WeakCouplingParams()
         self.trajs = {
             "wc_cli": module("phase_covariant").pc_trajectory(
-                models.weak_coupling_rates(p), p.grid(WC_STEPS))[0],
+                weak_coupling_rates(p), p.grid(WC_STEPS))[0],
             "gksl_file": module("dynamics").load_map_trajectory(
                 os.path.join(work_dir, "trajectory.maps"))}
         self.betas = {"wc_cli": WC_BETAS, "gksl_file": GKSL_BETAS}
@@ -176,13 +178,19 @@ class Tree:
 
 def writer(module):
     """The tree's CSV writer as `run` uses it: a call writing the wc_cli
-    tables (`wc_cli_tables`) as files into a directory."""
+    tables (`wc_cli_tables`) as files into a directory. A tree from before
+    the writer had its own module spells them with `cli._csv`."""
     cli = module("cli")
+    try:
+        spell = module("csvout").csv_bytes
+    except ModuleNotFoundError:
+        def spell(columns, head: bytes):
+            return cli._csv(head.decode(), columns)
 
     def write(out_dir: str, tables) -> None:
         cfg = SimpleNamespace(out_dir=out_dir)
         for name, header, columns in tables:
-            cli._write(cfg, name, cli._csv(header, columns), [])
+            cli._write(cfg, name, spell(columns, header.encode()), [])
     return write
 
 

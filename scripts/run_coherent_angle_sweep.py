@@ -16,10 +16,10 @@ import os
 
 import numpy as np
 
-from mapthermo.coherent import (ClosedCoherentParams,
-                                closed_coherent_protocol,
+from mapthermo.coherent import (closed_coherent_protocol,
                                 coherent_initial_construction,
                                 coherent_work_fluctuation)
+from mapthermo.params import ClosedCoherentParams
 
 
 def main() -> None:

@@ -8,8 +8,8 @@ ratio so the low-temperature saturation trend is visible at a glance.
 import argparse
 import os
 
-from mapthermo.dynamics import csv_text
-from mapthermo.models import WeakCouplingParams, weak_coupling_rates
+from mapthermo.csvout import csv_text
+from mapthermo.params import WeakCouplingParams, weak_coupling_rates
 from mapthermo.phase_covariant import (pc_integrals, pc_lambda_u, pc_lambda_w,
                                        pc_thermo)
 

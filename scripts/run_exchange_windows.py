@@ -25,8 +25,9 @@ import os
 
 import numpy as np
 
-from mapthermo.dynamics import csv_text
-from mapthermo.models import JCParams, exchange_factor_series
+from mapthermo.csvout import csv_text
+from mapthermo.models import exchange_factor_series
+from mapthermo.params import JCParams
 
 # name -> (omega_m, g, beta_mode, beta_ref, t_f, n_steps)
 WINDOWS = {

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import importlib
 import math
 import os
 import sys
@@ -32,9 +33,9 @@ from .errors import (ConfigError, ConstructionError, NoMatchingBeta,
                      SingularMap, TruncationError)
 from .operators import (COND_THRESHOLD_DEFAULT, basis_maps,
                         cptp_diagnostics_stack, dagger)
-from .dynamics import (_csv_bytes, condition_flags, data_row_line,
-                       invertibility_report, load_map_trajectory, map_faults,
-                       read_map_file)
+from .csvout import csv_bytes
+from .dynamics import (condition_flags, data_row_line, invertibility_report,
+                       load_map_trajectory, map_faults, read_map_file)
 from .quadrature import grid_fault
 from .observables import ThermoPipeline
 # fluctuation_report is unused here but stays a module attribute: the traced
@@ -44,7 +45,7 @@ from .fluctuations import (CLUSTER_TOL, NEGATIVE_PROB_TOL, PROB_SUM_TOL,
                            fluctuation_report,  # noqa: F401
                            fluctuation_tables, tpms_distribution)
 # The model modules load with the config that names them (`_params_class`):
-# a map-file run compiles neither `models`, `phase_covariant` nor `coherent`.
+# a map-file run compiles none of params, models, phase_covariant, coherent.
 
 MODELS = ("weak_coupling", "jaynes_cummings", "custom_pc", "custom_map_file",
           "closed_coherent")
@@ -190,21 +191,21 @@ class _SectionReader:
         return params
 
 
-# the parameter dataclass of each model but custom_map_file: its fields are
-# the model section's keys, their defaults the keys' defaults
-_PARAMS = {"weak_coupling": "WeakCouplingParams", "jaynes_cummings": "JCParams",
-           "custom_pc": "CustomPCParams",
-           "closed_coherent": "ClosedCoherentParams"}
+# per model but custom_map_file: its parameter dataclass in `params` (fields
+# are the section's keys, defaults the keys' defaults) and its builder module
+_PARAMS = {"weak_coupling": ("WeakCouplingParams", "phase_covariant"),
+           "jaynes_cummings": ("JCParams", "models"),
+           "custom_pc": ("CustomPCParams", "phase_covariant"),
+           "closed_coherent": ("ClosedCoherentParams", "coherent")}
 
 
 def _params_class(model: str) -> type:
-    """The parameter dataclass of `model`, its module imported now, so that
+    """The parameter dataclass of `model`, its builder imported now, so that
     the model's code compiles before a run starts."""
-    if model == "closed_coherent":
-        from . import coherent as module
-    else:
-        from . import models as module
-    return getattr(module, _PARAMS[model])
+    from . import params
+    name, builder = _PARAMS[model]
+    importlib.import_module(f".{builder}", __package__)
+    return getattr(params, name)
 
 
 def parse_config(path: str) -> ScenarioConfig:
@@ -318,7 +319,7 @@ def _grid(cfg: ScenarioConfig) -> np.ndarray:
 
 # pc_trajectory stays a module attribute: the traced benchmark run
 # (perfbench/child.py) wraps it by name. phase_covariant loads on the first
-# call, which for the qubit models `models` has already loaded.
+# call, which for the qubit models `parse_config` has already loaded.
 def pc_trajectory(rates, times: np.ndarray):
     from .phase_covariant import pc_trajectory as build
     return build(rates, times)
@@ -331,12 +332,12 @@ def _build_trajectory(cfg: ScenarioConfig):
             return load_map_trajectory(cfg.map_path), None
         except (ConstructionError, OSError) as exc:  # each names the map file
             raise ConfigError(f"{exc} ([custom_map_file] path of {cfg.path})")
-    from . import models  # loaded by parse_config
     if cfg.model == "jaynes_cummings":
-        traj, _ = models.jc_reduced_map(cfg.params, _grid(cfg))
-        return traj, None
-    rates = (models.weak_coupling_rates if cfg.model == "weak_coupling"
-             else models.custom_pc_rates)
+        from .models import jc_reduced_map  # loaded by parse_config
+        return jc_reduced_map(cfg.params, _grid(cfg))[0], None
+    from .params import custom_pc_rates, weak_coupling_rates
+    rates = (weak_coupling_rates if cfg.model == "weak_coupling"
+             else custom_pc_rates)
     return pc_trajectory(rates(cfg.params), _grid(cfg))
 
 
@@ -357,12 +358,6 @@ def _write(cfg: ScenarioConfig, name: str, data, written: list[str]) -> None:
     except OSError as exc:
         raise _out_dir_error(cfg, f"write {path}", exc)
     written.append(path)
-
-
-def _csv(header: str, columns, labels: list[str] | None = None) -> np.ndarray:
-    """The bytes of a CSV file: the header line, then a row per entry of
-    the numeric columns (and of `labels`, a last column of text)."""
-    return _csv_bytes(columns, header.encode(), labels)
 
 
 def run_scenario(cfg: ScenarioConfig) -> list[str]:
@@ -427,21 +422,21 @@ def _run_map_model(cfg: ScenarioConfig, written: list[str]) -> None:
         for table in tables:
             table.check_invariants(cfg.tolerances.invariant_tol)
         columns = zip(*(table.csv_columns() for table in tables))
-        _write(cfg, "lambda_series.csv", _csv(
-            FluctuationTable.CSV_HEADER, map(np.concatenate, columns)),
-            written)
+        _write(cfg, "lambda_series.csv", csv_bytes(
+            map(np.concatenate, columns),
+            FluctuationTable.CSV_HEADER.encode()), written)
 
     if "invertibility" in cfg.series:
         conds, flags = invertibility_report(traj,
                                             cfg.tolerances.cond_threshold)
-        _write(cfg, "invertibility.csv", _csv(
-            "t,condition_number,flag", [traj.times, conds], flags), written)
+        _write(cfg, "invertibility.csv", csv_bytes(
+            [traj.times, conds], b"t,condition_number,flag", flags), written)
 
     if "pc_coefficients" in cfg.series and coeffs is not None:
-        _write(cfg, "pc_coefficients.csv", _csv(
-            "t,a,b,c,d_par,d_perp,I,J",
+        _write(cfg, "pc_coefficients.csv", csv_bytes(
             [coeffs.times, coeffs.a, coeffs.b, coeffs.c, coeffs.d_par,
-             coeffs.d_perp, coeffs.I, coeffs.J]), written)
+             coeffs.d_perp, coeffs.I, coeffs.J], b"t,a,b,c,d_par,d_perp,I,J"),
+            written)
 
     if dist_indices:
         work, _ = pipe.work_heat_observables()
@@ -449,11 +444,11 @@ def _run_map_model(cfg: ScenarioConfig, written: list[str]) -> None:
         for i in dist_indices:
             dists = tpms_distribution(cfg.beta_list, traj.maps[i], first,
                                       work[i])
-            _write(cfg, _distribution_file(traj.times[i]), _csv(
-                "beta,outcome,probability",
+            _write(cfg, _distribution_file(traj.times[i]), csv_bytes(
                 [np.repeat(cfg.beta_list, [d.outcomes.size for d in dists]),
                  np.concatenate([d.outcomes for d in dists]),
-                 np.concatenate([d.probs for d in dists])]), written)
+                 np.concatenate([d.probs for d in dists])],
+                b"beta,outcome,probability"), written)
 
 
 def _run_coherent(cfg: ScenarioConfig, written: list[str]) -> None:
@@ -466,13 +461,12 @@ def _run_coherent(cfg: ScenarioConfig, written: list[str]) -> None:
     rho_t = unitaries @ rho0 @ dagger(unitaries)
     mean_w = (np.trace(hams @ rho_t, axis1=-2, axis2=-1).real
               - np.trace(hams[0] @ rho0).real)
-    _write(cfg, "coherent_series.csv", _csv(
-        "t,beta,exp_avg_w,golden_thompson_bound,jarzynski_factor,"
-        "chain_bound,delta_F_bar,lambda_min_xi,mean_w",
+    _write(cfg, "coherent_series.csv", csv_bytes(
         [times, np.full(times.shape, res.beta), res.value,
          res.golden_thompson_bound, res.jarzynski_factor, res.final_bound,
-         res.delta_F_bar, np.full(times.shape, res.lambda_min_xi), mean_w]),
-        written)
+         res.delta_F_bar, np.full(times.shape, res.lambda_min_xi), mean_w],
+        b"t,beta,exp_avg_w,golden_thompson_bound,jarzynski_factor,"
+        b"chain_bound,delta_F_bar,lambda_min_xi,mean_w"), written)
 
 
 def _write_manifest(cfg: ScenarioConfig, written: list[str]) -> None:

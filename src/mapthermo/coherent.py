@@ -20,8 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, ConstructionError, NoMatchingBeta
-from .models import _SinSquaredDrive, drive_frequency
+from .errors import ConstructionError, NoMatchingBeta
 from .operators import (
     HERMITICITY_TOL,
     PAULI,
@@ -31,36 +30,13 @@ from .operators import (
     dagger,
     hermitian_stack,
 )
+from .params import ClosedCoherentParams, drive_frequency
 from .quadrature import cumulative_simpson, grid_spacing
 
 MATCH_BETA_RTOL = 1e-10
 # ln rho(0) of a coherent state with a smaller eigenvalue is too inaccurate
 # for the two routes to <e^{-beta w}> to agree to 1e-9
 COHERENT_EIGENVALUE_FLOOR = 1e-9
-
-
-@dataclass(frozen=True)
-class ClosedCoherentParams(_SinSquaredDrive):
-    """Closed sinusoidal drive applied to a rotated thermal state.
-
-    The drive Hamiltonian is H(t) = (omega(t)/2) sigma_z with the same
-    omega(t) as the weak-coupling family. The initial state is the Gibbs
-    state of H(0) at beta0, rotated about the y axis by rotation_angle, so
-    it carries coherences in the H(0) eigenbasis whenever the angle is not
-    a multiple of pi.
-    """
-
-    omega0: float = 1.0
-    delta: float = 1.0
-    Omega: float = math.pi / 20
-    beta0: float = 1.0
-    rotation_angle: float = 0.5
-    drive_mode: str = "monotonic"
-
-    def __post_init__(self):
-        self._check_drive_mode()
-        if self.beta0 <= 0 or self.omega0 <= 0 or self.Omega <= 0:
-            raise ConfigError("beta0, omega0 and Omega must be positive")
 
 
 def closed_coherent_protocol(params: ClosedCoherentParams, times: np.ndarray,

@@ -225,22 +225,28 @@ _COLUMNS = ("lambda_u", "lambda_w", "lambda_w_bound", "exp_avg_w",
 
 
 def _check_invariants(r, tol: float) -> None:
-    """Raise ConstructionError at the first row where the two evaluation
-    routes of <e^{-beta w}> disagree or lambda_w exceeds its bound.
+    """Raise ConstructionError at the first row where a column is NaN, the
+    two evaluation routes of <e^{-beta w}> disagree or lambda_w exceeds its
+    bound (an infinite value is compared as it is).
 
     `r` is a FluctuationReport (scalar fields) or a FluctuationTable (one
     array per field); the message names the row by its time.
     """
-    t, lw, bound, avg, dfb = (np.atleast_1d(getattr(r, name)) for name in (
-        "time", "lambda_w", "lambda_w_bound", "exp_avg_w", "delta_F_bar"))
+    names = ("time", "lambda_w", "lambda_w_bound", "exp_avg_w", "delta_F_bar")
+    cols = [np.atleast_1d(getattr(r, name)) for name in names]
+    t, lw, bound, avg, dfb = cols
+    nan = np.isnan(cols[1:])
     expect = lw * np.exp(-r.beta * dfb)
     routes = np.abs(avg - expect) > tol * np.maximum(1.0, np.abs(expect))
     over = lw > bound + tol
-    bad = np.flatnonzero(routes | over)
+    bad = np.flatnonzero(nan.any(axis=0) | routes | over)
     if bad.size == 0:
         return
     k = bad[0]
     where = f"at t = {t[k]:.17g}, beta = {r.beta:.17g}"
+    if nan[:, k].any():
+        raise ConstructionError(f"{where}: {names[1 + nan[:, k].argmax()]} "
+                                "is NaN")
     if routes[k]:
         raise ConstructionError(
             f"{where}: exp average {avg[k]} != lambda * e^(-beta deltaF) "

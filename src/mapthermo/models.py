@@ -1,56 +1,36 @@
-"""Concrete open-system models that produce map trajectories on a grid.
+"""The exchange model and the rate extraction.
 
-Two families:
-
-* a sinusoidally driven qubit damped by constant thermal rates, the
-  workhorse for driven-dissipative scans, or by freely chosen constant
-  rates;
-* a qubit exchanging excitations with a single bosonic mode (the resonant
-  exchange model), whose exact reduced dynamics is phase covariant and
-  generically non-Markovian, built here from the closed block formulas with
-  analytic time derivatives.
-
-The closed drive from an initial state with coherences shares the
-sinusoidal drive (`drive_frequency`, `_SinSquaredDrive`) but lives in
-`coherent`, so that the qubit models do not load it.
-
-The exchange model also ships an extraction routine that projects any
-phase-covariant qubit trajectory with invertible maps back onto rate
-functions, which is how the non-Markovian rate structure is exposed: the
-coefficients `phase_covariant.pc_coefficients` reads. The closed forms need
-no rates: they read the coefficients that `jc_reduced_map` returns.
+`jc_reduced_map` builds the exact reduced dynamics of a qubit exchanging
+excitations with a single bosonic mode, phase covariant and generically
+non-Markovian, from the closed block formulas with analytic time
+derivatives; its parameters, like every model's, live in `params`.
+`extract_pc_rates` projects a phase-covariant qubit trajectory with
+invertible maps back onto rate functions (the coefficients that
+`phase_covariant.pc_coefficients` reads), which exposes the non-Markovian
+rate structure. The closed forms need no rates: they read the coefficients
+that `jc_reduced_map` returns.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
 from .dynamics import MapTrajectory
-from .errors import ConfigError, ConstructionError, TruncationError
+from .errors import ConfigError, ConstructionError
 from .operators import COND_THRESHOLD_DEFAULT, require_invertible
+from .params import JCParams, jc_mode_count
+# re-exported: the benchmark (perfbench/) imports them from this module
+from .params import WeakCouplingParams, weak_coupling_rates  # noqa: F401
 from .phase_covariant import (
     PCMapEntries,
-    PCRates,
-    constant_rate,
     pc_coefficients,
     pc_lambda_u,
     pc_lambda_w,
     pc_thermo,
     pc_transfer_matrices,
 )
-
-TAIL_WEIGHT_MAX = 1e-10
-# photon levels the exchange-model cutoff may hold, automatic or explicit:
-# seven times the hot window's 13 816; the level sum's time grows as
-# K PANEL_NODES (compression) plus nodes N (evaluation) for K levels and N
-# grid steps, where nodes <= K is set by the frequency spread times t_N
-JC_AUTO_LEVELS_MAX = 100_000
-
-DRIVE_MODES = ("monotonic", "periodic")
 
 # exchange-model level sum: points per fine block of the split grid,
 # frequencies per chunk (nodes per matrix product, levels per Chebyshev
@@ -64,185 +44,6 @@ GRID_ULPS = 8
 # unit amplitude, 4 (z/2)^m / m! / (1 - z/(2m+2)), stays below 1e-16
 PANEL_Z = 16.0
 PANEL_NODES = 47
-
-
-def drive_frequency(omega0: float, delta: float, Omega: float) -> Callable:
-    """The sinusoidal drive omega(t) = omega0 + delta sin^2(Omega t)."""
-    def omega(t):
-        return omega0 + delta * np.sin(Omega * np.asarray(t, dtype=float)) ** 2
-    return omega
-
-
-class _SinSquaredDrive:
-    """Duration and grid of a drive family with fields omega0, delta, Omega
-    and drive_mode: "monotonic" stops at the quarter period pi/(2 Omega)
-    where the splitting peaks, "periodic" runs one full period 2 pi/Omega."""
-
-    def _check_drive_mode(self) -> None:
-        if self.drive_mode not in DRIVE_MODES:
-            raise ConfigError(f"unknown drive_mode {self.drive_mode!r} "
-                              f"(allowed: {', '.join(DRIVE_MODES)})")
-
-    @property
-    def default_t_f(self) -> float:
-        if self.drive_mode == "monotonic":
-            return math.pi / (2.0 * self.Omega)
-        return 2.0 * math.pi / self.Omega
-
-    def grid(self, n_steps: int = 1000) -> np.ndarray:
-        return np.linspace(0.0, self.default_t_f, n_steps + 1)
-
-
-@dataclass(frozen=True)
-class WeakCouplingParams(_SinSquaredDrive):
-    """Driven qubit with rates frozen at their initial-splitting values.
-
-    The splitting is omega(t) = omega0 + delta sin^2(Omega t). Decay and
-    excitation rates are gamma (n_th + 1) and gamma n_th with
-    n_th = 1/(e^{beta omega0} - 1), held constant over the drive.
-    drive_mode fixes the default duration (`_SinSquaredDrive`).
-    """
-
-    omega0: float = 1.0
-    delta: float = 1.0
-    Omega: float = math.pi / 20
-    gamma: float = 0.01
-    beta: float = 1.0
-    drive_mode: str = "monotonic"
-    gamma_z: float = 0.0
-
-    def __post_init__(self):
-        self._check_drive_mode()
-        if self.omega0 <= 0 or self.Omega <= 0:
-            raise ConfigError("omega0 and Omega must be positive")
-        if self.beta <= 0:
-            raise ConfigError("beta must be positive")
-        if self.gamma < 0 or self.gamma_z < 0:
-            raise ConfigError("rates must be nonnegative")
-
-
-def weak_coupling_rates(params: WeakCouplingParams) -> PCRates:
-    try:
-        n_th = 1.0 / math.expm1(params.beta * params.omega0)
-    except OverflowError:  # 1/(e^x - 1) is e^{-x} to rounding there
-        n_th = math.exp(-params.beta * params.omega0)
-    return PCRates(
-        omega=drive_frequency(params.omega0, params.delta, params.Omega),
-        gamma_plus=constant_rate(params.gamma * n_th),
-        gamma_minus=constant_rate(params.gamma * (n_th + 1.0)),
-        gamma_z=constant_rate(params.gamma_z),
-    )
-
-
-@dataclass(frozen=True)
-class CustomPCParams:
-    """Qubit with constant rates gamma_plus, gamma_minus, gamma_z and the
-    splitting omega(t) = omega0 + delta sin^2(Omega t)."""
-
-    omega0: float = 1.0
-    delta: float = 0.0
-    Omega: float = 1.0
-    gamma_plus: float = 0.0
-    gamma_minus: float = 0.0
-    gamma_z: float = 0.0
-
-    def __post_init__(self):
-        # a negative rate gives maps that are not completely positive
-        if min(self.gamma_plus, self.gamma_minus, self.gamma_z) < 0:
-            raise ConfigError("rates must be nonnegative")
-
-
-def custom_pc_rates(params: CustomPCParams) -> PCRates:
-    return PCRates(
-        omega=drive_frequency(params.omega0, params.delta, params.Omega),
-        gamma_plus=constant_rate(params.gamma_plus),
-        gamma_minus=constant_rate(params.gamma_minus),
-        gamma_z=constant_rate(params.gamma_z),
-    )
-
-
-# ---------------------------------------------------------------------------
-# single-mode exchange model
-
-
-@dataclass(frozen=True)
-class JCParams:
-    """Qubit coupled to one bosonic mode under excitation exchange.
-
-    H = (omega/2) sigma_z + omega_m a^dag a + g (sigma_+ a + sigma_- a^dag).
-
-    beta is the mode inverse temperature; math.inf selects the vacuum. The
-    mode space is truncated at n_max photons and the coupling out of the
-    edge state is dropped, so the joint evolution stays exactly unitary and
-    the reduced map exactly completely positive; the price is a tail error
-    of the order of the discarded thermal weight q^{n_max+1}, q = e^{-beta
-    omega_m}. Leave n_max as None to have it chosen from tail_margin.
-    """
-
-    omega: float = 1.0
-    omega_m: float = 2.0
-    g: float = 0.01
-    beta: float = math.inf
-    n_max: int | None = None
-    tail_margin: float = 1e-12
-
-    def __post_init__(self):
-        if self.omega_m <= 0:
-            raise ConfigError("omega_m must be positive")
-        if self.beta <= 0:
-            raise ConfigError("beta must be positive (math.inf for vacuum)")
-        if self.n_max is not None and self.n_max < 1:
-            raise ConfigError("n_max must be at least 1")
-        if self.n_max is not None and self.n_max + 1 > JC_AUTO_LEVELS_MAX:
-            raise ConfigError(
-                f"n_max = {self.n_max} asks for {self.n_max + 1} photon "
-                f"levels, above the ceiling of {JC_AUTO_LEVELS_MAX}")
-        if not 0.0 < self.tail_margin < 1.0:
-            raise ConfigError("tail_margin must lie in (0, 1)")
-        n = self.n_max if self.n_max is not None else jc_mode_count(self)
-        # the squared Rabi frequency of the top block must be a double
-        if not math.isfinite(4.0 * self.g * self.g * (n + 1.0)):
-            raise ConfigError(f"g = {self.g:g}: the squared coupling of "
-                              f"the top level, 4 g^2 (n_max + 1), overflows")
-        delta = self.omega - self.omega_m
-        if not math.isfinite(delta * delta):
-            raise ConfigError(f"omega - omega_m = {delta:g}: its square "
-                              "overflows")
-
-
-def jc_mode_count(params: JCParams) -> int:
-    """Photon cutoff actually used, with the tail-weight invariant enforced.
-
-    An explicit n_max must leave q^{n_max+1} below TAIL_WEIGHT_MAX or the
-    truncated model is not a faithful stand-in for the infinite one;
-    TruncationError then reports the smallest acceptable cutoff. A mode so
-    cold that q underflows to 0 (beta = inf among them) is the vacuum. The
-    automatic cutoff may hold at most JC_AUTO_LEVELS_MAX levels, checked
-    before anything is allocated; above it ConfigError names the keys. (An
-    explicit n_max meets the same ceiling in `JCParams`.)
-    """
-    q = math.exp(-params.beta * params.omega_m)
-    if q == 0.0:
-        return params.n_max if params.n_max is not None else 1
-    log_q = math.log(q)  # 0 where beta omega_m is below rounding
-    if params.n_max is not None:
-        tail = q ** (params.n_max + 1)
-        if tail >= TAIL_WEIGHT_MAX:
-            needed = None if log_q == 0 else max(
-                math.ceil(math.log(TAIL_WEIGHT_MAX) / log_q) - 1,
-                params.n_max + 1)
-            raise TruncationError(
-                f"thermal tail weight {tail:.3e} at n_max={params.n_max} "
-                f"exceeds {TAIL_WEIGHT_MAX:.0e}", required_n_max=needed)
-        return params.n_max
-    levels = math.log(params.tail_margin) / log_q if log_q < 0 else math.inf
-    if levels > JC_AUTO_LEVELS_MAX:
-        raise ConfigError(
-            f"beta = {params.beta:g} and tail_margin = "
-            f"{params.tail_margin:g} ask for {levels:.3g} photon levels "
-            f"(n_max = auto), above the ceiling of {JC_AUTO_LEVELS_MAX}: "
-            "raise beta or tail_margin, or set n_max")
-    return max(math.ceil(levels) - 1, 1)
 
 
 def _thermal_weights(params: JCParams, n_max: int) -> np.ndarray:
@@ -522,10 +323,6 @@ def vacuum_excited_population(traj: MapTrajectory) -> np.ndarray:
     # <e|Phi[|e><e|]|e> with |e><e| = (1 + sigma_z)/2: the transfer-matrix
     # entries of rows and columns 0 and 3, over 2
     return 0.5 * traj.maps[:, ::3, ::3].sum(axis=(1, 2))
-
-
-# ---------------------------------------------------------------------------
-# rate extraction from a phase-covariant trajectory
 
 
 def extract_pc_rates(traj: MapTrajectory,

@@ -63,22 +63,25 @@ def stack_blocks(n: int, side: int) -> list[slice]:
 
 def hermitian_stack(a: np.ndarray, tol: float, times=None,
                     what="operator") -> np.ndarray:
-    """Symmetrize a (n, d, d) stack, rejecting any matrix further than
-    `tol` (relative to its largest entry, floor 1) from Hermitian; the error
-    names the first failing matrix k as `what` (or `what(k)`), by its time
-    when `times` is given. A stack of any other shape is rejected too."""
+    """Symmetrize a (n, d, d) stack, rejecting any matrix that holds a
+    value that is not finite or lies further than `tol` (relative to its
+    largest entry, floor 1) from Hermitian; the error names the first
+    failing matrix k as `what` (or `what(k)`), by its time when `times` is
+    given. A stack of any other shape is rejected too."""
     a = np.asarray(a)
     if a.ndim != 3 or a.shape[1] != a.shape[2]:
         raise ConstructionError(f"expected a (n, d, d) stack, got {a.shape}")
     scale = np.maximum(1.0, np.abs(a).max(axis=(-2, -1)))
-    dev = np.abs(a - dagger(a)).max(axis=(-2, -1))
-    bad = np.flatnonzero(dev > tol * scale)
+    with np.errstate(invalid="ignore"):   # NaN where a value is not finite
+        dev = np.abs(a - dagger(a)).max(axis=(-2, -1)) + 0.0 * scale
+    bad = np.flatnonzero(~(dev <= tol * scale))
     if bad.size:
         k = bad[0]
         name = what(k) if callable(what) else what
-        raise ConstructionError(
-            f"{name}{_label(times, k)} is not Hermitian: max |A - A^dagger| "
-            f"= {dev[k]:.3e} (allowed {tol * scale[k]:.3e})")
+        raise ConstructionError(f"{name}{_label(times, k)} " + (
+            "holds a value that is not finite" if not np.isfinite(a[k]).all()
+            else f"is not Hermitian: max |A - A^dagger| = {dev[k]:.3e} "
+                 f"(allowed {tol * scale[k]:.3e})"))
     return 0.5 * (a + dagger(a))
 
 
@@ -90,7 +93,7 @@ def _state_stack(a: np.ndarray, times=None, what="state") -> np.ndarray:
     a = hermitian_stack(a, HERMITICITY_TOL, times, what)
     trace_dev = np.abs(np.einsum("nii->n", a) - 1.0)
     low = np.linalg.eigvalsh(a)[:, 0]
-    bad = np.flatnonzero((trace_dev > TRACE_TOL) | (low < -POSITIVITY_TOL))
+    bad = np.flatnonzero(~(trace_dev <= TRACE_TOL) | ~(low >= -POSITIVITY_TOL))
     if bad.size:
         k = bad[0]
         name = what(k) if callable(what) else what

@@ -25,12 +25,15 @@ GRID_RTOL = 1e-9
 def grid_fault(times: np.ndarray) -> tuple[int, str] | None:
     """The first point of `times` at fault as a uniform, strictly increasing
     grid, and why; None when it is one. That is point 0 of a grid of fewer
-    than two points, else the end of the first step that is not positive,
-    else the end of the first step off the first by more than GRID_RTOL
-    (relative, floor 1)."""
+    than two points, else the first point that is not finite, else the end
+    of the first step that is not positive, else the end of the first step
+    off the first by more than GRID_RTOL (relative, floor 1)."""
     t = np.asarray(times, dtype=float)
     if t.ndim != 1 or t.size < 2:
         return 0, "grid needs at least two points"
+    bad = ~np.isfinite(t)
+    if bad.any():
+        return int(np.argmax(bad)), "grid must be finite"
     steps = np.diff(t)
     bad = steps <= 0
     if bad.any():

@@ -50,7 +50,8 @@ from mapthermo.dynamics import (_CELL, _EXACT, _FORMAT_TAG, _MAX_Q, _POW10,
 from mapthermo.errors import ConstructionError
 from mapthermo.fluctuations import (FluctuationTable, OutcomeDistribution,
                                     tpms_distribution)
-from mapthermo.models import JCParams, _thermal_weights, jc_mode_count
+from mapthermo.models import _thermal_weights
+from mapthermo.params import JCParams, jc_mode_count
 from mapthermo.operators import (
     COND_THRESHOLD_DEFAULT,
     CPTPReport,

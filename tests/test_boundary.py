@@ -22,7 +22,7 @@ from hypothesis import strategies as st
 
 from mapthermo import cli
 from mapthermo.dynamics import save_map_trajectory
-from mapthermo.models import (DRIVE_MODES, WeakCouplingParams,
+from mapthermo.params import (DRIVE_MODES, WeakCouplingParams,
                               weak_coupling_rates)
 from mapthermo.phase_covariant import pc_trajectory
 

@@ -12,12 +12,11 @@ import pytest
 
 from mapthermo import cli
 from mapthermo.cli import Tolerances, main, parse_config, run_scenario
-from mapthermo.coherent import ClosedCoherentParams
 from mapthermo.errors import ConfigError
 from mapthermo.fluctuations import FluctuationTable
 from mapthermo.dynamics import condition_flags, save_map_trajectory
-from mapthermo.models import (CustomPCParams, JCParams, WeakCouplingParams,
-                              weak_coupling_rates)
+from mapthermo.params import (ClosedCoherentParams, CustomPCParams, JCParams,
+                              WeakCouplingParams, weak_coupling_rates)
 from mapthermo.operators import column_stacked
 from mapthermo.phase_covariant import pc_trajectory
 from mapthermo.validation import random_gksl_trajectory
@@ -1027,7 +1026,7 @@ _IMPORT_PROBE = """\
 import sys
 from mapthermo.cli import main
 from mapthermo.dynamics import save_map_trajectory
-from mapthermo.models import WeakCouplingParams, weak_coupling_rates
+from mapthermo.params import WeakCouplingParams, weak_coupling_rates
 from mapthermo.phase_covariant import pc_trajectory
 
 config, map_path = sys.argv[1:3]
@@ -1075,8 +1074,8 @@ for command, arg in zip(sys.argv[1::2], sys.argv[2::2]):
         assert main([command, arg]) == 0
 print(*sorted(m for m in sys.modules if m.startswith("mapthermo.")))
 """
-MODEL_MODULES = {"mapthermo.models", "mapthermo.phase_covariant",
-                 "mapthermo.coherent"}
+MODEL_MODULES = {"mapthermo.params", "mapthermo.models",
+                 "mapthermo.phase_covariant", "mapthermo.coherent"}
 
 
 def loaded_after(*steps: str) -> set[str]:
@@ -1128,7 +1127,7 @@ def test_weak_coupling_loads_its_model_before_the_run(tmp_path):
     # parse_config compiles the builders, so that no run pays for them
     cfg_path = write_config(tmp_path, WEAK_BODY.format(out=tmp_path / "out"))
     loaded = loaded_after("parse_config", cfg_path)
-    assert MODEL_MODULES - loaded == {"mapthermo.coherent"}
+    assert MODEL_MODULES - loaded == {"mapthermo.models", "mapthermo.coherent"}
 
 
 def test_a_closed_coherent_run_loads_the_closed_drive(tmp_path):

@@ -14,8 +14,9 @@ from pathlib import Path
 
 import numpy as np
 
-from mapthermo.dynamics import csv_text
-from mapthermo.models import JCParams, exchange_factor_series
+from mapthermo.csvout import csv_text
+from mapthermo.models import exchange_factor_series
+from mapthermo.params import JCParams
 
 ROOT = Path(__file__).resolve().parent.parent
 SWEEP_HEADER = "t,lambda_w,lambda_w_bound,lambda_u"

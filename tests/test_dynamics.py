@@ -11,11 +11,12 @@ from hypothesis.strategies import (booleans, composite, floats, integers,
                                    lists, one_of, sampled_from, tuples)
 from scipy.linalg import expm
 
+import mapthermo.csvout as csvout
 import mapthermo.dynamics as dynamics
+from mapthermo.csvout import csv_text
 from mapthermo.dynamics import (
     MapTrajectory,
     condition_flags,
-    csv_text,
     generator_splits,
     invertibility_report,
     load_map_trajectory,
@@ -24,7 +25,8 @@ from mapthermo.dynamics import (
     save_map_trajectory,
 )
 from mapthermo.errors import BoundaryStencil, ConstructionError
-from mapthermo.models import JCParams, WeakCouplingParams, jc_reduced_map, weak_coupling_rates
+from mapthermo.models import jc_reduced_map
+from mapthermo.params import JCParams, WeakCouplingParams, weak_coupling_rates
 from mapthermo.operators import (
     PAULI,
     column_stacked,
@@ -86,6 +88,12 @@ def test_trajectory_requires_uniform_grid_from_zero():
     with pytest.raises(ValueError):
         MapTrajectory(times=np.array([0.0, 0.1, 0.3]),
                       maps=np.stack([ident] * 3))
+
+
+def test_trajectory_refuses_a_grid_that_is_not_finite():
+    with pytest.raises(ValueError, match="grid must be finite"):
+        MapTrajectory(times=[0.0, np.nan, 2.0],
+                      maps=np.stack([np.eye(4)] * 3))
 
 
 def test_generator_of_unitary_trajectory():
@@ -486,15 +494,15 @@ def test_spelling_edge_cases():
 
 
 @pytest.mark.parametrize("n_rows", [
-    3 * dynamics._WRITE_CELLS // 5,        # several blocks, the last whole
-    3 * dynamics._WRITE_CELLS // 5 + 7,    # ending mid-block
+    3 * csvout._WRITE_CELLS // 5,        # several blocks, the last whole
+    3 * csvout._WRITE_CELLS // 5 + 7,    # ending mid-block
 ])
 def test_tables_spanning_row_blocks(n_rows):
     rng = np.random.default_rng(16)
     columns = [rng.standard_normal(n_rows)
                * 10.0 ** rng.integers(-6, 18, n_rows) for _ in range(5)]
     columns[2][::97] = 0.0   # fallback cells in every block
-    assert n_rows * 5 > 2 * dynamics._WRITE_CELLS
+    assert n_rows * 5 > 2 * csvout._WRITE_CELLS
     assert csv_text(columns) == lines_text(csv_lines(columns))
 
 
@@ -515,7 +523,7 @@ def test_a_fallback_cell_first_in_the_table(first):
 
 @pytest.mark.parametrize("n_cols", [1, 3, 7])
 def test_fallback_cells_first_and_last_in_every_block(n_cols):
-    step = dynamics._WRITE_CELLS // n_cols   # whole rows per block
+    step = csvout._WRITE_CELLS // n_cols   # whole rows per block
     n_rows = 3 * step + step // 2
     columns = spread_columns(n_rows, n_cols, 19)
     columns[0][::step] = [np.nan, -0.0, 1e-300, -np.inf]   # each first cell
@@ -525,28 +533,28 @@ def test_fallback_cells_first_and_last_in_every_block(n_cols):
 
 
 def test_an_all_fallback_column():
-    n_rows = dynamics._WRITE_CELLS   # two blocks of 3 columns
+    n_rows = csvout._WRITE_CELLS   # two blocks of 3 columns
     columns = spread_columns(n_rows, 3, 20)
     # zeros, and values below 1e-4 (%g's exponent form)
     columns[1] = np.where(np.arange(n_rows) % 3, 0.0,
                           np.ldexp(columns[0], -400))
-    assert dynamics._g_cells(columns[1], 1)[3].size == n_rows
+    assert csvout._g_cells(columns[1], 1)[3].size == n_rows
     assert csv_text(columns) == lines_text(csv_lines(columns))
 
 
 def test_a_zero_row_table_writes_its_header_only():
     empty = [np.empty(0), np.empty(0)]
     assert csv_text(empty) == ""
-    assert dynamics._csv_bytes(empty, b"t,x").tobytes() == b"t,x\n"
-    assert dynamics._csv_bytes(empty, b"t,x", []).tobytes() == b"t,x\n"
+    assert csvout.csv_bytes(empty, b"t,x").tobytes() == b"t,x\n"
+    assert csvout.csv_bytes(empty, b"t,x", []).tobytes() == b"t,x\n"
 
 
-@pytest.mark.parametrize("n_rows", [1, 9, dynamics._WRITE_CELLS // 2 + 3])
+@pytest.mark.parametrize("n_rows", [1, 9, csvout._WRITE_CELLS // 2 + 3])
 def test_a_label_column_ends_each_row(n_rows):
     columns = spread_columns(n_rows, 2, 21)
     columns[1][::4] = 0.0
     labels = [("ok", "spike", "singular")[k % 3] for k in range(n_rows)]
-    assert dynamics._csv_bytes(columns, b"t,c,flag", labels).tobytes() == (
+    assert csvout.csv_bytes(columns, b"t,c,flag", labels).tobytes() == (
         "t,c,flag\n" + "".join(f"{line},{label}\n" for line, label in
                               zip(csv_lines(columns), labels))).encode()
 
@@ -558,15 +566,15 @@ def test_kernel_takes_the_cells_in_its_range():
     x = rng.choice([-1.0, 1.0], 4000) * rng.uniform(1.0, 9.9, 4000) * 10.0 ** (
         rng.integers(-4, 17, 4000))
     x[:2] = 1000000000000000.25, -6667092368881.09375   # ties
-    assert dynamics._g_cells(x, 4)[-1] == []
-    assert dynamics._g_cells(np.array([1e-5, 0.0, np.nan, 0.5]), 1)[-1] == [
+    assert csvout._g_cells(x, 4)[-1] == []
+    assert csvout._g_cells(np.array([1e-5, 0.0, np.nan, 0.5]), 1)[-1] == [
         "1.0000000000000001e-05", "0", "nan"]
 
 
 def test_digit_bytes_split_every_quad():
     v = np.arange(10**4, dtype=np.uint64) * np.uint64(10**4 + 1)
     v = np.concatenate([v, np.arange(10**8 - 10**4, 10**8, dtype=np.uint64)])
-    raw = dynamics._digit_bytes(v) | np.uint64(0x3030303030303030)
+    raw = csvout._digit_bytes(v) | np.uint64(0x3030303030303030)
     assert raw.view("S8").astype(str).tolist() == [f"{n:08d}"
                                                    for n in v.tolist()]
 

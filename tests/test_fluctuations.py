@@ -12,7 +12,8 @@ from hypothesis.strategies import floats
 
 from mapthermo import fluctuations
 from mapthermo.coherent import coherent_initial_construction
-from mapthermo.dynamics import MapTrajectory, csv_text
+from mapthermo.csvout import csv_text
+from mapthermo.dynamics import MapTrajectory
 from mapthermo.errors import ConstructionError
 from mapthermo.fluctuations import (
     CLUSTER_TOL,
@@ -25,8 +26,8 @@ from mapthermo.fluctuations import (
     fluctuation_tables,
     tpms_distribution,
 )
-from mapthermo.models import (JCParams, WeakCouplingParams, jc_reduced_map,
-                              weak_coupling_rates)
+from mapthermo.models import jc_reduced_map
+from mapthermo.params import JCParams, WeakCouplingParams, weak_coupling_rates
 from mapthermo.observables import ThermoPipeline, mean_change
 from mapthermo.operators import (
     PAULI,
@@ -505,6 +506,24 @@ def test_table_invariant_check_names_the_failing_row_time():
     avg[k] = lw[k] * np.exp(-table.beta * table.delta_F_bar[k])
     with pytest.raises(ConstructionError, match=where + ".*exceeds its bound"):
         dataclasses.replace(table, lambda_w=lw, exp_avg_w=avg).check_invariants()
+    # NaN fails every comparison: a NaN cell fails its row by name, in the
+    # table and in the row's report
+    for name in ("lambda_w", "lambda_w_bound", "exp_avg_w", "delta_F_bar"):
+        col = getattr(table, name).copy()
+        col[k] = np.nan
+        with pytest.raises(ConstructionError,
+                           match=where + f" beta = .*: {name} is NaN"):
+            dataclasses.replace(table, **{name: col}).check_invariants()
+        with pytest.raises(ConstructionError, match=f": {name} is NaN"):
+            dataclasses.replace(table.row(k), **{name: np.nan}
+                                ).check_invariants()
+    # infinite cells are judged as they were: inf - inf compares as NaN
+    cells = {}
+    for name in ("lambda_w", "lambda_w_bound", "exp_avg_w"):
+        cells[name] = getattr(table, name).copy()
+        cells[name][k] = np.inf
+    with np.errstate(invalid="ignore"):
+        dataclasses.replace(table, **cells).check_invariants()
 
 
 TABLE_FIELDS = [f.name for f in dataclasses.fields(FluctuationTable)

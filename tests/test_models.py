@@ -7,28 +7,31 @@ import numpy.testing as npt
 import pytest
 from scipy.linalg import expm
 
-from mapthermo.coherent import ClosedCoherentParams, closed_coherent_protocol
+from mapthermo.coherent import closed_coherent_protocol
 from mapthermo.dynamics import MapTrajectory
 from mapthermo import models
 from mapthermo.errors import (ConfigError, ConstructionError, SingularMap,
                                TruncationError)
 from mapthermo.models import (
     FINE_POINTS,
-    JC_AUTO_LEVELS_MAX,
     NODE_CHUNK,
     PANEL_NODES,
     PANEL_Z,
-    JCParams,
-    WeakCouplingParams,
     exchange_factor_series,
     extract_pc_rates,
-    jc_mode_count,
     jc_reduced_map,
     vacuum_excited_population,
-    weak_coupling_rates,
     _chebyshev_nodes,
     _frequency_families,
     _thermal_weights,
+)
+from mapthermo.params import (
+    JC_AUTO_LEVELS_MAX,
+    ClosedCoherentParams,
+    JCParams,
+    WeakCouplingParams,
+    jc_mode_count,
+    weak_coupling_rates,
 )
 from mapthermo.operators import PAULI, column_stacked
 from mapthermo.fluctuations import fluctuation_table

@@ -8,7 +8,6 @@ from hypothesis.strategies import floats
 
 from mapthermo.dynamics import invertibility_report
 from mapthermo.coherent import (
-    ClosedCoherentParams,
     CoherentInitialData,
     closed_coherent_protocol,
     coherent_initial_construction,
@@ -17,7 +16,8 @@ from mapthermo.coherent import (
 )
 from mapthermo.errors import NoMatchingBeta, SingularMap
 from mapthermo.fluctuations import fluctuation_table
-from mapthermo.models import WeakCouplingParams, weak_coupling_rates
+from mapthermo.params import (ClosedCoherentParams, WeakCouplingParams,
+                              weak_coupling_rates)
 from mapthermo.observables import (
     ThermoPipeline,
     mean_change,

@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis.strategies import integers
 
-from mapthermo.coherent import coherent_initial_construction
+from mapthermo.coherent import (coherent_initial_construction,
+                                coherent_work_fluctuation)
 from mapthermo.errors import ConstructionError, SingularMap
 from mapthermo.operators import (
     HERMITICITY_TOL,
@@ -23,6 +24,7 @@ from mapthermo.operators import (
     hermitian_stack,
 )
 from mapthermo.dynamics import MapTrajectory, map_faults
+from mapthermo.fluctuations import tpms_distribution
 from mapthermo.observables import mean_change
 from reference import (
     Superoperator,
@@ -87,6 +89,44 @@ def test_density_matrix_invariants():
             with pytest.raises(ConstructionError,
                                match=re.escape("rho(0) is not a state")):
                 call()
+
+
+NAN_MATRIX = np.array([[np.nan, 0.0], [0.0, 1.0]])
+
+
+def _nan_entries() -> dict:
+    """Per entry check of a caller's matrices: a call that hands it
+    NAN_MATRIX, and the name its error gives the matrix."""
+    rho, h0 = np.diag([0.25, 0.75]), 0.5 * SZ
+    traj = MapTrajectory(times=np.linspace(0.0, 1.0, 5),
+                         maps=np.stack([np.eye(4)] * 5))
+    data = coherent_initial_construction(rho, h0)
+    hams = np.stack([h0, h0, NAN_MATRIX])
+    return {
+        "mean_change": (lambda: mean_change(np.zeros((5, 4)), traj, 3,
+                                            NAN_MATRIX), "rho(0)"),
+        "tpms_states": (lambda: tpms_distribution(
+            np.stack([rho, NAN_MATRIX]), traj.maps[3], coordinates(h0),
+            coordinates(h0)), "state 1"),
+        "rho(0)": (lambda: coherent_initial_construction(NAN_MATRIX, h0),
+                   "rho(0)"),
+        "H(0)": (lambda: coherent_initial_construction(rho, NAN_MATRIX),
+                 "H(0)"),
+        "H(t)": (lambda: coherent_work_fluctuation(
+            data, np.stack([np.eye(2)] * 3), hams, np.array([0.0, 0.1, 0.2])),
+            "H(t) at t = 0.2"),
+    }
+
+
+@pytest.mark.parametrize("where", ["mean_change", "tpms_states", "rho(0)",
+                                   "H(0)", "H(t)"])
+def test_a_matrix_that_is_not_finite_is_refused_where_it_enters(where):
+    # NaN fails every comparison of the Hermiticity, trace and eigenvalue
+    # checks, so the matrix would pass them and poison what follows
+    call, name = _nan_entries()[where]
+    with pytest.raises(ConstructionError, match=re.escape(
+            f"{name} holds a value that is not finite")):
+        call()
 
 
 def test_eig_sigma_z():

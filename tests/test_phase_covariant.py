@@ -8,8 +8,8 @@ from hypothesis.strategies import floats
 
 from mapthermo.dynamics import load_map_trajectory, save_map_trajectory
 from mapthermo.errors import ConstructionError, SingularMap
-from mapthermo.models import (JCParams, WeakCouplingParams, jc_reduced_map,
-                              weak_coupling_rates)
+from mapthermo.models import jc_reduced_map
+from mapthermo.params import JCParams, WeakCouplingParams, weak_coupling_rates
 from mapthermo.operators import PAULI
 from mapthermo.phase_covariant import (
     PCRates,

@@ -39,6 +39,11 @@ def test_grid_fault_names_the_first_point_of_the_failing_check():
         4, "grid must be strictly increasing")
     assert grid_fault([0.0, 0.1, 0.2, 0.35, 0.4]) == (3, "grid must be uniform")
     assert grid_fault([0.5]) == (0, "grid needs at least two points")
+    # NaN fails every comparison: a point that is not finite is the fault,
+    # ahead of the step checks
+    assert grid_fault([0.0, np.nan, 2.0]) == (1, "grid must be finite")
+    assert grid_fault([0.0, np.inf, np.inf]) == (1, "grid must be finite")
+    assert grid_fault([0.0, 0.2, 0.1, np.nan]) == (3, "grid must be finite")
 
 
 def test_cumulative_simpson_exact_on_cubics():
