@@ -9,9 +9,10 @@ with `parse_config` and prints the system-wide monotonic clock; the sample
 is that time less the clock just before the spawn. Two floors are timed the
 same way: an interpreter that imports nothing (`python -c pass`) and one
 that imports numpy. Per scenario the child also reports whether any `scipy`
-module was loaded by then and which `mapthermo` modules were, and as many
-spawns again under `-X importtime` give each of those modules' self import
-time (median, in microseconds).
+module was loaded by then, which of the standard modules in STARTUP_STDLIB
+and which `mapthermo` modules were, and as many spawns again under
+`-X importtime` give each of those modules' self import time (median, in
+microseconds).
 
 The tree timed is the one that holds the `mapthermo` package this script
 imports, so put its src directory first on PYTHONPATH:
@@ -73,13 +74,18 @@ FLOORS = {
     "python_pass": "import time; print(time.monotonic())",
     "import_numpy": "import time, numpy; print(time.monotonic())",
 }
-# ready: the clock, then whether scipy is loaded and the mapthermo modules
+# standard modules that cost start-up: dataclasses compiles each class's
+# methods with exec, argparse imports gettext, and building its parser locale
+STARTUP_STDLIB = ("argparse", "dataclasses", "gettext", "locale")
+# ready: the clock, then whether scipy is loaded, which of STARTUP_STDLIB
+# are, and the mapthermo modules
 READY = (
     "import sys, time\n"
     "from mapthermo.cli import parse_config\n"
     "parse_config(sys.argv[1])\n"
     "print(time.monotonic())\n"
     "print(any(m.split('.')[0] == 'scipy' for m in sys.modules))\n"
+    f"print(*(m for m in {STARTUP_STDLIB!r} if m in sys.modules))\n"
     "print(*sorted(m for m in sys.modules if m.startswith('mapthermo')))")
 
 
@@ -122,7 +128,9 @@ def scenario_record(src: str, config: str, samples: list, repeats: int,
     modules = self_import_us(src, config, repeats)
     return {prefix + "scipy_loaded": any(lines[0] == "True"
                                          for _, lines, _ in samples),
-            prefix + "modules": samples[0][1][1].split(),
+            prefix + "stdlib_loaded": sorted(set().union(
+                *(lines[1].split() for _, lines, _ in samples))),
+            prefix + "modules": samples[0][1][2].split(),
             prefix + "self_import_us": modules,
             prefix + "self_import_us_total": sum(modules.values())}
 
@@ -199,6 +207,8 @@ def main() -> None:
               f"best {times['best']:.3f} s")
     for scenario, rec in result["scenarios"].items():
         print(f"{scenario}: scipy loaded {rec['scipy_loaded']}, "
+              f"{', '.join(rec['stdlib_loaded']) or 'none'} of "
+              f"{', '.join(STARTUP_STDLIB)} loaded, "
               f"{len(rec['modules'])} mapthermo modules, self import "
               f"{rec['self_import_us_total'] / 1e3:.1f} ms")
     for scenario, pair in result.get("against", {}).items():

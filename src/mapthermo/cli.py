@@ -17,13 +17,11 @@ failure.
 
 from __future__ import annotations
 
-import argparse
 import configparser
 import importlib
 import math
 import os
 import sys
-from dataclasses import dataclass, field, fields
 from functools import cache
 
 import numpy as np
@@ -38,6 +36,7 @@ from .dynamics import (condition_flags, data_row_line, invertibility_report,
                        load_map_trajectory, map_faults, read_map_file)
 from .quadrature import grid_fault
 from .observables import ThermoPipeline
+from .records import fields, record
 # fluctuation_report is unused here but stays a module attribute: the traced
 # benchmark run (perfbench/child.py) wraps it by name.
 from .fluctuations import (CLUSTER_TOL, NEGATIVE_PROB_TOL, PROB_SUM_TOL,
@@ -93,7 +92,7 @@ _KINDS = {
 }
 
 
-@dataclass(frozen=True)
+@record
 class Tolerances:
     """The optional [tolerances] section."""
 
@@ -107,7 +106,7 @@ class Tolerances:
             raise ValueError("invariant_tol must be a finite number > 0")
 
 
-@dataclass
+@record(frozen=False)
 class ScenarioConfig:
     path: str  # the config file it was parsed from
     model: str
@@ -119,9 +118,9 @@ class ScenarioConfig:
     series: tuple[str, ...]
     distribution_times: tuple[float, ...]
     tolerances: Tolerances
-    map_path: str | None = None
+    map_path: str | None
     # (key, rendered value, took_default) per section, in manifest order
-    entries: dict[str, list[tuple[str, str, bool]]] = field(default_factory=dict)
+    entries: dict[str, list[tuple[str, str, bool]]]
 
 
 class _SectionReader:
@@ -173,7 +172,7 @@ class _SectionReader:
                 self._fail(sorted(extra)[0], "unknown key")
 
     def read(self, cls):
-        """An instance of the dataclass `cls` with each field read as a key
+        """An instance of the record `cls` with each field read as a key
         of this section, the field's default as the key's default. A float
         field takes an infinite value only where inf is its default, as for
         [jaynes_cummings] beta, where it selects the vacuum."""
@@ -191,7 +190,7 @@ class _SectionReader:
         return params
 
 
-# per model but custom_map_file: its parameter dataclass in `params` (fields
+# per model but custom_map_file: its parameter record in `params` (fields
 # are the section's keys, defaults the keys' defaults) and its builder module
 _PARAMS = {"weak_coupling": ("WeakCouplingParams", "phase_covariant"),
            "jaynes_cummings": ("JCParams", "models"),
@@ -200,7 +199,7 @@ _PARAMS = {"weak_coupling": ("WeakCouplingParams", "phase_covariant"),
 
 
 def _params_class(model: str) -> type:
-    """The parameter dataclass of `model`, its builder imported now, so that
+    """The parameter record of `model`, its builder imported now, so that
     the model's code compiles before a run starts."""
     from . import params
     name, builder = _PARAMS[model]
@@ -541,7 +540,8 @@ def _cmd_map_info(path: str) -> int:
 # ---------------------------------------------------------------------------
 
 @cache   # one per process: a second `main` call reuses it
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser():
+    import argparse
     parser = argparse.ArgumentParser(
         prog="mapthermo",
         description="Work, heat and internal-energy fluctuation statistics "
@@ -558,21 +558,40 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def main(argv: list[str] | None = None) -> int:
+def _command(argv: list[str]) -> tuple[str, str | bool]:
+    """The command of argv and its argument: the config or map file, or
+    validate's --full. `run CONFIG` and `map-info PATH` (the argument not
+    starting with "-"), `validate` and `validate --full` are read here as
+    argparse reads them; every other argv goes to argparse, which alone
+    prints help, usage and errors (exit 2)."""
+    match argv:
+        case ["run" | "map-info" as command, arg] if not arg.startswith("-"):
+            return command, arg
+        case ["validate"]:
+            return "validate", False
+        case ["validate", "--full"]:
+            return "validate", True
     args = _build_parser().parse_args(argv)
+    if args.command == "validate":
+        return args.command, args.full
+    return args.command, args.config if args.command == "run" else args.path
+
+
+def main(argv: list[str] | None = None) -> int:
+    command, arg = _command(sys.argv[1:] if argv is None else argv)
     try:
-        if args.command == "run":
-            for path in run_scenario(parse_config(args.config)):
+        if command == "run":
+            for path in run_scenario(parse_config(arg)):
                 print(path)
             code = 0
-        elif args.command == "validate":
+        elif command == "validate":
             # scipy and the suite load only here, so run and map-info skip them
             from .validation import format_report, run_checks
-            results = run_checks(full=args.full)
-            print(format_report(results, args.full))
+            results = run_checks(full=arg)
+            print(format_report(results, arg))
             code = 0 if all(r.passed for r in results) else 1
         else:
-            code = _cmd_map_info(args.path)
+            code = _cmd_map_info(arg)
         sys.stdout.flush()  # a closed pipe raises here, not at exit
         return code
     except BrokenPipeError:
@@ -583,9 +602,9 @@ def main(argv: list[str] | None = None) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except MemoryError as exc:   # arrays that numpy cannot allocate
-        if args.command != "run":
+        if command != "run":
             raise
-        print(f"config error: {args.config}: the run does not fit in memory: "
+        print(f"config error: {arg}: the run does not fit in memory: "
               f"{exc}", file=sys.stderr)
         return 2
     except (SingularMap, TruncationError, NoMatchingBeta,

@@ -16,7 +16,6 @@ this module; the map models never call it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -32,6 +31,7 @@ from .operators import (
 )
 from .params import ClosedCoherentParams, drive_frequency
 from .quadrature import cumulative_simpson, grid_spacing
+from .records import record
 
 MATCH_BETA_RTOL = 1e-10
 # ln rho(0) of a coherent state with a smaller eigenvalue is too inaccurate
@@ -61,7 +61,7 @@ def closed_coherent_protocol(params: ClosedCoherentParams, times: np.ndarray,
     return 0.5 * (rho0 + dagger(rho0)), hams, unitaries
 
 
-@dataclass(frozen=True)
+@record
 class CoherentInitialData:
     """Closed-system scheme for an initial state with coherences: the
     inverse temperature matched so the state's energy equals its Gibbs
@@ -155,7 +155,7 @@ def coherent_initial_construction(rho0: np.ndarray, H0: np.ndarray,
                                lambda_min_xi=lam_min, relative_entropy=rel_ent)
 
 
-@dataclass(frozen=True)
+@record
 class CoherentWorkResult:
     """<e^{-beta w}> for a stack of closed protocols from a coherent initial
     state, with the chained bounds: value <= golden_thompson_bound <=

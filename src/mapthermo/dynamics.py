@@ -30,7 +30,6 @@ from __future__ import annotations
 import itertools
 import math
 import os
-from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -46,6 +45,7 @@ from .operators import (
     stack_blocks,
 )
 from .quadrature import grid_fault, grid_spacing, stencil_derivative
+from .records import record
 
 IDENTITY_TOL = 1e-12
 TP_TOL = 1e-10
@@ -80,7 +80,7 @@ def _real_stack(a: np.ndarray, t: np.ndarray, what: str) -> np.ndarray:
     return np.array(a.real, dtype=float)
 
 
-@dataclass(frozen=True, eq=False)
+@record(eq=False)
 class MapTrajectory:
     """Dynamical maps sampled on a uniform grid t_0 = 0 < t_1 < ... < t_N.
 

@@ -20,12 +20,12 @@ its minimum Choi eigenvalue is 0, not 1/d).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from functools import cache
 
 import numpy as np
 
 from .errors import ConstructionError, SingularMap
+from .records import record
 
 HERMITICITY_TOL = 1e-12
 TRACE_TOL = 1e-12
@@ -185,12 +185,12 @@ def commutator_superop(h: np.ndarray) -> np.ndarray:
     return np.kron(np.eye(d), h) - np.kron(h.T, np.eye(d))
 
 
-@dataclass(frozen=True)
+@record
 class CPTPReport:
     trace_preserving_residual: float
     choi_min_eigenvalue: float
     unital_residual: float
-    hermiticity_residual: float = field(default=0.0)
+    hermiticity_residual: float = 0.0
 
 
 def cptp_diagnostics_stack(m: np.ndarray) -> CPTPReport:

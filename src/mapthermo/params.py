@@ -1,4 +1,4 @@
-"""Scenario parameters: one frozen dataclass per model, with its defaults
+"""Scenario parameters: one frozen record per model, with its defaults
 and checks, and the qubit rates built from it.
 
 The fields of each class are the keys of its model's config section
@@ -13,13 +13,13 @@ and `coherent`.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
 from .errors import ConfigError, TruncationError
 from .phase_covariant import PCRates, constant_rate
+from .records import record
 
 TAIL_WEIGHT_MAX = 1e-10
 # photon levels the exchange-model cutoff may hold, automatic or explicit:
@@ -58,7 +58,7 @@ class _SinSquaredDrive:
         return np.linspace(0.0, self.default_t_f, n_steps + 1)
 
 
-@dataclass(frozen=True)
+@record
 class WeakCouplingParams(_SinSquaredDrive):
     """Driven qubit with rates frozen at their initial-splitting values.
 
@@ -99,7 +99,7 @@ def weak_coupling_rates(params: WeakCouplingParams) -> PCRates:
     )
 
 
-@dataclass(frozen=True)
+@record
 class CustomPCParams:
     """Qubit with constant rates gamma_plus, gamma_minus, gamma_z and the
     splitting omega(t) = omega0 + delta sin^2(Omega t)."""
@@ -126,7 +126,7 @@ def custom_pc_rates(params: CustomPCParams) -> PCRates:
     )
 
 
-@dataclass(frozen=True)
+@record
 class ClosedCoherentParams(_SinSquaredDrive):
     """Closed sinusoidal drive applied to a rotated thermal state.
 
@@ -150,7 +150,7 @@ class ClosedCoherentParams(_SinSquaredDrive):
             raise ConfigError("beta0, omega0 and Omega must be positive")
 
 
-@dataclass(frozen=True)
+@record
 class JCParams:
     """Qubit coupled to one bosonic mode under excitation exchange.
 

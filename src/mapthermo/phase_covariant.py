@@ -39,7 +39,6 @@ All cumulative integrals use the shared composite-Simpson policy from
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property, partial
 from typing import Callable
 
@@ -49,6 +48,7 @@ from .dynamics import MapTrajectory, map_derivatives
 from .errors import ConfigError, ConstructionError
 from .quadrature import (cumulative_exp_weighted, cumulative_simpson,
                          grid_spacing)
+from .records import record
 
 
 def _eval_on(f: Callable, times: np.ndarray) -> np.ndarray:
@@ -62,7 +62,7 @@ def constant_rate(value: float) -> Callable:
     return lambda t: np.full_like(np.asarray(t, dtype=float), value)
 
 
-@dataclass(frozen=True)
+@record
 class PCRates:
     """Time-dependent generator data for a phase-covariant qubit.
 
@@ -76,7 +76,7 @@ class PCRates:
     gamma_z: Callable = constant_rate(0.0)
 
 
-@dataclass(frozen=True, eq=False)
+@record(eq=False)
 class PCMapCoefficients:
     """Map coefficients, their time derivatives dc and dd_par, and rate
     samples on the grid (all arrays of length N+1)."""
@@ -97,7 +97,7 @@ class PCMapCoefficients:
     dd_par: np.ndarray
 
 
-@dataclass(frozen=True, eq=False)
+@record(eq=False)
 class PCThermo:
     """Path-dependent thermodynamic scalars on the grid."""
 
@@ -188,7 +188,7 @@ def pc_generator_transfer_matrix(omega, kappa, xi, gamma_z) -> np.ndarray:
 PC_PATTERN_TOL = 1e-7
 
 
-@dataclass(frozen=True, eq=False)
+@record(eq=False)
 class PCMapEntries:
     """Transfer-matrix entries a, b, c, d_par of a phase-covariant qubit
     trajectory and their time derivatives, as `pc_coefficients` reads them.

@@ -20,7 +20,6 @@ from __future__ import annotations
 import math
 import os
 import tempfile
-from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -44,12 +43,13 @@ from .models import (jc_reduced_map, vacuum_excited_population,
                      extract_pc_rates, exchange_factor_series)
 from .params import (ClosedCoherentParams, JCParams, WeakCouplingParams,
                      weak_coupling_rates)
+from .records import record
 
 GKSL_JUMPS = 2
 GKSL_JUMP_STRENGTH = 0.3
 
 
-@dataclass(frozen=True)
+@record
 class CheckResult:
     name: str
     passed: bool

@@ -76,6 +76,7 @@ def test_bench_startup_runs_against_a_source_tree(tmp_path):
             modules = rec[prefix + "modules"]
             assert "mapthermo.cli" in modules
             assert set(rec[prefix + "self_import_us"]) == set(modules)
+            assert rec[prefix + "stdlib_loaded"] == []
     wc, map_file = (set(run["scenarios"][s]["modules"])
                     for s in ("wc_cli", "custom_map_file"))
     assert "mapthermo.params" in wc and "mapthermo.models" not in wc

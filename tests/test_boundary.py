@@ -11,7 +11,6 @@ exit-2 message must name a `[section]` or a `path:line`.
 """
 
 import contextlib
-import dataclasses
 import io
 import re
 
@@ -25,6 +24,7 @@ from mapthermo.dynamics import save_map_trajectory
 from mapthermo.params import (DRIVE_MODES, WeakCouplingParams,
                               weak_coupling_rates)
 from mapthermo.phase_covariant import pc_trajectory
+from mapthermo.records import Field, fields
 
 FUZZ = settings(max_examples=120, deadline=None, derandomize=True)
 
@@ -33,7 +33,7 @@ ANY_FLOAT = st.floats(allow_nan=False, allow_infinity=False)
 NUMBER = st.one_of(st.floats(-4.0, 4.0), ANY_FLOAT, st.floats(0.01, 3.0))
 
 
-def _value(field: dataclasses.Field):
+def _value(field: Field):
     """A strategy for the config text of one parameter field."""
     if field.name == "drive_mode":
         return st.sampled_from(DRIVE_MODES + ("sideways",))
@@ -44,7 +44,7 @@ def _value(field: dataclasses.Field):
 
 def _section(cls) -> st.SearchStrategy:
     """Some of the fields of `cls`, each with a drawn value."""
-    keys = {f.name: _value(f) for f in dataclasses.fields(cls)}
+    keys = {f.name: _value(f) for f in fields(cls)}
     if "n_max" in keys:   # an explicit cutoff keeps every draw small
         return st.fixed_dictionaries({"n_max": keys.pop("n_max")},
                                      optional=keys)

@@ -1,4 +1,3 @@
-import dataclasses
 import math
 import os
 import re
@@ -19,6 +18,7 @@ from mapthermo.params import (ClosedCoherentParams, CustomPCParams, JCParams,
                               WeakCouplingParams, weak_coupling_rates)
 from mapthermo.operators import column_stacked
 from mapthermo.phase_covariant import pc_trajectory
+from mapthermo.records import fields, replace
 from mapthermo.validation import random_gksl_trajectory
 from reference import csv_lines
 
@@ -77,9 +77,9 @@ def test_an_empty_section_parses_to_the_params_defaults(tmp_path, model,
     assert cfg.tolerances == Tolerances()
     # the manifest echoes every field, each tagged as a default
     assert [(k, d) for k, _, d in cfg.entries[model]] == [
-        (f.name, True) for f in dataclasses.fields(params_class)]
+        (f.name, True) for f in fields(params_class)]
     assert [(k, d) for k, _, d in cfg.entries["tolerances"]] == [
-        (f.name, True) for f in dataclasses.fields(Tolerances)]
+        (f.name, True) for f in fields(Tolerances)]
 
 
 def test_parse_keys_are_case_sensitive(tmp_path):
@@ -708,6 +708,50 @@ def test_validate_fast_passes(capsys):
     assert "pass" in out and "fail" not in out
 
 
+# command lines only argparse reads: (argv, exit code, stream, fragments)
+ARGPARSE_LINES = {
+    "help": (["-h"], 0, "out", ["usage: mapthermo [-h] {run,validate,map-info}",
+                                "execute a scenario config"]),
+    "long_help": (["--help"], 0, "out", ["usage: mapthermo [-h]",
+                                         "diagnose a stored map-trajectory"]),
+    "run_help": (["run", "-h"], 0, "out", ["usage: mapthermo run [-h] config",
+                                           "INI scenario file"]),
+    "unknown_command": (["bogus"], 2, "err", [
+        "usage: mapthermo [-h]",
+        "mapthermo: error: argument command: invalid choice: 'bogus'"]),
+    "run_without_config": (["run"], 2, "err", [
+        "usage: mapthermo run [-h] config",
+        "mapthermo run: error: the following arguments are required: config"]),
+    "extra_argument": (["run", "a.ini", "b.ini"], 2, "err", [
+        "mapthermo: error: unrecognized arguments: b.ini"]),
+    "config_like_an_option": (["run", "-a.ini"], 2, "err", [
+        "usage: mapthermo run [-h] config",
+        "mapthermo run: error: the following arguments are required: config"]),
+}
+
+
+@pytest.mark.parametrize("argv, code, stream, fragments",
+                         list(ARGPARSE_LINES.values()), ids=list(ARGPARSE_LINES))
+def test_help_and_bad_command_lines_go_to_argparse(argv, code, stream,
+                                                   fragments, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == code
+    printed = getattr(capsys.readouterr(), stream)
+    for fragment in fragments:
+        assert fragment in printed
+
+
+def test_validate_takes_an_abbreviated_full(monkeypatch, capsys):
+    import mapthermo.validation
+    calls = []
+    monkeypatch.setattr(mapthermo.validation, "run_checks",
+                        lambda full: calls.append(full) or [])
+    assert main(["validate", "--fu"]) == 0
+    assert calls == [True]
+    assert "validate (full): 0/0 checks passed" in capsys.readouterr().out
+
+
 def test_map_info_reports_stored_trajectory(tmp_path, capsys):
     p = WeakCouplingParams()
     traj, _ = pc_trajectory(weak_coupling_rates(p), p.grid(16))
@@ -996,7 +1040,7 @@ def test_distribution_times_with_one_file_label_are_refused(tmp_path):
     # one request more on either row: every request of the file is named
     with pytest.raises(ConfigError, match=re.escape(
             "1.2, 1.200005, 1.2000048999999999 select")):
-        cli._distribution_indices(dataclasses.replace(
+        cli._distribution_indices(replace(
             cfg, distribution_times=(1.2, 1.200005, 1.2000049)), times)
 
 
@@ -1061,9 +1105,13 @@ def test_run_and_map_info_load_neither_scipy_nor_the_suite(tmp_path):
     assert proc.stdout.splitlines()[-1] == "loaded:"
 
 
-# the mapthermo modules a fresh interpreter holds after some cli steps, each
-# step a (command, argument) pair: "parse_config" or a subcommand
-_MODULES_PROBE = """\
+# standard modules a run must not load: dataclasses compiles each class's
+# methods with exec, argparse imports gettext, and building its parser locale
+STARTUP_STDLIB = {"argparse", "dataclasses", "gettext", "locale"}
+# the mapthermo modules and those of STARTUP_STDLIB a fresh interpreter holds
+# after some cli steps, each step a (command, argument) pair: "parse_config"
+# or a subcommand
+_MODULES_PROBE = f"""\
 import sys
 from mapthermo.cli import main, parse_config
 
@@ -1072,7 +1120,8 @@ for command, arg in zip(sys.argv[1::2], sys.argv[2::2]):
         parse_config(arg)
     else:
         assert main([command, arg]) == 0
-print(*sorted(m for m in sys.modules if m.startswith("mapthermo.")))
+print(*sorted(m for m in sys.modules
+              if m.startswith("mapthermo.") or m in {sorted(STARTUP_STDLIB)}))
 """
 MODEL_MODULES = {"mapthermo.params", "mapthermo.models",
                  "mapthermo.phase_covariant", "mapthermo.coherent"}
@@ -1100,9 +1149,11 @@ def test_a_map_file_run_and_map_info_load_no_model_module(tmp_path):
         [custom_map_file]
         path = stored.maps
     """)
+    assert not loaded_after("parse_config", cfg_path) & STARTUP_STDLIB
     loaded = loaded_after("run", cfg_path, "map-info", map_path)
     assert "mapthermo.dynamics" in loaded
     assert not loaded & MODEL_MODULES
+    assert not loaded & STARTUP_STDLIB
 
 
 def test_map_info_into_a_closed_pipe_exits_1_quietly(tmp_path):
@@ -1128,6 +1179,8 @@ def test_weak_coupling_loads_its_model_before_the_run(tmp_path):
     cfg_path = write_config(tmp_path, WEAK_BODY.format(out=tmp_path / "out"))
     loaded = loaded_after("parse_config", cfg_path)
     assert MODEL_MODULES - loaded == {"mapthermo.models", "mapthermo.coherent"}
+    assert not loaded & STARTUP_STDLIB
+    assert not loaded_after("run", cfg_path) & STARTUP_STDLIB
 
 
 def test_a_closed_coherent_run_loads_the_closed_drive(tmp_path):

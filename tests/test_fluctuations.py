@@ -1,6 +1,6 @@
-import dataclasses
 import math
 import re
+import warnings
 
 import numpy as np
 import numpy.testing as npt
@@ -28,6 +28,7 @@ from mapthermo.fluctuations import (
 )
 from mapthermo.models import jc_reduced_map
 from mapthermo.params import JCParams, WeakCouplingParams, weak_coupling_rates
+from mapthermo.records import fields, replace
 from mapthermo.observables import ThermoPipeline, mean_change
 from mapthermo.operators import (
     PAULI,
@@ -400,12 +401,12 @@ def test_report_invariant_check_catches_tampering():
     p = WeakCouplingParams()
     traj, _ = pc_trajectory(weak_coupling_rates(p), p.grid(50))
     rep = fluctuation_report(ThermoPipeline(traj), 50, p.beta)
-    broken = dataclasses.replace(rep, exp_avg_w=rep.exp_avg_w + 1e-3)
+    broken = replace(rep, exp_avg_w=rep.exp_avg_w + 1e-3)
     with pytest.raises(ConstructionError):
         broken.check_invariants()
-    inflated = dataclasses.replace(rep, lambda_w=rep.lambda_w_bound + 1.0,
-                                   exp_avg_w=(rep.lambda_w_bound + 1.0)
-                                   * np.exp(-p.beta * rep.delta_F_bar))
+    inflated = replace(rep, lambda_w=rep.lambda_w_bound + 1.0,
+                       exp_avg_w=(rep.lambda_w_bound + 1.0)
+                       * np.exp(-p.beta * rep.delta_F_bar))
     with pytest.raises(ConstructionError):
         inflated.check_invariants()
 
@@ -499,13 +500,13 @@ def test_table_invariant_check_names_the_failing_row_time():
     avg = table.exp_avg_w.copy()
     avg[k] += 1e-3
     with pytest.raises(ConstructionError, match=where):
-        dataclasses.replace(table, exp_avg_w=avg).check_invariants()
+        replace(table, exp_avg_w=avg).check_invariants()
     lw = table.lambda_w.copy()
     lw[k] = table.lambda_w_bound[k] + 1.0
     avg = table.exp_avg_w.copy()
     avg[k] = lw[k] * np.exp(-table.beta * table.delta_F_bar[k])
     with pytest.raises(ConstructionError, match=where + ".*exceeds its bound"):
-        dataclasses.replace(table, lambda_w=lw, exp_avg_w=avg).check_invariants()
+        replace(table, lambda_w=lw, exp_avg_w=avg).check_invariants()
     # NaN fails every comparison: a NaN cell fails its row by name, in the
     # table and in the row's report
     for name in ("lambda_w", "lambda_w_bound", "exp_avg_w", "delta_F_bar"):
@@ -513,20 +514,33 @@ def test_table_invariant_check_names_the_failing_row_time():
         col[k] = np.nan
         with pytest.raises(ConstructionError,
                            match=where + f" beta = .*: {name} is NaN"):
-            dataclasses.replace(table, **{name: col}).check_invariants()
+            replace(table, **{name: col}).check_invariants()
         with pytest.raises(ConstructionError, match=f": {name} is NaN"):
-            dataclasses.replace(table.row(k), **{name: np.nan}
-                                ).check_invariants()
+            replace(table.row(k), **{name: np.nan}).check_invariants()
     # infinite cells are judged as they were: inf - inf compares as NaN
     cells = {}
     for name in ("lambda_w", "lambda_w_bound", "exp_avg_w"):
         cells[name] = getattr(table, name).copy()
         cells[name][k] = np.inf
     with np.errstate(invalid="ignore"):
-        dataclasses.replace(table, **cells).check_invariants()
+        replace(table, **cells).check_invariants()
 
 
-TABLE_FIELDS = [f.name for f in dataclasses.fields(FluctuationTable)
+def test_an_infinite_row_passes_the_invariant_check_without_a_warning():
+    table = fluctuation_table(weak_coupling_pipeline(50), 1.3)
+    cells = {}
+    for name in ("lambda_w", "lambda_w_bound", "exp_avg_w"):
+        cells[name] = getattr(table, name).copy()
+        cells[name][5] = np.inf
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        replace(table, **cells).check_invariants()
+        # an infinite average against a finite lambda_w still fails its row
+        with pytest.raises(ConstructionError, match="exp average inf"):
+            replace(table, exp_avg_w=cells["exp_avg_w"]).check_invariants()
+
+
+TABLE_FIELDS = [f.name for f in fields(FluctuationTable)
                 if f.name != "beta"]
 
 
