@@ -106,7 +106,7 @@ class Tolerances:
             raise ValueError("invariant_tol must be a finite number > 0")
 
 
-@record(frozen=False)
+@record
 class ScenarioConfig:
     path: str  # the config file it was parsed from
     model: str

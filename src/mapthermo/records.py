@@ -4,9 +4,11 @@
 class-level defaults) into a record, as `dataclasses.dataclass` would: a
 constructor taking the fields by position or keyword, then calling
 `__post_init__` if the class has one; a repr naming each field; equality by
-value or by identity; and, for a frozen record, no assignment or deletion of
-attributes (`object.__setattr__` still sets them, and `cached_property`
-writes to the instance dict). The methods are closures over the field names,
+value or by identity; and no assignment or deletion of attributes
+(`object.__setattr__` still sets them, and `cached_property` writes to the
+instance dict). As with `dataclass`, whether the class has a
+`__post_init__` is settled when it is decorated, and the constructor then
+looks the method up on the instance each time. The methods are closures over the field names,
 so defining a record compiles no code: `dataclass` builds each class's
 methods from source with `exec`, about a millisecond a class, in every
 process that imports it.
@@ -35,13 +37,6 @@ def fields(cls_or_record) -> tuple[Field, ...]:
     return cls_or_record.__record_fields__
 
 
-def replace(obj, **changes):
-    """A new record of obj's class with obj's field values but `changes`,
-    built (and checked by `__post_init__`) as any other."""
-    values = {f.name: getattr(obj, f.name) for f in fields(obj)}
-    return type(obj)(**{**values, **changes})
-
-
 def _frozen_setattr(self, name, value):
     raise AttributeError(f"cannot assign to field {name!r}")
 
@@ -50,18 +45,17 @@ def _frozen_delattr(self, name):
     raise AttributeError(f"cannot delete field {name!r}")
 
 
-def record(cls=None, /, *, eq: bool = True, frozen: bool = True):
+def record(cls=None, /, *, eq: bool = True):
     """Make `cls` a record (module docstring). With eq, records of one
-    class are equal when their field values are, and a frozen one hashes
-    by them; without, equality and hash are identity. A record that is not
-    frozen and compares by value is unhashable."""
+    class are equal, and hash alike, when their field values are; without,
+    equality and hash are identity."""
     if cls is None:
-        return lambda c: record(c, eq=eq, frozen=frozen)
+        return lambda c: record(c, eq=eq)
 
     spec = tuple(Field(name, cls.__dict__.get(name, MISSING))
                  for name in cls.__annotations__)
     names = tuple(f.name for f in spec)
-    post_init = getattr(cls, "__post_init__", None)
+    has_post_init = hasattr(cls, "__post_init__")
     set_field = object.__setattr__
 
     def __init__(self, *args, **kwargs):
@@ -84,8 +78,8 @@ def record(cls=None, /, *, eq: bool = True, frozen: bool = True):
                     raise TypeError(f"{cls.__qualname__}() missing required "
                                     f"argument {f.name!r}")
                 set_field(self, f.name, f.default)
-        if post_init is not None:
-            post_init(self)
+        if has_post_init:
+            self.__post_init__()
 
     def values(self) -> tuple:
         return tuple(getattr(self, name) for name in names)
@@ -105,8 +99,7 @@ def record(cls=None, /, *, eq: bool = True, frozen: bool = True):
             return values(self) == values(other)
 
         cls.__eq__ = __eq__
-        cls.__hash__ = (lambda self: hash(values(self))) if frozen else None
-    if frozen:
-        cls.__setattr__ = _frozen_setattr
-        cls.__delattr__ = _frozen_delattr
+        cls.__hash__ = lambda self: hash(values(self))
+    cls.__setattr__ = _frozen_setattr
+    cls.__delattr__ = _frozen_delattr
     return cls

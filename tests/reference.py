@@ -22,7 +22,8 @@ stacked products, the two single-measurement conventions of the work and
 heat observables (`single_measure_final_work`, `single_measure_initial`),
 which the library's one convention reaches through `shifted_observable`,
 `one_state_tpms`, the two-point distribution of one state between two
-operators, and `gibbs_state` and `partition_function` of one Hamiltonian.
+operators, `gibbs_state` and `partition_function` of one Hamiltonian,
+and `replace`, a record with some fields changed.
 Operators and states are plain (d, d) arrays. Nothing in `src/mapthermo`
 calls them. The random states, Hamiltonians and unitaries are those of the
 acceptance checks (`mapthermo.validation`), imported here for the other
@@ -81,6 +82,7 @@ from mapthermo.phase_covariant import (
 )
 from mapthermo.quadrature import (cumulative_simpson, grid_spacing,
                                   stencil_derivative)
+from mapthermo.records import fields
 from mapthermo.validation import (random_density_matrix, random_hermitian,
                                   random_unitary)
 
@@ -958,3 +960,14 @@ def read_map_file_by_rows(path: str) -> tuple[np.ndarray, np.ndarray,
                 if stack is not None:   # re, im as written, -0.0 included
                     stack[k].reshape(-1).view(float)[:] = flat
     return times, maps, derivs
+
+
+# ---------------------------------------------------------------------------
+# Records with some fields changed (`mapthermo.records`)
+
+
+def replace(obj, **changes):
+    """A new record of obj's class with obj's field values but `changes`,
+    built (and checked by `__post_init__`) as any other."""
+    values = {f.name: getattr(obj, f.name) for f in fields(obj)}
+    return type(obj)(**{**values, **changes})

@@ -1,7 +1,7 @@
 """No input reaches a traceback: `mapthermo run` and `map-info`, in process,
 on drawn configs and on mutated map files.
 
-Every model section's keys are drawn from its parameter dataclass (floats
+Every model section's keys are drawn from its parameter record (floats
 over the whole finite range with both signs, ints, choices), with the
 scenario and tolerance keys beside them; sizes stay small (n_steps <= 64,
 n_max <= 6). Map files are a small valid d = 2 file with byte flips,

@@ -18,9 +18,9 @@ from mapthermo.params import (ClosedCoherentParams, CustomPCParams, JCParams,
                               WeakCouplingParams, weak_coupling_rates)
 from mapthermo.operators import column_stacked
 from mapthermo.phase_covariant import pc_trajectory
-from mapthermo.records import fields, replace
+from mapthermo.records import fields
 from mapthermo.validation import random_gksl_trajectory
-from reference import csv_lines
+from reference import csv_lines, replace
 
 
 def write_config(tmp_path, body, name="scenario.ini"):
