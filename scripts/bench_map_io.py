@@ -11,10 +11,16 @@ switched off (as where np.longdouble is not the x87 format),
 region) and an in-process `mapthermo run` of a `custom_map_file` scenario
 on the written file (each into a new out_dir, `bench_record.run_timer`),
 best of --repeats after one warm-up call each, and
-records the tracemalloc peak of one `read_map_file` call. The result is
-merged into a JSON file under --label, so runs of two source trees sit side
-by side, for example a parent commit and a change, each put first on
-PYTHONPATH:
+records the tracemalloc peak of one `read_map_file` call. Warm calls do not
+see what a fresh process pays the first time it reads a file (memory the
+allocator has not yet handed out, or has given back to the system, faults
+in page by page), which is what every `mapthermo run` pays: so --fresh
+samples, one new interpreter each, time the first `read_map_file` or the
+first `load_map_trajectory` call on the written file, with the minor page
+faults over the call (`ru_minflt`) and the child's peak resident size
+(VmHWM). The result is merged into a JSON file under --label, so runs of
+two source trees sit side by side, for example a parent commit and a
+change, each put first on PYTHONPATH:
 
     OPENBLAS_NUM_THREADS=1 taskset -c 1 \\
         env PYTHONPATH=src python scripts/bench_map_io.py --label change
@@ -24,7 +30,8 @@ With --against the src directory of a second tree (say a checkout of the
 parent commit), both trees are imported into one process, checked to read
 every file to the same bits and to write the same bytes, and their
 `read_map_file` calls alternate, so that each spelling gets a ratio per
-pair of calls, as do their `save_map_trajectory` calls.
+pair of calls, as do their `save_map_trajectory` calls and their fresh
+samples, which alternate between the trees too.
 
 BLAS thread variables and the usable CPUs are recorded, not set.
 """
@@ -33,7 +40,10 @@ import argparse
 import filecmp
 import functools
 import itertools
+import json
 import os
+import subprocess
+import sys
 import tempfile
 import time
 import tracemalloc
@@ -41,6 +51,7 @@ from unittest import mock
 
 import numpy as np
 
+import mapthermo
 import mapthermo.dynamics as dynamics
 from bench_record import (alternate, import_tree, ratio_summary,
                           record_run, run_timer, timed)
@@ -60,6 +71,54 @@ out_dir = {out_dir}
 [custom_map_file]
 path = trajectory.maps
 """
+
+
+FRESH_CALLS = ("read_map_file", "load_map_trajectory")
+# one fresh sample: the first call of `name` on `path` in a new interpreter
+# that imports the package from `src`; prints wall time, page faults, VmHWM
+FRESH_CHILD = """\
+import json, resource, sys, time
+src, name, path = sys.argv[1:]
+sys.path.insert(0, src)
+from mapthermo import dynamics
+call = getattr(dynamics, name)
+faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+start = time.perf_counter()
+call(path)
+wall = time.perf_counter() - start
+faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults
+with open("/proc/self/status") as fh:
+    hwm = next(int(line.split()[1]) for line in fh if line.startswith("VmHWM"))
+print(json.dumps({"s": wall, "minflt": faults, "vmhwm_kb": hwm}))
+"""
+
+
+def fresh_sample(src: str, name: str, path: str) -> dict:
+    """One fresh sample (FRESH_CHILD) of the tree under `src`."""
+    out = subprocess.run([sys.executable, "-c", FRESH_CHILD, src, name, path],
+                         check=True, capture_output=True, text=True).stdout
+    return json.loads(out)
+
+
+def fresh_samples(trees: dict, path: str, samples: int) -> dict:
+    """`samples` fresh samples of each call for each tree (name: src), the
+    trees and calls taking turns, the first tree swapped each round, as
+    lists per tree, call and field."""
+    result = {tree: {name: {"s": [], "minflt": [], "vmhwm_kb": []}
+                     for name in FRESH_CALLS} for tree in trees}
+    for i in range(samples):
+        for tree, src in list(trees.items())[::(-1) ** i]:
+            for name in FRESH_CALLS:
+                for key, value in fresh_sample(src, name, path).items():
+                    result[tree][name][key].append(value)
+    return result
+
+
+def fresh_summary(runs: dict) -> dict:
+    """The median of each field of `fresh_samples`' lists, beside them."""
+    return {name: {**fields, **{f"{key}_median": float(np.median(values))
+                                for key, values in fields.items()}}
+            for name, fields in runs.items()}
 
 
 def wall_times(call, repeats: int) -> list[float]:
@@ -134,7 +193,7 @@ def against(paths: dict, traj, work_dir: str, src: str,
 
 
 def measure(work_dir: str, dim: int, n_steps: int, repeats: int,
-            against_src: str | None) -> dict:
+            fresh: int, against_src: str | None) -> dict:
     traj = random_gksl_trajectory(dim, np.random.default_rng(SEED),
                                   np.linspace(0.0, 1.0, n_steps + 1))
     map_path = os.path.join(work_dir, "trajectory.maps")
@@ -165,9 +224,22 @@ def measure(work_dir: str, dim: int, n_steps: int, repeats: int,
               "save_map_trajectory_s_best": min(save_walls),
               "save_map_trajectory_s": save_walls,
               "run_s_best": min(run_walls), "run_s": run_walls}
+    trees = {"ours": os.path.dirname(os.path.dirname(mapthermo.__file__))}
+    if against_src:
+        trees["theirs"] = against_src
+    runs = fresh_samples(trees, map_path, fresh)
+    result["fresh"] = fresh_summary(runs["ours"])
     if against_src:
         result["against"] = against(paths, traj, work_dir, against_src,
                                     repeats)
+        result["fresh_against"] = {
+            name: {**ratio_summary(runs["ours"][name]["s"],
+                                   runs["theirs"][name]["s"]),
+                   "minflt": runs["ours"][name]["minflt"],
+                   "against_minflt": runs["theirs"][name]["minflt"],
+                   "vmhwm_kb": runs["ours"][name]["vmhwm_kb"],
+                   "against_vmhwm_kb": runs["theirs"][name]["vmhwm_kb"]}
+            for name in FRESH_CALLS}
     return result
 
 
@@ -183,6 +255,8 @@ def main() -> None:
     ap.add_argument("--steps", type=int, default=N_STEPS,
                     help="grid steps N of the trajectory")
     ap.add_argument("--repeats", type=int, default=5)
+    ap.add_argument("--fresh", type=int, default=5,
+                    help="fresh-process samples of each first call")
     ap.add_argument("--against", metavar="SRC",
                     help="the src directory of a second source tree: time "
                          "its read_map_file and save_map_trajectory in "
@@ -191,7 +265,7 @@ def main() -> None:
 
     with tempfile.TemporaryDirectory() as work_dir:
         result = measure(work_dir, args.dim, args.steps, args.repeats,
-                         args.against)
+                         args.fresh, args.against)
     reads = ", ".join(f"{name} {best:.3f} s" for name, best
                       in result["read_map_file_s_best"].items())
     print(f"read_map_file best: {reads} (peak "
@@ -199,12 +273,18 @@ def main() -> None:
           f"save_map_trajectory best "
           f"{result['save_map_trajectory_s_best']:.3f} s; "
           f"run best {result['run_s_best']:.3f} s")
-    for name, pair in result.get("against", {}).items():
+    for name, fields in result["fresh"].items():
+        print(f"fresh {name}: median {fields['s_median']:.3f} s, "
+              f"{fields['minflt_median']:.0f} minor faults, VmHWM "
+              f"{fields['vmhwm_kb_median'] / 1024:.1f} MB")
+    for name, pair in {**result.get("against", {}), **{
+            f"fresh {name}": pair for name, pair
+            in result.get("fresh_against", {}).items()}}.items():
         print(f"{name}: {pair['ratio_median']:.3f} of the other tree's "
-              f"time, faster in {pair['faster_in']} of {args.repeats}")
-    record_run(args.out, "map-file parsing and writing and mapthermo run "
-                         "on the gksl_file shape", args.label, "map_io",
-               result)
+              f"time, faster in {pair['faster_in']} of {len(pair['s'])}")
+    record_run(args.out, "map-file parsing and writing, first calls in fresh "
+                         "processes, and mapthermo run on the gksl_file "
+                         "shape", args.label, "map_io", result)
 
 
 if __name__ == "__main__":

@@ -27,10 +27,9 @@ fails first in strongly dissipative or resonant regimes.
 
 from __future__ import annotations
 
-import itertools
 import math
 import os
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 
@@ -287,15 +286,21 @@ def save_map_trajectory(traj: MapTrajectory, path: str) -> None:
 # 11 bits the cast drops are then 0x400). For 27 < |q| <= 54 a second step
 # by 10^(|q| - 27) rounds again; as each errs by at most 2^-64 relative,
 # the result is within 2 ulps of M * 10^q, and the cast is correct unless
-# the dropped bits are within 2 of 0x400. Other cells, such cells and, where
-# np.longdouble is not the x87 format, all cells go to float().
+# the dropped bits are within 2 of 0x400. A signed cell takes -10^|q| for
+# 10^|q| (rounding is symmetric, and "-0.0...e+00" reads as -0.0). Other
+# cells, such cells and, where np.longdouble is not the x87 format, all
+# cells go to float().
 
 _CELL = 22          # bytes of an unsigned canonical cell
 _MAX_Q = 27         # 5^27 < 2^64: 10^q is exact for |q| <= 27
 _POW10 = np.cumprod(np.full(_MAX_Q + 1, 10, np.longdouble)) / 10
-_READ_BUFFER = 1 << 19   # bytes buffered, several data rows of a d = 6 file
-_BLOCK_CELLS = 1 << 14   # cells per block of rows the reader parses at a
-                         # time: its temporaries stay in cache
+_READ_BUFFER = 1 << 19   # bytes asked of the file at a time
+_BLOCK_CELLS = 1 << 14   # cells of a block, at 16 to 32 bytes a cell: the
+                         # whole lines in one buffer of 32 * _BLOCK_CELLS
+                         # bytes (four data rows of a d = 6 file)
+_GATHER = 1 << 11        # cells whose 32 bytes are gathered at a time
+_FLOAT_CELLS = 1 << 12   # cells float() reads at a time where the kernel
+                         # does not run: their strings stay in cache
 
 # whether np.longdouble is the x87 format the kernel relies on: a 64-bit
 # significand, stored first in 16 bytes, and exact products (of 64 bits)
@@ -303,96 +308,191 @@ _EXACT = (np.finfo(np.longdouble).nmant == 63
           and np.dtype(np.longdouble).itemsize == 16
           and int((np.array([2**32 + 1], np.longdouble) * (2**31 + 1))
                   .view(_U64)[0]) == (2**32 + 1) * (2**31 + 1))
+# less "0" from the 16 digits, and "+" and "0" from the exponent's word
+_DIGIT_BASE = np.array([[_ASCII], [_ASCII], [_U64(0x30302B0000000000)]])
 
 
-def _canonical_cells(data: bytes, starts: np.ndarray,
-                     ends: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+@cache
+def _exponent_tables() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """By the exponent key j = 1000 n + 100 s + e of a cell (n = 1 if
+    signed, s = 0 for "e+", 2 for "e-", e the exponent's two digits): the
+    kind of cell (0 not read, 1 one division, 2 a product or a second
+    step), its q and its first step, -10^min(|q|, 27) if signed. Made at
+    the first kernel call: the numpy code it runs would page in, at
+    import, for runs that read no map file."""
+    n, s = np.divmod(np.arange(2000), 1000)
+    s, e = np.divmod(s, 100)
+    q = np.where(s == 2, -e, e) - 16
+    kind = np.select([(s != 0) & (s != 2), np.abs(q) > 2 * _MAX_Q,
+                      (q <= 0) & (q >= -_MAX_Q)], [0, 0, 1], 2)
+    step = np.where(n, -1, 1) * _POW10[np.minimum(np.abs(q), _MAX_Q)]
+    return kind.astype(np.int8), q, step
+
+
+class _Scratch:
+    """Arrays that a reader writes with out= and reuses from block to
+    block: each is made at the first size asked of it and made again only
+    for a larger one, so reading a file allocates them a few times."""
+
+    def __init__(self):
+        self._flat = {}
+
+    def get(self, name: str, dtype, *shape: int) -> np.ndarray:
+        size = math.prod(shape)
+        flat = self._flat.get(name)
+        if flat is None or flat.size < size:   # an eighth to spare
+            flat = self._flat[name] = np.empty((size + size // 8,), dtype)
+        return flat[:size].reshape(shape)
+
+
+def _canonical_cells(data, starts: np.ndarray, ends: np.ndarray,
+                     scratch: _Scratch | None = None,
+                     ) -> tuple[np.ndarray, np.ndarray]:
     """Values of the cells data[starts:ends] and the indices of those not
-    read exactly, which hold garbage. Needs `_EXACT` and 32 bytes of data."""
-    neg = ends - starts == _CELL + 1
-    # 32 bytes from 6 before the first digit, where they lie in the data, as
-    # words "_____-d." "dddddddd" "dddddddd" "e+dd____", the "-" if signed
-    at = starts + neg - 6
-    ok = (ends - starts == _CELL + neg) & (at >= 0) & (at <= len(data) - 32)
-    w = np.ndarray((len(data) - 31,), "V32", buffer=data, strides=(1,))[
-        np.clip(at, 0, len(data) - 32)].view(_U64).reshape(-1, 4).T.copy()
-    lead = w[0] >> _U64(48)                    # "d."
-    tag = (w[3] & _U64(0xFFFF)) | _U64(0x20)   # "e+" or "e-", "E" as "e"
-    ok &= ((lead - _U64(0x2E30) <= _U64(9))
-           & (~neg | ((w[0] >> _U64(40)) & _U64(0xFF) == ord("-")))
-           & ((tag == _U64(0x2B65)) | (tag == _U64(0x2D65))))
-    # the 16 digits, then the exponent's as "000000dd", less "0": all are
-    # digits where no byte borrows or tops 9, so adding 0x76 sets no top bit
-    w[3] = ((w[3] << _U64(32)) & _U64(0xFFFF << 48)) | _U64(0x303030303030)
-    w = w[1:] - _ASCII
-    ok &= (((w | (w + _U64(0x7676767676767676)))
-            & _U64(0x8080808080808080)) == 0).all(axis=0)
+    read exactly, which hold garbage. Needs `_EXACT` and 32 bytes of data.
+    The values, and each intermediate of more than a few kB, are arrays of
+    `scratch` (a new one if None), written with out=."""
+    n = ends.size
+    work = _Scratch() if scratch is None else scratch
+    at = work.get("at", np.int64, n)
+    w = work.get("words", _U64, 4, n)
+    x, y = work.get("u64", _U64, 2, n)
+    ok, neg, flag = work.get("flags", bool, 3, n)
+    # 32 bytes from 28 before each cell's end, where they lie in the data,
+    # as words "_____-d." "dddddddd" "dddddddd" "e+dd____", the "-" if signed
+    np.subtract(ends, 28, out=at)
+    lo, hi = at.searchsorted(0), at.searchsorted(len(data) - 32, "right")
+    np.clip(at, 0, len(data) - 32, out=at)
+    cells = np.ndarray((len(data) - 31,), "V32", buffer=data, strides=(1,))
+    for k in range(0, n, _GATHER):
+        w[:, k:k + _GATHER] = cells[at[k:k + _GATHER]].view(_U64).reshape(
+            -1, 4).T
+    # the byte before "d." ("-" if signed) plus 256 d, where "d." is a digit
+    # and a point: less than 0xA00 then
+    np.right_shift(w[0], 40, out=x)
+    np.subtract(x, 0x2E3000, out=x)
+    np.bitwise_and(x, 0xFF, out=y)
+    np.equal(y, ord("-"), out=neg)
+    np.subtract(ends, starts, out=at)   # 22 bytes, 23 with the "-"
+    np.subtract(at, neg, out=at)
+    np.equal(at, _CELL, out=ok)
+    ok[:lo] = ok[hi:] = False
+    np.less(x, 0xA00, out=flag)
+    ok &= flag
+    np.right_shift(x, 8, out=x)   # the first digit
+    np.bitwise_and(w[3], 0xDF, out=y)
+    np.equal(y, ord("E"), out=flag)
+    ok &= flag
+    # the 16 digits, and the exponent as the word "00000sdd", less "0" (and
+    # "+" from its sign): all are digits where no byte borrows or tops 9,
+    # so adding 0x76 sets no top bit
+    np.left_shift(w[3], 32, out=w[3])
+    np.bitwise_and(w[3], _U64(0xFFFFFF << 40), out=w[3])
+    v = w[1:]
+    np.subtract(v, _DIGIT_BASE, out=v)
+    t = work.get("digits", _U64, 3, n)
+    np.add(v, _U64(0x7676767676767676), out=t)
+    np.bitwise_or(t, v, out=t)
+    np.bitwise_or.reduce(t, axis=0, out=y)
+    np.bitwise_and(y, _U64(0x8080808080808080), out=y)
+    np.equal(y, 0, out=flag)
+    ok &= flag
     # each word's number (first digit in the lowest byte): pairs, quads, all
-    w = (w * _U64(10 * 256 + 1)) >> _U64(8)
-    w = ((w & _U64(0x00FF00FF00FF00FF)) * _U64(100 * 65536 + 1)) >> _U64(16)
-    w = ((w & _U64(0x0000FFFF0000FFFF)) * _U64(10000 * 2**32 + 1)) >> _U64(32)
-    q = np.where(tag == _U64(0x2D65), -1, 1) * w[2].astype(np.int64) - 16
-    aq = np.abs(q)
-    ok &= aq <= 2 * _MAX_Q
-    w = ((lead & _U64(0xF)) * _U64(10**16) + w[0] * _U64(10**8)
-         + w[1]).astype(np.longdouble)   # the 17 digits, M
-    r = w / _POW10[np.minimum(aq, _MAX_Q)]   # q < 0 in most cells
-    up = np.flatnonzero(q > 0)
-    r[up] = w[up] * _POW10[np.minimum(aq[up], _MAX_Q)]
-    far = np.flatnonzero(ok & (aq > _MAX_Q))   # the second step
-    scale = _POW10[aq[far] - _MAX_Q]
-    r[far] = np.where(q[far] < 0, r[far] / scale, r[far] * scale)
-    w = r.view(_U64)[0::2] & _U64(0x7FF)   # the bits the cast drops
-    ok &= w != _U64(0x400)
-    ok[far] &= np.abs(w[far].astype(np.int64) - 0x400) > 2
-    return r.astype(np.float64) * np.where(neg, -1.0, 1.0), np.flatnonzero(~ok)
+    np.multiply(v, 10 * 256 + 1, out=v)
+    np.right_shift(v, 8, out=v)
+    np.bitwise_and(v, _U64(0x00FF00FF00FF00FF), out=v)
+    np.multiply(v, 100 * 65536 + 1, out=v)
+    np.right_shift(v, 16, out=v)
+    np.bitwise_and(v, _U64(0x0000FFFF0000FFFF), out=v)
+    np.multiply(v, _U64(10000 * 2**32 + 1), out=v)
+    np.right_shift(v, 32, out=v)
+    # M, the 17 digits, and the exponent key
+    np.multiply(x, _U64(10**16), out=x)
+    np.multiply(w[1], _U64(10**8), out=y)
+    np.add(x, y, out=x)
+    np.add(x, w[2], out=x)
+    np.multiply(neg, _U64(1000), out=y)
+    key = np.add(w[3], y, out=w[3]).view(np.int64)
+    kinds, qs, steps = _exponent_tables()
+    kind = np.take(kinds, key, out=work.get("kind", np.int8, n), mode="clip")
+    np.logical_and(ok, kind, out=ok)
+    r = np.take(steps, key, out=work.get("long", np.longdouble, n),
+                mode="clip")
+    np.divide(x, r, out=r)   # q <= 0 in most cells
+    odd = np.flatnonzero(np.equal(kind, 2, out=flag))
+    q = qs[key[odd]]
+    up = odd[q > 0]
+    r[up] = x[up] * steps[key[up]]
+    far, q = odd[np.abs(q) > _MAX_Q], q[np.abs(q) > _MAX_Q]   # second step
+    scale = _POW10[np.abs(q) - _MAX_Q]
+    r[far] = np.where(q < 0, r[far] / scale, r[far] * scale)
+    np.bitwise_and(r.view(_U64)[0::2], 0x7FF, out=y)   # the cast drops them
+    np.not_equal(y, 0x400, out=flag)
+    ok &= flag
+    ok[far] &= np.abs(y[far].astype(np.int64) - 0x400) > 2
+    vals = work.get("values", np.float64, n)
+    np.copyto(vals, r, casting="same_kind")
+    return vals, np.flatnonzero(np.logical_not(ok, out=flag))
 
 
-def _read_rows(path: str, lineno: int, data: bytes, a: int, b: int,
-               cols: int) -> np.ndarray:
+def _read_rows(path: str, lineno: int, data, a: int, b: int, cols: int,
+               scratch: _Scratch | None = None) -> np.ndarray:
     """The lines data[a:b] from line `lineno` on as a (rows, cols) array,
     each cell read as float() reads it; ConstructionError names the first
     row with other columns, a cell float() refuses or a value that is not
     finite, whichever row comes first. The kernel (about 0.2 of float()'s
     time) runs where the cells average a written cell's width; float()
     reads the cells it leaves one by one (1.5 times their share) if they
-    are at most two thirds, else all."""
+    are at most two thirds, else all. The array may be one of `scratch`,
+    valid until its next use."""
+    work = _Scratch() if scratch is None else scratch
     buf = np.frombuffer(data, np.uint8, b - a, a)
-    ends = np.flatnonzero((buf == ord(",")) | (buf == ord("\n")))
-    rows = np.flatnonzero(buf[ends] == ord("\n"))   # the cells ending rows
+    sep, eol = work.get("masks", bool, 2, b - a)
+    np.equal(buf, ord(","), out=sep)
+    np.equal(buf, ord("\n"), out=eol)
+    ends = np.flatnonzero(np.logical_or(sep, eol, out=sep))
+    rows = np.flatnonzero(eol[ends])   # the cells ending rows
     n = ends.size
     if n != rows.size * cols or np.any(rows % cols != cols - 1):
         got = np.diff(rows, prepend=-1)
         r = np.flatnonzero(got != cols)[0]
         if r:   # a fault in a row before it comes first
-            _read_rows(path, lineno, data, a, a + ends[rows[r - 1]] + 1, cols)
+            _read_rows(path, lineno, data, a, a + ends[rows[r - 1]] + 1, cols,
+                       work)
         raise ConstructionError(f"{path}:{lineno + r}: expected {cols} "
                                 f"columns, got {got[r]}")
     ends += a
-    starts = np.concatenate(([a], ends[:-1] + 1))
-    bad = ends   # every cell, where the kernel does not run
+    bad = None
     if _EXACT and len(data) >= 32 and 22 * n <= b - a <= 25 * n:
-        vals, bad = _canonical_cells(data, starts, ends)
+        starts = work.get("starts", np.int64, n)
+        starts[0] = a
+        np.add(ends[:-1], 1, out=starts[1:])
+        vals, bad = _canonical_cells(data, starts, ends, work)
     try:
-        if 3 * bad.size <= 2 * n:
+        if bad is not None and 3 * bad.size <= 2 * n:
             vals[bad] = [float(data[s:e].decode()) for s, e in
                          zip(starts[bad].tolist(), ends[bad].tolist())]
-        else:
-            text = data[a:b - 1].decode().replace("\n", ",")
-            vals = np.fromiter(map(float, text.split(",")), np.float64, n)
+        else:   # a few thousand cells at a time, as their strings pile up
+            vals, bad = work.get("values", np.float64, n), slice(None)
+            for i in range(0, n, _FLOAT_CELLS):
+                j = min(i + _FLOAT_CELLS, n)
+                text = str(memoryview(data)[ends[i - 1] + 1 if i else a:
+                                            ends[j - 1]], "utf-8")
+                vals[i:j] = np.fromiter(map(float, text.replace(
+                    "\n", ",").split(",")), np.float64, j - i)
     except ValueError:   # UnicodeDecodeError included
         if rows.size == 1:
             raise ConstructionError(f"{path}:{lineno}: row is not "
                                     "comma-separated numbers") from None
         for r, end in enumerate((ends[rows] + 1).tolist()):
-            _read_rows(path, lineno + r, data, a, end, cols)
+            _read_rows(path, lineno + r, data, a, end, cols, work)
             a = end
         raise
     vals = vals.reshape(-1, cols)
-    bad = np.flatnonzero(~np.isfinite(vals).all(axis=1))
-    if bad.size:
-        raise ConstructionError(f"{path}:{lineno + bad[0]}: row holds a "
-                                "value that is not finite")
+    if not np.isfinite(vals.reshape(-1)[bad]).all():   # the kernel's are
+        r = np.flatnonzero(~np.isfinite(vals).all(axis=1))[0]
+        raise ConstructionError(f"{path}:{lineno + r}: row holds a value "
+                                "that is not finite")
     return vals
 
 
@@ -426,27 +526,50 @@ def _header_line(path: str, lineno: int, raw: bytes, header: dict,
     return lineno > 1 and bool(line) and not line.startswith("#")
 
 
-def _data_rows(path: str, header: dict):
+def _data_rows(path: str, header: dict, scratch: _Scratch | None = None):
     """The data rows of a map file as (lineno, rows, data, a, b): `rows`
     lines data[a:b] from line `lineno` on, the header (and at the end the
-    line count, "lines") read into `header`. Blocks of whole lines of
-    16 * _BLOCK_CELLS bytes or more are read at a time; lines end as in
-    text mode, and runs of rows starting with a digit or '-' go whole."""
+    line count, "lines") read into `header`. Each byte is read once, into
+    one buffer of 32 * _BLOCK_CELLS bytes whose whole lines make a block
+    (a part line moves to its front), doubled only while they fill less
+    than half of it, as for a line longer than that; `data` is that buffer,
+    valid until the next block. Lines end as in text mode, and runs of rows
+    starting with a digit or '-' go whole."""
+    scratch = _Scratch() if scratch is None else scratch
     lineno, seen = 0, False
-    with open(path, "rb", buffering=_READ_BUFFER) as fh:
-        while lines := fh.readlines(16 * _BLOCK_CELLS):
-            data = b"".join(lines)
-            if b"\r" in data or not data.endswith(b"\n"):
-                data = data.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
-                data += b"\n" * (data[-1:] != b"\n")
-                lines = data.splitlines(True)
-            ends = list(itertools.accumulate(map(len, lines)))
-            del lines   # as large as data, and not needed while it is read
-            starts = [0, *ends[:-1]]
-            head = np.frombuffer(data, np.uint8)[starts]
+    buf, have, more = bytearray(32 * _BLOCK_CELLS), 0, True
+    with open(path, "rb", buffering=0) as fh:
+        while True:
+            while more and have < len(buf):
+                with memoryview(buf) as free:
+                    got = fh.readinto(free[have:have + _READ_BUFFER])
+                more, have = got > 0, have + got
+            if not have:
+                break
+            # whole lines: to the last line end, but not to a "\r" last in
+            # the buffer, which may begin a "\r\n"
+            end = buf.rfind(b"\n", 0, have)
+            end = max(end, buf.rfind(b"\r", end + 1, have - more)) + 1
+            if not more and end < have:   # the last line, without its end
+                buf = buf + b"\n" if have == len(buf) else buf
+                buf[have] = ord("\n")
+                have = end = have + 1
+            if more and 2 * end < len(buf):   # too few whole lines
+                buf = buf + bytes(len(buf))
+                continue
+            data, size = buf, end
+            if buf.find(b"\r", 0, end) >= 0:
+                data = buf[:end].replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+                size = len(data)
+            view = np.frombuffer(data, np.uint8, size)
+            eol = np.flatnonzero(np.equal(
+                view, ord("\n"), out=scratch.get("masks", bool, size)))
+            starts = np.concatenate(([0], eol[:-1] + 1))
+            head = view[starts]
             plain = (head - ord("0") <= 9) | (head == ord("-"))
             plain[0] &= lineno > 0
-            runs = [0, *(np.diff(plain).nonzero()[0] + 1).tolist(), len(ends)]
+            runs = [0, *(np.diff(plain).nonzero()[0] + 1).tolist(), eol.size]
+            starts, ends = starts.tolist(), (eol + 1).tolist()
             for i, j in zip(runs, runs[1:]):   # lines i..j-1, all plain or not
                 if plain[i]:
                     yield lineno + 1, j - i, data, starts[i], ends[j - 1]
@@ -456,6 +579,9 @@ def _data_rows(path: str, header: dict):
                     if _header_line(path, lineno, data[s:e], header, seen):
                         yield lineno, 1, data, s, e
                         seen = True
+            with memoryview(buf) as whole:   # the part line to the front
+                whole[:have - end] = whole[end:have]
+            have -= end
     header["lines"] = lineno
 
 
@@ -463,21 +589,29 @@ def read_map_file(path: str) -> tuple[np.ndarray, np.ndarray,
                                       np.ndarray | None]:
     """Parse the text format into the times and (n, d^2, d^2) stacks of maps
     and (when present) derivatives, without validating a trajectory, for
-    diagnostics on imperfect files. One pass parses each run of rows into
-    stacks sized by the first run (or one they cannot hold), plus an
-    eighth: in `repr` spellings the early rows can be longer than the
-    file's average (by 7 % in a d = 2 GKSL file). The stacks are cut to
-    their rows in place at the end, and the pages past the last row are
-    never written. A run of several rows is sized by its rows after the
-    first: the t = 0 row often spells the identity map in short cells."""
+    diagnostics on imperfect files. One pass reads the file block by block
+    into one reused buffer (`_data_rows`; the file is never read whole),
+    and the kernel's intermediates live in arrays made once per file and
+    reused for every block (`_Scratch`), so that the working memory beyond
+    the stacks is about ten bytes per byte of the buffer (5 MB where rows
+    fit 256 kB, as at d <= 6) whatever the file's size. Each run of rows
+    is parsed into stacks sized by the first run (or one they cannot
+    hold), plus an eighth: in `repr` spellings the early rows can be longer
+    than the file's average (by 7 % in a d = 2 GKSL file). The stacks are
+    cut to their rows in place at the end, and the pages past the last row
+    are never written. A run of several rows is sized by its rows after
+    the first: the t = 0 row often spells the identity map in short
+    cells."""
     header, n, stacks, left = {}, 0, [np.empty(0)], os.path.getsize(path)
-    for lineno, rows, data, a, b in _data_rows(path, header):
+    scratch = _Scratch()
+    for lineno, rows, data, a, b in _data_rows(path, header, scratch):
         if "dim" not in header:
             raise ConstructionError(
                 f"{path}:{lineno}: data row before the dim header line")
         d2, has_d, left = header["dim"] ** 2, header["has_d"], left - (b - a)
         cells = 2 * d2 * d2   # of a map, and of its derivative
-        vals = _read_rows(path, lineno, data, a, b, 1 + cells * (1 + has_d))
+        vals = _read_rows(path, lineno, data, a, b, 1 + cells * (1 + has_d),
+                          scratch)
         if n + rows > len(stacks[0]):   # the rows the bytes left hold
             used, per = b - a, rows
             if rows > 1:

@@ -289,13 +289,27 @@ def column_stacked(r: np.ndarray, dynamical: bool = False) -> np.ndarray:
 
 
 def _changed(m: np.ndarray, dynamical: bool, inverse: bool) -> np.ndarray:
-    """`basis_maps` of a complex stack, or `column_stacked` if `inverse`."""
-    flat = hermitian_basis(math.isqrt(m.shape[-1])).reshape(m.shape[-1], -1)
+    """`basis_maps` of a complex stack, or `column_stacked` if `inverse`:
+    left @ m @ right (of m - 1, plus 1, if `dynamical`), one `stack_blocks`
+    block at a time into one new array, so that no temporary is larger
+    than a block; each matrix gets the bits it gets alone."""
+    side = m.shape[-1]
+    flat = hermitian_basis(math.isqrt(side)).reshape(side, -1)
     left, right = (flat.conj().T, flat) if inverse else (flat, flat.conj().T)
-    if not dynamical:
-        return left @ m @ right
-    eye = np.eye(m.shape[-1])
-    return left @ (m - eye) @ right + eye
+    stack = np.asarray(m).reshape(-1, side, side)
+    out = np.empty(stack.shape, complex)
+    blocks = stack_blocks(len(stack), side)
+    work = np.empty((2, blocks[0].stop if blocks else 0, side, side),
+                    complex)
+    eye = np.eye(side)
+    for blk in blocks:
+        x, y = work[:, :blk.stop - blk.start]
+        part = np.subtract(stack[blk], eye, out=x) if dynamical else stack[blk]
+        np.matmul(left, part, out=y)
+        np.matmul(y, right, out=out[blk])
+        if dynamical:
+            out[blk] += eye
+    return out.reshape(np.shape(m))
 
 
 @cache

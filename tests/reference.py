@@ -76,6 +76,7 @@ from mapthermo.observables import shifted_observable
 from mapthermo.phase_covariant import (
     PCMapCoefficients,
     PCRates,
+    PCThermo,
     constant_rate,
     pc_generator_transfer_matrix,
     pc_transfer_matrices,
@@ -374,6 +375,23 @@ def pc_generator(omega: float, kappa: float, xi: float,
                  gamma_z: float) -> Superoperator:
     return superop_from_pauli_transfer(
         pc_generator_transfer_matrix(omega, kappa, xi, gamma_z))
+
+
+def pc_exp_avg_q(thermo: PCThermo, coeffs: PCMapCoefficients,
+                 beta: float) -> np.ndarray:
+    """<e^{-beta q}> = Tr{e^{-beta P(t)} Phi_t[rho(0)]} in closed form, for
+    rho(0) the Gibbs state of K(0) = omega(0) sz / 2: with P(t) = P0 1 +
+    P3 sz and <sz>_t = c + d_par v_z, v_z = -tanh(beta omega(0)/2),
+
+        <e^{-beta q}> = e^{-beta P0} [cosh(beta P3) - (c + d_par v_z)
+                                      sinh(beta P3)].
+
+    P0 and P3 come from `pc_thermo`'s closed-form integrands, not from
+    the pipeline's path operator, and no spectrum is taken."""
+    v_z = -np.tanh(beta * coeffs.omega[0] / 2.0)
+    bp3 = beta * thermo.P3
+    return np.exp(-beta * thermo.P0) * (
+        np.cosh(bp3) - (coeffs.c + coeffs.d_par * v_z) * np.sinh(bp3))
 
 
 # General dimension: population transfer matrix F(t) (real, columns summing

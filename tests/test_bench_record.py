@@ -48,12 +48,21 @@ def test_bench_map_io_runs_against_a_source_tree(tmp_path):
         filter(None, [src, os.environ.get("PYTHONPATH")])))
     subprocess.run([sys.executable, str(ROOT / "scripts" / "bench_map_io.py"),
                     "--label", "smoke", "--out", str(out), "--dim", "2",
-                    "--steps", "8", "--repeats", "1", "--against", src],
+                    "--steps", "8", "--repeats", "1", "--fresh", "1",
+                    "--against", src],
                    env=env, cwd=tmp_path, check=True, capture_output=True)
     run = json.loads(out.read_text())["runs"]["smoke"]["map_io"]
     assert (run["dim"], run["n_steps"]) == (2, 8)
     assert set(run["against"]) == {"written", "repr", "g17",
                                    "written_gate_off", "save_map_trajectory"}
+    # one fresh process per first call and tree, with its faults and peak
+    calls = {"read_map_file", "load_map_trajectory"}
+    assert set(run["fresh"]) == set(run["fresh_against"]) == calls
+    for name in calls:
+        assert len(run["fresh"][name]["s"]) == 1
+        assert run["fresh"][name]["minflt_median"] > 0
+        assert run["fresh"][name]["vmhwm_kb_median"] > 0
+        assert len(run["fresh_against"][name]["against_minflt"]) == 1
 
 
 def test_bench_startup_runs_against_a_source_tree(tmp_path):

@@ -1,6 +1,7 @@
 import io
 import itertools
 import os
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -767,11 +768,13 @@ def map_files(draw):
 @settings(max_examples=80, deadline=None, derandomize=True,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(map_files(), sampled_from([1, 3, dynamics._BLOCK_CELLS]),
-       sampled_from([16, 100, dynamics._READ_BUFFER]))
+       sampled_from([16, 100, dynamics._READ_BUFFER]),
+       sampled_from([1, 3, dynamics._FLOAT_CELLS]))
 def test_map_files_read_as_row_by_row(tmp_path, text, block_cells,
-                                      read_buffer):
-    # small blocks and buffers put rows across their boundaries; a new file
-    # each time, as rewriting one can cost more than reading it
+                                      read_buffer, float_cells):
+    # small blocks and buffers put rows across their boundaries, and small
+    # float() batches cells across theirs; a new file each time, as
+    # rewriting one can cost more than reading it
     path = tmp_path / f"cells{len(list(tmp_path.iterdir()))}.maps"
     path.write_bytes(text.encode("utf-8", "surrogateescape"))
     try:
@@ -781,6 +784,7 @@ def test_map_files_read_as_row_by_row(tmp_path, text, block_cells,
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(dynamics, "_BLOCK_CELLS", block_cells)
         mp.setattr(dynamics, "_READ_BUFFER", read_buffer)
+        mp.setattr(dynamics, "_FLOAT_CELLS", float_cells)
         try:
             got = read_map_file(str(path))
         except ConstructionError as exc:
@@ -798,6 +802,10 @@ def test_map_file_reads_the_same_without_the_kernel(tmp_path, monkeypatch):
         3, np.random.default_rng(13), np.linspace(0.0, 1.0, 6)), path)
     fast = read_map_file(path)
     monkeypatch.setattr(dynamics, "_EXACT", False)
+    for a, b in zip(fast, read_map_file(path)):
+        assert a.tobytes() == b.tobytes()
+    # float() in batches that end inside rows
+    monkeypatch.setattr(dynamics, "_FLOAT_CELLS", 100)
     for a, b in zip(fast, read_map_file(path)):
         assert a.tobytes() == b.tobytes()
 
@@ -851,8 +859,9 @@ def test_read_map_file_rejects_undecodable_bytes(tmp_path, bad, line):
 # the first's bytes per row allowed for.
 
 class AllocationSpy:
-    """numpy, recording the length of each 1-d array that `np.empty` makes:
-    in `read_map_file`, the time stack at each allocation."""
+    """numpy, recording the length of each array that `np.empty` makes from
+    an int: in `read_map_file`, the time stack at each allocation (the map
+    stacks and the reader's scratch are made from shape tuples)."""
 
     def __init__(self):
         self.sizes = []
@@ -960,6 +969,8 @@ def test_no_byte_of_a_map_file_is_read_twice(tmp_path, monkeypatch):
 
     def counting_open(file, mode, buffering):
         assert mode == "rb"
+        if not buffering:   # the reader reads the raw file into its buffer
+            return CountingFile(file)
         return io.BufferedReader(CountingFile(file), buffering)
 
     monkeypatch.setattr(dynamics, "open", counting_open, raising=False)
@@ -969,6 +980,28 @@ def test_no_byte_of_a_map_file_is_read_twice(tmp_path, monkeypatch):
         times, _, _ = read_map_file(str(path))
         assert times.size == 9
         assert sum(read) == path.stat().st_size
+
+
+def test_reading_a_map_file_takes_memory_for_its_stacks_and_one_block(
+        tmp_path, monkeypatch):
+    # 128 kB blocks of a 3 MB file: the peak beyond the stacks (and their
+    # eighth to spare) is the block buffer, its masks and the kernel's
+    # scratch, about ten bytes per byte of the buffer whatever the file's
+    # size (5 MB at the default 512 kB); reading the file whole would add
+    # at least its 3 MB
+    path = tmp_path / "gksl.maps"
+    save_map_trajectory(random_gksl_trajectory(
+        3, np.random.default_rng(5), np.linspace(0.0, 1.0, 401)), str(path))
+    monkeypatch.setattr(dynamics, "_BLOCK_CELLS", 1 << 12)
+    buffer = 32 * dynamics._BLOCK_CELLS
+    assert path.stat().st_size > 20 * buffer
+    tracemalloc.start()
+    try:
+        stacks = read_map_file(str(path))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.125 * sum(a.nbytes for a in stacks) + 12 * buffer
 
 
 # Two faults in one file: the one that comes first in the file is reported.

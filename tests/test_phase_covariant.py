@@ -9,7 +9,10 @@ from hypothesis.strategies import floats
 from mapthermo.dynamics import load_map_trajectory, save_map_trajectory
 from mapthermo.errors import ConstructionError, SingularMap
 from mapthermo.models import jc_reduced_map
-from mapthermo.params import JCParams, WeakCouplingParams, weak_coupling_rates
+from mapthermo.fluctuations import fluctuation_tables
+from mapthermo.observables import ThermoPipeline
+from mapthermo.params import (CustomPCParams, JCParams, WeakCouplingParams,
+                              custom_pc_rates, weak_coupling_rates)
 from mapthermo.operators import PAULI
 from mapthermo.phase_covariant import (
     PCRates,
@@ -26,8 +29,8 @@ from mapthermo.phase_covariant import (
 )
 from mapthermo.quadrature import stencil_derivative
 from reference import (constant_rates, map_at, cptp_diagnostics,
-                       pauli_transfer_matrix, pc_general_d, pc_generator,
-                       pc_map)
+                       pauli_transfer_matrix, pc_exp_avg_q, pc_general_d,
+                       pc_generator, pc_map)
 
 
 def fig_drive(gamma=0.01, beta=1.0, **kw):
@@ -253,6 +256,24 @@ def test_lambda_w_saturates_bound_at_low_temperature():
     lam, bound = pc_lambda_w(pc_thermo(co), co, beta=10.0)
     assert lam[-1] / bound[-1] > 0.99
     assert lam[-1] <= bound[-1] * (1.0 + 1e-12)
+
+
+@pytest.mark.parametrize("rates", [
+    weak_coupling_rates(WeakCouplingParams()),
+    custom_pc_rates(CustomPCParams(delta=1.0, Omega=np.pi / 20,
+                                   gamma_plus=0.05, gamma_minus=0.1,
+                                   gamma_z=0.05)),
+], ids=["weak_coupling", "custom_pc"])
+def test_heat_column_matches_its_closed_form(rates):
+    # with analytic derivatives the pipeline's P(t) is pc_thermo's to
+    # rounding, so the tables' heat column meets the closed form to it
+    traj, coeffs = pc_trajectory(rates, np.linspace(0.0, 10.0, 1001))
+    th = pc_thermo(coeffs)
+    betas = [0.5, 1.0, 3.0]
+    tables = fluctuation_tables(ThermoPipeline(traj), betas)
+    for beta, table in zip(betas, tables):
+        want = pc_exp_avg_q(th, coeffs, beta)
+        assert np.max(np.abs(table.exp_avg_q / want - 1.0)) <= 1e-13
 
 
 def test_lambda_u_is_one_for_unital_family():
