@@ -98,11 +98,18 @@ path = trajectory.maps
 
 class Tree:
     """The calls this script times, on one source tree's modules;
-    `module(name)` returns the tree's mapthermo submodule `name`."""
+    `module(name)` returns the tree's mapthermo submodule `name`, and
+    `trajectory` the one that defines `MapTrajectory` and
+    `generator_splits`: `trajectory`, or `dynamics` in a tree from before
+    that module."""
 
     def __init__(self, module, work_dir: str):
         self.module = module
         self.work_dir = work_dir
+        try:
+            self.trajectory = module("trajectory")
+        except ModuleNotFoundError:
+            self.trajectory = module("dynamics")
         p = WeakCouplingParams()
         self.trajs = {
             "wc_cli": module("phase_covariant").pc_trajectory(
@@ -139,18 +146,19 @@ class Tree:
         timed): the condition numbers, the inverse stack, the generator
         split (on a trajectory whose condition numbers and inverses are
         made) or the `ThermoPipeline` set-up."""
-        dynamics = self.module("dynamics")
+        trajectory = self.trajectory
         traj = self.trajs[shape]
 
         def run() -> float:
-            fresh = dynamics.MapTrajectory(times=traj.times, maps=traj.maps,
-                                           derivatives=traj.derivatives)
+            fresh = trajectory.MapTrajectory(
+                times=traj.times, maps=traj.maps,
+                derivatives=traj.derivatives)
             if what == "generator_splits":
                 fresh.inverses()
             call = {"condition_numbers": lambda: fresh.condition_numbers,
                     "inverse": lambda: fresh._inverse_stack,
                     "generator_splits":
-                        lambda: dynamics.generator_splits(fresh),
+                        lambda: trajectory.generator_splits(fresh),
                     "pipeline": lambda: self.module(
                         "observables").ThermoPipeline(fresh)}[what]
             return timed(call)()

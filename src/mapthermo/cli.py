@@ -29,22 +29,20 @@ import numpy as np
 from . import __version__
 from .errors import (ConfigError, ConstructionError, NoMatchingBeta,
                      SingularMap, TruncationError)
-from .operators import (COND_THRESHOLD_DEFAULT, basis_maps,
-                        cptp_diagnostics_stack, dagger)
+from .operators import COND_THRESHOLD_DEFAULT, dagger
 from .csvout import csv_bytes
-from .dynamics import (condition_flags, data_row_line, invertibility_report,
-                       load_map_trajectory, map_faults, read_map_file)
 from .quadrature import grid_fault
 from .observables import ThermoPipeline
 from .records import fields, record
+from .trajectory import condition_flags, invertibility_report, map_faults
 # fluctuation_report is unused here but stays a module attribute: the traced
 # benchmark run (perfbench/child.py) wraps it by name.
 from .fluctuations import (CLUSTER_TOL, NEGATIVE_PROB_TOL, PROB_SUM_TOL,
                            FluctuationTable,
                            fluctuation_report,  # noqa: F401
                            fluctuation_tables, tpms_distribution)
-# The model modules load with the config that names them (`_params_class`):
-# a map-file run compiles none of params, models, phase_covariant, coherent.
+# Each model's modules load with the config that names it (`_params_class`,
+# `_map_path`), and `dynamics`, the map-file format, with map-info too.
 
 MODELS = ("weak_coupling", "jaynes_cummings", "custom_pc", "custom_map_file",
           "closed_coherent")
@@ -298,7 +296,9 @@ def parse_config(path: str) -> ScenarioConfig:
 
 
 def _map_path(reader: _SectionReader) -> str:
-    """The [custom_map_file] path, relative to the config's directory."""
+    """The [custom_map_file] path, relative to the config's directory; the
+    map-file format is imported now, as `_params_class` imports a model."""
+    from . import dynamics  # noqa: F401
     rel = reader.get("path", kind=str)
     reader.finish()
     # an absolute rel replaces the directory
@@ -316,12 +316,17 @@ def _grid(cfg: ScenarioConfig) -> np.ndarray:
     return np.linspace(0.0, cfg.t_max, cfg.n_steps + 1)
 
 
-# pc_trajectory stays a module attribute: the traced benchmark run
-# (perfbench/child.py) wraps it by name. phase_covariant loads on the first
-# call, which for the qubit models `parse_config` has already loaded.
+# pc_trajectory and load_map_trajectory stay module attributes: the traced
+# benchmark run (perfbench/child.py) wraps them by name. Their modules load
+# on the first call, which `parse_config` has already made for its model.
 def pc_trajectory(rates, times: np.ndarray):
     from .phase_covariant import pc_trajectory as build
     return build(rates, times)
+
+
+def load_map_trajectory(path: str):
+    from .dynamics import load_map_trajectory as load
+    return load(path)
 
 
 def _build_trajectory(cfg: ScenarioConfig):
@@ -493,8 +498,9 @@ def _write_manifest(cfg: ScenarioConfig, written: list[str]) -> None:
 # map-info
 
 def _cmd_map_info(path: str) -> int:
+    from . import dynamics
     try:
-        times, mats, derivs = read_map_file(path)
+        times, mats, derivs = dynamics.read_map_file(path)
     except OSError as exc:
         raise ConfigError(f"cannot read map file: {exc}")
     except ConstructionError as exc:
@@ -503,18 +509,18 @@ def _cmd_map_info(path: str) -> int:
     fault = (grid_fault(times) if times[0] == 0.0
              else (0, f"starts at {times[0]:.6g}, not 0"))
     grid = ("uniform from 0" if fault is None
-            else f"line {data_row_line(path, fault[0])}: {fault[1]}")
+            else f"line {dynamics.data_row_line(path, fault[0])}: {fault[1]}")
     print(f"map file: {path}")
     print(f"dim={dim} grid_points={times.size} "
           f"t_range=[{times[0]:.6g}, {times[-1]:.6g}] "
           f"derivatives={'yes' if derivs is not None else 'no'} grid={grid}")
-    stack = basis_maps(mats, dynamical=True)
+    stack = dynamics.basis_maps(mats, dynamical=True)
     faults = map_faults(stack, times)   # the construction check's messages
     invalid = np.isin(np.arange(times.size), list(faults))
     conds = np.linalg.cond(stack.real)
     conds[invalid] = math.inf
     flags = condition_flags(conds)
-    rep = cptp_diagnostics_stack(mats)
+    rep = dynamics.cptp_diagnostics_stack(mats)
     print("t,condition_number,flag,choi_min,tp_residual,unital_residual,"
           "hermiticity_residual")
     for k, (t, c, flag) in enumerate(zip(times, conds, flags)):

@@ -1,245 +1,112 @@
-"""Dynamical maps on a time grid and their time-local generators.
+"""The column-stacked form of maps, and the map-file format.
 
-A `MapTrajectory` is the single source of dynamical truth: a uniform time
-grid starting at 0, the dynamical maps at every grid point as one
-time-batched stack (the map at t = 0 is the identity, since system and
-environment start uncorrelated), and optionally the stack of the maps' time
-derivatives, each map as its real matrix in a Hermitian operator basis, so
-that every layer after it runs in real arithmetic; the complex
-column-stacked form exists only in map files. When derivatives are not
-supplied they are formed by second-order finite differences: central
-stencils in the interior, one-sided three-point stencils at the endpoints.
+Maps reach the package as column-stacked superoperators in files and are
+real basis stacks inside it (`trajectory`); only this module knows the
+convention. `basis_maps` and `column_stacked` convert, `cptp_diagnostics_stack`
+reads the Choi matrices, and `save_map_trajectory` and `load_map_trajectory`
+write and read the text format.
 
-From the trajectory this module extracts the time-local generator
-L_t = dPhi_t/dt o Phi_t^{-1} and splits it into a commutator part with an
-effective Hamiltonian K(t) and a dissipator D_t, using the unique splitting
-whose Lindblad operators are traceless:
-
-    K = (1/2id) sum_{j,k} [ |j><k| , L[|k><j|] ]
-
-The formula is basis independent, which the tests exercise: for the whole
-grid, `generator_splits` takes one product of the real generators with the
-basis' structure constants; the per-point references it is tested against
-live in `tests/reference.py`. Every inversion is gated on the condition
-number, computed once per grid point, since invertibility is exactly what
-fails first in strongly dissipative or resonant regimes.
+The column-stacked (Liouville) matrix S of a map: vec(A)[i + d*j] = A[i, j],
+so vec(A X B) = (B^T kron A) vec(X), a Kraus map X -> sum_k M_k X M_k^dagger
+has the matrix sum_k conj(M_k) kron M_k, and the HS adjoint is the conjugate
+transpose. The Choi matrix is C = (1/d) * reshuffle(S), normalized so that
+a trace-preserving map has Tr{C} = 1 and the identity map gives a rank-one
+C with eigenvalues {1, 0, ..., 0}: its minimum Choi eigenvalue is 0.
 """
 
 from __future__ import annotations
 
 import math
 import os
-from functools import cache, cached_property
+from functools import cache
 
 import numpy as np
 
 from .errors import ConstructionError
-from .operators import (
-    COND_THRESHOLD_DEFAULT,
-    HP_CHECK_TOL,
-    _split_table,
-    basis_maps,
-    column_stacked,
-    require_invertible,
-    stack_blocks,
-)
-from .quadrature import grid_fault, grid_spacing, stencil_derivative
+from .operators import dagger, hermitian_basis, stack_blocks
+from .quadrature import grid_fault
 from .records import record
-
-IDENTITY_TOL = 1e-12
-TP_TOL = 1e-10
-# `condition_flags` reporting heuristics, not physics
-SPIKE_FACTOR = 10.0
-SPIKE_FLOOR = 100.0
+from .trajectory import MapTrajectory
 
 
-def map_faults(a: np.ndarray, t: np.ndarray,
-               what: str = "map") -> dict[int, str]:
-    """The maps of a (n, d^2, d^2) basis stack, by index, that hold a value
-    that is not finite or have an imaginary part above HP_CHECK_TOL of
-    their largest entry (floor 1), each with a message naming its time."""
-    scale = np.abs(a.real).max(axis=(1, 2))
-    with np.errstate(invalid="ignore"):
-        dev = 0.0 * scale   # NaN where a value is not finite
-    if np.iscomplexobj(a):
-        dev += np.abs(a.imag).max(axis=(1, 2))
-    allowed = HP_CHECK_TOL * np.maximum(1.0, scale)
-    return {int(k): f"{what} at t = {t[k]:.6g} " + (
-        "holds a value that is not finite" if not np.isfinite(a[k]).all()
-        else f"is not Hermiticity-preserving: imaginary part {dev[k]:.3e} "
-             f"(allowed {allowed[k]:.3e})")
-        for k in np.flatnonzero(~(dev <= allowed))}
+def _reshuffle(m: np.ndarray, d: int) -> np.ndarray:
+    """Row-reshuffle of a stack of d^2 x d^2 matrices (unnormalized Choi
+    rearrangement for the column-stacking convention)."""
+    return m.reshape(-1, d, d, d, d).transpose(0, 4, 2, 3, 1).reshape(
+        -1, d * d, d * d)
 
 
-def _real_stack(a: np.ndarray, t: np.ndarray, what: str) -> np.ndarray:
-    """The real part of a basis stack, as a copy; a ConstructionError
-    names the first map at fault (`map_faults`) and carries its index."""
-    for k, why in map_faults(a, t, what).items():
-        raise ConstructionError(why, index=k)
-    return np.array(a.real, dtype=float)
+def commutator_superop(h: np.ndarray) -> np.ndarray:
+    """Matrix of X -> [H, X] in the vectorized convention (raw ndarray)."""
+    h = np.asarray(h, dtype=complex)
+    d = h.shape[0]
+    return np.kron(np.eye(d), h) - np.kron(h.T, np.eye(d))
 
 
-@record(eq=False)
-class MapTrajectory:
-    """Dynamical maps sampled on a uniform grid t_0 = 0 < t_1 < ... < t_N.
-
-    `maps` is one read-only real (N+1, d^2, d^2) array, each map as its
-    matrix R_ab = Tr{B_a Phi_t[B_b]} in the basis of
-    `operators.hermitian_basis` (for d = 2 the Pauli transfer matrix), and
-    `derivatives` the optional array of analytic dPhi/dt in that basis;
-    either may be given complex (`operators.basis_maps`). Construction is
-    the only validation (grid, shapes, `map_faults`, whose imaginary part
-    it then drops, identity at t = 0, trace preservation as a first row
-    e_0) and names the first failing time. A ConstructionError carries the
-    index of the map at fault; a grid that is not uniform raises ValueError
-    (`quadrature.grid_fault` finds its point). cond(Phi_t) and Phi_t^{-1}
-    are computed once for the whole grid, on first use.
-    """
-
-    times: np.ndarray
-    maps: np.ndarray
-    derivatives: np.ndarray | None = None
-
-    def __post_init__(self):
-        t = np.array(self.times, dtype=float)
-        t.setflags(write=False)
-        object.__setattr__(self, "times", t)
-        maps = np.asarray(self.maps)
-        if (maps.ndim != 3 or maps.shape[1] != maps.shape[2]
-                or maps.shape[0] != t.size):
-            raise ConstructionError(f"map stack of shape {maps.shape} for "
-                                    f"{t.size} grid points")
-        maps = _real_stack(maps, t, "map")
-        if t[0] != 0.0:
-            raise ConstructionError(f"grid must start at 0, got {t[0]}",
-                                    index=0)
-        grid_spacing(t)
-        d2 = maps.shape[1]
-        if math.isqrt(d2) ** 2 != d2:
-            raise ConstructionError(f"map side {d2} is not a perfect square")
-        dev0 = float(np.max(np.abs(maps[0] - np.eye(d2))))
-        if dev0 > IDENTITY_TOL:
-            raise ConstructionError(
-                f"map at t = 0 deviates from the identity by {dev0:.3e}",
-                index=0)
-        # Tr{S[A]} = Tr{A} for all A  <=>  S^dagger[1] = 1  <=>  R^T e_0 = e_0
-        tp = np.abs(maps[:, 0] - np.eye(d2)[0]).max(axis=1)
-        bad = np.flatnonzero(tp > TP_TOL)
-        if bad.size:
-            i = bad[0]
-            raise ConstructionError(
-                f"map at t = {t[i]:.6g} is not trace-preserving "
-                f"(residual {tp[i]:.3e})", index=int(i))
-        maps.setflags(write=False)
-        object.__setattr__(self, "maps", maps)
-        if self.derivatives is not None:
-            derivs = np.asarray(self.derivatives)
-            if derivs.shape != maps.shape:
-                raise ConstructionError(
-                    f"derivative stack has shape {derivs.shape}, "
-                    f"expected {maps.shape}")
-            derivs = _real_stack(derivs, t, "map derivative")
-            derivs.setflags(write=False)
-            object.__setattr__(self, "derivatives", derivs)
-
-    @property
-    def dim(self) -> int:
-        return math.isqrt(self.maps.shape[1])
-
-    @cached_property
-    def spacing(self) -> float:
-        return grid_spacing(self.times)
-
-    @property
-    def derivative_source(self) -> str:
-        return "analytic" if self.derivatives is not None else "finite_difference"
-
-    @cached_property
-    def condition_numbers(self) -> np.ndarray:
-        """2-norm condition number of every map, one batched call."""
-        return np.linalg.cond(self.maps)
-
-    @cached_property
-    def _inverse_stack(self) -> np.ndarray:
-        inv = np.linalg.inv(self.maps)
-        inv.setflags(write=False)
-        return inv
-
-    def inverses(self, cond_threshold: float = COND_THRESHOLD_DEFAULT,
-                 ) -> np.ndarray:
-        """Phi_t^{-1} at every grid point (one batched inverse); SingularMap
-        at the first time whose condition number exceeds cond_threshold."""
-        require_invertible(self.condition_numbers, cond_threshold, self.times)
-        return self._inverse_stack
+@record
+class CPTPReport:
+    trace_preserving_residual: float
+    choi_min_eigenvalue: float
+    unital_residual: float
+    hermiticity_residual: float = 0.0
 
 
-def map_derivatives(traj: MapTrajectory, lo: int = 0,
-                    hi: int | None = None) -> np.ndarray:
-    """dPhi/dt at grid rows lo .. hi-1 (all rows by default): the supplied
-    analytic derivatives when the trajectory carries them, otherwise
-    second-order finite differences (`stencil_derivative`) on the window of
-    maps that the stencils of those rows read."""
-    if traj.derivatives is not None:
-        return traj.derivatives[lo:hi]
-    n1 = traj.times.size
-    hi = n1 if hi is None else hi
-    # one neighbour on each side, and the grid ends where the rows reach them
-    a, b = max(0, min(lo - 1, n1 - 3)), min(n1, max(hi + 1, 3))
-    return stencil_derivative(traj.maps[a:b], traj.spacing)[lo - a:hi - a]
+def cptp_diagnostics_stack(m: np.ndarray) -> CPTPReport:
+    """Diagnostics of every matrix of a (n, d^2, d^2) stack of
+    column-stacked maps, as one report whose fields are (n,) arrays. Never
+    raises: the TP residual, the minimum Choi eigenvalue (negative values
+    are legal for generator-level intermediate maps and are reported, not
+    rejected), the unitality residual, and the Choi Hermiticity residual."""
+    d = math.isqrt(m.shape[-1])
+    ident = np.eye(d).reshape(-1)  # vec(1)
+    tp, unital, herm, cmin = (np.empty(m.shape[0]) for _ in range(4))
+    for blk in stack_blocks(m.shape[0], d * d):
+        tp[blk] = np.abs(dagger(m[blk]) @ ident - ident).max(axis=-1)
+        unital[blk] = np.abs(m[blk] @ ident - ident).max(axis=-1)
+        c = _reshuffle(m[blk], d) / d
+        herm[blk] = np.abs(c - dagger(c)).max(axis=(-2, -1))
+        cmin[blk] = np.linalg.eigvalsh(0.5 * (c + dagger(c)))[:, 0]
+    return CPTPReport(trace_preserving_residual=tp, choi_min_eigenvalue=cmin,
+                      unital_residual=unital, hermiticity_residual=herm)
 
 
-def generator_splits(traj: MapTrajectory,
-                     cond_threshold: float = COND_THRESHOLD_DEFAULT,
-                     ) -> np.ndarray:
-    """Effective Hamiltonians of the minimal-dissipation split at every grid
-    point, as their real basis coordinates Tr{B_a K(t)}: one (N+1, d^2) array.
-
-    The double-commutator formula is linear in the real basis matrix of
-    L = dPhi/dt Phi^{-1}: one product with `operators._split_table` gives
-    K's coordinates. L exists only in `stack_blocks`; the dissipator is
-    never formed. The per-point reference is
-    `minimal_dissipation_split(generator_at(...))` in `tests/reference.py`.
-    """
-    inv = traj.inverses(cond_threshold)
-    d = traj.dim
-    k = np.empty((traj.times.size, d * d))
-    for blk in stack_blocks(traj.times.size, d * d):
-        L = map_derivatives(traj, blk.start, blk.stop) @ inv[blk]
-        k[blk] = L.reshape(-1, d ** 4) @ _split_table(d)
-    return k
+def basis_maps(m: np.ndarray, dynamical: bool = False) -> np.ndarray:
+    """The basis matrices of column-stacked ones (..., d^2, d^2): complex,
+    real where a map preserves Hermiticity (vec(B_a) = conj(flat[a])). A
+    `dynamical` stack holds maps, of order one: their difference from the
+    identity is converted, so that the identity at t = 0 converts exactly
+    (a derivative's small and zero entries would lose accuracy that way)."""
+    return _changed(np.asarray(m, dtype=complex), dynamical, inverse=False)
 
 
-def condition_flags(conds: np.ndarray,
-                    cond_threshold: float = COND_THRESHOLD_DEFAULT,
-                    ) -> list[str]:
-    """Classify a condition-number series: "ok", "spike" or "singular".
-
-    "singular" marks maps above the inversion threshold. "spike" marks
-    isolated near-singular times: an interior point whose condition number
-    exceeds both neighbors by SPIKE_FACTOR and sits above SPIKE_FLOOR
-    (resonant models lose invertibility at isolated instants, which shows up
-    as exactly this pattern).
-    """
-    conds = np.asarray(conds, dtype=float)
-    spike = np.zeros(conds.shape, dtype=bool)
-    c = conds[1:-1]
-    spike[1:-1] = ((c > SPIKE_FLOOR) & (c > SPIKE_FACTOR * conds[:-2])
-                   & (c > SPIKE_FACTOR * conds[2:]))
-    singular = ~np.isfinite(conds) | (conds > cond_threshold)
-    return np.where(singular, "singular",
-                    np.where(spike, "spike", "ok")).tolist()
+def column_stacked(r: np.ndarray, dynamical: bool = False) -> np.ndarray:
+    """The column-stacked matrices of basis ones; inverse of `basis_maps`."""
+    return _changed(r, dynamical, inverse=True)
 
 
-def invertibility_report(traj: MapTrajectory,
-                         cond_threshold: float = COND_THRESHOLD_DEFAULT,
-                         ) -> tuple[np.ndarray, list[str]]:
-    """Condition number of every grid map and its condition_flags flag."""
-    conds = traj.condition_numbers
-    return conds, condition_flags(conds, cond_threshold)
+def _changed(m: np.ndarray, dynamical: bool, inverse: bool) -> np.ndarray:
+    """`basis_maps` of a complex stack, or `column_stacked` if `inverse`:
+    left @ m @ right (of m - 1, plus 1, if `dynamical`), one `stack_blocks`
+    block at a time into one new array, so that no temporary is larger
+    than a block; each matrix gets the bits it gets alone."""
+    side = m.shape[-1]
+    flat = hermitian_basis(math.isqrt(side)).reshape(side, -1)
+    left, right = (flat.conj().T, flat) if inverse else (flat, flat.conj().T)
+    stack = np.asarray(m).reshape(-1, side, side)
+    out = np.empty(stack.shape, complex)
+    blocks = stack_blocks(len(stack), side)
+    work = np.empty((2, blocks[0].stop if blocks else 0, side, side),
+                    complex)
+    eye = np.eye(side)
+    for blk in blocks:
+        x, y = work[:, :blk.stop - blk.start]
+        part = np.subtract(stack[blk], eye, out=x) if dynamical else stack[blk]
+        np.matmul(left, part, out=y)
+        np.matmul(y, right, out=out[blk])
+        if dynamical:
+            out[blk] += eye
+    return out.reshape(np.shape(m))
 
-
-# Text import/export. One header block, then one CSV row per grid time with
-# the full vectorized map (and optionally its derivative) in row-major order.
 
 _FORMAT_TAG = "mapthermo-maps v1"
 _U64 = np.uint64
@@ -252,11 +119,11 @@ def save_map_trajectory(traj: MapTrajectory, path: str) -> None:
     Header lines start with '#': a format tag, then
     "dim=<d> vectorization=column-stacking derivatives=<0|1>". Each data row
     holds the time followed by re,im pairs of the d^2 x d^2 column-stacked
-    superoperator matrix (`operators.column_stacked` of the map) in
+    superoperator matrix (`column_stacked` of the map) in
     row-major order, then the same for the derivative when present. Floats
     are written with 17 significant digits, so the file holds those
     matrices exactly; loading changes basis back, within a few ulps (the
-    identity at t = 0 exactly, see `operators.basis_maps`).
+    identity at t = 0 exactly, see `basis_maps`).
     """
     d = traj.dim
     has_d = traj.derivatives is not None
@@ -646,14 +513,19 @@ def data_row_line(path: str, k: int) -> int:
 def load_map_trajectory(path: str) -> MapTrajectory:
     """Read the text format and build a validated trajectory. A file whose
     maps or grid fail validation raises ConstructionError, as a malformed
-    file does; every message starts with the path and the line of the
-    first row at fault."""
+    file does, and so does a file without derivatives whose rows are too
+    few for the stencils; every message starts with the path and the line
+    of the first row at fault."""
     times, maps, derivs = read_map_file(path)
     try:
-        return MapTrajectory(times=times,
+        traj = MapTrajectory(times=times,
                              maps=basis_maps(maps, dynamical=True),
                              derivatives=None if derivs is None
                              else basis_maps(derivs))
+        if derivs is None and times.size < 3:   # one row fails the grid
+            raise ConstructionError("without derivatives the stencils need "
+                                    "three rows, got 2", index=1)
+        return traj
     except ConstructionError as exc:
         row, why = exc.index, exc
     except ValueError as exc:   # the grid checks of quadrature.grid_spacing

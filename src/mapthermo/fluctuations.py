@@ -32,7 +32,7 @@ row and every beta in one pass, beta on a leading axis, each trace a
 weighted sum sum_k f(lambda_k) <k|A|k> in the eigenbasis of the observable.
 The spectra of K(t), P(t) and O_w(t), the diagonals of Phi_t[1] and
 Phi_t[1/d] in them and P(t)'s eigenprojectors do not depend on beta; a
-call forms them once, for its rows. Within it a further beta costs its
+call forms them once, for every row. Within it a further beta costs its
 Boltzmann weights, elementwise sums over real basis coordinates and one
 map-vector product per row for Phi_t[rho(0)]. The columns are those of
 `lambda_series.csv` plus the Lambda_u cross-check residual; one beta is
@@ -317,12 +317,11 @@ def _initial_states(pipeline, betas) -> tuple[np.ndarray, np.ndarray]:
                                 pipeline.times[[0] * len(betas)])
 
 
-def fluctuation_tables(pipeline, betas, indices=None,
-                       ) -> list[FluctuationTable]:
-    """One FluctuationTable per beta at every requested grid row of a
-    ThermoPipeline (all rows when `indices` is None), beta on a leading axis.
+def fluctuation_tables(pipeline, betas) -> list[FluctuationTable]:
+    """One FluctuationTable per beta at every grid row of a ThermoPipeline,
+    beta on a leading axis.
 
-    K(t), P(t) and O_w(t) are diagonalized on the requested rows, and the
+    K(t), P(t) and O_w(t) are diagonalized on every row, and the
     diagonals of Phi_t[1] and Phi_t[1/d] in their eigenbases are weighted
     with the Gibbs populations of K(t) (the three Lambda_u routes)
     and with e^{-beta O_w(t)} (Lambda_w); the diagonals of Phi_t[rho(0)] in
@@ -330,21 +329,15 @@ def fluctuation_tables(pipeline, betas, indices=None,
     checked for overflow, naming the first failing beta in the order given.
     <e^{-beta w}> = Tr{e^{-beta O_w(t)} Phi_t[1]} / Z(0) is evaluated on its
     own, so `check_invariants` compares two routes.
-
-    With `indices`, the rows equal the whole grid's bit for bit only at
-    d <= 3: at d >= 4 the rounding of the BLAS products (the eigenprojector
-    coordinates, the maps' images of the |i><i|) depends on the row count.
     """
     beta = _positive_betas(betas)
-    # a slice keeps the whole-grid arrays as views, not copies
-    rows = slice(None) if indices is None else np.asarray(indices, dtype=int)
-    times, maps = pipeline.times[rows], pipeline.traj.maps[rows]
+    times, maps = pipeline.times, pipeline.traj.maps
     b = beta[:, None]  # against the (B, n) columns
 
     k0_vals, rho0 = _initial_states(pipeline, beta)
     z0 = np.sum(np.exp(-b * k0_vals[0]), axis=-1)[:, None]
     (k_vals, k_vecs), (p_vals, p_vecs), (w_vals, w_vecs) = (
-        np.linalg.eigh(from_coordinates(x[rows]))
+        np.linalg.eigh(from_coordinates(x))
         for x in (pipeline.k, pipeline.p, pipeline.w))
     zt = np.sum(np.exp(-b[..., None] * k_vals), axis=-1)
     gibbs = _gibbs_weights(k_vals, b[..., None])
@@ -372,7 +365,7 @@ def fluctuation_tables(pipeline, betas, indices=None,
     rho_t = np.einsum("nab,sb->sna", maps, r0)
     exp_q = (_boltzmann(p_vals, beta, times, "P") * np.einsum(
         "nka,bna->bnk", _projectors(p_vecs), rho_t)).sum(axis=-1)
-    mean_w = _mean_changes(pipeline.w[rows], rho_t, pipeline.w[0], r0)
+    mean_w = _mean_changes(pipeline.w, rho_t, pipeline.w[0], r0)
     columns = (direct, exp_w / zt, np.exp(b * p_max) * phi_max, exp_w / z0,
                exp_q, -np.log(zt / z0) / b, mean_w,
                -p_max - np.log(phi_max) / b, residual)  # fields after beta
@@ -380,12 +373,13 @@ def fluctuation_tables(pipeline, betas, indices=None,
             for x, *row in zip(beta.tolist(), *columns)]
 
 
-def fluctuation_table(pipeline, beta: float, indices=None) -> FluctuationTable:
+def fluctuation_table(pipeline, beta: float) -> FluctuationTable:
     """The report of one beta: the one-beta case of `fluctuation_tables`.
     Each call diagonalizes anew; for many betas, call that one once."""
-    return fluctuation_tables(pipeline, [beta], indices)[0]
+    return fluctuation_tables(pipeline, [beta])[0]
 
 
 def fluctuation_report(pipeline, i_t: int, beta: float) -> FluctuationReport:
-    """The report row at grid index i_t: a one-row `fluctuation_table`."""
-    return fluctuation_table(pipeline, beta, [i_t]).row(0)
+    """The report row at grid index i_t of the whole grid's
+    `fluctuation_table`, which each call computes anew."""
+    return fluctuation_table(pipeline, beta).row(i_t)

@@ -17,7 +17,6 @@ import math
 
 import numpy as np
 
-from .dynamics import MapTrajectory
 from .errors import ConfigError, ConstructionError
 from .operators import COND_THRESHOLD_DEFAULT, require_invertible
 from .params import JCParams, jc_mode_count
@@ -31,6 +30,7 @@ from .phase_covariant import (
     pc_thermo,
     pc_transfer_matrices,
 )
+from .trajectory import MapTrajectory
 
 # exchange-model level sum: points per fine block of the split grid,
 # frequencies per chunk (nodes per matrix product, levels per Chebyshev

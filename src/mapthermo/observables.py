@@ -45,7 +45,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from .dynamics import MapTrajectory, generator_splits, map_derivatives
 from .operators import (
     COND_THRESHOLD_DEFAULT,
     _state_stack,
@@ -54,6 +53,7 @@ from .operators import (
     stack_blocks,
 )
 from .quadrature import cumulative_simpson
+from .trajectory import MapTrajectory, generator_splits, map_derivatives
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
@@ -66,7 +66,7 @@ class ThermoPipeline:
     O_w(t) = K(t) - P(t) of one trajectory, each computed once for the
     whole grid as the read-only (N+1, d^2) coordinates `k`, `p` and `w`.
     `fluctuations.fluctuation_tables` forms the spectra it needs from them,
-    for the rows it is asked for."""
+    on every row."""
 
     def __init__(self, traj: MapTrajectory,
                  cond_threshold: float = COND_THRESHOLD_DEFAULT):

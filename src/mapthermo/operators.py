@@ -4,17 +4,8 @@ Operators are plain numpy arrays: real coordinates in a Hermitian basis
 (below), as observables and maps are stored, or complex (..., d, d) stacks
 for spectra; d stays small (d <= ~64). `hermitian_stack` and `_state_stack`
 check a caller's stack once, where it enters, and return it symmetrized;
-nothing wraps or re-checks the library's own intermediates.
-
-Map files, `column_stacked` and the Choi diagnostics use the column-stacked
-(Liouville) matrix S of a map: vec(A)[i + d*j] = A[i, j], so vec(A X B) =
-(B^T kron A) vec(X), a Kraus map X -> sum_k M_k X M_k^dagger has the matrix
-sum_k conj(M_k) kron M_k, and the HS adjoint is the conjugate transpose.
-
-The Choi matrix convention is fixed by `cptp_diagnostics_stack` below: C =
-(1/d) * reshuffle(S), normalized so that a trace-preserving map has Tr{C} = 1
-and the identity map gives a rank-one C with eigenvalues {1, 0, ..., 0} (so
-its minimum Choi eigenvalue is 0, not 1/d).
+nothing wraps or re-checks the library's own intermediates. Maps are real
+basis matrices here; their column-stacked form is `dynamics`' alone.
 """
 
 from __future__ import annotations
@@ -25,20 +16,12 @@ from functools import cache
 import numpy as np
 
 from .errors import ConstructionError, SingularMap
-from .records import record
 
 HERMITICITY_TOL = 1e-12
 TRACE_TOL = 1e-12
 POSITIVITY_TOL = 1e-10
 HP_CHECK_TOL = 1e-10
 COND_THRESHOLD_DEFAULT = 1e12
-
-
-def _reshuffle(m: np.ndarray, d: int) -> np.ndarray:
-    """Row-reshuffle of a stack of d^2 x d^2 matrices (unnormalized Choi
-    rearrangement for the column-stacking convention)."""
-    return m.reshape(-1, d, d, d, d).transpose(0, 4, 2, 3, 1).reshape(
-        -1, d * d, d * d)
 
 
 def dagger(a: np.ndarray) -> np.ndarray:
@@ -178,39 +161,6 @@ def adjoint_apply_stack(maps: np.ndarray, x: np.ndarray) -> np.ndarray:
     return (x[:, None, :] @ maps)[:, 0]
 
 
-def commutator_superop(h: np.ndarray) -> np.ndarray:
-    """Matrix of X -> [H, X] in the vectorized convention (raw ndarray)."""
-    h = np.asarray(h, dtype=complex)
-    d = h.shape[0]
-    return np.kron(np.eye(d), h) - np.kron(h.T, np.eye(d))
-
-
-@record
-class CPTPReport:
-    trace_preserving_residual: float
-    choi_min_eigenvalue: float
-    unital_residual: float
-    hermiticity_residual: float = 0.0
-
-
-def cptp_diagnostics_stack(m: np.ndarray) -> CPTPReport:
-    """Diagnostics of every matrix of a (n, d^2, d^2) stack of
-    column-stacked maps, as one report whose fields are (n,) arrays. Never
-    raises: the TP residual, the minimum Choi eigenvalue (negative values
-    are legal for generator-level intermediate maps and are reported, not
-    rejected), the unitality residual, and the Choi Hermiticity residual."""
-    d = math.isqrt(m.shape[-1])
-    ident = np.eye(d).reshape(-1)  # vec(1)
-    tp, unital, herm, cmin = (np.empty(m.shape[0]) for _ in range(4))
-    for blk in stack_blocks(m.shape[0], d * d):
-        tp[blk] = np.abs(dagger(m[blk]) @ ident - ident).max(axis=-1)
-        unital[blk] = np.abs(m[blk] @ ident - ident).max(axis=-1)
-        c = _reshuffle(m[blk], d) / d
-        herm[blk] = np.abs(c - dagger(c)).max(axis=(-2, -1))
-        cmin[blk] = np.linalg.eigvalsh(0.5 * (c + dagger(c)))[:, 0]
-    return CPTPReport(trace_preserving_residual=tp, choi_min_eigenvalue=cmin,
-                      unital_residual=unital, hermiticity_residual=herm)
-
 
 # Pauli matrices in the order (identity, sigma_x, sigma_y, sigma_z).
 
@@ -274,43 +224,6 @@ def from_coordinates(x: np.ndarray) -> np.ndarray:
     return m.view(complex).reshape(*x.shape[:-1], d, d)
 
 
-def basis_maps(m: np.ndarray, dynamical: bool = False) -> np.ndarray:
-    """The basis matrices of column-stacked ones (..., d^2, d^2): complex,
-    real where a map preserves Hermiticity (vec(B_a) = conj(flat[a])). A
-    `dynamical` stack holds maps, of order one: their difference from the
-    identity is converted, so that the identity at t = 0 converts exactly
-    (a derivative's small and zero entries would lose accuracy that way)."""
-    return _changed(np.asarray(m, dtype=complex), dynamical, inverse=False)
-
-
-def column_stacked(r: np.ndarray, dynamical: bool = False) -> np.ndarray:
-    """The column-stacked matrices of basis ones; inverse of `basis_maps`."""
-    return _changed(r, dynamical, inverse=True)
-
-
-def _changed(m: np.ndarray, dynamical: bool, inverse: bool) -> np.ndarray:
-    """`basis_maps` of a complex stack, or `column_stacked` if `inverse`:
-    left @ m @ right (of m - 1, plus 1, if `dynamical`), one `stack_blocks`
-    block at a time into one new array, so that no temporary is larger
-    than a block; each matrix gets the bits it gets alone."""
-    side = m.shape[-1]
-    flat = hermitian_basis(math.isqrt(side)).reshape(side, -1)
-    left, right = (flat.conj().T, flat) if inverse else (flat, flat.conj().T)
-    stack = np.asarray(m).reshape(-1, side, side)
-    out = np.empty(stack.shape, complex)
-    blocks = stack_blocks(len(stack), side)
-    work = np.empty((2, blocks[0].stop if blocks else 0, side, side),
-                    complex)
-    eye = np.eye(side)
-    for blk in blocks:
-        x, y = work[:, :blk.stop - blk.start]
-        part = np.subtract(stack[blk], eye, out=x) if dynamical else stack[blk]
-        np.matmul(left, part, out=y)
-        np.matmul(y, right, out=out[blk])
-        if dynamical:
-            out[blk] += eye
-    return out.reshape(np.shape(m))
-
 
 @cache
 def _split_table(d: int) -> np.ndarray:
@@ -324,4 +237,3 @@ def _split_table(d: int) -> np.ndarray:
         n, d, n, d).swapaxes(1, 2)
     f = (prod.reshape(n * n, n) @ b.reshape(n, n).conj().T).reshape(n, n, n)
     return (f.swapaxes(0, 1) - f).imag.reshape(n * n, n) / (2 * d)
-

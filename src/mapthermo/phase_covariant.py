@@ -44,11 +44,11 @@ from typing import Callable
 
 import numpy as np
 
-from .dynamics import MapTrajectory, map_derivatives
 from .errors import ConfigError, ConstructionError
 from .quadrature import (cumulative_exp_weighted, cumulative_simpson,
                          grid_spacing)
 from .records import record
+from .trajectory import MapTrajectory, map_derivatives
 
 
 def _eval_on(f: Callable, times: np.ndarray) -> np.ndarray:

@@ -26,11 +26,11 @@ import numpy as np
 from scipy.linalg import expm
 
 from .errors import MapThermoError
-from .operators import (_gibbs_stack, _state_stack, basis_maps,
-                        column_stacked, commutator_superop, coordinates,
-                        cptp_diagnostics_stack, dagger, from_coordinates)
-from .dynamics import (MapTrajectory, load_map_trajectory, read_map_file,
-                       save_map_trajectory)
+from .operators import (_gibbs_stack, _state_stack, coordinates, dagger,
+                        from_coordinates)
+from .dynamics import (basis_maps, column_stacked, commutator_superop,
+                       cptp_diagnostics_stack, load_map_trajectory,
+                       read_map_file, save_map_trajectory)
 from .phase_covariant import (PCRates, constant_rate, pc_integrals,
                               pc_trajectory, pc_thermo, pc_lambda_w,
                               pc_mean_work_and_deltaF)
@@ -44,6 +44,7 @@ from .models import (jc_reduced_map, vacuum_excited_population,
 from .params import (ClosedCoherentParams, JCParams, WeakCouplingParams,
                      weak_coupling_rates)
 from .records import record
+from .trajectory import MapTrajectory
 
 GKSL_JUMPS = 2
 GKSL_JUMP_STRENGTH = 0.3

@@ -47,7 +47,9 @@ import numpy as np
 
 from mapthermo.coherent import CoherentInitialData, CoherentWorkResult
 from mapthermo.dynamics import (_CELL, _EXACT, _FORMAT_TAG, _MAX_Q, _POW10,
-                                 _U64, MapTrajectory, map_derivatives)
+                                 _U64, CPTPReport, _reshuffle, basis_maps,
+                                 column_stacked, commutator_superop,
+                                 cptp_diagnostics_stack)
 from mapthermo.errors import ConstructionError
 from mapthermo.fluctuations import (FluctuationTable, OutcomeDistribution,
                                     tpms_distribution)
@@ -55,24 +57,19 @@ from mapthermo.models import _thermal_weights
 from mapthermo.params import JCParams, jc_mode_count
 from mapthermo.operators import (
     COND_THRESHOLD_DEFAULT,
-    CPTPReport,
     HERMITICITY_TOL,
     HP_CHECK_TOL,
     _exp_stack,
     _gibbs_stack,
-    _reshuffle,
     adjoint_apply_stack,
-    basis_maps,
-    column_stacked,
-    commutator_superop,
     coordinates,
-    cptp_diagnostics_stack,
     dagger,
     from_coordinates,
     hermitian_stack,
     require_invertible,
 )
 from mapthermo.observables import shifted_observable
+from mapthermo.trajectory import MapTrajectory, map_derivatives
 from mapthermo.phase_covariant import (
     PCMapCoefficients,
     PCRates,
@@ -94,7 +91,7 @@ from mapthermo.validation import (random_density_matrix, random_hermitian,
 
 def vec(a: np.ndarray) -> np.ndarray:
     """Column-stack a matrix into a vector (the convention of the map files
-    and of `operators.column_stacked`)."""
+    and of `dynamics.column_stacked`)."""
     return np.asarray(a, dtype=complex).reshape(-1, order="F")
 
 
@@ -676,7 +673,7 @@ def matrix_fluctuation_table(pipeline, beta: float,
     Gibbs states of K(t), e^{-beta O_w(t)} and e^{-beta P(t)} as (n, d, d)
     stacks from spectra of its own and traces them against Phi_t[1],
     Phi_t[1/d] and Phi_t[rho(0)]; Lambda_u's adjoint route goes through
-    `adjoint_trace`."""
+    `adjoint_trace`. With `indices`, on those grid rows alone."""
     traj = pipeline.traj
     d = traj.dim
     rows = slice(None) if indices is None else np.asarray(indices, dtype=int)

@@ -13,12 +13,12 @@ from mapthermo import cli
 from mapthermo.cli import Tolerances, main, parse_config, run_scenario
 from mapthermo.errors import ConfigError
 from mapthermo.fluctuations import FluctuationTable
-from mapthermo.dynamics import condition_flags, save_map_trajectory
+from mapthermo.dynamics import column_stacked, save_map_trajectory
 from mapthermo.params import (ClosedCoherentParams, CustomPCParams, JCParams,
                               WeakCouplingParams, weak_coupling_rates)
-from mapthermo.operators import column_stacked
 from mapthermo.phase_covariant import pc_trajectory
 from mapthermo.records import fields
+from mapthermo.trajectory import MapTrajectory, condition_flags
 from mapthermo.validation import random_gksl_trajectory
 from reference import csv_lines, replace
 
@@ -894,6 +894,30 @@ def test_run_rejects_a_map_file_with_a_bad_grid(tmp_path, capsys, problem):
     assert reason in err
 
 
+@pytest.mark.parametrize("derivatives", [True, False])
+def test_a_two_row_map_file_runs_only_with_derivatives(tmp_path, capsys,
+                                                       derivatives):
+    # the finite-difference stencils need three rows; derivatives need none
+    traj = random_gksl_trajectory(2, np.random.default_rng(3), [0.0, 0.1])
+    if not derivatives:
+        traj = MapTrajectory(times=traj.times, maps=traj.maps)
+    path = tmp_path / "two_rows.maps"
+    save_map_trajectory(traj, str(path))
+    cfg_path = write_config(tmp_path, """\
+        [scenario]
+        model = custom_map_file
+        beta_list = 1.0
+        out_dir = {out}
+
+        [custom_map_file]
+        path = two_rows.maps
+    """.format(out=tmp_path / "out"))
+    assert main(["run", cfg_path]) == (0 if derivatives else 2)
+    err = capsys.readouterr().err
+    if not derivatives:   # the header's three lines, then rows 4 and 5
+        assert f"config error: {path}:5: " in err and "three rows" in err
+
+
 def test_map_info_marks_invalid_rows(tmp_path, capsys):
     # row 3 is not Hermiticity-preserving, as in the trajectory check tests
     times = np.linspace(0.0, 1.0, 9)
@@ -1149,7 +1173,9 @@ def test_a_map_file_run_and_map_info_load_no_model_module(tmp_path):
         [custom_map_file]
         path = stored.maps
     """)
-    assert not loaded_after("parse_config", cfg_path) & STARTUP_STDLIB
+    at_ready = loaded_after("parse_config", cfg_path)
+    assert not at_ready & STARTUP_STDLIB
+    assert "mapthermo.dynamics" in at_ready   # compiled before the run
     loaded = loaded_after("run", cfg_path, "map-info", map_path)
     assert "mapthermo.dynamics" in loaded
     assert not loaded & MODEL_MODULES
@@ -1180,7 +1206,26 @@ def test_weak_coupling_loads_its_model_before_the_run(tmp_path):
     loaded = loaded_after("parse_config", cfg_path)
     assert MODEL_MODULES - loaded == {"mapthermo.models", "mapthermo.coherent"}
     assert not loaded & STARTUP_STDLIB
-    assert not loaded_after("run", cfg_path) & STARTUP_STDLIB
+    after_run = loaded_after("run", cfg_path)
+    assert not after_run & STARTUP_STDLIB
+    # the map-file format: at neither step
+    assert "mapthermo.dynamics" not in loaded | after_run
+
+
+def test_a_jaynes_cummings_run_loads_no_map_file_format(tmp_path):
+    cfg_path = write_config(tmp_path, f"""\
+        [scenario]
+        model = jaynes_cummings
+        beta_list = 1.0
+        t_max = 5
+        n_steps = 16
+        out_dir = {tmp_path / "out"}
+
+        [jaynes_cummings]
+    """)
+    loaded = loaded_after("parse_config", cfg_path)
+    assert "mapthermo.models" in loaded
+    assert "mapthermo.dynamics" not in loaded | loaded_after("run", cfg_path)
 
 
 def test_a_closed_coherent_run_loads_the_closed_drive(tmp_path):
@@ -1192,5 +1237,7 @@ def test_a_closed_coherent_run_loads_the_closed_drive(tmp_path):
 
         [closed_coherent]
     """)
-    assert "mapthermo.coherent" in loaded_after("parse_config", cfg_path)
-    assert "mapthermo.coherent" in loaded_after("run", cfg_path)
+    at_ready, after_run = (loaded_after(step, cfg_path)
+                           for step in ("parse_config", "run"))
+    assert "mapthermo.coherent" in at_ready & after_run
+    assert "mapthermo.dynamics" not in at_ready | after_run

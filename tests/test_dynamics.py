@@ -16,26 +16,25 @@ import mapthermo.csvout as csvout
 import mapthermo.dynamics as dynamics
 from mapthermo.csvout import csv_text
 from mapthermo.dynamics import (
-    MapTrajectory,
-    condition_flags,
-    generator_splits,
-    invertibility_report,
+    column_stacked,
+    commutator_superop,
     load_map_trajectory,
-    map_derivatives,
     read_map_file,
     save_map_trajectory,
 )
 from mapthermo.errors import BoundaryStencil, ConstructionError
 from mapthermo.models import jc_reduced_map
 from mapthermo.params import JCParams, WeakCouplingParams, weak_coupling_rates
-from mapthermo.operators import (
-    PAULI,
-    column_stacked,
-    commutator_superop,
-    from_coordinates,
-)
+from mapthermo.operators import PAULI, from_coordinates
 from mapthermo.phase_covariant import pc_trajectory
 from mapthermo.quadrature import stencil_derivative
+from mapthermo.trajectory import (
+    MapTrajectory,
+    condition_flags,
+    generator_splits,
+    invertibility_report,
+    map_derivatives,
+)
 from mapthermo.validation import random_gksl_trajectory, random_hermitian
 from reference import (
     Superoperator,

@@ -12,7 +12,7 @@ from hypothesis.strategies import floats
 from mapthermo import fluctuations
 from mapthermo.coherent import coherent_initial_construction
 from mapthermo.csvout import csv_text
-from mapthermo.dynamics import MapTrajectory
+from mapthermo.dynamics import basis_maps, column_stacked, commutator_superop
 from mapthermo.errors import ConstructionError
 from mapthermo.fluctuations import (
     CLUSTER_TOL,
@@ -28,13 +28,11 @@ from mapthermo.fluctuations import (
 from mapthermo.models import jc_reduced_map
 from mapthermo.params import JCParams, WeakCouplingParams, weak_coupling_rates
 from mapthermo.records import fields
+from mapthermo.trajectory import MapTrajectory
 from mapthermo.observables import ThermoPipeline, mean_change
 from mapthermo.operators import (
     PAULI,
     adjoint_apply_stack,
-    basis_maps,
-    column_stacked,
-    commutator_superop,
     coordinates,
     from_coordinates,
 )
@@ -450,6 +448,12 @@ def qutrit_pipeline():
         random_gksl_trajectory(3, np.random.default_rng(4), times))
 
 
+def gksl_pipeline(dim=6, n=60):
+    times = np.linspace(0.0, 1.0, n + 1)
+    return ThermoPipeline(
+        random_gksl_trajectory(dim, np.random.default_rng(dim), times))
+
+
 def reference_row(pipe, work, i, beta):
     """The report columns at one row from the per-operator functions."""
     traj = pipe.traj
@@ -493,9 +497,9 @@ def test_table_matches_reference_functions_on_every_row(make_pipe, beta):
 
 def test_table_invariant_check_names_the_failing_row_time():
     pipe = weak_coupling_pipeline(50)
-    table = fluctuation_table(pipe, 1.3, indices=range(10, 40))
+    table = fluctuation_table(pipe, 1.3)
     table.check_invariants()
-    k = 17
+    k = 27
     where = re.escape(f"at t = {table.time[k]:.17g},")
     avg = table.exp_avg_w.copy()
     avg[k] += 1e-3
@@ -534,21 +538,18 @@ TABLE_FIELDS = [f.name for f in fields(FluctuationTable)
 
 
 @pytest.mark.parametrize("make_pipe", [weak_coupling_pipeline,
-                                       qutrit_pipeline])
+                                       qutrit_pipeline, gksl_pipeline])
 def test_table_rows_are_the_full_grid_rows_bit_for_bit(make_pipe):
-    rows = [0, 3, 17, 40, 17]
-    # a row call diagonalizes its rows alone, after a full-grid call on the
-    # same pipeline or before one on a fresh pipeline
+    # a report is its row of the whole-grid table, at any d: after a table
+    # call on the same pipeline, or first on a fresh one
     full_first, rows_first = make_pipe(), make_pipe()
     full = fluctuation_table(full_first, 0.9)
-    picked = [fluctuation_table(full_first, 0.9, rows)]
-    picked.append(fluctuation_table(rows_first, 0.9, rows))
-    assert np.array_equal(fluctuation_table(rows_first, 0.9).mean_w,
-                          full.mean_w)
-    for table in picked:
-        for name in TABLE_FIELDS:
-            assert getattr(table, name).tobytes() == \
-                getattr(full, name)[rows].tobytes(), name
+    for pipe in (full_first, rows_first):
+        for k in (0, 3, 17, 40):
+            rep, row = fluctuation_report(pipe, k, 0.9), full.row(k)
+            assert all(np.float64(getattr(rep, f.name)).tobytes()
+                       == np.float64(getattr(row, f.name)).tobytes()
+                       for f in fields(type(rep))), k
 
 
 @pytest.mark.parametrize("make_pipe", [weak_coupling_pipeline,
@@ -568,23 +569,15 @@ def recording(calls, fn):
     return call
 
 
-@pytest.mark.parametrize("indices,n", [(None, 65), ([1, 5, 40, 5], 4)])
-def test_a_call_diagonalizes_its_rows_once_and_k0_once(monkeypatch, indices,
-                                                      n):
+def test_a_call_diagonalizes_its_rows_once_and_k0_once(monkeypatch):
     pipe = qutrit_pipeline()
     spectra = []
     monkeypatch.setattr(np.linalg, "eigh", recording(spectra, np.linalg.eigh))
-    fluctuation_tables(pipe, (2.0, 0.3, 5.0), indices)
-    # K(0) for rho(0) and Z(0), then K, P and O_w over the requested rows
-    assert spectra == [(1, 3, 3)] + [(n, 3, 3)] * 3
-    fluctuation_report(pipe, 7, 3.0)
-    assert spectra[4:] == [(1, 3, 3)] * 4
-
-
-def gksl_pipeline(dim=6, n=60):
-    times = np.linspace(0.0, 1.0, n + 1)
-    return ThermoPipeline(
-        random_gksl_trajectory(dim, np.random.default_rng(dim), times))
+    fluctuation_tables(pipe, (2.0, 0.3, 5.0))
+    # K(0) for rho(0) and Z(0), then K, P and O_w over the whole grid
+    assert spectra == [(1, 3, 3)] + [(65, 3, 3)] * 3
+    fluctuation_report(pipe, 7, 3.0)   # a row of the whole-grid table
+    assert spectra[4:] == spectra[:4]
 
 
 @pytest.mark.parametrize("indices", [None, [0, 1, 7, 30, 59, 60, 7]])
@@ -592,14 +585,16 @@ def gksl_pipeline(dim=6, n=60):
 @pytest.mark.parametrize("make_pipe", [weak_coupling_pipeline,
                                        qutrit_pipeline, gksl_pipeline])
 def test_eigenbasis_table_matches_the_matrix_route(make_pipe, beta, indices):
+    # the whole grid's rows against the matrix route on those rows alone
     pipe = make_pipe()
-    table = fluctuation_table(pipe, beta, indices)
+    table = fluctuation_table(pipe, beta)
     ref = matrix_fluctuation_table(pipe, beta, indices)
-    assert table.time.tobytes() == ref.time.tobytes()
+    rows = slice(None) if indices is None else indices
+    assert table.time[rows].tobytes() == ref.time.tobytes()
     for name in TABLE_FIELDS:
         if name in ("time", "lambda_u_residual"):
             continue
-        got, want = getattr(table, name), getattr(ref, name)
+        got, want = getattr(table, name)[rows], getattr(ref, name)
         scale = np.maximum(1.0, np.abs(want))
         assert np.all(np.abs(got - want) <= 1e-13 * scale), name
     assert np.all(table.lambda_u_residual <= 1e-12)
@@ -610,10 +605,10 @@ def test_eigenbasis_table_matches_the_matrix_route(make_pipe, beta, indices):
 def test_one_pass_over_several_betas_matches_the_matrix_route(make_pipe):
     pipe = make_pipe()
     betas = (8.0, 0.05, 1.0)
-    tables = fluctuation_tables(pipe, betas, [0, 1, 7, 30, 7])
+    tables = fluctuation_tables(pipe, betas)
     assert [table.beta for table in tables] == list(betas)
     for beta, table in zip(betas, tables):
-        ref = matrix_fluctuation_table(pipe, beta, [0, 1, 7, 30, 7])
+        ref = matrix_fluctuation_table(pipe, beta)
         assert table.time.tobytes() == ref.time.tobytes()
         for name in TABLE_FIELDS:
             if name in ("time", "lambda_u_residual"):

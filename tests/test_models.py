@@ -8,7 +8,7 @@ import pytest
 from scipy.linalg import expm
 
 from mapthermo.coherent import closed_coherent_protocol
-from mapthermo.dynamics import MapTrajectory
+from mapthermo.dynamics import column_stacked
 from mapthermo import models
 from mapthermo.errors import (ConfigError, ConstructionError, SingularMap,
                                TruncationError)
@@ -33,7 +33,7 @@ from mapthermo.params import (
     jc_mode_count,
     weak_coupling_rates,
 )
-from mapthermo.operators import PAULI, column_stacked
+from mapthermo.operators import PAULI
 from mapthermo.fluctuations import fluctuation_table
 from mapthermo.observables import ThermoPipeline
 from mapthermo.phase_covariant import (pc_coefficients, pc_integrals,

@@ -6,7 +6,6 @@ from scipy.linalg import expm
 from hypothesis import given, settings
 from hypothesis.strategies import floats
 
-from mapthermo.dynamics import invertibility_report
 from mapthermo.coherent import (
     CoherentInitialData,
     closed_coherent_protocol,
@@ -26,6 +25,7 @@ from mapthermo.observables import (
 from mapthermo.operators import PAULI, coordinates, from_coordinates
 from mapthermo.phase_covariant import pc_integrals, pc_thermo, pc_trajectory
 from mapthermo.quadrature import cumulative_simpson
+from mapthermo.trajectory import invertibility_report
 from mapthermo.validation import random_gksl_trajectory
 from reference import (Superoperator, apply, coherent_work_row,
                        constant_rates, duration_mean_change, generator_at,

@@ -16,16 +16,15 @@ from mapthermo.operators import (
     _exp_stack,
     _gibbs_stack,
     _state_stack,
-    basis_maps,
-    column_stacked,
     coordinates,
     from_coordinates,
     hermitian_basis,
     hermitian_stack,
 )
-from mapthermo.dynamics import MapTrajectory, map_faults
+from mapthermo.dynamics import basis_maps, column_stacked
 from mapthermo.fluctuations import tpms_distribution
 from mapthermo.observables import mean_change
+from mapthermo.trajectory import MapTrajectory, map_faults
 from reference import (
     Superoperator,
     apply,

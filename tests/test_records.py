@@ -15,8 +15,8 @@ import pytest
 
 import mapthermo
 from mapthermo.cli import ScenarioConfig, Tolerances, parse_config
-from mapthermo.dynamics import MapTrajectory
 from mapthermo.records import fields, record
+from mapthermo.trajectory import MapTrajectory
 from mapthermo.validation import CheckResult
 from reference import replace
 
