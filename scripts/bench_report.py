@@ -60,10 +60,7 @@ from bench_record import (alternate, flush_and_remove, import_tree,
                           ratio_summary, record_run, run_timer, timed)
 from mapthermo.dynamics import save_map_trajectory
 from mapthermo.fluctuations import fluctuation_tables
-try:
-    from mapthermo.params import WeakCouplingParams, weak_coupling_rates
-except ImportError:   # the cold writer imports this file on a tree before it
-    from mapthermo.models import WeakCouplingParams, weak_coupling_rates
+from mapthermo.params import WeakCouplingParams, weak_coupling_rates
 from mapthermo.observables import ThermoPipeline
 from mapthermo.phase_covariant import pc_trajectory
 from mapthermo.validation import random_gksl_trajectory
@@ -98,18 +95,12 @@ path = trajectory.maps
 
 class Tree:
     """The calls this script times, on one source tree's modules;
-    `module(name)` returns the tree's mapthermo submodule `name`, and
-    `trajectory` the one that defines `MapTrajectory` and
-    `generator_splits`: `trajectory`, or `dynamics` in a tree from before
-    that module."""
+    `module(name)` returns the tree's mapthermo submodule `name`."""
 
     def __init__(self, module, work_dir: str):
         self.module = module
         self.work_dir = work_dir
-        try:
-            self.trajectory = module("trajectory")
-        except ModuleNotFoundError:
-            self.trajectory = module("dynamics")
+        self.trajectory = module("trajectory")
         p = WeakCouplingParams()
         self.trajs = {
             "wc_cli": module("phase_covariant").pc_trajectory(
@@ -186,14 +177,8 @@ class Tree:
 
 def writer(module):
     """The tree's CSV writer as `run` uses it: a call writing the wc_cli
-    tables (`wc_cli_tables`) as files into a directory. A tree from before
-    the writer had its own module spells them with `cli._csv`."""
-    cli = module("cli")
-    try:
-        spell = module("csvout").csv_bytes
-    except ModuleNotFoundError:
-        def spell(columns, head: bytes):
-            return cli._csv(head.decode(), columns)
+    tables (`wc_cli_tables`) as files into a directory."""
+    cli, spell = module("cli"), module("csvout").csv_bytes
 
     def write(out_dir: str, tables) -> None:
         cfg = SimpleNamespace(out_dir=out_dir)

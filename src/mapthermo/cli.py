@@ -18,7 +18,6 @@ failure.
 from __future__ import annotations
 
 import configparser
-import importlib
 import math
 import os
 import sys
@@ -34,7 +33,7 @@ from .csvout import csv_bytes
 from .quadrature import grid_fault
 from .observables import ThermoPipeline
 from .records import fields, record
-from .trajectory import condition_flags, invertibility_report, map_faults
+from .trajectory import condition_flags, invertibility_report
 # fluctuation_report is unused here but stays a module attribute: the traced
 # benchmark run (perfbench/child.py) wraps it by name.
 from .fluctuations import (CLUSTER_TOL, NEGATIVE_PROB_TOL, PROB_SUM_TOL,
@@ -188,21 +187,19 @@ class _SectionReader:
         return params
 
 
-# per model but custom_map_file: its parameter record in `params` (fields
-# are the section's keys, defaults the keys' defaults) and its builder module
-_PARAMS = {"weak_coupling": ("WeakCouplingParams", "phase_covariant"),
-           "jaynes_cummings": ("JCParams", "models"),
-           "custom_pc": ("CustomPCParams", "phase_covariant"),
-           "closed_coherent": ("ClosedCoherentParams", "coherent")}
-
-
 def _params_class(model: str) -> type:
     """The parameter record of `model`, its builder imported now, so that
     the model's code compiles before a run starts."""
     from . import params
-    name, builder = _PARAMS[model]
-    importlib.import_module(f".{builder}", __package__)
-    return getattr(params, name)
+    if model == "jaynes_cummings":
+        from . import models  # noqa: F401
+        return params.JCParams
+    if model == "closed_coherent":
+        from . import coherent  # noqa: F401
+        return params.ClosedCoherentParams
+    from . import phase_covariant  # noqa: F401
+    return (params.CustomPCParams if model == "custom_pc"
+            else params.WeakCouplingParams)
 
 
 def parse_config(path: str) -> ScenarioConfig:
@@ -514,31 +511,32 @@ def _cmd_map_info(path: str) -> int:
     print(f"dim={dim} grid_points={times.size} "
           f"t_range=[{times[0]:.6g}, {times[-1]:.6g}] "
           f"derivatives={'yes' if derivs is not None else 'no'} grid={grid}")
-    stack = dynamics.basis_maps(mats, dynamical=True)
-    faults = map_faults(stack, times)   # the construction check's messages
-    invalid = np.isin(np.arange(times.size), list(faults))
-    conds = np.linalg.cond(stack.real)
-    conds[invalid] = math.inf
+    stack, imag = dynamics.basis_maps(mats, dynamical=True)
+    faults = dynamics.map_faults(stack, imag, times)   # as `run` names them
+    conds = np.linalg.cond(stack)
+    conds[list(faults)] = math.inf
     flags = condition_flags(conds)
+    if derivs is not None:   # a row's map fault before its derivative's
+        faults = {**dynamics.map_faults(*dynamics.basis_maps(derivs), times,
+                                        "map derivative"), **faults}
+    valid = ~np.isin(np.arange(times.size), list(faults))
     rep = dynamics.cptp_diagnostics_stack(mats)
     print("t,condition_number,flag,choi_min,tp_residual,unital_residual,"
           "hermiticity_residual")
     for k, (t, c, flag) in enumerate(zip(times, conds, flags)):
-        if invalid[k]:
+        if k in faults:
             print(f"{t:.6g},{c:.6g},{flag},invalid: {faults[k]}")
             continue
         print(f"{t:.6g},{c:.6g},{flag},{rep.choi_min_eigenvalue[k]:.6g},"
               f"{rep.trace_preserving_residual[k]:.6g},"
               f"{rep.unital_residual[k]:.6g},"
               f"{rep.hermiticity_residual[k]:.6g}")
-    valid = ~invalid
     worst_choi = float(rep.choi_min_eigenvalue[valid].min(initial=0.0))
     worst_tp = float(rep.trace_preserving_residual[valid].max(initial=0.0))
-    n_bad = int(invalid.sum())
     n_sing = sum(f == "singular" for f in flags)
     n_spike = sum(f == "spike" for f in flags)
     print(f"summary: {n_sing} singular, {n_spike} spike-flagged, "
-          f"{n_bad} invalid rows, worst choi_min={worst_choi:.6g}, "
+          f"{len(faults)} invalid rows, worst choi_min={worst_choi:.6g}, "
           f"worst tp_residual={worst_tp:.6g}")
     return 0
 

@@ -2,9 +2,9 @@
 
 Maps reach the package as column-stacked superoperators in files and are
 real basis stacks inside it (`trajectory`); only this module knows the
-convention. `basis_maps` and `column_stacked` convert, `cptp_diagnostics_stack`
-reads the Choi matrices, and `save_map_trajectory` and `load_map_trajectory`
-write and read the text format.
+convention: `basis_maps` and `column_stacked` convert, `map_faults` checks
+Hermiticity preservation, `cptp_diagnostics_stack` reads Choi matrices,
+`save_map_trajectory` and `load_map_trajectory` write and read the format.
 
 The column-stacked (Liouville) matrix S of a map: vec(A)[i + d*j] = A[i, j],
 so vec(A X B) = (B^T kron A) vec(X), a Kraus map X -> sum_k M_k X M_k^dagger
@@ -27,6 +27,8 @@ from .operators import dagger, hermitian_basis, stack_blocks
 from .quadrature import grid_fault
 from .records import record
 from .trajectory import MapTrajectory
+
+HP_CHECK_TOL = 1e-10
 
 
 def _reshuffle(m: np.ndarray, d: int) -> np.ndarray:
@@ -70,30 +72,34 @@ def cptp_diagnostics_stack(m: np.ndarray) -> CPTPReport:
                       unital_residual=unital, hermiticity_residual=herm)
 
 
-def basis_maps(m: np.ndarray, dynamical: bool = False) -> np.ndarray:
-    """The basis matrices of column-stacked ones (..., d^2, d^2): complex,
-    real where a map preserves Hermiticity (vec(B_a) = conj(flat[a])). A
-    `dynamical` stack holds maps, of order one: their difference from the
-    identity is converted, so that the identity at t = 0 converts exactly
-    (a derivative's small and zero entries would lose accuracy that way)."""
+def basis_maps(m: np.ndarray, dynamical: bool = False,
+               ) -> tuple[np.ndarray, np.ndarray]:
+    """The real basis matrices of column-stacked ones (..., d^2, d^2), and
+    the largest imaginary part of each (...), a few ulps where a map
+    preserves Hermiticity (vec(B_a) = conj(flat[a])). A `dynamical` stack
+    holds maps, of order one: their difference from the identity is
+    converted, so that the identity at t = 0 converts exactly (a
+    derivative's small and zero entries would lose accuracy that way)."""
     return _changed(np.asarray(m, dtype=complex), dynamical, inverse=False)
 
 
 def column_stacked(r: np.ndarray, dynamical: bool = False) -> np.ndarray:
     """The column-stacked matrices of basis ones; inverse of `basis_maps`."""
-    return _changed(r, dynamical, inverse=True)
+    return _changed(r, dynamical, inverse=True)[0]
 
 
-def _changed(m: np.ndarray, dynamical: bool, inverse: bool) -> np.ndarray:
+def _changed(m: np.ndarray, dynamical: bool, inverse: bool):
     """`basis_maps` of a complex stack, or `column_stacked` if `inverse`:
-    left @ m @ right (of m - 1, plus 1, if `dynamical`), one `stack_blocks`
-    block at a time into one new array, so that no temporary is larger
-    than a block; each matrix gets the bits it gets alone."""
+    left @ m @ right (of m - 1, plus 1, if `dynamical`) into one new array
+    (real unless `inverse`) and each matrix's largest imaginary part, one
+    `stack_blocks` block at a time, so that no temporary is larger than a
+    block; each matrix gets the bits it gets alone."""
     side = m.shape[-1]
     flat = hermitian_basis(math.isqrt(side)).reshape(side, -1)
     left, right = (flat.conj().T, flat) if inverse else (flat, flat.conj().T)
     stack = np.asarray(m).reshape(-1, side, side)
-    out = np.empty(stack.shape, complex)
+    out = np.empty(stack.shape, complex if inverse else float)
+    imag = np.empty(len(stack))
     blocks = stack_blocks(len(stack), side)
     work = np.empty((2, blocks[0].stop if blocks else 0, side, side),
                     complex)
@@ -101,11 +107,28 @@ def _changed(m: np.ndarray, dynamical: bool, inverse: bool) -> np.ndarray:
     for blk in blocks:
         x, y = work[:, :blk.stop - blk.start]
         part = np.subtract(stack[blk], eye, out=x) if dynamical else stack[blk]
-        np.matmul(left, part, out=y)
-        np.matmul(y, right, out=out[blk])
+        z = np.matmul(np.matmul(left, part, out=y), right, out=x)
+        out[blk] = z if inverse else z.real
+        imag[blk] = np.abs(z.imag).max(axis=(1, 2))
         if dynamical:
             out[blk] += eye
-    return out.reshape(np.shape(m))
+    return out.reshape(np.shape(m)), imag.reshape(np.shape(m)[:-2])
+
+
+def map_faults(a: np.ndarray, imag: np.ndarray, t: np.ndarray,
+               what: str = "map") -> dict[int, str]:
+    """The matrices of a real basis stack, by index, that hold a value that
+    is not finite or whose largest imaginary part `imag` (`basis_maps`) tops
+    HP_CHECK_TOL of their largest entry (floor 1), each with its message."""
+    scale = np.abs(a).max(axis=(1, 2))
+    with np.errstate(invalid="ignore"):
+        dev = 0.0 * scale + imag   # NaN where a value is not finite
+    allowed = HP_CHECK_TOL * np.maximum(1.0, scale)
+    return {int(k): f"{what} at t = {t[k]:.6g} " + (
+        "holds a value that is not finite" if not np.isfinite(dev[k])
+        else f"is not Hermiticity-preserving: imaginary part {dev[k]:.3e} "
+             f"(allowed {allowed[k]:.3e})")
+        for k in np.flatnonzero(~(dev <= allowed))}
 
 
 _FORMAT_TAG = "mapthermo-maps v1"
@@ -517,11 +540,19 @@ def load_map_trajectory(path: str) -> MapTrajectory:
     few for the stencils; every message starts with the path and the line
     of the first row at fault."""
     times, maps, derivs = read_map_file(path)
+    maps, imag = basis_maps(maps, dynamical=True)   # the complex one goes
+    faults, dfaults = map_faults(maps, imag, times), {}
+    if derivs is not None:
+        derivs, imag = basis_maps(derivs)   # and so does this one
+        dfaults = map_faults(derivs, imag, times, "map derivative")
     try:
-        traj = MapTrajectory(times=times,
-                             maps=basis_maps(maps, dynamical=True),
-                             derivatives=None if derivs is None
-                             else basis_maps(derivs))
+        for k, why in faults.items():
+            raise ConstructionError(why, index=k)
+        # the maps' other checks come before a derivative's faults
+        traj = MapTrajectory(times=times, maps=maps,
+                             derivatives=None if dfaults else derivs)
+        for k, why in dfaults.items():
+            raise ConstructionError(why, index=k)
         if derivs is None and times.size < 3:   # one row fails the grid
             raise ConstructionError("without derivatives the stencils need "
                                     "three rows, got 2", index=1)

@@ -5,7 +5,8 @@ Operators are plain numpy arrays: real coordinates in a Hermitian basis
 for spectra; d stays small (d <= ~64). `hermitian_stack` and `_state_stack`
 check a caller's stack once, where it enters, and return it symmetrized;
 nothing wraps or re-checks the library's own intermediates. Maps are real
-basis matrices here; their column-stacked form is `dynamics`' alone.
+basis matrices here; their column-stacked form, and the check that it
+preserves Hermiticity, are `dynamics`' alone.
 """
 
 from __future__ import annotations
@@ -20,7 +21,6 @@ from .errors import ConstructionError, SingularMap
 HERMITICITY_TOL = 1e-12
 TRACE_TOL = 1e-12
 POSITIVITY_TOL = 1e-10
-HP_CHECK_TOL = 1e-10
 COND_THRESHOLD_DEFAULT = 1e12
 
 

@@ -5,10 +5,10 @@ grid starting at 0, the maps at every grid point as one time-batched stack
 (the map at t = 0 is the identity, since system and environment start
 uncorrelated), and optionally the stack of their time derivatives, each map
 as its real matrix in a Hermitian operator basis, so that every layer after
-it runs in real arithmetic; the complex column-stacked form exists only in
-map files (`dynamics`). Without derivatives, second-order finite
-differences form them: central stencils in the interior, one-sided
-three-point stencils at the endpoints.
+it runs in real arithmetic; the complex column-stacked form, and the check
+that its maps preserve Hermiticity, belong to map files (`dynamics`).
+Without derivatives, second-order finite differences form them: central
+stencils in the interior, one-sided three-point stencils at the endpoints.
 
 From the trajectory this module extracts the time-local generator
 L_t = dPhi_t/dt o Phi_t^{-1} and splits it into a commutator part with an
@@ -35,7 +35,6 @@ import numpy as np
 from .errors import ConstructionError
 from .operators import (
     COND_THRESHOLD_DEFAULT,
-    HP_CHECK_TOL,
     _split_table,
     require_invertible,
     stack_blocks,
@@ -50,30 +49,19 @@ SPIKE_FACTOR = 10.0
 SPIKE_FLOOR = 100.0
 
 
-def map_faults(a: np.ndarray, t: np.ndarray,
-               what: str = "map") -> dict[int, str]:
-    """The maps of a (n, d^2, d^2) basis stack, by index, that hold a value
-    that is not finite or have an imaginary part above HP_CHECK_TOL of
-    their largest entry (floor 1), each with a message naming its time."""
-    scale = np.abs(a.real).max(axis=(1, 2))
-    with np.errstate(invalid="ignore"):
-        dev = 0.0 * scale   # NaN where a value is not finite
-    if np.iscomplexobj(a):
-        dev += np.abs(a.imag).max(axis=(1, 2))
-    allowed = HP_CHECK_TOL * np.maximum(1.0, scale)
-    return {int(k): f"{what} at t = {t[k]:.6g} " + (
-        "holds a value that is not finite" if not np.isfinite(a[k]).all()
-        else f"is not Hermiticity-preserving: imaginary part {dev[k]:.3e} "
-             f"(allowed {allowed[k]:.3e})")
-        for k in np.flatnonzero(~(dev <= allowed))}
-
-
 def _real_stack(a: np.ndarray, t: np.ndarray, what: str) -> np.ndarray:
-    """The real part of a basis stack, as a copy; a ConstructionError
-    names the first map at fault (`map_faults`) and carries its index."""
-    for k, why in map_faults(a, t, what).items():
-        raise ConstructionError(why, index=k)
-    return np.array(a.real, dtype=float)
+    """A basis stack as a new read-only float array; a ConstructionError
+    refuses a complex one, or names the first map not finite (its index)."""
+    if np.iscomplexobj(a):
+        raise ConstructionError(f"{what} stack is complex: column-stacked "
+                                "maps convert with dynamics.basis_maps")
+    bad = np.flatnonzero(~np.isfinite(a).all(axis=(1, 2)))
+    if bad.size:
+        raise ConstructionError(f"{what} at t = {t[bad[0]]:.6g} holds a "
+                                "value that is not finite", index=int(bad[0]))
+    a = np.array(a, dtype=float)
+    a.setflags(write=False)
+    return a
 
 
 @record(eq=False)
@@ -83,14 +71,15 @@ class MapTrajectory:
     `maps` is one read-only real (N+1, d^2, d^2) array, each map as its
     matrix R_ab = Tr{B_a Phi_t[B_b]} in the basis of
     `operators.hermitian_basis` (for d = 2 the Pauli transfer matrix), and
-    `derivatives` the optional array of analytic dPhi/dt in that basis;
-    either may be given complex (`dynamics.basis_maps`). Construction is
-    the only validation (grid, shapes, `map_faults`, whose imaginary part
-    it then drops, identity at t = 0, trace preservation as a first row
-    e_0) and names the first failing time. A ConstructionError carries the
-    index of the map at fault; a grid that is not uniform raises ValueError
-    (`quadrature.grid_fault` finds its point). cond(Phi_t) and Phi_t^{-1}
-    are computed once for the whole grid, on first use.
+    `derivatives` the optional array of analytic dPhi/dt in that basis.
+    Both are real: a complex stack is refused, as column-stacked maps
+    convert with `dynamics.basis_maps`. Construction is the only
+    validation (grid, shapes, finite values, identity at t = 0, trace
+    preservation as a first row e_0) and names the first failing time. A
+    ConstructionError carries the index of the map at fault; a grid that
+    is not uniform raises ValueError (`quadrature.grid_fault` finds its
+    point). cond(Phi_t) and Phi_t^{-1} are computed once for the whole
+    grid, on first use.
     """
 
     times: np.ndarray
@@ -127,7 +116,6 @@ class MapTrajectory:
             raise ConstructionError(
                 f"map at t = {t[i]:.6g} is not trace-preserving "
                 f"(residual {tp[i]:.3e})", index=int(i))
-        maps.setflags(write=False)
         object.__setattr__(self, "maps", maps)
         if self.derivatives is not None:
             derivs = np.asarray(self.derivatives)
@@ -136,7 +124,6 @@ class MapTrajectory:
                     f"derivative stack has shape {derivs.shape}, "
                     f"expected {maps.shape}")
             derivs = _real_stack(derivs, t, "map derivative")
-            derivs.setflags(write=False)
             object.__setattr__(self, "derivatives", derivs)
 
     @property
@@ -146,10 +133,6 @@ class MapTrajectory:
     @cached_property
     def spacing(self) -> float:
         return grid_spacing(self.times)
-
-    @property
-    def derivative_source(self) -> str:
-        return "analytic" if self.derivatives is not None else "finite_difference"
 
     @cached_property
     def condition_numbers(self) -> np.ndarray:

@@ -83,7 +83,7 @@ def random_gksl_trajectory(dim: int, rng: np.random.Generator,
                                   + 1j * rng.standard_normal((dim, dim))
                                   ) / math.sqrt(2)
         gen = gen + _dissipator_matrix(a)
-    gen = basis_maps(gen).real
+    gen = basis_maps(gen)[0]
     maps = np.stack([expm(t * gen) for t in times])
     return MapTrajectory(times=times, maps=maps, derivatives=gen @ maps)
 
@@ -351,7 +351,7 @@ def _coherent_chain(rho0: np.ndarray, H0: np.ndarray,
             res.delta_F_bar))
         final = H[k] + u_t @ data.xi @ u_t.conj().T
         final = 0.5 * (final + dagger(final))
-        u_map = basis_maps(np.kron(u_t.conj(), u_t)).real
+        u_map = basis_maps(np.kron(u_t.conj(), u_t))[0]
         gap = max(gap, abs(exp_average(tpms_distribution(
             rho0[None], u_map, coordinates(data.H_star),
             coordinates(final))[0], data.beta) - value))

@@ -47,9 +47,10 @@ import numpy as np
 
 from mapthermo.coherent import CoherentInitialData, CoherentWorkResult
 from mapthermo.dynamics import (_CELL, _EXACT, _FORMAT_TAG, _MAX_Q, _POW10,
-                                 _U64, CPTPReport, _reshuffle, basis_maps,
-                                 column_stacked, commutator_superop,
-                                 cptp_diagnostics_stack)
+                                 _U64, HP_CHECK_TOL, CPTPReport, _reshuffle,
+                                 basis_maps, column_stacked,
+                                 commutator_superop, cptp_diagnostics_stack,
+                                 map_faults)
 from mapthermo.errors import ConstructionError
 from mapthermo.fluctuations import (FluctuationTable, OutcomeDistribution,
                                     tpms_distribution)
@@ -58,7 +59,6 @@ from mapthermo.params import JCParams, jc_mode_count
 from mapthermo.operators import (
     COND_THRESHOLD_DEFAULT,
     HERMITICITY_TOL,
-    HP_CHECK_TOL,
     _exp_stack,
     _gibbs_stack,
     adjoint_apply_stack,
@@ -155,16 +155,22 @@ def map_at(traj: MapTrajectory, i: int) -> Superoperator:
 
 def stacked_trajectory(times, maps, derivatives=None) -> MapTrajectory:
     """A MapTrajectory from column-stacked superoperator stacks, changed to
-    the Hermitian basis as `load_map_trajectory` changes a file's."""
-    return MapTrajectory(times=times, maps=basis_maps(maps, dynamical=True),
-                         derivatives=None if derivatives is None
-                         else basis_maps(derivatives))
+    the Hermitian basis as `load_map_trajectory` changes a file's; a
+    ConstructionError names the first map or derivative (in that order)
+    that `map_faults` finds at fault, and carries its index."""
+    stacks = [basis_maps(maps, dynamical=True)] + (
+        [] if derivatives is None else [basis_maps(derivatives)])
+    for (stack, imag), what in zip(stacks, ("map", "map derivative")):
+        for k, why in map_faults(stack, imag, times, what).items():
+            raise ConstructionError(why, index=k)
+    return MapTrajectory(times=times, maps=stacks[0][0],
+                         derivatives=stacks[1][0] if stacks[1:] else None)
 
 
 def real_map(s: Superoperator) -> np.ndarray:
     """The real matrix of a Superoperator in the Hermitian operator basis,
     as `MapTrajectory.maps` holds maps."""
-    return basis_maps(s.matrix, dynamical=True).real
+    return basis_maps(s.matrix, dynamical=True)[0]
 
 
 def apply(s: Superoperator, a: np.ndarray) -> np.ndarray:
@@ -327,7 +333,7 @@ def pauli_transfer_matrix(s: Superoperator) -> np.ndarray:
     """4x4 real transfer matrix of a qubit superoperator in the PAULI basis."""
     if s.dim != 2:
         raise ValueError("Pauli transfer matrix requires dim 2")
-    return basis_maps(s.matrix).real
+    return basis_maps(s.matrix)[0]
 
 
 def superop_from_pauli_transfer(r: np.ndarray,

@@ -1,11 +1,12 @@
 """The library's public names are all used outside the tests.
 
 A top-level public name of `src/mapthermo` (function, class or constant not
-starting with an underscore), or a public method or property of one of its
-classes, counts as used when the package's code refers to it outside its
-own definition (as a name, an attribute or an imported name; a docstring or
-comment that mentions it does not count), or when it appears as a word in
-`scripts/` or in `perfbench/`. A mention in the README
+starting with an underscore) counts as used when the package's code refers
+to it outside its own definition (as a name, an attribute or an imported
+name; a docstring or comment that mentions it does not count), and a public
+method or property of one of its classes when the package's code reads it
+as an attribute outside its definition; either also counts as used when it
+appears as a word in `scripts/` or in `perfbench/`. A mention in the README
 is not a use: a name that only the tests and the README use belongs in the
 tests (`tests/reference.py` holds the per-point references and test-only
 helpers).
@@ -62,16 +63,22 @@ def _members(tree: ast.Module) -> dict[str, tuple[str, int, int]]:
     return spans
 
 
+def _attribute_loads(tree: ast.Module) -> list[tuple[str, int]]:
+    """Each attribute a module's code reads, with its line: the only way
+    code uses a method or property (a name, a parameter or a keyword of the
+    same spelling is not a use of it)."""
+    return [(node.attr, node.end_lineno) for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute)
+            and isinstance(node.ctx, ast.Load)]
+
+
 def _code_references(tree: ast.Module) -> list[tuple[str, int]]:
     """Each name a module's code reads, with its line: loaded names and
     attributes, and the names its imports bind."""
-    refs = []
+    refs = _attribute_loads(tree)
     for node in ast.walk(tree):
         if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
             refs.append((node.id, node.lineno))
-        elif isinstance(node, ast.Attribute) and isinstance(node.ctx,
-                                                            ast.Load):
-            refs.append((node.attr, node.end_lineno))
         elif isinstance(node, ast.alias):
             refs.append((node.name, node.lineno))
     return refs
@@ -114,7 +121,7 @@ def test_every_public_name_is_used_outside_the_tests():
 def test_every_public_method_is_used_outside_the_tests():
     trees = _trees()
     refs = [(path, name, line) for path, tree in trees.items()
-            for name, line in _code_references(tree)]
+            for name, line in _attribute_loads(tree)]
     outside = _outside_users()
     test_only = []
     for path, tree in trees.items():

@@ -58,7 +58,8 @@ def _floats_text(size: int) -> st.SearchStrategy:
 
 @st.composite
 def configs(draw):
-    model = draw(st.sampled_from(sorted(cli._PARAMS)))
+    model = draw(st.sampled_from(sorted(
+        m for m in cli.MODELS if m != "custom_map_file")))
     scenario = {"model": model}
     scenario.update(draw(st.fixed_dictionaries({}, optional={
         "beta_list": _floats_text(3),

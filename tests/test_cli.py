@@ -941,6 +941,44 @@ def test_map_info_marks_invalid_rows(tmp_path, capsys):
     assert "1 singular" in lines[-1] and "1 invalid rows" in lines[-1]
 
 
+def test_map_info_marks_rows_whose_derivative_is_invalid(tmp_path, capsys):
+    # row 3's derivative is not Hermiticity-preserving: map-info names the
+    # row invalid with the message `run` stops at, and its map stays valid
+    times = np.linspace(0.0, 1.0, 9)
+    traj = random_gksl_trajectory(2, np.random.default_rng(8), times)
+    derivs = traj.derivatives.astype(complex)
+    derivs[3] = derivs[3] + np.diag(np.arange(4)) * 1e-3j
+    cells = np.concatenate([column_stacked(traj.maps, dynamical=True),
+                            column_stacked(derivs)], axis=1).reshape(9, -1)
+    path = tmp_path / "bad_derivative.maps"
+    path.write_text(
+        "# mapthermo-maps v1\n"
+        "# dim=2 vectorization=column-stacking derivatives=1\n"
+        + "".join(",".join(f"{x:.16e}" for x in (t, *row.view(float)))
+                  + "\n" for t, row in zip(times, cells)))
+    cfg_path = write_config(tmp_path, """\
+        [scenario]
+        model = custom_map_file
+        beta_list = 1.0
+        out_dir = {out}
+
+        [custom_map_file]
+        path = bad_derivative.maps
+    """.format(out=tmp_path / "out"))
+    assert main(["run", cfg_path]) == 2
+    err = capsys.readouterr().err.strip()
+    assert err.startswith(f"config error: {path}:6: map derivative at "
+                          "t = 0.375 is not Hermiticity-preserving")
+    assert main(["map-info", str(path)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    rows = lines[3:-1]
+    assert [("invalid:" in r) for r in rows] == [k == 3 for k in range(9)]
+    why = rows[3].split(",ok,invalid: ")[1]
+    assert why.startswith("map derivative at t = 0.375 ")
+    assert f"{path}:6: {why} (" in err
+    assert "0 singular" in lines[-1] and "1 invalid rows" in lines[-1]
+
+
 @pytest.mark.parametrize("times, grid", [
     ([0.0, 0.5, 1.0], "uniform from 0"),
     ([0.0, 0.5, 0.5], "line 6: grid must be strictly increasing"),
@@ -1180,6 +1218,26 @@ def test_a_map_file_run_and_map_info_load_no_model_module(tmp_path):
     assert "mapthermo.dynamics" in loaded
     assert not loaded & MODEL_MODULES
     assert not loaded & STARTUP_STDLIB
+
+
+@pytest.mark.parametrize("model, builder", [("jaynes_cummings", "models"),
+                                            ("closed_coherent", "coherent")])
+def test_importtime_logs_the_builder_that_parse_config_loads(tmp_path, model,
+                                                             builder):
+    # -X importtime logs what an import statement loads, not what
+    # importlib.import_module does: the startup bench reads the log
+    keys = "" if model == "closed_coherent" else "beta_list = 1\nt_max = 10\n"
+    cfg_path = write_config(
+        tmp_path, f"[scenario]\nmodel = {model}\n{keys}\n[{model}]\n")
+    proc = subprocess.run(
+        [sys.executable, "-X", "importtime", "-c",
+         "import sys; from mapthermo.cli import parse_config; "
+         "parse_config(sys.argv[1])", cfg_path],
+        env=source_env(), capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    logged = {line.rsplit("|", 1)[-1].strip()
+              for line in proc.stderr.splitlines()}
+    assert f"mapthermo.{builder}" in logged
 
 
 def test_map_info_into_a_closed_pipe_exits_1_quietly(tmp_path):

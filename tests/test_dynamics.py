@@ -14,6 +14,7 @@ from scipy.linalg import expm
 
 import mapthermo.csvout as csvout
 import mapthermo.dynamics as dynamics
+import mapthermo.operators as operators
 from mapthermo.csvout import csv_text
 from mapthermo.dynamics import (
     column_stacked,
@@ -44,7 +45,6 @@ from reference import (
     constant_rates,
     csv_lines,
     generator_at,
-    identity_superop,
     inverse_propagator,
     map_at,
     map_derivative,
@@ -75,14 +75,13 @@ def test_trajectory_requires_identity_at_zero():
 
 
 def test_trajectory_requires_trace_preservation():
-    bad = Superoperator(0.9 * np.eye(4))
     with pytest.raises(ConstructionError):
         MapTrajectory(times=np.array([0.0, 1.0]),
-                      maps=np.stack([identity_superop(2).matrix, bad.matrix]))
+                      maps=np.stack([np.eye(4), 0.9 * np.eye(4)]))
 
 
 def test_trajectory_requires_uniform_grid_from_zero():
-    ident = identity_superop(2).matrix
+    ident = np.eye(4)
     with pytest.raises(ConstructionError):
         MapTrajectory(times=np.array([0.5, 1.0]), maps=np.stack([ident] * 2))
     with pytest.raises(ValueError):
@@ -110,14 +109,14 @@ def test_generator_of_unitary_trajectory():
 
 def test_generator_of_identity_trajectory_is_zero():
     times = np.linspace(0.0, 1.0, 5)
-    traj = MapTrajectory(times=times, maps=np.stack([identity_superop(2).matrix] * 5))
+    traj = MapTrajectory(times=times, maps=np.stack([np.eye(4)] * 5))
     for i in range(5):
         assert np.max(np.abs(generator_at(traj, i).matrix)) < 1e-12
 
 
 def test_map_derivative_needs_three_points():
     traj = MapTrajectory(times=np.array([0.0, 0.1]),
-                         maps=np.stack([identity_superop(2).matrix] * 2))
+                         maps=np.stack([np.eye(4)] * 2))
     with pytest.raises(BoundaryStencil):
         map_derivative(traj, 0)
 
@@ -127,7 +126,7 @@ def test_map_derivative_prefers_analytic():
     marker = np.full((4, 4), 7.0)
     traj = MapTrajectory(times=times, maps=np.stack([np.eye(4)] * 3),
                          derivatives=np.stack([marker] * 3))
-    assert traj.derivative_source == "analytic"
+    assert traj.derivatives is not None
     npt.assert_array_equal(map_derivatives(traj, 1, 2)[0], marker)
 
 
@@ -232,7 +231,7 @@ def test_inverse_propagator_composition():
 
 def test_condition_numbers_identity_trajectory():
     times = np.linspace(0.0, 1.0, 5)
-    traj = MapTrajectory(times=times, maps=np.stack([identity_superop(2).matrix] * 5))
+    traj = MapTrajectory(times=times, maps=np.stack([np.eye(4)] * 5))
     conds, flags = invertibility_report(traj)
     for cond, flag in zip(conds, flags):
         assert abs(cond - 1.0) < 1e-10
@@ -399,13 +398,16 @@ def test_load_rejects_non_tp_file(tmp_path):
     (lambda m: m * np.nan, "not finite"),
 ])
 def test_trajectory_names_the_first_failing_map(corrupt, needle):
+    # column-stacked maps, converted as a map file's are: the imaginary part
+    # a map keeps in the basis is checked there
     times = np.linspace(0.0, 1.0, 9)
     traj = random_gksl_trajectory(3, np.random.default_rng(8), times)
     maps = traj.maps.astype(complex)
     for k in (3, 6):
         maps[k] = corrupt(maps[k])
     with pytest.raises(ConstructionError, match=needle) as exc:
-        MapTrajectory(times=times, maps=maps, derivatives=traj.derivatives)
+        stacked_trajectory(times, column_stacked(maps, dynamical=True),
+                           column_stacked(traj.derivatives))
     assert f"t = {times[3]:.6g}" in str(exc.value)
     assert exc.value.index == 3
 
@@ -1003,6 +1005,28 @@ def test_reading_a_map_file_takes_memory_for_its_stacks_and_one_block(
     assert peak <= 1.125 * sum(a.nbytes for a in stacks) + 12 * buffer
 
 
+def test_loading_a_map_file_takes_memory_for_its_stacks_and_one_real_stack(
+        tmp_path, monkeypatch):
+    # blocks of 64 matrices: the basis stacks are made a block at a time,
+    # so while the file's complex stacks live the peak grows by the real
+    # map stack alone over the reader's (whole complex basis stacks would
+    # add twice as much)
+    path = tmp_path / "gksl.maps"
+    save_map_trajectory(random_gksl_trajectory(
+        2, np.random.default_rng(5), np.linspace(0.0, 1.0, 2001)), str(path))
+    monkeypatch.setattr(dynamics, "_BLOCK_CELLS", 1 << 10)
+    monkeypatch.setattr(operators, "_STACK_BLOCK_ELEMENTS", 1 << 10)
+    buffer = 32 * dynamics._BLOCK_CELLS
+    tracemalloc.start()
+    try:
+        traj = load_map_trajectory(str(path))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    complex_stacks = 4 * traj.maps.nbytes   # of the maps and derivatives
+    assert peak <= 1.125 * complex_stacks + traj.maps.nbytes + 12 * buffer
+
+
 # Two faults in one file: the one that comes first in the file is reported.
 TWO_FAULTS = ["# mapthermo-maps v1",
               "# dim=1 vectorization=column-stacking derivatives=0",
@@ -1034,14 +1058,17 @@ def test_the_first_fault_in_a_map_file_is_reported(tmp_path, monkeypatch,
     assert str(exc.value) == f"{path}:{message}"
 
 
-def write_rows(path, times, maps):
-    """A map file of the given rows, without derivatives, with a comment
-    after the first row."""
+def write_rows(path, times, maps, derivs=None):
+    """A map file of the given rows (and derivatives), with a comment after
+    the first row."""
     d = int(round(np.sqrt(maps.shape[1])))
-    rows = [",".join(f"{x:.16e}" for x in (t, *m.reshape(-1).view(float)))
-            for t, m in zip(times, column_stacked(maps))]
+    cells = [column_stacked(a).reshape(len(times), -1)
+             for a in (maps, derivs) if a is not None]
+    rows = [",".join(f"{x:.16e}" for x in (t, *row.view(float)))
+            for t, row in zip(times, np.concatenate(cells, axis=1))]
     path.write_text("# mapthermo-maps v1\n"
-                    f"# dim={d} vectorization=column-stacking derivatives=0\n"
+                    f"# dim={d} vectorization=column-stacking "
+                    f"derivatives={int(derivs is not None)}\n"
                     f"{rows[0]}\n# a comment\n"
                     + "".join(f"{row}\n" for row in rows[1:]))
 
@@ -1066,6 +1093,35 @@ def test_load_names_the_line_of_the_first_failing_map(tmp_path, row,
     line = 3 if row == 0 else row + 4   # the comment follows row 0
     assert str(exc.value).startswith(f"{path}:{line}: map at t = ")
     assert dynamics.data_row_line(str(path), row) == line
+
+
+def test_load_names_a_map_fault_before_an_earlier_derivative_fault(tmp_path):
+    # the trajectory checks the maps whole before a derivative's imaginary
+    # part is looked at
+    times = np.linspace(0.0, 1.0, 9)
+    traj = random_gksl_trajectory(2, np.random.default_rng(8), times)
+    derivs = traj.derivatives.astype(complex)
+    derivs[2] = derivs[2] + np.diag(np.arange(4)) * 1e-3j
+    maps = traj.maps.copy()
+    maps[5] = 0.9 * maps[5]
+    path = tmp_path / "two_faults.maps"
+    for stack, fault in ((maps, f":9: map at t = {times[5]:.6g} is not "
+                                "trace-preserving"),
+                         (traj.maps, f":6: map derivative at t = "
+                                     f"{times[2]:.6g} is not Hermiticity")):
+        write_rows(path, times, stack, derivs)
+        with pytest.raises(ConstructionError) as exc:
+            load_map_trajectory(str(path))
+        assert str(exc.value).startswith(f"{path}{fault}")
+
+
+def test_trajectory_refuses_a_complex_stack():
+    times = np.linspace(0.0, 1.0, 3)
+    real = np.stack([np.eye(4)] * 3)
+    for maps, derivs in ((real.astype(complex), None), (real, 0j * real)):
+        with pytest.raises(ConstructionError, match="complex: column-stacked "
+                           "maps convert with dynamics.basis_maps"):
+            MapTrajectory(times=times, maps=maps, derivatives=derivs)
 
 
 def test_map_check_errors_carry_the_index_of_the_first_failing_map():

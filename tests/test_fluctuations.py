@@ -744,7 +744,7 @@ def dephasing_trajectory(energies, rates, times, analytic=True):
         jump = np.zeros((d, d))
         jump[k, k] = math.sqrt(gamma)
         gen = gen + _dissipator_matrix(jump)
-    gen = basis_maps(gen).real
+    gen = basis_maps(gen)[0]
     maps = np.stack([expm(t * gen) for t in times])
     return MapTrajectory(times=times, maps=maps,
                          derivatives=gen @ maps if analytic else None)

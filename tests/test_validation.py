@@ -59,7 +59,7 @@ def test_random_gksl_trajectory_properties():
     for dim in (2, 3):
         traj = random_gksl_trajectory(dim, rng, times)
         assert traj.dim == dim
-        assert traj.derivative_source == "analytic"
+        assert traj.derivatives is not None
         npt.assert_allclose(traj.maps[0], np.eye(dim * dim),
                             atol=1e-12)
         for i in (10, 30):
