@@ -98,8 +98,8 @@ def _changed(m: np.ndarray, dynamical: bool, inverse: bool):
     flat = hermitian_basis(math.isqrt(side)).reshape(side, -1)
     left, right = (flat.conj().T, flat) if inverse else (flat, flat.conj().T)
     stack = np.asarray(m).reshape(-1, side, side)
-    out = np.empty(stack.shape, complex if inverse else float)
-    imag = np.empty(len(stack))
+    result = np.empty(np.shape(m), complex if inverse else float)
+    out, imag = result.reshape(stack.shape), np.empty(len(stack))
     blocks = stack_blocks(len(stack), side)
     work = np.empty((2, blocks[0].stop if blocks else 0, side, side),
                     complex)
@@ -112,7 +112,7 @@ def _changed(m: np.ndarray, dynamical: bool, inverse: bool):
         imag[blk] = np.abs(z.imag).max(axis=(1, 2))
         if dynamical:
             out[blk] += eye
-    return out.reshape(np.shape(m)), imag.reshape(np.shape(m)[:-2])
+    return result, imag.reshape(np.shape(m)[:-2])
 
 
 def map_faults(a: np.ndarray, imag: np.ndarray, t: np.ndarray,
@@ -545,6 +545,8 @@ def load_map_trajectory(path: str) -> MapTrajectory:
     if derivs is not None:
         derivs, imag = basis_maps(derivs)   # and so does this one
         dfaults = map_faults(derivs, imag, times, "map derivative")
+        derivs.setflags(write=False)
+    maps.setflags(write=False)   # read-only: the trajectory keeps them
     try:
         for k, why in faults.items():
             raise ConstructionError(why, index=k)

@@ -32,7 +32,8 @@ row and every beta in one pass, beta on a leading axis, each trace a
 weighted sum sum_k f(lambda_k) <k|A|k> in the eigenbasis of the observable.
 The spectra of K(t), P(t) and O_w(t), the diagonals of Phi_t[1] and
 Phi_t[1/d] in them and P(t)'s eigenprojectors do not depend on beta; a
-call forms them once, for every row. Within it a further beta costs its
+call forms them once, for every row (`_spectra`: for a qubit in closed
+form, otherwise by LAPACK). Within it a further beta costs its
 Boltzmann weights, elementwise sums over real basis coordinates and one
 map-vector product per row for Phi_t[rho(0)]. The columns are those of
 `lambda_series.csv` plus the Lambda_u cross-check residual; one beta is
@@ -89,6 +90,41 @@ def _measurement(x: np.ndarray):
     clusters = cluster_eigenvalues(vals)
     return (np.array([np.mean(vals[idx]) for idx in clusters]),
             _projectors(vecs[None])[0], vals, vecs, clusters)
+
+
+_SQRT_HALF = 1 / math.sqrt(2)   # as `hermitian_basis` rounds B_0
+
+
+def _spectra(x: np.ndarray, vectors: bool = True):
+    """Ascending eigenvalues (n, d) of the Hermitian operators of real basis
+    coordinates x (n, d^2) and, with `vectors`, the coordinates (n, d, d^2)
+    of their eigenprojectors |k><k|.
+
+    At d = 2, X = (x_0 + v.sigma) / sqrt(2) with v = (x_1, x_2, x_3): the
+    eigenvalues are (x_0 -+ |v|) / sqrt(2) and the eigenprojectors
+    (1 -+ v.sigma / |v|) / 2, of coordinates (1, -+v / |v|) / sqrt(2), a
+    few elementwise operations with no complex matrix and no LAPACK call.
+    |v| is a scaled norm (`np.hypot`), so a tiny v does not underflow into
+    a false degeneracy; v = 0 takes the pair along sigma_z. At d >= 3 it is
+    `np.linalg.eigh` (or `eigvalsh`) of the matrices, then `_projectors`.
+    """
+    if x.shape[-1] != 4:
+        m = from_coordinates(x)
+        if not vectors:
+            return np.linalg.eigvalsh(m)
+        vals, vecs = np.linalg.eigh(m)
+        return vals, _projectors(vecs)
+    v = x[:, 1:]
+    r = np.hypot(np.hypot(v[:, 0], v[:, 1]), v[:, 2])[:, None]
+    vals = (x[:, :1] + r * [-1.0, 1.0]) * _SQRT_HALF
+    if not vectors:
+        return vals
+    axis = np.where(r > 0, v / np.where(r > 0, r, 1.0),
+                    [0.0, 0.0, 1.0]) * _SQRT_HALF
+    proj = np.empty((x.shape[0], 2, 4))
+    proj[:, :, 0] = _SQRT_HALF
+    proj[:, 0, 1:], proj[:, 1, 1:] = -axis, axis
+    return vals, proj
 
 
 def _positive_betas(betas) -> np.ndarray:
@@ -321,10 +357,14 @@ def fluctuation_tables(pipeline, betas) -> list[FluctuationTable]:
     """One FluctuationTable per beta at every grid row of a ThermoPipeline,
     beta on a leading axis.
 
-    K(t), P(t) and O_w(t) are diagonalized on every row, and the
-    diagonals of Phi_t[1] and Phi_t[1/d] in their eigenbases are weighted
-    with the Gibbs populations of K(t) (the three Lambda_u routes)
-    and with e^{-beta O_w(t)} (Lambda_w); the diagonals of Phi_t[rho(0)] in
+    K(t), P(t) and O_w(t) are diagonalized on every row by `_spectra`, as
+    is Phi_t[1] for its largest eigenvalue: at d = 2 in closed form, with
+    no LAPACK call on the rows (an eigenvalue can differ from
+    `np.linalg.eigh`'s by an ulp or two, which e^{-beta lambda} turns into
+    about beta |lambda| ulps), at d >= 3 by `eigh` and `eigvalsh`. The
+    diagonals of Phi_t[1] and Phi_t[1/d] in the eigenbases are weighted
+    with the Gibbs populations of K(t) (the three Lambda_u routes) and
+    with e^{-beta O_w(t)} (Lambda_w); the diagonals of Phi_t[rho(0)] in
     the eigenbasis of P(t) with e^{-beta P(t)}. Both exponentials are
     checked for overflow, naming the first failing beta in the order given.
     <e^{-beta w}> = Tr{e^{-beta O_w(t)} Phi_t[1]} / Z(0) is evaluated on its
@@ -336,35 +376,34 @@ def fluctuation_tables(pipeline, betas) -> list[FluctuationTable]:
 
     k0_vals, rho0 = _initial_states(pipeline, beta)
     z0 = np.sum(np.exp(-b * k0_vals[0]), axis=-1)[:, None]
-    (k_vals, k_vecs), (p_vals, p_vecs), (w_vals, w_vecs) = (
-        np.linalg.eigh(from_coordinates(x))
-        for x in (pipeline.k, pipeline.p, pipeline.w))
+    (k_vals, k_proj), (p_vals, p_proj), (w_vals, w_proj) = (
+        _spectra(x) for x in (pipeline.k, pipeline.p, pipeline.w))
     zt = np.sum(np.exp(-b[..., None] * k_vals), axis=-1)
     gibbs = _gibbs_weights(k_vals, b[..., None])
     # in the eigenbasis |k> of K(t): <k|Phi_t[1]|k>, d <k|Phi_t[1/d]|k> and
     # Tr{Phi_t^dagger[|k><k|]} from the map's images of the |i><i|; 1 has
     # the coordinates sqrt(d) e_0, so Phi_t[1] is a column of the map
-    d = k_vecs.shape[-1]
+    d = pipeline.traj.dim
     phi_id, phi_mixed = (maps[:, :, 0] * f for f in (d**0.5, d**-0.5))
     units = _projectors(np.eye(d)[None])[0]  # the |i><i|
     images = (maps.reshape(-1, d * d) @ units.T).reshape(
         maps.shape[:2] + (d,)).sum(axis=-1)  # sum over i
-    routes = np.einsum("nka,mna->mnk", _projectors(k_vecs),
+    routes = np.einsum("nka,mna->mnk", k_proj,
                        np.stack([phi_id, phi_mixed, images]))
     direct, mixed, adj = ((gibbs * a).sum(axis=-1)
                           for a in (routes[0], d * routes[1], routes[2]))
     residual = np.ptp([direct, mixed, adj], axis=0)  # largest disagreement
 
-    phi_w = np.einsum("nka,na->nk", _projectors(w_vecs), phi_id)
+    phi_w = np.einsum("nka,na->nk", w_proj, phi_id)
     exp_w = (_boltzmann(w_vals, beta, times, "O_w") * phi_w).sum(axis=-1)
-    phi_max = np.linalg.eigvalsh(from_coordinates(phi_id))[:, -1]
+    phi_max = _spectra(phi_id, vectors=False)[:, -1]
     p_max = p_vals[:, -1]
     # rho_t = Phi_t[rho(0)] per state, as (B, n, d^2) coordinates, summed
     # as `mean_change` sums it
     r0 = np.array([coordinates(r) for r in rho0])
     rho_t = np.einsum("nab,sb->sna", maps, r0)
     exp_q = (_boltzmann(p_vals, beta, times, "P") * np.einsum(
-        "nka,bna->bnk", _projectors(p_vecs), rho_t)).sum(axis=-1)
+        "nka,bna->bnk", p_proj, rho_t)).sum(axis=-1)
     mean_w = _mean_changes(pipeline.w, rho_t, pipeline.w[0], r0)
     columns = (direct, exp_w / zt, np.exp(b * p_max) * phi_max, exp_w / z0,
                exp_q, -np.log(zt / z0) / b, mean_w,

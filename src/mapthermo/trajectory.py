@@ -50,8 +50,11 @@ SPIKE_FLOOR = 100.0
 
 
 def _real_stack(a: np.ndarray, t: np.ndarray, what: str) -> np.ndarray:
-    """A basis stack as a new read-only float array; a ConstructionError
-    refuses a complex one, or names the first map not finite (its index)."""
+    """A basis stack as a read-only float array: a new one, unless it is a
+    read-only float array that owns its memory, as the stacks that
+    `dynamics.load_map_trajectory` hands over (no other array can write
+    to it); a ConstructionError refuses a complex one, or names the first
+    map not finite (its index)."""
     if np.iscomplexobj(a):
         raise ConstructionError(f"{what} stack is complex: column-stacked "
                                 "maps convert with dynamics.basis_maps")
@@ -59,8 +62,10 @@ def _real_stack(a: np.ndarray, t: np.ndarray, what: str) -> np.ndarray:
     if bad.size:
         raise ConstructionError(f"{what} at t = {t[bad[0]]:.6g} holds a "
                                 "value that is not finite", index=int(bad[0]))
-    a = np.array(a, dtype=float)
-    a.setflags(write=False)
+    if (a.flags.writeable or not a.flags.owndata
+            or not a.flags.c_contiguous or a.dtype != np.float64):
+        a = np.array(a, dtype=float)
+        a.setflags(write=False)
     return a
 
 
@@ -73,7 +78,10 @@ class MapTrajectory:
     `operators.hermitian_basis` (for d = 2 the Pauli transfer matrix), and
     `derivatives` the optional array of analytic dPhi/dt in that basis.
     Both are real: a complex stack is refused, as column-stacked maps
-    convert with `dynamics.basis_maps`. Construction is the only
+    convert with `dynamics.basis_maps`. A stack is kept as a read-only
+    copy, so a caller's later writes do not reach the trajectory, unless it
+    is already a read-only float array that owns its memory (the stacks
+    `dynamics.load_map_trajectory` hands over). Construction is the only
     validation (grid, shapes, finite values, identity at t = 0, trace
     preservation as a first row e_0) and names the first failing time. A
     ConstructionError carries the index of the map at fault; a grid that

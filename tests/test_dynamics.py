@@ -1124,6 +1124,46 @@ def test_trajectory_refuses_a_complex_stack():
             MapTrajectory(times=times, maps=maps, derivatives=derivs)
 
 
+def test_a_callers_stacks_are_copied_so_later_writes_do_not_reach_it():
+    times = np.linspace(0.0, 1.0, 9)
+    given = random_gksl_trajectory(2, np.random.default_rng(8), times)
+    maps, derivs = given.maps.copy(), given.derivatives.copy()
+    traj = MapTrajectory(times=times, maps=maps, derivatives=derivs)
+    kept = traj.maps.copy(), traj.derivatives.copy()
+    maps[4, 1, 1] += 0.5
+    derivs[4, 1, 1] += 0.5
+    assert not np.shares_memory(traj.maps, maps)
+    assert not np.shares_memory(traj.derivatives, derivs)
+    npt.assert_array_equal(traj.maps, kept[0])
+    npt.assert_array_equal(traj.derivatives, kept[1])
+    # a read-only view of a caller's array is copied too: its owner writes
+    view = maps[:]
+    view.setflags(write=False)
+    assert not np.shares_memory(MapTrajectory(times=times, maps=view).maps,
+                                maps)
+
+
+def test_the_loader_hands_its_stacks_over_without_a_copy(tmp_path,
+                                                         monkeypatch):
+    path = tmp_path / "gksl.maps"
+    save_map_trajectory(random_gksl_trajectory(
+        2, np.random.default_rng(5), np.linspace(0.0, 1.0, 41)), str(path))
+    made, convert = [], dynamics.basis_maps
+
+    def recording(*args, **kwargs):
+        stack, imag = convert(*args, **kwargs)
+        made.append(stack)   # the maps, then the derivatives
+        return stack, imag
+
+    monkeypatch.setattr(dynamics, "basis_maps", recording)
+    traj = load_map_trajectory(str(path))
+    assert len(made) == 2
+    assert np.shares_memory(traj.maps, made[0])
+    assert np.shares_memory(traj.derivatives, made[1])
+    assert not traj.maps.flags.writeable
+    assert not traj.derivatives.flags.writeable
+
+
 def test_map_check_errors_carry_the_index_of_the_first_failing_map():
     times = np.linspace(0.0, 1.0, 9)
     maps = random_gksl_trajectory(2, np.random.default_rng(8),

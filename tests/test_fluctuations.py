@@ -26,12 +26,19 @@ from mapthermo.fluctuations import (
     tpms_distribution,
 )
 from mapthermo.models import jc_reduced_map
-from mapthermo.params import JCParams, WeakCouplingParams, weak_coupling_rates
+from mapthermo.params import (
+    CustomPCParams,
+    JCParams,
+    WeakCouplingParams,
+    custom_pc_rates,
+    weak_coupling_rates,
+)
 from mapthermo.records import fields
 from mapthermo.trajectory import MapTrajectory
 from mapthermo.observables import ThermoPipeline, mean_change
 from mapthermo.operators import (
     PAULI,
+    _projectors,
     adjoint_apply_stack,
     coordinates,
     from_coordinates,
@@ -454,6 +461,20 @@ def gksl_pipeline(dim=6, n=60):
         random_gksl_trajectory(dim, np.random.default_rng(dim), times))
 
 
+def zero_splitting_pipeline():
+    # custom_pc with omega0 = 0: K(0) = 0 is degenerate
+    p = CustomPCParams(omega0=0.0, delta=1.0, Omega=np.pi / 20,
+                       gamma_plus=0.1, gamma_minus=0.3)
+    return ThermoPipeline(pc_trajectory(custom_pc_rates(p),
+                                        np.linspace(0.0, 10.0, 121))[0])
+
+
+def dephasing_qubit_pipeline():
+    # pure dephasing: P(t) = 0, so exp_avg_q = 1 on every row
+    return ThermoPipeline(pc_trajectory(constant_rates(1.0, 0, 0, gamma_z=0.3),
+                                        np.linspace(0.0, 10.0, 121))[0])
+
+
 def reference_row(pipe, work, i, beta):
     """The report columns at one row from the per-operator functions."""
     traj = pipe.traj
@@ -582,8 +603,9 @@ def test_a_call_diagonalizes_its_rows_once_and_k0_once(monkeypatch):
 
 @pytest.mark.parametrize("indices", [None, [0, 1, 7, 30, 59, 60, 7]])
 @pytest.mark.parametrize("beta", [0.05, 1.0, 8.0])
-@pytest.mark.parametrize("make_pipe", [weak_coupling_pipeline,
-                                       qutrit_pipeline, gksl_pipeline])
+@pytest.mark.parametrize("make_pipe", [
+    weak_coupling_pipeline, zero_splitting_pipeline, dephasing_qubit_pipeline,
+    qutrit_pipeline, gksl_pipeline])
 def test_eigenbasis_table_matches_the_matrix_route(make_pipe, beta, indices):
     # the whole grid's rows against the matrix route on those rows alone
     pipe = make_pipe()
@@ -618,6 +640,58 @@ def test_one_pass_over_several_betas_matches_the_matrix_route(make_pipe):
             assert np.all(np.abs(got - want) <= 1e-13 * scale), name
         assert table.mean_w[0] == 0.0
         assert np.all(table.lambda_u_residual <= 1e-12)
+
+
+def test_qubit_tables_take_no_spectrum_of_the_rows_from_lapack(monkeypatch):
+    # at d = 2 the rows' spectra are closed forms: the only LAPACK calls are
+    # K(0)'s spectrum and the check of its Gibbs states, one per beta
+    pipe = weak_coupling_pipeline()
+    calls = []
+    for name in ("eigh", "eigvalsh"):
+        monkeypatch.setattr(np.linalg, name,
+                            recording(calls, getattr(np.linalg, name)))
+    fluctuation_tables(pipe, (2.0, 0.3, 5.0))
+    assert calls == [(1, 2, 2), (3, 2, 2)]
+
+
+def drawn_qubit_coordinates(rng, n=600):
+    """Qubit coordinates (x_0, v) with the rows that a closed form can get
+    wrong: v = 0 exactly, |v| near 1e-200, |v| far below and far above
+    |x_0|, x_0 of either sign or zero, scales over many decades."""
+    x = rng.normal(size=(n, 4))
+    x[:, 1:] *= 10.0 ** rng.uniform(-12, 12, size=(n, 1))   # |v| vs |x_0|
+    x *= 10.0 ** rng.uniform(-100, 100, size=(n, 1))
+    x[:50, 1:] = 0.0
+    tiny = rng.normal(size=(50, 3))
+    x[50:100, 1:] = 1e-200 * tiny / np.linalg.norm(tiny, axis=1)[:, None]
+    x[50:100, 0] = rng.choice([-1.0, 0.0, 1.0], size=50)
+    x[100:120, 0] = 0.0
+    return x
+
+
+def test_qubit_spectra_in_closed_form_match_lapack():
+    x = drawn_qubit_coordinates(np.random.default_rng(35))
+    vals, proj = fluctuations._spectra(x)
+    assert vals.shape == (len(x), 2) and proj.shape == (len(x), 2, 4)
+    assert np.all(vals[:, 0] <= vals[:, 1])
+    assert fluctuations._spectra(x, vectors=False).tobytes() == vals.tobytes()
+    ref_vals, ref_vecs = np.linalg.eigh(from_coordinates(x))
+    top = np.abs(x).max(axis=1)   # scaled, so that no norm underflows
+    norm = np.linalg.norm(x[:, 1:] / top[:, None], axis=1) * top
+    scale = np.maximum(np.abs(x[:, 0]), norm)
+    eps = np.finfo(float).eps
+    assert np.all(np.abs(vals - ref_vals) <= 4 * eps * scale[:, None])
+    # sum_k lambda_k P_k = X, P_k^2 = P_k and P_0 + P_1 = 1
+    assert np.all(np.abs(np.einsum("nk,nka->na", vals, proj) - x)
+                  <= 4 * eps * scale[:, None])
+    p = from_coordinates(proj)
+    assert np.max(np.abs(p @ p - p)) <= 4 * eps
+    assert np.max(np.abs(proj.sum(axis=1) - [math.sqrt(2), 0, 0, 0])) <= eps
+    # where the gap is resolved, LAPACK's eigenprojectors are the same
+    split = norm >= 1e-3 * scale
+    assert split.sum() > 200
+    npt.assert_allclose(proj[split], _projectors(ref_vecs)[split], rtol=0,
+                        atol=1e-12)
 
 
 def test_one_pass_forms_one_gibbs_stack_of_all_betas(monkeypatch):
