@@ -11,7 +11,10 @@ throughout, so a zero observable at time zero cleanly degenerates to a
 one-point measurement of the final observable (the heat statistics case).
 `tpms_distribution` measures the observables by their real basis
 coordinates, as `ThermoPipeline` holds them: K(0) then O_w(t) for work, a
-zero first observable then P(t) for heat.
+zero first observable then P(t) for heat. It takes their spectra from
+`_spectra`, as the tables do; only caller-supplied states take O0's
+eigenvectors from `eigh`. Clusters and merged outcomes are anchored at
+their first value (`_group_starts`).
 
 From the distributions come the exponential averages and the correction
 factors to the Jarzynski equality:
@@ -65,31 +68,32 @@ NEGATIVE_PROB_TOL = 1e-12
 PROB_SUM_TOL = 1e-9
 
 
-def cluster_eigenvalues(values: np.ndarray) -> list[np.ndarray]:
-    """Group ascending eigenvalues into clusters of numerically equal
-    outcomes. The clustering tolerance is 1e-9 * max(1, spectral range).
-
-    Returns a list of index arrays, one per cluster.
-    """
-    values = np.asarray(values, dtype=float)
-    tol = CLUSTER_TOL * max(1.0, float(np.ptp(values)) if values.size else 1.0)
-    clusters: list[list[int]] = [[0]]
-    for i in range(1, values.size):
-        if values[i] - values[clusters[-1][0]] <= tol:
-            clusters[-1].append(i)
-        else:
-            clusters.append([i])
-    return [np.array(c) for c in clusters]
+def _group_starts(values: np.ndarray, scale: float) -> list[int]:
+    """Start indices of the groups of ascending `values`: a value joins the
+    group whose first value lies within CLUSTER_TOL * scale of it, or starts
+    the next. Eigenvalue clusters and merged outcomes are these groups."""
+    xs, starts = values.tolist(), [0]
+    for i, x in enumerate(xs):
+        if x - xs[starts[-1]] > CLUSTER_TOL * scale:
+            starts.append(i)
+    return starts
 
 
-def _measurement(x: np.ndarray):
-    """Outcome values (cluster means) of the observable of real basis
-    coordinates x, the coordinates of its eigenprojectors |i><i|, and its
-    eigenvalues, eigenvectors and clusters."""
-    vals, vecs = np.linalg.eigh(from_coordinates(x))
-    clusters = cluster_eigenvalues(vals)
-    return (np.array([np.mean(vals[idx]) for idx in clusters]),
-            _projectors(vecs[None])[0], vals, vecs, clusters)
+def _group_sums(x: np.ndarray, starts: list[int]) -> np.ndarray:
+    """Sums of x over its leading axis in the groups that begin at `starts`,
+    each in order (`np.add.reduceat` adds x_0 + (x_1 + x_2), a bit apart)."""
+    total = x[starts]
+    for g, (a, b) in enumerate(zip(starts, [*starts[1:], len(x)])):
+        for i in range(a + 1, b):
+            total[g] += x[i]
+    return total
+
+
+def _clusters(vals: np.ndarray) -> tuple[list[int], np.ndarray]:
+    """The groups of ascending eigenvalues (d,) at scale max(1, their range),
+    and each group's mean, its outcome."""
+    starts = _group_starts(vals, max(1.0, vals[-1] - vals[0]))
+    return starts, _group_sums(vals, starts) / np.diff([*starts, len(vals)])
 
 
 _SQRT_HALF = 1 / math.sqrt(2)   # as `hermitian_basis` rounds B_0
@@ -188,17 +192,22 @@ def tpms_distribution(rho0, map_t: np.ndarray, o0: np.ndarray,
     `MapTrajectory.maps`, (d^2, d^2); a ConstructionError names the first
     argument whose shape does not fit o0's.
 
-    All (n, m) cluster pairs are enumerated, zero-probability outcomes
-    included; outcome values agreeing within the clustering tolerance are
-    merged. No diagonality of rho0 in the O0 eigenbasis is required, but the
-    initial measurement dephases the state in that basis, and
-    `initial_coherence` reports how much was destroyed. Given betas, each
-    branch Pi_n rho Pi_n is sum_{i in n} w_i |i><i| over the Gibbs
-    populations w_i of the cluster's eigenvectors, so a small population
-    keeps its relative accuracy (from a matrix it carries an absolute error
-    of about eps, which e^{beta o_n} in `exp_average` then multiplies). The
-    branches Phi_t[Pi_n rho Pi_n] and their traces against Pi_m(t) are sums
-    of basis coordinates that take each state alone.
+    Both observables are diagonalized by `_spectra`, as the tables are (at
+    d = 2 in closed form). Eigenvalues within 1e-9 * max(1, spectral range)
+    of their cluster's first are one outcome at their mean, and all (n, m)
+    cluster pairs are enumerated, zero-probability outcomes included.
+    Differences o_m - o_n within 1e-9 * max(1, either range) of their
+    group's first, x_0, merge into one outcome x_0 + sum (x - x_0) p / sum p
+    (x_0 where sum p <= 0). No diagonality of rho0 in the O0 eigenbasis is
+    required, but the initial measurement dephases the state in that basis,
+    and `initial_coherence` reports how much was destroyed. Given states,
+    each branch Pi_n rho Pi_n is a matrix product, Pi_n formed from
+    `np.linalg.eigh`'s eigenvectors of O0. Given betas, it is
+    sum_{i in n} w_i |i><i| over the Gibbs populations w_i, so a small
+    population keeps its relative accuracy (from a matrix it carries an
+    absolute error of about eps, which e^{beta o_n} in `exp_average` then
+    multiplies). The branches Phi_t[Pi_n rho Pi_n] and their traces against
+    Pi_m(t) are sums of basis coordinates that take each state alone.
     """
     states, d = np.asarray(rho0), math.isqrt(np.size(o0))
     for what, shape, expect in (
@@ -208,46 +217,36 @@ def tpms_distribution(rho0, map_t: np.ndarray, o0: np.ndarray,
         if shape != expect and (what != "rho0" or states.ndim != 1):
             raise ConstructionError(f"{what} has shape {shape}, but o0 of "
                                     f"shape {np.shape(o0)} needs {expect}")
-    out0, proj0, vals0, vecs0, clusters0 = _measurement(o0)
+    (vals0, valst), (proj0, projt) = _spectra(np.stack([o0, ot]))
+    (starts0, out0), (startst, outt) = _clusters(vals0), _clusters(valst)
     if states.ndim == 1:   # betas
         w = _gibbs_weights(vals0, _positive_betas(states)[:, None])
-        kept = np.array([(w[:, idx, None] * proj0[idx]).sum(axis=1)
-                         for idx in clusters0])   # (n, state, d^2)
+        kept = _group_sums(w.T[..., None] * proj0[:, None], starts0)
         coherence = np.zeros(states.size)
     else:
         states = _state_stack(states, what=lambda k: f"state {k}")
-        p0 = np.array([vecs0[:, idx] @ vecs0[:, idx].conj().T
-                       for idx in clusters0])[:, None]
+        p0 = np.array([v @ v.conj().T for v in np.split(np.linalg.eigh(
+            from_coordinates(o0))[1], starts0[1:], axis=1)])[:, None]
         kept = p0 @ states @ p0  # (n, state, d, d)
         coherence = np.linalg.norm(states - kept.sum(axis=0), axis=(-2, -1))
         kept = coordinates(kept)
-    outt, projt, _, _, clusterst = _measurement(ot)
-    projt = np.array([projt[idx].sum(axis=0) for idx in clusterst])
+    projt = _group_sums(projt, startst)
     # Tr{Pi_m Phi_t[X]} = c(Pi_m) . R c(X) for Hermitian X, c coordinates
     branches = np.einsum("ab,nsb->nsa", map_t, kept)
     probs = np.einsum("ma,nsa->nms", projt, branches)
     raw_x = (outt[None, :] - out0[:, None]).ravel()
     order = np.argsort(raw_x, kind="stable")
     raw_x, raw_p = raw_x[order], probs.reshape(-1, kept.shape[1])[order]
-    scale = max(1.0, float(np.ptp(out0)), float(np.ptp(outt)))
-    dists = []
-    for k, state_p in enumerate(raw_p.T):
-        xs: list[float] = []
-        ps: list[float] = []
-        for x, p in zip(raw_x, state_p):
-            if xs and x - xs[-1] <= CLUSTER_TOL * scale:
-                # weighted merge keeps the outcome value consistent
-                tot = ps[-1] + p
-                if tot > 0:
-                    xs[-1] = (xs[-1] * ps[-1] + x * p) / tot
-                ps[-1] = tot
-            else:
-                xs.append(float(x))
-                ps.append(float(p))
-        dists.append(OutcomeDistribution(
-            outcomes=np.array(xs), probs=np.array(ps),
-            initial_coherence=float(coherence[k])))
-    return dists
+    starts = _group_starts(raw_x, max(1.0, out0[-1] - out0[0],
+                                      outt[-1] - outt[0]))
+    first = raw_x[starts]
+    offsets = raw_x - np.repeat(first, np.diff([*starts, raw_x.size]))
+    p = _group_sums(raw_p, starts)   # (group, state)
+    shift = _group_sums(offsets[:, None] * raw_p, starts)
+    xs = first[:, None] + np.divide(shift, p, out=np.zeros_like(p),
+                                    where=p > 0)
+    return [OutcomeDistribution(outcomes=x, probs=q, initial_coherence=c)
+            for x, q, c in zip(xs.T, p.T, coherence.tolist())]
 
 
 def exp_average(dist: OutcomeDistribution, beta: float) -> float:

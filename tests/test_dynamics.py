@@ -259,11 +259,13 @@ def test_condition_numbers_grow_monotonically_for_damped_qubit():
 
 
 def test_condition_flags_classification():
-    conds = np.array([1.0, 2.0, 3.0, 4.0, 5000.0, 6.0, 1e13])
+    conds = np.array([1.0, 2.0, 3.0, 4.0, 5000.0, 6.0, 1000.0, 2000.0, 1e13])
     flags = condition_flags(conds, cond_threshold=1e12)
     assert flags[-1] == "singular"
     assert flags[4] == "spike"
     assert flags[0] == "ok" and flags[5] == "ok"
+    # tenfold its left neighbour but not its right one: no spike
+    assert flags[6] == "ok"
 
 
 def test_resonant_exchange_gets_flagged():

@@ -18,7 +18,6 @@ from mapthermo.fluctuations import (
     CLUSTER_TOL,
     FluctuationTable,
     OutcomeDistribution,
-    cluster_eigenvalues,
     exp_average,
     fluctuation_report,
     fluctuation_table,
@@ -105,10 +104,21 @@ def unital_gksl_trajectory(t_f=2.0, n=100):
     return stacked_trajectory(ts, np.stack(maps), np.stack(derivs))
 
 
-def test_cluster_eigenvalues_groups_numerical_degeneracies():
-    clusters = cluster_eigenvalues(np.array([0.0, 1e-12, 1.0]))
-    assert [list(c) for c in clusters] == [[0, 1], [2]]
-    assert len(cluster_eigenvalues(np.array([0.0, 0.5, 1.0]))) == 3
+def groups(values):
+    """The index groups of `fluctuations._group_starts` at scale 1."""
+    starts = fluctuations._group_starts(np.array(values), 1.0)
+    return [g.tolist() for g in np.split(np.arange(len(values)), starts[1:])]
+
+
+def test_grouping_joins_numerical_degeneracies():
+    assert groups([0.0, 1e-12, 1.0]) == [[0, 1], [2]]
+    assert len(groups([0.0, 0.5, 1.0])) == 3
+    # a value exactly one tolerance above the group's first joins it
+    assert groups([0.0, CLUSTER_TOL]) == [[0, 1]]
+    # a chain of values each within the tolerance of the next: the group
+    # is anchored at its first value
+    tol = CLUSTER_TOL
+    assert groups([0.0, 0.6 * tol, 1.2 * tol]) == [[0, 1], [2]]
 
 
 def test_distribution_rejects_bad_inputs():
@@ -526,12 +536,20 @@ def test_table_invariant_check_names_the_failing_row_time():
     avg[k] += 1e-3
     with pytest.raises(ConstructionError, match=where):
         replace(table, exp_avg_w=avg).check_invariants()
-    lw = table.lambda_w.copy()
-    lw[k] = table.lambda_w_bound[k] + 1.0
-    avg = table.exp_avg_w.copy()
-    avg[k] = lw[k] * np.exp(-table.beta * table.delta_F_bar[k])
-    with pytest.raises(ConstructionError, match=where + ".*exceeds its bound"):
-        replace(table, lambda_w=lw, exp_avg_w=avg).check_invariants()
+    # lambda_w over its bound, with exp_avg_w consistent so that only the
+    # bound check can fire: it allows tol = 1e-9, the default, and no more
+    for over in (1.0, 2e-9, 0.5e-9):
+        lw = table.lambda_w.copy()
+        lw[k] = table.lambda_w_bound[k] + over
+        avg = table.exp_avg_w.copy()
+        avg[k] = lw[k] * np.exp(-table.beta * table.delta_F_bar[k])
+        over_table = replace(table, lambda_w=lw, exp_avg_w=avg)
+        if over < 1e-9:
+            over_table.check_invariants()
+            continue
+        with pytest.raises(ConstructionError,
+                           match=where + ".*exceeds its bound"):
+            over_table.check_invariants()
     # NaN fails every comparison: a NaN cell fails its row by name, in the
     # table and in the row's report
     for name in ("lambda_w", "lambda_w_bound", "exp_avg_w", "delta_F_bar"):
@@ -652,6 +670,27 @@ def test_qubit_tables_take_no_spectrum_of_the_rows_from_lapack(monkeypatch):
                             recording(calls, getattr(np.linalg, name)))
     fluctuation_tables(pipe, (2.0, 0.3, 5.0))
     assert calls == [(1, 2, 2), (3, 2, 2)]
+
+
+def test_qubit_distributions_take_the_tables_spectra(monkeypatch):
+    # at d = 2 the outcomes are differences of `_spectra`'s eigenvalues, the
+    # tables' own, with no LAPACK call; this O_w is not diagonal
+    traj = random_gksl_trajectory(2, np.random.default_rng(3),
+                                  np.linspace(0.0, 1.5, 65))
+    work, _ = ThermoPipeline(traj).work_heat_observables()
+    calls = []
+    for name in ("eigh", "eigvalsh"):
+        monkeypatch.setattr(np.linalg, name,
+                            recording(calls, getattr(np.linalg, name)))
+    (v0,) = fluctuations._spectra(work[:1], vectors=False)
+    for i in (20, 42, 64):
+        assert np.all(work[i, 1:3] != 0.0)
+        (vt,) = fluctuations._spectra(work[i:i + 1], vectors=False)
+        want = np.sort((vt[None, :] - v0[:, None]).ravel())
+        for dist in tpms_distribution([0.5, 2.0], traj.maps[i], work[0],
+                                      work[i]):
+            assert dist.outcomes.tobytes() == want.tobytes()
+    assert calls == []
 
 
 def drawn_qubit_coordinates(rng, n=600):
